@@ -7,7 +7,7 @@ directly.
 """
 
 from .tableaus import ButcherTableau, ImexPair, builtin, validate, weight_moment
-from .numerics import GaussRule, LagrangeBasis, gauss_rule, l2_project, lebesgue_bound
+from .numerics import GaussRule, LagrangeBasis, gauss_rule, l2_project
 from .problems import (
     SplitOdeProblem, QoiSpec, linear_advection_diffusion, burgers,
     mhd_alfven, mhd_split, alfven_analytic, qoi_mean_left_half, qoi_integral_v,
@@ -15,14 +15,11 @@ from .problems import (
     component_masks, check_jacobians,
 )
 from .solver import TimeGrid, NewtonConfig, ForwardSolution, solve_forward, step
-from .reconstruct import (
-    PiecewisePolynomial, StageInterpolant, build_cg, quad_f, quad_g,
-)
+from .reconstruct import PiecewisePolynomial, build_cg, quad_f, quad_g
 from .adjoint import AdjointSolution, LinearizedOperator, solve_adjoint
 from .estimate import (
     ErrorBreakdown, ComponentMask, error_breakdown, error_breakdown_timedep,
-    effectivity, component_split, galerkin_orthogonality_check,
-    residual_weighted_estimate,
+    effectivity, component_split, residual_weighted_estimate,
 )
 from .reference import ReferenceConfig, true_qoi
 
@@ -40,17 +37,17 @@ def __getattr__(name):
 
 __all__ = [
     "ButcherTableau", "ImexPair", "builtin", "validate", "weight_moment",
-    "GaussRule", "LagrangeBasis", "gauss_rule", "l2_project", "lebesgue_bound",
+    "GaussRule", "LagrangeBasis", "gauss_rule", "l2_project",
     "SplitOdeProblem", "QoiSpec", "linear_advection_diffusion", "burgers",
     "mhd_alfven", "mhd_split", "alfven_analytic", "qoi_mean_left_half",
     "qoi_integral_v", "split_linear_system", "split_scalar_linear",
     "split_scalar_bernoulli", "component_masks", "check_jacobians",
     "TimeGrid", "NewtonConfig", "ForwardSolution", "solve_forward", "step",
-    "PiecewisePolynomial", "StageInterpolant", "build_cg", "quad_f", "quad_g",
+    "PiecewisePolynomial", "build_cg", "quad_f", "quad_g",
     "AdjointSolution", "LinearizedOperator", "solve_adjoint",
     "ErrorBreakdown", "ComponentMask", "error_breakdown",
     "error_breakdown_timedep", "effectivity", "component_split",
-    "galerkin_orthogonality_check", "residual_weighted_estimate",
+    "residual_weighted_estimate",
     "ReferenceConfig", "true_qoi",
     "RunConfig", "ReportRow", "run", "reproduce_table", "convergence_study",
     "table_config", "write_report_csv", "CliError",

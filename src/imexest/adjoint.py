@@ -60,10 +60,6 @@ class LinearizedOperator:
         return self.problem.jac_f(y) + self.problem.jac_g(y)
 
 
-def operator_eval(op: LinearizedOperator, t: float) -> np.ndarray:
-    return op.eval(t)
-
-
 def refine_grid(grid: TimeGrid, factor: int) -> TimeGrid:
     """Split every interval into ``factor`` equal parts (endpoints kept)."""
     if factor < 1:

@@ -98,43 +98,60 @@ def _stage_eval_data(d: np.ndarray, basis, factor: int):
     return sub, rows
 
 
+class _IntervalQuadrature:
+    """The shared Gauss rule on every adjoint subinterval of each forward
+    interval, with the reconstruction and the adjoint evaluated there."""
+
+    def __init__(self, recon: PiecewisePolynomial, adjoint: AdjointSolution):
+        self.recon = recon
+        self.adjoint = adjoint
+        self.factor = _subinterval_factor(recon.grid.n_intervals, adjoint)
+        gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
+        # Gauss points of every subinterval, in forward-interval coordinates
+        self.taus = ((np.arange(self.factor)[:, None] + gp[None, :])
+                     / self.factor).reshape(-1)
+        self.wts = np.tile(gw, self.factor) / self.factor
+        self._r_eval = recon.basis.eval_matrix(self.taus)    # (5*factor, q+1)
+        self._r_deriv = recon.basis.deriv_matrix(self.taus)
+        self._a_eval = adjoint.poly.basis.eval_matrix(gp)    # (5, r+1) per subinterval
+
+    def __iter__(self):
+        """Per forward interval n: (n, k_n, t_all, y_all, ydot_all, c_adj,
+        phi_all), with c_adj the adjoint coefficients of its subintervals."""
+        grid = self.recon.grid
+        steps = grid.steps
+        for n in range(grid.n_intervals):
+            k_n = steps[n]
+            c_rec = self.recon.coeffs[n]
+            c_adj = self.adjoint.poly.coeffs[n * self.factor:(n + 1) * self.factor]
+            t_all = grid.nodes[n] + k_n * self.taus
+            y_all = self._r_eval @ c_rec
+            ydot_all = (self._r_deriv @ c_rec) / k_n
+            phi_all = np.einsum("kj,sjm->skm", self._a_eval, c_adj).reshape(
+                -1, self.recon.dim)
+            yield n, k_n, t_all, y_all, ydot_all, c_adj, phi_all
+
+
 def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution,
               recon: PiecewisePolynomial, adjoint: AdjointSolution) -> ErrorBreakdown:
-    grid = forward.grid
-    q = recon.degree
+    quad = _IntervalQuadrature(recon, adjoint)
+    taus, wts = quad.taus, quad.wts
     d = pair.implicit.abscissae
     w_ex = pair.explicit.weights
     w_im = pair.implicit.weights
-    n_int = grid.n_intervals
+    n_int = forward.grid.n_intervals
     m = recon.dim
-    factor = _subinterval_factor(n_int, adjoint)
 
-    gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
-    # Gauss points of every subinterval, in forward-interval coordinates
-    taus = ((np.arange(factor)[:, None] + gp[None, :]) / factor).reshape(-1)
-    wts = np.tile(gw, factor) / factor
-    leg_t = legendre_shifted(q - 1, taus)     # (q, 5*factor)
-    leg_d = legendre_shifted(q - 1, d)        # (q, nu)
-    r_eval = recon.basis.eval_matrix(taus)    # (5*factor, q+1)
-    r_deriv = recon.basis.deriv_matrix(taus)
-    a_basis = adjoint.poly.basis
-    a_eval = a_basis.eval_matrix(gp)          # (5, r+1) per subinterval
-    d_sub, d_rows = _stage_eval_data(d, a_basis, factor)
+    leg_t = legendre_shifted(recon.degree - 1, taus)     # (q, 5*factor)
+    leg_d = legendre_shifted(recon.degree - 1, d)        # (q, nu)
+    d_sub, d_rows = _stage_eval_data(d, adjoint.poly.basis, quad.factor)
 
     density = np.empty((n_int, 3, m))
     galerkin = np.empty(n_int)
     galerkin_abs = np.empty(n_int)
 
-    for n in range(n_int):
-        k_n = grid.steps[n]
-        t_all = grid.nodes[n] + k_n * taus
-        c_rec = recon.coeffs[n]
-        c_adj = adjoint.poly.coeffs[n * factor:(n + 1) * factor]
+    for n, k_n, t_all, y_all, ydot_all, c_adj, phi_all in quad:
         stage = forward.stages[n]
-
-        y_all = r_eval @ c_rec
-        ydot_all = (r_deriv @ c_rec) / k_n
-        phi_all = np.einsum("kj,sjm->skm", a_eval, c_adj).reshape(-1, m)
         phi_d = np.einsum("ij,ijm->im", d_rows, c_adj[d_sub])
         # L2 projection of phi onto P^{q-1} via orthonormal Legendre modes
         modes = leg_t @ (wts[:, None] * phi_all)
@@ -208,71 +225,16 @@ def component_split(breakdown: ErrorBreakdown,
     return out
 
 
-def galerkin_orthogonality_check(pair: ImexPair, forward: ForwardSolution,
-                                 recon: PiecewisePolynomial,
-                                 adjoint: AdjointSolution) -> float:
-    """Max over intervals of the absolute residual of the discrete
-    variational equations tested against the projected adjoint; a
-    self-diagnostic that must sit at roundoff level relative to the
-    magnitudes of the terms involved."""
-    grid = forward.grid
-    q = recon.degree
-    d = pair.implicit.abscissae
-    w_ex = pair.explicit.weights
-    w_im = pair.implicit.weights
-    factor = _subinterval_factor(grid.n_intervals, adjoint)
-
-    gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
-    taus = ((np.arange(factor)[:, None] + gp[None, :]) / factor).reshape(-1)
-    wts = np.tile(gw, factor) / factor
-    leg_t = legendre_shifted(q - 1, taus)
-    leg_d = legendre_shifted(q - 1, d)
-    r_deriv = recon.basis.deriv_matrix(taus)
-    a_basis = adjoint.poly.basis
-    a_eval = a_basis.eval_matrix(gp)
-    d_sub, d_rows = _stage_eval_data(d, a_basis, factor)
-
-    worst = 0.0
-    for n in range(grid.n_intervals):
-        k_n = grid.steps[n]
-        ydot_all = (r_deriv @ recon.coeffs[n]) / k_n
-        c_adj = adjoint.poly.coeffs[n * factor:(n + 1) * factor]
-        phi_all = np.einsum("kj,sjm->skm", a_eval, c_adj).reshape(-1, recon.dim)
-        modes = leg_t @ (wts[:, None] * phi_all)
-        pphi_all = leg_t.T @ modes
-        pphi_d = leg_d.T @ modes
-        stage = forward.stages[n]
-        t1 = k_n * float(np.sum((wts[:, None] * ydot_all) * pphi_all))
-        t2 = k_n * float(np.sum((w_ex[:, None] * stage.f_vals) * pphi_d))
-        t3 = k_n * float(np.sum((w_im[:, None] * stage.g_vals) * pphi_d))
-        worst = max(worst, abs(t1 - t2 - t3))
-    return worst
-
-
 def residual_weighted_estimate(problem: SplitOdeProblem,
                                recon: PiecewisePolynomial,
                                adjoint: AdjointSolution) -> float:
     """Direct evaluation of sum_n <f(Y) + g(Y) - Ydot, phi>: equals
     e1 + e2 + e3 up to the (roundoff-size) orthogonality residual."""
-    grid = recon.grid
-    factor = _subinterval_factor(grid.n_intervals, adjoint)
-    gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
-    taus = ((np.arange(factor)[:, None] + gp[None, :]) / factor).reshape(-1)
-    wts = np.tile(gw, factor) / factor
-    r_eval = recon.basis.eval_matrix(taus)
-    r_deriv = recon.basis.deriv_matrix(taus)
-    a_eval = adjoint.poly.basis.eval_matrix(gp)
-    m = recon.dim
+    quad = _IntervalQuadrature(recon, adjoint)
     total = 0.0
-    for n in range(grid.n_intervals):
-        k_n = grid.steps[n]
-        t_all = grid.nodes[n] + k_n * taus
-        y_all = r_eval @ recon.coeffs[n]
-        ydot_all = (r_deriv @ recon.coeffs[n]) / k_n
-        c_adj = adjoint.poly.coeffs[n * factor:(n + 1) * factor]
-        phi_all = np.einsum("kj,sjm->skm", a_eval, c_adj).reshape(-1, m)
+    for _n, k_n, t_all, y_all, ydot_all, _c_adj, phi_all in quad:
         resid = np.stack([
-            problem.rhs(y_all[j], t_all[j]) - ydot_all[j] for j in range(taus.size)
+            problem.rhs(y_all[j], t_all[j]) - ydot_all[j] for j in range(t_all.size)
         ])
-        total += k_n * float(np.sum((wts[:, None] * resid) * phi_all))
+        total += k_n * float(np.sum((quad.wts[:, None] * resid) * phi_all))
     return total

@@ -77,13 +77,6 @@ class LagrangeBasis:
         self.nodes = nodes
         self.n = nodes.size
 
-    def eval_one(self, i: int, t: float) -> float:
-        num = 1.0
-        for j in range(self.n):
-            if j != i:
-                num *= (t - self.nodes[j]) / (self.nodes[i] - self.nodes[j])
-        return num
-
     def eval_matrix(self, ts) -> np.ndarray:
         """Values of all basis functions at ts; shape (len(ts), n)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -93,18 +86,6 @@ class LagrangeBasis:
                 if j != i:
                     out[:, i] *= (ts - self.nodes[j]) / (self.nodes[i] - self.nodes[j])
         return out
-
-    def deriv_one(self, i: int, t: float) -> float:
-        total = 0.0
-        for k in range(self.n):
-            if k == i:
-                continue
-            term = 1.0 / (self.nodes[i] - self.nodes[k])
-            for j in range(self.n):
-                if j != i and j != k:
-                    term *= (t - self.nodes[j]) / (self.nodes[i] - self.nodes[j])
-            total += term
-        return total
 
     def deriv_matrix(self, ts) -> np.ndarray:
         """Derivatives of all basis functions at ts; shape (len(ts), n)."""
@@ -120,14 +101,6 @@ class LagrangeBasis:
                         term *= (ts - self.nodes[j]) / (self.nodes[i] - self.nodes[j])
                 out[:, i] += term
         return out
-
-
-def lebesgue_bound(nodes, n_samples: int = 2001) -> float:
-    """Max of sum_i |l_i(t)| over a uniform sample of the node hull."""
-    basis = LagrangeBasis(nodes)
-    lo, hi = float(np.min(basis.nodes)), float(np.max(basis.nodes))
-    ts = np.linspace(lo, hi, n_samples)
-    return float(np.abs(basis.eval_matrix(ts)).sum(axis=1).max())
 
 
 def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Continuous piecewise-polynomial reconstructions of the IMEX solution.
 
-Two objects are built from a forward solve:
+One object is built from a forward solve:
 
 * ``build_cg`` produces the degree-q continuous reconstruction whose
   nodal values coincide with the IMEX values: on each interval the left
@@ -8,10 +8,6 @@ Two objects are built from a forward solve:
   the variational equations ``<Ydot, v> = <f, v>_Qf + <g, v>_Qg`` for v
   in P^{q-1}, where the two quadratures sit at the implicit abscissae
   with the explicit/implicit weight vectors.
-
-* ``StageInterpolant`` is the Lagrange interpolant of the stage values
-  at the implicit abscissae; the quadrature sums only ever touch it at
-  those abscissae, where it reproduces the stages exactly.
 """
 
 from __future__ import annotations
@@ -23,8 +19,6 @@ import numpy as np
 from .numerics import DEFAULT_INNER_RULE, LagrangeBasis, legendre_shifted
 from .solver import ForwardSolution
 from .tableaus import ImexPair
-
-EVAL_SLACK = 1e-12
 
 
 @dataclass
@@ -80,32 +74,6 @@ class PiecewisePolynomial:
         if self.coeffs.shape[0] == 1:
             return 0.0
         return float(np.abs(self.coeffs[:-1, -1] - self.coeffs[1:, 0]).max())
-
-
-class StageInterpolant:
-    """Per-interval Lagrange interpolant of stage values at the implicit
-    abscissae (which must be pairwise distinct)."""
-
-    def __init__(self, forward: ForwardSolution, pair: ImexPair):
-        self.forward = forward
-        self.pair = pair
-        self.abscissae = pair.implicit.abscissae
-        self.basis = LagrangeBasis(self.abscissae)
-        lo = min(0.0, float(self.abscissae.min()))
-        hi = max(1.0, float(self.abscissae.max()))
-        self._window = (lo, hi)
-
-    def eval(self, n: int, t: float) -> np.ndarray:
-        grid = self.forward.grid
-        k_n = grid.steps[n]
-        tau = (t - grid.nodes[n]) / k_n
-        lo, hi = self._window
-        if not lo - EVAL_SLACK <= tau <= hi + EVAL_SLACK:
-            raise ValueError(
-                f"t={t:.6g} outside interval {n} = "
-                f"[{grid.nodes[n]:.6g}, {grid.nodes[n + 1]:.6g}]"
-            )
-        return self.basis.eval_matrix([tau])[0] @ self.forward.stages[n].values
 
 
 def quad_f(forward: ForwardSolution, pair: ImexPair, n: int, weight_fn=None) -> np.ndarray:

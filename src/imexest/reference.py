@@ -41,7 +41,17 @@ class ReferenceConfig:
             raise ValueError(f"reference mode must be one of {MODES}, got {self.mode!r}")
 
 
-def _qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
+def resolve_mode(mode: str, problem: SplitOdeProblem) -> str:
+    """The route a reference takes: "auto" becomes "analytic" when the
+    problem carries an exact solution and "high-order-numeric" otherwise."""
+    if mode == "auto":
+        return "analytic" if problem.analytic is not None else "high-order-numeric"
+    return mode
+
+
+def qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
+    """QoI of the trajectory t -> states_at(t): the final-time functional
+    at grid.t_end, or the shared Gauss rule on every grid interval."""
     if qoi.kind == "final-time":
         return float(np.dot(states_at(grid.t_end), qoi.psi))
     total = 0.0
@@ -60,7 +70,7 @@ def _analytic_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec) -> flo
         raise ReferenceError(
             f"problem {problem.name!r} has no analytic or sampled exact solution"
         )
-    return _qoi_from_states(states_at, grid, qoi)
+    return qoi_from_states(states_at, grid, qoi)
 
 
 def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
@@ -101,10 +111,7 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     giving up.
     """
     config = config or ReferenceConfig()
-    mode = config.mode
-    if mode == "auto":
-        mode = "analytic" if problem.analytic is not None else "high-order-numeric"
-    if mode == "analytic":
+    if resolve_mode(config.mode, problem) == "analytic":
         return _analytic_qoi(problem, grid, qoi)
 
     rtol, atol = config.rtol, config.atol

@@ -96,7 +96,7 @@ class TimeGrid:
         ratio = (t_end - t_start) / k
         n = round(ratio)
         if n < 1 or abs(ratio - n) > GRID_TOL * max(1.0, abs(ratio)):
-            raise ValueError(f"step {k} does not evenly divide [{t_start}, {t_end}]")
+            raise ValueError(f"step {k} does not divide [{t_start}, {t_end}] evenly")
         return cls.uniform(t_end, n, t_start)
 
     def locate(self, t: float) -> int:

@@ -250,16 +250,20 @@ def _tableau_to_dict(tab: ButcherTableau, abscissa_key: str, matrix_key: str) ->
     }
 
 
-def save_tableau_file(pair: ImexPair, path: str) -> None:
-    """Write the pair in the JSON interchange format."""
-    doc = {
+def pair_to_dict(pair: ImexPair) -> dict:
+    """The pair as a JSON interchange document."""
+    return {
         "name": pair.name,
         "order": pair.order,
         "explicit": _tableau_to_dict(pair.explicit, "c", "A"),
         "implicit": _tableau_to_dict(pair.implicit, "d", "B"),
     }
+
+
+def save_tableau_file(pair: ImexPair, path: str) -> None:
+    """Write the pair in the JSON interchange format."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(pair_to_dict(pair), fh, indent=2)
         fh.write("\n")
 
 

@@ -7,7 +7,6 @@ from imexest.adjoint import (
     DEFAULT_REFINE,
     AdjointSolveError,
     LinearizedOperator,
-    operator_eval,
     refine_grid,
     solve_adjoint,
 )
@@ -60,7 +59,7 @@ def test_linearized_operator_tracks_the_reconstruction():
     recon = reconstruct_case(prob, "ssp332", t_end=0.5, n=10)
     op = LinearizedOperator(prob, recon)
     assert not op.is_constant
-    got = operator_eval(op, 0.3)
+    got = op.eval(0.3)
     want = prob.jac_f(recon.evaluate(0.3)) + prob.jac_g(recon.evaluate(0.3))
     np.testing.assert_allclose(got, want, atol=1e-14)
 

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from imexest import cli
 from imexest.cli import (
     COMPONENT_COLUMNS,
     SCHEME_ORDER,
@@ -54,6 +55,17 @@ def test_config_rejects_unknown_keys_in_every_section():
     for patch in bad_sections:
         with pytest.raises(CliError, match="unknown keys"):
             run(base_config(**patch))
+
+
+@pytest.mark.parametrize("patch", [
+    {"reference": {"mode": "numeric"}},
+    {"adjoint": {"refine": 0}},
+    {"newton": {"max_iters": -1}},
+], ids=["reference-mode", "adjoint-refine", "newton-max-iters"])
+def test_config_rejects_bad_values_before_any_numerics(patch):
+    with pytest.raises(CliError) as info:
+        run(base_config(**patch))
+    assert info.value.stage == "config"
 
 
 def test_config_requires_core_sections():
@@ -331,3 +343,26 @@ def test_reference_cache_consistency():
     row2 = run(base_config())
     assert row1.metadata["reference_qoi"] == row2.metadata["reference_qoi"]
     assert row1.csv_values(False) == row2.csv_values(False)
+
+
+def test_verified_reference_is_reused_only_for_larger_errors(monkeypatch):
+    # verification holds the reference to a fraction of one row's error;
+    # a row with a smaller error needs a reference verified against its own
+    monkeypatch.setattr(cli, "_REFERENCE_CACHE", {})
+    solved_for = []
+    real_true_qoi = cli.true_qoi
+
+    def recording_true_qoi(*args, **kwargs):
+        solved_for.append(kwargs["imex_qoi"])
+        return real_true_qoi(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "true_qoi", recording_true_qoi)
+    ref = {"mode": "high-order-numeric", "verify": True}
+    coarse = run(base_config(reference=ref))
+    fine = run(base_config(scheme="ssp343", reference=ref))
+    assert abs(fine.metadata["true_error"]) < abs(coarse.metadata["true_error"])
+    assert solved_for == [coarse.metadata["imex_qoi"], fine.metadata["imex_qoi"]]
+
+    again = run(base_config(reference=ref))
+    assert len(solved_for) == 2
+    assert again.metadata["reference_qoi"] == fine.metadata["reference_qoi"]

@@ -8,7 +8,6 @@ from imexest.numerics import (
     LagrangeBasis,
     gauss_rule,
     l2_project,
-    lebesgue_bound,
     legendre_shifted,
     poly_eval,
 )
@@ -17,15 +16,16 @@ from imexest.numerics import (
 def test_lagrange_delta_property_exact():
     nodes = np.array([0.0, 0.5])
     basis = LagrangeBasis(nodes)
+    vals = basis.eval_matrix(nodes)
     for i in range(2):
         for j in range(2):
-            assert basis.eval_one(i, nodes[j]) == (1.0 if i == j else 0.0)
+            assert vals[j, i] == (1.0 if i == j else 0.0)
 
 
 def test_lagrange_quadratic_hand_value():
     # quadratic basis on (0, 1/2, 1): l_1(3/4) = (3/4)(3/4 - 1)/((1/2)(1/2 - 1))
     basis = LagrangeBasis([0.0, 0.5, 1.0])
-    assert basis.eval_one(1, 0.75) == pytest.approx(0.75, abs=1e-14)
+    assert basis.eval_matrix([0.75])[0, 1] == pytest.approx(0.75, abs=1e-14)
 
 
 def test_lagrange_partition_of_unity_random_points():
@@ -41,29 +41,13 @@ def test_lagrange_derivative_matches_finite_difference():
     basis = LagrangeBasis([0.0, 0.3, 1.0])
     rng = np.random.default_rng(11)
     for t in rng.uniform(0.05, 0.95, size=20):
-        for i in range(3):
-            fd = (basis.eval_one(i, t + 1e-7) - basis.eval_one(i, t - 1e-7)) / 2e-7
-            assert basis.deriv_one(i, t) == pytest.approx(fd, abs=1e-6)
+        fd = (basis.eval_matrix([t + 1e-7]) - basis.eval_matrix([t - 1e-7])) / 2e-7
+        np.testing.assert_allclose(basis.deriv_matrix([t]), fd, atol=1e-6, rtol=0)
 
 
 def test_lagrange_rejects_duplicate_nodes():
     with pytest.raises(ValueError, match="coincident"):
         LagrangeBasis([0.5, 0.5])
-
-
-def test_lebesgue_bound_linear_basis_is_one():
-    assert lebesgue_bound([0.0, 0.5]) == pytest.approx(1.0, abs=1e-12)
-    assert lebesgue_bound([0.2, 0.9]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lebesgue_bound_quadratic_equispaced():
-    # known constant 1.25 for three equispaced nodes, attained at the
-    # quarter points
-    assert lebesgue_bound([0.0, 0.5, 1.0]) == pytest.approx(1.25, abs=1e-2)
-
-
-def test_lebesgue_bound_single_node():
-    assert lebesgue_bound([0.3]) == pytest.approx(1.0)
 
 
 def test_gauss_rule_small_cases():

@@ -12,7 +12,6 @@ from imexest.problems import (
 )
 from imexest.reconstruct import (
     PiecewisePolynomial,
-    StageInterpolant,
     build_cg,
     quad_f,
     quad_g,
@@ -112,54 +111,6 @@ def test_quadrature_zero_weight_function():
     pair, fwd = forward_case("ssp332", prob)
     assert quad_f(fwd, pair, 0, lambda t: 0.0)[0] == 0.0
     assert quad_g(fwd, pair, 0, lambda t: 0.0)[0] == 0.0
-
-
-def test_stage_interpolant_delta_property():
-    prob = burgers(0.05, 1.0 / 20.0)
-    for name in ("mid122", "ssp332", "ssp343"):
-        pair, fwd = forward_case(name, prob)
-        interp = StageInterpolant(fwd, pair)
-        for n in (0, fwd.grid.n_intervals - 1):
-            rec = fwd.stages[n]
-            for i, t in enumerate(rec.times):
-                got = interp.eval(n, t)
-                scale = 1.0 + np.abs(rec.values[i]).max()
-                assert np.abs(got - rec.values[i]).max() < 1e-14 * scale
-
-
-def test_stage_interpolant_constant_stages():
-    prob = SplitOdeProblem(
-        name="zero",
-        dim=2,
-        eval_f=lambda y: np.zeros(2),
-        eval_g=lambda y: np.zeros(2),
-        jac_f=lambda y: np.zeros((2, 2)),
-        jac_g=lambda y: np.zeros((2, 2)),
-        y0=np.array([3.0, -1.0]),
-        linear=True,
-    )
-    pair, fwd = forward_case("ssp332", prob, t_end=1.0, n=2)
-    interp = StageInterpolant(fwd, pair)
-    for t in (0.1, 0.25, 0.49):
-        np.testing.assert_allclose(interp.eval(0, t), prob.y0, atol=1e-13)
-
-
-def test_stage_interpolant_linear_extrapolation():
-    # hand case: scalar stages (0, 1) at d = (0, 1/2) extrapolate to 2 at
-    # the right endpoint
-    prob = split_scalar_linear(0.0, -1.0, 1.0)
-    pair, fwd = forward_case("mid122", prob, t_end=0.1, n=1)
-    fwd.stages[0].values[:] = np.array([[0.0], [1.0]])
-    interp = StageInterpolant(fwd, pair)
-    assert interp.eval(0, 0.1)[0] == pytest.approx(2.0, abs=1e-13)
-
-
-def test_stage_interpolant_rejects_far_out_of_interval():
-    prob = split_scalar_linear(0.0, -1.0, 1.0)
-    pair, fwd = forward_case("mid122", prob, t_end=0.5, n=5)
-    interp = StageInterpolant(fwd, pair)
-    with pytest.raises(ValueError, match="outside"):
-        interp.eval(0, 0.35)
 
 
 def test_build_cg_validates_degree():
