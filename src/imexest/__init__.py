@@ -15,7 +15,7 @@ from .problems import (
     component_masks, check_jacobians,
 )
 from .solver import TimeGrid, NewtonConfig, ForwardSolution, solve_forward, step
-from .reconstruct import PiecewisePolynomial, build_cg, quad_f, quad_g
+from .reconstruct import PiecewisePolynomial, build_cg
 from .adjoint import AdjointSolution, LinearizedOperator, solve_adjoint
 from .estimate import (
     ErrorBreakdown, ComponentMask, error_breakdown, error_breakdown_timedep,
@@ -43,7 +43,7 @@ __all__ = [
     "qoi_integral_v", "split_linear_system", "split_scalar_linear",
     "split_scalar_bernoulli", "component_masks", "check_jacobians",
     "TimeGrid", "NewtonConfig", "ForwardSolution", "solve_forward", "step",
-    "PiecewisePolynomial", "build_cg", "quad_f", "quad_g",
+    "PiecewisePolynomial", "build_cg",
     "AdjointSolution", "LinearizedOperator", "solve_adjoint",
     "ErrorBreakdown", "ComponentMask", "error_breakdown",
     "error_breakdown_timedep", "effectivity", "component_split",

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -191,7 +192,7 @@ class RunConfig:
                                    _ADJOINT_DEFAULTS, "config.adjoint")
         output = _resolve_section(dict(doc.get("output", {})),
                                   _OUTPUT_DEFAULTS, "config.output")
-        ReferenceConfig(**reference)  # rejects an unknown mode
+        ReferenceConfig(**reference)  # rejects a bad mode, tolerance or cap
         if adjoint["refine"] < 1:
             raise ValueError("config.adjoint.refine must be >= 1")
         if newton["max_iters"] < 1:
@@ -301,8 +302,11 @@ class RunArtifacts:
 
 
 # reference key -> (reference QoI, |reference - IMEX QoI| of the row it
-# was solved for, which is the error a verified reference was checked at)
+# was solved for, which is the error a verified reference was checked at);
+# the lock is held from lookup to store, so concurrent rows of one table
+# solve their shared reference once
 _REFERENCE_CACHE: dict = {}
+_REFERENCE_LOCK = threading.Lock()
 
 
 def _reference_key(cfg: RunConfig) -> str:
@@ -354,16 +358,17 @@ def run(config, return_artifacts: bool = False):
                      else recon.evaluate)
         imex_q = qoi_from_states(states_at, grid, qoi)
         key = _reference_key(cfg)
-        cached = _REFERENCE_CACHE.get(key)
-        # a verified reference holds only for errors at least as large as
-        # the one it was verified against
-        if cached is not None and (not cfg.reference["verify"]
-                                   or cached[1] <= abs(cached[0] - imex_q)):
-            ref_q = cached[0]
-        else:
-            ref_q = true_qoi(problem, grid, qoi,
-                             ReferenceConfig(**cfg.reference), imex_qoi=imex_q)
-            _REFERENCE_CACHE[key] = (ref_q, abs(ref_q - imex_q))
+        with _REFERENCE_LOCK:
+            cached = _REFERENCE_CACHE.get(key)
+            # a verified reference holds only for errors at least as large
+            # as the one it was verified against
+            if cached is not None and (not cfg.reference["verify"]
+                                       or cached[1] <= abs(cached[0] - imex_q)):
+                ref_q = cached[0]
+            else:
+                ref_q = true_qoi(problem, grid, qoi,
+                                 ReferenceConfig(**cfg.reference), imex_qoi=imex_q)
+                _REFERENCE_CACHE[key] = (ref_q, abs(ref_q - imex_q))
         true_err = ref_q - imex_q
         eff = effectivity(bd.estimate_total, true_err)
         bd.true_error = true_err
@@ -596,7 +601,7 @@ def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
         if exact_at is not None:
             ref = np.stack([exact_at(t) for t in grid.nodes])
         else:
-            ref = np.stack([dense(t) for t in grid.nodes])
+            ref = dense(grid.nodes).T
         err = float(np.abs(ref - fwd.nodal).max())
         order = None
         if prev_err is not None and err > 0.0 and prev_err > 0.0:

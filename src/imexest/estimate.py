@@ -158,8 +158,7 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
         pphi_all = leg_t.T @ modes
         pphi_d = leg_d.T @ modes
 
-        f_all = np.stack([problem.f(y_all[j], t_all[j]) for j in range(taus.size)])
-        g_all = np.stack([problem.g(y_all[j], t_all[j]) for j in range(taus.size)])
+        f_all, g_all = problem.halves(y_all, t_all)
 
         delta_t = phi_all - pphi_all
         delta_d = phi_d - pphi_d
@@ -233,8 +232,6 @@ def residual_weighted_estimate(problem: SplitOdeProblem,
     quad = _IntervalQuadrature(recon, adjoint)
     total = 0.0
     for _n, k_n, t_all, y_all, ydot_all, _c_adj, phi_all in quad:
-        resid = np.stack([
-            problem.rhs(y_all[j], t_all[j]) - ydot_all[j] for j in range(t_all.size)
-        ])
+        resid = problem.rhs(y_all, t_all) - ydot_all
         total += k_n * float(np.sum((quad.wts[:, None] * resid) * phi_all))
     return total

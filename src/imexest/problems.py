@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from scipy.special import erf, erfc
 
 Array = np.ndarray
-ForcingFn = Callable[[float], tuple[Array, Array]]
+ForcingFn = Callable[[float | Array], tuple[Array, Array]]
 
 QOI_KINDS = ("final-time", "time-integrated")
 
@@ -28,10 +28,12 @@ class SplitOdeProblem:
     """Autonomous split system plus optional additive time-dependent forcing.
 
     eval_f/eval_g take the state only; the full right-hand side halves are
-    f(y, t) = eval_f(y) + forcing(t)[0] and likewise for g.  jac_f/jac_g
-    are state Jacobians (the forcing does not depend on the state).
-    ``linear`` declares both halves affine in y, which lets the solvers
-    reuse factorizations.
+    f(y, t) = eval_f(y) + forcing(t)[0] and likewise for g.  eval_f,
+    eval_g and forcing accept one state (m,) with one time, or a (P, m)
+    stack of states with a (P,) vector of times, and return the same
+    shape.  jac_f/jac_g are state Jacobians at one state (the forcing
+    does not depend on the state).  ``linear`` declares both halves
+    affine in y, which lets the solvers reuse factorizations.
     """
 
     name: str
@@ -52,20 +54,23 @@ class SplitOdeProblem:
         if self.y0.shape != (self.dim,):
             raise ValueError(f"y0 shape {self.y0.shape} does not match dim {self.dim}")
 
-    def f(self, y: Array, t: float) -> Array:
-        out = self.eval_f(y)
+    def halves(self, y: Array, t) -> tuple[Array, Array]:
+        """(f(y, t), g(y, t)) with one forcing evaluation."""
+        f, g = self.eval_f(y), self.eval_g(y)
         if self.forcing is not None:
-            out = out + self.forcing(t)[0]
-        return out
+            force_f, force_g = self.forcing(t)
+            f, g = f + force_f, g + force_g
+        return f, g
 
-    def g(self, y: Array, t: float) -> Array:
+    def g(self, y: Array, t) -> Array:
         out = self.eval_g(y)
         if self.forcing is not None:
             out = out + self.forcing(t)[1]
         return out
 
-    def rhs(self, y: Array, t: float) -> Array:
-        return self.f(y, t) + self.g(y, t)
+    def rhs(self, y: Array, t) -> Array:
+        f, g = self.halves(y, t)
+        return f + g
 
 
 @dataclass
@@ -116,6 +121,11 @@ def check_jacobians(problem: SplitOdeProblem, n_samples: int = 5, seed: int = 0,
     return worst
 
 
+def _apply(mat: Array) -> Callable[[Array], Array]:
+    """y -> mat y, for one vector (m,) or row by row on a (P, m) stack."""
+    return lambda y: (mat @ y.T).T
+
+
 def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, metadata=None) -> SplitOdeProblem:
     y0 = np.asarray(y0, dtype=float)
     f_mat = np.asarray(f_mat, dtype=float)
@@ -123,8 +133,8 @@ def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, metadata=None) -> Spli
     return SplitOdeProblem(
         name=name,
         dim=y0.size,
-        eval_f=lambda y: f_mat @ y,
-        eval_g=lambda y: g_mat @ y,
+        eval_f=_apply(f_mat),
+        eval_g=_apply(g_mat),
         jac_f=lambda y: f_mat,
         jac_g=lambda y: g_mat,
         y0=y0,
@@ -173,22 +183,25 @@ def split_scalar_bernoulli(lam: float, mu: float, y0: float) -> SplitOdeProblem:
     )
 
 
-def _periodic_d1(m: int, h: float) -> Array:
-    """Centered first derivative with wraparound, (u[i+1]-u[i-1])/(2h)."""
-    d1 = np.zeros((m, m))
-    for i in range(m):
-        d1[i, (i + 1) % m] += 1.0 / (2.0 * h)
-        d1[i, (i - 1) % m] -= 1.0 / (2.0 * h)
-    return d1
+def _stencil(m: int, h: float, order: int, periodic: bool) -> Array:
+    """Centered three-point d/dx (order 1) or d^2/dx^2 (order 2) on m points.
 
-
-def _periodic_d2(m: int, h: float) -> Array:
-    d2 = np.zeros((m, m))
-    for i in range(m):
-        d2[i, (i + 1) % m] += 1.0 / h**2
-        d2[i, i] -= 2.0 / h**2
-        d2[i, (i - 1) % m] += 1.0 / h**2
-    return d2
+    A periodic grid wraps around and gives an (m, m) matrix.  Otherwise
+    the matrix is (m, m + 2) over the m interior points plus the two
+    boundary points in the first and last columns, whose entries are the
+    Dirichlet pickups.
+    """
+    if order == 1:
+        coeffs = (-1.0 / (2.0 * h), 0.0, 1.0 / (2.0 * h))
+    else:
+        coeffs = (1.0 / h**2, -2.0 / h**2, 1.0 / h**2)
+    width = m if periodic else m + 2
+    rows = np.arange(m)
+    cols = rows if periodic else rows + 1
+    mat = np.zeros((m, width))
+    for shift, c in ((1, coeffs[2]), (0, coeffs[1]), (-1, coeffs[0])):
+        mat[rows, (cols + shift) % width] += c
+    return mat
 
 
 def _grid_points(lo: float, hi: float, h: float) -> Array:
@@ -210,8 +223,8 @@ def linear_advection_diffusion(gamma: float, h: float,
     """
     x = _grid_points(0.0, 1.0, h)
     m = x.size
-    adv = -np.diag(np.sin(2.0 * np.pi * x)) @ _periodic_d1(m, h)
-    diff = gamma * _periodic_d2(m, h)
+    adv = -np.diag(np.sin(2.0 * np.pi * x)) @ _stencil(m, h, 1, periodic=True)
+    diff = gamma * _stencil(m, h, 2, periodic=True)
     f_mat, g_mat = (diff, adv) if swap_roles else (adv, diff)
     name = "linear-advection-diffusion" + ("-swapped" if swap_roles else "")
     prob = _matrix_problem(
@@ -232,11 +245,12 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     """
     x = _grid_points(-1.0, 1.0, h)
     m = x.size
-    d1 = _periodic_d1(m, h)
-    diff = gamma * _periodic_d2(m, h)
+    d1 = _stencil(m, h, 1, periodic=True)
+    diff = gamma * _stencil(m, h, 2, periodic=True)
+    grad = _apply(d1)
 
     def eval_f(u: Array) -> Array:
-        return -u * (d1 @ u)
+        return -u * grad(u)
 
     def jac_f(u: Array) -> Array:
         return -(np.diag(d1 @ u) + u[:, None] * d1)
@@ -245,7 +259,7 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
         name="burgers",
         dim=m,
         eval_f=eval_f,
-        eval_g=lambda u: diff @ u,
+        eval_g=_apply(diff),
         jac_f=jac_f,
         jac_g=lambda u: diff,
         y0=np.sin(np.pi * x),
@@ -264,18 +278,22 @@ MHD_DEFAULTS = {"B0": 10.0, "rho": 1.0, "mu": 1.0, "eta": 1.0, "mu0": 1.0,
 MHD_V_MODES = ("v-split", "v-implicit")
 
 
-def alfven_analytic(zeta, t: float, B0=10.0, rho=1.0, mu=1.0, eta=1.0,
+def alfven_analytic(zeta, t, B0=10.0, rho=1.0, mu=1.0, eta=1.0,
                     mu0=1.0, U=1.0) -> tuple[Array, Array]:
     """Exact (v, B) of the viscous/resistive Alfven-wave half-space problem.
 
     At t <= 0 both fields vanish (the fluid starts at rest); for t > 0
     the impulsively started plate makes the velocity boundary value at
     zeta = 0 exactly U, which is also the t -> 0+ limit of the erf
-    expressions below.
+    expressions below.  A vector of times gives (len(t), len(zeta))
+    fields, one row per time.
     """
     zeta = np.asarray(zeta, dtype=float)
-    if t <= 0.0:
-        return np.zeros_like(zeta), np.zeros_like(zeta)
+    t = np.asarray(t, dtype=float)
+    if t.ndim:
+        t = t[:, None]
+    started = t > 0.0
+    t = np.where(started, t, 1.0)
     d = eta / mu0
     a0 = B0 / np.sqrt(mu0 * rho)
     s = 2.0 * np.sqrt(d * t)
@@ -287,37 +305,7 @@ def alfven_analytic(zeta, t: float, B0=10.0, rho=1.0, mu=1.0, eta=1.0,
         + 0.25 * U * (e_p * (1.0 - erf(arg_p)) - erf(arg_p) + 2.0)
     b = -0.25 * e_m * (e_p - 1.0) * U * np.sqrt(mu * rho) \
         * (erfc(arg_m) + e_p * erfc(arg_p))
-    return v, b
-
-
-def _dirichlet_d1(m: int, h: float) -> tuple[Array, Array, Array]:
-    """Interior centered d/dz; returns (matrix, left pickup, right pickup)."""
-    d1 = np.zeros((m, m))
-    for i in range(m):
-        if i + 1 < m:
-            d1[i, i + 1] += 1.0 / (2.0 * h)
-        if i - 1 >= 0:
-            d1[i, i - 1] -= 1.0 / (2.0 * h)
-    left = np.zeros(m)
-    left[0] = -1.0 / (2.0 * h)
-    right = np.zeros(m)
-    right[-1] = 1.0 / (2.0 * h)
-    return d1, left, right
-
-
-def _dirichlet_d2(m: int, h: float) -> tuple[Array, Array, Array]:
-    d2 = np.zeros((m, m))
-    for i in range(m):
-        if i + 1 < m:
-            d2[i, i + 1] += 1.0 / h**2
-        d2[i, i] -= 2.0 / h**2
-        if i - 1 >= 0:
-            d2[i, i - 1] += 1.0 / h**2
-    left = np.zeros(m)
-    left[0] = 1.0 / h**2
-    right = np.zeros(m)
-    right[-1] = 1.0 / h**2
-    return d2, left, right
+    return np.where(started, v, 0.0), np.where(started, b, 0.0)
 
 
 def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdeProblem:
@@ -348,55 +336,42 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
     m = 2 * mh
     zeta = h * np.arange(1, n_cells)
 
-    d1, d1_l, d1_r = _dirichlet_d1(mh, h)
-    d2, d2_l, d2_r = _dirichlet_d2(mh, h)
-
-    lorentz = (B0 / rho) * d1      # acts on B in the v equation
-    visc = (mu / rho) * d2         # acts on v
-    transport = B0 * d1            # acts on v in the B equation
-    bdiff = (eta / mu0) * d2       # acts on B
-
+    # the stencils' first and last columns pick up the Dirichlet data;
+    # the forcing is pick_f/pick_g times (v(0), v(L), B(0), B(L))
+    d1 = _stencil(mh, h, 1, periodic=False)
+    d2 = _stencil(mh, h, 2, periodic=False)
+    inner, ends = slice(1, -1), [0, -1]
     sv, sb = slice(0, mh), slice(mh, m)
-    f_mat = np.zeros((m, m))
-    g_mat = np.zeros((m, m))
-    f_mat[sb, sv] = transport
-    g_mat[sb, sb] = bdiff
-    g_mat[sv, sv] = visc
-    if v_mode == "v-split":
-        f_mat[sv, sb] = lorentz
-    else:
-        g_mat[sv, sb] = lorentz
+    ends_v, ends_b = slice(0, 2), slice(2, 4)
+    # (rows, state columns, pickup columns, operator, explicit?)
+    blocks = ((sb, sv, ends_v, B0 * d1, True),                        # transport
+              (sb, sb, ends_b, (eta / mu0) * d2, False),              # magnetic diffusion
+              (sv, sv, ends_v, (mu / rho) * d2, False),               # viscosity
+              (sv, sb, ends_b, (B0 / rho) * d1, v_mode == "v-split"))  # Lorentz
+    f_mat, g_mat = np.zeros((m, m)), np.zeros((m, m))
+    pick_f, pick_g = np.zeros((m, 4)), np.zeros((m, 4))
+    for rows, cols, pick_cols, op, explicit in blocks:
+        mat, pick = (f_mat, pick_f) if explicit else (g_mat, pick_g)
+        mat[rows, cols] = op[:, inner]
+        pick[rows, pick_cols] = op[:, ends]
+    apply_pick_f, apply_pick_g = _apply(pick_f), _apply(pick_g)
+    zeta_ends = np.array([0.0, L])
 
-    def boundary_values(t: float):
-        v_ends, b_ends = alfven_analytic(np.array([0.0, L]), t, B0=B0, rho=rho,
-                                         mu=mu, eta=eta, mu0=mu0, U=U)
-        return v_ends, b_ends
-
-    def forcing(t: float) -> tuple[Array, Array]:
-        force_f = np.zeros(m)
-        force_g = np.zeros(m)
-        v_ends, b_ends = boundary_values(t)
-        # v equation: Lorentz pickup from B boundary data, viscous pickup from v
-        lorentz_pick = (B0 / rho) * (d1_l * b_ends[0] + d1_r * b_ends[1])
-        if v_mode == "v-split":
-            force_f[sv] += lorentz_pick
-        else:
-            force_g[sv] += lorentz_pick
-        force_g[sv] += (mu / rho) * (d2_l * v_ends[0] + d2_r * v_ends[1])
-        # B equation: transport pickup from v data, diffusion pickup from B
-        force_f[sb] += B0 * (d1_l * v_ends[0] + d1_r * v_ends[1])
-        force_g[sb] += (eta / mu0) * (d2_l * b_ends[0] + d2_r * b_ends[1])
-        return force_f, force_g
+    def forcing(t) -> tuple[Array, Array]:
+        v_ends, b_ends = alfven_analytic(zeta_ends, t, B0=B0, rho=rho, mu=mu,
+                                         eta=eta, mu0=mu0, U=U)
+        data = np.concatenate([v_ends, b_ends], axis=-1)
+        return apply_pick_f(data), apply_pick_g(data)
 
     def pde_solution(t: float) -> Array:
         v, b = alfven_analytic(zeta, t, B0=B0, rho=rho, mu=mu, eta=eta, mu0=mu0, U=U)
-        return np.concatenate([v, b])
+        return np.concatenate([v, b], axis=-1)
 
     return SplitOdeProblem(
         name=f"mhd-alfven-{v_mode}",
         dim=m,
-        eval_f=lambda y: f_mat @ y,
-        eval_g=lambda y: g_mat @ y,
+        eval_f=_apply(f_mat),
+        eval_g=_apply(g_mat),
         jac_f=lambda y: f_mat,
         jac_g=lambda y: g_mat,
         y0=np.zeros(m),

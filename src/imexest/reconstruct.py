@@ -76,28 +76,6 @@ class PiecewisePolynomial:
         return float(np.abs(self.coeffs[:-1, -1] - self.coeffs[1:, 0]).max())
 
 
-def quad_f(forward: ForwardSolution, pair: ImexPair, n: int, weight_fn=None) -> np.ndarray:
-    """k_n * sum_i w_i f(stage_i) weight_fn(t_i): the explicit-half quadrature."""
-    rec = forward.stages[n]
-    k_n = forward.grid.steps[n]
-    w = pair.explicit.weights
-    if weight_fn is None:
-        return k_n * (w @ rec.f_vals)
-    wt = np.array([weight_fn(t) for t in rec.times])
-    return k_n * ((w * wt) @ rec.f_vals)
-
-
-def quad_g(forward: ForwardSolution, pair: ImexPair, n: int, weight_fn=None) -> np.ndarray:
-    """k_n * sum_i wtilde_i g(stage_i) weight_fn(t_i): the implicit-half quadrature."""
-    rec = forward.stages[n]
-    k_n = forward.grid.steps[n]
-    w = pair.implicit.weights
-    if weight_fn is None:
-        return k_n * (w @ rec.g_vals)
-    wt = np.array([weight_fn(t) for t in rec.times])
-    return k_n * ((w * wt) @ rec.g_vals)
-
-
 def build_cg(problem, pair: ImexPair, forward: ForwardSolution, q: int) -> PiecewisePolynomial:
     """Degree-q continuous reconstruction matching the IMEX nodal values.
 

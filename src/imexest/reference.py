@@ -39,6 +39,14 @@ class ReferenceConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"reference mode must be one of {MODES}, got {self.mode!r}")
+        for name, ok, bound in (("rtol", self.rtol > 0, "> 0"),
+                                ("atol", self.atol >= 0, ">= 0"),
+                                ("max_step", self.max_step > 0, "> 0"),
+                                ("step_cap", self.step_cap >= 1, ">= 1"),
+                                ("verify_ratio", self.verify_ratio > 0, "> 0")):
+            if not ok:
+                raise ValueError(f"reference {name} must be {bound}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 def resolve_mode(mode: str, problem: SplitOdeProblem) -> str:

@@ -195,8 +195,7 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
         if not np.all(np.isfinite(x)):
             raise NonFiniteStateError(interval, i, t_i)
         values[i] = x
-        f_vals[i] = problem.f(x, t_i)
-        g_vals[i] = problem.g(x, t_i)
+        f_vals[i], g_vals[i] = problem.halves(x, t_i)
 
     y_next = y_n + k_n * (w_ex @ f_vals + w_im @ g_vals)
     if not np.all(np.isfinite(y_next)):

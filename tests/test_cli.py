@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -61,7 +62,14 @@ def test_config_rejects_unknown_keys_in_every_section():
     {"reference": {"mode": "numeric"}},
     {"adjoint": {"refine": 0}},
     {"newton": {"max_iters": -1}},
-], ids=["reference-mode", "adjoint-refine", "newton-max-iters"])
+    {"reference": {"rtol": -1}},
+    {"reference": {"atol": -1}},
+    {"reference": {"max_step": 0}},
+    {"reference": {"step_cap": 0}},
+    {"reference": {"verify": True, "verify_ratio": -1}},
+], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
+        "reference-atol", "reference-max-step", "reference-step-cap",
+        "reference-verify-ratio"])
 def test_config_rejects_bad_values_before_any_numerics(patch):
     with pytest.raises(CliError) as info:
         run(base_config(**patch))
@@ -366,3 +374,22 @@ def test_verified_reference_is_reused_only_for_larger_errors(monkeypatch):
     again = run(base_config(reference=ref))
     assert len(solved_for) == 2
     assert again.metadata["reference_qoi"] == fine.metadata["reference_qoi"]
+
+
+def test_threaded_table_rows_solve_their_reference_once(monkeypatch):
+    # the three rows of a table share one reference key; the slow solve
+    # gives every worker time to miss the cache before the first stores
+    monkeypatch.delenv(THREADS_ENV, raising=False)
+    monkeypatch.setattr(cli, "_REFERENCE_CACHE", {})
+    calls = []
+    real_true_qoi = cli.true_qoi
+
+    def slow_true_qoi(*args, **kwargs):
+        calls.append(1)
+        time.sleep(0.2)
+        return real_true_qoi(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "true_qoi", slow_true_qoi)
+    rows = reproduce_table(6)
+    assert len(rows) == 3
+    assert len(calls) == 1

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from imexest import problems
 from imexest.problems import (
     MHD_DEFAULTS,
     MHD_V_MODES,
@@ -307,3 +308,129 @@ def test_split_scalar_linear_components():
     assert prob.analytic(1.0)[0] == pytest.approx(2.0 * np.exp(-1.0), abs=1e-13)
     assert prob.eval_f(np.array([3.0]))[0] == pytest.approx(-0.75)
     assert prob.eval_g(np.array([3.0]))[0] == pytest.approx(-2.25)
+
+
+# -- the evaluator contract ---------------------------------------------------
+
+def contract_problems():
+    return [
+        (linear_advection_diffusion(0.1, 1.0 / 40.0), (0.0, 1.0)),
+        (linear_advection_diffusion(0.075, 1.0 / 20.0, swap_roles=True), (0.0, 1.0)),
+        (burgers(0.05, 1.0 / 40.0), (0.0, 1.0)),
+        (mhd_alfven(h=0.05, v_mode="v-split"), (-0.02, 0.1)),
+        (mhd_alfven(h=0.05, v_mode="v-implicit"), (-0.02, 0.1)),
+        (split_scalar_bernoulli(-2.0, 0.5, 1.0), (0.0, 1.0)),
+        (split_scalar_linear(-0.4, -0.6, 1.0), (0.0, 1.0)),
+        (split_linear_system([[0.0, 2.0], [-2.0, 0.0]], [[-1.0, 0.0], [0.0, -3.0]],
+                             [1.0, 0.5]), (0.0, 1.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8), ids=[
+    "advdiff", "advdiff-swapped", "burgers", "mhd-v-split", "mhd-v-implicit",
+    "bernoulli", "scalar-linear", "linear-split"])
+def test_halves_on_a_stack_match_row_by_row(case):
+    prob, (t_lo, t_hi) = contract_problems()[case]
+    rng = np.random.default_rng(case)
+    ys = rng.standard_normal((7, prob.dim))
+    ts = np.linspace(t_lo, t_hi, 7)  # the MHD range starts at rest, t <= 0
+    f_all, g_all = prob.halves(ys, ts)
+    assert f_all.shape == g_all.shape == ys.shape
+    rows = [prob.halves(ys[j], ts[j]) for j in range(ys.shape[0])]
+    # relative to the largest entry: a stack may sum a stencil row in another
+    # order, which moves cancelled entries by roundoff of their summands
+    for got, want in ((f_all, np.stack([f for f, _ in rows])),
+                      (g_all, np.stack([g for _, g in rows])),
+                      (prob.rhs(ys, ts), f_all + g_all)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_alfven_analytic_on_a_time_vector_matches_each_time():
+    zeta = np.linspace(0.0, 1.0, 11)
+    ts = np.array([-0.1, 0.0, 1e-3, 0.05])
+    v_all, b_all = alfven_analytic(zeta, ts)
+    assert v_all.shape == b_all.shape == (ts.size, zeta.size)
+    for j, t in enumerate(ts):
+        v, b = alfven_analytic(zeta, t)
+        assert np.array_equal(v_all[j], v) and np.array_equal(b_all[j], b)
+
+
+def test_one_halves_or_rhs_call_evaluates_the_forcing_once():
+    prob = mhd_alfven(h=0.05)
+    calls = []
+    forcing = prob.forcing
+
+    def counted(t):
+        calls.append(t)
+        return forcing(t)
+
+    prob.forcing = counted
+    y = np.ones(prob.dim)
+    prob.halves(y, 0.01)
+    assert len(calls) == 1
+    prob.rhs(y, 0.01)
+    assert len(calls) == 2
+    prob.rhs(np.ones((5, prob.dim)), np.linspace(0.0, 0.1, 5))
+    assert len(calls) == 3
+
+
+# Loop-built stencils the vectorised builder replaced, kept as its oracle.
+
+def loop_periodic_d1(m, h):
+    d1 = np.zeros((m, m))
+    for i in range(m):
+        d1[i, (i + 1) % m] += 1.0 / (2.0 * h)
+        d1[i, (i - 1) % m] -= 1.0 / (2.0 * h)
+    return d1
+
+
+def loop_periodic_d2(m, h):
+    d2 = np.zeros((m, m))
+    for i in range(m):
+        d2[i, (i + 1) % m] += 1.0 / h**2
+        d2[i, i] -= 2.0 / h**2
+        d2[i, (i - 1) % m] += 1.0 / h**2
+    return d2
+
+
+def loop_dirichlet_d1(m, h):
+    d1 = np.zeros((m, m))
+    for i in range(m):
+        if i + 1 < m:
+            d1[i, i + 1] += 1.0 / (2.0 * h)
+        if i - 1 >= 0:
+            d1[i, i - 1] -= 1.0 / (2.0 * h)
+    left = np.zeros(m)
+    left[0] = -1.0 / (2.0 * h)
+    right = np.zeros(m)
+    right[-1] = 1.0 / (2.0 * h)
+    return d1, left, right
+
+
+def loop_dirichlet_d2(m, h):
+    d2 = np.zeros((m, m))
+    for i in range(m):
+        if i + 1 < m:
+            d2[i, i + 1] += 1.0 / h**2
+        d2[i, i] -= 2.0 / h**2
+        if i - 1 >= 0:
+            d2[i, i - 1] += 1.0 / h**2
+    left = np.zeros(m)
+    left[0] = 1.0 / h**2
+    right = np.zeros(m)
+    right[-1] = 1.0 / h**2
+    return d2, left, right
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 20, 40, 80, 199])
+def test_stencil_builder_matches_the_loop_builders(m):
+    h = 1.0 / (m + 1)
+    assert np.array_equal(problems._stencil(m, h, 1, periodic=True), loop_periodic_d1(m, h))
+    assert np.array_equal(problems._stencil(m, h, 2, periodic=True), loop_periodic_d2(m, h))
+    for order, loop in ((1, loop_dirichlet_d1), (2, loop_dirichlet_d2)):
+        full = problems._stencil(m, h, order, periodic=False)
+        mat, left, right = loop(m, h)
+        assert full.shape == (m, m + 2)
+        assert np.array_equal(full[:, 1:-1], mat)
+        assert np.array_equal(full[:, 0], left)
+        assert np.array_equal(full[:, -1], right)

@@ -10,14 +10,29 @@ from imexest.problems import (
     split_scalar_bernoulli,
     split_scalar_linear,
 )
-from imexest.reconstruct import (
-    PiecewisePolynomial,
-    build_cg,
-    quad_f,
-    quad_g,
-)
+from imexest.reconstruct import PiecewisePolynomial, build_cg
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
+
+
+def quad_f(forward, pair, n, weight_fn=None):
+    """k_n * sum_i w_i f(stage_i) weight_fn(t_i): the explicit-half quadrature."""
+    return _stage_quadrature(forward, pair.explicit.weights,
+                             forward.stages[n].f_vals, n, weight_fn)
+
+
+def quad_g(forward, pair, n, weight_fn=None):
+    """k_n * sum_i wtilde_i g(stage_i) weight_fn(t_i): the implicit-half quadrature."""
+    return _stage_quadrature(forward, pair.implicit.weights,
+                             forward.stages[n].g_vals, n, weight_fn)
+
+
+def _stage_quadrature(forward, w, vals, n, weight_fn):
+    k_n = forward.grid.steps[n]
+    if weight_fn is None:
+        return k_n * (w @ vals)
+    wt = np.array([weight_fn(t) for t in forward.stages[n].times])
+    return k_n * ((w * wt) @ vals)
 
 
 def forward_case(name, problem, t_end=0.5, n=10):
