@@ -19,7 +19,7 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -75,44 +75,53 @@ def _reject_unknown(section: dict, allowed, where: str):
         raise ValueError(f"unknown keys in {where}: {unknown}")
 
 
-_PROBLEM_PARAMS = {
-    "linear-advection-diffusion": {"gamma": None, "h": None, "swap_roles": False},
-    "burgers": {"gamma": None, "h": None},
-    "mhd-alfven": {"h": 5e-3, "v_mode": "v-split", **MHD_DEFAULTS},
-    "scalar-bernoulli": {"lam": None, "mu": None, "y0": None},
-    "scalar-linear": {"lam_f": None, "lam_g": None, "y0": None},
-    "linear-split": {"f_mat": None, "g_mat": None, "y0": None},
+# default of a key that has none and must be given
+REQUIRED = object()
+
+# problem name -> (constructor, parameter defaults).  Each constructor is
+# looked up in this module when it is called, not captured here, so a
+# rebinding of the module name reaches every run.
+_PROBLEMS = {
+    "linear-advection-diffusion": (
+        lambda **p: linear_advection_diffusion(**p),
+        {"gamma": REQUIRED, "h": REQUIRED, "swap_roles": False}),
+    "burgers": (lambda **p: burgers(**p), {"gamma": REQUIRED, "h": REQUIRED}),
+    "mhd-alfven": (lambda **p: mhd_alfven(**p),
+                   {"h": 5e-3, "v_mode": "v-split", **MHD_DEFAULTS}),
+    "scalar-bernoulli": (lambda **p: split_scalar_bernoulli(**p),
+                         dict.fromkeys(("lam", "mu", "y0"), REQUIRED)),
+    "scalar-linear": (lambda **p: split_scalar_linear(**p),
+                      dict.fromkeys(("lam_f", "lam_g", "y0"), REQUIRED)),
+    "linear-split": (lambda **p: split_linear_system(**p),
+                     dict.fromkeys(("f_mat", "g_mat", "y0"), REQUIRED)),
 }
 
 _QOI_PARAMS = {
     "mean-left-half": {"scale": 1.0},
     "integral-v": {},
-    "final-time": {"psi": None},
-    "time-integrated": {"psi_tilde_const": None},
+    "final-time": {"psi": REQUIRED},
+    "time-integrated": {"psi_tilde_const": REQUIRED},
 }
 
-_NEWTON_DEFAULTS = {"abs_tol": 1e-12, "rel_tol": 1e-12, "max_iters": 25}
-_REFERENCE_DEFAULTS = {"mode": "auto", "rtol": 1e-10, "atol": 1e-12,
-                       "max_step": np.inf, "step_cap": 10_000_000,
-                       "verify": False, "verify_ratio": 1e-3}
 _ADJOINT_DEFAULTS = {"refine": DEFAULT_REFINE}
 _OUTPUT_DEFAULTS = {"row_csv": None, "series_dir": None,
                     "series_indices": None, "name": None}
 
 
-_OPTIONAL_NONE = ("row_csv", "series_dir", "series_indices", "name")
-
-
 def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
-    """Defaults merged under the given keys; None defaults are required."""
+    """Defaults merged under the given keys; REQUIRED keys must be non-null."""
     _reject_unknown(given, defaults, where)
-    out = dict(defaults)
-    out.update(given)
-    missing = [k for k, v in out.items()
-               if v is None and defaults[k] is None and k not in _OPTIONAL_NONE]
+    missing = [k for k, v in defaults.items()
+               if v is REQUIRED and given.get(k) is None]
     if missing:
         raise ValueError(f"missing keys in {where}: {missing}")
-    return out
+    return {**defaults, **given}
+
+
+def _config_object(cls, given: dict, where: str):
+    """cls built from the given keys; its field defaults fill the rest."""
+    _reject_unknown(given, [f.name for f in fields(cls)], where)
+    return cls(**given)
 
 
 @dataclass
@@ -123,8 +132,8 @@ class RunConfig:
     problem: dict
     grid: dict
     qoi: dict
-    newton: dict
-    reference: dict
+    newton: NewtonConfig
+    reference: ReferenceConfig
     adjoint: dict
     output: dict
     components: bool
@@ -132,6 +141,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        """Validate a config document; resolved() output is accepted back."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         top_allowed = ("scheme", "problem", "grid", "qoi", "newton",
@@ -142,15 +152,19 @@ class RunConfig:
         prob = dict(doc["problem"])
         _require_keys(prob, ("name",), "config.problem")
         pname = prob.pop("name")
-        if pname not in _PROBLEM_PARAMS:
+        if pname not in _PROBLEMS:
             raise ValueError(
-                f"unknown problem {pname!r}; known: {sorted(_PROBLEM_PARAMS)}")
-        prob = _resolve_section(prob, _PROBLEM_PARAMS[pname],
+                f"unknown problem {pname!r}; known: {sorted(_PROBLEMS)}")
+        a0 = prob.pop("A0", None) if pname == "mhd-alfven" else None
+        prob = _resolve_section(prob, _PROBLEMS[pname][1],
                                 f"config.problem ({pname})")
         prob["name"] = pname
         if pname == "mhd-alfven":
             # derived wave speed recorded so reports carry it explicitly
             prob["A0"] = prob["B0"] / np.sqrt(prob["mu0"] * prob["rho"])
+            if a0 is not None and a0 != prob["A0"]:
+                raise ValueError(f"config.problem.A0 = {a0} disagrees with "
+                                 f"B0/sqrt(mu0*rho) = {prob['A0']}")
 
         grid = dict(doc["grid"])
         _reject_unknown(grid, ("t_end", "k", "n"), "config.grid")
@@ -158,14 +172,16 @@ class RunConfig:
         t_end = float(grid["t_end"])
         if t_end <= 0:
             raise ValueError("config.grid.t_end must be positive")
-        if "n" in grid and "k" in grid:
-            raise ValueError("config.grid takes k or n, not both")
-        if "n" in grid:
+        if "k" in grid:
+            n = TimeGrid.from_step(t_end, float(grid["k"])).n_intervals
+            if int(grid.get("n", n)) != n:
+                raise ValueError(
+                    "config.grid takes k or n, not both, unless they agree: "
+                    f"k = {grid['k']} gives n = {n}, not {grid['n']}")
+        elif "n" in grid:
             n = int(grid["n"])
             if n < 1:
                 raise ValueError("config.grid.n must be >= 1")
-        elif "k" in grid:
-            n = TimeGrid.from_step(t_end, float(grid["k"])).n_intervals
         else:
             raise ValueError("config.grid needs k or n")
         grid = {"t_end": t_end, "n": n, "k": t_end / n}
@@ -179,24 +195,22 @@ class RunConfig:
         qoi = _resolve_section(qoi, _QOI_PARAMS[kind], f"config.qoi ({kind})")
         qoi["kind"] = kind
 
-        defaults_used = []
-        for src, name, defaults in ((doc.get("newton", {}), "newton", _NEWTON_DEFAULTS),
-                                    (doc.get("reference", {}), "reference", _REFERENCE_DEFAULTS),
-                                    (doc.get("adjoint", {}), "adjoint", _ADJOINT_DEFAULTS)):
-            defaults_used += [f"{name}.{k}" for k in defaults if k not in src]
-        newton = _resolve_section(dict(doc.get("newton", {})), _NEWTON_DEFAULTS,
-                                  "config.newton")
-        reference = _resolve_section(dict(doc.get("reference", {})),
-                                     _REFERENCE_DEFAULTS, "config.reference")
-        adjoint = _resolve_section(dict(doc.get("adjoint", {})),
-                                   _ADJOINT_DEFAULTS, "config.adjoint")
-        output = _resolve_section(dict(doc.get("output", {})),
-                                  _OUTPUT_DEFAULTS, "config.output")
-        ReferenceConfig(**reference)  # rejects a bad mode, tolerance or cap
+        newton_in, reference_in, adjoint_in = (
+            dict(doc.get(name, {})) for name in ("newton", "reference", "adjoint"))
+        if reference_in.get("max_step") == "inf":
+            reference_in["max_step"] = np.inf  # JSON has no infinity; see resolved()
+        newton = _config_object(NewtonConfig, newton_in, "config.newton")
+        reference = _config_object(ReferenceConfig, reference_in,
+                                   "config.reference")
+        adjoint = _resolve_section(adjoint_in, _ADJOINT_DEFAULTS, "config.adjoint")
         if adjoint["refine"] < 1:
             raise ValueError("config.adjoint.refine must be >= 1")
-        if newton["max_iters"] < 1:
-            raise ValueError("config.newton.max_iters must be >= 1")
+        output = _resolve_section(dict(doc.get("output", {})),
+                                  _OUTPUT_DEFAULTS, "config.output")
+        defaults_used = [f"{name}.{k}" for name, given, keys in (
+            ("newton", newton_in, asdict(newton)),
+            ("reference", reference_in, asdict(reference)),
+            ("adjoint", adjoint_in, adjoint)) for k in keys if k not in given]
         return cls(scheme=str(doc["scheme"]), problem=prob, grid=grid,
                    qoi=qoi, newton=newton, reference=reference,
                    adjoint=adjoint, output=output,
@@ -205,34 +219,19 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Full config with every default filled in, for echoing."""
-        ref = dict(self.reference)
+        ref = asdict(self.reference)
         if ref["max_step"] == np.inf:
             ref["max_step"] = "inf"
         return {
             "scheme": self.scheme, "problem": self.problem, "grid": self.grid,
-            "qoi": self.qoi, "newton": self.newton, "reference": ref,
+            "qoi": self.qoi, "newton": asdict(self.newton), "reference": ref,
             "adjoint": self.adjoint, "components": self.components,
         }
 
 
 def _build_problem(cfg: RunConfig) -> SplitOdeProblem:
-    p = dict(cfg.problem)
-    name = p.pop("name")
-    if name == "linear-advection-diffusion":
-        return linear_advection_diffusion(p["gamma"], p["h"],
-                                          swap_roles=p["swap_roles"])
-    if name == "burgers":
-        return burgers(p["gamma"], p["h"])
-    if name == "mhd-alfven":
-        params = {k: p[k] for k in MHD_DEFAULTS}
-        return mhd_alfven(h=p["h"], v_mode=p["v_mode"], **params)
-    if name == "scalar-bernoulli":
-        return split_scalar_bernoulli(p["lam"], p["mu"], p["y0"])
-    if name == "scalar-linear":
-        return split_scalar_linear(p["lam_f"], p["lam_g"], p["y0"])
-    if name == "linear-split":
-        return split_linear_system(p["f_mat"], p["g_mat"], p["y0"])
-    raise ValueError(f"unknown problem {name!r}")
+    build, defaults = _PROBLEMS[cfg.problem["name"]]
+    return build(**{k: cfg.problem[k] for k in defaults})
 
 
 def _build_qoi(cfg: RunConfig, problem: SplitOdeProblem) -> QoiSpec:
@@ -309,21 +308,21 @@ _REFERENCE_CACHE: dict = {}
 _REFERENCE_LOCK = threading.Lock()
 
 
-def _reference_key(cfg: RunConfig) -> str:
-    return canonical_json({"problem": cfg.problem, "grid": cfg.grid,
-                           "qoi": cfg.qoi, "reference": cfg.reference})
+def _reference_key(resolved: dict) -> str:
+    return canonical_json({k: resolved[k]
+                           for k in ("problem", "grid", "qoi", "reference")})
 
 
-def run(config, return_artifacts: bool = False):
+def run(config: dict, return_artifacts: bool = False):
     """Execute one configured experiment and produce its report row.
 
-    Accepts a dict or an already validated RunConfig.  Failures raise
-    CliError labelled with the pipeline stage and echo the resolved
-    config.  With return_artifacts=True returns (row, RunArtifacts).
+    Failures raise CliError labelled with the pipeline stage and echo the
+    resolved config.  With return_artifacts=True returns
+    (row, RunArtifacts).
     """
     stage = "config"
     try:
-        cfg = RunConfig.from_dict(config) if isinstance(config, dict) else config
+        cfg = RunConfig.from_dict(config)
         resolved = cfg.resolved()
     except Exception as exc:
         raise CliError(stage, exc) from exc
@@ -334,10 +333,9 @@ def run(config, return_artifacts: bool = False):
         grid = TimeGrid.uniform(cfg.grid["t_end"], cfg.grid["n"])
         qoi = _build_qoi(cfg, problem)
         pair = builtin(cfg.scheme)
-        newton = NewtonConfig(**cfg.newton)
 
         stage = "forward"
-        forward = solve_forward(problem, pair, grid, newton)
+        forward = solve_forward(problem, pair, grid, cfg.newton)
 
         stage = "reconstruct"
         recon = build_cg(problem, pair, forward, q=pair.order - 1)
@@ -357,22 +355,20 @@ def run(config, return_artifacts: bool = False):
         states_at = ((lambda t: forward.final_state) if qoi.kind == "final-time"
                      else recon.evaluate)
         imex_q = qoi_from_states(states_at, grid, qoi)
-        key = _reference_key(cfg)
+        key = _reference_key(resolved)
         with _REFERENCE_LOCK:
             cached = _REFERENCE_CACHE.get(key)
             # a verified reference holds only for errors at least as large
             # as the one it was verified against
-            if cached is not None and (not cfg.reference["verify"]
+            if cached is not None and (not cfg.reference.verify
                                        or cached[1] <= abs(cached[0] - imex_q)):
                 ref_q = cached[0]
             else:
-                ref_q = true_qoi(problem, grid, qoi,
-                                 ReferenceConfig(**cfg.reference), imex_qoi=imex_q)
+                ref_q = true_qoi(problem, grid, qoi, cfg.reference,
+                                 imex_qoi=imex_q)
                 _REFERENCE_CACHE[key] = (ref_q, abs(ref_q - imex_q))
         true_err = ref_q - imex_q
         eff = effectivity(bd.estimate_total, true_err)
-        bd.true_error = true_err
-        bd.effectivity = eff
 
         stage = "components"
         comps = None
@@ -386,7 +382,7 @@ def run(config, return_artifacts: bool = False):
             metadata={
                 "linearization": ("exact-linear" if problem.linear
                                   else "jacobian-along-reconstruction"),
-                "reference_mode": resolve_mode(cfg.reference["mode"], problem),
+                "reference_mode": resolve_mode(cfg.reference.mode, problem),
                 "reference_qoi": ref_q,
                 "imex_qoi": imex_q,
                 "true_error": true_err,
@@ -471,12 +467,9 @@ def _emit_series(cfg: RunConfig, problem, grid, forward, adj, bd) -> None:
         desc.append("The trajectory stays bounded; plotting the component "
                     "against time shows the resolved evolution.")
     if problem.metadata.get("benchmark") == "mhd-alfven":
-        md = problem.metadata
-        mh = md["interior_per_field"]
-        zeta = np.linspace(md["h"], md["L"] - md["h"], mh)
-        from .problems import alfven_analytic
-        params = {k: md[k] for k in ("B0", "rho", "mu", "eta", "mu0", "U")}
-        v_true, _ = alfven_analytic(zeta, grid.t_end, **params)
+        mh = problem.metadata["interior_per_field"]
+        zeta = problem.metadata["h"] * np.arange(1, mh + 1)
+        v_true = problem.pde_solution(grid.t_end)[:mh]
         with open(os.path.join(out_dir, f"{name}_profile_v.csv"), "w") as fh:
             fh.write(f"# run: {name}; velocity profile at T = {grid.t_end}\n"
                      "zeta,v_imex,v_analytic\n")
@@ -636,9 +629,8 @@ def _cmd_converge(args) -> int:
         doc = json.load(fh)
     cfg = RunConfig.from_dict(doc)
     problem = _build_problem(cfg)
-    newton = NewtonConfig(**cfg.newton)
     rows = convergence_study(problem, cfg.scheme, cfg.grid["k"], args.levels,
-                             cfg.grid["t_end"], newton)
+                             cfg.grid["t_end"], cfg.newton)
     print(f"# config: {canonical_json(cfg.resolved())}")
     print("k,error,order")
     for r in rows:

@@ -16,7 +16,7 @@ stage quadrature integrates the weighted term exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,9 +41,6 @@ class ErrorBreakdown:
     galerkin_scaled: np.ndarray  # (N,) scaled orthogonality residuals
     galerkin_raw: np.ndarray     # (N,) absolute orthogonality residuals
     qoi_kind: str
-    true_error: Optional[float] = None
-    effectivity: Optional[float] = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def estimate_total(self) -> float:

@@ -62,12 +62,6 @@ class SplitOdeProblem:
             f, g = f + force_f, g + force_g
         return f, g
 
-    def g(self, y: Array, t) -> Array:
-        out = self.eval_g(y)
-        if self.forcing is not None:
-            out = out + self.forcing(t)[1]
-        return out
-
     def rhs(self, y: Array, t) -> Array:
         f, g = self.halves(y, t)
         return f + g

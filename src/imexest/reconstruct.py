@@ -33,7 +33,6 @@ class PiecewisePolynomial:
     grid: object
     degree: int
     coeffs: np.ndarray        # (N, degree+1, m)
-    continuous: bool = True
 
     def __post_init__(self):
         if self.degree < 1:

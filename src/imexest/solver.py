@@ -111,6 +111,10 @@ class NewtonConfig:
     rel_tol: float = 1e-12
     max_iters: int = 25
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"newton max_iters must be >= 1, got {self.max_iters!r}")
+
 
 @dataclass
 class StageRecord:
@@ -139,8 +143,10 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
     iters = 0
     m = known.size
     eye = np.eye(m)
+    # the forcing does not depend on the state: one evaluation per stage
+    force_g = 0.0 if problem.forcing is None else problem.forcing(t_i)[1]
     while True:
-        r = x - k_n * bii * problem.g(x, t_i) - known
+        r = x - k_n * bii * (problem.eval_g(x) + force_g) - known
         if not np.all(np.isfinite(r)):
             raise NonFiniteStateError(interval, stage, t_i)
         rnorm = float(np.abs(r).max())

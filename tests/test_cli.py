@@ -15,6 +15,7 @@ from imexest.cli import (
     CliError,
     ReportRow,
     RunConfig,
+    canonical_json,
     convergence_study,
     main,
     reproduce_table,
@@ -67,9 +68,13 @@ def test_config_rejects_unknown_keys_in_every_section():
     {"reference": {"max_step": 0}},
     {"reference": {"step_cap": 0}},
     {"reference": {"verify": True, "verify_ratio": -1}},
+    {"problem": {"name": "mhd-alfven", "h": 0.05, "A0": 9.0},
+     "qoi": {"kind": "integral-v"}},
+    {"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
+                 "y0": None}},
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
-        "reference-verify-ratio"])
+        "reference-verify-ratio", "problem-a0", "problem-null"])
 def test_config_rejects_bad_values_before_any_numerics(patch):
     with pytest.raises(CliError) as info:
         run(base_config(**patch))
@@ -85,7 +90,7 @@ def test_config_requires_core_sections():
 
 def test_config_grid_takes_k_or_n_not_both():
     with pytest.raises(CliError, match="not both"):
-        run(base_config(grid={"t_end": 1.0, "k": 0.1, "n": 10}))
+        run(base_config(grid={"t_end": 1.0, "k": 0.1, "n": 20}))
     with pytest.raises(CliError, match="needs k or n"):
         run(base_config(grid={"t_end": 1.0}))
 
@@ -130,6 +135,19 @@ def test_config_derives_alfven_speed():
     cfg = RunConfig.from_dict(doc)
     assert cfg.problem["A0"] == pytest.approx(10.0)
     assert cfg.problem["v_mode"] == "v-split"
+
+
+@pytest.mark.parametrize("table_id", sorted(cli.TABLE_CONFIGS))
+@pytest.mark.parametrize("scheme", SCHEME_ORDER)
+def test_echoed_config_resolves_to_itself(table_id, scheme):
+    echo = canonical_json(RunConfig.from_dict(table_config(table_id, scheme)).resolved())
+    assert canonical_json(RunConfig.from_dict(json.loads(echo)).resolved()) == echo
+
+
+def test_echoed_config_reruns_to_the_same_row():
+    for row in reproduce_table(6):
+        again = run(row.metadata["config"])
+        assert again.csv_values(False) == row.csv_values(False)
 
 
 def test_run_reports_estimate_and_effectivity():

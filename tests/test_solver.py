@@ -159,6 +159,36 @@ def test_newton_failure_reports_interval_and_stage():
     assert err.value.interval == 0
 
 
+def test_newton_config_rejects_no_iterations():
+    with pytest.raises(ValueError, match="max_iters"):
+        NewtonConfig(max_iters=0)
+
+
+def test_newton_evaluates_the_forcing_once_per_stage():
+    calls = []
+
+    def forcing(t):
+        calls.append(t)
+        return np.zeros(1), np.array([np.sin(t)])
+
+    prob = SplitOdeProblem(
+        name="forced-cubic",
+        dim=1,
+        eval_f=lambda y: np.zeros(1),
+        eval_g=lambda y: -(y**3),
+        jac_f=lambda y: np.zeros((1, 1)),
+        jac_g=lambda y: np.array([[-3.0 * y[0] ** 2]]),
+        y0=np.array([1.0]),
+        forcing=forcing,
+    )
+    pair = builtin("ssp343")
+    _, rec = step(prob, pair, 0.0, 0.5, prob.y0)
+    implicit = np.count_nonzero(np.diag(pair.implicit.coeffs))
+    assert rec.newton_iters.max() >= 2
+    # one call per implicit stage's Newton solve, one per stage's halves
+    assert len(calls) == implicit + pair.n_stages
+
+
 def test_blowup_completes_until_overflow():
     # unstable run: growth is fine, only a non-finite value aborts
     prob = split_scalar_linear(8.0, 0.0, 1.0)
