@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 import threading
@@ -34,7 +35,8 @@ from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
                        split_linear_system, split_scalar_bernoulli,
                        split_scalar_linear)
 from .reconstruct import build_cg
-from .reference import ReferenceConfig, qoi_from_states, resolve_mode, true_qoi
+from .reference import (ReferenceConfig, ivp_rhs, qoi_from_states, resolve_mode,
+                        true_qoi)
 from .solver import NewtonConfig, TimeGrid, solve_forward
 from .tableaus import builtin, pair_to_dict
 
@@ -75,8 +77,10 @@ def _reject_unknown(section: dict, allowed, where: str):
         raise ValueError(f"unknown keys in {where}: {unknown}")
 
 
-# default of a key that has none and must be given
+# defaults of a key that has none and must be given: REQUIRED takes any
+# value, NUMBER a real number
 REQUIRED = object()
+NUMBER = object()
 
 # problem name -> (constructor, parameter defaults).  Each constructor is
 # looked up in this module when it is called, not captured here, so a
@@ -84,14 +88,14 @@ REQUIRED = object()
 _PROBLEMS = {
     "linear-advection-diffusion": (
         lambda **p: linear_advection_diffusion(**p),
-        {"gamma": REQUIRED, "h": REQUIRED, "swap_roles": False}),
-    "burgers": (lambda **p: burgers(**p), {"gamma": REQUIRED, "h": REQUIRED}),
+        {"gamma": NUMBER, "h": NUMBER, "swap_roles": False}),
+    "burgers": (lambda **p: burgers(**p), {"gamma": NUMBER, "h": NUMBER}),
     "mhd-alfven": (lambda **p: mhd_alfven(**p),
                    {"h": 5e-3, "v_mode": "v-split", **MHD_DEFAULTS}),
     "scalar-bernoulli": (lambda **p: split_scalar_bernoulli(**p),
-                         dict.fromkeys(("lam", "mu", "y0"), REQUIRED)),
+                         dict.fromkeys(("lam", "mu", "y0"), NUMBER)),
     "scalar-linear": (lambda **p: split_scalar_linear(**p),
-                      dict.fromkeys(("lam_f", "lam_g", "y0"), REQUIRED)),
+                      dict.fromkeys(("lam_f", "lam_g", "y0"), NUMBER)),
     "linear-split": (lambda **p: split_linear_system(**p),
                      dict.fromkeys(("f_mat", "g_mat", "y0"), REQUIRED)),
 }
@@ -108,13 +112,26 @@ _OUTPUT_DEFAULTS = {"row_csv": None, "series_dir": None,
                     "series_indices": None, "name": None}
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
-    """Defaults merged under the given keys; REQUIRED keys must be non-null."""
+    """Defaults merged under the given keys.  REQUIRED and NUMBER keys
+    must be non-null; a key whose default is NUMBER or a number must be
+    given a number, and one whose default is a bool a bool (checked, not
+    converted, so the echo keeps its bytes)."""
     _reject_unknown(given, defaults, where)
     missing = [k for k, v in defaults.items()
-               if v is REQUIRED and given.get(k) is None]
+               if (v is REQUIRED or v is NUMBER) and given.get(k) is None]
     if missing:
         raise ValueError(f"missing keys in {where}: {missing}")
+    for k, v in given.items():
+        default = defaults[k]
+        if (default is NUMBER or _is_number(default)) and not _is_number(v):
+            raise ValueError(f"{where}: {k} must be a number, got {v!r}")
+        if isinstance(default, bool) and not isinstance(v, bool):
+            raise ValueError(f"{where}: {k} must be true or false, got {v!r}")
     return {**defaults, **given}
 
 
@@ -578,8 +595,8 @@ def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
     exact_at = problem.analytic
     dense = None
     if exact_at is None:
-        sol = solve_ivp(lambda t, y: problem.rhs(y, t), (0.0, t_end),
-                        problem.y0, method="DOP853", rtol=1e-12, atol=1e-13,
+        sol = solve_ivp(ivp_rhs(problem), (0.0, t_end), problem.y0,
+                        method="DOP853", rtol=1e-12, atol=1e-13,
                         dense_output=True)
         if not sol.success:
             raise RuntimeError(f"reference trajectory failed: {sol.message}")

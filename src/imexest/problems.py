@@ -32,8 +32,13 @@ class SplitOdeProblem:
     eval_g and forcing accept one state (m,) with one time, or a (P, m)
     stack of states with a (P,) vector of times, and return the same
     shape.  jac_f/jac_g are state Jacobians at one state (the forcing
-    does not depend on the state).  ``linear`` declares both halves
-    affine in y, which lets the solvers reuse factorizations.
+    does not depend on the state).
+
+    ``linear`` declares both halves linear in the state: eval_f(y) equals
+    jac_f(.) @ y for every state, with one constant jac_f, and likewise
+    for g; every state-independent term is carried by ``forcing``.  The
+    forward solver's LU cache, the adjoint's constant operator and the
+    reference's sparse operator jac_f + jac_g all rely on it.
     """
 
     name: str
@@ -120,7 +125,8 @@ def _apply(mat: Array) -> Callable[[Array], Array]:
     return lambda y: (mat @ y.T).T
 
 
-def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, metadata=None) -> SplitOdeProblem:
+def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, pde_solution=None,
+                    metadata=None) -> SplitOdeProblem:
     y0 = np.asarray(y0, dtype=float)
     f_mat = np.asarray(f_mat, dtype=float)
     g_mat = np.asarray(g_mat, dtype=float)
@@ -134,6 +140,7 @@ def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, metadata=None) -> Spli
         y0=y0,
         forcing=forcing,
         analytic=None if forcing is not None else (lambda t: expm((f_mat + g_mat) * t) @ y0),
+        pde_solution=pde_solution,
         linear=True,
         metadata=metadata or {},
     )
@@ -361,17 +368,9 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
         v, b = alfven_analytic(zeta, t, B0=B0, rho=rho, mu=mu, eta=eta, mu0=mu0, U=U)
         return np.concatenate([v, b], axis=-1)
 
-    return SplitOdeProblem(
-        name=f"mhd-alfven-{v_mode}",
-        dim=m,
-        eval_f=_apply(f_mat),
-        eval_g=_apply(g_mat),
-        jac_f=lambda y: f_mat,
-        jac_g=lambda y: g_mat,
-        y0=np.zeros(m),
-        forcing=forcing,
+    return _matrix_problem(
+        f"mhd-alfven-{v_mode}", f_mat, g_mat, np.zeros(m), forcing=forcing,
         pde_solution=pde_solution,
-        linear=True,
         metadata={"benchmark": "mhd-alfven", "v_mode": v_mode, "h": h, "m": m,
                   "interior_per_field": mh, **p,
                   "alfven_speed": B0 / np.sqrt(mu0 * rho)},

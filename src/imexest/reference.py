@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
+from scipy.sparse import csr_matrix
 
 from .numerics import DEFAULT_INNER_RULE
 from .problems import QoiSpec, SplitOdeProblem
@@ -81,16 +82,48 @@ def _analytic_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec) -> flo
     return qoi_from_states(states_at, grid, qoi)
 
 
+def ivp_rhs(problem: SplitOdeProblem):
+    """The full right-hand side (t, y) -> f(y, t) + g(y, t) for an ODE solver.
+
+    A linear problem's two halves are applied as one sparse operator,
+    jac_f + jac_g built once here, plus one forcing call per evaluation;
+    any other problem evaluates problem.rhs.
+    """
+    if not problem.linear:
+        return lambda t, y: problem.rhs(y, t)
+    op = csr_matrix(problem.jac_f(problem.y0) + problem.jac_g(problem.y0))
+    if problem.forcing is None:
+        return lambda t, y: op @ y
+
+    def rhs(t, y):
+        force_f, force_g = problem.forcing(t)
+        return op @ y + (force_f + force_g)
+    return rhs
+
+
 def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
                  rtol: float, atol: float, max_step: float, step_cap: int) -> float:
     t_span = (float(grid.nodes[0]), grid.t_end)
+    rhs = ivp_rhs(problem)
+    # DOP853 makes two evaluations to start and n_stages per attempted step
+    budget = 2 + DOP853.n_stages * (step_cap + 1)
+    calls = 0
+
+    def counted(t, y):
+        nonlocal calls
+        calls += 1
+        if calls > budget:
+            raise ReferenceError(f"reference integration attempted more than "
+                                 f"{step_cap + 1} steps (cap {step_cap})")
+        return rhs(t, y)
+
     if qoi.kind == "final-time":
-        fun = lambda t, y: problem.rhs(y, t)
+        fun = counted
         z0 = problem.y0
     else:
         def fun(t, z):
             y = z[:-1]
-            return np.append(problem.rhs(y, t), np.dot(y, qoi.psi_tilde(t)))
+            return np.append(counted(t, y), np.dot(y, qoi.psi_tilde(t)))
         z0 = np.append(problem.y0, 0.0)
     sol = solve_ivp(fun, t_span, z0, method="DOP853", rtol=rtol, atol=atol,
                     max_step=max_step, dense_output=False)

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from imexest import cli
 from imexest.cli import (
@@ -23,7 +24,9 @@ from imexest.cli import (
     table_config,
     write_report_csv,
 )
-from imexest.problems import split_scalar_bernoulli, split_scalar_linear
+from imexest.problems import mhd_alfven, split_scalar_bernoulli, split_scalar_linear
+from imexest.solver import TimeGrid, solve_forward
+from imexest.tableaus import builtin
 
 
 def base_config(**overrides):
@@ -72,13 +75,38 @@ def test_config_rejects_unknown_keys_in_every_section():
      "qoi": {"kind": "integral-v"}},
     {"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
                  "y0": None}},
+    {"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
+                 "y0": "abc"}},
+    {"problem": {"name": "burgers", "gamma": "0.05", "h": 0.05},
+     "qoi": {"kind": "mean-left-half"}},
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
-        "reference-verify-ratio", "problem-a0", "problem-null"])
+        "reference-verify-ratio", "problem-a0", "problem-null",
+        "problem-y0-string", "problem-gamma-string"])
 def test_config_rejects_bad_values_before_any_numerics(patch):
     with pytest.raises(CliError) as info:
         run(base_config(**patch))
     assert info.value.stage == "config"
+
+
+@pytest.mark.parametrize("patch, where, key", [
+    ({"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
+                  "y0": "abc"}}, "problem", "y0"),
+    ({"problem": {"name": "burgers", "gamma": "0.05", "h": 0.05},
+      "qoi": {"kind": "mean-left-half"}}, "problem", "gamma"),
+    ({"problem": {"name": "mhd-alfven", "h": 0.05, "B0": True},
+      "qoi": {"kind": "integral-v"}}, "problem", "B0"),
+    ({"qoi": {"kind": "mean-left-half", "scale": [1.0]}}, "qoi", "scale"),
+    ({"problem": {"name": "linear-advection-diffusion", "gamma": 0.1,
+                  "h": 0.05, "swap_roles": "no"},
+      "qoi": {"kind": "mean-left-half"}}, "problem", "swap_roles"),
+], ids=["scalar-linear-y0", "burgers-gamma", "mhd-b0", "qoi-scale",
+        "advdiff-swap-roles"])
+def test_config_names_a_mistyped_value_and_its_section(patch, where, key):
+    # a string "no" would otherwise swap the roles of the two halves
+    with pytest.raises(CliError, match=rf"\[config\] config\.{where} .*{key} "
+                                       "must be (a number|true or false)"):
+        run(base_config(**patch))
 
 
 def test_config_requires_core_sections():
@@ -287,6 +315,20 @@ def test_convergence_study_zero_field_has_no_orders():
     for r in rows:
         assert r["error"] == 0.0
         assert r["order"] is None
+
+
+def test_convergence_study_without_exact_solution_matches_an_rhs_oracle():
+    # the dense reference comes from the same right-hand side as the
+    # numeric reference QoI (a sparse operator for a linear problem)
+    prob = mhd_alfven(h=0.05)
+    rows = convergence_study(prob, "ssp343", 0.01, 3, 0.1)
+    sol = solve_ivp(lambda t, y: prob.rhs(y, t), (0.0, 0.1), prob.y0,
+                    method="DOP853", rtol=1e-12, atol=1e-13, dense_output=True)
+    for lev, row in enumerate(rows):
+        grid = TimeGrid.uniform(0.1, 10 * 2 ** lev)
+        fwd = solve_forward(prob, builtin("ssp343"), grid)
+        want = float(np.abs(sol.sol(grid.nodes).T - fwd.nodal).max())
+        assert row["error"] == pytest.approx(want, rel=1e-12)
 
 
 def test_convergence_study_argument_validation():

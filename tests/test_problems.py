@@ -345,6 +345,27 @@ def test_halves_on_a_stack_match_row_by_row(case):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("case", range(6), ids=[
+    "advdiff", "advdiff-swapped", "mhd-v-split", "mhd-v-implicit",
+    "scalar-linear", "linear-split"])
+def test_linear_problems_are_their_jacobians_times_the_state(case):
+    # the linear contract: both halves are a constant Jacobian times the
+    # state and every state-independent term is in the forcing
+    probs = [prob for prob, _ in contract_problems() if prob.linear]
+    assert len(probs) == 6
+    prob = probs[case]
+    op = prob.jac_f(prob.y0) + prob.jac_g(prob.y0)
+    rng = np.random.default_rng(case)
+    for _ in range(5):
+        y = rng.standard_normal(prob.dim)
+        got = prob.eval_f(y) + prob.eval_g(y)
+        # the split sums a row in two parts: roundoff of the summed magnitudes
+        scale = (np.abs(op) @ np.abs(y)).max()
+        assert np.abs(got - op @ y).max() <= 1e-14 * scale
+        assert np.array_equal(prob.jac_f(y), prob.jac_f(prob.y0))
+        assert np.array_equal(prob.jac_g(y), prob.jac_g(prob.y0))
+
+
 def test_alfven_analytic_on_a_time_vector_matches_each_time():
     zeta = np.linspace(0.0, 1.0, 11)
     ts = np.array([-0.1, 0.0, 1e-3, 0.05])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from imexest.problems import (
     QoiSpec,
@@ -14,6 +15,7 @@ from imexest.reference import (
     MODES,
     ReferenceConfig,
     ReferenceError,
+    ivp_rhs,
     true_qoi,
 )
 from imexest.solver import TimeGrid
@@ -122,3 +124,88 @@ def test_reference_config_validates_mode():
     assert set(MODES) == {"auto", "analytic", "high-order-numeric"}
     with pytest.raises(ValueError, match="mode"):
         ReferenceConfig(mode="exact")
+
+
+# -- the DOP853 right-hand side ------------------------------------------------
+
+NUMERIC = ReferenceConfig(mode="high-order-numeric")
+MHD_GRID = TimeGrid.uniform(0.1, 4)
+
+
+def mhd_qois(prob):
+    """The integral-v final-time QoI and a constant-density time integral."""
+    psi = qoi_integral_v(prob.metadata["interior_per_field"], prob.metadata["h"]).psi
+    return [QoiSpec(kind="final-time", psi=psi),
+            QoiSpec(kind="time-integrated", psi_tilde=lambda t: psi)]
+
+
+def rhs_oracle_qoi(prob, qoi, cfg):
+    """The numeric reference QoI integrated with problem.rhs."""
+    if qoi.kind == "final-time":
+        fun, z0 = (lambda t, y: prob.rhs(y, t)), prob.y0
+    else:
+        def fun(t, z):
+            return np.append(prob.rhs(z[:-1], t), np.dot(z[:-1], qoi.psi_tilde(t)))
+        z0 = np.append(prob.y0, 0.0)
+    sol = solve_ivp(fun, (0.0, MHD_GRID.t_end), z0, method="DOP853",
+                    rtol=cfg.rtol, atol=cfg.atol, max_step=cfg.max_step)
+    z_end = sol.y[:, -1]
+    return float(z_end @ qoi.psi) if qoi.kind == "final-time" else float(z_end[-1])
+
+
+@pytest.mark.parametrize("v_mode", ["v-split", "v-implicit"])
+def test_ivp_rhs_matches_problem_rhs(v_mode):
+    prob = mhd_alfven(h=0.05, v_mode=v_mode)
+    rhs = ivp_rhs(prob)
+    jf, jg = np.abs(prob.jac_f(prob.y0)), np.abs(prob.jac_g(prob.y0))
+    rng = np.random.default_rng(3)
+    for t in np.concatenate([[-0.01, 0.0], rng.uniform(0.0, 0.1, 6)]):
+        y = rng.standard_normal(prob.dim)
+        force_f, force_g = prob.forcing(t)
+        # the two routes sum the same terms in another order, so they may
+        # differ by roundoff of the summed magnitudes, not of each entry
+        scale = (jf @ np.abs(y) + jg @ np.abs(y)
+                 + np.abs(force_f) + np.abs(force_g)).max()
+        assert np.abs(rhs(t, y) - prob.rhs(y, t)).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("v_mode", ["v-split", "v-implicit"])
+def test_numeric_reference_of_a_linear_problem_evaluates_no_halves(v_mode):
+    prob = mhd_alfven(h=0.05, v_mode=v_mode)
+    calls = {"eval_f": 0, "eval_g": 0}
+    for name in calls:
+        fn = getattr(prob, name)
+
+        def counted(y, fn=fn, name=name):
+            calls[name] += 1
+            return fn(y)
+        setattr(prob, name, counted)
+    for qoi in mhd_qois(prob):
+        true_qoi(prob, MHD_GRID, qoi, NUMERIC)
+    assert calls == {"eval_f": 0, "eval_g": 0}
+
+
+@pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
+def test_numeric_reference_matches_an_rhs_oracle(kind):
+    prob = mhd_alfven(h=0.05)
+    qoi = {q.kind: q for q in mhd_qois(prob)}[kind]
+    want = rhs_oracle_qoi(prob, qoi, NUMERIC)
+    assert true_qoi(prob, MHD_GRID, qoi, NUMERIC) == pytest.approx(want, rel=1e-12)
+
+
+def test_step_cap_bounds_attempted_steps():
+    # DOP853 makes 2 evaluations to start and 12 per attempted step; cap 3
+    # allows 4 attempts, 50 evaluations, instead of the whole solve
+    prob = mhd_alfven(h=0.05)
+    calls = []
+    forcing = prob.forcing
+
+    def counted(t):
+        calls.append(t)
+        return forcing(t)
+
+    prob.forcing = counted
+    cfg = ReferenceConfig(mode="high-order-numeric", step_cap=3)
+    with pytest.raises(ReferenceError, match="cap 3"):
+        true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], cfg)
+    assert len(calls) <= 50
