@@ -31,7 +31,7 @@ from .estimate import (ErrorBreakdown, component_split, effectivity,
                        error_breakdown, error_breakdown_timedep)
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
                        component_masks, linear_advection_diffusion, mhd_alfven,
-                       qoi_integral_v, qoi_mean_left_half,
+                       mhd_params, qoi_integral_v, qoi_mean_left_half,
                        split_linear_system, split_scalar_bernoulli,
                        split_scalar_linear)
 from .reconstruct import build_cg
@@ -177,11 +177,24 @@ class RunConfig:
                                 f"config.problem ({pname})")
         prob["name"] = pname
         if pname == "mhd-alfven":
+            try:
+                mhd_params(prob["v_mode"], **{k: prob[k] for k in MHD_DEFAULTS})
+            except ValueError as exc:
+                raise ValueError(f"config.problem (mhd-alfven): {exc}") from None
             # derived wave speed recorded so reports carry it explicitly
             prob["A0"] = prob["B0"] / np.sqrt(prob["mu0"] * prob["rho"])
             if a0 is not None and a0 != prob["A0"]:
                 raise ValueError(f"config.problem.A0 = {a0} disagrees with "
                                  f"B0/sqrt(mu0*rho) = {prob['A0']}")
+
+        components = doc.get("components", False)
+        if not isinstance(components, bool):
+            raise ValueError(
+                f"config: components must be true or false, got {components!r}")
+        if components and pname != "mhd-alfven":
+            raise ValueError("config: components needs the mhd-alfven problem, "
+                             "whose v and B blocks it splits the estimate "
+                             f"onto; got {pname!r}")
 
         grid = dict(doc["grid"])
         _reject_unknown(grid, ("t_end", "k", "n"), "config.grid")
@@ -231,7 +244,7 @@ class RunConfig:
         return cls(scheme=str(doc["scheme"]), problem=prob, grid=grid,
                    qoi=qoi, newton=newton, reference=reference,
                    adjoint=adjoint, output=output,
-                   components=bool(doc.get("components", False)),
+                   components=components,
                    defaults_used=defaults_used)
 
     def resolved(self) -> dict:
@@ -625,7 +638,7 @@ def _cmd_run(args) -> int:
     with open(args.config) as fh:
         doc = json.load(fh)
     row = run(doc)
-    with_components = bool(doc.get("components", False))
+    with_components = row.metadata["config"]["components"]
     header = ["scheme", "computed_error", "effectivity", "E1", "E2", "E3"]
     if with_components:
         header += list(COMPONENT_COLUMNS)

@@ -10,12 +10,13 @@ matrices (the largest system here is a few hundred unknowns).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import erf, erfc
 
 Array = np.ndarray
 ForcingFn = Callable[[float | Array], tuple[Array, Array]]
@@ -278,6 +279,36 @@ MHD_DEFAULTS = {"B0": 10.0, "rho": 1.0, "mu": 1.0, "eta": 1.0, "mu0": 1.0,
 
 MHD_V_MODES = ("v-split", "v-implicit")
 
+_EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
+
+
+def _alfven_point(zeta: float, t: float, B0: float, rho: float, mu: float,
+                  eta: float, mu0: float, U: float) -> tuple[float, float]:
+    """Exact (v, B) at one point zeta and one time t; the one implementation
+    of the closed form.  Zero at t <= 0 and at a NaN time (rest state)."""
+    # isnan first: an ordered comparison with NaN raises the invalid flag,
+    # which np.vectorize reports as a RuntimeWarning
+    if math.isnan(t) or t <= 0.0:
+        return 0.0, 0.0
+    d = eta / mu0
+    a0 = B0 / math.sqrt(mu0 * rho)
+    s = 2.0 * math.sqrt(d * t)
+    if s == 0.0:  # d*t underflowed: the t -> 0+ limit, U at the plate only
+        return (U if zeta == 0.0 else 0.0), 0.0
+    arg_m = (zeta - a0 * t) / s
+    arg_p = (zeta + a0 * t) / s
+    e_m = math.exp(-a0 * zeta / d)
+    e_p = math.exp(a0 * zeta / d)
+    erf_m, erf_p = math.erf(arg_m), math.erf(arg_p)
+    v = 0.25 * U * (e_m * (1.0 - erf_m) - erf_m) \
+        + 0.25 * U * (e_p * (1.0 - erf_p) - erf_p + 2.0)
+    b = -0.25 * e_m * (e_p - 1.0) * U * math.sqrt(mu * rho) \
+        * (math.erfc(arg_m) + e_p * math.erfc(arg_p))
+    return v, b
+
+
+_alfven_fields = np.vectorize(_alfven_point, otypes=[float, float])
+
 
 def alfven_analytic(zeta, t, B0=10.0, rho=1.0, mu=1.0, eta=1.0,
                     mu0=1.0, U=1.0) -> tuple[Array, Array]:
@@ -286,27 +317,43 @@ def alfven_analytic(zeta, t, B0=10.0, rho=1.0, mu=1.0, eta=1.0,
     At t <= 0 both fields vanish (the fluid starts at rest); for t > 0
     the impulsively started plate makes the velocity boundary value at
     zeta = 0 exactly U, which is also the t -> 0+ limit of the erf
-    expressions below.  A vector of times gives (len(t), len(zeta))
-    fields, one row per time.
+    expressions.  A vector of times gives (len(t), len(zeta)) fields,
+    one row per time.
     """
-    zeta = np.asarray(zeta, dtype=float)
     t = np.asarray(t, dtype=float)
     if t.ndim:
         t = t[:, None]
-    started = t > 0.0
-    t = np.where(started, t, 1.0)
-    d = eta / mu0
-    a0 = B0 / np.sqrt(mu0 * rho)
-    s = 2.0 * np.sqrt(d * t)
-    arg_m = (zeta - a0 * t) / s
-    arg_p = (zeta + a0 * t) / s
-    e_m = np.exp(-a0 * zeta / d)
-    e_p = np.exp(a0 * zeta / d)
-    v = 0.25 * U * (e_m * (1.0 - erf(arg_m)) - erf(arg_m)) \
-        + 0.25 * U * (e_p * (1.0 - erf(arg_p)) - erf(arg_p) + 2.0)
-    b = -0.25 * e_m * (e_p - 1.0) * U * np.sqrt(mu * rho) \
-        * (erfc(arg_m) + e_p * erfc(arg_p))
-    return np.where(started, v, 0.0), np.where(started, b, 0.0)
+    return _alfven_fields(np.asarray(zeta, dtype=float), t,
+                          B0, rho, mu, eta, mu0, U)
+
+
+def mhd_params(v_mode: str, **params) -> dict:
+    """The Alfven problem's physics, MHD_DEFAULTS overridden by params.
+
+    Rejects an unknown v_mode or parameter, and physics the closed-form
+    boundary data cannot evaluate: it takes square roots of mu0*rho and
+    mu*rho, divides by eta/mu0, and exponentiates +-A0*L/(eta/mu0), which
+    must stay inside float64.
+    """
+    if v_mode not in MHD_V_MODES:
+        raise ValueError(f"v_mode must be one of {MHD_V_MODES}, got {v_mode!r}")
+    unknown = set(params) - set(MHD_DEFAULTS)
+    if unknown:
+        raise ValueError(f"unknown mhd parameters: {sorted(unknown)}")
+    p = {**MHD_DEFAULTS, **params}
+    for key in ("rho", "mu0", "eta"):
+        if not p[key] > 0.0:
+            raise ValueError(f"{key} must be positive, got {p[key]!r}")
+    if not p["mu"] >= 0.0:
+        raise ValueError(f"mu must be >= 0, got {p['mu']!r}")
+    exponent = abs(p["B0"] / math.sqrt(p["mu0"] * p["rho"]) * p["L"]
+                   / (p["eta"] / p["mu0"]))
+    if not exponent < _EXP_MAX:
+        raise ValueError(
+            f"B0, rho, mu0, eta and L give |A0*L*mu0/eta| = {exponent:.6g}; "
+            f"the exact boundary data takes exp() of it, which needs a finite "
+            f"value below {_EXP_MAX:.6g}")
+    return p
 
 
 def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdeProblem:
@@ -321,13 +368,7 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
     implicit; "v-implicit" integrates the whole momentum right-hand side
     implicitly (f_v = 0).
     """
-    if v_mode not in MHD_V_MODES:
-        raise ValueError(f"v_mode must be one of {MHD_V_MODES}, got {v_mode!r}")
-    p = dict(MHD_DEFAULTS)
-    unknown = set(params) - set(p)
-    if unknown:
-        raise ValueError(f"unknown mhd parameters: {sorted(unknown)}")
-    p.update(params)
+    p = mhd_params(v_mode, **params)
     B0, rho, mu, eta, mu0, U, L = (p[k] for k in ("B0", "rho", "mu", "eta", "mu0", "U", "L"))
 
     n_cells = round(L / h)
@@ -356,12 +397,18 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
         mat[rows, cols] = op[:, inner]
         pick[rows, pick_cols] = op[:, ends]
     apply_pick_f, apply_pick_g = _apply(pick_f), _apply(pick_g)
-    zeta_ends = np.array([0.0, L])
+    physics = (B0, rho, mu, eta, mu0, U)
+
+    def boundary_data(t: float) -> list:
+        """(v(0), v(L), B(0), B(L)) at one time."""
+        (v_0, b_0), (v_l, b_l) = (_alfven_point(z, float(t), *physics)
+                                  for z in (0.0, L))
+        return [v_0, v_l, b_0, b_l]
 
     def forcing(t) -> tuple[Array, Array]:
-        v_ends, b_ends = alfven_analytic(zeta_ends, t, B0=B0, rho=rho, mu=mu,
-                                         eta=eta, mu0=mu0, U=U)
-        data = np.concatenate([v_ends, b_ends], axis=-1)
+        t = np.asarray(t, dtype=float)
+        data = np.array([boundary_data(s) for s in t] if t.ndim
+                        else boundary_data(t))
         return apply_pick_f(data), apply_pick_g(data)
 
     def pde_solution(t: float) -> Array:

@@ -40,6 +40,9 @@ class ReferenceConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"reference mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.verify, bool):
+            raise ValueError(f"reference verify must be true or false, "
+                             f"got {self.verify!r}")
         for name, ok, bound in (("rtol", self.rtol > 0, "> 0"),
                                 ("atol", self.atol >= 0, ">= 0"),
                                 ("max_step", self.max_step > 0, "> 0"),

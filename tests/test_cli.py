@@ -62,29 +62,45 @@ def test_config_rejects_unknown_keys_in_every_section():
             run(base_config(**patch))
 
 
-@pytest.mark.parametrize("patch", [
-    {"reference": {"mode": "numeric"}},
-    {"adjoint": {"refine": 0}},
-    {"newton": {"max_iters": -1}},
-    {"reference": {"rtol": -1}},
-    {"reference": {"atol": -1}},
-    {"reference": {"max_step": 0}},
-    {"reference": {"step_cap": 0}},
-    {"reference": {"verify": True, "verify_ratio": -1}},
-    {"problem": {"name": "mhd-alfven", "h": 0.05, "A0": 9.0},
-     "qoi": {"kind": "integral-v"}},
-    {"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
-                 "y0": None}},
-    {"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
-                 "y0": "abc"}},
-    {"problem": {"name": "burgers", "gamma": "0.05", "h": 0.05},
-     "qoi": {"kind": "mean-left-half"}},
+_MHD = {"name": "mhd-alfven", "h": 0.05}
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"reference": {"mode": "numeric"}}, "reference mode must be one of"),
+    ({"adjoint": {"refine": 0}}, "adjoint.refine must be >= 1"),
+    ({"newton": {"max_iters": -1}}, "newton max_iters must be >= 1"),
+    ({"reference": {"rtol": -1}}, "reference rtol must be > 0"),
+    ({"reference": {"atol": -1}}, "reference atol must be >= 0"),
+    ({"reference": {"max_step": 0}}, "reference max_step must be > 0"),
+    ({"reference": {"step_cap": 0}}, "reference step_cap must be >= 1"),
+    ({"reference": {"verify": True, "verify_ratio": -1}},
+     "reference verify_ratio must be > 0"),
+    ({"problem": {**_MHD, "A0": 9.0}, "qoi": {"kind": "integral-v"}},
+     "A0 = 9.0 disagrees"),
+    ({"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
+                  "y0": None}}, r"missing keys .*\['y0'\]"),
+    ({"problem": {"name": "scalar-linear", "lam_f": 0.0, "lam_g": -1.0,
+                  "y0": "abc"}}, "y0 must be a number"),
+    ({"problem": {"name": "burgers", "gamma": "0.05", "h": 0.05},
+      "qoi": {"kind": "mean-left-half"}}, "gamma must be a number"),
+    # a string "false" would otherwise switch either one on
+    ({"components": "false"}, "components must be true or false, got 'false'"),
+    ({"reference": {"verify": "false"}},
+     "reference verify must be true or false, got 'false'"),
+    ({"components": True}, "components needs the mhd-alfven problem"),
+    ({"problem": {**_MHD, "v_mode": "implicit"}, "qoi": {"kind": "integral-v"}},
+     r"v_mode must be one of \('v-split', 'v-implicit'\), got 'implicit'"),
+    # exp(A0*L*mu0/eta) overflows float64 in the exact boundary data
+    ({"problem": {**_MHD, "eta": 0.001}, "qoi": {"kind": "integral-v"}},
+     r"B0, rho, mu0, eta and L give \|A0\*L\*mu0/eta\| = 10000"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
-        "problem-y0-string", "problem-gamma-string"])
-def test_config_rejects_bad_values_before_any_numerics(patch):
-    with pytest.raises(CliError) as info:
+        "problem-y0-string", "problem-gamma-string", "components-string",
+        "reference-verify-string", "components-not-mhd", "mhd-v-mode",
+        "mhd-exp-overflow"])
+def test_config_rejects_bad_values_before_any_numerics(patch, message):
+    with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))
     assert info.value.stage == "config"
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import erf, erfc
 
 from imexest import problems
 from imexest.problems import (
@@ -197,6 +198,22 @@ def test_mhd_v_implicit_momentum_rows_are_fully_implicit():
 def test_mhd_rejects_unknown_mode():
     with pytest.raises(ValueError, match="v_mode"):
         mhd_alfven(h=0.05, v_mode="bogus")
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"eta": 0.001}, "B0, rho, mu0, eta and L"),
+    ({"B0": -800.0}, "B0, rho, mu0, eta and L"),
+    ({"B0": float("nan")}, "B0, rho, mu0, eta and L"),
+    ({"rho": 0.0}, "rho must be positive"),
+    ({"mu0": -1.0}, "mu0 must be positive"),
+    ({"eta": 0.0}, "eta must be positive"),
+    ({"mu": -1.0}, "mu must be >= 0"),
+], ids=["eta-overflow", "negative-b0-overflow", "nan-b0", "rho-zero",
+        "mu0-negative", "eta-zero", "mu-negative"])
+def test_mhd_rejects_physics_the_closed_form_cannot_take(params, message):
+    # math.exp would raise a bare OverflowError, math.sqrt a domain error
+    with pytest.raises(ValueError, match=message):
+        mhd_alfven(h=0.05, **params)
 
 
 def test_alfven_analytic_rest_state_at_nonpositive_time():
@@ -455,3 +472,140 @@ def test_stencil_builder_matches_the_loop_builders(m):
         assert np.array_equal(full[:, 1:-1], mat)
         assert np.array_equal(full[:, 0], left)
         assert np.array_equal(full[:, -1], right)
+
+
+# The numpy closed form the scalar kernel replaced, kept as its oracle.
+
+def numpy_alfven(zeta, t, B0=10.0, rho=1.0, mu=1.0, eta=1.0, mu0=1.0, U=1.0):
+    """(v, B) from the vectorised formula, and for each the summed
+    magnitudes of the terms it is built from, the scale of its roundoff.
+
+    erfc(x) at large x is relatively ill-conditioned (2 x^2), and an erfc
+    that underflows is accurate only to the smallest normal number; the
+    B magnitude carries both.
+    """
+    zeta = np.asarray(zeta, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if t.ndim:
+        t = t[:, None]
+    started = t > 0.0
+    t = np.where(started, t, 1.0)
+    d = eta / mu0
+    a0 = B0 / np.sqrt(mu0 * rho)
+    s = 2.0 * np.sqrt(d * t)
+    arg_m = (zeta - a0 * t) / s
+    arg_p = (zeta + a0 * t) / s
+    e_m = np.exp(-a0 * zeta / d)
+    e_p = np.exp(a0 * zeta / d)
+    v = 0.25 * U * (e_m * (1.0 - erf(arg_m)) - erf(arg_m)) \
+        + 0.25 * U * (e_p * (1.0 - erf(arg_p)) - erf(arg_p) + 2.0)
+    b = -0.25 * e_m * (e_p - 1.0) * U * np.sqrt(mu * rho) \
+        * (erfc(arg_m) + e_p * erfc(arg_p))
+    abs_erf_m, abs_erf_p = np.abs(erf(arg_m)), np.abs(erf(arg_p))
+    v_mag = 0.25 * abs(U) * (e_m * (1.0 + abs_erf_m) + abs_erf_m
+                             + e_p * (1.0 + abs_erf_p) + abs_erf_p + 2.0)
+    floor = np.finfo(float).tiny / np.finfo(float).eps
+    b_mag = 0.25 * e_m * (e_p + 1.0) * abs(U) * np.sqrt(mu * rho) \
+        * (erfc(arg_m) * (1.0 + 2.0 * arg_m**2)
+           + e_p * erfc(arg_p) * (1.0 + 2.0 * arg_p**2) + floor * (1.0 + e_p))
+    return tuple(np.where(started, x, 0.0) for x in (v, b, v_mag, b_mag))
+
+
+ALFVEN_PHYSICS = [
+    {},
+    {"B0": 3.0, "rho": 2.0, "mu": 0.5, "eta": 0.3, "mu0": 1.5, "U": -0.7},
+    {"B0": -40.0, "eta": 0.1},
+    {"B0": 700.0, "U": 3.0},
+]
+ALFVEN_PHYSICS_IDS = ["default", "mixed", "negative-b0", "steep"]
+
+
+def alfven_times(rng):
+    """Random times across the start, with the rest and edge cases."""
+    return np.concatenate([rng.uniform(-0.05, 0.3, 12),
+                           10.0 ** rng.uniform(-300.0, 1.0, 6),
+                           [0.0, -0.0, 1e-300, np.nan]])
+
+
+# math.erf/erfc/exp and scipy/numpy's differ by an ulp or so per term
+ALFVEN_ULPS = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("physics", ALFVEN_PHYSICS, ids=ALFVEN_PHYSICS_IDS)
+def test_alfven_analytic_matches_the_numpy_closed_form(physics):
+    rng = np.random.default_rng(len(physics))
+    zeta = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 30)])
+    ts = alfven_times(rng)
+    cases = [(ts, (ts.size, zeta.size))] + [(t, zeta.shape) for t in ts]
+    for t, shape in cases:
+        got = alfven_analytic(zeta, t, **physics)
+        v, b, v_mag, b_mag = numpy_alfven(zeta, t, **physics)
+        for new, old, mag in zip(got, (v, b), (v_mag, b_mag)):
+            assert new.shape == shape
+            assert np.all(np.abs(new - old) <= ALFVEN_ULPS * mag)
+
+
+def test_alfven_fields_take_the_start_limit_where_d_t_underflows():
+    # eta/mu0 * 5e-324 rounds to zero: the numpy form divided by zero into
+    # erf(+-inf), which gives the t -> 0+ limit; a float division would raise
+    zeta = np.array([0.0, 0.5, 1.0])
+    for physics in ({"eta": 0.3}, *ALFVEN_PHYSICS[1:3]):
+        got = alfven_analytic(zeta, 5e-324, **physics)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = numpy_alfven(zeta, 5e-324, **physics)[:2]
+        u = physics.get("U", 1.0)
+        for new, old, limit in zip(got, want, ([u, 0.0, 0.0], [0.0, 0.0, 0.0])):
+            assert np.array_equal(new, old) and np.array_equal(new, limit)
+
+
+def pickups(md):
+    """(m, 4) f and g pickups of (v(0), v(L), B(0), B(L)), from the
+    Dirichlet end columns of the centred stencils."""
+    mh, h = md["interior_per_field"], md["h"]
+    d1, d2 = (problems._stencil(mh, h, order, periodic=False)[:, [0, -1]]
+              for order in (1, 2))
+    sv, sb = slice(0, mh), slice(mh, 2 * mh)
+    pick_f, pick_g = np.zeros((2 * mh, 4)), np.zeros((2 * mh, 4))
+    pick_f[sb, 0:2] = md["B0"] * d1                       # transport
+    pick_g[sb, 2:4] = md["eta"] / md["mu0"] * d2          # magnetic diffusion
+    pick_g[sv, 0:2] = md["mu"] / md["rho"] * d2           # viscosity
+    lorentz = pick_f if md["v_mode"] == "v-split" else pick_g
+    lorentz[sv, 2:4] = md["B0"] / md["rho"] * d1
+    return pick_f, pick_g
+
+
+@pytest.mark.parametrize("v_mode", MHD_V_MODES)
+@pytest.mark.parametrize("physics, length",
+                         list(zip(ALFVEN_PHYSICS, (1.0, 2.0, 1.0, 1.0))),
+                         ids=ALFVEN_PHYSICS_IDS)
+def test_mhd_forcing_is_the_pickups_times_the_exact_boundary_data(physics, length,
+                                                                 v_mode):
+    prob = mhd_alfven(h=0.1, v_mode=v_mode, L=length, **physics)
+    pick_f, pick_g = pickups(prob.metadata)
+    rng = np.random.default_rng(len(physics))
+    ts = alfven_times(rng)
+    for t in [ts] + list(ts):
+        v, b, v_mag, b_mag = numpy_alfven([0.0, length], t, **physics)
+        data = np.concatenate([v, b], axis=-1)
+        data_mag = np.concatenate([v_mag, b_mag], axis=-1)
+        for got, pick in zip(prob.forcing(t), (pick_f, pick_g)):
+            assert got.shape == np.shape(t) + (prob.dim,)
+            bound = ALFVEN_ULPS * (data_mag @ np.abs(pick).T)
+            assert np.all(np.abs(got - data @ pick.T) <= bound)
+
+
+@pytest.mark.parametrize("v_mode", MHD_V_MODES)
+def test_stacked_forcing_equals_the_per_time_calls(v_mode):
+    prob = mhd_alfven(h=0.05, v_mode=v_mode)
+    ts = alfven_times(np.random.default_rng(7))
+    data = np.abs(np.concatenate(numpy_alfven([0.0, 1.0], ts)[:2], axis=-1))
+    rows = [prob.forcing(t) for t in ts]
+    for j, (got, pick) in enumerate(zip(prob.forcing(ts), pickups(prob.metadata))):
+        # the same boundary data: equal wherever a row takes one boundary
+        # value; a stack may sum a row's two pickups (v-implicit viscosity
+        # and Lorentz) in another order
+        want = np.stack([row[j] for row in rows])
+        two = np.count_nonzero(pick, axis=1) > 1
+        assert np.array_equal(got[:, ~two], want[:, ~two])
+        bound = np.finfo(float).eps * (data @ np.abs(pick).T)
+        assert np.all(np.abs(got - want)[:, two] <= bound[:, two])
