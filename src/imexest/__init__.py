@@ -6,19 +6,19 @@ so the contribution of each half of the splitting can be read off
 directly.
 """
 
-from .tableaus import ButcherTableau, ImexPair, builtin, validate, weight_moment
-from .numerics import GaussRule, LagrangeBasis, gauss_rule, l2_project
+from .tableaus import ButcherTableau, ImexPair, builtin, validate
+from .numerics import GaussRule, LagrangeBasis, gauss_rule
 from .problems import (
     SplitOdeProblem, QoiSpec, linear_advection_diffusion, burgers,
-    mhd_alfven, mhd_split, alfven_analytic, qoi_mean_left_half, qoi_integral_v,
+    mhd_alfven, alfven_analytic, qoi_mean_left_half, qoi_integral_v,
     split_linear_system, split_scalar_linear, split_scalar_bernoulli,
-    component_masks, check_jacobians,
+    component_masks,
 )
 from .solver import TimeGrid, NewtonConfig, ForwardSolution, solve_forward, step
 from .reconstruct import PiecewisePolynomial, build_cg
 from .adjoint import AdjointSolution, LinearizedOperator, solve_adjoint
 from .estimate import (
-    ErrorBreakdown, ComponentMask, error_breakdown, error_breakdown_timedep,
+    ErrorBreakdown, error_breakdown, error_breakdown_timedep,
     effectivity, component_split, residual_weighted_estimate,
 )
 from .reference import ReferenceConfig, true_qoi
@@ -36,16 +36,16 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
-    "ButcherTableau", "ImexPair", "builtin", "validate", "weight_moment",
-    "GaussRule", "LagrangeBasis", "gauss_rule", "l2_project",
+    "ButcherTableau", "ImexPair", "builtin", "validate",
+    "GaussRule", "LagrangeBasis", "gauss_rule",
     "SplitOdeProblem", "QoiSpec", "linear_advection_diffusion", "burgers",
-    "mhd_alfven", "mhd_split", "alfven_analytic", "qoi_mean_left_half",
+    "mhd_alfven", "alfven_analytic", "qoi_mean_left_half",
     "qoi_integral_v", "split_linear_system", "split_scalar_linear",
-    "split_scalar_bernoulli", "component_masks", "check_jacobians",
+    "split_scalar_bernoulli", "component_masks",
     "TimeGrid", "NewtonConfig", "ForwardSolution", "solve_forward", "step",
     "PiecewisePolynomial", "build_cg",
     "AdjointSolution", "LinearizedOperator", "solve_adjoint",
-    "ErrorBreakdown", "ComponentMask", "error_breakdown",
+    "ErrorBreakdown", "error_breakdown",
     "error_breakdown_timedep", "effectivity", "component_split",
     "residual_weighted_estimate",
     "ReferenceConfig", "true_qoi",

@@ -86,10 +86,6 @@ class AdjointSolution:
     def evaluate(self, t: float) -> np.ndarray:
         return self.poly.evaluate(t)
 
-    @property
-    def final_value(self) -> np.ndarray:
-        return self.poly.coeffs[-1, -1]
-
     def max_abs(self) -> float:
         return float(np.abs(self.poly.coeffs).max())
 

@@ -30,10 +30,10 @@ from .adjoint import DEFAULT_REFINE, solve_adjoint
 from .estimate import (ErrorBreakdown, component_split, effectivity,
                        error_breakdown, error_breakdown_timedep)
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
-                       component_masks, linear_advection_diffusion, mhd_alfven,
-                       mhd_params, qoi_integral_v, qoi_mean_left_half,
-                       split_linear_system, split_scalar_bernoulli,
-                       split_scalar_linear)
+                       component_masks, grid_cells, grid_domain,
+                       linear_advection_diffusion, mhd_alfven, mhd_params,
+                       qoi_integral_v, qoi_mean_left_half, split_linear_system,
+                       split_scalar_bernoulli, split_scalar_linear)
 from .reconstruct import build_cg
 from .reference import (ReferenceConfig, ivp_rhs, qoi_from_states, resolve_mode,
                         true_qoi)
@@ -47,6 +47,7 @@ SCHEME_ORDER = ("mid122", "ssp332", "ssp343")
 _SHORT_NAMES = {"Mid(1,2,2)": "mid122", "SSP3(3,3,2)": "ssp332",
                 "SSP3(4,3,3)": "ssp343"}
 
+REPORT_COLUMNS = ("scheme", "computed_error", "effectivity", "E1", "E2", "E3")
 COMPONENT_COLUMNS = ("E1_v", "E1_B", "E2_v", "E2_B", "E3_v", "E3_B")
 
 
@@ -116,11 +117,16 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
     """Defaults merged under the given keys.  REQUIRED and NUMBER keys
-    must be non-null; a key whose default is NUMBER or a number must be
-    given a number, and one whose default is a bool a bool (checked, not
-    converted, so the echo keeps its bytes)."""
+    must be non-null; a key whose default is a bool must be given a bool,
+    one whose default is an integer an integer, and one whose default is
+    NUMBER or another number a number (checked, not converted, so the
+    echo keeps its bytes)."""
     _reject_unknown(given, defaults, where)
     missing = [k for k, v in defaults.items()
                if (v is REQUIRED or v is NUMBER) and given.get(k) is None]
@@ -128,17 +134,19 @@ def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
         raise ValueError(f"missing keys in {where}: {missing}")
     for k, v in given.items():
         default = defaults[k]
-        if (default is NUMBER or _is_number(default)) and not _is_number(v):
-            raise ValueError(f"{where}: {k} must be a number, got {v!r}")
-        if isinstance(default, bool) and not isinstance(v, bool):
-            raise ValueError(f"{where}: {k} must be true or false, got {v!r}")
+        if isinstance(default, bool):
+            if not isinstance(v, bool):
+                raise ValueError(f"{where} {k} must be true or false, got {v!r}")
+        elif _is_integer(default):
+            if not _is_integer(v):
+                raise ValueError(f"{where} {k} must be an integer, got {v!r}")
+        elif (default is NUMBER or _is_number(default)) and not _is_number(v):
+            raise ValueError(f"{where} {k} must be a number, got {v!r}")
     return {**defaults, **given}
 
 
-def _config_object(cls, given: dict, where: str):
-    """cls built from the given keys; its field defaults fill the rest."""
-    _reject_unknown(given, [f.name for f in fields(cls)], where)
-    return cls(**given)
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
 
 
 @dataclass
@@ -176,11 +184,14 @@ class RunConfig:
         prob = _resolve_section(prob, _PROBLEMS[pname][1],
                                 f"config.problem ({pname})")
         prob["name"] = pname
-        if pname == "mhd-alfven":
-            try:
+        try:
+            if pname == "mhd-alfven":
                 mhd_params(prob["v_mode"], **{k: prob[k] for k in MHD_DEFAULTS})
-            except ValueError as exc:
-                raise ValueError(f"config.problem (mhd-alfven): {exc}") from None
+            if "h" in prob:
+                grid_cells(*grid_domain(pname, prob), prob["h"])
+        except ValueError as exc:
+            raise ValueError(f"config.problem ({pname}): {exc}") from None
+        if pname == "mhd-alfven":
             # derived wave speed recorded so reports carry it explicitly
             prob["A0"] = prob["B0"] / np.sqrt(prob["mu0"] * prob["rho"])
             if a0 is not None and a0 != prob["A0"]:
@@ -196,25 +207,26 @@ class RunConfig:
                              "whose v and B blocks it splits the estimate "
                              f"onto; got {pname!r}")
 
-        grid = dict(doc["grid"])
-        _reject_unknown(grid, ("t_end", "k", "n"), "config.grid")
-        _require_keys(grid, ("t_end",), "config.grid")
-        t_end = float(grid["t_end"])
+        grid = _resolve_section(dict(doc["grid"]),
+                                {"t_end": NUMBER, "k": None, "n": None},
+                                "config.grid")
+        t_end, k, n = float(grid["t_end"]), grid["k"], grid["n"]
         if t_end <= 0:
             raise ValueError("config.grid.t_end must be positive")
-        if "k" in grid:
-            n = TimeGrid.from_step(t_end, float(grid["k"])).n_intervals
-            if int(grid.get("n", n)) != n:
+        if n is not None and not _is_integer(n):
+            raise ValueError(f"config.grid n must be an integer, got {n!r}")
+        if k is not None:
+            n_k = TimeGrid.from_step(t_end, float(k)).n_intervals
+            if n not in (None, n_k):
                 raise ValueError(
                     "config.grid takes k or n, not both, unless they agree: "
-                    f"k = {grid['k']} gives n = {n}, not {grid['n']}")
-        elif "n" in grid:
-            n = int(grid["n"])
-            if n < 1:
-                raise ValueError("config.grid.n must be >= 1")
-        else:
+                    f"k = {k} gives n = {n_k}, not {n}")
+            n = n_k
+        elif n is None:
             raise ValueError("config.grid needs k or n")
-        grid = {"t_end": t_end, "n": n, "k": t_end / n}
+        elif n < 1:
+            raise ValueError("config.grid.n must be >= 1")
+        grid = {"t_end": t_end, "n": int(n), "k": t_end / n}
 
         qoi = dict(doc["qoi"])
         _require_keys(qoi, ("kind",), "config.qoi")
@@ -222,6 +234,10 @@ class RunConfig:
         if kind not in _QOI_PARAMS:
             raise ValueError(
                 f"unknown qoi kind {kind!r}; known: {sorted(_QOI_PARAMS)}")
+        if kind == "integral-v" and pname != "mhd-alfven":
+            raise ValueError("config.qoi: integral-v needs the mhd-alfven "
+                             "problem, whose velocity block it integrates; "
+                             f"got {pname!r}")
         qoi = _resolve_section(qoi, _QOI_PARAMS[kind], f"config.qoi ({kind})")
         qoi["kind"] = kind
 
@@ -229,9 +245,10 @@ class RunConfig:
             dict(doc.get(name, {})) for name in ("newton", "reference", "adjoint"))
         if reference_in.get("max_step") == "inf":
             reference_in["max_step"] = np.inf  # JSON has no infinity; see resolved()
-        newton = _config_object(NewtonConfig, newton_in, "config.newton")
-        reference = _config_object(ReferenceConfig, reference_in,
-                                   "config.reference")
+        newton = NewtonConfig(**_resolve_section(
+            newton_in, _field_defaults(NewtonConfig), "config.newton"))
+        reference = ReferenceConfig(**_resolve_section(
+            reference_in, _field_defaults(ReferenceConfig), "config.reference"))
         adjoint = _resolve_section(adjoint_in, _ADJOINT_DEFAULTS, "config.adjoint")
         if adjoint["refine"] < 1:
             raise ValueError("config.adjoint.refine must be >= 1")
@@ -271,8 +288,6 @@ def _build_qoi(cfg: RunConfig, problem: SplitOdeProblem) -> QoiSpec:
         return qoi_mean_left_half(problem.dim, scale=q["scale"])
     if kind == "integral-v":
         md = problem.metadata
-        if md.get("benchmark") != "mhd-alfven":
-            raise ValueError("integral-v qoi needs a stacked (v, B) problem")
         return qoi_integral_v(md["interior_per_field"], md["h"])
     if kind == "final-time":
         psi = np.asarray(q["psi"], dtype=float)
@@ -441,13 +456,8 @@ def run(config: dict, return_artifacts: bool = False):
 def write_report_csv(path: str, rows: list, with_components: bool = False,
                      table_id: Optional[int] = None) -> None:
     """Rows as CSV, each preceded by a comment echoing its resolved config."""
-    header = ["scheme", "computed_error", "effectivity", "E1", "E2", "E3"]
-    if with_components:
-        header += list(COMPONENT_COLUMNS)
-    lines = []
-    if table_id is not None:
-        lines.append(f"# table: {table_id}")
-    lines.append(",".join(header))
+    lines = [] if table_id is None else [f"# table: {table_id}"]
+    lines.append(_csv_header(with_components))
     for row in rows:
         cfg = row.metadata.get("config")
         if cfg is not None:
@@ -455,6 +465,10 @@ def write_report_csv(path: str, rows: list, with_components: bool = False,
         lines.append(",".join(row.csv_values(with_components)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _csv_header(with_components: bool) -> str:
+    return ",".join(REPORT_COLUMNS + (COMPONENT_COLUMNS if with_components else ()))
 
 
 def _emit_series(cfg: RunConfig, problem, grid, forward, adj, bd) -> None:
@@ -639,11 +653,8 @@ def _cmd_run(args) -> int:
         doc = json.load(fh)
     row = run(doc)
     with_components = row.metadata["config"]["components"]
-    header = ["scheme", "computed_error", "effectivity", "E1", "E2", "E3"]
-    if with_components:
-        header += list(COMPONENT_COLUMNS)
     print(f"# config: {canonical_json(row.metadata['config'])}")
-    print(",".join(header))
+    print(_csv_header(with_components))
     print(",".join(row.csv_values(with_components)))
     return 0
 

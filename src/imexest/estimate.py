@@ -54,32 +54,6 @@ def effectivity(estimate_total: float, true_error: float) -> Optional[float]:
     return estimate_total / true_error
 
 
-@dataclass
-class ComponentMask:
-    """Named index sets that partition the state vector into blocks."""
-
-    blocks: dict[str, np.ndarray]
-    dim: int
-
-    def __post_init__(self):
-        cover = np.zeros(self.dim, dtype=int)
-        clean = {}
-        for name, sel in self.blocks.items():
-            sel = np.asarray(sel)
-            mask = np.zeros(self.dim, dtype=bool)
-            if sel.dtype == bool:
-                if sel.shape != (self.dim,):
-                    raise ValueError(f"block {name!r} mask has wrong length")
-                mask = sel.copy()
-            else:
-                mask[sel.astype(int)] = True
-            clean[name] = mask
-            cover += mask
-        if not np.all(cover == 1):
-            raise ValueError("blocks must partition the state indices")
-        self.blocks = clean
-
-
 def _subinterval_factor(forward_intervals: int, adjoint: AdjointSolution) -> int:
     n_adj = adjoint.poly.grid.n_intervals
     if n_adj % forward_intervals != 0:
@@ -206,18 +180,22 @@ def error_breakdown_timedep(problem: SplitOdeProblem, pair: ImexPair,
 
 
 def component_split(breakdown: ErrorBreakdown,
-                    mask: ComponentMask | dict) -> dict[str, tuple[float, float, float]]:
-    """Restrict each estimate term to the blocks of a state partition;
-    block sums reproduce the unrestricted totals."""
+                    masks: dict[str, np.ndarray]) -> dict[str, tuple[float, float, float]]:
+    """Restrict each estimate term to the blocks of a state partition, given
+    as boolean masks by block name; block sums reproduce the totals."""
     m = breakdown.term_density.shape[2]
-    if not isinstance(mask, ComponentMask):
-        mask = ComponentMask(blocks=dict(mask), dim=m)
-    if mask.dim != m:
-        raise ValueError("mask dimension does not match state dimension")
+    cover = np.zeros(m, dtype=int)
     out = {}
-    for name, sel in mask.blocks.items():
-        sums = breakdown.term_density[:, :, sel].sum(axis=(0, 2))
+    for name, mask in masks.items():
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (m,):
+            raise ValueError(f"block {name!r} is not a boolean mask of the "
+                             f"state dimension {m}")
+        cover += mask
+        sums = breakdown.term_density[:, :, mask].sum(axis=(0, 2))
         out[name] = (float(sums[0]), float(sums[1]), float(sums[2]))
+    if not np.all(cover == 1):
+        raise ValueError("blocks must partition the state indices")
     return out
 
 

@@ -1,6 +1,6 @@
 """Small numerical kernels shared by the solver and the estimator:
 Lagrange bases on arbitrary distinct nodes, Gauss-Legendre rules, and
-L2 projection onto low-degree polynomial spaces.
+shifted Legendre modes for L2 projection onto low-degree polynomials.
 """
 
 from __future__ import annotations
@@ -27,18 +27,10 @@ class GaussRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n_points(self) -> int:
-        return self.points.size
-
     def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights transplanted to [a, b]."""
         half = 0.5 * (b - a)
         return a + half * (self.points + 1.0), half * self.weights
-
-    def integrate(self, fn, a: float, b: float) -> float:
-        pts, wts = self.mapped(a, b)
-        return float(np.dot(wts, [fn(t) for t in pts]))
 
 
 def gauss_rule(n_points: int) -> GaussRule:
@@ -101,33 +93,6 @@ class LagrangeBasis:
                         term *= (ts - self.nodes[j]) / (self.nodes[i] - self.nodes[j])
                 out[:, i] += term
         return out
-
-
-def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:
-    """L2-project fn onto polynomials of the given degree over [a, b].
-
-    Returns monomial coefficients (lowest order first) in the variable t.
-    Moments of fn are computed with a Gauss rule exact well past the
-    polynomial degrees involved; the Gram matrix is exact.
-    """
-    if degree < 0:
-        raise ValueError("degree must be >= 0")
-    if not b > a:
-        raise ValueError("need b > a")
-    n_pts = min(MAX_GAUSS_POINTS, degree + 6)
-    pts, wts = gauss_rule(n_pts).mapped(a, b)
-    fvals = np.array([fn(t) for t in pts], dtype=float)
-    powers = np.arange(degree + 1)
-    # exact monomial Gram: integral of t^(j+k) over [a, b]
-    jk = powers[:, None] + powers[None, :] + 1
-    gram = (b ** jk - a ** jk) / jk
-    rhs = np.array([np.dot(wts, fvals * pts ** j) for j in powers])
-    return np.linalg.solve(gram, rhs)
-
-
-def poly_eval(coeffs, ts):
-    """Evaluate monomial coefficients (lowest first) at ts."""
-    return np.polynomial.polynomial.polyval(np.asarray(ts, dtype=float), coeffs)
 
 
 def legendre_shifted(degree: int, taus) -> np.ndarray:

@@ -23,6 +23,8 @@ ForcingFn = Callable[[float | Array], tuple[Array, Array]]
 
 QOI_KINDS = ("final-time", "time-integrated")
 
+GRID_TOL = 1e-12
+
 
 @dataclass
 class SplitOdeProblem:
@@ -90,35 +92,6 @@ class QoiSpec:
             self.psi = np.asarray(self.psi, dtype=float)
         elif self.psi_tilde is None:
             raise ValueError("time-integrated qoi needs psi_tilde")
-
-
-def fd_jacobian(fn, y: Array, eps: float = 1e-6) -> Array:
-    """Central finite-difference Jacobian of fn at y."""
-    y = np.asarray(y, dtype=float)
-    m = y.size
-    out = np.empty((m, m))
-    for j in range(m):
-        step = eps * max(1.0, abs(y[j]))
-        yp, ym = y.copy(), y.copy()
-        yp[j] += step
-        ym[j] -= step
-        out[:, j] = (fn(yp) - fn(ym)) / (2.0 * step)
-    return out
-
-
-def check_jacobians(problem: SplitOdeProblem, n_samples: int = 5, seed: int = 0,
-                    scale: float = 1.0, eps: float = 1e-6) -> float:
-    """Max relative defect between stored and finite-difference Jacobians."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        y = problem.y0 + scale * rng.standard_normal(problem.dim)
-        for jac, fn in ((problem.jac_f, problem.eval_f), (problem.jac_g, problem.eval_g)):
-            j_exact = jac(y)
-            j_fd = fd_jacobian(fn, y, eps)
-            denom = max(1.0, np.abs(j_exact).max())
-            worst = max(worst, np.abs(j_exact - j_fd).max() / denom)
-    return worst
 
 
 def _apply(mat: Array) -> Callable[[Array], Array]:
@@ -206,12 +179,27 @@ def _stencil(m: int, h: float, order: int, periodic: bool) -> Array:
     return mat
 
 
+def grid_domain(benchmark: str, params: dict) -> tuple[float, float]:
+    """[lo, hi] of a grid benchmark; the Alfven wave's [0, L] takes L
+    from params."""
+    return {"linear-advection-diffusion": (0.0, 1.0), "burgers": (-1.0, 1.0),
+            "mhd-alfven": (0.0, params.get("L"))}[benchmark]
+
+
+def grid_cells(lo: float, hi: float, step: float, name: str = "h") -> int:
+    """Number of cells of width step on [lo, hi]; the one check that a
+    step is positive and divides an interval, in space and in time."""
+    if not step > 0.0:
+        raise ValueError(f"{name} must be positive, got {step!r}")
+    n = (hi - lo) / step
+    cells = round(n) if math.isfinite(n) else 0
+    if cells < 1 or abs(n - cells) > GRID_TOL * max(1.0, abs(n)):
+        raise ValueError(f"{name}={step} does not divide [{lo}, {hi}] evenly")
+    return cells
+
+
 def _grid_points(lo: float, hi: float, h: float) -> Array:
-    n = (hi - lo) / h
-    m = round(n)
-    if abs(n - m) > 1e-9 * max(1.0, abs(n)):
-        raise ValueError(f"h={h} does not evenly divide [{lo}, {hi}]")
-    return lo + h * np.arange(m)
+    return lo + h * np.arange(grid_cells(lo, hi, h))
 
 
 def linear_advection_diffusion(gamma: float, h: float,
@@ -223,7 +211,8 @@ def linear_advection_diffusion(gamma: float, h: float,
     swap_roles exchanges them, which makes the diffusion stability limit
     bind on the explicit half.
     """
-    x = _grid_points(0.0, 1.0, h)
+    domain = grid_domain("linear-advection-diffusion", {})
+    x = _grid_points(*domain, h)
     m = x.size
     adv = -np.diag(np.sin(2.0 * np.pi * x)) @ _stencil(m, h, 1, periodic=True)
     diff = gamma * _stencil(m, h, 2, periodic=True)
@@ -233,7 +222,7 @@ def linear_advection_diffusion(gamma: float, h: float,
         name, f_mat, g_mat, np.sin(2.0 * np.pi * x),
         metadata={
             "benchmark": name, "gamma": gamma, "h": h, "m": m,
-            "domain": [0.0, 1.0], "swap_roles": swap_roles,
+            "domain": list(domain), "swap_roles": swap_roles,
         },
     )
     return prob
@@ -245,7 +234,8 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     Advective-form nonlinearity u * (centered u_x), explicit; diffusion
     implicit.
     """
-    x = _grid_points(-1.0, 1.0, h)
+    domain = grid_domain("burgers", {})
+    x = _grid_points(*domain, h)
     m = x.size
     d1 = _stencil(m, h, 1, periodic=True)
     diff = gamma * _stencil(m, h, 2, periodic=True)
@@ -267,7 +257,7 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
         y0=np.sin(np.pi * x),
         linear=False,
         metadata={"benchmark": "burgers", "gamma": gamma, "h": h, "m": m,
-                  "domain": [-1.0, 1.0]},
+                  "domain": list(domain)},
     )
 
 
@@ -371,12 +361,9 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
     p = mhd_params(v_mode, **params)
     B0, rho, mu, eta, mu0, U, L = (p[k] for k in ("B0", "rho", "mu", "eta", "mu0", "U", "L"))
 
-    n_cells = round(L / h)
-    if abs(L / h - n_cells) > 1e-9:
-        raise ValueError(f"h={h} does not evenly divide [0, {L}]")
-    mh = n_cells - 1
+    zeta = _grid_points(*grid_domain("mhd-alfven", p), h)[1:]
+    mh = zeta.size
     m = 2 * mh
-    zeta = h * np.arange(1, n_cells)
 
     # the stencils' first and last columns pick up the Dirichlet data;
     # the forcing is pick_f/pick_g times (v(0), v(L), B(0), B(L))
@@ -422,15 +409,6 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
                   "interior_per_field": mh, **p,
                   "alfven_speed": B0 / np.sqrt(mu0 * rho)},
     )
-
-
-def mhd_split(problem: SplitOdeProblem, v_mode: str) -> SplitOdeProblem:
-    """Rebuild an Alfven problem with the requested momentum-equation split."""
-    md = problem.metadata
-    if md.get("benchmark") != "mhd-alfven":
-        raise ValueError("mhd_split expects a problem built by mhd_alfven")
-    params = {k: md[k] for k in MHD_DEFAULTS}
-    return mhd_alfven(h=md["h"], v_mode=v_mode, **params)
 
 
 def qoi_mean_left_half(m: int, scale: float = 1.0) -> QoiSpec:

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .problems import SplitOdeProblem
+from .problems import SplitOdeProblem, grid_cells
 from .tableaus import ImexPair, validate
-
-GRID_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -93,11 +91,7 @@ class TimeGrid:
 
     @classmethod
     def from_step(cls, t_end: float, k: float, t_start: float = 0.0) -> "TimeGrid":
-        ratio = (t_end - t_start) / k
-        n = round(ratio)
-        if n < 1 or abs(ratio - n) > GRID_TOL * max(1.0, abs(ratio)):
-            raise ValueError(f"step {k} does not divide [{t_start}, {t_end}] evenly")
-        return cls.uniform(t_end, n, t_start)
+        return cls.uniform(t_end, grid_cells(t_start, t_end, k, "step"), t_start)
 
     def locate(self, t: float) -> int:
         """Index n with t in [t_n, t_n+1]; clamps to the end intervals."""

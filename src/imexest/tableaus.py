@@ -11,8 +11,6 @@ work, so the implicit abscissae must be pairwise distinct.
 
 from __future__ import annotations
 
-import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +26,6 @@ ETA_433 = 0.12915286960590
 ABSCISSA_TOL = 1e-12
 ROW_SUM_TOL = 1e-13
 WEIGHT_SUM_TOL = 1e-13
-EQUALITY_TOL = 1e-15
-
-
-class TableauError(ValueError):
-    """Raised when a tableau file is malformed or fails validation."""
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -55,7 +48,7 @@ class ButcherTableau:
         object.__setattr__(self, "weights", _freeze(self.weights))
         n = self.abscissae.size
         if self.coeffs.shape != (n, n) or self.weights.shape != (n,):
-            raise TableauError(
+            raise ValueError(
                 f"inconsistent tableau shapes: c{self.abscissae.shape}, "
                 f"A{self.coeffs.shape}, w{self.weights.shape}"
             )
@@ -63,15 +56,6 @@ class ButcherTableau:
     @property
     def n_stages(self) -> int:
         return self.abscissae.size
-
-    def approx_equal(self, other: "ButcherTableau", tol: float = EQUALITY_TOL) -> bool:
-        if self.n_stages != other.n_stages:
-            return False
-        return (
-            np.abs(self.abscissae - other.abscissae).max() <= tol
-            and np.abs(self.coeffs - other.coeffs).max() <= tol
-            and np.abs(self.weights - other.weights).max() <= tol
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,11 +70,6 @@ class ImexPair:
     @property
     def n_stages(self) -> int:
         return self.explicit.n_stages
-
-    def approx_equal(self, other: "ImexPair", tol: float = EQUALITY_TOL) -> bool:
-        return self.explicit.approx_equal(other.explicit, tol) and self.implicit.approx_equal(
-            other.implicit, tol
-        )
 
 
 def validate(pair: ImexPair) -> list[str]:
@@ -140,20 +119,6 @@ def validate(pair: ImexPair) -> list[str]:
             "extrapolates beyond the step"
         )
     return issues
-
-
-def weight_moment(tableau: ButcherTableau, power: int, abscissae=None) -> float:
-    """Moment sum_i w_i * t_i^power of the tableau's quadrature.
-
-    The abscissae default to the tableau's own; pass the implicit d to
-    evaluate an explicit weight vector at the shared quadrature points.
-    """
-    t = tableau.abscissae if abscissae is None else np.asarray(abscissae, dtype=float)
-    if t.shape != tableau.weights.shape:
-        raise ValueError("abscissae/weights length mismatch")
-    if power == 0:
-        return float(tableau.weights.sum())
-    return float(np.dot(tableau.weights, t ** power))
 
 
 def _midpoint_122() -> ImexPair:
@@ -258,46 +223,3 @@ def pair_to_dict(pair: ImexPair) -> dict:
         "explicit": _tableau_to_dict(pair.explicit, "c", "A"),
         "implicit": _tableau_to_dict(pair.implicit, "d", "B"),
     }
-
-
-def save_tableau_file(pair: ImexPair, path: str) -> None:
-    """Write the pair in the JSON interchange format."""
-    with open(path, "w") as fh:
-        json.dump(pair_to_dict(pair), fh, indent=2)
-        fh.write("\n")
-
-
-def load_tableau_file(path: str) -> ImexPair:
-    """Read a JSON tableau pair; raises TableauError on any defect."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TableauError(f"{path}: not valid JSON ({exc})") from exc
-    try:
-        explicit = ButcherTableau(
-            abscissae=doc["explicit"]["c"],
-            coeffs=doc["explicit"]["A"],
-            weights=doc["explicit"]["w"],
-        )
-        implicit = ButcherTableau(
-            abscissae=doc["implicit"]["d"],
-            coeffs=doc["implicit"]["B"],
-            weights=doc["implicit"]["w"],
-        )
-        pair = ImexPair(
-            name=str(doc["name"]),
-            order=int(doc["order"]),
-            explicit=explicit,
-            implicit=implicit,
-        )
-    except (KeyError, TypeError) as exc:
-        raise TableauError(f"{path}: missing or malformed field ({exc!r})") from exc
-    issues = validate(pair)
-    hard = [m for m in issues if not m.startswith("warning:")]
-    if hard:
-        raise TableauError(f"{path}: invalid tableau pair: " + "; ".join(hard))
-    for m in issues:
-        if m.startswith("warning:"):
-            warnings.warn(f"{path}: {m}", stacklevel=2)
-    return pair

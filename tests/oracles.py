@@ -1,0 +1,64 @@
+"""Independent reference implementations the tests check the package
+against: a monomial L2 projection (the estimator projects with Legendre
+modes) and finite-difference Jacobians."""
+
+import numpy as np
+
+from imexest.numerics import MAX_GAUSS_POINTS, gauss_rule
+
+
+def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:
+    """L2-project fn onto polynomials of the given degree over [a, b].
+
+    Returns monomial coefficients (lowest order first) in the variable t.
+    Moments of fn are computed with a Gauss rule exact well past the
+    polynomial degrees involved; the Gram matrix is exact.
+    """
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    if not b > a:
+        raise ValueError("need b > a")
+    n_pts = min(MAX_GAUSS_POINTS, degree + 6)
+    pts, wts = gauss_rule(n_pts).mapped(a, b)
+    fvals = np.array([fn(t) for t in pts], dtype=float)
+    powers = np.arange(degree + 1)
+    # exact monomial Gram: integral of t^(j+k) over [a, b]
+    jk = powers[:, None] + powers[None, :] + 1
+    gram = (b ** jk - a ** jk) / jk
+    rhs = np.array([np.dot(wts, fvals * pts ** j) for j in powers])
+    return np.linalg.solve(gram, rhs)
+
+
+def poly_eval(coeffs, ts):
+    """Evaluate monomial coefficients (lowest first), as l2_project returns
+    them, at ts."""
+    return np.polynomial.polynomial.polyval(np.asarray(ts, dtype=float), coeffs)
+
+
+def fd_jacobian(fn, y, eps: float = 1e-6) -> np.ndarray:
+    """Central finite-difference Jacobian of fn at y."""
+    y = np.asarray(y, dtype=float)
+    m = y.size
+    out = np.empty((m, m))
+    for j in range(m):
+        step = eps * max(1.0, abs(y[j]))
+        yp, ym = y.copy(), y.copy()
+        yp[j] += step
+        ym[j] -= step
+        out[:, j] = (fn(yp) - fn(ym)) / (2.0 * step)
+    return out
+
+
+def check_jacobians(problem, n_samples: int = 5, seed: int = 0,
+                    scale: float = 1.0, eps: float = 1e-6) -> float:
+    """Max relative defect between stored and finite-difference Jacobians."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        y = problem.y0 + scale * rng.standard_normal(problem.dim)
+        for jac, fn in ((problem.jac_f, problem.eval_f), (problem.jac_g, problem.eval_g)):
+            j_exact = jac(y)
+            j_fd = fd_jacobian(fn, y, eps)
+            denom = max(1.0, np.abs(j_exact).max())
+            worst = max(worst, np.abs(j_exact - j_fd).max() / denom)
+    return worst

@@ -77,7 +77,7 @@ def test_terminal_condition_imposed_exactly():
     recon = reconstruct_case(prob)
     psi = np.array([2.5])
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
-    assert np.array_equal(adj.final_value, psi)
+    assert np.array_equal(adj.poly.coeffs[-1, -1], psi)
     assert adj.refine == DEFAULT_REFINE
 
 
@@ -108,7 +108,7 @@ def test_time_integrated_zero_density_gives_zero_adjoint():
     qoi = QoiSpec(kind="time-integrated", psi_tilde=lambda t: np.zeros(1))
     adj = solve_adjoint(prob, recon, qoi)
     assert adj.max_abs() == pytest.approx(0.0, abs=1e-15)
-    np.testing.assert_allclose(adj.final_value, 0.0)
+    np.testing.assert_allclose(adj.poly.coeffs[-1, -1], 0.0)
 
 
 def test_time_integrated_constant_density_closed_form():

@@ -93,12 +93,45 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     # exp(A0*L*mu0/eta) overflows float64 in the exact boundary data
     ({"problem": {**_MHD, "eta": 0.001}, "qoi": {"kind": "integral-v"}},
      r"B0, rho, mu0, eta and L give \|A0\*L\*mu0/eta\| = 10000"),
+    # counts are integers, not truncated or accepted as floats
+    ({"grid": {"t_end": 1.0, "n": 2.7}},
+     r"config\.grid n must be an integer, got 2\.7"),
+    ({"newton": {"max_iters": 2.5}},
+     r"config\.newton max_iters must be an integer, got 2\.5"),
+    ({"reference": {"step_cap": 2.5}},
+     r"config\.reference step_cap must be an integer, got 2\.5"),
+    ({"adjoint": {"refine": 2.5}},
+     r"config\.adjoint refine must be an integer, got 2\.5"),
+    # newton and reference values are typed key by key
+    ({"reference": {"rtol": "1e-10"}},
+     r"config\.reference rtol must be a number, got '1e-10'"),
+    ({"newton": {"max_iters": "5"}},
+     r"config\.newton max_iters must be an integer, got '5'"),
+    ({"qoi": {"kind": "integral-v"}},
+     r"config\.qoi: integral-v needs the mhd-alfven problem"),
+    ({"problem": {**_MHD, "h": 0}, "qoi": {"kind": "integral-v"}},
+     r"config\.problem \(mhd-alfven\): h must be positive, got 0"),
+    ({"problem": {"name": "linear-advection-diffusion", "gamma": 0.1,
+                  "h": -0.1}, "qoi": {"kind": "mean-left-half"}},
+     r"config\.problem \(linear-advection-diffusion\): h must be positive, "
+     r"got -0\.1"),
+    ({"problem": {**_MHD, "h": 0.3}, "qoi": {"kind": "integral-v"}},
+     r"config\.problem \(mhd-alfven\): h=0\.3 does not divide "
+     r"\[0\.0, 1\.0\] evenly"),
+    ({"grid": {"t_end": 1.0, "k": 0}}, "step must be positive, got 0"),
+    # (hi - lo) / k overflows to inf
+    ({"grid": {"t_end": 1.0, "k": 1e-320}},
+     r"step=1e-320 does not divide \[0\.0, 1\.0\] evenly"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
         "problem-y0-string", "problem-gamma-string", "components-string",
         "reference-verify-string", "components-not-mhd", "mhd-v-mode",
-        "mhd-exp-overflow"])
+        "mhd-exp-overflow", "grid-n-fraction", "newton-max-iters-fraction",
+        "reference-step-cap-fraction", "adjoint-refine-fraction",
+        "reference-rtol-string", "newton-max-iters-string",
+        "integral-v-not-mhd", "mhd-h-zero", "advdiff-h-negative",
+        "mhd-h-not-dividing", "grid-k-zero", "grid-k-overflow"])
 def test_config_rejects_bad_values_before_any_numerics(patch, message):
     with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))

@@ -5,7 +5,6 @@ import pytest
 
 from imexest.adjoint import solve_adjoint
 from imexest.estimate import (
-    ComponentMask,
     ErrorBreakdown,
     component_split,
     effectivity,
@@ -143,7 +142,7 @@ def test_component_split_single_block_identity():
     prob = burgers(0.05, 1.0 / 20.0)
     qoi = qoi_mean_left_half(prob.dim)
     bd, _ = breakdown_for(prob, qoi, scheme="ssp332", t_end=0.5, n=10)
-    split = component_split(bd, {"all": np.arange(prob.dim)})
+    split = component_split(bd, {"all": np.ones(prob.dim, dtype=bool)})
     np.testing.assert_allclose(split["all"], [bd.e1, bd.e2, bd.e3], atol=1e-15)
 
 
@@ -151,12 +150,8 @@ def test_component_split_blocks_sum_to_totals():
     prob = burgers(0.05, 1.0 / 20.0)
     qoi = qoi_mean_left_half(prob.dim)
     bd, _ = breakdown_for(prob, qoi, scheme="ssp332", t_end=0.5, n=10)
-    half = prob.dim // 2
-    mask = ComponentMask(
-        blocks={"left": np.arange(half), "right": np.arange(half, prob.dim)},
-        dim=prob.dim,
-    )
-    split = component_split(bd, mask)
+    left = np.arange(prob.dim) < prob.dim // 2
+    split = component_split(bd, {"left": left, "right": ~left})
     sums = np.array(split["left"]) + np.array(split["right"])
     scale = 1.0 + np.abs([bd.e1, bd.e2, bd.e3]).max()
     np.testing.assert_allclose(
@@ -165,17 +160,20 @@ def test_component_split_blocks_sum_to_totals():
 
 
 def test_component_mask_validation():
+    prob = split_linear_system(np.diag([-0.4, -0.5, -0.6]), -0.1 * np.eye(3),
+                               [1.0, 0.5, -0.5])
+    qoi = QoiSpec(kind="final-time", psi=np.ones(3))
+    bd, _ = breakdown_for(prob, qoi, n=4)
+    first = np.array([True, True, False])
     with pytest.raises(ValueError, match="partition"):
-        ComponentMask(blocks={"a": np.arange(3), "b": np.arange(2, 5)}, dim=5)
+        component_split(bd, {"a": first, "b": np.array([False, True, True])})
     with pytest.raises(ValueError, match="partition"):
-        ComponentMask(blocks={"a": np.arange(3)}, dim=5)
-    with pytest.raises(ValueError, match="length"):
-        ComponentMask(blocks={"a": np.ones(4, dtype=bool)}, dim=5)
-    # boolean masks and index arrays are interchangeable
-    mask = ComponentMask(
-        blocks={"a": np.array([True, False, True]), "b": np.array([1])}, dim=3
-    )
-    assert mask.blocks["b"].dtype == bool
+        component_split(bd, {"a": first})
+    # index arrays are not masks
+    with pytest.raises(ValueError, match="'b' is not a boolean mask"):
+        component_split(bd, {"a": first, "b": np.array([2])})
+    split = component_split(bd, {"a": first, "b": ~first, "empty": np.zeros(3, bool)})
+    assert split["empty"] == (0.0, 0.0, 0.0)
 
 
 def test_component_split_dimension_mismatch():
@@ -183,7 +181,7 @@ def test_component_split_dimension_mismatch():
     qoi = QoiSpec(kind="final-time", psi=np.array([1.0]))
     bd, _ = breakdown_for(prob, qoi, n=8)
     with pytest.raises(ValueError, match="dimension"):
-        component_split(bd, ComponentMask(blocks={"a": np.arange(2)}, dim=2))
+        component_split(bd, {"a": np.ones(2, dtype=bool)})
 
 
 def test_effectivity_ratio_and_edge_cases():

@@ -11,18 +11,17 @@ from imexest.problems import (
     QoiSpec,
     alfven_analytic,
     burgers,
-    check_jacobians,
     component_masks,
-    fd_jacobian,
+    grid_domain,
     linear_advection_diffusion,
     mhd_alfven,
-    mhd_split,
     qoi_integral_v,
     qoi_mean_left_half,
     split_linear_system,
     split_scalar_bernoulli,
     split_scalar_linear,
 )
+from oracles import check_jacobians, fd_jacobian
 
 
 def all_benchmarks():
@@ -70,7 +69,7 @@ def test_split_partition_is_conserved_under_swap():
 
 def test_mhd_split_preserves_total_right_hand_side():
     base = mhd_alfven(h=0.05, v_mode="v-split")
-    other = mhd_split(base, "v-implicit")
+    other = mhd_alfven(h=0.05, v_mode="v-implicit")
     rng = np.random.default_rng(6)
     for t in (0.01, 0.07):
         y = rng.standard_normal(base.dim)
@@ -81,8 +80,26 @@ def test_mhd_split_preserves_total_right_hand_side():
 
 
 def test_mhd_split_rejects_non_alfven_problem():
-    with pytest.raises(ValueError, match="mhd_alfven"):
-        mhd_split(burgers(0.05, 1.0 / 40.0), "v-split")
+    # only the Alfven state has the (v, B) blocks a split acts on
+    for prob in (burgers(0.05, 1.0 / 40.0),
+                 linear_advection_diffusion(0.1, 1.0 / 40.0)):
+        with pytest.raises(ValueError, match="mhd_alfven"):
+            component_masks(prob)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("linear-advection-diffusion", lambda h: linear_advection_diffusion(0.1, h)),
+    ("burgers", lambda h: burgers(0.05, h)),
+    ("mhd-alfven", lambda h: mhd_alfven(h=h)),
+])
+def test_grid_benchmarks_reject_a_step_that_does_not_divide_the_domain(name, build):
+    lo, hi = grid_domain(name, MHD_DEFAULTS)
+    for h in (0.0, -0.1, float("nan")):
+        with pytest.raises(ValueError, match=f"h must be positive, got {h}"):
+            build(h)
+    for h in (0.3, 2.5 * (hi - lo)):
+        with pytest.raises(ValueError, match="does not divide"):
+            build(h)
 
 
 def test_linear_problems_are_linear_maps():

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from imexest.adjoint import solve_adjoint  # noqa: E402
-from imexest.estimate import error_breakdown, residual_weighted_estimate  # noqa: E402
+from imexest.estimate import (  # noqa: E402
+    component_split, error_breakdown, residual_weighted_estimate)
 from imexest.problems import QoiSpec, split_linear_system  # noqa: E402
 from imexest.reconstruct import build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
@@ -56,3 +57,16 @@ def test_reconstruction_matches_the_nodal_values(case):
     _prob, fwd, recon, _adj, _bd = case
     defect = np.abs(recon.coeffs[:, -1] - fwd.nodal[1:]).max()
     assert defect <= 1e-12 * (1.0 + np.abs(fwd.nodal).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(linear_runs(), st.data())
+def test_component_blocks_sum_to_the_three_terms(case, data):
+    # a random partition into up to three blocks, some possibly empty
+    bd = case[-1]
+    m = bd.term_density.shape[2]
+    labels = data.draw(arrays(int, m, elements=st.integers(0, 2)))
+    split = component_split(bd, {f"b{j}": labels == j for j in range(3)})
+    sums = np.sum([split[name] for name in split], axis=0)
+    scale = np.abs(bd.term_density).sum(axis=(0, 2))
+    assert np.all(np.abs(sums - [bd.e1, bd.e2, bd.e3]) <= 1e-13 * scale)

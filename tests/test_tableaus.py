@@ -7,12 +7,9 @@ from imexest.tableaus import (
     BUILTIN_NAMES,
     ButcherTableau,
     ImexPair,
-    TableauError,
     builtin,
-    load_tableau_file,
-    save_tableau_file,
+    pair_to_dict,
     validate,
-    weight_moment,
 )
 
 GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
@@ -68,9 +65,9 @@ def test_ssp343_entries():
 
 
 def test_builtin_aliases_agree():
-    assert builtin("Mid(1,2,2)").approx_equal(builtin("midpoint"))
-    assert builtin("SSP3(3,3,2)").approx_equal(builtin("ssp332"))
-    assert builtin("SSP3(4,3,3)").approx_equal(builtin("ssp433"))
+    for name, alias in (("Mid(1,2,2)", "midpoint"), ("SSP3(3,3,2)", "ssp332"),
+                        ("SSP3(4,3,3)", "ssp433")):
+        assert pair_to_dict(builtin(name)) == pair_to_dict(builtin(alias))
 
 
 def test_builtin_unknown_name_lists_options():
@@ -139,8 +136,8 @@ def test_validate_is_pure():
 def test_weight_moment_zero_is_one():
     for name in BUILTIN_NAMES:
         pair = builtin(name)
-        assert weight_moment(pair.explicit, 0) == pytest.approx(1.0, abs=1e-14)
-        assert weight_moment(pair.implicit, 0) == pytest.approx(1.0, abs=1e-14)
+        assert pair.explicit.weights.sum() == pytest.approx(1.0, abs=1e-14)
+        assert pair.implicit.weights.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_weight_moment_first_moment_half_on_implicit_abscissae():
@@ -149,23 +146,18 @@ def test_weight_moment_first_moment_half_on_implicit_abscissae():
     for name in BUILTIN_NAMES:
         pair = builtin(name)
         d = pair.implicit.abscissae
-        assert weight_moment(pair.explicit, 1, abscissae=d) == pytest.approx(
-            0.5, abs=1e-14
-        )
-        assert weight_moment(pair.implicit, 1, abscissae=d) == pytest.approx(
-            0.5, abs=1e-14
-        )
+        assert pair.explicit.weights @ d == pytest.approx(0.5, abs=1e-14)
+        assert pair.implicit.weights @ d == pytest.approx(0.5, abs=1e-14)
 
 
 def test_weight_moment_midpoint_hand_values():
     pair = builtin("mid122")
-    assert weight_moment(pair.explicit, 1, abscissae=pair.implicit.abscissae) == (
-        pytest.approx(0.5)
-    )
+    assert pair.explicit.weights @ pair.implicit.abscissae == pytest.approx(0.5)
     # ssp332 implicit hand sum: gamma/6 + (1 - gamma)/6 + (1/2)(2/3)
     ssp = builtin("ssp332")
     hand = GAMMA / 6 + (1 - GAMMA) / 6 + 0.5 * (2 / 3)
-    assert weight_moment(ssp.implicit, 1) == pytest.approx(hand, abs=1e-15)
+    assert ssp.implicit.weights @ ssp.implicit.abscissae == pytest.approx(
+        hand, abs=1e-15)
 
 
 def test_abscissae_match_row_sums():
@@ -175,32 +167,6 @@ def test_abscissae_match_row_sums():
             np.testing.assert_allclose(
                 tab.coeffs.sum(axis=1), tab.abscissae, atol=1e-15
             )
-
-
-def test_tableau_file_roundtrip(tmp_path):
-    path = str(tmp_path / "pair.json")
-    for name in BUILTIN_NAMES:
-        pair = builtin(name)
-        save_tableau_file(pair, path)
-        loaded = load_tableau_file(path)
-        assert loaded.approx_equal(pair)
-        assert loaded.name == pair.name
-        assert loaded.order == pair.order
-
-
-def test_load_rejects_invalid_pair(tmp_path):
-    import json
-
-    path = tmp_path / "bad.json"
-    doc = {
-        "name": "bad",
-        "order": 2,
-        "explicit": {"c": [0.0, 0.5], "A": [[0.0, 0.0], [0.5, 0.0]], "w": [0.0, 1.0]},
-        "implicit": {"d": [0.5, 0.5], "B": [[0.5, 0.0], [0.0, 0.5]], "w": [0.0, 1.0]},
-    }
-    path.write_text(json.dumps(doc))
-    with pytest.raises(TableauError, match="duplicate"):
-        load_tableau_file(str(path))
 
 
 def test_tableaus_immutable():
