@@ -30,15 +30,14 @@ from .adjoint import DEFAULT_REFINE, solve_adjoint
 from .estimate import (ErrorBreakdown, component_split, effectivity,
                        error_breakdown, error_breakdown_timedep)
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
-                       component_masks, grid_cells, grid_domain,
-                       linear_advection_diffusion, mhd_alfven, mhd_params,
+                       component_masks, linear_advection_diffusion, mhd_alfven,
                        qoi_integral_v, qoi_mean_left_half, split_linear_system,
                        split_scalar_bernoulli, split_scalar_linear)
 from .reconstruct import build_cg
 from .reference import (ReferenceConfig, ivp_rhs, qoi_from_states, resolve_mode,
                         true_qoi)
 from .solver import NewtonConfig, TimeGrid, solve_forward
-from .tableaus import builtin, pair_to_dict
+from .tableaus import ImexPair, builtin, pair_to_dict
 
 THREADS_ENV = "IMEXEST_THREADS"
 NUM_FMT = "%.5E"  # 6 significant digits, scientific
@@ -151,7 +150,8 @@ def _field_defaults(cls) -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated, fully resolved run description."""
+    """Validated, fully resolved run description plus the objects it names,
+    each built as soon as its section resolves."""
 
     scheme: str
     problem: dict
@@ -163,6 +163,11 @@ class RunConfig:
     output: dict
     components: bool
     defaults_used: list
+    pair: ImexPair
+    ode: SplitOdeProblem
+    time_grid: TimeGrid
+    qoi_spec: QoiSpec
+    masks: Optional[dict]
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -173,6 +178,7 @@ class RunConfig:
                        "reference", "adjoint", "output", "components")
         _reject_unknown(doc, top_allowed, "config")
         _require_keys(doc, ("scheme", "problem", "grid", "qoi"), "config")
+        pair = builtin(str(doc["scheme"]))
 
         prob = dict(doc["problem"])
         _require_keys(prob, ("name",), "config.problem")
@@ -181,19 +187,16 @@ class RunConfig:
             raise ValueError(
                 f"unknown problem {pname!r}; known: {sorted(_PROBLEMS)}")
         a0 = prob.pop("A0", None) if pname == "mhd-alfven" else None
-        prob = _resolve_section(prob, _PROBLEMS[pname][1],
-                                f"config.problem ({pname})")
-        prob["name"] = pname
+        build, defaults = _PROBLEMS[pname]
+        prob = _resolve_section(prob, defaults, f"config.problem ({pname})")
         try:
-            if pname == "mhd-alfven":
-                mhd_params(prob["v_mode"], **{k: prob[k] for k in MHD_DEFAULTS})
-            if "h" in prob:
-                grid_cells(*grid_domain(pname, prob), prob["h"])
-        except ValueError as exc:
+            ode = build(**prob)
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"config.problem ({pname}): {exc}") from None
+        prob["name"] = pname
         if pname == "mhd-alfven":
             # derived wave speed recorded so reports carry it explicitly
-            prob["A0"] = prob["B0"] / np.sqrt(prob["mu0"] * prob["rho"])
+            prob["A0"] = ode.metadata["alfven_speed"]
             if a0 is not None and a0 != prob["A0"]:
                 raise ValueError(f"config.problem.A0 = {a0} disagrees with "
                                  f"B0/sqrt(mu0*rho) = {prob['A0']}")
@@ -206,6 +209,7 @@ class RunConfig:
             raise ValueError("config: components needs the mhd-alfven problem, "
                              "whose v and B blocks it splits the estimate "
                              f"onto; got {pname!r}")
+        masks = component_masks(ode) if components else None
 
         grid = _resolve_section(dict(doc["grid"]),
                                 {"t_end": NUMBER, "k": None, "n": None},
@@ -227,6 +231,7 @@ class RunConfig:
         elif n < 1:
             raise ValueError("config.grid.n must be >= 1")
         grid = {"t_end": t_end, "n": int(n), "k": t_end / n}
+        time_grid = TimeGrid.uniform(t_end, grid["n"])
 
         qoi = dict(doc["qoi"])
         _require_keys(qoi, ("kind",), "config.qoi")
@@ -239,6 +244,10 @@ class RunConfig:
                              "problem, whose velocity block it integrates; "
                              f"got {pname!r}")
         qoi = _resolve_section(qoi, _QOI_PARAMS[kind], f"config.qoi ({kind})")
+        try:
+            qoi_spec = _build_qoi(kind, qoi, ode)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"config.qoi ({kind}): {exc}") from None
         qoi["kind"] = kind
 
         newton_in, reference_in, adjoint_in = (
@@ -254,15 +263,20 @@ class RunConfig:
             raise ValueError("config.adjoint.refine must be >= 1")
         output = _resolve_section(dict(doc.get("output", {})),
                                   _OUTPUT_DEFAULTS, "config.output")
+        indices = output["series_indices"]
+        if indices is not None and not (isinstance(indices, list) and all(
+                _is_integer(i) and 0 <= i < ode.dim for i in indices)):
+            raise ValueError("config.output series_indices must be a list of "
+                             f"integers in [0, {ode.dim}), got {indices!r}")
         defaults_used = [f"{name}.{k}" for name, given, keys in (
             ("newton", newton_in, asdict(newton)),
             ("reference", reference_in, asdict(reference)),
             ("adjoint", adjoint_in, adjoint)) for k in keys if k not in given]
         return cls(scheme=str(doc["scheme"]), problem=prob, grid=grid,
                    qoi=qoi, newton=newton, reference=reference,
-                   adjoint=adjoint, output=output,
-                   components=components,
-                   defaults_used=defaults_used)
+                   adjoint=adjoint, output=output, components=components,
+                   defaults_used=defaults_used, pair=pair, ode=ode,
+                   time_grid=time_grid, qoi_spec=qoi_spec, masks=masks)
 
     def resolved(self) -> dict:
         """Full config with every default filled in, for echoing."""
@@ -276,28 +290,20 @@ class RunConfig:
         }
 
 
-def _build_problem(cfg: RunConfig) -> SplitOdeProblem:
-    build, defaults = _PROBLEMS[cfg.problem["name"]]
-    return build(**{k: cfg.problem[k] for k in defaults})
-
-
-def _build_qoi(cfg: RunConfig, problem: SplitOdeProblem) -> QoiSpec:
-    q = cfg.qoi
-    kind = q["kind"]
+def _build_qoi(kind: str, q: dict, problem: SplitOdeProblem) -> QoiSpec:
     if kind == "mean-left-half":
         return qoi_mean_left_half(problem.dim, scale=q["scale"])
     if kind == "integral-v":
         md = problem.metadata
         return qoi_integral_v(md["interior_per_field"], md["h"])
+    key = "psi" if kind == "final-time" else "psi_tilde_const"
+    psi = np.asarray(q[key], dtype=float)
+    if psi.shape != (problem.dim,):
+        raise ValueError(f"{key} must have the state dimension "
+                         f"{problem.dim}, got shape {psi.shape}")
     if kind == "final-time":
-        psi = np.asarray(q["psi"], dtype=float)
-        if psi.shape != (problem.dim,):
-            raise ValueError("psi length does not match the state dimension")
         return QoiSpec(kind="final-time", psi=psi)
-    psi_t = np.asarray(q["psi_tilde_const"], dtype=float)
-    if psi_t.shape != (problem.dim,):
-        raise ValueError("psi_tilde length does not match the state dimension")
-    return QoiSpec(kind="time-integrated", psi_tilde=lambda t: psi_t)
+    return QoiSpec(kind="time-integrated", psi_tilde=lambda t: psi)
 
 
 @dataclass
@@ -358,6 +364,21 @@ def _reference_key(resolved: dict) -> str:
                            for k in ("problem", "grid", "qoi", "reference")})
 
 
+def _resolve_config(config: dict) -> RunConfig:
+    try:
+        return RunConfig.from_dict(config)
+    except Exception as exc:
+        raise CliError("config", exc) from exc
+
+
+def _load_config(path: str) -> dict:
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CliError("config", exc) from exc
+
+
 def run(config: dict, return_artifacts: bool = False):
     """Execute one configured experiment and produce its report row.
 
@@ -365,20 +386,10 @@ def run(config: dict, return_artifacts: bool = False):
     resolved config.  With return_artifacts=True returns
     (row, RunArtifacts).
     """
-    stage = "config"
+    cfg = _resolve_config(config)
+    resolved = cfg.resolved()
+    problem, pair, grid, qoi = cfg.ode, cfg.pair, cfg.time_grid, cfg.qoi_spec
     try:
-        cfg = RunConfig.from_dict(config)
-        resolved = cfg.resolved()
-    except Exception as exc:
-        raise CliError(stage, exc) from exc
-
-    try:
-        stage = "problem"
-        problem = _build_problem(cfg)
-        grid = TimeGrid.uniform(cfg.grid["t_end"], cfg.grid["n"])
-        qoi = _build_qoi(cfg, problem)
-        pair = builtin(cfg.scheme)
-
         stage = "forward"
         forward = solve_forward(problem, pair, grid, cfg.newton)
 
@@ -416,9 +427,7 @@ def run(config: dict, return_artifacts: bool = False):
         eff = effectivity(bd.estimate_total, true_err)
 
         stage = "components"
-        comps = None
-        if cfg.components:
-            comps = component_split(bd, component_masks(problem))
+        comps = None if cfg.masks is None else component_split(bd, cfg.masks)
 
         stage = "report"
         row = ReportRow(
@@ -438,7 +447,7 @@ def run(config: dict, return_artifacts: bool = False):
             write_report_csv(cfg.output["row_csv"], [row],
                              with_components=cfg.components)
         if cfg.output["series_dir"]:
-            _emit_series(cfg, problem, grid, forward, adj, bd)
+            _emit_series(cfg, forward, adj, bd)
     except CliError:
         raise
     except Exception as exc:
@@ -471,11 +480,13 @@ def _csv_header(with_components: bool) -> str:
     return ",".join(REPORT_COLUMNS + (COMPONENT_COLUMNS if with_components else ()))
 
 
-def _emit_series(cfg: RunConfig, problem, grid, forward, adj, bd) -> None:
+def _emit_series(cfg: RunConfig, forward, adj, bd) -> None:
     """Time-series data files plus a plain-text figure description."""
+    problem, grid = cfg.ode, cfg.time_grid
     out_dir = cfg.output["series_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    name = cfg.output["name"] or f"{problem.name}_{_short_scheme(cfg.scheme)}"
+    short = _SHORT_NAMES.get(cfg.pair.name, cfg.scheme)
+    name = cfg.output["name"] or f"{problem.name}_{short}"
     indices = cfg.output["series_indices"]
     if indices is None:
         indices = [problem.dim // 2]
@@ -496,7 +507,7 @@ def _emit_series(cfg: RunConfig, problem, grid, forward, adj, bd) -> None:
             fh.write(f"{NUM_FMT % t},{NUM_FMT % a},{NUM_FMT % b},{NUM_FMT % c}\n")
 
     max_y = float(np.abs(forward.nodal).max())
-    desc = [f"Run {name}: scheme {builtin(cfg.scheme).name} on problem "
+    desc = [f"Run {name}: scheme {cfg.pair.name} on problem "
             f"{problem.name}, T = {grid.t_end}, N = {grid.n_intervals}.",
             f"Data files: solution component(s) {indices} vs time "
             f"({name}_Y_state*.csv), adjoint weight at the same indices "
@@ -525,10 +536,6 @@ def _emit_series(cfg: RunConfig, problem, grid, forward, adj, bd) -> None:
                     "stable/unstable comparison plot.")
     with open(os.path.join(out_dir, f"{name}_figure.txt"), "w") as fh:
         fh.write("\n".join(desc) + "\n")
-
-
-def _short_scheme(name: str) -> str:
-    return _SHORT_NAMES.get(builtin(name).name, name)
 
 
 # Published benchmark-table settings, keyed by table id.
@@ -649,9 +656,7 @@ def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
 
 
 def _cmd_run(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    row = run(doc)
+    row = run(_load_config(args.config))
     with_components = row.metadata["config"]["components"]
     print(f"# config: {canonical_json(row.metadata['config'])}")
     print(_csv_header(with_components))
@@ -666,11 +671,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    with open(args.config) as fh:
-        doc = json.load(fh)
-    cfg = RunConfig.from_dict(doc)
-    problem = _build_problem(cfg)
-    rows = convergence_study(problem, cfg.scheme, cfg.grid["k"], args.levels,
+    cfg = _resolve_config(_load_config(args.config))
+    rows = convergence_study(cfg.ode, cfg.pair, cfg.grid["k"], args.levels,
                              cfg.grid["t_end"], cfg.newton)
     print(f"# config: {canonical_json(cfg.resolved())}")
     print("k,error,order")

@@ -104,6 +104,10 @@ def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, pde_solution=None,
     y0 = np.asarray(y0, dtype=float)
     f_mat = np.asarray(f_mat, dtype=float)
     g_mat = np.asarray(g_mat, dtype=float)
+    for key, mat in (("f_mat", f_mat), ("g_mat", g_mat)):
+        if mat.shape != (y0.size, y0.size):
+            raise ValueError(f"{key} has shape {mat.shape}; y0 of length "
+                             f"{y0.size} needs ({y0.size}, {y0.size})")
     return SplitOdeProblem(
         name=name,
         dim=y0.size,
@@ -179,13 +183,6 @@ def _stencil(m: int, h: float, order: int, periodic: bool) -> Array:
     return mat
 
 
-def grid_domain(benchmark: str, params: dict) -> tuple[float, float]:
-    """[lo, hi] of a grid benchmark; the Alfven wave's [0, L] takes L
-    from params."""
-    return {"linear-advection-diffusion": (0.0, 1.0), "burgers": (-1.0, 1.0),
-            "mhd-alfven": (0.0, params.get("L"))}[benchmark]
-
-
 def grid_cells(lo: float, hi: float, step: float, name: str = "h") -> int:
     """Number of cells of width step on [lo, hi]; the one check that a
     step is positive and divides an interval, in space and in time."""
@@ -211,7 +208,7 @@ def linear_advection_diffusion(gamma: float, h: float,
     swap_roles exchanges them, which makes the diffusion stability limit
     bind on the explicit half.
     """
-    domain = grid_domain("linear-advection-diffusion", {})
+    domain = (0.0, 1.0)
     x = _grid_points(*domain, h)
     m = x.size
     adv = -np.diag(np.sin(2.0 * np.pi * x)) @ _stencil(m, h, 1, periodic=True)
@@ -234,7 +231,7 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     Advective-form nonlinearity u * (centered u_x), explicit; diffusion
     implicit.
     """
-    domain = grid_domain("burgers", {})
+    domain = (-1.0, 1.0)
     x = _grid_points(*domain, h)
     m = x.size
     d1 = _stencil(m, h, 1, periodic=True)
@@ -361,7 +358,7 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
     p = mhd_params(v_mode, **params)
     B0, rho, mu, eta, mu0, U, L = (p[k] for k in ("B0", "rho", "mu", "eta", "mu0", "U", "L"))
 
-    zeta = _grid_points(*grid_domain("mhd-alfven", p), h)[1:]
+    zeta = _grid_points(0.0, L, h)[1:]
     mh = zeta.size
     m = 2 * mh
 

@@ -122,6 +122,29 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     # (hi - lo) / k overflows to inf
     ({"grid": {"t_end": 1.0, "k": 1e-320}},
      r"step=1e-320 does not divide \[0\.0, 1\.0\] evenly"),
+    # the builders' own checks, run as each section resolves
+    ({"qoi": {"kind": "final-time", "psi": [1.0, 2.0]}},
+     r"config\.qoi \(final-time\): psi must have the state dimension 1, "
+     r"got shape \(2,\)"),
+    ({"qoi": {"kind": "time-integrated", "psi_tilde_const": [1.0, 2.0]}},
+     r"config\.qoi \(time-integrated\): psi_tilde_const must have the state "
+     r"dimension 1"),
+    ({"scheme": "rk4"}, "unknown scheme 'rk4'"),
+    ({"problem": {"name": "linear-advection-diffusion", "gamma": 0.1,
+                  "h": 1 / 39}, "qoi": {"kind": "mean-left-half"}},
+     r"config\.qoi \(mean-left-half\): state dimension must be even"),
+    ({"problem": {"name": "scalar-bernoulli", "lam": 0, "mu": 0.5, "y0": 1.0}},
+     r"config\.problem \(scalar-bernoulli\): lam must be nonzero"),
+    ({"qoi": {"kind": "final-time", "psi": ["a"]}},
+     r"config\.qoi \(final-time\): could not convert string to float"),
+    ({"problem": {"name": "linear-split", "f_mat": [[0, 1], [1, 0]],
+                  "g_mat": [[-1]], "y0": [1, 2]},
+      "qoi": {"kind": "final-time", "psi": [1.0, 1.0]}},
+     r"config\.problem \(linear-split\): g_mat has shape \(1, 1\); y0 of "
+     r"length 2 needs \(2, 2\)"),
+    ({"output": {"series_indices": [5]}},
+     r"config\.output series_indices must be a list of integers in \[0, 1\), "
+     r"got \[5\]"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
@@ -131,7 +154,10 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "reference-step-cap-fraction", "adjoint-refine-fraction",
         "reference-rtol-string", "newton-max-iters-string",
         "integral-v-not-mhd", "mhd-h-zero", "advdiff-h-negative",
-        "mhd-h-not-dividing", "grid-k-zero", "grid-k-overflow"])
+        "mhd-h-not-dividing", "grid-k-zero", "grid-k-overflow", "psi-length",
+        "psi-tilde-length", "unknown-scheme", "mean-left-half-odd-dim",
+        "bernoulli-lam-zero", "psi-strings", "linear-split-shapes",
+        "series-indices-out-of-range"])
 def test_config_rejects_bad_values_before_any_numerics(patch, message):
     with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))
@@ -250,10 +276,16 @@ def test_run_zero_field_row_has_exact_zeros_and_no_effectivity():
     assert vals[3] == "0.00000E+00"
 
 
+# lam_f = 1e308 overflows the first explicit stage
+_BLOWUP = {"name": "scalar-linear", "lam_f": 1e308, "lam_g": -0.6, "y0": 1.0}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_stage_label_on_pipeline_failure():
-    doc = base_config(qoi={"kind": "final-time", "psi": [1.0, 2.0]})
-    with pytest.raises(CliError, match=r"\[problem\].*psi length"):
-        run(doc)
+    with pytest.raises(CliError, match=r"\[forward\] non-finite state on "
+                                       r"interval 0, stage 1") as info:
+        run(base_config(problem=_BLOWUP))
+    assert info.value.stage == "forward"
 
 
 def test_run_accepts_time_integrated_qoi():
@@ -407,14 +439,14 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
     assert "does not divide" in err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_pipeline_errors_echo_resolved_config(tmp_path, capsys):
     # once the config has resolved, failures carry it for reproduction
-    path = tmp_path / "bad_psi.json"
-    path.write_text(json.dumps(base_config(
-        qoi={"kind": "final-time", "psi": [1.0, 2.0]})))
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps(base_config(problem=_BLOWUP)))
     assert main(["run", "--config", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: [problem]")
+    assert err.startswith("error: [forward] non-finite state")
     echoed = err.split("config: ", 1)[1]
     assert json.loads(echoed)["grid"]["n"] == 20
 
@@ -441,6 +473,21 @@ def test_main_converge_verb(tmp_path, capsys):
     assert out[1] == "k,error,order"
     assert out[2].endswith("NA")
     assert len(out) == 2 + 3
+
+
+@pytest.mark.parametrize("verb", [["run"], ["converge", "--levels", "3"]])
+def test_main_reports_config_and_file_errors_as_config(tmp_path, capsys, verb):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(base_config(grid={"t_end": 1.0, "k": 0.3})))
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{")
+    for path, message in ((bad, "step=0.3 does not divide"),
+                          (tmp_path / "missing.json", "No such file"),
+                          (malformed, "Expecting property name")):
+        assert main([verb[0], "--config", str(path), *verb[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [config]")
+        assert message in err
 
 
 def test_main_dump_tableau_verb(capsys):
