@@ -92,7 +92,14 @@ class AdjointSolution:
 
 def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
                   qoi: QoiSpec, refine: int = DEFAULT_REFINE) -> AdjointSolution:
-    """Backward cG(q+1) adjoint solve around the reconstruction."""
+    """Backward cG(q+1) adjoint solve around the reconstruction.
+
+    A constant operator on a uniform grid has one local system for every
+    interval: one factorisation turns it into a propagator, and the sweep
+    is an m x m recurrence for the left end values plus one matmul per
+    interior node over all intervals.  Otherwise each interval factors
+    and solves its own system.
+    """
     forward_grid = reconstruction.grid
     q = reconstruction.degree
     r = q + 1
@@ -107,10 +114,36 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     tests = legendre_shifted(q, gp)                 # (r, 5)
     dmat = tests @ (gw[:, None] * basis.deriv_matrix(gp))  # (r, r+1), exact
     lvals = basis.eval_matrix(gp)                   # (5, r+1)
-    eye = np.eye(m)
 
-    uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
-    cache = None  # (lu factorization, known-column blocks) reused across intervals
+    def local_system(n):
+        """LU of interval n's system in its r unknown nodes, and the (r, m, m)
+        blocks acting on its known right end value."""
+        k_n = steps[n]
+        t_gauss = grid.nodes[n] + k_n * gp
+        # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k)
+        wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
+        # blocks[a, j] = -dmat[a, j] I - sum_k W[a, j, k] H(t_k)^T, built in
+        # place: at m = 398 each (r, r + 1, m, m) temporary is 15 MB
+        blocks = np.einsum("ajk,kxy->ajxy", -wgt,
+                           np.stack([op.eval(t).T for t in t_gauss]))
+        diag = np.arange(m)
+        blocks[:, :, diag, diag] -= dmat[:, :, None]
+        # Fortran order, so LAPACK factors it in place instead of a copy
+        big = np.empty((r * m, r * m), order="F")
+        big.T.reshape(r, m, r, m)[...] = blocks[:, :r].transpose(1, 3, 0, 2)
+        try:
+            fac = lu_factor(big, overwrite_a=True, check_finite=False)
+        except ValueError as exc:
+            raise AdjointSolveError(n, str(exc)) from exc
+        if np.any(fac[0].diagonal() == 0.0):
+            raise AdjointSolveError(n, "singular local system")
+        return fac, blocks[:, r].copy()
+
+    def source(n):
+        """(r, m) load of a time-integrated QoI's density on interval n."""
+        k_n = steps[n]
+        src = np.stack([qoi.psi_tilde(grid.nodes[n] + k_n * tau) for tau in gp])
+        return k_n * (tests @ (gw[:, None] * src))
 
     if qoi.kind == "final-time":
         phi_right = qoi.psi.astype(float).copy()
@@ -118,38 +151,41 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         phi_right = np.zeros(m)
 
     coeffs = np.empty((n_int, r + 1, m))
-    for n in range(n_int - 1, -1, -1):
-        k_n = steps[n]
-        if cache is None or not (op.is_constant and uniform):
-            t_gauss = grid.nodes[n] + k_n * gp
-            h_stack = np.stack([op.eval(t).T for t in t_gauss])
-            # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k)
-            wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
-            blocks = -dmat[:, :, None, None] * eye - np.einsum(
-                "ajk,kxy->ajxy", wgt, h_stack
-            )
-            big = blocks[:, :r].transpose(0, 2, 1, 3).reshape(r * m, r * m)
-            try:
-                fac = lu_factor(big, check_finite=False)
-            except ValueError as exc:
-                raise AdjointSolveError(n, str(exc)) from exc
-            if np.any(fac[0].diagonal() == 0.0):
-                raise AdjointSolveError(n, "singular local system")
-            cache = (fac, blocks[:, r])
-        fac, known_col = cache
-
-        rhs = np.empty((r, m))
-        for a in range(r):
-            rhs[a] = -known_col[a] @ phi_right
+    uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
+    if op.is_constant and uniform:
+        fac, known = local_system(n_int - 1)
+        # node values of an interval: prop[j] @ (its right end value) + loads[n, j]
+        prop = lu_solve(fac, -known.reshape(r * m, m),
+                        check_finite=False).reshape(r, m, m)
+        loads = np.zeros((n_int, r, m))
         if qoi.kind == "time-integrated":
-            src = np.stack([qoi.psi_tilde(grid.nodes[n] + k_n * tau) for tau in gp])
-            rhs += k_n * (tests @ (gw[:, None] * src))
-        sol = lu_solve(fac, rhs.reshape(r * m), check_finite=False)
-        if not np.all(np.isfinite(sol)):
-            raise AdjointSolveError(n, "non-finite adjoint values")
-        coeffs[n, :r] = sol.reshape(r, m)
-        coeffs[n, r] = phi_right
-        phi_right = coeffs[n, 0]
+            rhs = np.stack([source(n) for n in range(n_int)]).reshape(n_int, r * m)
+            loads = lu_solve(fac, rhs.T, check_finite=False).T.reshape(n_int, r, m)
+        # a non-finite value is reported by the check below, not warned about
+        with np.errstate(all="ignore"):
+            for n in range(n_int - 1, -1, -1):
+                coeffs[n, r] = phi_right
+                phi_right = prop[0] @ phi_right + loads[n, 0]
+                coeffs[n, 0] = phi_right
+            for j in range(1, r):
+                coeffs[:, j] = coeffs[:, r] @ prop[j].T + loads[:, j]
+        finite = np.isfinite(coeffs[:, :r]).all(axis=(1, 2))
+        if not finite.all():
+            # the interval the backward sweep reaches first
+            n_bad = int(np.flatnonzero(~finite)[-1])
+            raise AdjointSolveError(n_bad, "non-finite adjoint values")
+    else:
+        for n in range(n_int - 1, -1, -1):
+            fac, known = local_system(n)
+            rhs = -(known @ phi_right)
+            if qoi.kind == "time-integrated":
+                rhs += source(n)
+            sol = lu_solve(fac, rhs.reshape(r * m), check_finite=False)
+            if not np.all(np.isfinite(sol)):
+                raise AdjointSolveError(n, "non-finite adjoint values")
+            coeffs[n, :r] = sol.reshape(r, m)
+            coeffs[n, r] = phi_right
+            phi_right = coeffs[n, 0]
 
     poly = PiecewisePolynomial(grid=grid, degree=r, coeffs=coeffs)
     return AdjointSolution(poly=poly, qoi=qoi, forward_grid=forward_grid,

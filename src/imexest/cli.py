@@ -610,6 +610,11 @@ def reproduce_table(table_id: int, out_csv: Optional[str] = None) -> list:
     return rows
 
 
+def _check_levels(levels: int) -> None:
+    if levels < 3:
+        raise ValueError(f"need at least 3 levels for observed orders, got {levels}")
+
+
 def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
                       levels: int, t_end: float,
                       newton: Optional[NewtonConfig] = None) -> list:
@@ -621,8 +626,7 @@ def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
     successive errors; None where a ratio is degenerate (first level,
     or an exactly zero error).
     """
-    if levels < 3:
-        raise ValueError("need at least 3 levels for observed orders")
+    _check_levels(levels)
     pair = builtin(scheme) if isinstance(scheme, str) else scheme
     n0 = TimeGrid.from_step(t_end, base_k).n_intervals
 
@@ -672,6 +676,10 @@ def _cmd_table(args) -> int:
 
 def _cmd_converge(args) -> int:
     cfg = _resolve_config(_load_config(args.config))
+    try:
+        _check_levels(args.levels)
+    except ValueError as exc:
+        raise CliError("config", exc) from exc
     rows = convergence_study(cfg.ode, cfg.pair, cfg.grid["k"], args.levels,
                              cfg.grid["t_end"], cfg.newton)
     print(f"# config: {canonical_json(cfg.resolved())}")
@@ -683,7 +691,11 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_dump_tableau(args) -> int:
-    print(json.dumps(pair_to_dict(builtin(args.scheme)), indent=2))
+    try:
+        pair = builtin(args.scheme)
+    except ValueError as exc:
+        raise CliError("config", exc) from exc
+    print(json.dumps(pair_to_dict(pair), indent=2))
     return 0
 
 

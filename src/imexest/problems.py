@@ -42,6 +42,12 @@ class SplitOdeProblem:
     for g; every state-independent term is carried by ``forcing``.  The
     forward solver's LU cache, the adjoint's constant operator and the
     reference's sparse operator jac_f + jac_g all rely on it.
+
+    ``boundary`` = (pick, data) gives the summed forcing of a linear
+    problem as a matrix times a data vector: force_f(t) + force_g(t)
+    equals pick @ data(t) at one time.  The reference applies it with
+    the operator in one matvec, so a linear problem with a forcing must
+    carry it.
     """
 
     name: str
@@ -55,12 +61,16 @@ class SplitOdeProblem:
     analytic: Optional[Callable[[float], Array]] = None
     pde_solution: Optional[Callable[[float], Array]] = None
     linear: bool = False
+    boundary: Optional[tuple[Array, Callable[[float], Array]]] = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.shape != (self.dim,):
             raise ValueError(f"y0 shape {self.y0.shape} does not match dim {self.dim}")
+        if self.linear and self.forcing is not None and self.boundary is None:
+            raise ValueError("a linear problem with a forcing needs boundary = "
+                             "(pick, data), the summed forcing as pick @ data(t)")
 
     def halves(self, y: Array, t) -> tuple[Array, Array]:
         """(f(y, t), g(y, t)) with one forcing evaluation."""
@@ -99,8 +109,11 @@ def _apply(mat: Array) -> Callable[[Array], Array]:
     return lambda y: (mat @ y.T).T
 
 
-def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, pde_solution=None,
-                    metadata=None) -> SplitOdeProblem:
+def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,
+                    pde_solution=None, metadata=None) -> SplitOdeProblem:
+    """Linear split system y' = f_mat y + g_mat y, plus, with pickups =
+    (pick_f, pick_g), the forcing pick_f @ b(t) and pick_g @ b(t) of the
+    boundary data b = boundary_data."""
     y0 = np.asarray(y0, dtype=float)
     f_mat = np.asarray(f_mat, dtype=float)
     g_mat = np.asarray(g_mat, dtype=float)
@@ -108,6 +121,18 @@ def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, pde_solution=None,
         if mat.shape != (y0.size, y0.size):
             raise ValueError(f"{key} has shape {mat.shape}; y0 of length "
                              f"{y0.size} needs ({y0.size}, {y0.size})")
+    forcing = boundary = None
+    if pickups is not None:
+        pick_f, pick_g = pickups
+        apply_pick_f, apply_pick_g = _apply(pick_f), _apply(pick_g)
+
+        def forcing(t) -> tuple[Array, Array]:
+            t = np.asarray(t, dtype=float)
+            data = np.array([boundary_data(s) for s in t] if t.ndim
+                            else boundary_data(t))
+            return apply_pick_f(data), apply_pick_g(data)
+
+        boundary = (pick_f + pick_g, boundary_data)
     return SplitOdeProblem(
         name=name,
         dim=y0.size,
@@ -120,6 +145,7 @@ def _matrix_problem(name, f_mat, g_mat, y0, forcing=None, pde_solution=None,
         analytic=None if forcing is not None else (lambda t: expm((f_mat + g_mat) * t) @ y0),
         pde_solution=pde_solution,
         linear=True,
+        boundary=boundary,
         metadata=metadata or {},
     )
 
@@ -380,7 +406,6 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
         mat, pick = (f_mat, pick_f) if explicit else (g_mat, pick_g)
         mat[rows, cols] = op[:, inner]
         pick[rows, pick_cols] = op[:, ends]
-    apply_pick_f, apply_pick_g = _apply(pick_f), _apply(pick_g)
     physics = (B0, rho, mu, eta, mu0, U)
 
     def boundary_data(t: float) -> list:
@@ -389,18 +414,13 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
                                   for z in (0.0, L))
         return [v_0, v_l, b_0, b_l]
 
-    def forcing(t) -> tuple[Array, Array]:
-        t = np.asarray(t, dtype=float)
-        data = np.array([boundary_data(s) for s in t] if t.ndim
-                        else boundary_data(t))
-        return apply_pick_f(data), apply_pick_g(data)
-
     def pde_solution(t: float) -> Array:
         v, b = alfven_analytic(zeta, t, B0=B0, rho=rho, mu=mu, eta=eta, mu0=mu0, U=U)
         return np.concatenate([v, b], axis=-1)
 
     return _matrix_problem(
-        f"mhd-alfven-{v_mode}", f_mat, g_mat, np.zeros(m), forcing=forcing,
+        f"mhd-alfven-{v_mode}", f_mat, g_mat, np.zeros(m),
+        pickups=(pick_f, pick_g), boundary_data=boundary_data,
         pde_solution=pde_solution,
         metadata={"benchmark": "mhd-alfven", "v_mode": v_mode, "h": h, "m": m,
                   "interior_per_field": mh, **p,

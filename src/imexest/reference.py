@@ -88,20 +88,20 @@ def _analytic_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec) -> flo
 def ivp_rhs(problem: SplitOdeProblem):
     """The full right-hand side (t, y) -> f(y, t) + g(y, t) for an ODE solver.
 
-    A linear problem's two halves are applied as one sparse operator,
-    jac_f + jac_g built once here, plus one forcing call per evaluation;
-    any other problem evaluates problem.rhs.
+    A linear problem is applied as one sparse operator built once here:
+    jac_f + jac_g, augmented by the boundary pickups of a forced problem
+    and applied to the state stacked with the boundary data.  Any other
+    problem evaluates problem.rhs.
     """
     if not problem.linear:
         return lambda t, y: problem.rhs(y, t)
-    op = csr_matrix(problem.jac_f(problem.y0) + problem.jac_g(problem.y0))
-    if problem.forcing is None:
+    jac = problem.jac_f(problem.y0) + problem.jac_g(problem.y0)
+    if problem.boundary is None:
+        op = csr_matrix(jac)
         return lambda t, y: op @ y
-
-    def rhs(t, y):
-        force_f, force_g = problem.forcing(t)
-        return op @ y + (force_f + force_g)
-    return rhs
+    pick, data = problem.boundary
+    op = csr_matrix(np.hstack((jac, pick)))
+    return lambda t, y: op @ np.concatenate((y, data(t)))
 
 
 def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,

@@ -135,8 +135,6 @@ class ForwardSolution:
 def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cache):
     x = known.copy()
     iters = 0
-    m = known.size
-    eye = np.eye(m)
     # the forcing does not depend on the state: one evaluation per stage
     force_g = 0.0 if problem.forcing is None else problem.forcing(t_i)[1]
     while True:
@@ -153,7 +151,7 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
         if lu_cache is not None and key in lu_cache:
             fac = lu_cache[key]
         else:
-            mat = eye - k_n * bii * problem.jac_g(x)
+            mat = np.eye(x.size) - k_n * bii * problem.jac_g(x)
             fac = lu_factor(mat, check_finite=False)
             if np.any(fac[0].diagonal() == 0.0):
                 raise SingularJacobianError(interval, stage)
@@ -217,9 +215,11 @@ def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
     nodal[0] = problem.y0
     stages: list[StageRecord] = []
     lu_cache: dict | None = {} if problem.linear else None
-    for n in range(grid.n_intervals):
-        y_next, record = step(problem, pair, nodes[n], nodes[n + 1] - nodes[n],
-                              nodal[n], newton, interval=n, lu_cache=lu_cache)
-        nodal[n + 1] = y_next
-        stages.append(record)
+    # an overflow is reported by step's own non-finite checks, not warned about
+    with np.errstate(all="ignore"):
+        for n in range(grid.n_intervals):
+            y_next, record = step(problem, pair, nodes[n], nodes[n + 1] - nodes[n],
+                                  nodal[n], newton, interval=n, lu_cache=lu_cache)
+            nodal[n + 1] = y_next
+            stages.append(record)
     return ForwardSolution(grid=grid, nodal=nodal, stages=stages)

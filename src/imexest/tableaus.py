@@ -201,7 +201,7 @@ def builtin(name: str) -> ImexPair:
     key = name.strip().lower().replace(" ", "")
     canonical = _ALIASES.get(key)
     if canonical is None:
-        raise KeyError(
+        raise ValueError(
             f"unknown scheme {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}"
         )
     return _BUILTIN_FACTORIES[canonical]()

@@ -1,8 +1,11 @@
 """Tests for the backward Galerkin adjoint solve."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from imexest import adjoint
 from imexest.adjoint import (
     DEFAULT_REFINE,
     AdjointSolveError,
@@ -15,6 +18,8 @@ from imexest.problems import (
     QoiSpec,
     SplitOdeProblem,
     burgers,
+    mhd_alfven,
+    qoi_integral_v,
     split_linear_system,
     split_scalar_linear,
 )
@@ -201,6 +206,77 @@ def test_adjoint_failure_reports_interval():
     recon = build_cg(prob, pair, fwd, q=1)
     with pytest.raises(AdjointSolveError, match="adjoint solve failed"):
         solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(1)))
+
+
+def test_adjoint_failure_on_a_constant_nan_operator():
+    # a linear problem takes the propagator path; the NaN surfaces at the
+    # interval the backward sweep reaches first
+    nan_mat = np.full((1, 1), np.nan)
+    prob = SplitOdeProblem(
+        name="nan-operator",
+        dim=1,
+        eval_f=lambda y: nan_mat @ y,
+        eval_g=lambda y: -y,
+        jac_f=lambda y: nan_mat,
+        jac_g=lambda y: np.array([[-1.0]]),
+        y0=np.array([1.0]),
+        linear=True,
+    )
+    pair = builtin("mid122")
+    fwd = solve_forward(
+        split_scalar_linear(0.0, -1.0, 1.0), pair, TimeGrid.uniform(1.0, 4)
+    )
+    recon = build_cg(prob, pair, fwd, q=1)
+    for qoi in (QoiSpec(kind="final-time", psi=np.ones(1)),
+                QoiSpec(kind="time-integrated", psi_tilde=lambda t: np.ones(1))):
+        with pytest.raises(AdjointSolveError,
+                           match="non-finite adjoint values") as info:
+            solve_adjoint(prob, recon, qoi)
+        assert info.value.interval == 4 * DEFAULT_REFINE - 1
+
+
+def random_linear_system(m=5, seed=4):
+    rng = np.random.default_rng(seed)
+    f_mat = 0.5 * rng.standard_normal((m, m))
+    g_mat = -np.diag(rng.uniform(0.5, 2.0, m)) + 0.1 * rng.standard_normal((m, m))
+    return split_linear_system(f_mat, g_mat, rng.standard_normal(m))
+
+
+def oracle_qois(prob):
+    """A final-time QoI and a time-varying density on the state."""
+    if prob.name.startswith("mhd-alfven"):
+        psi = qoi_integral_v(prob.metadata["interior_per_field"],
+                             prob.metadata["h"]).psi
+    else:
+        psi = np.linspace(1.0, -1.0, prob.dim)
+    return [QoiSpec(kind="final-time", psi=psi),
+            QoiSpec(kind="time-integrated",
+                    psi_tilde=lambda t: psi * np.cos(3.0 * t) + t)]
+
+
+@pytest.mark.parametrize("scheme", ["mid122", "ssp343"], ids=["r2", "r3"])
+@pytest.mark.parametrize("build", [lambda: mhd_alfven(h=0.05), random_linear_system],
+                         ids=["mhd", "random-linear"])
+def test_propagator_matches_the_per_interval_sweep(build, scheme, monkeypatch):
+    # declared nonlinear, the same constant operator is factored and
+    # solved interval by interval
+    prob = build()
+    recon = reconstruct_case(prob, scheme, t_end=0.1, n=8)
+    per_interval = dataclasses.replace(prob, linear=False)
+    factors = []
+    lu_factor = adjoint.lu_factor
+    monkeypatch.setattr(adjoint, "lu_factor",
+                        lambda a, **kw: factors.append(a.shape) or lu_factor(a, **kw))
+    for qoi in oracle_qois(prob):
+        factors.clear()
+        fast = solve_adjoint(prob, recon, qoi)
+        assert len(factors) == 1
+        slow = solve_adjoint(per_interval, recon, qoi)
+        assert len(factors) == 1 + 8 * DEFAULT_REFINE
+        assert fast.poly.coeffs.shape == slow.poly.coeffs.shape
+        scale = slow.max_abs()
+        assert scale > 0.0
+        assert np.abs(fast.poly.coeffs - slow.poly.coeffs).max() <= 1e-13 * scale
 
 
 def test_refined_adjoint_grid_nests_forward_grid():

@@ -280,7 +280,7 @@ def test_run_zero_field_row_has_exact_zeros_and_no_effectivity():
 _BLOWUP = {"name": "scalar-linear", "lam_f": 1e308, "lam_g": -0.6, "y0": 1.0}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_stage_label_on_pipeline_failure():
     with pytest.raises(CliError, match=r"\[forward\] non-finite state on "
                                        r"interval 0, stage 1") as info:
@@ -439,7 +439,7 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
     assert "does not divide" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pipeline_errors_echo_resolved_config(tmp_path, capsys):
     # once the config has resolved, failures carry it for reproduction
     path = tmp_path / "blowup.json"
@@ -500,6 +500,20 @@ def test_main_dump_tableau_verb(capsys):
 def test_main_unknown_scheme_is_reported(capsys):
     assert main(["dump-tableau", "--scheme", "rk4"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, message", [
+    (["dump-tableau", "--scheme", "rk4"], "unknown scheme 'rk4'; built-ins: "),
+    (["run", "--config", "{cfg}"], "unknown scheme 'rk4'; built-ins: "),
+    (["converge", "--config", "{cfg}", "--levels", "2"],
+     "need at least 3 levels for observed orders, got 2"),
+], ids=["dump-tableau", "run", "converge-levels"])
+def test_main_reports_bad_arguments_as_config(tmp_path, capsys, verb, message):
+    cfg = tmp_path / "cfg.json"
+    scheme = "rk4" if verb[0] == "run" else "mid122"
+    cfg.write_text(json.dumps(base_config(scheme=scheme)))
+    assert main([arg.format(cfg=cfg) for arg in verb]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [config] {message}")
 
 
 def test_reference_cache_consistency():

@@ -626,3 +626,31 @@ def test_stacked_forcing_equals_the_per_time_calls(v_mode):
         assert np.array_equal(got[:, ~two], want[:, ~two])
         bound = np.finfo(float).eps * (data @ np.abs(pick).T)
         assert np.all(np.abs(got - want)[:, two] <= bound[:, two])
+
+
+@pytest.mark.parametrize("v_mode", MHD_V_MODES)
+def test_mhd_boundary_is_the_summed_forcing(v_mode):
+    prob = mhd_alfven(h=0.05, v_mode=v_mode)
+    pick, data = prob.boundary
+    pick_f, pick_g = pickups(prob.metadata)
+    np.testing.assert_array_equal(pick, pick_f + pick_g)
+    for t in alfven_times(np.random.default_rng(11)):
+        force_f, force_g = prob.forcing(t)
+        values = np.asarray(data(t))
+        # the summed pickups add the two halves' terms in another order
+        bound = np.finfo(float).eps * (np.abs(pick) @ np.abs(values))
+        assert np.all(np.abs(pick @ values - (force_f + force_g)) <= bound)
+
+
+def test_linear_problem_with_a_forcing_needs_its_boundary():
+    def forcing(t):
+        return np.zeros(1), np.ones(1)
+
+    fields = dict(name="forced", dim=1, eval_f=lambda y: 0.0 * y,
+                  eval_g=lambda y: -y, jac_f=lambda y: np.zeros((1, 1)),
+                  jac_g=lambda y: -np.eye(1), y0=np.ones(1), forcing=forcing)
+    with pytest.raises(ValueError, match="needs boundary"):
+        problems.SplitOdeProblem(linear=True, **fields)
+    # the same system declared nonlinear, or with its boundary, is accepted
+    problems.SplitOdeProblem(linear=False, **fields)
+    problems.SplitOdeProblem(linear=True, boundary=(np.ones((1, 1)), np.ones), **fields)

@@ -198,6 +198,23 @@ def test_step_cap_bounds_attempted_steps():
     # allows 4 attempts, 50 evaluations, instead of the whole solve
     prob = mhd_alfven(h=0.05)
     calls = []
+    pick, data = prob.boundary
+
+    def counted(t):
+        calls.append(t)
+        return data(t)
+
+    prob.boundary = (pick, counted)
+    cfg = ReferenceConfig(mode="high-order-numeric", step_cap=3)
+    with pytest.raises(ReferenceError, match="cap 3"):
+        true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], cfg)
+    assert 0 < len(calls) <= 50
+
+
+def test_numeric_reference_of_a_forced_linear_problem_calls_no_forcing():
+    # the boundary data enter through the augmented operator instead
+    prob = mhd_alfven(h=0.05)
+    calls = []
     forcing = prob.forcing
 
     def counted(t):
@@ -205,7 +222,6 @@ def test_step_cap_bounds_attempted_steps():
         return forcing(t)
 
     prob.forcing = counted
-    cfg = ReferenceConfig(mode="high-order-numeric", step_cap=3)
-    with pytest.raises(ReferenceError, match="cap 3"):
-        true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], cfg)
-    assert len(calls) <= 50
+    for qoi in mhd_qois(prob):
+        true_qoi(prob, MHD_GRID, qoi, NUMERIC)
+    assert calls == []

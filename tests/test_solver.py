@@ -197,6 +197,13 @@ def test_blowup_completes_until_overflow():
     assert fwd.nodal[-1, 0] > 1e30
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_overflow_is_reported_as_a_non_finite_state_without_a_warning():
+    prob = split_scalar_linear(1e308, -0.6, 1.0)
+    with pytest.raises(NonFiniteStateError, match="interval 0, stage 1"):
+        solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 20))
+
+
 def test_non_finite_state_raises():
     prob = SplitOdeProblem(
         name="hard-blowup",

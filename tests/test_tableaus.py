@@ -71,7 +71,7 @@ def test_builtin_aliases_agree():
 
 
 def test_builtin_unknown_name_lists_options():
-    with pytest.raises(KeyError, match="built-ins"):
+    with pytest.raises(ValueError, match="built-ins"):
         builtin("rk4")
 
 
