@@ -18,8 +18,6 @@ import json
 import numbers
 import os
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -39,6 +37,7 @@ from .reference import (ReferenceConfig, ivp_rhs, qoi_from_states, resolve_mode,
 from .solver import NewtonConfig, TimeGrid, solve_forward
 from .tableaus import ImexPair, builtin, pair_to_dict
 
+# read by perfbench/sample.py for its env record; imexest itself ignores it
 THREADS_ENV = "IMEXEST_THREADS"
 NUM_FMT = "%.5E"  # 6 significant digits, scientific
 
@@ -352,11 +351,10 @@ class RunArtifacts:
 
 
 # reference key -> (reference QoI, |reference - IMEX QoI| of the row it
-# was solved for, which is the error a verified reference was checked at);
-# the lock is held from lookup to store, so concurrent rows of one table
-# solve their shared reference once
+# was solved for, which is the error a verified reference was checked at).
+# Entries are read and written whole, so concurrent callers of run get
+# correct values and at worst solve one reference twice.
 _REFERENCE_CACHE: dict = {}
-_REFERENCE_LOCK = threading.Lock()
 
 
 def _reference_key(resolved: dict) -> str:
@@ -394,7 +392,7 @@ def run(config: dict, return_artifacts: bool = False):
         forward = solve_forward(problem, pair, grid, cfg.newton)
 
         stage = "reconstruct"
-        recon = build_cg(problem, pair, forward, q=pair.order - 1)
+        recon = build_cg(pair, forward)
 
         stage = "adjoint"
         adj = solve_adjoint(problem, recon, qoi, refine=cfg.adjoint["refine"])
@@ -412,17 +410,15 @@ def run(config: dict, return_artifacts: bool = False):
                      else recon.evaluate)
         imex_q = qoi_from_states(states_at, grid, qoi)
         key = _reference_key(resolved)
-        with _REFERENCE_LOCK:
-            cached = _REFERENCE_CACHE.get(key)
-            # a verified reference holds only for errors at least as large
-            # as the one it was verified against
-            if cached is not None and (not cfg.reference.verify
-                                       or cached[1] <= abs(cached[0] - imex_q)):
-                ref_q = cached[0]
-            else:
-                ref_q = true_qoi(problem, grid, qoi, cfg.reference,
-                                 imex_qoi=imex_q)
-                _REFERENCE_CACHE[key] = (ref_q, abs(ref_q - imex_q))
+        cached = _REFERENCE_CACHE.get(key)
+        # a verified reference holds only for errors at least as large as
+        # the one it was verified against
+        if cached is not None and (not cfg.reference.verify
+                                   or cached[1] <= abs(cached[0] - imex_q)):
+            ref_q = cached[0]
+        else:
+            ref_q = true_qoi(problem, grid, qoi, cfg.reference, imex_qoi=imex_q)
+            _REFERENCE_CACHE[key] = (ref_q, abs(ref_q - imex_q))
         true_err = ref_q - imex_q
         eff = effectivity(bd.estimate_total, true_err)
 
@@ -444,8 +440,7 @@ def run(config: dict, return_artifacts: bool = False):
                 "config": resolved,
             })
         if cfg.output["row_csv"]:
-            write_report_csv(cfg.output["row_csv"], [row],
-                             with_components=cfg.components)
+            write_report_csv(cfg.output["row_csv"], [row])
         if cfg.output["series_dir"]:
             _emit_series(cfg, forward, adj, bd)
     except CliError:
@@ -462,9 +457,12 @@ def run(config: dict, return_artifacts: bool = False):
     return row
 
 
-def write_report_csv(path: str, rows: list, with_components: bool = False,
+def write_report_csv(path: str, rows: list,
                      table_id: Optional[int] = None) -> None:
-    """Rows as CSV, each preceded by a comment echoing its resolved config."""
+    """Rows as CSV, each preceded by a comment echoing its resolved config;
+    the component columns appear when a row's config asks for them."""
+    with_components = any(row.metadata.get("config", {}).get("components", False)
+                          for row in rows)
     lines = [] if table_id is None else [f"# table: {table_id}"]
     lines.append(_csv_header(with_components))
     for row in rows:
@@ -581,32 +579,12 @@ def table_config(table_id: int, scheme: str) -> dict:
     return doc
 
 
-def _thread_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise CliError("config", f"{THREADS_ENV} must be an integer, "
-                                     f"got {env!r}") from exc
-        if n < 1:
-            raise CliError("config", f"{THREADS_ENV} must be >= 1, got {n}")
-        return n
-    return len(SCHEME_ORDER)
-
-
 def reproduce_table(table_id: int, out_csv: Optional[str] = None) -> list:
-    """All three scheme rows of a published table, in the published order.
-
-    Rows run concurrently (thread count from the environment); the output
-    order is fixed by scheme order, not completion order.
-    """
-    configs = [table_config(table_id, s) for s in SCHEME_ORDER]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        rows = list(pool.map(run, configs))
+    """All three scheme rows of a published table, run in the published
+    order; the rows after the first reuse its reference."""
+    rows = [run(table_config(table_id, s)) for s in SCHEME_ORDER]
     if out_csv:
-        write_report_csv(out_csv, rows, with_components=table_id in (14, 16),
-                         table_id=table_id)
+        write_report_csv(out_csv, rows, table_id=table_id)
     return rows
 
 

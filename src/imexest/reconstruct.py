@@ -2,9 +2,10 @@
 
 One object is built from a forward solve:
 
-* ``build_cg`` produces the degree-q continuous reconstruction whose
-  nodal values coincide with the IMEX values: on each interval the left
-  value is fixed by continuity and the remaining q coefficients solve
+* ``build_cg`` produces the degree-q continuous reconstruction, q one
+  below the scheme order, whose nodal values coincide with the IMEX
+  values: on each interval the left value is fixed by continuity and
+  the remaining q coefficients solve
   the variational equations ``<Ydot, v> = <f, v>_Qf + <g, v>_Qg`` for v
   in P^{q-1}, where the two quadratures sit at the implicit abscissae
   with the explicit/implicit weight vectors.
@@ -75,18 +76,16 @@ class PiecewisePolynomial:
         return float(np.abs(self.coeffs[:-1, -1] - self.coeffs[1:, 0]).max())
 
 
-def build_cg(problem, pair: ImexPair, forward: ForwardSolution, q: int) -> PiecewisePolynomial:
-    """Degree-q continuous reconstruction matching the IMEX nodal values.
+def build_cg(pair: ImexPair, forward: ForwardSolution) -> PiecewisePolynomial:
+    """Continuous reconstruction matching the IMEX nodal values.
 
-    q must equal pair.order - 1 for the nodal-equivalence property to
-    hold; the variational system itself is assembled for any q in {1, 2}.
+    The degree is q = pair.order - 1, the one for which the nodal
+    equivalence holds; the variational system is assembled for q in {1, 2}.
     """
+    q = pair.order - 1
     if q not in (1, 2):
-        raise ValueError(f"reconstruction degree must be 1 or 2, got {q}")
-    if q != pair.order - 1:
-        raise ValueError(
-            f"reconstruction degree {q} does not match scheme order {pair.order}"
-        )
+        raise ValueError(f"reconstruction degree must be 1 or 2, got {q} "
+                         f"(scheme order {pair.order})")
     grid = forward.grid
     n_int = grid.n_intervals
     m = forward.nodal.shape[1]

@@ -13,10 +13,11 @@ estimator assumes.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .problems import SplitOdeProblem, grid_cells
 from .tableaus import ImexPair, validate
@@ -152,7 +153,10 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
             fac = lu_cache[key]
         else:
             mat = np.eye(x.size) - k_n * bii * problem.jac_g(x)
-            fac = lu_factor(mat, check_finite=False)
+            # a zero pivot is reported below with its interval, not warned about
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LinAlgWarning)
+                fac = lu_factor(mat, check_finite=False)
             if np.any(fac[0].diagonal() == 0.0):
                 raise SingularJacobianError(interval, stage)
             if lu_cache is not None:

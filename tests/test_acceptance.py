@@ -105,7 +105,7 @@ def test_nodal_equivalence_across_schemes_and_benchmarks():
         for name in SCHEME_ORDER:
             pair = builtin(name)
             fwd = solve_forward(prob, pair, grid)
-            recon = build_cg(prob, pair, fwd, q=pair.order - 1)
+            recon = build_cg(pair, fwd)
             for n, t in enumerate(grid.nodes):
                 defect = np.abs(recon.evaluate(t) - fwd.nodal[n]).max()
                 bound = 1e-11 * (1.0 + np.abs(fwd.nodal[n]).max())
@@ -349,7 +349,7 @@ def test_driver_matches_direct_pipeline(linear_tables):
     pair = builtin("mid122")
     grid = TimeGrid.uniform(2.0, 80)
     fwd = solve_forward(prob, pair, grid)
-    recon = build_cg(prob, pair, fwd, q=1)
+    recon = build_cg(pair, fwd)
     adj = solve_adjoint(prob, recon, qoi_mean_left_half(prob.dim))
     bd = error_breakdown(prob, pair, fwd, recon, adj)
     assert bd.estimate_total == row.computed_error

@@ -32,7 +32,7 @@ def reconstruct_case(problem, name="mid122", t_end=1.0, n=40, t_start=0.0):
     pair = builtin(name)
     grid = TimeGrid.uniform(t_end, n, t_start)
     fwd = solve_forward(problem, pair, grid)
-    return build_cg(problem, pair, fwd, q=pair.order - 1)
+    return build_cg(pair, fwd)
 
 
 def test_refine_grid_counts_and_endpoints():
@@ -203,7 +203,7 @@ def test_adjoint_failure_reports_interval():
     fwd = solve_forward(
         split_scalar_linear(0.0, -1.0, 1.0), pair, TimeGrid.uniform(1.0, 4)
     )
-    recon = build_cg(prob, pair, fwd, q=1)
+    recon = build_cg(pair, fwd)
     with pytest.raises(AdjointSolveError, match="adjoint solve failed"):
         solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(1)))
 
@@ -226,7 +226,7 @@ def test_adjoint_failure_on_a_constant_nan_operator():
     fwd = solve_forward(
         split_scalar_linear(0.0, -1.0, 1.0), pair, TimeGrid.uniform(1.0, 4)
     )
-    recon = build_cg(prob, pair, fwd, q=1)
+    recon = build_cg(pair, fwd)
     for qoi in (QoiSpec(kind="final-time", psi=np.ones(1)),
                 QoiSpec(kind="time-integrated", psi_tilde=lambda t: np.ones(1))):
         with pytest.raises(AdjointSolveError,

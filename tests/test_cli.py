@@ -2,7 +2,6 @@
 
 import json
 import os
-import time
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from imexest import cli
 from imexest.cli import (
     COMPONENT_COLUMNS,
     SCHEME_ORDER,
-    THREADS_ENV,
     CliError,
     ReportRow,
     RunConfig,
@@ -352,15 +350,6 @@ def test_table_config_validates_id():
     assert doc["qoi"] == {"kind": "integral-v"}
 
 
-def test_thread_count_env_validation(monkeypatch):
-    monkeypatch.setenv(THREADS_ENV, "abc")
-    with pytest.raises(CliError, match="integer"):
-        reproduce_table(4)
-    monkeypatch.setenv(THREADS_ENV, "0")
-    with pytest.raises(CliError, match=">= 1"):
-        reproduce_table(4)
-
-
 def test_series_emission(tmp_path):
     out = tmp_path / "series"
     doc = base_config(output={"series_dir": str(out), "name": "demo",
@@ -378,6 +367,48 @@ def test_series_emission(tmp_path):
     eterms = (out / "demo_eterms.csv").read_text().splitlines()
     assert eterms[1] == "t_mid,E1,E2,E3"
     assert len(eterms) == 2 + 20
+
+
+def test_row_csv_and_mhd_series(tmp_path):
+    # the row file carries the component columns its config asks for; the
+    # MHD series adds the final velocity profile against the exact one
+    out = tmp_path / "series"
+    row_csv = tmp_path / "row.csv"
+    doc = {"scheme": "ssp332", "problem": {"name": "mhd-alfven", "h": 0.05},
+           "grid": {"t_end": 0.1, "n": 10}, "qoi": {"kind": "integral-v"},
+           "components": True,
+           "output": {"row_csv": str(row_csv), "series_dir": str(out),
+                      "name": "mhd"}}
+    run(doc)
+    lines = row_csv.read_text().splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "scheme,computed_error,effectivity,E1,E2,E3," \
+                       "E1_v,E1_B,E2_v,E2_B,E3_v,E3_B"
+    assert lines[1].startswith("# config: {")
+    assert lines[2].startswith("SSP3(3,3,2),")
+    assert "NA" not in lines[2]
+    profile = (out / "mhd_profile_v.csv").read_text().splitlines()
+    assert profile[0] == "# run: mhd; velocity profile at T = 0.1"
+    assert profile[1] == "zeta,v_imex,v_analytic"
+    assert len(profile) == 2 + 19
+    figure = (out / "mhd_figure.txt").read_text()
+    assert "stays bounded" in figure
+    assert "mhd_profile_v.csv (columns zeta, v_imex, v_analytic)" in figure
+
+
+def test_series_of_an_unstable_run(tmp_path):
+    out = tmp_path / "series"
+    doc = base_config(problem={"name": "scalar-linear", "lam_f": 30.0,
+                               "lam_g": -0.6, "y0": 1.0},
+                      output={"series_dir": str(out), "name": "blowup"})
+    run(doc)
+    assert sorted(os.listdir(out)) == [
+        "blowup_Y_state0.csv", "blowup_eterms.csv", "blowup_figure.txt",
+        "blowup_phi_state0.csv"]
+    assert len((out / "blowup_Y_state0.csv").read_text().splitlines()) == 2 + 21
+    figure = (out / "blowup_figure.txt").read_text()
+    assert "grows by orders of magnitude" in figure
+    assert "stays bounded" not in figure
 
 
 def test_convergence_study_orders():
@@ -546,20 +577,17 @@ def test_verified_reference_is_reused_only_for_larger_errors(monkeypatch):
     assert again.metadata["reference_qoi"] == fine.metadata["reference_qoi"]
 
 
-def test_threaded_table_rows_solve_their_reference_once(monkeypatch):
-    # the three rows of a table share one reference key; the slow solve
-    # gives every worker time to miss the cache before the first stores
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_table_rows_solve_their_reference_once(monkeypatch):
+    # the three rows of a table share one reference key
     monkeypatch.setattr(cli, "_REFERENCE_CACHE", {})
     calls = []
     real_true_qoi = cli.true_qoi
 
-    def slow_true_qoi(*args, **kwargs):
+    def counted_true_qoi(*args, **kwargs):
         calls.append(1)
-        time.sleep(0.2)
         return real_true_qoi(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "true_qoi", slow_true_qoi)
+    monkeypatch.setattr(cli, "true_qoi", counted_true_qoi)
     rows = reproduce_table(6)
     assert len(rows) == 3
     assert len(calls) == 1

@@ -27,7 +27,7 @@ from imexest.tableaus import builtin
 def pipeline(problem, qoi, scheme="mid122", t_end=1.0, n=40, refine=4):
     pair = builtin(scheme)
     fwd = solve_forward(problem, pair, TimeGrid.uniform(t_end, n))
-    recon = build_cg(problem, pair, fwd, q=pair.order - 1)
+    recon = build_cg(pair, fwd)
     adj = solve_adjoint(problem, recon, qoi, refine=refine)
     return pair, fwd, recon, adj
 

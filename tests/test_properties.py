@@ -35,7 +35,7 @@ def linear_runs(draw):
 
     prob = split_linear_system(f_mat, g_mat, y0)
     fwd = solve_forward(prob, pair, grid)
-    recon = build_cg(prob, pair, fwd, q=pair.order - 1)
+    recon = build_cg(pair, fwd)
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi),
                         refine=refine)
     bd = error_breakdown(prob, pair, fwd, recon, adj)

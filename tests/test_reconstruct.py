@@ -1,5 +1,7 @@
 """Tests for the continuous reconstruction and the stage quadratures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,7 @@ def forward_case(name, problem, t_end=0.5, n=10):
 def test_linear_reconstruction_midpoint_average():
     prob = split_scalar_bernoulli(-2.0, 0.5, 1.0)
     pair, fwd = forward_case("mid122", prob)
-    recon = build_cg(prob, pair, fwd, q=1)
+    recon = build_cg(pair, fwd)
     grid = fwd.grid
     for n in range(grid.n_intervals):
         t_half = 0.5 * (grid.nodes[n] + grid.nodes[n + 1])
@@ -61,7 +63,8 @@ def test_nodal_equivalence_all_schemes():
     ]
     for name, q, prob in cases:
         pair, fwd = forward_case(name, prob)
-        recon = build_cg(prob, pair, fwd, q=q)
+        recon = build_cg(pair, fwd)
+        assert recon.degree == q
         for n, t in enumerate(fwd.grid.nodes):
             defect = np.abs(recon.evaluate(t) - fwd.nodal[n]).max()
             bound = 1e-11 * (1.0 + np.abs(fwd.nodal[n]).max())
@@ -71,7 +74,7 @@ def test_nodal_equivalence_all_schemes():
 def test_reconstruction_is_continuous():
     prob = burgers(0.05, 1.0 / 20.0)
     pair, fwd = forward_case("ssp343", prob)
-    recon = build_cg(prob, pair, fwd, q=2)
+    recon = build_cg(pair, fwd)
     assert recon.continuity_defect() < 1e-12
 
 
@@ -79,7 +82,7 @@ def test_quadratic_reconstruction_satisfies_variational_equations():
     # residual of <Ydot, v> = <f, v>_Qf + <g, v>_Qg for v = 1 and v = t
     prob = burgers(0.05, 1.0 / 20.0)
     pair, fwd = forward_case("ssp343", prob)
-    recon = build_cg(prob, pair, fwd, q=2)
+    recon = build_cg(pair, fwd)
     from imexest.numerics import DEFAULT_INNER_RULE
 
     grid = fwd.grid
@@ -129,18 +132,19 @@ def test_quadrature_zero_weight_function():
 
 
 def test_build_cg_validates_degree():
+    # the degree is one below the scheme order and must be 1 or 2
     prob = split_scalar_linear(0.0, -1.0, 1.0)
     pair, fwd = forward_case("mid122", prob)
-    with pytest.raises(ValueError, match="degree"):
-        build_cg(prob, pair, fwd, q=3)
-    with pytest.raises(ValueError, match="order"):
-        build_cg(prob, pair, fwd, q=2)
+    for order in (1, 4):
+        with pytest.raises(ValueError,
+                           match=f"degree must be 1 or 2, got {order - 1}"):
+            build_cg(replace(pair, order=order), fwd)
 
 
 def test_derivative_matches_finite_difference():
     prob = split_scalar_bernoulli(-2.0, 0.5, 1.0)
     pair, fwd = forward_case("ssp343", prob)
-    recon = build_cg(prob, pair, fwd, q=2)
+    recon = build_cg(pair, fwd)
     rng = np.random.default_rng(4)
     for t in rng.uniform(0.05, 0.45, size=10):
         eps = 1e-6
@@ -156,7 +160,7 @@ def test_reconstruction_error_second_order():
     errs = []
     for n in (10, 20, 40, 80):
         fwd = solve_forward(prob, pair, TimeGrid.uniform(1.0, n))
-        recon = build_cg(prob, pair, fwd, q=1)
+        recon = build_cg(pair, fwd)
         ts = np.linspace(0.0, 1.0, 257)
         vals = np.array([recon.evaluate(t)[0] for t in ts])
         errs.append(np.abs(vals - np.exp(-ts)).max())

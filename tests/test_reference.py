@@ -1,5 +1,7 @@
 """Tests for the reference QoI computation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -195,7 +197,7 @@ def test_numeric_reference_matches_an_rhs_oracle(kind):
 
 def test_step_cap_bounds_attempted_steps():
     # DOP853 makes 2 evaluations to start and 12 per attempted step; cap 3
-    # allows 4 attempts, 50 evaluations, instead of the whole solve
+    # allows 3 attempts, 38 evaluations, instead of the whole solve
     prob = mhd_alfven(h=0.05)
     calls = []
     pick, data = prob.boundary
@@ -208,7 +210,21 @@ def test_step_cap_bounds_attempted_steps():
     cfg = ReferenceConfig(mode="high-order-numeric", step_cap=3)
     with pytest.raises(ReferenceError, match="cap 3"):
         true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], cfg)
-    assert 0 < len(calls) <= 50
+    assert 0 < len(calls) <= 38
+
+
+def test_step_cap_equal_to_the_step_count_passes():
+    prob = split_scalar_linear(-0.4, -0.6, 1.0)
+    qoi = QoiSpec(kind="final-time", psi=np.array([1.0]))
+    sol = solve_ivp(ivp_rhs(prob), (0.0, GRID.t_end), prob.y0, method="DOP853",
+                    rtol=NUMERIC.rtol, atol=NUMERIC.atol)
+    steps = sol.t.size - 1  # 5 with scipy 1.17
+    assert steps >= 2
+    want = float(sol.y[0, -1])
+    cfg = ReferenceConfig(mode="high-order-numeric", step_cap=steps)
+    assert true_qoi(prob, GRID, qoi, cfg) == want
+    with pytest.raises(ReferenceError, match="cap"):
+        true_qoi(prob, GRID, qoi, replace(cfg, step_cap=steps - 1))
 
 
 def test_numeric_reference_of_a_forced_linear_problem_calls_no_forcing():

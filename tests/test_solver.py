@@ -15,6 +15,7 @@ from imexest.solver import (
     NewtonConfig,
     NewtonError,
     NonFiniteStateError,
+    SingularJacobianError,
     TimeGrid,
     solve_forward,
     step,
@@ -202,6 +203,15 @@ def test_overflow_is_reported_as_a_non_finite_state_without_a_warning():
     prob = split_scalar_linear(1e308, -0.6, 1.0)
     with pytest.raises(NonFiniteStateError, match="interval 0, stage 1"):
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 20))
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_newton_matrix_is_reported_without_a_warning():
+    # Mid(1,2,2) has b_ii = 1/2, so lam_g = 4 at k = 0.5 makes
+    # I - k b_ii J_g exactly zero
+    prob = split_scalar_linear(0.0, 4.0, 1.0)
+    with pytest.raises(SingularJacobianError, match="interval 0, stage 1"):
+        solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2))
 
 
 def test_non_finite_state_raises():
