@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .numerics import DEFAULT_INNER_RULE, LagrangeBasis, legendre_shifted
-from .problems import QoiSpec, SplitOdeProblem
+from .problems import QoiSpec, SplitOdeProblem, as_dense
 from .reconstruct import PiecewisePolynomial
 from .solver import TimeGrid
 
@@ -38,7 +38,8 @@ class AdjointSolveError(RuntimeError):
 
 @dataclass
 class LinearizedOperator:
-    """H(t) = jac_f(Y(t)) + jac_g(Y(t)) around the reconstruction Y."""
+    """H(t) = jac_f(Y(t)) + jac_g(Y(t)) around the reconstruction Y; with
+    both halves linear, the constant f_op + g_op, made dense once."""
 
     problem: SplitOdeProblem
     reconstruction: PiecewisePolynomial
@@ -46,8 +47,7 @@ class LinearizedOperator:
     def __post_init__(self):
         self._constant = None
         if self.problem.linear:
-            y = self.problem.y0
-            self._constant = self.problem.jac_f(y) + self.problem.jac_g(y)
+            self._constant = as_dense(self.problem.f_op + self.problem.g_op)
 
     @property
     def is_constant(self) -> bool:

@@ -257,6 +257,11 @@ class RunConfig:
             newton_in, _field_defaults(NewtonConfig), "config.newton"))
         reference = ReferenceConfig(**_resolve_section(
             reference_in, _field_defaults(ReferenceConfig), "config.reference"))
+        if reference.mode == "analytic" and ode.analytic is None \
+                and ode.pde_solution is None:
+            raise ValueError(
+                f"config.reference: mode 'analytic' needs an analytic or "
+                f"sampled exact solution; problem {pname!r} has neither")
         adjoint = _resolve_section(adjoint_in, _ADJOINT_DEFAULTS, "config.adjoint")
         if adjoint["refine"] < 1:
             raise ValueError("config.adjoint.refine must be >= 1")

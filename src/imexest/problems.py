@@ -3,9 +3,12 @@
 A problem carries the two right-hand-side halves (f integrated
 explicitly, g implicitly), their Jacobians with respect to the state,
 an optional time-dependent forcing holding e.g. Dirichlet boundary
-pickups, and optionally an exact solution.  The PDE benchmarks use
-method-of-lines finite differences on uniform grids, assembled as dense
-matrices (the largest system here is a few hundred unknowns).
+pickups, and optionally an exact solution.  A half that is linear in the
+state is given by its constant operator, from which its evaluation and
+Jacobian follow.  The PDE benchmarks use
+method-of-lines finite differences on uniform grids.  Each builder picks
+the operator form by structure: the two-field Alfven system is CSR, the
+small periodic stencils (at most a few dozen unknowns) stay dense.
 """
 
 from __future__ import annotations
@@ -16,9 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import expm
 
 Array = np.ndarray
+Operator = Array | sparse.csr_array
 ForcingFn = Callable[[float | Array], tuple[Array, Array]]
 
 QOI_KINDS = ("final-time", "time-integrated")
@@ -34,14 +39,18 @@ class SplitOdeProblem:
     f(y, t) = eval_f(y) + forcing(t)[0] and likewise for g.  eval_f,
     eval_g and forcing accept one state (m,) with one time, or a (P, m)
     stack of states with a (P,) vector of times, and return the same
-    shape.  jac_f/jac_g are state Jacobians at one state (the forcing
-    does not depend on the state).
+    shape.  jac_f/jac_g are state Jacobians at one state, as dense arrays
+    (the forcing does not depend on the state).
 
-    ``linear`` declares both halves linear in the state: eval_f(y) equals
-    jac_f(.) @ y for every state, with one constant jac_f, and likewise
-    for g; every state-independent term is carried by ``forcing``.  The
-    forward solver's LU cache, the adjoint's constant operator and the
-    reference's sparse operator jac_f + jac_g all rely on it.
+    ``f_op``/``g_op`` hold the constant (dim, dim) operator of a half that
+    is linear in the state, as a dense array or CSR, and are None for a
+    nonlinear half.  A half with an operator is given by it alone:
+    eval_f defaults to y -> f_op y and jac_f to f_op made dense, and every
+    state-independent term is carried by ``forcing``.  A half without one
+    needs eval and jac.  The adjoint's constant operator and the
+    reference's sparse operator are built from the operators.  ``linear``
+    (both halves carry an operator) switches on the forward LU cache and
+    the adjoint propagator.
 
     ``boundary`` = (pick, data) gives the summed forcing of a linear
     problem as a matrix times a data vector: force_f(t) + force_g(t)
@@ -52,15 +61,16 @@ class SplitOdeProblem:
 
     name: str
     dim: int
-    eval_f: Callable[[Array], Array]
-    eval_g: Callable[[Array], Array]
-    jac_f: Callable[[Array], Array]
-    jac_g: Callable[[Array], Array]
     y0: Array
+    f_op: Optional[Operator] = None
+    g_op: Optional[Operator] = None
+    eval_f: Optional[Callable[[Array], Array]] = None
+    eval_g: Optional[Callable[[Array], Array]] = None
+    jac_f: Optional[Callable[[Array], Array]] = None
+    jac_g: Optional[Callable[[Array], Array]] = None
     forcing: Optional[ForcingFn] = None
     analytic: Optional[Callable[[float], Array]] = None
     pde_solution: Optional[Callable[[float], Array]] = None
-    linear: bool = False
     boundary: Optional[tuple[Array, Callable[[float], Array]]] = None
     metadata: dict = field(default_factory=dict)
 
@@ -68,9 +78,24 @@ class SplitOdeProblem:
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.shape != (self.dim,):
             raise ValueError(f"y0 shape {self.y0.shape} does not match dim {self.dim}")
+        if self.f_op is not None:
+            self.eval_f = self.eval_f or _apply(self.f_op)
+            self.jac_f = self.jac_f or _dense_jacobian(self.f_op)
+        if self.g_op is not None:
+            self.eval_g = self.eval_g or _apply(self.g_op)
+            self.jac_g = self.jac_g or _dense_jacobian(self.g_op)
+        for half in ("f", "g"):
+            if getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
+                raise ValueError(f"the {half} half needs {half}_op, or eval_{half} "
+                                 f"and jac_{half}")
         if self.linear and self.forcing is not None and self.boundary is None:
             raise ValueError("a linear problem with a forcing needs boundary = "
                              "(pick, data), the summed forcing as pick @ data(t)")
+
+    @property
+    def linear(self) -> bool:
+        """Both halves are linear: each carries its constant operator."""
+        return self.f_op is not None and self.g_op is not None
 
     def halves(self, y: Array, t) -> tuple[Array, Array]:
         """(f(y, t), g(y, t)) with one forcing evaluation."""
@@ -104,7 +129,23 @@ class QoiSpec:
             raise ValueError("time-integrated qoi needs psi_tilde")
 
 
-def _apply(mat: Array) -> Callable[[Array], Array]:
+def as_dense(op: Operator) -> Array:
+    """An operator as a dense array (the array itself when it is dense)."""
+    return op.toarray() if sparse.issparse(op) else op
+
+
+def _dense_jacobian(op: Operator) -> Callable[[Array], Array]:
+    """The Jacobian of y -> op y at any state: op as a dense array."""
+    return lambda y: as_dense(op)
+
+
+def _operator(mat) -> Operator:
+    """A builder's matrix in the form it was handed: a sparse matrix as it
+    is, anything else as a dense float array."""
+    return mat if sparse.issparse(mat) else np.asarray(mat, dtype=float)
+
+
+def _apply(mat: Operator) -> Callable[[Array], Array]:
     """y -> mat y, for one vector (m,) or row by row on a (P, m) stack."""
     return lambda y: (mat @ y.T).T
 
@@ -113,17 +154,17 @@ def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,
                     pde_solution=None, metadata=None) -> SplitOdeProblem:
     """Linear split system y' = f_mat y + g_mat y, plus, with pickups =
     (pick_f, pick_g), the forcing pick_f @ b(t) and pick_g @ b(t) of the
-    boundary data b = boundary_data."""
+    boundary data b = boundary_data.  Each matrix is applied in the form
+    it is handed, dense or CSR."""
     y0 = np.asarray(y0, dtype=float)
-    f_mat = np.asarray(f_mat, dtype=float)
-    g_mat = np.asarray(g_mat, dtype=float)
-    for key, mat in (("f_mat", f_mat), ("g_mat", g_mat)):
-        if mat.shape != (y0.size, y0.size):
-            raise ValueError(f"{key} has shape {mat.shape}; y0 of length "
+    f_op, g_op = _operator(f_mat), _operator(g_mat)
+    for key, op in (("f_mat", f_op), ("g_mat", g_op)):
+        if op.shape != (y0.size, y0.size):
+            raise ValueError(f"{key} has shape {op.shape}; y0 of length "
                              f"{y0.size} needs ({y0.size}, {y0.size})")
-    forcing = boundary = None
+    forcing = boundary = analytic = None
     if pickups is not None:
-        pick_f, pick_g = pickups
+        pick_f, pick_g = map(_operator, pickups)
         apply_pick_f, apply_pick_g = _apply(pick_f), _apply(pick_g)
 
         def forcing(t) -> tuple[Array, Array]:
@@ -133,18 +174,21 @@ def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,
             return apply_pick_f(data), apply_pick_g(data)
 
         boundary = (pick_f + pick_g, boundary_data)
+    else:
+        full = as_dense(f_op) + as_dense(g_op)
+
+        def analytic(t: float) -> Array:
+            return expm(full * t) @ y0
+
     return SplitOdeProblem(
         name=name,
         dim=y0.size,
-        eval_f=_apply(f_mat),
-        eval_g=_apply(g_mat),
-        jac_f=lambda y: f_mat,
-        jac_g=lambda y: g_mat,
         y0=y0,
         forcing=forcing,
-        analytic=None if forcing is not None else (lambda t: expm((f_mat + g_mat) * t) @ y0),
+        analytic=analytic,
         pde_solution=pde_solution,
-        linear=True,
+        f_op=f_op,
+        g_op=g_op,
         boundary=boundary,
         metadata=metadata or {},
     )
@@ -165,7 +209,8 @@ def split_scalar_bernoulli(lam: float, mu: float, y0: float) -> SplitOdeProblem:
     Substituting w = 1/y turns the equation into w' = -lam*w - mu, so
     y(t) = 1 / ((1/y0 + mu/lam) exp(-lam t) - mu/lam).  Genuinely
     nonlinear, which avoids the accidental cancellations linear test
-    problems can show in convergence studies.
+    problems can show in convergence studies.  The implicit half is
+    linear, the dense g_op [[lam]].
     """
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
@@ -177,13 +222,11 @@ def split_scalar_bernoulli(lam: float, mu: float, y0: float) -> SplitOdeProblem:
     return SplitOdeProblem(
         name="scalar-bernoulli-split",
         dim=1,
-        eval_f=lambda y: mu * y * y,
-        eval_g=lambda y: lam * y,
-        jac_f=lambda y: np.array([[2.0 * mu * y[0]]]),
-        jac_g=lambda y: np.array([[lam]]),
         y0=np.array([y0]),
+        g_op=np.array([[lam]]),
+        eval_f=lambda y: mu * y * y,
+        jac_f=lambda y: np.array([[2.0 * mu * y[0]]]),
         analytic=analytic,
-        linear=False,
         metadata={"lam": lam, "mu": mu},
     )
 
@@ -255,7 +298,7 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     """udot + u u_x = gamma u_xx on [-1,1], periodic, u0 = sin(pi x).
 
     Advective-form nonlinearity u * (centered u_x), explicit; diffusion
-    implicit.
+    implicit, and linear: it is the dense g_op.
     """
     domain = (-1.0, 1.0)
     x = _grid_points(*domain, h)
@@ -273,12 +316,10 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     return SplitOdeProblem(
         name="burgers",
         dim=m,
-        eval_f=eval_f,
-        eval_g=_apply(diff),
-        jac_f=jac_f,
-        jac_g=lambda u: diff,
         y0=np.sin(np.pi * x),
-        linear=False,
+        g_op=diff,
+        eval_f=eval_f,
+        jac_f=jac_f,
         metadata={"benchmark": "burgers", "gamma": gamma, "h": h, "m": m,
                   "domain": list(domain)},
     )
@@ -379,7 +420,8 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
     magnetic diffusion implicit.  v_mode picks the momentum-equation
     split: "v-split" takes the Lorentz term explicit and viscosity
     implicit; "v-implicit" integrates the whole momentum right-hand side
-    implicitly (f_v = 0).
+    implicitly (f_v = 0).  The operators and pickups are CSR: each row
+    couples at most six of the state's unknowns.
     """
     p = mhd_params(v_mode, **params)
     B0, rho, mu, eta, mu0, U, L = (p[k] for k in ("B0", "rho", "mu", "eta", "mu0", "U", "L"))
@@ -418,6 +460,8 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
         v, b = alfven_analytic(zeta, t, B0=B0, rho=rho, mu=mu, eta=eta, mu0=mu0, U=U)
         return np.concatenate([v, b], axis=-1)
 
+    f_mat, g_mat, pick_f, pick_g = map(sparse.csr_array,
+                                       (f_mat, g_mat, pick_f, pick_g))
     return _matrix_problem(
         f"mhd-alfven-{v_mode}", f_mat, g_mat, np.zeros(m),
         pickups=(pick_f, pick_g), boundary_data=boundary_data,

@@ -2,9 +2,12 @@
 
 Two routes: the problem's exact solution when one is attached, or a
 high-order adaptive integration of the same ODE system at tolerances far
-below the IMEX error being measured.  The reference always targets the
-ODE system itself, so effectivities are not polluted by spatial
-discretization error.
+below the IMEX error being measured.  Mode "auto" targets the ODE system
+itself, so its effectivities are not polluted by spatial discretization
+error.  Mode "analytic" samples ``problem.analytic`` or, failing that,
+``problem.pde_solution``: on a method-of-lines problem such as the
+Alfven wave that is the PDE's solution, and the true error it gives
+includes the spatial error, which the estimate does not see.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.integrate import DOP853, solve_ivp
-from scipy.sparse import csr_matrix
 
 from .numerics import DEFAULT_INNER_RULE
 from .problems import QoiSpec, SplitOdeProblem
@@ -85,22 +88,30 @@ def _analytic_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec) -> flo
     return qoi_from_states(states_at, grid, qoi)
 
 
+def reference_operator(problem: SplitOdeProblem) -> sparse.csr_array:
+    """A linear problem's full right-hand side as one CSR operator:
+    f_op + g_op, with the summed boundary pickups of a forced problem
+    appended as columns that act on the boundary data."""
+    op = sparse.csr_array(problem.f_op) + sparse.csr_array(problem.g_op)
+    if problem.boundary is not None:
+        op = sparse.hstack((op, sparse.csr_array(problem.boundary[0])),
+                           format="csr")
+    return op
+
+
 def ivp_rhs(problem: SplitOdeProblem):
     """The full right-hand side (t, y) -> f(y, t) + g(y, t) for an ODE solver.
 
-    A linear problem is applied as one sparse operator built once here:
-    jac_f + jac_g, augmented by the boundary pickups of a forced problem
-    and applied to the state stacked with the boundary data.  Any other
-    problem evaluates problem.rhs.
+    A linear problem applies its reference_operator, built once here, to
+    the state stacked with the boundary data of a forced problem.  Any
+    other problem evaluates problem.rhs.
     """
     if not problem.linear:
         return lambda t, y: problem.rhs(y, t)
-    jac = problem.jac_f(problem.y0) + problem.jac_g(problem.y0)
+    op = reference_operator(problem)
     if problem.boundary is None:
-        op = csr_matrix(jac)
         return lambda t, y: op @ y
-    pick, data = problem.boundary
-    op = csr_matrix(np.hstack((jac, pick)))
+    data = problem.boundary[1]
     return lambda t, y: op @ np.concatenate((y, data(t)))
 
 

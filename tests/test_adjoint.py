@@ -197,7 +197,6 @@ def test_adjoint_failure_reports_interval():
         jac_f=lambda y: nan_mat,
         jac_g=lambda y: np.array([[-1.0]]),
         y0=np.array([1.0]),
-        linear=False,
     )
     pair = builtin("mid122")
     fwd = solve_forward(
@@ -215,12 +214,9 @@ def test_adjoint_failure_on_a_constant_nan_operator():
     prob = SplitOdeProblem(
         name="nan-operator",
         dim=1,
-        eval_f=lambda y: nan_mat @ y,
-        eval_g=lambda y: -y,
-        jac_f=lambda y: nan_mat,
-        jac_g=lambda y: np.array([[-1.0]]),
         y0=np.array([1.0]),
-        linear=True,
+        f_op=nan_mat,
+        g_op=np.array([[-1.0]]),
     )
     pair = builtin("mid122")
     fwd = solve_forward(
@@ -258,11 +254,11 @@ def oracle_qois(prob):
 @pytest.mark.parametrize("build", [lambda: mhd_alfven(h=0.05), random_linear_system],
                          ids=["mhd", "random-linear"])
 def test_propagator_matches_the_per_interval_sweep(build, scheme, monkeypatch):
-    # declared nonlinear, the same constant operator is factored and
+    # without its operators, the same constant Jacobian is factored and
     # solved interval by interval
     prob = build()
     recon = reconstruct_case(prob, scheme, t_end=0.1, n=8)
-    per_interval = dataclasses.replace(prob, linear=False)
+    per_interval = dataclasses.replace(prob, f_op=None, g_op=None)
     factors = []
     lu_factor = adjoint.lu_factor
     monkeypatch.setattr(adjoint, "lu_factor",

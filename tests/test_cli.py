@@ -470,6 +470,21 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
     assert "does not divide" in err
 
 
+def test_analytic_reference_without_an_exact_solution_fails_at_config(
+        tmp_path, capsys, monkeypatch):
+    # rejected before the forward solve, not after the estimate
+    monkeypatch.setattr(cli, "solve_forward", None)
+    path = tmp_path / "burgers.json"
+    path.write_text(json.dumps(base_config(
+        problem={"name": "burgers", "gamma": 0.05, "h": 0.05},
+        qoi={"kind": "mean-left-half"}, reference={"mode": "analytic"})))
+    assert main(["run", "--config", str(path)]) == 1
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("error: [config]")
+    assert "mode 'analytic' needs an analytic or sampled exact solution; " \
+        "problem 'burgers' has neither" in first
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_pipeline_errors_echo_resolved_config(tmp_path, capsys):
     # once the config has resolved, failures carry it for reproduction

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.special import erf, erfc
 
 from imexest import problems
+from imexest.adjoint import LinearizedOperator
 from imexest.problems import (
     MHD_DEFAULTS,
     MHD_V_MODES,
@@ -20,6 +22,7 @@ from imexest.problems import (
     split_scalar_bernoulli,
     split_scalar_linear,
 )
+from imexest.reference import reference_operator
 from oracles import check_jacobians, fd_jacobian
 
 
@@ -632,6 +635,7 @@ def test_stacked_forcing_equals_the_per_time_calls(v_mode):
 def test_mhd_boundary_is_the_summed_forcing(v_mode):
     prob = mhd_alfven(h=0.05, v_mode=v_mode)
     pick, data = prob.boundary
+    pick = pick.toarray()  # the pickups are CSR, like the operators
     pick_f, pick_g = pickups(prob.metadata)
     np.testing.assert_array_equal(pick, pick_f + pick_g)
     for t in alfven_times(np.random.default_rng(11)):
@@ -649,8 +653,90 @@ def test_linear_problem_with_a_forcing_needs_its_boundary():
     fields = dict(name="forced", dim=1, eval_f=lambda y: 0.0 * y,
                   eval_g=lambda y: -y, jac_f=lambda y: np.zeros((1, 1)),
                   jac_g=lambda y: -np.eye(1), y0=np.ones(1), forcing=forcing)
+    ops = dict(f_op=np.zeros((1, 1)), g_op=-np.eye(1))
     with pytest.raises(ValueError, match="needs boundary"):
-        problems.SplitOdeProblem(linear=True, **fields)
-    # the same system declared nonlinear, or with its boundary, is accepted
-    problems.SplitOdeProblem(linear=False, **fields)
-    problems.SplitOdeProblem(linear=True, boundary=(np.ones((1, 1)), np.ones), **fields)
+        problems.SplitOdeProblem(**ops, **fields)
+    # the same system without its operators, or with its boundary, is accepted
+    assert not problems.SplitOdeProblem(**fields).linear
+    assert problems.SplitOdeProblem(boundary=(np.ones((1, 1)), np.ones),
+                                    **ops, **fields).linear
+
+
+# -- the operator forms --------------------------------------------------------
+
+def test_a_half_is_given_by_its_operator_or_by_eval_and_jac():
+    g_op = sparse.csr_array(np.array([[-2.0, 1.0], [0.0, -3.0]]))
+    prob = problems.SplitOdeProblem(name="derived", dim=2, y0=np.ones(2),
+                                    g_op=g_op, eval_f=lambda y: y * y,
+                                    jac_f=lambda y: np.diag(2.0 * y))
+    y = np.array([0.5, -1.5])
+    jac = prob.jac_g(y)
+    assert type(jac) is np.ndarray and np.array_equal(jac, g_op.toarray())
+    for state in (y, np.stack([y, 2.0 * y])):
+        got = prob.eval_g(state)
+        assert type(got) is np.ndarray
+        assert np.array_equal(got, state @ g_op.toarray().T)
+    with pytest.raises(ValueError, match="f half needs f_op, or eval_f and jac_f"):
+        problems.SplitOdeProblem(name="no-f", dim=2, y0=np.ones(2), g_op=g_op,
+                                 eval_f=lambda y: y * y)
+
+
+@pytest.mark.parametrize("case", range(8), ids=[
+    "advdiff", "advdiff-swapped", "burgers", "mhd-v-split", "mhd-v-implicit",
+    "bernoulli", "scalar-linear", "linear-split"])
+def test_builders_hand_over_the_operator_form_of_their_structure(case):
+    prob, _ = contract_problems()[case]
+    forms = {"f_op": type(prob.f_op), "g_op": type(prob.g_op)}
+    if prob.metadata.get("benchmark") == "mhd-alfven":
+        want = {"f_op": sparse.csr_array, "g_op": sparse.csr_array}
+        # the pickups are CSR too, and so is their sum
+        assert isinstance(prob.boundary[0], sparse.csr_array)
+    elif prob.name in ("burgers", "scalar-bernoulli-split"):
+        want = {"f_op": type(None), "g_op": np.ndarray}
+    else:
+        want = {"f_op": np.ndarray, "g_op": np.ndarray}
+    assert forms == want
+    assert prob.linear == (prob.f_op is not None)
+    with pytest.raises(AttributeError):
+        prob.linear = True
+
+
+@pytest.mark.parametrize("v_mode", MHD_V_MODES)
+def test_csr_halves_and_forcing_match_the_dense_product(v_mode):
+    prob = mhd_alfven(h=0.05, v_mode=v_mode)
+    f_mat, g_mat = prob.jac_f(prob.y0), prob.jac_g(prob.y0)
+    pick_f, pick_g = pickups(prob.metadata)
+    rng = np.random.default_rng(12)
+    ys = rng.standard_normal((6, prob.dim))
+    ts = np.linspace(0.01, 0.1, 6)
+    data = np.array([prob.boundary[1](t) for t in ts])
+
+    def close(got, want):
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    for y, t, b in ((ys[0], ts[0], data[0]), (ys, ts, data)):
+        close(prob.eval_f(y), y @ f_mat.T)
+        close(prob.eval_g(y), y @ g_mat.T)
+        force_f, force_g = prob.forcing(t)
+        close(force_f, b @ pick_f.T)
+        close(force_g, b @ pick_g.T)
+
+
+@pytest.mark.parametrize("case", range(6), ids=[
+    "advdiff", "advdiff-swapped", "mhd-v-split", "mhd-v-implicit",
+    "scalar-linear", "linear-split"])
+def test_constant_operators_equal_the_summed_jacobians(case):
+    prob = [prob for prob, _ in contract_problems() if prob.linear][case]
+    jac = prob.jac_f(prob.y0) + prob.jac_g(prob.y0)
+    # the constant operator never evaluates the reconstruction
+    op = LinearizedOperator(prob, reconstruction=None)
+    assert op.is_constant and np.array_equal(op.eval(0.3), jac)
+    ref = reference_operator(prob)
+    assert isinstance(ref, sparse.csr_array)
+    assert np.array_equal(ref[:, :prob.dim].toarray(), jac)
+    if prob.boundary is None:
+        assert ref.shape == (prob.dim, prob.dim)
+    else:
+        assert np.array_equal(ref[:, prob.dim:].toarray(),
+                              problems.as_dense(prob.boundary[0]))

@@ -1,6 +1,7 @@
 """Property tests of the estimate on random small linear split systems over
 random non-uniform grids, for every built-in scheme: inputs the shipped
-benchmarks never use."""
+benchmarks never use.  Also the estimate's sharpening as the adjoint grid
+is refined on one linear system."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from imexest.adjoint import solve_adjoint  # noqa: E402
+from imexest.cli import SCHEME_ORDER, run  # noqa: E402
 from imexest.estimate import (  # noqa: E402
     component_split, error_breakdown, residual_weighted_estimate)
 from imexest.problems import QoiSpec, split_linear_system  # noqa: E402
@@ -70,3 +72,21 @@ def test_component_blocks_sum_to_the_three_terms(case, data):
     sums = np.sum([split[name] for name in split], axis=0)
     scale = np.abs(bd.term_density).sum(axis=(0, 2))
     assert np.all(np.abs(sums - [bd.e1, bd.e2, bd.e3]) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("scheme", SCHEME_ORDER)
+@pytest.mark.parametrize("qoi", [
+    {"kind": "final-time", "psi": [1.0, 0.5]},
+    {"kind": "time-integrated", "psi_tilde_const": [1.0, 0.5]},
+], ids=["final-time", "time-integrated"])
+def test_effectivity_converges_under_adjoint_refinement(qoi, scheme):
+    # the error representation is exact for the exact adjoint, so on a linear
+    # problem |effectivity - 1| follows the adjoint error: it falls 16x per
+    # doubling for the degree-2 adjoint of mid122 and ssp332, 64x for ssp343
+    doc = {"scheme": scheme, "qoi": qoi, "grid": {"t_end": 1.0, "k": 0.1},
+           "problem": {"name": "linear-split", "f_mat": [[0.0, 2.0], [-2.0, 0.0]],
+                       "g_mat": [[-1.0, 0.0], [0.0, -3.0]], "y0": [1.0, 0.5]}}
+    devs = [abs(run({**doc, "adjoint": {"refine": refine}}).effectivity - 1.0)
+            for refine in (1, 2, 4, 8)]
+    for coarse, fine in zip(devs, devs[1:]):
+        assert fine * 8.0 <= coarse, devs

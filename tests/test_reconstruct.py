@@ -116,7 +116,6 @@ def test_quadrature_constant_integrand():
         jac_f=lambda y: np.zeros((1, 1)),
         jac_g=lambda y: np.zeros((1, 1)),
         y0=np.array([0.0]),
-        linear=False,
     )
     pair, fwd = forward_case("ssp332", prob, t_end=0.4, n=4)
     k = fwd.grid.steps[0]

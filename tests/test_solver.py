@@ -133,7 +133,6 @@ def test_newton_handles_nonlinear_g():
         jac_f=lambda y: np.zeros((1, 1)),
         jac_g=lambda y: np.array([[-3.0 * y[0] ** 2]]),
         y0=np.array([1.0]),
-        linear=False,
     )
     y1, rec = step(prob, builtin("mid122"), 0.0, 0.2, prob.y0)
     # stage solves x = y0 - k/2 x^3; check the residual directly
@@ -151,7 +150,6 @@ def test_newton_failure_reports_interval_and_stage():
         jac_f=lambda y: np.zeros((1, 1)),
         jac_g=lambda y: np.array([[-3.0 * y[0] ** 2]]),
         y0=np.array([1.0]),
-        linear=False,
     )
     tight = NewtonConfig(abs_tol=1e-16, rel_tol=0.0, max_iters=1)
     with pytest.raises(NewtonError) as err:
@@ -223,7 +221,6 @@ def test_non_finite_state_raises():
         jac_f=lambda y: np.array([[2e150 * y[0]]]),
         jac_g=lambda y: np.zeros((1, 1)),
         y0=np.array([1e200]),
-        linear=False,
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteStateError, match="non-finite"):
