@@ -7,7 +7,7 @@ directly.
 """
 
 from .tableaus import ButcherTableau, ImexPair, builtin, validate
-from .numerics import GaussRule, LagrangeBasis, gauss_rule
+from .numerics import LagrangeBasis
 from .problems import (
     SplitOdeProblem, QoiSpec, linear_advection_diffusion, burgers,
     mhd_alfven, alfven_analytic, qoi_mean_left_half, qoi_integral_v,
@@ -16,7 +16,7 @@ from .problems import (
 )
 from .solver import TimeGrid, NewtonConfig, ForwardSolution, solve_forward, step
 from .reconstruct import PiecewisePolynomial, build_cg
-from .adjoint import AdjointSolution, LinearizedOperator, solve_adjoint
+from .adjoint import AdjointSolution, solve_adjoint
 from .estimate import (
     ErrorBreakdown, error_breakdown, error_breakdown_timedep,
     effectivity, component_split, residual_weighted_estimate,
@@ -37,14 +37,14 @@ def __getattr__(name):
 
 __all__ = [
     "ButcherTableau", "ImexPair", "builtin", "validate",
-    "GaussRule", "LagrangeBasis", "gauss_rule",
+    "LagrangeBasis",
     "SplitOdeProblem", "QoiSpec", "linear_advection_diffusion", "burgers",
     "mhd_alfven", "alfven_analytic", "qoi_mean_left_half",
     "qoi_integral_v", "split_linear_system", "split_scalar_linear",
     "split_scalar_bernoulli", "component_masks",
     "TimeGrid", "NewtonConfig", "ForwardSolution", "solve_forward", "step",
     "PiecewisePolynomial", "build_cg",
-    "AdjointSolution", "LinearizedOperator", "solve_adjoint",
+    "AdjointSolution", "solve_adjoint",
     "ErrorBreakdown", "error_breakdown",
     "error_breakdown_timedep", "effectivity", "component_split",
     "residual_weighted_estimate",

@@ -5,7 +5,10 @@ solution: H(t) = jac_f(Y(t)) + jac_g(Y(t)).  It is solved with a
 continuous Galerkin method one degree higher than the forward
 reconstruction (trial degree q+1, test space P^q), marching backward
 interval by interval from phi(T) = psi (final-time QoI) or phi(T) = 0
-with the QoI density as a source (time-integrated QoI).
+with the QoI density as a source (time-integrated QoI).  Every interval
+integral uses the one Gauss rule of ``numerics``.  H is needed only at
+its points, where the reconstruction's Gauss table supplies Y; with both
+halves linear H is the constant f_op + g_op.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -21,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .numerics import DEFAULT_INNER_RULE, LagrangeBasis, legendre_shifted
+from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
+                       galerkin_deriv_matrix, legendre_shifted)
 from .problems import QoiSpec, SplitOdeProblem, as_dense
 from .reconstruct import PiecewisePolynomial
 from .solver import TimeGrid
@@ -34,30 +38,6 @@ class AdjointSolveError(RuntimeError):
     def __init__(self, interval: int, detail: str):
         self.interval = interval
         super().__init__(f"adjoint solve failed on interval {interval}: {detail}")
-
-
-@dataclass
-class LinearizedOperator:
-    """H(t) = jac_f(Y(t)) + jac_g(Y(t)) around the reconstruction Y; with
-    both halves linear, the constant f_op + g_op, made dense once."""
-
-    problem: SplitOdeProblem
-    reconstruction: PiecewisePolynomial
-
-    def __post_init__(self):
-        self._constant = None
-        if self.problem.linear:
-            self._constant = as_dense(self.problem.f_op + self.problem.g_op)
-
-    @property
-    def is_constant(self) -> bool:
-        return self._constant is not None
-
-    def eval(self, t: float) -> np.ndarray:
-        if self._constant is not None:
-            return self._constant
-        y = self.reconstruction.evaluate(t)
-        return self.problem.jac_f(y) + self.problem.jac_g(y)
 
 
 def refine_grid(grid: TimeGrid, factor: int) -> TimeGrid:
@@ -108,24 +88,36 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     n_int = grid.n_intervals
     steps = grid.steps
 
-    op = LinearizedOperator(problem, reconstruction)
+    gp, gw = GAUSS_NODES, GAUSS_WEIGHTS
+    n_gauss = gp.size
+    constant = as_dense(problem.f_op + problem.g_op) if problem.linear else None
+    if constant is None:
+        # the reconstruction at the Gauss points of every refined interval
+        y_gauss = reconstruction.gauss_table(refine)[2]
     basis = LagrangeBasis(np.linspace(0.0, 1.0, r + 1))
-    gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
     tests = legendre_shifted(q, gp)                 # (r, 5)
-    dmat = tests @ (gw[:, None] * basis.deriv_matrix(gp))  # (r, r+1), exact
+    dmat = galerkin_deriv_matrix(r)                 # (r, r+1)
     lvals = basis.eval_matrix(gp)                   # (5, r+1)
+
+    def operators(n):
+        """H at the Gauss points of interval n: the constant, or jac_f + jac_g
+        at the reconstruction."""
+        if constant is not None:
+            return [constant] * n_gauss
+        rows = (n % refine) * n_gauss
+        return [problem.jac_f(y) + problem.jac_g(y)
+                for y in y_gauss[n // refine, rows:rows + n_gauss]]
 
     def local_system(n):
         """LU of interval n's system in its r unknown nodes, and the (r, m, m)
         blocks acting on its known right end value."""
         k_n = steps[n]
-        t_gauss = grid.nodes[n] + k_n * gp
         # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k)
         wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
         # blocks[a, j] = -dmat[a, j] I - sum_k W[a, j, k] H(t_k)^T, built in
         # place: at m = 398 each (r, r + 1, m, m) temporary is 15 MB
         blocks = np.einsum("ajk,kxy->ajxy", -wgt,
-                           np.stack([op.eval(t).T for t in t_gauss]))
+                           np.stack([h.T for h in operators(n)]))
         diag = np.arange(m)
         blocks[:, :, diag, diag] -= dmat[:, :, None]
         # Fortran order, so LAPACK factors it in place instead of a copy
@@ -152,7 +144,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
 
     coeffs = np.empty((n_int, r + 1, m))
     uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
-    if op.is_constant and uniform:
+    if constant is not None and uniform:
         fac, known = local_system(n_int - 1)
         # node values of an interval: prop[j] @ (its right end value) + loads[n, j]
         prop = lu_solve(fac, -known.reshape(r * m, m),

@@ -32,8 +32,7 @@ from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
                        qoi_integral_v, qoi_mean_left_half, split_linear_system,
                        split_scalar_bernoulli, split_scalar_linear)
 from .reconstruct import build_cg
-from .reference import (ReferenceConfig, ivp_rhs, qoi_from_states, resolve_mode,
-                        true_qoi)
+from .reference import ReferenceConfig, ivp_rhs, qoi_from_states, true_qoi
 from .solver import NewtonConfig, TimeGrid, solve_forward
 from .tableaus import ImexPair, builtin, pair_to_dict
 
@@ -161,7 +160,6 @@ class RunConfig:
     adjoint: dict
     output: dict
     components: bool
-    defaults_used: list
     pair: ImexPair
     ode: SplitOdeProblem
     time_grid: TimeGrid
@@ -272,15 +270,11 @@ class RunConfig:
                 _is_integer(i) and 0 <= i < ode.dim for i in indices)):
             raise ValueError("config.output series_indices must be a list of "
                              f"integers in [0, {ode.dim}), got {indices!r}")
-        defaults_used = [f"{name}.{k}" for name, given, keys in (
-            ("newton", newton_in, asdict(newton)),
-            ("reference", reference_in, asdict(reference)),
-            ("adjoint", adjoint_in, adjoint)) for k in keys if k not in given]
         return cls(scheme=str(doc["scheme"]), problem=prob, grid=grid,
                    qoi=qoi, newton=newton, reference=reference,
                    adjoint=adjoint, output=output, components=components,
-                   defaults_used=defaults_used, pair=pair, ode=ode,
-                   time_grid=time_grid, qoi_spec=qoi_spec, masks=masks)
+                   pair=pair, ode=ode, time_grid=time_grid, qoi_spec=qoi_spec,
+                   masks=masks)
 
     def resolved(self) -> dict:
         """Full config with every default filled in, for echoing."""
@@ -357,8 +351,9 @@ class RunArtifacts:
 
 # reference key -> (reference QoI, |reference - IMEX QoI| of the row it
 # was solved for, which is the error a verified reference was checked at).
-# Entries are read and written whole, so concurrent callers of run get
-# correct values and at worst solve one reference twice.
+# The key covers the problem, grid, QoI and reference settings, and a
+# verified entry is reused only for an error at least as large as the one
+# it was verified against.
 _REFERENCE_CACHE: dict = {}
 
 
@@ -435,13 +430,9 @@ def run(config: dict, return_artifacts: bool = False):
             scheme=pair.name, computed_error=bd.estimate_total,
             effectivity=eff, e1=bd.e1, e2=bd.e2, e3=bd.e3, components=comps,
             metadata={
-                "linearization": ("exact-linear" if problem.linear
-                                  else "jacobian-along-reconstruction"),
-                "reference_mode": resolve_mode(cfg.reference.mode, problem),
                 "reference_qoi": ref_q,
                 "imex_qoi": imex_q,
                 "true_error": true_err,
-                "defaults_used": list(cfg.defaults_used),
                 "config": resolved,
             })
         if cfg.output["row_csv"]:

@@ -7,11 +7,13 @@
       minus the explicit-weight stage quadrature),
   e3: the same for the implicit half.
 
-All continuous inner products use the shared fixed Gauss rule applied
-on every adjoint subinterval, so they stay exact when the adjoint grid
-is a refinement of the forward grid; the quadrature sums reuse the
-recorded stage values, so e2/e3 vanish to roundoff exactly when the
-stage quadrature integrates the weighted term exactly.
+All continuous inner products use the one Gauss rule of ``numerics`` on
+every adjoint subinterval, so they stay exact when the adjoint grid is a
+refinement of the forward grid: the reconstruction and its derivative
+come from its Gauss table, phi from its coefficients at the same points.
+The quadrature sums reuse the recorded stage values, so e2/e3 vanish to
+roundoff exactly when the stage quadrature integrates the weighted term
+exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import AdjointSolution
-from .numerics import DEFAULT_INNER_RULE, legendre_shifted
+from .numerics import GAUSS_NODES, legendre_shifted
 from .problems import SplitOdeProblem
 from .reconstruct import PiecewisePolynomial
 from .solver import ForwardSolution
@@ -69,59 +71,39 @@ def _stage_eval_data(d: np.ndarray, basis, factor: int):
     return sub, rows
 
 
-class _IntervalQuadrature:
-    """The shared Gauss rule on every adjoint subinterval of each forward
-    interval, with the reconstruction and the adjoint evaluated there."""
-
-    def __init__(self, recon: PiecewisePolynomial, adjoint: AdjointSolution):
-        self.recon = recon
-        self.adjoint = adjoint
-        self.factor = _subinterval_factor(recon.grid.n_intervals, adjoint)
-        gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
-        # Gauss points of every subinterval, in forward-interval coordinates
-        self.taus = ((np.arange(self.factor)[:, None] + gp[None, :])
-                     / self.factor).reshape(-1)
-        self.wts = np.tile(gw, self.factor) / self.factor
-        self._r_eval = recon.basis.eval_matrix(self.taus)    # (5*factor, q+1)
-        self._r_deriv = recon.basis.deriv_matrix(self.taus)
-        self._a_eval = adjoint.poly.basis.eval_matrix(gp)    # (5, r+1) per subinterval
-
-    def __iter__(self):
-        """Per forward interval n: (n, k_n, t_all, y_all, ydot_all, c_adj,
-        phi_all), with c_adj the adjoint coefficients of its subintervals."""
-        grid = self.recon.grid
-        steps = grid.steps
-        for n in range(grid.n_intervals):
-            k_n = steps[n]
-            c_rec = self.recon.coeffs[n]
-            c_adj = self.adjoint.poly.coeffs[n * self.factor:(n + 1) * self.factor]
-            t_all = grid.nodes[n] + k_n * self.taus
-            y_all = self._r_eval @ c_rec
-            ydot_all = (self._r_deriv @ c_rec) / k_n
-            phi_all = np.einsum("kj,sjm->skm", self._a_eval, c_adj).reshape(
-                -1, self.recon.dim)
-            yield n, k_n, t_all, y_all, ydot_all, c_adj, phi_all
+def _adjoint_at_gauss(adjoint: AdjointSolution, factor: int):
+    """Per forward interval: the adjoint coefficients of its ``factor``
+    subintervals and phi at their Gauss points, (5*factor, m)."""
+    a_eval = adjoint.poly.basis.eval_matrix(GAUSS_NODES)   # (5, r+1)
+    coeffs = adjoint.poly.coeffs
+    for lo in range(0, coeffs.shape[0], factor):
+        c_adj = coeffs[lo:lo + factor]
+        yield c_adj, np.einsum("kj,sjm->skm", a_eval, c_adj).reshape(
+            -1, coeffs.shape[2])
 
 
 def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution,
               recon: PiecewisePolynomial, adjoint: AdjointSolution) -> ErrorBreakdown:
-    quad = _IntervalQuadrature(recon, adjoint)
-    taus, wts = quad.taus, quad.wts
+    grid = recon.grid
+    factor = _subinterval_factor(grid.n_intervals, adjoint)
+    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
     d = pair.implicit.abscissae
     w_ex = pair.explicit.weights
     w_im = pair.implicit.weights
-    n_int = forward.grid.n_intervals
+    n_int = grid.n_intervals
     m = recon.dim
 
     leg_t = legendre_shifted(recon.degree - 1, taus)     # (q, 5*factor)
     leg_d = legendre_shifted(recon.degree - 1, d)        # (q, nu)
-    d_sub, d_rows = _stage_eval_data(d, adjoint.poly.basis, quad.factor)
+    d_sub, d_rows = _stage_eval_data(d, adjoint.poly.basis, factor)
 
     density = np.empty((n_int, 3, m))
     galerkin = np.empty(n_int)
     galerkin_abs = np.empty(n_int)
 
-    for n, k_n, t_all, y_all, ydot_all, c_adj, phi_all in quad:
+    for n, (c_adj, phi_all) in enumerate(_adjoint_at_gauss(adjoint, factor)):
+        k_n = grid.steps[n]
+        y_all, ydot_all = y_tab[n], ydot_tab[n]
         stage = forward.stages[n]
         phi_d = np.einsum("ij,ijm->im", d_rows, c_adj[d_sub])
         # L2 projection of phi onto P^{q-1} via orthonormal Legendre modes
@@ -129,7 +111,7 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
         pphi_all = leg_t.T @ modes
         pphi_d = leg_d.T @ modes
 
-        f_all, g_all = problem.halves(y_all, t_all)
+        f_all, g_all = problem.halves(y_all, grid.nodes[n] + k_n * taus)
 
         delta_t = phi_all - pphi_all
         delta_d = phi_d - pphi_d
@@ -204,9 +186,12 @@ def residual_weighted_estimate(problem: SplitOdeProblem,
                                adjoint: AdjointSolution) -> float:
     """Direct evaluation of sum_n <f(Y) + g(Y) - Ydot, phi>: equals
     e1 + e2 + e3 up to the (roundoff-size) orthogonality residual."""
-    quad = _IntervalQuadrature(recon, adjoint)
+    grid = recon.grid
+    factor = _subinterval_factor(grid.n_intervals, adjoint)
+    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
     total = 0.0
-    for _n, k_n, t_all, y_all, ydot_all, _c_adj, phi_all in quad:
-        resid = problem.rhs(y_all, t_all) - ydot_all
-        total += k_n * float(np.sum((quad.wts[:, None] * resid) * phi_all))
+    for n, (_c_adj, phi_all) in enumerate(_adjoint_at_gauss(adjoint, factor)):
+        k_n = grid.steps[n]
+        resid = problem.rhs(y_tab[n], grid.nodes[n] + k_n * taus) - ydot_tab[n]
+        total += k_n * float(np.sum((wts[:, None] * resid) * phi_all))
     return total

@@ -1,52 +1,21 @@
 """Small numerical kernels shared by the solver and the estimator:
-Lagrange bases on arbitrary distinct nodes, Gauss-Legendre rules, and
-shifted Legendre modes for L2 projection onto low-degree polynomials.
+Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
+on [0, 1], and shifted Legendre modes for L2 projection onto low-degree
+polynomials.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-MAX_GAUSS_POINTS = 10
-
-
-@dataclass(frozen=True)
-class GaussRule:
-    """Gauss-Legendre rule on the reference interval [-1, 1].
-
-    Attributes
-    ----------
-    points : ndarray
-        Quadrature nodes, strictly increasing, inside (-1, 1).
-    weights : ndarray
-        Positive weights summing to 2.
-    """
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def mapped(self, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights transplanted to [a, b]."""
-        half = 0.5 * (b - a)
-        return a + half * (self.points + 1.0), half * self.weights
-
-
-def gauss_rule(n_points: int) -> GaussRule:
-    """Gauss-Legendre rule with 1..10 points (exact through degree 2n-1)."""
-    if not 1 <= n_points <= MAX_GAUSS_POINTS:
-        raise ValueError(
-            f"gauss_rule supports 1..{MAX_GAUSS_POINTS} points, got {n_points}"
-        )
-    pts, wts = np.polynomial.legendre.leggauss(n_points)
-    return GaussRule(points=pts, weights=wts)
-
-
-# Rule used for every "continuous" inner product in the estimator; exact
-# through polynomial degree 9, well past any product of the degree <= 3
-# pieces that show up there.
-DEFAULT_INNER_RULE = gauss_rule(5)
+# The 5-point Gauss-Legendre rule on [0, 1]: the one interval rule of the
+# reconstruction, the adjoint, the estimate and the reference QoI.  It is
+# exact through polynomial degree 9, well past any product of the
+# degree <= 3 pieces that show up there.
+_POINTS, _WEIGHTS = np.polynomial.legendre.leggauss(5)
+GAUSS_NODES = 0.5 * (_POINTS + 1.0)
+GAUSS_WEIGHTS = 0.5 * _WEIGHTS
+GAUSS_NODES.flags.writeable = GAUSS_WEIGHTS.flags.writeable = False
 
 
 class LagrangeBasis:
@@ -105,3 +74,12 @@ def legendre_shifted(degree: int, taus) -> np.ndarray:
         cj[j] = 1.0
         out[j] = np.sqrt(2 * j + 1) * np.polynomial.legendre.legval(x, cj)
     return out
+
+
+def galerkin_deriv_matrix(degree: int) -> np.ndarray:
+    """E[a, j] = integral over [0, 1] of l_j' v_a, exact: l_j the Lagrange
+    basis on degree+1 equispaced nodes, v_a the orthonormal shifted
+    Legendre modes below that degree; shape (degree, degree+1)."""
+    basis = LagrangeBasis(np.linspace(0.0, 1.0, degree + 1))
+    return legendre_shifted(degree - 1, GAUSS_NODES) @ (
+        GAUSS_WEIGHTS[:, None] * basis.deriv_matrix(GAUSS_NODES))

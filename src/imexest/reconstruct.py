@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_INNER_RULE, LagrangeBasis, legendre_shifted
+from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
+                       galerkin_deriv_matrix, legendre_shifted)
 from .solver import ForwardSolution
 from .tableaus import ImexPair
 
@@ -47,27 +48,21 @@ class PiecewisePolynomial:
     def dim(self) -> int:
         return self.coeffs.shape[2]
 
-    def eval_on_interval(self, n: int, taus) -> np.ndarray:
-        """Values at local coordinates; shape (len(taus), m)."""
-        return self.basis.eval_matrix(taus) @ self.coeffs[n]
-
-    def deriv_on_interval(self, n: int, taus) -> np.ndarray:
-        """Time derivative at local coordinates; shape (len(taus), m)."""
-        k_n = self.grid.steps[n]
-        return (self.basis.deriv_matrix(taus) @ self.coeffs[n]) / k_n
-
-    def _locate(self, t: float) -> tuple[int, float]:
-        n = self.grid.locate(t)
-        k_n = self.grid.steps[n]
-        return n, (t - self.grid.nodes[n]) / k_n
-
     def evaluate(self, t: float) -> np.ndarray:
-        n, tau = self._locate(t)
-        return self.eval_on_interval(n, [tau])[0]
+        n = self.grid.locate(t)
+        tau = (t - self.grid.nodes[n]) / self.grid.steps[n]
+        return (self.basis.eval_matrix([tau]) @ self.coeffs[n])[0]
 
-    def derivative(self, t: float) -> np.ndarray:
-        n, tau = self._locate(t)
-        return self.deriv_on_interval(n, [tau])[0]
+    def gauss_table(self, factor: int):
+        """The Gauss rule on each of ``factor`` equal subintervals of every
+        interval: local points and weights (5*factor,), then the values and
+        time derivatives there, each of shape (N, 5*factor, m)."""
+        taus = ((np.arange(factor)[:, None] + GAUSS_NODES) / factor).reshape(-1)
+        wts = np.tile(GAUSS_WEIGHTS, factor) / factor
+        values = self.basis.eval_matrix(taus) @ self.coeffs
+        derivs = self.basis.deriv_matrix(taus) @ self.coeffs
+        derivs /= self.grid.steps[:, None, None]
+        return taus, wts, values, derivs
 
     def continuity_defect(self) -> float:
         """Max mismatch between interval right values and next left values."""
@@ -89,15 +84,9 @@ def build_cg(pair: ImexPair, forward: ForwardSolution) -> PiecewisePolynomial:
     grid = forward.grid
     n_int = grid.n_intervals
     m = forward.nodal.shape[1]
-    basis = LagrangeBasis(np.linspace(0.0, 1.0, q + 1))
-    gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
-
     # tests: orthonormal shifted Legendre through degree q-1
-    test_g = legendre_shifted(q - 1, gp)              # (q, 5)
     test_d = legendre_shifted(q - 1, pair.implicit.abscissae)  # (q, nu)
-    dmat = basis.deriv_matrix(gp)                     # (5, q+1)
-    # E[a, j] = integral of l_j'(tau) v_a(tau) dtau, exact
-    emat = test_g @ (gw[:, None] * dmat)              # (q, q+1)
+    emat = galerkin_deriv_matrix(q)                   # (q, q+1)
 
     w_ex = pair.explicit.weights
     w_im = pair.implicit.weights

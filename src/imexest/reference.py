@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import DOP853, solve_ivp
 
-from .numerics import DEFAULT_INNER_RULE
+from .numerics import GAUSS_NODES, GAUSS_WEIGHTS
 from .problems import QoiSpec, SplitOdeProblem
 from .solver import TimeGrid
 
@@ -70,10 +70,9 @@ def qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
     if qoi.kind == "final-time":
         return float(np.dot(states_at(grid.t_end), qoi.psi))
     total = 0.0
-    gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
     for n in range(grid.n_intervals):
         k_n = grid.steps[n]
-        for tau, w in zip(gp, gw):
+        for tau, w in zip(GAUSS_NODES, GAUSS_WEIGHTS):
             t = grid.nodes[n] + k_n * tau
             total += k_n * w * float(np.dot(states_at(t), qoi.psi_tilde(t)))
     return total

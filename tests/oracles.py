@@ -4,8 +4,6 @@ modes) and finite-difference Jacobians."""
 
 import numpy as np
 
-from imexest.numerics import MAX_GAUSS_POINTS, gauss_rule
-
 
 def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:
     """L2-project fn onto polynomials of the given degree over [a, b].
@@ -18,8 +16,8 @@ def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:
         raise ValueError("degree must be >= 0")
     if not b > a:
         raise ValueError("need b > a")
-    n_pts = min(MAX_GAUSS_POINTS, degree + 6)
-    pts, wts = gauss_rule(n_pts).mapped(a, b)
+    x, w = np.polynomial.legendre.leggauss(degree + 6)
+    pts, wts = a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
     fvals = np.array([fn(t) for t in pts], dtype=float)
     powers = np.arange(degree + 1)
     # exact monomial Gram: integral of t^(j+k) over [a, b]

@@ -9,14 +9,14 @@ from imexest import adjoint
 from imexest.adjoint import (
     DEFAULT_REFINE,
     AdjointSolveError,
-    LinearizedOperator,
     refine_grid,
     solve_adjoint,
 )
-from imexest.numerics import DEFAULT_INNER_RULE, legendre_shifted
+from imexest.numerics import GAUSS_NODES, GAUSS_WEIGHTS, legendre_shifted
 from imexest.problems import (
     QoiSpec,
     SplitOdeProblem,
+    as_dense,
     burgers,
     mhd_alfven,
     qoi_integral_v,
@@ -48,25 +48,47 @@ def test_refine_grid_counts_and_endpoints():
         refine_grid(grid, 0)
 
 
+def _never(*_args):
+    raise AssertionError("a constant operator needs no state")
+
+
 def test_linearized_operator_constant_for_linear_problems():
+    # H is the constant f_op + g_op: the sweep evaluates neither the
+    # Jacobians nor the reconstruction, on uniform and non-uniform grids
     f_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g_mat = np.array([[-2.0, 0.0], [0.0, -2.0]])
     prob = split_linear_system(f_mat, g_mat, [1.0, 0.0])
-    recon = reconstruct_case(prob)
-    op = LinearizedOperator(prob, recon)
-    assert op.is_constant
-    np.testing.assert_allclose(op.eval(0.1), f_mat + g_mat, atol=1e-14)
-    assert np.abs(op.eval(0.1) - op.eval(0.9)).max() < 1e-12
+    assert np.array_equal(as_dense(prob.f_op + prob.g_op), f_mat + g_mat)
+    bare = dataclasses.replace(prob, jac_f=_never, jac_g=_never)
+    qoi = QoiSpec(kind="final-time", psi=np.array([1.0, 0.5]))
+    pair = builtin("ssp332")
+    for grid in (TimeGrid.uniform(1.0, 10), TimeGrid([0.0, 0.1, 0.35, 0.5, 1.0])):
+        recon = build_cg(pair, solve_forward(prob, pair, grid))
+        want = solve_adjoint(prob, recon, qoi).poly.coeffs
+        recon.gauss_table = _never
+        assert np.array_equal(solve_adjoint(bare, recon, qoi).poly.coeffs, want)
 
 
 def test_linearized_operator_tracks_the_reconstruction():
+    # the states H is evaluated at, interval by interval from the end, are
+    # the reconstruction at the Gauss points of each refined interval
     prob = burgers(0.05, 1.0 / 10.0)
     recon = reconstruct_case(prob, "ssp332", t_end=0.5, n=10)
-    op = LinearizedOperator(prob, recon)
-    assert not op.is_constant
-    got = op.eval(0.3)
-    want = prob.jac_f(recon.evaluate(0.3)) + prob.jac_g(recon.evaluate(0.3))
-    np.testing.assert_allclose(got, want, atol=1e-14)
+    for refine in (1, 3):
+        seen = []
+        spy = dataclasses.replace(
+            prob, jac_f=lambda y: seen.append(y.copy()) or prob.jac_f(y))
+        solve_adjoint(spy, recon, QoiSpec(kind="final-time", psi=prob.y0),
+                      refine=refine)
+        fine = refine_grid(recon.grid, refine)
+        assert len(seen) == fine.n_intervals * GAUSS_NODES.size
+        states = iter(seen)
+        for n in range(fine.n_intervals - 1, -1, -1):
+            for t in fine.nodes[n] + fine.steps[n] * GAUSS_NODES:
+                y, at_t = next(states), recon.evaluate(t)
+                np.testing.assert_allclose(
+                    prob.jac_f(y) + prob.jac_g(y),
+                    prob.jac_f(at_t) + prob.jac_g(at_t), rtol=0, atol=1e-14)
 
 
 def test_operator_at_zero_state_is_diffusion_only():
@@ -136,22 +158,19 @@ def test_adjoint_galerkin_residual_per_interval():
     psi = np.zeros(prob.dim)
     psi[: prob.dim // 2 + 1] = 1.0
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
-    op = LinearizedOperator(prob, recon)
 
-    poly = adj.poly
-    grid = poly.grid
-    q = recon.degree
-    gp, gw = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
-    tests = legendre_shifted(q, gp)
+    grid = adj.poly.grid
+    _taus, _wts, vals, derivs = adj.poly.gauss_table(1)
+    tests = legendre_shifted(recon.degree, GAUSS_NODES)
     scale = 1.0 + adj.max_abs()
     for n in range(grid.n_intervals):
         k_n = grid.steps[n]
-        t_gauss = grid.nodes[n] + k_n * gp
-        dvals = poly.deriv_on_interval(n, gp)
-        pvals = poly.eval_on_interval(n, gp)
-        hp = np.stack([op.eval(t).T @ pvals[j] for j, t in enumerate(t_gauss)])
-        integrand = -dvals - hp
-        res = k_n * np.einsum("ak,k,km->am", tests, gw, integrand)
+        t_gauss = grid.nodes[n] + k_n * GAUSS_NODES
+        ys = [recon.evaluate(t) for t in t_gauss]
+        hp = np.stack([(prob.jac_f(y) + prob.jac_g(y)).T @ vals[n, j]
+                       for j, y in enumerate(ys)])
+        integrand = -derivs[n] - hp
+        res = k_n * np.einsum("ak,k,km->am", tests, GAUSS_WEIGHTS, integrand)
         assert np.abs(res).max() < 1e-10 * scale
 
 

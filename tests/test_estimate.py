@@ -106,13 +106,11 @@ def test_time_integrated_constant_density_closed_form():
     prob = split_scalar_linear(0.0, -1.0, 1.0)
     qoi = QoiSpec(kind="time-integrated", psi_tilde=lambda t: np.ones(1))
     bd, (_, fwd, recon, _) = breakdown_for(prob, qoi, n=80)
-    from imexest.numerics import gauss_rule
-
-    rule = gauss_rule(10)
+    x, w = np.polynomial.legendre.leggauss(10)
     truth = 0.0
     for n in range(fwd.grid.n_intervals):
         a, b = fwd.grid.nodes[n], fwd.grid.nodes[n + 1]
-        pts, wts = rule.mapped(a, b)
+        pts, wts = a + 0.5 * (b - a) * (x + 1.0), 0.5 * (b - a) * w
         vals = np.array([np.exp(-t) - recon.evaluate(t)[0] for t in pts])
         truth += float(wts @ vals)
     assert abs(bd.estimate_total - truth) < 1e-3 * abs(truth)

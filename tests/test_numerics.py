@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from imexest.numerics import GaussRule, LagrangeBasis, gauss_rule, legendre_shifted
+from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
+                              legendre_shifted)
 from oracles import l2_project, poly_eval
 
 
@@ -44,57 +45,32 @@ def test_lagrange_rejects_duplicate_nodes():
         LagrangeBasis([0.5, 0.5])
 
 
-def test_gauss_rule_small_cases():
-    one = gauss_rule(1)
-    assert one.points == pytest.approx([0.0])
-    assert one.weights == pytest.approx([2.0])
-    two = gauss_rule(2)
-    assert two.points == pytest.approx([-1 / np.sqrt(3), 1 / np.sqrt(3)])
-    assert two.weights == pytest.approx([1.0, 1.0])
-
-
-def test_gauss_rule_weights_positive_sum_two():
-    for n in range(1, 11):
-        rule = gauss_rule(n)
-        assert np.all(rule.weights > 0)
-        assert rule.weights.sum() == pytest.approx(2.0, abs=1e-14)
-
-
 def test_gauss_rule_polynomial_exactness():
-    # n points integrate degree 2n-1 exactly; check all monomials
-    for n in range(1, 11):
-        rule = gauss_rule(n)
-        for k in range(2 * n):
-            exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
-            approx = np.dot(rule.weights, rule.points**k)
-            assert approx == pytest.approx(exact, abs=1e-13)
-
-
-def test_gauss_rule_odd_monomial_cancels():
-    rule = gauss_rule(5)
-    assert np.dot(rule.weights, rule.points**9) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_gauss_rule_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        gauss_rule(0)
-    with pytest.raises(ValueError):
-        gauss_rule(11)
+    # the one interval rule: positive weights summing to 1, exact on [0, 1]
+    # through degree 9
+    assert np.all(GAUSS_WEIGHTS > 0)
+    assert GAUSS_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+    for k in range(10):
+        assert GAUSS_WEIGHTS @ GAUSS_NODES**k == pytest.approx(1.0 / (k + 1), abs=1e-15)
 
 
 def test_gauss_rule_mapped_interval():
-    rule = gauss_rule(3)
-    pts, wts = rule.mapped(1.0, 3.0)
-    assert wts.sum() == pytest.approx(2.0)
-    assert np.all((pts > 1.0) & (pts < 3.0))
-    # integrate t^2 over [1, 3] = 26/3
-    assert np.dot(wts, pts**2) == pytest.approx(26.0 / 3.0, abs=1e-13)
+    # leggauss(5) mapped to [0, 1], bit for bit
+    pts, wts = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(GAUSS_NODES, 0.0 + 0.5 * (pts + 1.0))
+    assert np.array_equal(GAUSS_WEIGHTS, 0.5 * wts)
 
 
-def test_gauss_rule_integrate_helper():
-    rule = gauss_rule(4)
-    pts, wts = rule.mapped(0.0, 1.0)
-    assert np.dot(wts, np.exp(pts)) == pytest.approx(np.e - 1.0, abs=1e-8)
+def test_gauss_rule_odd_monomial_cancels():
+    # symmetric about 1/2, so odd powers of 2t - 1 integrate to zero
+    assert GAUSS_WEIGHTS @ (2.0 * GAUSS_NODES - 1.0)**9 == pytest.approx(0.0, abs=1e-15)
+
+
+def test_gauss_rule_frozen():
+    # every layer reads the same two arrays, so none may write to them
+    for arr in (GAUSS_NODES, GAUSS_WEIGHTS):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.5
 
 
 def test_l2_project_constant_mean():
@@ -135,15 +111,6 @@ def test_l2_project_argument_validation():
 
 def test_legendre_shifted_orthonormal():
     # dot products under the 5-point rule on [0, 1]
-    rule = gauss_rule(5)
-    taus, wts = rule.mapped(0.0, 1.0)
-    vals = legendre_shifted(3, taus)
-    gram = (vals * wts) @ vals.T
+    vals = legendre_shifted(3, GAUSS_NODES)
+    gram = (vals * GAUSS_WEIGHTS) @ vals.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-13
-
-
-def test_gauss_rule_frozen():
-    rule = gauss_rule(2)
-    assert isinstance(rule, GaussRule)
-    with pytest.raises(Exception):
-        rule.points = np.zeros(2)

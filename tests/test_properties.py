@@ -1,13 +1,13 @@
 """Property tests of the estimate on random small linear split systems over
-random non-uniform grids, for every built-in scheme: inputs the shipped
-benchmarks never use.  Also the estimate's sharpening as the adjoint grid
-is refined on one linear system."""
+random non-uniform grids, for every built-in scheme and for random valid
+IMEX pairs: inputs the shipped benchmarks never use.  Also the estimate's
+sharpening as the adjoint grid is refined on one linear system."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from imexest.adjoint import solve_adjoint  # noqa: E402
@@ -17,9 +17,38 @@ from imexest.estimate import (  # noqa: E402
 from imexest.problems import QoiSpec, split_linear_system  # noqa: E402
 from imexest.reconstruct import build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
-from imexest.tableaus import builtin  # noqa: E402
+from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate  # noqa: E402
 
 ENTRIES = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def random_pairs(draw):
+    """A pair in the Ascher-Ruuth-Spiteri / Pareschi-Russo form: A strictly
+    lower triangular, B lower triangular with its diagonal in (0.1, 0.5),
+    abscissae the row sums, distinct implicit abscissae in [0, 1], positive
+    weights summing to 1.  No order condition is imposed."""
+    s = draw(st.integers(2, 4))
+    a_ex = np.tril(draw(arrays(float, (s, s), elements=st.floats(0.0, 0.5))), -1)
+    b_im = np.tril(draw(arrays(float, (s, s), elements=ENTRIES)), -1)
+    b_im[np.diag_indices(s)] = draw(arrays(float, s, elements=st.floats(
+        0.1, 0.5, exclude_min=True, exclude_max=True)))
+    # the first entry of rows 1.. sets that row's sum to a drawn abscissa
+    targets = draw(arrays(float, s - 1, elements=st.floats(0.0, 1.0)))
+    b_im[1:, 0] += targets - b_im[1:].sum(axis=1)
+    d = b_im.sum(axis=1)
+    assume(np.diff(np.sort(d)).min() > 1e-3)
+
+    def weights():
+        raw = draw(arrays(float, s, elements=st.floats(0.1, 1.0)))
+        return raw / raw.sum()
+
+    pair = ImexPair(
+        name="random", order=draw(st.sampled_from((2, 3))),
+        explicit=ButcherTableau(a_ex.sum(axis=1), a_ex, weights()),
+        implicit=ButcherTableau(d, b_im, weights()))
+    assert validate(pair) == []
+    return pair
 
 
 @st.composite
@@ -32,7 +61,8 @@ def linear_runs(draw):
     psi = draw(arrays(float, m, elements=ENTRIES))
     steps = draw(st.lists(st.floats(0.02, 0.2), min_size=1, max_size=8))
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
-    pair = builtin(draw(st.sampled_from(("mid122", "ssp332", "ssp343"))))
+    pair = draw(st.sampled_from(("mid122", "ssp332", "ssp343")).map(builtin)
+                | random_pairs())
     refine = draw(st.integers(1, 4))
 
     prob = split_linear_system(f_mat, g_mat, y0)

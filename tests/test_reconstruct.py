@@ -83,14 +83,13 @@ def test_quadratic_reconstruction_satisfies_variational_equations():
     prob = burgers(0.05, 1.0 / 20.0)
     pair, fwd = forward_case("ssp343", prob)
     recon = build_cg(pair, fwd)
-    from imexest.numerics import DEFAULT_INNER_RULE
+    taus, wts, _vals, derivs = recon.gauss_table(1)
 
     grid = fwd.grid
     for n in range(grid.n_intervals):
         t_n, k_n = grid.nodes[n], grid.steps[n]
         for v in (lambda t: 1.0, lambda t: t):
-            taus, wts = DEFAULT_INNER_RULE.mapped(0.0, 1.0)
-            dvals = recon.deriv_on_interval(n, taus)
+            dvals = derivs[n]
             vvals = np.array([v(t_n + k_n * tau) for tau in taus])
             lhs = k_n * ((wts * vvals) @ dvals)
             rhs = quad_f(fwd, pair, n, v) + quad_g(fwd, pair, n, v)
@@ -141,14 +140,20 @@ def test_build_cg_validates_degree():
 
 
 def test_derivative_matches_finite_difference():
+    # the Gauss table's values and derivatives on two subintervals per
+    # interval, against the evaluator and its central differences
     prob = split_scalar_bernoulli(-2.0, 0.5, 1.0)
     pair, fwd = forward_case("ssp343", prob)
     recon = build_cg(pair, fwd)
-    rng = np.random.default_rng(4)
-    for t in rng.uniform(0.05, 0.45, size=10):
-        eps = 1e-6
-        fd = (recon.evaluate(t + eps) - recon.evaluate(t - eps)) / (2 * eps)
-        assert np.abs(recon.derivative(t) - fd).max() < 1e-7
+    taus, wts, vals, derivs = recon.gauss_table(2)
+    assert taus.shape == wts.shape == (10,) and wts.sum() == pytest.approx(1.0)
+    assert vals.shape == derivs.shape == (fwd.grid.n_intervals, 10, 1)
+    eps = 1e-6
+    for n in range(fwd.grid.n_intervals):
+        for j, t in enumerate(fwd.grid.nodes[n] + fwd.grid.steps[n] * taus):
+            assert np.abs(vals[n, j] - recon.evaluate(t)).max() < 1e-14
+            fd = (recon.evaluate(t + eps) - recon.evaluate(t - eps)) / (2 * eps)
+            assert np.abs(derivs[n, j] - fd).max() < 1e-7
 
 
 def test_reconstruction_error_second_order():
