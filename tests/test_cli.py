@@ -23,7 +23,8 @@ from imexest.cli import (
     write_report_csv,
 )
 from imexest.problems import mhd_alfven, split_scalar_bernoulli, split_scalar_linear
-from imexest.solver import TimeGrid, solve_forward
+from imexest.adjoint import DEFAULT_REFINE
+from imexest.solver import NewtonConfig, TimeGrid, solve_forward
 from imexest.tableaus import builtin
 
 
@@ -216,6 +217,15 @@ def test_config_unknown_problem_and_qoi():
         run(base_config(problem={"name": "heat"}))
     with pytest.raises(CliError, match="unknown qoi kind"):
         run(base_config(qoi={"kind": "average"}))
+
+
+def test_config_records_defaults_used():
+    # the resolved config fills in every default and keeps what was given
+    resolved = RunConfig.from_dict(base_config(newton={"max_iters": 30})).resolved()
+    assert resolved["newton"]["abs_tol"] == NewtonConfig().abs_tol
+    assert resolved["newton"]["max_iters"] == 30
+    assert resolved["adjoint"]["refine"] == DEFAULT_REFINE
+    assert resolved["reference"]["max_step"] == "inf"
 
 
 def test_config_derives_alfven_speed():

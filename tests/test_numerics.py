@@ -45,11 +45,16 @@ def test_lagrange_rejects_duplicate_nodes():
         LagrangeBasis([0.5, 0.5])
 
 
-def test_gauss_rule_polynomial_exactness():
-    # the one interval rule: positive weights summing to 1, exact on [0, 1]
-    # through degree 9
+def test_gauss_rule_weights_positive_sum_two():
+    # the one interval rule's weights are positive; mapped back to [-1, 1]
+    # they sum to the interval length 2, on [0, 1] to 1
     assert np.all(GAUSS_WEIGHTS > 0)
+    assert (2.0 * GAUSS_WEIGHTS).sum() == pytest.approx(2.0, abs=1e-14)
     assert GAUSS_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_gauss_rule_polynomial_exactness():
+    # the one interval rule is exact on [0, 1] through degree 9
     for k in range(10):
         assert GAUSS_WEIGHTS @ GAUSS_NODES**k == pytest.approx(1.0 / (k + 1), abs=1e-15)
 
