@@ -60,8 +60,6 @@ class AdjointSolution:
 
     poly: PiecewisePolynomial
     qoi: QoiSpec
-    forward_grid: TimeGrid
-    refine: int
 
     def evaluate(self, t: float) -> np.ndarray:
         return self.poly.evaluate(t)
@@ -80,11 +78,10 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     interior node over all intervals.  Otherwise each interval factors
     and solves its own system.
     """
-    forward_grid = reconstruction.grid
     q = reconstruction.degree
     r = q + 1
     m = reconstruction.dim
-    grid = refine_grid(forward_grid, refine)
+    grid = refine_grid(reconstruction.grid, refine)
     n_int = grid.n_intervals
     steps = grid.steps
 
@@ -180,5 +177,4 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             phi_right = coeffs[n, 0]
 
     poly = PiecewisePolynomial(grid=grid, degree=r, coeffs=coeffs)
-    return AdjointSolution(poly=poly, qoi=qoi, forward_grid=forward_grid,
-                           refine=refine)
+    return AdjointSolution(poly=poly, qoi=qoi)

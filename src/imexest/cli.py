@@ -22,17 +22,17 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .adjoint import DEFAULT_REFINE, solve_adjoint
-from .estimate import (ErrorBreakdown, component_split, effectivity,
-                       error_breakdown, error_breakdown_timedep)
+from .estimate import (component_split, effectivity, error_breakdown,
+                       error_breakdown_timedep)
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
                        component_masks, linear_advection_diffusion, mhd_alfven,
                        qoi_integral_v, qoi_mean_left_half, split_linear_system,
                        split_scalar_bernoulli, split_scalar_linear)
 from .reconstruct import build_cg
-from .reference import ReferenceConfig, ivp_rhs, qoi_from_states, true_qoi
+from .reference import (ReferenceConfig, ReferenceError, exact_solution,
+                        qoi_from_states, reference_states, true_qoi)
 from .solver import NewtonConfig, TimeGrid, solve_forward
 from .tableaus import ImexPair, builtin, pair_to_dict
 
@@ -217,6 +217,8 @@ class RunConfig:
         if n is not None and not _is_integer(n):
             raise ValueError(f"config.grid n must be an integer, got {n!r}")
         if k is not None:
+            if not _is_number(k):
+                raise ValueError(f"config.grid k must be a number, got {k!r}")
             n_k = TimeGrid.from_step(t_end, float(k)).n_intervals
             if n not in (None, n_k):
                 raise ValueError(
@@ -255,16 +257,19 @@ class RunConfig:
             newton_in, _field_defaults(NewtonConfig), "config.newton"))
         reference = ReferenceConfig(**_resolve_section(
             reference_in, _field_defaults(ReferenceConfig), "config.reference"))
-        if reference.mode == "analytic" and ode.analytic is None \
-                and ode.pde_solution is None:
-            raise ValueError(
-                f"config.reference: mode 'analytic' needs an analytic or "
-                f"sampled exact solution; problem {pname!r} has neither")
+        try:
+            exact_solution(ode, reference.mode)
+        except ReferenceError as exc:
+            raise ValueError(f"config.reference: {exc}") from None
         adjoint = _resolve_section(adjoint_in, _ADJOINT_DEFAULTS, "config.adjoint")
         if adjoint["refine"] < 1:
             raise ValueError("config.adjoint.refine must be >= 1")
         output = _resolve_section(dict(doc.get("output", {})),
                                   _OUTPUT_DEFAULTS, "config.output")
+        for key in ("row_csv", "series_dir", "name"):
+            if output[key] is not None and not isinstance(output[key], str):
+                raise ValueError(f"config.output {key} must be a string or "
+                                 f"null, got {output[key]!r}")
         indices = output["series_indices"]
         if indices is not None and not (isinstance(indices, list) and all(
                 _is_integer(i) and 0 <= i < ode.dim for i in indices)):
@@ -331,24 +336,6 @@ class ReportRow:
         return vals
 
 
-@dataclass
-class RunArtifacts:
-    """Everything a run produced, for reuse by callers that need more
-    than the report row (acceptance checks, series emission)."""
-
-    problem: SplitOdeProblem
-    pair: object
-    grid: TimeGrid
-    qoi: QoiSpec
-    forward: object
-    reconstruction: object
-    adjoint: object
-    breakdown: ErrorBreakdown
-    reference_qoi: float
-    imex_qoi: float
-    true_error: float
-
-
 # reference key -> (reference QoI, |reference - IMEX QoI| of the row it
 # was solved for, which is the error a verified reference was checked at).
 # The key covers the problem, grid, QoI and reference settings, and a
@@ -377,12 +364,11 @@ def _load_config(path: str) -> dict:
         raise CliError("config", exc) from exc
 
 
-def run(config: dict, return_artifacts: bool = False):
+def run(config: dict):
     """Execute one configured experiment and produce its report row.
 
     Failures raise CliError labelled with the pipeline stage and echo the
-    resolved config.  With return_artifacts=True returns
-    (row, RunArtifacts).
+    resolved config.
     """
     cfg = _resolve_config(config)
     resolved = cfg.resolved()
@@ -443,13 +429,6 @@ def run(config: dict, return_artifacts: bool = False):
         raise
     except Exception as exc:
         raise CliError(stage, exc, resolved) from exc
-
-    if return_artifacts:
-        return row, RunArtifacts(problem=problem, pair=pair, grid=grid,
-                                 qoi=qoi, forward=forward,
-                                 reconstruction=recon, adjoint=adj,
-                                 breakdown=bd, reference_qoi=ref_q,
-                                 imex_qoi=imex_q, true_error=true_err)
     return row
 
 
@@ -591,28 +570,21 @@ def _check_levels(levels: int) -> None:
 
 def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
                       levels: int, t_end: float,
-                      newton: Optional[NewtonConfig] = None) -> list:
+                      newton: Optional[NewtonConfig] = None,
+                      reference: Optional[ReferenceConfig] = None) -> list:
     """Halve k per level and report (k, worst nodal error, observed order).
 
     The error at each level is the max over grid nodes of the infinity
-    norm against the problem's exact solution (or a tight adaptive
-    integration when none is attached).  Orders are log2 ratios of
-    successive errors; None where a ratio is degenerate (first level,
-    or an exactly zero error).
+    norm against reference_states: the exact solution reference.mode
+    picks, or one DOP853 dense-output solve at its rtol, atol, max_step
+    and step_cap.  verify and verify_ratio judge a reference QoI and do
+    not apply here.  Orders are log2 ratios of successive errors; None
+    where a ratio is degenerate (first level, or an exactly zero error).
     """
     _check_levels(levels)
     pair = builtin(scheme) if isinstance(scheme, str) else scheme
     n0 = TimeGrid.from_step(t_end, base_k).n_intervals
-
-    exact_at = problem.analytic
-    dense = None
-    if exact_at is None:
-        sol = solve_ivp(ivp_rhs(problem), (0.0, t_end), problem.y0,
-                        method="DOP853", rtol=1e-12, atol=1e-13,
-                        dense_output=True)
-        if not sol.success:
-            raise RuntimeError(f"reference trajectory failed: {sol.message}")
-        dense = sol.sol
+    states_at = reference_states(problem, t_end, reference)
 
     out = []
     prev_err = None
@@ -620,11 +592,7 @@ def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
         n = n0 * 2 ** lev
         grid = TimeGrid.uniform(t_end, n)
         fwd = solve_forward(problem, pair, grid, newton)
-        if exact_at is not None:
-            ref = np.stack([exact_at(t) for t in grid.nodes])
-        else:
-            ref = dense(grid.nodes).T
-        err = float(np.abs(ref - fwd.nodal).max())
+        err = float(np.abs(states_at(grid.nodes) - fwd.nodal).max())
         order = None
         if prev_err is not None and err > 0.0 and prev_err > 0.0:
             order = float(np.log2(prev_err / err))
@@ -654,8 +622,11 @@ def _cmd_converge(args) -> int:
         _check_levels(args.levels)
     except ValueError as exc:
         raise CliError("config", exc) from exc
-    rows = convergence_study(cfg.ode, cfg.pair, cfg.grid["k"], args.levels,
-                             cfg.grid["t_end"], cfg.newton)
+    try:
+        rows = convergence_study(cfg.ode, cfg.pair, cfg.grid["k"], args.levels,
+                                 cfg.grid["t_end"], cfg.newton, cfg.reference)
+    except Exception as exc:
+        raise CliError("converge", exc, cfg.resolved()) from exc
     print(f"# config: {canonical_json(cfg.resolved())}")
     print("k,error,order")
     for r in rows:

@@ -42,7 +42,6 @@ class ErrorBreakdown:
     term_density: np.ndarray     # (N, 3, m)
     galerkin_scaled: np.ndarray  # (N,) scaled orthogonality residuals
     galerkin_raw: np.ndarray     # (N,) absolute orthogonality residuals
-    qoi_kind: str
 
     @property
     def estimate_total(self) -> float:
@@ -138,7 +137,6 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
         e1=float(totals[0]), e2=float(totals[1]), e3=float(totals[2]),
         per_interval=per_interval, term_density=density,
         galerkin_scaled=galerkin, galerkin_raw=galerkin_abs,
-        qoi_kind=adjoint.qoi.kind,
     )
 
 

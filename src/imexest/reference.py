@@ -56,12 +56,23 @@ class ReferenceConfig:
                                  f"got {getattr(self, name)!r}")
 
 
-def resolve_mode(mode: str, problem: SplitOdeProblem) -> str:
-    """The route a reference takes: "auto" becomes "analytic" when the
-    problem carries an exact solution and "high-order-numeric" otherwise."""
-    if mode == "auto":
-        return "analytic" if problem.analytic is not None else "high-order-numeric"
-    return mode
+def exact_solution(problem: SplitOdeProblem, mode: str):
+    """The exact trajectory t -> state a reference samples in this mode, or
+    None for the high-order numeric route.
+
+    "auto" takes ``problem.analytic`` when there is one; "analytic" takes
+    it, else ``problem.pde_solution``, and raises ReferenceError with
+    neither; "high-order-numeric" never samples.
+    """
+    if mode == "high-order-numeric":
+        return None
+    if mode == "auto" or problem.analytic is not None:
+        return problem.analytic
+    if problem.pde_solution is None:
+        raise ReferenceError(
+            "mode 'analytic' needs an analytic or sampled exact solution; "
+            f"problem {problem.name!r} has neither")
+    return problem.pde_solution
 
 
 def qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
@@ -76,15 +87,6 @@ def qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
             t = grid.nodes[n] + k_n * tau
             total += k_n * w * float(np.dot(states_at(t), qoi.psi_tilde(t)))
     return total
-
-
-def _analytic_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec) -> float:
-    states_at = problem.analytic or problem.pde_solution
-    if states_at is None:
-        raise ReferenceError(
-            f"problem {problem.name!r} has no analytic or sampled exact solution"
-        )
-    return qoi_from_states(states_at, grid, qoi)
 
 
 def reference_operator(problem: SplitOdeProblem) -> sparse.csr_array:
@@ -114,38 +116,62 @@ def ivp_rhs(problem: SplitOdeProblem):
     return lambda t, y: op @ np.concatenate((y, data(t)))
 
 
-def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
-                 rtol: float, atol: float, max_step: float, step_cap: int) -> float:
-    t_span = (float(grid.nodes[0]), grid.t_end)
-    rhs = ivp_rhs(problem)
-    # DOP853 makes two evaluations to start and n_stages per attempted step
-    budget = 2 + DOP853.n_stages * step_cap
+def _dop853(fun, t_span: tuple, z0: np.ndarray, rtol: float, atol: float,
+            config: ReferenceConfig, dense: bool = False):
+    """The DOP853 solution of z' = fun(t, z) from z0 over t_span; a
+    ReferenceError once it starts step config.step_cap + 1 or fails."""
+    # DOP853 makes two evaluations to start and n_stages per attempted
+    # step; a dense solve makes three more per accepted step for its
+    # interpolant, so each rejected step leaves a fifth of a step unspent
+    budget = 2 + (DOP853.n_stages + 3 * dense) * config.step_cap
     calls = 0
 
-    def counted(t, y):
+    def counted(t, z):
         nonlocal calls
         calls += 1
         if calls > budget:
             raise ReferenceError(f"reference integration attempted more than "
-                                 f"{step_cap} steps (cap {step_cap})")
-        return rhs(t, y)
+                                 f"{config.step_cap} steps (cap {config.step_cap})")
+        return fun(t, z)
 
+    sol = solve_ivp(counted, t_span, z0, method="DOP853", rtol=rtol,
+                    atol=atol, max_step=config.max_step, dense_output=dense)
+    if not sol.success:
+        raise ReferenceError(f"reference integration failed: {sol.message}")
+    return sol
+
+
+def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
+                 rtol: float, atol: float, config: ReferenceConfig) -> float:
+    rhs = ivp_rhs(problem)
     if qoi.kind == "final-time":
-        fun = counted
+        fun = rhs
         z0 = problem.y0
     else:
         def fun(t, z):
             y = z[:-1]
-            return np.append(counted(t, y), np.dot(y, qoi.psi_tilde(t)))
+            return np.append(rhs(t, y), np.dot(y, qoi.psi_tilde(t)))
         z0 = np.append(problem.y0, 0.0)
-    sol = solve_ivp(fun, t_span, z0, method="DOP853", rtol=rtol, atol=atol,
-                    max_step=max_step, dense_output=False)
-    if not sol.success:
-        raise ReferenceError(f"reference integration failed: {sol.message}")
-    z_end = sol.y[:, -1]
+    t_span = (float(grid.nodes[0]), grid.t_end)
+    z_end = _dop853(fun, t_span, z0, rtol, atol, config).y[:, -1]
     if qoi.kind == "final-time":
         return float(np.dot(z_end, qoi.psi))
     return float(z_end[-1])
+
+
+def reference_states(problem: SplitOdeProblem, t_end: float,
+                     config: ReferenceConfig | None = None):
+    """The reference trajectory on [0, t_end] as nodes -> (P, m) states:
+    the exact solution config.mode picks, else DOP853's dense output at
+    config.rtol, atol, max_step and step_cap (verify and verify_ratio
+    judge a QoI and are not read here)."""
+    config = config or ReferenceConfig()
+    exact = exact_solution(problem, config.mode)
+    if exact is not None:
+        return lambda nodes: np.stack([exact(t) for t in nodes])
+    sol = _dop853(ivp_rhs(problem), (0.0, t_end), problem.y0, config.rtol,
+                  config.atol, config, dense=True)
+    return lambda nodes: sol.sol(nodes).T
 
 
 def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
@@ -161,17 +187,16 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     giving up.
     """
     config = config or ReferenceConfig()
-    if resolve_mode(config.mode, problem) == "analytic":
-        return _analytic_qoi(problem, grid, qoi)
+    exact = exact_solution(problem, config.mode)
+    if exact is not None:
+        return qoi_from_states(exact, grid, qoi)
 
     rtol, atol = config.rtol, config.atol
     for _ in range(3):
-        q1 = _numeric_qoi(problem, grid, qoi, rtol, atol, config.max_step,
-                          config.step_cap)
+        q1 = _numeric_qoi(problem, grid, qoi, rtol, atol, config)
         if not config.verify:
             return q1
-        q2 = _numeric_qoi(problem, grid, qoi, rtol / 2.0, atol / 2.0,
-                          config.max_step, config.step_cap)
+        q2 = _numeric_qoi(problem, grid, qoi, rtol / 2.0, atol / 2.0, config)
         drift = abs(q1 - q2)
         if imex_qoi is None:
             # no external scale: accept when the halving barely moves the value

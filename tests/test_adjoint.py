@@ -105,7 +105,7 @@ def test_terminal_condition_imposed_exactly():
     psi = np.array([2.5])
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
     assert np.array_equal(adj.poly.coeffs[-1, -1], psi)
-    assert adj.refine == DEFAULT_REFINE
+    assert adj.poly.grid.n_intervals == recon.grid.n_intervals * DEFAULT_REFINE
 
 
 def test_zero_operator_keeps_terminal_value():
@@ -299,4 +299,5 @@ def test_refined_adjoint_grid_nests_forward_grid():
     recon = reconstruct_case(prob, n=10)
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(1)))
     assert adj.poly.grid.n_intervals == 10 * DEFAULT_REFINE
-    assert adj.forward_grid is recon.grid
+    # every forward node is a node of the refined grid, kept exactly
+    assert np.array_equal(adj.poly.grid.nodes[::DEFAULT_REFINE], recon.grid.nodes)

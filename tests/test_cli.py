@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from imexest.cli import (
 )
 from imexest.problems import mhd_alfven, split_scalar_bernoulli, split_scalar_linear
 from imexest.adjoint import DEFAULT_REFINE
+from imexest.reference import ReferenceConfig, ReferenceError, ivp_rhs
 from imexest.solver import NewtonConfig, TimeGrid, solve_forward
 from imexest.tableaus import builtin
 
@@ -144,6 +146,18 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     ({"output": {"series_indices": [5]}},
      r"config\.output series_indices must be a list of integers in \[0, 1\), "
      r"got \[5\]"),
+    # a bool or a string step would otherwise resolve to a grid
+    ({"grid": {"t_end": 1.0, "k": True}},
+     r"config\.grid k must be a number, got True"),
+    ({"grid": {"t_end": 1.0, "k": "0.5"}},
+     r"config\.grid k must be a number, got '0\.5'"),
+    # an integer path would otherwise be opened as a file descriptor
+    ({"output": {"row_csv": 3}},
+     r"config\.output row_csv must be a string or null, got 3"),
+    ({"output": {"series_dir": 3}},
+     r"config\.output series_dir must be a string or null, got 3"),
+    ({"output": {"name": ["x"]}},
+     r"config\.output name must be a string or null, got \['x'\]"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
@@ -156,7 +170,8 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "mhd-h-not-dividing", "grid-k-zero", "grid-k-overflow", "psi-length",
         "psi-tilde-length", "unknown-scheme", "mean-left-half-odd-dim",
         "bernoulli-lam-zero", "psi-strings", "linear-split-shapes",
-        "series-indices-out-of-range"])
+        "series-indices-out-of-range", "grid-k-bool", "grid-k-string",
+        "output-row-csv-int", "output-series-dir-int", "output-name-list"])
 def test_config_rejects_bad_values_before_any_numerics(patch, message):
     with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))
@@ -435,7 +450,8 @@ def test_convergence_study_without_exact_solution_matches_an_rhs_oracle():
     # the dense reference comes from the same right-hand side as the
     # numeric reference QoI (a sparse operator for a linear problem)
     prob = mhd_alfven(h=0.05)
-    rows = convergence_study(prob, "ssp343", 0.01, 3, 0.1)
+    rows = convergence_study(prob, "ssp343", 0.01, 3, 0.1,
+                             reference=ReferenceConfig(rtol=1e-12, atol=1e-13))
     sol = solve_ivp(lambda t, y: prob.rhs(y, t), (0.0, 0.1), prob.y0,
                     method="DOP853", rtol=1e-12, atol=1e-13, dense_output=True)
     for lev, row in enumerate(rows):
@@ -443,6 +459,38 @@ def test_convergence_study_without_exact_solution_matches_an_rhs_oracle():
         fwd = solve_forward(prob, builtin("ssp343"), grid)
         want = float(np.abs(sol.sol(grid.nodes).T - fwd.nodal).max())
         assert row["error"] == pytest.approx(want, rel=1e-12)
+
+
+def test_convergence_study_analytic_mode_samples_the_pde_solution():
+    # on a method-of-lines problem "analytic" measures against the PDE,
+    # spatial error included; "auto" integrates the ODE system
+    prob = mhd_alfven(h=0.05)
+    analytic = convergence_study(prob, "ssp343", 0.01, 3, 0.1,
+                                 reference=ReferenceConfig(mode="analytic"))
+    auto = convergence_study(prob, "ssp343", 0.01, 3, 0.1)
+    for lev, (row, other) in enumerate(zip(analytic, auto)):
+        grid = TimeGrid.uniform(0.1, 10 * 2 ** lev)
+        fwd = solve_forward(prob, builtin("ssp343"), grid)
+        exact = np.stack([prob.pde_solution(t) for t in grid.nodes])
+        assert row["error"] == float(np.abs(exact - fwd.nodal).max())
+        assert row["error"] != other["error"]
+
+
+def test_convergence_study_step_cap_counts_dense_output():
+    prob = split_scalar_linear(-0.4, -0.6, 1.0)
+    prob.analytic = None
+    cfg = ReferenceConfig()
+    sol = solve_ivp(ivp_rhs(prob), (0.0, 1.0), prob.y0, method="DOP853",
+                    rtol=cfg.rtol, atol=cfg.atol, dense_output=True)
+    steps = sol.t.size - 1  # 5 with scipy 1.17
+    # no rejected step: 2 to start, 12 per step and 3 for its interpolant
+    assert sol.nfev == 2 + 15 * steps
+    rows = convergence_study(prob, "mid122", 0.25, 3, 1.0,
+                             reference=replace(cfg, step_cap=steps))
+    assert len(rows) == 3
+    with pytest.raises(ReferenceError, match=f"cap {steps - 1}"):
+        convergence_study(prob, "mid122", 0.25, 3, 1.0,
+                          reference=replace(cfg, step_cap=steps - 1))
 
 
 def test_convergence_study_argument_validation():
@@ -483,8 +531,8 @@ def test_analytic_reference_without_an_exact_solution_fails_at_config(
     assert main(["run", "--config", str(path)]) == 1
     first = capsys.readouterr().err.splitlines()[0]
     assert first.startswith("error: [config]")
-    assert "mode 'analytic' needs an analytic or sampled exact solution; " \
-        "problem 'burgers' has neither" in first
+    assert "config.reference: mode 'analytic' needs an analytic or sampled " \
+        "exact solution; problem 'burgers' has neither" in first
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -492,11 +540,13 @@ def test_pipeline_errors_echo_resolved_config(tmp_path, capsys):
     # once the config has resolved, failures carry it for reproduction
     path = tmp_path / "blowup.json"
     path.write_text(json.dumps(base_config(problem=_BLOWUP)))
-    assert main(["run", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: [forward] non-finite state")
-    echoed = err.split("config: ", 1)[1]
-    assert json.loads(echoed)["grid"]["n"] == 20
+    for verb, stage in ((["run"], "forward"),
+                        (["converge", "--levels", "3"], "converge")):
+        assert main([verb[0], "--config", str(path), *verb[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{stage}] non-finite state"), verb
+        echoed = err.split("config: ", 1)[1]
+        assert json.loads(echoed)["grid"]["n"] == 20
 
 
 def test_main_table_verb(tmp_path, capsys):
@@ -521,6 +571,20 @@ def test_main_converge_verb(tmp_path, capsys):
     assert out[1] == "k,error,order"
     assert out[2].endswith("NA")
     assert len(out) == 2 + 3
+
+
+def test_main_converge_honours_the_reference_step_cap(tmp_path, capsys):
+    # the echoed reference section is the one the sweep integrates with
+    path = tmp_path / "burgers.json"
+    path.write_text(json.dumps(base_config(
+        problem={"name": "burgers", "gamma": 0.05, "h": 0.05},
+        qoi={"kind": "mean-left-half"},
+        reference={"step_cap": 1, "rtol": 1e-4})))
+    assert main(["converge", "--config", str(path), "--levels", "3"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: [converge] reference integration attempted "
+                          "more than 1 steps (cap 1)")
+    assert json.loads(err.split("config: ", 1)[1])["reference"]["step_cap"] == 1
 
 
 @pytest.mark.parametrize("verb", [["run"], ["converge", "--levels", "3"]])

@@ -66,7 +66,6 @@ def test_breakdown_internal_consistency():
     qoi = qoi_mean_left_half(prob.dim, scale=1.0 / prob.dim)
     bd, _ = breakdown_for(prob, qoi, scheme="ssp332", t_end=0.5, n=10)
     assert isinstance(bd, ErrorBreakdown)
-    assert bd.qoi_kind == "final-time"
     # totals match their per-interval sums and the density sums
     score = np.abs(bd.per_interval).sum()
     np.testing.assert_allclose(
@@ -97,7 +96,6 @@ def test_time_integrated_zero_density_gives_zero():
     qoi = QoiSpec(kind="time-integrated", psi_tilde=lambda t: np.zeros(1))
     bd, _ = breakdown_for(prob, qoi, n=8)
     assert bd.estimate_total == 0.0
-    assert bd.qoi_kind == "time-integrated"
 
 
 def test_time_integrated_constant_density_closed_form():

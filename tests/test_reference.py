@@ -17,6 +17,7 @@ from imexest.reference import (
     MODES,
     ReferenceConfig,
     ReferenceError,
+    exact_solution,
     ivp_rhs,
     true_qoi,
 )
@@ -64,10 +65,40 @@ def test_analytic_mode_requires_exact_solution():
     prob = split_scalar_linear(0.0, -1.0, 1.0)
     prob.analytic = None
     qoi = QoiSpec(kind="final-time", psi=np.array([1.0]))
-    with pytest.raises(ReferenceError, match="no analytic"):
+    with pytest.raises(ReferenceError, match="mode 'analytic' needs an analytic "
+                                             "or sampled exact solution"):
         true_qoi(prob, GRID, qoi, ReferenceConfig(mode="analytic"))
     # auto silently falls back to the numeric route instead
     assert true_qoi(prob, GRID, qoi) == pytest.approx(np.exp(-1.0), abs=1e-8)
+
+
+def _exact(t):
+    return np.array([1.0])
+
+
+def _pde(t):
+    return np.array([2.0])
+
+
+@pytest.mark.parametrize("mode, solutions, want", [
+    ("auto", (_exact, _pde), _exact),
+    ("auto", (None, _pde), None),
+    ("auto", (None, None), None),
+    ("analytic", (_exact, _pde), _exact),
+    ("analytic", (None, _pde), _pde),
+    ("analytic", (None, None), ReferenceError),
+    ("high-order-numeric", (_exact, _pde), None),
+    ("high-order-numeric", (None, _pde), None),
+    ("high-order-numeric", (None, None), None),
+])
+def test_exact_solution_picks_the_route(mode, solutions, want):
+    prob = split_scalar_linear(0.0, -1.0, 1.0)
+    prob.analytic, prob.pde_solution = solutions
+    if want is ReferenceError:
+        with pytest.raises(ReferenceError, match="has neither"):
+            exact_solution(prob, mode)
+    else:
+        assert exact_solution(prob, mode) is want
 
 
 def test_time_integrated_reference_analytic():
