@@ -61,9 +61,6 @@ class AdjointSolution:
     poly: PiecewisePolynomial
     qoi: QoiSpec
 
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.poly.evaluate(t)
-
     def max_abs(self) -> float:
         return float(np.abs(self.poly.coeffs).max())
 

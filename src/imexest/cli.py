@@ -14,11 +14,12 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import numbers
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -41,8 +42,7 @@ THREADS_ENV = "IMEXEST_THREADS"
 NUM_FMT = "%.5E"  # 6 significant digits, scientific
 
 SCHEME_ORDER = ("mid122", "ssp332", "ssp343")
-_SHORT_NAMES = {"Mid(1,2,2)": "mid122", "SSP3(3,3,2)": "ssp332",
-                "SSP3(4,3,3)": "ssp343"}
+_SHORT_NAMES = {builtin(s).name: s for s in SCHEME_ORDER}
 
 REPORT_COLUMNS = ("scheme", "computed_error", "effectivity", "E1", "E2", "E3")
 COMPONENT_COLUMNS = ("E1_v", "E1_B", "E2_v", "E2_B", "E3_v", "E3_B")
@@ -148,34 +148,33 @@ def _field_defaults(cls) -> dict:
 
 @dataclass
 class RunConfig:
-    """Validated, fully resolved run description plus the objects it names,
-    each built as soon as its section resolves."""
+    """A validated run: ``echo``, the fully resolved config document
+    (defaults included) that reports print and from_dict accepts back,
+    plus the objects the pipeline runs on, each built as soon as its
+    section resolves."""
 
-    scheme: str
-    problem: dict
-    grid: dict
-    qoi: dict
-    newton: NewtonConfig
-    reference: ReferenceConfig
-    adjoint: dict
-    output: dict
-    components: bool
+    echo: dict
     pair: ImexPair
     ode: SplitOdeProblem
     time_grid: TimeGrid
     qoi_spec: QoiSpec
     masks: Optional[dict]
+    newton: NewtonConfig
+    reference: ReferenceConfig
+    refine: int
+    output: dict
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        """Validate a config document; resolved() output is accepted back."""
+        """Validate a config document; an echo is accepted back."""
         if not isinstance(doc, dict):
             raise ValueError("config must be a JSON object")
         top_allowed = ("scheme", "problem", "grid", "qoi", "newton",
                        "reference", "adjoint", "output", "components")
         _reject_unknown(doc, top_allowed, "config")
         _require_keys(doc, ("scheme", "problem", "grid", "qoi"), "config")
-        pair = builtin(str(doc["scheme"]))
+        echo = {"scheme": str(doc["scheme"])}
+        pair = builtin(echo["scheme"])
 
         prob = dict(doc["problem"])
         _require_keys(prob, ("name",), "config.problem")
@@ -190,7 +189,7 @@ class RunConfig:
             ode = build(**prob)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"config.problem ({pname}): {exc}") from None
-        prob["name"] = pname
+        echo["problem"] = prob = {**prob, "name": pname}
         if pname == "mhd-alfven":
             # derived wave speed recorded so reports carry it explicitly
             prob["A0"] = ode.metadata["alfven_speed"]
@@ -198,7 +197,7 @@ class RunConfig:
                 raise ValueError(f"config.problem.A0 = {a0} disagrees with "
                                  f"B0/sqrt(mu0*rho) = {prob['A0']}")
 
-        components = doc.get("components", False)
+        echo["components"] = components = doc.get("components", False)
         if not isinstance(components, bool):
             raise ValueError(
                 f"config: components must be true or false, got {components!r}")
@@ -229,8 +228,8 @@ class RunConfig:
             raise ValueError("config.grid needs k or n")
         elif n < 1:
             raise ValueError("config.grid.n must be >= 1")
-        grid = {"t_end": t_end, "n": int(n), "k": t_end / n}
-        time_grid = TimeGrid.uniform(t_end, grid["n"])
+        echo["grid"] = {"t_end": t_end, "n": int(n), "k": t_end / n}
+        time_grid = TimeGrid.uniform(t_end, int(n))
 
         qoi = dict(doc["qoi"])
         _require_keys(qoi, ("kind",), "config.qoi")
@@ -247,22 +246,28 @@ class RunConfig:
             qoi_spec = _build_qoi(kind, qoi, ode)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"config.qoi ({kind}): {exc}") from None
-        qoi["kind"] = kind
+        echo["qoi"] = {**qoi, "kind": kind}
 
         newton_in, reference_in, adjoint_in = (
             dict(doc.get(name, {})) for name in ("newton", "reference", "adjoint"))
+        echo["newton"] = _resolve_section(
+            newton_in, _field_defaults(NewtonConfig), "config.newton")
+        newton = NewtonConfig(**echo["newton"])
         if reference_in.get("max_step") == "inf":
-            reference_in["max_step"] = np.inf  # JSON has no infinity; see resolved()
-        newton = NewtonConfig(**_resolve_section(
-            newton_in, _field_defaults(NewtonConfig), "config.newton"))
-        reference = ReferenceConfig(**_resolve_section(
-            reference_in, _field_defaults(ReferenceConfig), "config.reference"))
+            reference_in["max_step"] = np.inf  # JSON has no infinity
+        ref = _resolve_section(reference_in, _field_defaults(ReferenceConfig),
+                               "config.reference")
+        reference = ReferenceConfig(**ref)
         try:
             exact_solution(ode, reference.mode)
         except ReferenceError as exc:
             raise ValueError(f"config.reference: {exc}") from None
-        adjoint = _resolve_section(adjoint_in, _ADJOINT_DEFAULTS, "config.adjoint")
-        if adjoint["refine"] < 1:
+        # the echo writes an infinite max_step as the string it accepts
+        echo["reference"] = ({**ref, "max_step": "inf"}
+                             if ref["max_step"] == np.inf else ref)
+        echo["adjoint"] = _resolve_section(adjoint_in, _ADJOINT_DEFAULTS,
+                                           "config.adjoint")
+        if echo["adjoint"]["refine"] < 1:
             raise ValueError("config.adjoint.refine must be >= 1")
         output = _resolve_section(dict(doc.get("output", {})),
                                   _OUTPUT_DEFAULTS, "config.output")
@@ -275,22 +280,10 @@ class RunConfig:
                 _is_integer(i) and 0 <= i < ode.dim for i in indices)):
             raise ValueError("config.output series_indices must be a list of "
                              f"integers in [0, {ode.dim}), got {indices!r}")
-        return cls(scheme=str(doc["scheme"]), problem=prob, grid=grid,
-                   qoi=qoi, newton=newton, reference=reference,
-                   adjoint=adjoint, output=output, components=components,
-                   pair=pair, ode=ode, time_grid=time_grid, qoi_spec=qoi_spec,
-                   masks=masks)
-
-    def resolved(self) -> dict:
-        """Full config with every default filled in, for echoing."""
-        ref = asdict(self.reference)
-        if ref["max_step"] == np.inf:
-            ref["max_step"] = "inf"
-        return {
-            "scheme": self.scheme, "problem": self.problem, "grid": self.grid,
-            "qoi": self.qoi, "newton": asdict(self.newton), "reference": ref,
-            "adjoint": self.adjoint, "components": self.components,
-        }
+        return cls(echo=echo, pair=pair, ode=ode, time_grid=time_grid,
+                   qoi_spec=qoi_spec, masks=masks, newton=newton,
+                   reference=reference, refine=echo["adjoint"]["refine"],
+                   output=output)
 
 
 def _build_qoi(kind: str, q: dict, problem: SplitOdeProblem) -> QoiSpec:
@@ -371,7 +364,6 @@ def run(config: dict):
     resolved config.
     """
     cfg = _resolve_config(config)
-    resolved = cfg.resolved()
     problem, pair, grid, qoi = cfg.ode, cfg.pair, cfg.time_grid, cfg.qoi_spec
     try:
         stage = "forward"
@@ -381,7 +373,7 @@ def run(config: dict):
         recon = build_cg(pair, forward)
 
         stage = "adjoint"
-        adj = solve_adjoint(problem, recon, qoi, refine=cfg.adjoint["refine"])
+        adj = solve_adjoint(problem, recon, qoi, refine=cfg.refine)
 
         stage = "estimate"
         if qoi.kind == "final-time":
@@ -395,7 +387,7 @@ def run(config: dict):
         states_at = ((lambda t: forward.final_state) if qoi.kind == "final-time"
                      else recon.evaluate)
         imex_q = qoi_from_states(states_at, grid, qoi)
-        key = _reference_key(resolved)
+        key = _reference_key(cfg.echo)
         cached = _REFERENCE_CACHE.get(key)
         # a verified reference holds only for errors at least as large as
         # the one it was verified against
@@ -419,7 +411,7 @@ def run(config: dict):
                 "reference_qoi": ref_q,
                 "imex_qoi": imex_q,
                 "true_error": true_err,
-                "config": resolved,
+                "config": cfg.echo,
             })
         if cfg.output["row_csv"]:
             write_report_csv(cfg.output["row_csv"], [row])
@@ -428,7 +420,7 @@ def run(config: dict):
     except CliError:
         raise
     except Exception as exc:
-        raise CliError(stage, exc, resolved) from exc
+        raise CliError(stage, exc, cfg.echo) from exc
     return row
 
 
@@ -453,31 +445,35 @@ def _csv_header(with_components: bool) -> str:
     return ",".join(REPORT_COLUMNS + (COMPONENT_COLUMNS if with_components else ()))
 
 
+def _write_columns(path: str, comment: str, header: str, columns) -> None:
+    """A series file: a comment line, a header and one row per entry of
+    the equally long columns, each value in NUM_FMT."""
+    with open(path, "w") as fh:
+        fh.write(f"# {comment}\n{header}\n")
+        for row in zip(*columns):
+            fh.write(",".join(NUM_FMT % v for v in row) + "\n")
+
+
 def _emit_series(cfg: RunConfig, forward, adj, bd) -> None:
     """Time-series data files plus a plain-text figure description."""
     problem, grid = cfg.ode, cfg.time_grid
     out_dir = cfg.output["series_dir"]
     os.makedirs(out_dir, exist_ok=True)
-    short = _SHORT_NAMES.get(cfg.pair.name, cfg.scheme)
-    name = cfg.output["name"] or f"{problem.name}_{short}"
+    name = cfg.output["name"] or f"{problem.name}_{_SHORT_NAMES[cfg.pair.name]}"
     indices = cfg.output["series_indices"]
     if indices is None:
         indices = [problem.dim // 2]
     nodes = grid.nodes
-    phi_nodes = np.stack([adj.evaluate(t) for t in nodes])
+    phi_nodes = np.stack([adj.poly.evaluate(t) for t in nodes])
     for idx in indices:
         for tag, vals in (("Y", forward.nodal[:, idx]), ("phi", phi_nodes[:, idx])):
-            path = os.path.join(out_dir, f"{name}_{tag}_state{idx}.csv")
-            with open(path, "w") as fh:
-                fh.write(f"# run: {name}; series: {tag}[{idx}]\nt,value\n")
-                for t, v in zip(nodes, vals):
-                    fh.write(f"{NUM_FMT % t},{NUM_FMT % v}\n")
+            _write_columns(os.path.join(out_dir, f"{name}_{tag}_state{idx}.csv"),
+                           f"run: {name}; series: {tag}[{idx}]", "t,value",
+                           (nodes, vals))
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    with open(os.path.join(out_dir, f"{name}_eterms.csv"), "w") as fh:
-        fh.write(f"# run: {name}; per-interval estimate components\n"
-                 "t_mid,E1,E2,E3\n")
-        for t, (a, b, c) in zip(mids, bd.per_interval):
-            fh.write(f"{NUM_FMT % t},{NUM_FMT % a},{NUM_FMT % b},{NUM_FMT % c}\n")
+    _write_columns(os.path.join(out_dir, f"{name}_eterms.csv"),
+                   f"run: {name}; per-interval estimate components",
+                   "t_mid,E1,E2,E3", (mids, *np.transpose(bd.per_interval)))
 
     max_y = float(np.abs(forward.nodal).max())
     desc = [f"Run {name}: scheme {cfg.pair.name} on problem "
@@ -498,11 +494,10 @@ def _emit_series(cfg: RunConfig, forward, adj, bd) -> None:
         mh = problem.metadata["interior_per_field"]
         zeta = problem.metadata["h"] * np.arange(1, mh + 1)
         v_true = problem.pde_solution(grid.t_end)[:mh]
-        with open(os.path.join(out_dir, f"{name}_profile_v.csv"), "w") as fh:
-            fh.write(f"# run: {name}; velocity profile at T = {grid.t_end}\n"
-                     "zeta,v_imex,v_analytic\n")
-            for z, vi, va in zip(zeta, forward.final_state[:mh], v_true):
-                fh.write(f"{NUM_FMT % z},{NUM_FMT % vi},{NUM_FMT % va}\n")
+        _write_columns(os.path.join(out_dir, f"{name}_profile_v.csv"),
+                       f"run: {name}; velocity profile at T = {grid.t_end}",
+                       "zeta,v_imex,v_analytic",
+                       (zeta, forward.final_state[:mh], v_true))
         desc.append(f"Velocity profile at the final time against the exact "
                     f"solution: {name}_profile_v.csv (columns zeta, v_imex, "
                     "v_analytic); overlaying the two curves reproduces the "
@@ -511,31 +506,32 @@ def _emit_series(cfg: RunConfig, forward, adj, bd) -> None:
         fh.write("\n".join(desc) + "\n")
 
 
-# Published benchmark-table settings, keyed by table id.
+# Published benchmark-table settings, keyed by table id: each a complete
+# config document but for its scheme.
 _LIN = {"name": "linear-advection-diffusion", "h": 1 / 40}
+_LEFT = {"qoi": {"kind": "mean-left-half"}, "components": False}
+_MHD = {"grid": {"t_end": 0.1, "k": 1e-3}, "qoi": {"kind": "integral-v"}}
 TABLE_CONFIGS = {
-    4: {"problem": {**_LIN, "gamma": 0.1}, "grid": {"t_end": 2.0, "k": 1 / 40}},
-    5: {"problem": {**_LIN, "gamma": 0.01}, "grid": {"t_end": 2.0, "k": 1 / 40}},
-    6: {"problem": {**_LIN, "gamma": 0.1}, "grid": {"t_end": 1.0, "k": 1 / 10}},
-    7: {"problem": {**_LIN, "gamma": 0.1}, "grid": {"t_end": 2.0, "k": 1 / 10}},
-    8: {"problem": {**_LIN, "gamma": 0.01}, "grid": {"t_end": 1.0, "k": 1 / 10}},
-    9: {"problem": {**_LIN, "gamma": 0.01}, "grid": {"t_end": 2.0, "k": 1 / 10}},
+    4: {"problem": {**_LIN, "gamma": 0.1}, "grid": {"t_end": 2.0, "k": 1 / 40}, **_LEFT},
+    5: {"problem": {**_LIN, "gamma": 0.01}, "grid": {"t_end": 2.0, "k": 1 / 40}, **_LEFT},
+    6: {"problem": {**_LIN, "gamma": 0.1}, "grid": {"t_end": 1.0, "k": 1 / 10}, **_LEFT},
+    7: {"problem": {**_LIN, "gamma": 0.1}, "grid": {"t_end": 2.0, "k": 1 / 10}, **_LEFT},
+    8: {"problem": {**_LIN, "gamma": 0.01}, "grid": {"t_end": 1.0, "k": 1 / 10}, **_LEFT},
+    9: {"problem": {**_LIN, "gamma": 0.01}, "grid": {"t_end": 2.0, "k": 1 / 10}, **_LEFT},
     10: {"problem": {"name": "burgers", "gamma": 0.05, "h": 1 / 40},
-         "grid": {"t_end": 1.0, "k": 1 / 20}},
+         "grid": {"t_end": 1.0, "k": 1 / 20}, **_LEFT},
     11: {"problem": {"name": "burgers", "gamma": 0.05, "h": 1 / 40},
-         "grid": {"t_end": 2.0, "k": 1 / 20}},
+         "grid": {"t_end": 2.0, "k": 1 / 20}, **_LEFT},
     12: {"problem": {"name": "linear-advection-diffusion", "gamma": 0.075,
                      "h": 1 / 20, "swap_roles": True},
-         "grid": {"t_end": 1.0, "k": 1 / 40}},
-    13: {"problem": {"name": "mhd-alfven", "v_mode": "v-split"},
-         "grid": {"t_end": 0.1, "k": 1e-3}, "qoi": {"kind": "integral-v"}},
-    14: {"problem": {"name": "mhd-alfven", "v_mode": "v-split"},
-         "grid": {"t_end": 0.1, "k": 1e-3}, "qoi": {"kind": "integral-v"},
+         "grid": {"t_end": 1.0, "k": 1 / 40}, **_LEFT},
+    13: {"problem": {"name": "mhd-alfven", "v_mode": "v-split"}, **_MHD,
+         "components": False},
+    14: {"problem": {"name": "mhd-alfven", "v_mode": "v-split"}, **_MHD,
          "components": True},
-    15: {"problem": {"name": "mhd-alfven", "v_mode": "v-implicit"},
-         "grid": {"t_end": 0.1, "k": 1e-3}, "qoi": {"kind": "integral-v"}},
-    16: {"problem": {"name": "mhd-alfven", "v_mode": "v-implicit"},
-         "grid": {"t_end": 0.1, "k": 1e-3}, "qoi": {"kind": "integral-v"},
+    15: {"problem": {"name": "mhd-alfven", "v_mode": "v-implicit"}, **_MHD,
+         "components": False},
+    16: {"problem": {"name": "mhd-alfven", "v_mode": "v-implicit"}, **_MHD,
          "components": True},
 }
 
@@ -544,14 +540,7 @@ def table_config(table_id: int, scheme: str) -> dict:
     """The run config for one scheme row of a published table."""
     if table_id not in TABLE_CONFIGS:
         raise ValueError(f"unknown table id {table_id}; supported: 4..16")
-    base = TABLE_CONFIGS[table_id]
-    doc = {"scheme": scheme,
-           "problem": dict(base["problem"]),
-           "grid": dict(base["grid"]),
-           "qoi": dict(base.get("qoi", {"kind": "mean-left-half"}))}
-    if base.get("components"):
-        doc["components"] = True
-    return doc
+    return {"scheme": scheme, **copy.deepcopy(TABLE_CONFIGS[table_id])}
 
 
 def reproduce_table(table_id: int, out_csv: Optional[str] = None) -> list:
@@ -622,12 +611,13 @@ def _cmd_converge(args) -> int:
         _check_levels(args.levels)
     except ValueError as exc:
         raise CliError("config", exc) from exc
+    grid = cfg.echo["grid"]
     try:
-        rows = convergence_study(cfg.ode, cfg.pair, cfg.grid["k"], args.levels,
-                                 cfg.grid["t_end"], cfg.newton, cfg.reference)
+        rows = convergence_study(cfg.ode, cfg.pair, grid["k"], args.levels,
+                                 grid["t_end"], cfg.newton, cfg.reference)
     except Exception as exc:
-        raise CliError("converge", exc, cfg.resolved()) from exc
-    print(f"# config: {canonical_json(cfg.resolved())}")
+        raise CliError("converge", exc, cfg.echo) from exc
+    print(f"# config: {canonical_json(cfg.echo)}")
     print("k,error,order")
     for r in rows:
         order = "NA" if r["order"] is None else NUM_FMT % r["order"]

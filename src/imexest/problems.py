@@ -2,10 +2,10 @@
 
 A problem carries the two right-hand-side halves (f integrated
 explicitly, g implicitly), their Jacobians with respect to the state,
-an optional time-dependent forcing holding e.g. Dirichlet boundary
-pickups, and optionally an exact solution.  A half that is linear in the
-state is given by its constant operator, from which its evaluation and
-Jacobian follow.  The PDE benchmarks use
+an optional time-dependent forcing given as pickup matrices times
+boundary data (e.g. Dirichlet values), and optionally an exact solution.
+A half that is linear in the state is given by its constant operator,
+from which its evaluation and Jacobian follow.  The PDE benchmarks use
 method-of-lines finite differences on uniform grids.  Each builder picks
 the operator form by structure: the two-field Alfven system is CSR, the
 small periodic stencils (at most a few dozen unknowns) stay dense.
@@ -24,7 +24,6 @@ from scipy.linalg import expm
 
 Array = np.ndarray
 Operator = Array | sparse.csr_array
-ForcingFn = Callable[[float | Array], tuple[Array, Array]]
 
 QOI_KINDS = ("final-time", "time-integrated")
 
@@ -46,21 +45,19 @@ class SplitOdeProblem:
     is linear in the state, as a dense array or CSR, and are None for a
     nonlinear half.  A half with an operator is given by it alone:
     eval_f defaults to y -> f_op y and jac_f to f_op made dense, and every
-    state-independent term is carried by ``forcing``.  A half without one
+    state-independent term is carried by the forcing.  A half without one
     needs eval and jac.  The adjoint's constant operator and the
     reference's sparse operator are built from the operators.  ``linear``
     (both halves carry an operator) switches on the forward LU cache and
     the adjoint propagator.
 
-    ``boundary`` = (pick, data) gives the summed forcing of a linear
-    problem as a matrix times a data vector: force_f(t) + force_g(t)
-    equals pick @ data(t) at one time.  The reference applies it with
-    the operator in one matvec, so a linear problem with a forcing must
-    carry it.
+    A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
+    matrices, dense or CSR, and ``boundary_data``, time -> the d data
+    values b(t); its forcing is (pick_f @ b(t), pick_g @ b(t)).  The
+    reference applies the summed pickups with the operator in one matvec.
     """
 
     name: str
-    dim: int
     y0: Array
     f_op: Optional[Operator] = None
     g_op: Optional[Operator] = None
@@ -68,16 +65,16 @@ class SplitOdeProblem:
     eval_g: Optional[Callable[[Array], Array]] = None
     jac_f: Optional[Callable[[Array], Array]] = None
     jac_g: Optional[Callable[[Array], Array]] = None
-    forcing: Optional[ForcingFn] = None
+    pickups: Optional[tuple[Operator, Operator]] = None
+    boundary_data: Optional[Callable[[float], Array]] = None
     analytic: Optional[Callable[[float], Array]] = None
     pde_solution: Optional[Callable[[float], Array]] = None
-    boundary: Optional[tuple[Array, Callable[[float], Array]]] = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float)
-        if self.y0.shape != (self.dim,):
-            raise ValueError(f"y0 shape {self.y0.shape} does not match dim {self.dim}")
+        if self.y0.ndim != 1:
+            raise ValueError(f"y0 must be a vector, got shape {self.y0.shape}")
         if self.f_op is not None:
             self.eval_f = self.eval_f or _apply(self.f_op)
             self.jac_f = self.jac_f or _dense_jacobian(self.f_op)
@@ -88,19 +85,32 @@ class SplitOdeProblem:
             if getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
                 raise ValueError(f"the {half} half needs {half}_op, or eval_{half} "
                                  f"and jac_{half}")
-        if self.linear and self.forcing is not None and self.boundary is None:
-            raise ValueError("a linear problem with a forcing needs boundary = "
-                             "(pick, data), the summed forcing as pick @ data(t)")
+        if (self.pickups is None) != (self.boundary_data is None):
+            raise ValueError("a forced problem needs pickups = (pick_f, pick_g) "
+                             "and boundary_data together")
+
+    @property
+    def dim(self) -> int:
+        """The state dimension: the length of y0."""
+        return self.y0.size
 
     @property
     def linear(self) -> bool:
         """Both halves are linear: each carries its constant operator."""
         return self.f_op is not None and self.g_op is not None
 
+    def forcing(self, t) -> tuple[Array, Array]:
+        """(pick_f @ b(t), pick_g @ b(t)) of a forced problem, at one time
+        or row by row on a (P,) vector of times."""
+        t = np.asarray(t, dtype=float)
+        data = np.array([self.boundary_data(s) for s in t] if t.ndim
+                        else self.boundary_data(t))
+        return tuple((pick @ data.T).T for pick in self.pickups)
+
     def halves(self, y: Array, t) -> tuple[Array, Array]:
         """(f(y, t), g(y, t)) with one forcing evaluation."""
         f, g = self.eval_f(y), self.eval_g(y)
-        if self.forcing is not None:
+        if self.pickups is not None:
             force_f, force_g = self.forcing(t)
             f, g = f + force_f, g + force_g
         return f, g
@@ -162,18 +172,9 @@ def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,
         if op.shape != (y0.size, y0.size):
             raise ValueError(f"{key} has shape {op.shape}; y0 of length "
                              f"{y0.size} needs ({y0.size}, {y0.size})")
-    forcing = boundary = analytic = None
+    analytic = None
     if pickups is not None:
-        pick_f, pick_g = map(_operator, pickups)
-        apply_pick_f, apply_pick_g = _apply(pick_f), _apply(pick_g)
-
-        def forcing(t) -> tuple[Array, Array]:
-            t = np.asarray(t, dtype=float)
-            data = np.array([boundary_data(s) for s in t] if t.ndim
-                            else boundary_data(t))
-            return apply_pick_f(data), apply_pick_g(data)
-
-        boundary = (pick_f + pick_g, boundary_data)
+        pickups = tuple(map(_operator, pickups))
     else:
         full = as_dense(f_op) + as_dense(g_op)
 
@@ -182,14 +183,13 @@ def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,
 
     return SplitOdeProblem(
         name=name,
-        dim=y0.size,
         y0=y0,
-        forcing=forcing,
         analytic=analytic,
         pde_solution=pde_solution,
         f_op=f_op,
         g_op=g_op,
-        boundary=boundary,
+        pickups=pickups,
+        boundary_data=boundary_data,
         metadata=metadata or {},
     )
 
@@ -221,7 +221,6 @@ def split_scalar_bernoulli(lam: float, mu: float, y0: float) -> SplitOdeProblem:
 
     return SplitOdeProblem(
         name="scalar-bernoulli-split",
-        dim=1,
         y0=np.array([y0]),
         g_op=np.array([[lam]]),
         eval_f=lambda y: mu * y * y,
@@ -315,7 +314,6 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
 
     return SplitOdeProblem(
         name="burgers",
-        dim=m,
         y0=np.sin(np.pi * x),
         g_op=diff,
         eval_f=eval_f,
@@ -362,11 +360,12 @@ def _alfven_point(zeta: float, t: float, B0: float, rho: float, mu: float,
 
 
 _alfven_fields = np.vectorize(_alfven_point, otypes=[float, float])
+_ALFVEN_PHYSICS = ("B0", "rho", "mu", "eta", "mu0", "U")  # _alfven_point's order
 
 
-def alfven_analytic(zeta, t, B0=10.0, rho=1.0, mu=1.0, eta=1.0,
-                    mu0=1.0, U=1.0) -> tuple[Array, Array]:
-    """Exact (v, B) of the viscous/resistive Alfven-wave half-space problem.
+def alfven_analytic(zeta, t, **params) -> tuple[Array, Array]:
+    """Exact (v, B) of the viscous/resistive Alfven-wave half-space problem,
+    for the physics params over MHD_DEFAULTS (the half-space ignores L).
 
     At t <= 0 both fields vanish (the fluid starts at rest); for t > 0
     the impulsively started plate makes the velocity boundary value at
@@ -374,11 +373,15 @@ def alfven_analytic(zeta, t, B0=10.0, rho=1.0, mu=1.0, eta=1.0,
     expressions.  A vector of times gives (len(t), len(zeta)) fields,
     one row per time.
     """
+    unknown = set(params) - set(MHD_DEFAULTS)
+    if unknown:
+        raise TypeError(f"unknown mhd parameters: {sorted(unknown)}")
+    p = {**MHD_DEFAULTS, **params}
     t = np.asarray(t, dtype=float)
     if t.ndim:
         t = t[:, None]
     return _alfven_fields(np.asarray(zeta, dtype=float), t,
-                          B0, rho, mu, eta, mu0, U)
+                          *(p[k] for k in _ALFVEN_PHYSICS))
 
 
 def mhd_params(v_mode: str, **params) -> dict:
@@ -424,7 +427,7 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
     couples at most six of the state's unknowns.
     """
     p = mhd_params(v_mode, **params)
-    B0, rho, mu, eta, mu0, U, L = (p[k] for k in ("B0", "rho", "mu", "eta", "mu0", "U", "L"))
+    B0, rho, mu, eta, mu0, L = (p[k] for k in ("B0", "rho", "mu", "eta", "mu0", "L"))
 
     zeta = _grid_points(0.0, L, h)[1:]
     mh = zeta.size
@@ -434,21 +437,26 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
     # the forcing is pick_f/pick_g times (v(0), v(L), B(0), B(L))
     d1 = _stencil(mh, h, 1, periodic=False)
     d2 = _stencil(mh, h, 2, periodic=False)
-    inner, ends = slice(1, -1), [0, -1]
-    sv, sb = slice(0, mh), slice(mh, m)
-    ends_v, ends_b = slice(0, 2), slice(2, 4)
-    # (rows, state columns, pickup columns, operator, explicit?)
-    blocks = ((sb, sv, ends_v, B0 * d1, True),                        # transport
-              (sb, sb, ends_b, (eta / mu0) * d2, False),              # magnetic diffusion
-              (sv, sv, ends_v, (mu / rho) * d2, False),               # viscosity
-              (sv, sb, ends_b, (B0 / rho) * d1, v_mode == "v-split"))  # Lorentz
-    f_mat, g_mat = np.zeros((m, m)), np.zeros((m, m))
-    pick_f, pick_g = np.zeros((m, 4)), np.zeros((m, 4))
-    for rows, cols, pick_cols, op, explicit in blocks:
-        mat, pick = (f_mat, pick_f) if explicit else (g_mat, pick_g)
-        mat[rows, cols] = op[:, inner]
-        pick[rows, pick_cols] = op[:, ends]
-    physics = (B0, rho, mu, eta, mu0, U)
+    # (row field, column field, stencil, explicit?), field 0 is v and 1 is B
+    blocks = ((1, 0, B0 * d1, True),                         # transport
+              (1, 1, (eta / mu0) * d2, False),               # magnetic diffusion
+              (0, 0, (mu / rho) * d2, False),                # viscosity
+              (0, 1, (B0 / rho) * d1, v_mode == "v-split"))  # Lorentz
+
+    def assemble(explicit: bool, cols, width: int) -> sparse.csr_array:
+        """One half's (v, B) x (v, B) CSR block matrix of the stencils'
+        columns cols, width per field: the interior columns make the
+        operator, the two end columns the pickups."""
+        grid = [[sparse.csr_array((mh, width))] * 2 for _ in range(2)]
+        for row, col, op, expl in blocks:
+            if expl == explicit:
+                grid[row][col] = sparse.csr_array(op[:, cols])
+        return sparse.block_array(grid, format="csr")
+
+    f_mat, pick_f, g_mat, pick_g = (
+        assemble(explicit, cols, width) for explicit in (True, False)
+        for cols, width in ((slice(1, -1), mh), ([0, -1], 2)))
+    physics = tuple(p[k] for k in _ALFVEN_PHYSICS)
 
     def boundary_data(t: float) -> list:
         """(v(0), v(L), B(0), B(L)) at one time."""
@@ -457,11 +465,9 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
         return [v_0, v_l, b_0, b_l]
 
     def pde_solution(t: float) -> Array:
-        v, b = alfven_analytic(zeta, t, B0=B0, rho=rho, mu=mu, eta=eta, mu0=mu0, U=U)
+        v, b = alfven_analytic(zeta, t, **p)
         return np.concatenate([v, b], axis=-1)
 
-    f_mat, g_mat, pick_f, pick_g = map(sparse.csr_array,
-                                       (f_mat, g_mat, pick_f, pick_g))
     return _matrix_problem(
         f"mhd-alfven-{v_mode}", f_mat, g_mat, np.zeros(m),
         pickups=(pick_f, pick_g), boundary_data=boundary_data,

@@ -94,9 +94,9 @@ def reference_operator(problem: SplitOdeProblem) -> sparse.csr_array:
     f_op + g_op, with the summed boundary pickups of a forced problem
     appended as columns that act on the boundary data."""
     op = sparse.csr_array(problem.f_op) + sparse.csr_array(problem.g_op)
-    if problem.boundary is not None:
-        op = sparse.hstack((op, sparse.csr_array(problem.boundary[0])),
-                           format="csr")
+    if problem.pickups is not None:
+        pick_f, pick_g = map(sparse.csr_array, problem.pickups)
+        op = sparse.hstack((op, pick_f + pick_g), format="csr")
     return op
 
 
@@ -110,9 +110,9 @@ def ivp_rhs(problem: SplitOdeProblem):
     if not problem.linear:
         return lambda t, y: problem.rhs(y, t)
     op = reference_operator(problem)
-    if problem.boundary is None:
+    data = problem.boundary_data
+    if data is None:
         return lambda t, y: op @ y
-    data = problem.boundary[1]
     return lambda t, y: op @ np.concatenate((y, data(t)))
 
 

@@ -137,7 +137,7 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
     x = known.copy()
     iters = 0
     # the forcing does not depend on the state: one evaluation per stage
-    force_g = 0.0 if problem.forcing is None else problem.forcing(t_i)[1]
+    force_g = 0.0 if problem.pickups is None else problem.forcing(t_i)[1]
     while True:
         r = x - k_n * bii * (problem.eval_g(x) + force_g) - known
         if not np.all(np.isfinite(r)):

@@ -115,7 +115,7 @@ def test_zero_operator_keeps_terminal_value():
     psi = np.array([0.3, -0.7])
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
     for t in (0.0, 0.37, 1.0):
-        np.testing.assert_allclose(adj.evaluate(t), psi, atol=1e-13)
+        np.testing.assert_allclose(adj.poly.evaluate(t), psi, atol=1e-13)
 
 
 def test_scalar_adjoint_matches_exponential():
@@ -126,7 +126,7 @@ def test_scalar_adjoint_matches_exponential():
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.array([1.0])))
     for t in recon.grid.nodes:
         want = np.exp(lam * (1.0 - t))
-        assert adj.evaluate(t)[0] == pytest.approx(want, rel=1e-6)
+        assert adj.poly.evaluate(t)[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_time_integrated_zero_density_gives_zero_adjoint():
@@ -147,7 +147,7 @@ def test_time_integrated_constant_density_closed_form():
     adj = solve_adjoint(prob, recon, qoi)
     for t in (0.0, 0.25, 0.6, 1.0):
         want = (np.exp(lam * (1.0 - t)) - 1.0) / lam
-        assert adj.evaluate(t)[0] == pytest.approx(want, abs=1e-6)
+        assert adj.poly.evaluate(t)[0] == pytest.approx(want, abs=1e-6)
 
 
 def test_adjoint_galerkin_residual_per_interval():
@@ -184,7 +184,7 @@ def test_duality_identity_linear_system():
     psi = np.array([1.0, -0.5])
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
     lhs = float(np.dot(prob.analytic(1.0), psi))
-    rhs = float(np.dot(prob.y0, adj.evaluate(0.0)))
+    rhs = float(np.dot(prob.y0, adj.poly.evaluate(0.0)))
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -202,7 +202,7 @@ def test_backward_sweep_tail_is_local():
     )
     for t in (0.5, 0.6, 0.85, 1.0):
         np.testing.assert_allclose(
-            tail.evaluate(t), full.evaluate(t), atol=1e-12
+            tail.poly.evaluate(t), full.poly.evaluate(t), atol=1e-12
         )
 
 
@@ -210,7 +210,6 @@ def test_adjoint_failure_reports_interval():
     nan_mat = np.full((1, 1), np.nan)
     prob = SplitOdeProblem(
         name="nan-jacobian",
-        dim=1,
         eval_f=lambda y: np.zeros(1),
         eval_g=lambda y: -y,
         jac_f=lambda y: nan_mat,
@@ -232,7 +231,6 @@ def test_adjoint_failure_on_a_constant_nan_operator():
     nan_mat = np.full((1, 1), np.nan)
     prob = SplitOdeProblem(
         name="nan-operator",
-        dim=1,
         y0=np.array([1.0]),
         f_op=nan_mat,
         g_op=np.array([[-1.0]]),

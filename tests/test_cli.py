@@ -106,6 +106,9 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     # newton and reference values are typed key by key
     ({"reference": {"rtol": "1e-10"}},
      r"config\.reference rtol must be a number, got '1e-10'"),
+    # only the string "inf" stands for a number
+    ({"reference": {"max_step": "1e-3"}},
+     r"config\.reference max_step must be a number, got '1e-3'"),
     ({"newton": {"max_iters": "5"}},
      r"config\.newton max_iters must be an integer, got '5'"),
     ({"qoi": {"kind": "integral-v"}},
@@ -165,7 +168,8 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "reference-verify-string", "components-not-mhd", "mhd-v-mode",
         "mhd-exp-overflow", "grid-n-fraction", "newton-max-iters-fraction",
         "reference-step-cap-fraction", "adjoint-refine-fraction",
-        "reference-rtol-string", "newton-max-iters-string",
+        "reference-rtol-string", "reference-max-step-string",
+        "newton-max-iters-string",
         "integral-v-not-mhd", "mhd-h-zero", "advdiff-h-negative",
         "mhd-h-not-dividing", "grid-k-zero", "grid-k-overflow", "psi-length",
         "psi-tilde-length", "unknown-scheme", "mean-left-half-odd-dim",
@@ -216,8 +220,8 @@ def test_config_step_must_divide_horizon():
     with pytest.raises(CliError, match="does not divide"):
         run(base_config(grid={"t_end": 1.0, "k": 0.3}))
     cfg = RunConfig.from_dict(base_config(grid={"t_end": 1.0, "n": 20}))
-    assert cfg.grid["n"] == 20
-    assert cfg.grid["k"] == pytest.approx(0.05)
+    assert cfg.echo["grid"]["n"] == 20
+    assert cfg.echo["grid"]["k"] == pytest.approx(0.05)
 
 
 def test_config_missing_problem_parameter():
@@ -236,7 +240,7 @@ def test_config_unknown_problem_and_qoi():
 
 def test_config_records_defaults_used():
     # the resolved config fills in every default and keeps what was given
-    resolved = RunConfig.from_dict(base_config(newton={"max_iters": 30})).resolved()
+    resolved = RunConfig.from_dict(base_config(newton={"max_iters": 30})).echo
     assert resolved["newton"]["abs_tol"] == NewtonConfig().abs_tol
     assert resolved["newton"]["max_iters"] == 30
     assert resolved["adjoint"]["refine"] == DEFAULT_REFINE
@@ -251,15 +255,31 @@ def test_config_derives_alfven_speed():
         "qoi": {"kind": "integral-v"},
     }
     cfg = RunConfig.from_dict(doc)
-    assert cfg.problem["A0"] == pytest.approx(10.0)
-    assert cfg.problem["v_mode"] == "v-split"
+    assert cfg.echo["problem"]["A0"] == pytest.approx(10.0)
+    assert cfg.echo["problem"]["v_mode"] == "v-split"
 
 
 @pytest.mark.parametrize("table_id", sorted(cli.TABLE_CONFIGS))
 @pytest.mark.parametrize("scheme", SCHEME_ORDER)
 def test_echoed_config_resolves_to_itself(table_id, scheme):
-    echo = canonical_json(RunConfig.from_dict(table_config(table_id, scheme)).resolved())
-    assert canonical_json(RunConfig.from_dict(json.loads(echo)).resolved()) == echo
+    echo = canonical_json(RunConfig.from_dict(table_config(table_id, scheme)).echo)
+    assert canonical_json(RunConfig.from_dict(json.loads(echo)).echo) == echo
+
+
+@pytest.mark.parametrize("max_step, echoed", [
+    (float("inf"), "inf"), (np.float64("inf"), "inf"), ("inf", "inf"),
+    (1e-3, 1e-3)], ids=["float-inf", "numpy-inf", "json-inf", "finite"])
+def test_infinite_max_step_echoes_as_inf(max_step, echoed):
+    # a float infinity (Python API) or the string (JSON) echo alike as the
+    # string, never as JSON's non-standard Infinity; a finite step as given
+    cfg = RunConfig.from_dict(base_config(reference={"max_step": max_step}))
+    assert cfg.reference.max_step == float(max_step)
+    echo = canonical_json(cfg.echo)
+    assert json.loads(echo)["reference"]["max_step"] == echoed
+    assert "Infinity" not in echo
+    again = RunConfig.from_dict(json.loads(echo))
+    assert again.reference.max_step == cfg.reference.max_step
+    assert canonical_json(again.echo) == echo
 
 
 def test_echoed_config_reruns_to_the_same_row():

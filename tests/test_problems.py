@@ -577,20 +577,29 @@ def test_alfven_fields_take_the_start_limit_where_d_t_underflows():
             assert np.array_equal(new, old) and np.array_equal(new, limit)
 
 
+def alfven_dense(md, cols):
+    """Dense f and g matrices of the centred stencils' columns cols,
+    placed per (v, B) field block: the interior columns give the
+    (m, m) operators, the Dirichlet end columns the pickups."""
+    mh, h = md["interior_per_field"], md["h"]
+    d1, d2 = (problems._stencil(mh, h, order, periodic=False)[:, cols]
+              for order in (1, 2))
+    w = d1.shape[1]
+    sv, sb = slice(0, mh), slice(mh, 2 * mh)
+    cv, cb = slice(0, w), slice(w, 2 * w)
+    f_mat, g_mat = np.zeros((2 * mh, 2 * w)), np.zeros((2 * mh, 2 * w))
+    f_mat[sb, cv] = md["B0"] * d1                       # transport
+    g_mat[sb, cb] = md["eta"] / md["mu0"] * d2          # magnetic diffusion
+    g_mat[sv, cv] = md["mu"] / md["rho"] * d2           # viscosity
+    lorentz = f_mat if md["v_mode"] == "v-split" else g_mat
+    lorentz[sv, cb] = md["B0"] / md["rho"] * d1
+    return f_mat, g_mat
+
+
 def pickups(md):
     """(m, 4) f and g pickups of (v(0), v(L), B(0), B(L)), from the
     Dirichlet end columns of the centred stencils."""
-    mh, h = md["interior_per_field"], md["h"]
-    d1, d2 = (problems._stencil(mh, h, order, periodic=False)[:, [0, -1]]
-              for order in (1, 2))
-    sv, sb = slice(0, mh), slice(mh, 2 * mh)
-    pick_f, pick_g = np.zeros((2 * mh, 4)), np.zeros((2 * mh, 4))
-    pick_f[sb, 0:2] = md["B0"] * d1                       # transport
-    pick_g[sb, 2:4] = md["eta"] / md["mu0"] * d2          # magnetic diffusion
-    pick_g[sv, 0:2] = md["mu"] / md["rho"] * d2           # viscosity
-    lorentz = pick_f if md["v_mode"] == "v-split" else pick_g
-    lorentz[sv, 2:4] = md["B0"] / md["rho"] * d1
-    return pick_f, pick_g
+    return alfven_dense(md, [0, -1])
 
 
 @pytest.mark.parametrize("v_mode", MHD_V_MODES)
@@ -633,39 +642,44 @@ def test_stacked_forcing_equals_the_per_time_calls(v_mode):
 @pytest.mark.parametrize("v_mode", MHD_V_MODES)
 def test_mhd_boundary_is_the_summed_forcing(v_mode):
     prob = mhd_alfven(h=0.05, v_mode=v_mode)
-    pick, data = prob.boundary
-    pick = pick.toarray()  # the pickups are CSR, like the operators
-    pick_f, pick_g = pickups(prob.metadata)
-    np.testing.assert_array_equal(pick, pick_f + pick_g)
+    # the pickups are CSR, like the operators
+    for got, want in zip(prob.pickups, pickups(prob.metadata)):
+        np.testing.assert_array_equal(got.toarray(), want)
+    pick = sum(pick.toarray() for pick in prob.pickups)
     for t in alfven_times(np.random.default_rng(11)):
         force_f, force_g = prob.forcing(t)
-        values = np.asarray(data(t))
+        values = np.asarray(prob.boundary_data(t))
         # the summed pickups add the two halves' terms in another order
         bound = np.finfo(float).eps * (np.abs(pick) @ np.abs(values))
         assert np.all(np.abs(pick @ values - (force_f + force_g)) <= bound)
 
 
 def test_linear_problem_with_a_forcing_needs_its_boundary():
-    def forcing(t):
-        return np.zeros(1), np.ones(1)
-
-    fields = dict(name="forced", dim=1, eval_f=lambda y: 0.0 * y,
-                  eval_g=lambda y: -y, jac_f=lambda y: np.zeros((1, 1)),
-                  jac_g=lambda y: -np.eye(1), y0=np.ones(1), forcing=forcing)
+    # a forcing is its pickups times the boundary data: either alone fails
+    # at construction, with or without the operators
+    forced = dict(pickups=(np.zeros((1, 1)), np.ones((1, 1))),
+                  boundary_data=lambda t: [1.0])
+    fields = dict(name="forced", eval_f=lambda y: 0.0 * y, eval_g=lambda y: -y,
+                  jac_f=lambda y: np.zeros((1, 1)), jac_g=lambda y: -np.eye(1),
+                  y0=np.ones(1))
     ops = dict(f_op=np.zeros((1, 1)), g_op=-np.eye(1))
-    with pytest.raises(ValueError, match="needs boundary"):
-        problems.SplitOdeProblem(**ops, **fields)
-    # the same system without its operators, or with its boundary, is accepted
-    assert not problems.SplitOdeProblem(**fields).linear
-    assert problems.SplitOdeProblem(boundary=(np.ones((1, 1)), np.ones),
-                                    **ops, **fields).linear
+    for halves in (ops, {}):
+        for key in forced:
+            with pytest.raises(ValueError, match="pickups .* and boundary_data"):
+                problems.SplitOdeProblem(**{key: forced[key]}, **halves, **fields)
+    # the same system with both is accepted, linear with its operators
+    assert not problems.SplitOdeProblem(**forced, **fields).linear
+    prob = problems.SplitOdeProblem(**forced, **ops, **fields)
+    assert prob.linear
+    force_f, force_g = prob.forcing(0.5)
+    assert np.array_equal(force_f, [0.0]) and np.array_equal(force_g, [1.0])
 
 
 # -- the operator forms --------------------------------------------------------
 
 def test_a_half_is_given_by_its_operator_or_by_eval_and_jac():
     g_op = sparse.csr_array(np.array([[-2.0, 1.0], [0.0, -3.0]]))
-    prob = problems.SplitOdeProblem(name="derived", dim=2, y0=np.ones(2),
+    prob = problems.SplitOdeProblem(name="derived", y0=np.ones(2),
                                     g_op=g_op, eval_f=lambda y: y * y,
                                     jac_f=lambda y: np.diag(2.0 * y))
     y = np.array([0.5, -1.5])
@@ -676,7 +690,7 @@ def test_a_half_is_given_by_its_operator_or_by_eval_and_jac():
         assert type(got) is np.ndarray
         assert np.array_equal(got, state @ g_op.toarray().T)
     with pytest.raises(ValueError, match="f half needs f_op, or eval_f and jac_f"):
-        problems.SplitOdeProblem(name="no-f", dim=2, y0=np.ones(2), g_op=g_op,
+        problems.SplitOdeProblem(name="no-f", y0=np.ones(2), g_op=g_op,
                                  eval_f=lambda y: y * y)
 
 
@@ -688,8 +702,8 @@ def test_builders_hand_over_the_operator_form_of_their_structure(case):
     forms = {"f_op": type(prob.f_op), "g_op": type(prob.g_op)}
     if prob.metadata.get("benchmark") == "mhd-alfven":
         want = {"f_op": sparse.csr_array, "g_op": sparse.csr_array}
-        # the pickups are CSR too, and so is their sum
-        assert isinstance(prob.boundary[0], sparse.csr_array)
+        # the pickups are CSR too
+        assert all(isinstance(pick, sparse.csr_array) for pick in prob.pickups)
     elif prob.name in ("burgers", "scalar-bernoulli-split"):
         want = {"f_op": type(None), "g_op": np.ndarray}
     else:
@@ -703,12 +717,20 @@ def test_builders_hand_over_the_operator_form_of_their_structure(case):
 @pytest.mark.parametrize("v_mode", MHD_V_MODES)
 def test_csr_halves_and_forcing_match_the_dense_product(v_mode):
     prob = mhd_alfven(h=0.05, v_mode=v_mode)
-    f_mat, g_mat = prob.jac_f(prob.y0), prob.jac_g(prob.y0)
+    f_mat, g_mat = alfven_dense(prob.metadata, slice(1, -1))
     pick_f, pick_g = pickups(prob.metadata)
+    # the builder's CSR arrays are exactly those of the dense blocks
+    for got, dense in zip((prob.f_op, prob.g_op, *prob.pickups),
+                          (f_mat, g_mat, pick_f, pick_g)):
+        want = sparse.csr_array(dense)
+        for part in ("indptr", "indices", "data"):
+            got_part, want_part = getattr(got, part), getattr(want, part)
+            assert got_part.dtype == want_part.dtype
+            assert np.array_equal(got_part, want_part)
     rng = np.random.default_rng(12)
     ys = rng.standard_normal((6, prob.dim))
     ts = np.linspace(0.01, 0.1, 6)
-    data = np.array([prob.boundary[1](t) for t in ts])
+    data = np.array([prob.boundary_data(t) for t in ts])
 
     def close(got, want):
         assert type(got) is np.ndarray and got.shape == want.shape
@@ -733,8 +755,8 @@ def test_constant_operators_equal_the_summed_jacobians(case):
     ref = reference_operator(prob)
     assert isinstance(ref, sparse.csr_array)
     assert np.array_equal(ref[:, :prob.dim].toarray(), jac)
-    if prob.boundary is None:
+    if prob.pickups is None:
         assert ref.shape == (prob.dim, prob.dim)
     else:
         assert np.array_equal(ref[:, prob.dim:].toarray(),
-                              problems.as_dense(prob.boundary[0]))
+                              sum(map(problems.as_dense, prob.pickups)))

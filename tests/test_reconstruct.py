@@ -109,7 +109,6 @@ def test_quadrature_pair_reproduces_update():
 def test_quadrature_constant_integrand():
     prob = SplitOdeProblem(
         name="constant-f",
-        dim=1,
         eval_f=lambda y: np.array([2.0]),
         eval_g=lambda y: np.zeros(1),
         jac_f=lambda y: np.zeros((1, 1)),

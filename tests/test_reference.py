@@ -231,13 +231,13 @@ def test_step_cap_bounds_attempted_steps():
     # allows 3 attempts, 38 evaluations, instead of the whole solve
     prob = mhd_alfven(h=0.05)
     calls = []
-    pick, data = prob.boundary
+    data = prob.boundary_data
 
     def counted(t):
         calls.append(t)
         return data(t)
 
-    prob.boundary = (pick, counted)
+    prob.boundary_data = counted
     cfg = ReferenceConfig(mode="high-order-numeric", step_cap=3)
     with pytest.raises(ReferenceError, match="cap 3"):
         true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], cfg)

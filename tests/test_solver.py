@@ -127,7 +127,6 @@ def test_newton_single_iteration_on_linear_g():
 def test_newton_handles_nonlinear_g():
     prob = SplitOdeProblem(
         name="cubic-implicit",
-        dim=1,
         eval_f=lambda y: np.zeros(1),
         eval_g=lambda y: -(y**3),
         jac_f=lambda y: np.zeros((1, 1)),
@@ -144,7 +143,6 @@ def test_newton_handles_nonlinear_g():
 def test_newton_failure_reports_interval_and_stage():
     prob = SplitOdeProblem(
         name="stiff-cubic",
-        dim=1,
         eval_f=lambda y: np.zeros(1),
         eval_g=lambda y: -(y**3),
         jac_f=lambda y: np.zeros((1, 1)),
@@ -166,19 +164,20 @@ def test_newton_config_rejects_no_iterations():
 def test_newton_evaluates_the_forcing_once_per_stage():
     calls = []
 
-    def forcing(t):
+    def boundary_data(t):
         calls.append(t)
-        return np.zeros(1), np.array([np.sin(t)])
+        return [np.sin(t)]
 
+    # the forcing (0, sin t): a zero f pickup and a unit g pickup
     prob = SplitOdeProblem(
         name="forced-cubic",
-        dim=1,
         eval_f=lambda y: np.zeros(1),
         eval_g=lambda y: -(y**3),
         jac_f=lambda y: np.zeros((1, 1)),
         jac_g=lambda y: np.array([[-3.0 * y[0] ** 2]]),
         y0=np.array([1.0]),
-        forcing=forcing,
+        pickups=(np.zeros((1, 1)), np.eye(1)),
+        boundary_data=boundary_data,
     )
     pair = builtin("ssp343")
     _, rec = step(prob, pair, 0.0, 0.5, prob.y0)
@@ -215,7 +214,6 @@ def test_singular_newton_matrix_is_reported_without_a_warning():
 def test_non_finite_state_raises():
     prob = SplitOdeProblem(
         name="hard-blowup",
-        dim=1,
         eval_f=lambda y: y * y * 1e150,
         eval_g=lambda y: np.zeros(1),
         jac_f=lambda y: np.array([[2e150 * y[0]]]),
