@@ -19,10 +19,11 @@ a single-interval cG(q+1) adjoint would visibly pollute effectivities.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
                        galerkin_deriv_matrix, legendre_shifted)
@@ -117,10 +118,13 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         # Fortran order, so LAPACK factors it in place instead of a copy
         big = np.empty((r * m, r * m), order="F")
         big.T.reshape(r, m, r, m)[...] = blocks[:, :r].transpose(1, 3, 0, 2)
-        try:
-            fac = lu_factor(big, overwrite_a=True, check_finite=False)
-        except ValueError as exc:
-            raise AdjointSolveError(n, str(exc)) from exc
+        # a zero pivot is reported below with its interval, not warned about
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LinAlgWarning)
+            try:
+                fac = lu_factor(big, overwrite_a=True, check_finite=False)
+            except ValueError as exc:
+                raise AdjointSolveError(n, str(exc)) from exc
         if np.any(fac[0].diagonal() == 0.0):
             raise AdjointSolveError(n, "singular local system")
         return fac, blocks[:, r].copy()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import numbers
 import os
 import sys
@@ -28,9 +29,10 @@ from .adjoint import DEFAULT_REFINE, solve_adjoint
 from .estimate import (component_split, effectivity, error_breakdown,
                        error_breakdown_timedep)
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
-                       component_masks, linear_advection_diffusion, mhd_alfven,
-                       qoi_integral_v, qoi_mean_left_half, split_linear_system,
-                       split_scalar_bernoulli, split_scalar_linear)
+                       component_masks, grid_cells, linear_advection_diffusion,
+                       mhd_alfven, qoi_integral_v, qoi_mean_left_half,
+                       split_linear_system, split_scalar_bernoulli,
+                       split_scalar_linear)
 from .reconstruct import build_cg
 from .reference import (ReferenceConfig, ReferenceError, exact_solution,
                         qoi_from_states, reference_states, true_qoi)
@@ -122,8 +124,9 @@ def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
     """Defaults merged under the given keys.  REQUIRED and NUMBER keys
     must be non-null; a key whose default is a bool must be given a bool,
     one whose default is an integer an integer, and one whose default is
-    NUMBER or another number a number (checked, not converted, so the
-    echo keeps its bytes)."""
+    NUMBER or another number a finite number, or infinity where the
+    default is infinite (checked, not converted, so the echo keeps its
+    bytes)."""
     _reject_unknown(given, defaults, where)
     missing = [k for k, v in defaults.items()
                if (v is REQUIRED or v is NUMBER) and given.get(k) is None]
@@ -137,8 +140,11 @@ def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
         elif _is_integer(default):
             if not _is_integer(v):
                 raise ValueError(f"{where} {k} must be an integer, got {v!r}")
-        elif (default is NUMBER or _is_number(default)) and not _is_number(v):
-            raise ValueError(f"{where} {k} must be a number, got {v!r}")
+        elif default is NUMBER or _is_number(default):
+            # only an infinite default (reference max_step) admits infinity
+            if not _is_number(v) or not (math.isfinite(v) or default == math.inf):
+                finite = "finite " if _is_number(v) else ""
+                raise ValueError(f"{where} {k} must be a {finite}number, got {v!r}")
     return {**defaults, **given}
 
 
@@ -201,10 +207,6 @@ class RunConfig:
         if not isinstance(components, bool):
             raise ValueError(
                 f"config: components must be true or false, got {components!r}")
-        if components and pname != "mhd-alfven":
-            raise ValueError("config: components needs the mhd-alfven problem, "
-                             "whose v and B blocks it splits the estimate "
-                             f"onto; got {pname!r}")
         masks = component_masks(ode) if components else None
 
         grid = _resolve_section(dict(doc["grid"]),
@@ -218,7 +220,7 @@ class RunConfig:
         if k is not None:
             if not _is_number(k):
                 raise ValueError(f"config.grid k must be a number, got {k!r}")
-            n_k = TimeGrid.from_step(t_end, float(k)).n_intervals
+            n_k = grid_cells(0.0, t_end, float(k), "step")
             if n not in (None, n_k):
                 raise ValueError(
                     "config.grid takes k or n, not both, unless they agree: "
@@ -294,6 +296,8 @@ def _build_qoi(kind: str, q: dict, problem: SplitOdeProblem) -> QoiSpec:
         return qoi_integral_v(md["interior_per_field"], md["h"])
     key = "psi" if kind == "final-time" else "psi_tilde_const"
     psi = np.asarray(q[key], dtype=float)
+    if not np.all(np.isfinite(psi)):
+        raise ValueError(f"{key} must be finite")
     if psi.shape != (problem.dim,):
         raise ValueError(f"{key} must have the state dimension "
                          f"{problem.dim}, got shape {psi.shape}")
@@ -572,7 +576,7 @@ def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
     """
     _check_levels(levels)
     pair = builtin(scheme) if isinstance(scheme, str) else scheme
-    n0 = TimeGrid.from_step(t_end, base_k).n_intervals
+    n0 = grid_cells(0.0, t_end, base_k, "step")
     states_at = reference_states(problem, t_end, reference)
 
     out = []

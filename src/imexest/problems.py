@@ -196,6 +196,9 @@ def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,
 
 def split_linear_system(f_mat, g_mat, y0, name: str = "linear-split") -> SplitOdeProblem:
     """Generic linear split system with matrix-exponential exact solution."""
+    for key, value in (("f_mat", f_mat), ("g_mat", g_mat), ("y0", y0)):
+        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+            raise ValueError(f"{key} must be finite")
     return _matrix_problem(name, f_mat, g_mat, y0)
 
 
@@ -499,7 +502,9 @@ def component_masks(problem: SplitOdeProblem) -> dict[str, Array]:
     """Index masks for the velocity and induction blocks of an Alfven state."""
     md = problem.metadata
     if md.get("benchmark") != "mhd-alfven":
-        raise ValueError("component_masks expects a problem built by mhd_alfven")
+        raise ValueError("components needs the mhd-alfven problem, whose v and "
+                         "B blocks it splits the estimate onto; "
+                         f"got {problem.name!r}")
     mh = md["interior_per_field"]
     mask_v = np.zeros(problem.dim, dtype=bool)
     mask_v[:mh] = True

@@ -19,43 +19,18 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .problems import SplitOdeProblem, grid_cells
+from .problems import SplitOdeProblem
 from .tableaus import ImexPair, validate
 
 
 class SolverError(RuntimeError):
-    pass
+    """A stage that failed: a non-finite state, Newton non-convergence or
+    a singular Newton matrix, with the interval and stage it happened on."""
 
-
-class NewtonError(SolverError):
-    """Newton failed to converge within the iteration budget."""
-
-    def __init__(self, interval: int, stage: int, residual: float, iters: int):
+    def __init__(self, what: str, interval: int, stage: int, detail: str = ""):
         self.interval = interval
         self.stage = stage
-        self.residual = residual
-        super().__init__(
-            f"Newton did not converge on interval {interval}, stage {stage}: "
-            f"residual {residual:.3e} after {iters} iterations"
-        )
-
-
-class SingularJacobianError(SolverError):
-    def __init__(self, interval: int, stage: int):
-        self.interval = interval
-        self.stage = stage
-        super().__init__(
-            f"singular Newton matrix on interval {interval}, stage {stage}"
-        )
-
-
-class NonFiniteStateError(SolverError):
-    def __init__(self, interval: int, stage: int, t: float):
-        self.interval = interval
-        self.stage = stage
-        super().__init__(
-            f"non-finite state on interval {interval}, stage {stage}, t={t:.6g}"
-        )
+        super().__init__(f"{what} on interval {interval}, stage {stage}{detail}")
 
 
 @dataclass(frozen=True)
@@ -90,10 +65,6 @@ class TimeGrid:
             raise ValueError("need at least one interval")
         return cls(np.linspace(t_start, t_end, n_intervals + 1))
 
-    @classmethod
-    def from_step(cls, t_end: float, k: float, t_start: float = 0.0) -> "TimeGrid":
-        return cls.uniform(t_end, grid_cells(t_start, t_end, k, "step"), t_start)
-
     def locate(self, t: float) -> int:
         """Index n with t in [t_n, t_n+1]; clamps to the end intervals."""
         n = int(np.searchsorted(self.nodes, t, side="right")) - 1
@@ -107,8 +78,12 @@ class NewtonConfig:
     max_iters: int = 25
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"newton max_iters must be >= 1, got {self.max_iters!r}")
+        for name, ok, bound in (("abs_tol", self.abs_tol >= 0, ">= 0"),
+                                ("rel_tol", self.rel_tol >= 0, ">= 0"),
+                                ("max_iters", self.max_iters >= 1, ">= 1")):
+            if not ok:
+                raise ValueError(f"newton {name} must be {bound}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -141,13 +116,14 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
     while True:
         r = x - k_n * bii * (problem.eval_g(x) + force_g) - known
         if not np.all(np.isfinite(r)):
-            raise NonFiniteStateError(interval, stage, t_i)
+            raise SolverError("non-finite state", interval, stage, f", t={t_i:.6g}")
         rnorm = float(np.abs(r).max())
         xnorm = float(np.abs(x).max())
         if rnorm <= newton.abs_tol + newton.rel_tol * xnorm:
             return x, iters
         if iters >= newton.max_iters:
-            raise NewtonError(interval, stage, rnorm, iters)
+            raise SolverError("Newton did not converge", interval, stage,
+                              f": residual {rnorm:.3e} after {iters} iterations")
         key = (k_n, bii)
         if lu_cache is not None and key in lu_cache:
             fac = lu_cache[key]
@@ -158,7 +134,7 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
                 warnings.simplefilter("ignore", LinAlgWarning)
                 fac = lu_factor(mat, check_finite=False)
             if np.any(fac[0].diagonal() == 0.0):
-                raise SingularJacobianError(interval, stage)
+                raise SolverError("singular Newton matrix", interval, stage)
             if lu_cache is not None:
                 lu_cache[key] = fac
         x = x + lu_solve(fac, -r, check_finite=False)
@@ -195,13 +171,14 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
             x, iters[i] = _newton_stage(problem, t_i, k_n, bii, known, newton,
                                         interval, i, lu_cache)
         if not np.all(np.isfinite(x)):
-            raise NonFiniteStateError(interval, i, t_i)
+            raise SolverError("non-finite state", interval, i, f", t={t_i:.6g}")
         values[i] = x
         f_vals[i], g_vals[i] = problem.halves(x, t_i)
 
     y_next = y_n + k_n * (w_ex @ f_vals + w_im @ g_vals)
     if not np.all(np.isfinite(y_next)):
-        raise NonFiniteStateError(interval, nu - 1, t_n + k_n)
+        raise SolverError("non-finite state", interval, nu - 1,
+                          f", t={t_n + k_n:.6g}")
     record = StageRecord(values=values, times=times, f_vals=f_vals,
                          g_vals=g_vals, newton_iters=iters)
     return y_next, record
@@ -210,7 +187,7 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
 def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
                   newton: NewtonConfig | None = None) -> ForwardSolution:
     """March the IMEX pair over the whole grid."""
-    issues = [m for m in validate(pair) if not m.startswith("warning:")]
+    issues = validate(pair)
     if issues:
         raise ValueError("invalid tableau pair: " + "; ".join(issues))
     newton = newton or NewtonConfig()

@@ -73,10 +73,7 @@ class ImexPair:
 
 
 def validate(pair: ImexPair) -> list[str]:
-    """Return a list of defect messages; empty means the pair is usable.
-
-    Messages starting with 'warning:' do not block use of the pair.
-    """
+    """Return a list of defect messages; empty means the pair is usable."""
     issues: list[str] = []
     ex, im = pair.explicit, pair.implicit
     if ex.n_stages != im.n_stages:
@@ -113,11 +110,6 @@ def validate(pair: ImexPair) -> list[str]:
         for j in range(i + 1, n):
             if abs(d[i] - d[j]) < ABSCISSA_TOL:
                 issues.append(f"duplicate implicit abscissae ({i}, {j})")
-    if d.min() < -ABSCISSA_TOL or d.max() > 1.0 + ABSCISSA_TOL:
-        issues.append(
-            "warning: implicit abscissae outside [0, 1]; stage interpolation "
-            "extrapolates beyond the step"
-        )
     return issues
 
 

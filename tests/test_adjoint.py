@@ -248,6 +248,23 @@ def test_adjoint_failure_on_a_constant_nan_operator():
         assert info.value.interval == 4 * DEFAULT_REFINE - 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("prob", [split_scalar_linear(-0.4, -0.6, 1.0),
+                                  burgers(0.05, 0.1)],
+                         ids=["propagator", "per-interval"])
+def test_zero_pivot_is_reported_once_without_a_warning(prob, monkeypatch):
+    # scipy warns about the zero pivot; the solve reports it as an error
+    # naming the interval the backward sweep factors first
+    recon = reconstruct_case(prob, n=4)
+    lu_factor = adjoint.lu_factor
+    monkeypatch.setattr(adjoint, "lu_factor",
+                        lambda a, **kw: lu_factor(np.zeros_like(a), **kw))
+    psi = np.ones(prob.dim)
+    with pytest.raises(AdjointSolveError, match="singular local system") as info:
+        solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
+    assert info.value.interval == 4 * DEFAULT_REFINE - 1
+
+
 def random_linear_system(m=5, seed=4):
     rng = np.random.default_rng(seed)
     f_mat = 0.5 * rng.standard_normal((m, m))

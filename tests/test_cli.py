@@ -161,6 +161,21 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
      r"config\.output series_dir must be a string or null, got 3"),
     ({"output": {"name": ["x"]}},
      r"config\.output name must be a string or null, got \['x'\]"),
+    # JSON's NaN and Infinity are numbers to json.load, not to a run
+    ({"problem": {"name": "scalar-linear", "lam_f": float("nan"),
+                  "lam_g": -0.6, "y0": 1.0}},
+     r"config\.problem \(scalar-linear\) lam_f must be a finite number, "
+     r"got nan"),
+    ({"newton": {"abs_tol": float("nan")}},
+     r"config\.newton abs_tol must be a finite number, got nan"),
+    ({"qoi": {"kind": "final-time", "psi": [float("nan")]}},
+     r"config\.qoi \(final-time\): psi must be finite"),
+    ({"qoi": {"kind": "time-integrated", "psi_tilde_const": [float("inf")]}},
+     r"config\.qoi \(time-integrated\): psi_tilde_const must be finite"),
+    ({"problem": {"name": "linear-split", "f_mat": [[float("nan")]],
+                  "g_mat": [[-1.0]], "y0": [1.0]}},
+     r"config\.problem \(linear-split\): f_mat must be finite"),
+    ({"newton": {"abs_tol": -1}}, "newton abs_tol must be >= 0, got -1"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
@@ -175,7 +190,9 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "psi-tilde-length", "unknown-scheme", "mean-left-half-odd-dim",
         "bernoulli-lam-zero", "psi-strings", "linear-split-shapes",
         "series-indices-out-of-range", "grid-k-bool", "grid-k-string",
-        "output-row-csv-int", "output-series-dir-int", "output-name-list"])
+        "output-row-csv-int", "output-series-dir-int", "output-name-list",
+        "lam-f-nan", "newton-abs-tol-nan", "psi-nan", "psi-tilde-inf",
+        "linear-split-nan", "newton-abs-tol-negative"])
 def test_config_rejects_bad_values_before_any_numerics(patch, message):
     with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))

@@ -84,7 +84,8 @@ def test_mhd_split_rejects_non_alfven_problem():
     # only the Alfven state has the (v, B) blocks a split acts on
     for prob in (burgers(0.05, 1.0 / 40.0),
                  linear_advection_diffusion(0.1, 1.0 / 40.0)):
-        with pytest.raises(ValueError, match="mhd_alfven"):
+        with pytest.raises(ValueError, match="components needs the mhd-alfven "
+                           rf"problem.*got {prob.name!r}"):
             component_masks(prob)
 
 

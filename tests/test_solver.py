@@ -6,6 +6,7 @@ import pytest
 from imexest.problems import (
     SplitOdeProblem,
     burgers,
+    grid_cells,
     linear_advection_diffusion,
     split_linear_system,
     split_scalar_bernoulli,
@@ -13,14 +14,12 @@ from imexest.problems import (
 )
 from imexest.solver import (
     NewtonConfig,
-    NewtonError,
-    NonFiniteStateError,
-    SingularJacobianError,
+    SolverError,
     TimeGrid,
     solve_forward,
     step,
 )
-from imexest.tableaus import builtin
+from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate
 
 
 def zero_problem(m=3):
@@ -37,10 +36,10 @@ def test_time_grid_uniform():
 
 
 def test_time_grid_from_step():
-    grid = TimeGrid.from_step(1.0, 0.25)
+    grid = TimeGrid.uniform(1.0, grid_cells(0.0, 1.0, 0.25, "step"))
     assert grid.n_intervals == 4
     with pytest.raises(ValueError, match="divide"):
-        TimeGrid.from_step(1.0, 0.3)
+        grid_cells(0.0, 1.0, 0.3, "step")
 
 
 def test_time_grid_validation():
@@ -150,7 +149,7 @@ def test_newton_failure_reports_interval_and_stage():
         y0=np.array([1.0]),
     )
     tight = NewtonConfig(abs_tol=1e-16, rel_tol=0.0, max_iters=1)
-    with pytest.raises(NewtonError) as err:
+    with pytest.raises(SolverError, match="Newton did not converge") as err:
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2), tight)
     assert "interval" in str(err.value)
     assert err.value.interval == 0
@@ -198,7 +197,8 @@ def test_blowup_completes_until_overflow():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_is_reported_as_a_non_finite_state_without_a_warning():
     prob = split_scalar_linear(1e308, -0.6, 1.0)
-    with pytest.raises(NonFiniteStateError, match="interval 0, stage 1"):
+    with pytest.raises(SolverError,
+                       match="non-finite state on interval 0, stage 1"):
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 20))
 
 
@@ -207,8 +207,25 @@ def test_singular_newton_matrix_is_reported_without_a_warning():
     # Mid(1,2,2) has b_ii = 1/2, so lam_g = 4 at k = 0.5 makes
     # I - k b_ii J_g exactly zero
     prob = split_scalar_linear(0.0, 4.0, 1.0)
-    with pytest.raises(SingularJacobianError, match="interval 0, stage 1"):
+    with pytest.raises(SolverError,
+                       match="singular Newton matrix on interval 0, stage 1"):
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2))
+
+
+def test_pair_with_an_implicit_abscissa_beyond_the_step_runs():
+    # the implicit half evaluates its second stage at t_n + 1.5 k: a
+    # consistent pair, so validate has nothing to report
+    mid = builtin("mid122")
+    pair = ImexPair(
+        name="late-stage", order=1, explicit=mid.explicit,
+        implicit=ButcherTableau(abscissae=[0.5, 1.5],
+                                coeffs=[[0.5, 0.0], [0.5, 1.0]],
+                                weights=[0.0, 1.0]))
+    assert validate(pair) == []
+    grid = TimeGrid.uniform(1.0, 20)
+    fwd = solve_forward(split_scalar_linear(-0.4, -0.6, 1.0), pair, grid)
+    assert fwd.stages[0].times[1] > grid.nodes[1]
+    assert abs(fwd.final_state[0] - np.exp(-1.0)) < 0.05
 
 
 def test_non_finite_state_raises():
@@ -221,7 +238,7 @@ def test_non_finite_state_raises():
         y0=np.array([1e200]),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteStateError, match="non-finite"):
+        with pytest.raises(SolverError, match="non-finite"):
             solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2))
 
 
