@@ -29,7 +29,8 @@ from .adjoint import DEFAULT_REFINE, solve_adjoint
 from .estimate import (component_split, effectivity, error_breakdown,
                        error_breakdown_timedep)
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
-                       component_masks, grid_cells, linear_advection_diffusion,
+                       component_masks, finite_array, grid_cells,
+                       linear_advection_diffusion,
                        mhd_alfven, qoi_integral_v, qoi_mean_left_half,
                        split_linear_system, split_scalar_bernoulli,
                        split_scalar_linear)
@@ -120,13 +121,23 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _fits_float(value) -> bool:
+    """A number converts to a float: an integer of 309 or more digits
+    does not."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
 def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
     """Defaults merged under the given keys.  REQUIRED and NUMBER keys
-    must be non-null; a key whose default is a bool must be given a bool,
-    one whose default is an integer an integer, and one whose default is
-    NUMBER or another number a finite number, or infinity where the
-    default is infinite (checked, not converted, so the echo keeps its
-    bytes)."""
+    must be non-null; a given number must fit in a float; a key whose
+    default is a bool must be given a bool, one whose default is an
+    integer an integer, and one whose default is NUMBER or another number
+    a finite number, or infinity where the default is infinite (checked,
+    not converted, so the echo keeps its bytes)."""
     _reject_unknown(given, defaults, where)
     missing = [k for k, v in defaults.items()
                if (v is REQUIRED or v is NUMBER) and given.get(k) is None]
@@ -134,6 +145,8 @@ def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
         raise ValueError(f"missing keys in {where}: {missing}")
     for k, v in given.items():
         default = defaults[k]
+        if _is_number(v) and not _fits_float(v):
+            raise ValueError(f"{where} {k} is too large for a float, got {v!r}")
         if isinstance(default, bool):
             if not isinstance(v, bool):
                 raise ValueError(f"{where} {k} must be true or false, got {v!r}")
@@ -295,9 +308,7 @@ def _build_qoi(kind: str, q: dict, problem: SplitOdeProblem) -> QoiSpec:
         md = problem.metadata
         return qoi_integral_v(md["interior_per_field"], md["h"])
     key = "psi" if kind == "final-time" else "psi_tilde_const"
-    psi = np.asarray(q[key], dtype=float)
-    if not np.all(np.isfinite(psi)):
-        raise ValueError(f"{key} must be finite")
+    psi = finite_array(q[key], key)
     if psi.shape != (problem.dim,):
         raise ValueError(f"{key} must have the state dimension "
                          f"{problem.dim}, got shape {psi.shape}")

@@ -155,6 +155,20 @@ def _operator(mat) -> Operator:
     return mat if sparse.issparse(mat) else np.asarray(mat, dtype=float)
 
 
+def finite_array(value, key: str) -> Array:
+    """value as a float array; a ValueError naming key when an entry is
+    not finite or, like an integer of 309 or more digits, overflows a
+    float."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        finite = np.all(np.isfinite(arr))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{key} must be finite")
+    return arr
+
+
 def _apply(mat: Operator) -> Callable[[Array], Array]:
     """y -> mat y, for one vector (m,) or row by row on a (P, m) stack."""
     return lambda y: (mat @ y.T).T
@@ -197,8 +211,7 @@ def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,
 def split_linear_system(f_mat, g_mat, y0, name: str = "linear-split") -> SplitOdeProblem:
     """Generic linear split system with matrix-exponential exact solution."""
     for key, value in (("f_mat", f_mat), ("g_mat", g_mat), ("y0", y0)):
-        if not np.all(np.isfinite(np.asarray(value, dtype=float))):
-            raise ValueError(f"{key} must be finite")
+        finite_array(value, key)
     return _matrix_problem(name, f_mat, g_mat, y0)
 
 

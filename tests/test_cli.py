@@ -219,6 +219,37 @@ def test_config_names_a_mistyped_value_and_its_section(patch, where, key):
         run(base_config(**patch))
 
 
+HUGE = 10 ** 400  # a JSON integer of 401 digits, beyond float range
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"problem": {"name": "scalar-linear", "lam_f": HUGE, "lam_g": -0.6,
+                  "y0": 1.0}},
+     r"config\.problem \(scalar-linear\) lam_f is too large for a float"),
+    ({"problem": {"name": "mhd-alfven", "h": 0.05, "B0": HUGE},
+      "qoi": {"kind": "integral-v"}},
+     r"config\.problem \(mhd-alfven\) B0 is too large for a float"),
+    ({"reference": {"rtol": HUGE}},
+     r"config\.reference rtol is too large for a float"),
+    ({"reference": {"max_step": HUGE}},
+     r"config\.reference max_step is too large for a float"),
+    ({"reference": {"step_cap": HUGE}},
+     r"config\.reference step_cap is too large for a float"),
+    ({"grid": {"t_end": 1.0, "n": HUGE}},
+     r"config\.grid n is too large for a float"),
+    ({"qoi": {"kind": "final-time", "psi": [HUGE]}},
+     r"config\.qoi \(final-time\): psi must be finite"),
+    ({"problem": {"name": "linear-split", "f_mat": [[HUGE]],
+                  "g_mat": [[-1.0]], "y0": [1.0]}},
+     r"config\.problem \(linear-split\): f_mat must be finite"),
+], ids=["lam-f", "mhd-b0", "reference-rtol", "reference-max-step",
+        "reference-step-cap", "grid-n", "psi", "linear-split-f-mat"])
+def test_config_names_an_integer_too_large_for_a_float(patch, message):
+    with pytest.raises(CliError, match=message) as info:
+        run(base_config(**patch))
+    assert info.value.stage == "config"
+
+
 def test_config_requires_core_sections():
     doc = base_config()
     del doc["qoi"]

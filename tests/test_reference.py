@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
+from imexest import reference
 from imexest.problems import (
     QoiSpec,
     mhd_alfven,
@@ -15,10 +16,13 @@ from imexest.problems import (
 )
 from imexest.reference import (
     MODES,
+    RTOL_FLOOR,
+    RadauIIA,
     ReferenceConfig,
     ReferenceError,
     exact_solution,
     ivp_rhs,
+    reference_states,
     true_qoi,
 )
 from imexest.solver import TimeGrid
@@ -227,8 +231,10 @@ def test_numeric_reference_matches_an_rhs_oracle(kind):
 
 
 def test_step_cap_bounds_attempted_steps():
-    # DOP853 makes 2 evaluations to start and 12 per attempted step; cap 3
-    # allows 3 attempts, 38 evaluations, instead of the whole solve
+    # the forced linear problem takes the Radau IIA route, which reads the
+    # boundary data 3 times per step and checks the cap as each step
+    # starts: cap 3 allows 9 reads instead of the whole solve (38 bounds
+    # the 2 + 12 * 3 evaluations DOP853 would make in 3 attempts)
     prob = mhd_alfven(h=0.05)
     calls = []
     data = prob.boundary_data
@@ -272,3 +278,127 @@ def test_numeric_reference_of_a_forced_linear_problem_calls_no_forcing():
     for qoi in mhd_qois(prob):
         true_qoi(prob, MHD_GRID, qoi, NUMERIC)
     assert calls == []
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every solution reference.solve_ivp returns, in call order."""
+    sols = []
+
+    def recorded(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        sols.append(sol)
+        return sol
+
+    monkeypatch.setattr(reference, "solve_ivp", recorded)
+    return sols
+
+
+def test_dense_step_cap_counts_rejected_steps(solves):
+    # a dense solve reads 3 more calls per accepted step for its
+    # interpolant; a rejected step makes none of them, and the cap still
+    # bounds the attempts exactly
+    prob = mhd_alfven(h=0.05)
+    cfg = ReferenceConfig(mode="high-order-numeric", rtol=1e-4)
+    reference_states(prob, 0.1, cfg)
+    (sol,) = solves
+    accepted = sol.t.size - 1
+    attempts = (sol.nfev - 2 - len(DOP853.C_EXTRA) * accepted) // DOP853.n_stages
+    assert attempts > accepted  # 80 attempts for 40 accepted with scipy 1.17
+    reference_states(prob, 0.1, replace(cfg, step_cap=attempts))
+    with pytest.raises(ReferenceError, match=f"cap {attempts - 1}"):
+        reference_states(prob, 0.1, replace(cfg, step_cap=attempts - 1))
+
+
+# -- the Radau IIA route of a forced linear problem ----------------------------
+
+TABLE14_QOI = 0.4862600621828902  # DOP853 at rtol 1e-10 and 1e-13 agree on it
+
+
+def table14_ode(v_mode="v-split"):
+    """Table 14's ODE and integral-v QoI on [0, 0.1]."""
+    prob = mhd_alfven(v_mode=v_mode)
+    return prob, qoi_integral_v(prob.metadata["interior_per_field"], prob.metadata["h"])
+
+
+@pytest.mark.parametrize("v_mode", ["v-split", "v-implicit"])
+def test_radau_reference_reproduces_table_14(v_mode):
+    prob, qoi = table14_ode(v_mode)
+    got = true_qoi(prob, TimeGrid.uniform(0.1, 100), qoi)
+    assert got == pytest.approx(TABLE14_QOI, rel=2e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
+def test_radau_reference_goes_through_solve_ivp(solves, kind):
+    prob = mhd_alfven(h=0.05)
+    calls = []
+    forcing = prob.forcing
+
+    def counted(t):
+        calls.append(t)
+        return forcing(t)
+
+    prob.forcing = counted
+    qoi = {q.kind: q for q in mhd_qois(prob)}[kind]
+    true_qoi(prob, MHD_GRID, qoi, NUMERIC)
+    assert len(solves) >= 2 and calls == []
+    per_step = 3 if kind == "final-time" else 6  # stage forcing, then integrand
+    for sol in solves:
+        assert sol.nfev == per_step * (sol.t.size - 1) > 0
+        assert sol.nlu == 1
+
+
+def radau_steps(solves) -> int:
+    return sum(sol.t.size - 1 for sol in solves)
+
+
+def test_radau_step_cap_equal_to_the_step_count_passes(solves):
+    prob = mhd_alfven(h=0.05)
+    qoi = mhd_qois(prob)[0]
+    want = true_qoi(prob, MHD_GRID, qoi, NUMERIC)
+    steps = radau_steps(solves)
+    assert true_qoi(prob, MHD_GRID, qoi, replace(NUMERIC, step_cap=steps)) == want
+    with pytest.raises(ReferenceError, match=f"cap {steps - 1}"):
+        true_qoi(prob, MHD_GRID, qoi, replace(NUMERIC, step_cap=steps - 1))
+
+
+def test_radau_max_step_bounds_the_step(solves):
+    prob = mhd_alfven(h=0.05)
+    true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], replace(NUMERIC, max_step=3e-4))
+    assert solves[0].t.size - 1 == 334  # the fewest equal steps within 3e-4
+    for sol in solves:
+        assert np.diff(sol.t).max() <= 3e-4
+
+
+def test_radau_doubling_stops_at_the_rtol_floor(solves):
+    prob, qoi = table14_ode()
+    cfg = ReferenceConfig(rtol=RTOL_FLOOR, atol=1e-16)
+    got = true_qoi(prob, TimeGrid.uniform(0.1, 100), qoi, cfg)
+    assert got == pytest.approx(TABLE14_QOI, rel=2e-13, abs=0.0)
+    assert radau_steps(solves) <= 10_000 < cfg.step_cap
+
+
+def test_radau_solver_converges_at_order_five():
+    # y' = -y + t, y(0) = 1 has y(1) = 2 / e; halving the step divides
+    # the error by about 2^5
+    jac = np.array([[-1.0]])
+    errors = []
+    for n in (4, 8):
+        sol = solve_ivp(lambda t, y: jac @ y + t, (0.0, 1.0), [1.0],
+                        method=RadauIIA, jac=jac, n_steps=n,
+                        start_step=lambda: None)
+        assert sol.t.size == n + 1 and sol.t[-1] == 1.0
+        assert sol.nfev == 3 * n
+        errors.append(abs(sol.y[0, -1] - 2.0 * np.exp(-1.0)))
+    assert 2.0 ** 4.5 < errors[0] / errors[1] < 2.0 ** 5.5
+
+
+def test_radau_solver_frees_its_factors_with_the_last_step():
+    # solve_ivp's solver outlives the solve in a reference cycle; its LU
+    # must not, or the doubling levels keep their factors alive together
+    solver = RadauIIA(lambda t, y: -y, 0.0, [1.0], 1.0, False,
+                      jac=np.array([[-1.0]]), n_steps=2, start_step=lambda: None)
+    solver.step()
+    assert solver.lu is not None and solver.status == "running"
+    solver.step()
+    assert solver.lu is None and solver.status == "finished"
