@@ -94,15 +94,6 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     dmat = galerkin_deriv_matrix(r)                 # (r, r+1)
     lvals = basis.eval_matrix(gp)                   # (5, r+1)
 
-    def operators(n):
-        """H at the Gauss points of interval n: the constant, or jac_f + jac_g
-        at the reconstruction."""
-        if constant is not None:
-            return [constant] * n_gauss
-        rows = (n % refine) * n_gauss
-        return [problem.jac_f(y) + problem.jac_g(y)
-                for y in y_gauss[n // refine, rows:rows + n_gauss]]
-
     def local_system(n):
         """LU of interval n's system in its r unknown nodes, and the (r, m, m)
         blocks acting on its known right end value."""
@@ -111,8 +102,14 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
         # blocks[a, j] = -dmat[a, j] I - sum_k W[a, j, k] H(t_k)^T, built in
         # place: at m = 398 each (r, r + 1, m, m) temporary is 15 MB
-        blocks = np.einsum("ajk,kxy->ajxy", -wgt,
-                           np.stack([h.T for h in operators(n)]))
+        if constant is not None:
+            blocks = -wgt.sum(axis=2)[:, :, None, None] * constant.T
+        else:
+            # H at the Gauss points: jac_f + jac_g at the reconstruction
+            rows = (n % refine) * n_gauss
+            blocks = np.einsum("ajk,kxy->ajxy", -wgt, np.stack([
+                (problem.jac_f(y) + problem.jac_g(y)).T
+                for y in y_gauss[n // refine, rows:rows + n_gauss]]))
         diag = np.arange(m)
         blocks[:, :, diag, diag] -= dmat[:, :, None]
         # Fortran order, so LAPACK factors it in place instead of a copy

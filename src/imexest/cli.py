@@ -28,6 +28,7 @@ import numpy as np
 from .adjoint import DEFAULT_REFINE, solve_adjoint
 from .estimate import (component_split, effectivity, error_breakdown,
                        error_breakdown_timedep)
+from .numerics import one_blas_thread
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
                        component_masks, finite_array, grid_cells,
                        linear_advection_diffusion,
@@ -675,7 +676,8 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with one_blas_thread():
+            return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -90,6 +90,7 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
     w_ex = pair.explicit.weights
     w_im = pair.implicit.weights
     n_int = grid.n_intervals
+    steps = grid.steps
     m = recon.dim
 
     leg_t = legendre_shifted(recon.degree - 1, taus)     # (q, 5*factor)
@@ -101,7 +102,7 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
     galerkin_abs = np.empty(n_int)
 
     for n, (c_adj, phi_all) in enumerate(_adjoint_at_gauss(adjoint, factor)):
-        k_n = grid.steps[n]
+        k_n = steps[n]
         y_all, ydot_all = y_tab[n], ydot_tab[n]
         stage = forward.stages[n]
         phi_d = np.einsum("ij,ijm->im", d_rows, c_adj[d_sub])
@@ -187,9 +188,10 @@ def residual_weighted_estimate(problem: SplitOdeProblem,
     grid = recon.grid
     factor = _subinterval_factor(grid.n_intervals, adjoint)
     taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
+    steps = grid.steps
     total = 0.0
     for n, (_c_adj, phi_all) in enumerate(_adjoint_at_gauss(adjoint, factor)):
-        k_n = grid.steps[n]
+        k_n = steps[n]
         resid = problem.rhs(y_tab[n], grid.nodes[n] + k_n * taus) - ydot_tab[n]
         total += k_n * float(np.sum((wts[:, None] * resid) * phi_all))
     return total

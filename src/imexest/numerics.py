@@ -1,10 +1,15 @@
 """Small numerical kernels shared by the solver and the estimator:
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], and shifted Legendre modes for L2 projection onto low-degree
-polynomials.
+polynomials; and ``one_blas_thread``, the BLAS threading policy of a
+pipeline run.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -83,3 +88,63 @@ def galerkin_deriv_matrix(degree: int) -> np.ndarray:
     basis = LagrangeBasis(np.linspace(0.0, 1.0, degree + 1))
     return legendre_shifted(degree - 1, GAUSS_NODES) @ (
         GAUSS_WEIGHTS[:, None] * basis.deriv_matrix(GAUSS_NODES))
+
+
+# the thread-count calls of an OpenBLAS build: numpy's and scipy's wheels
+# prefix them with scipy_, and an ILP64 build appends 64_
+_THREAD_CALLS = tuple((f"{prefix}openblas_get_num_threads{suffix}",
+                       f"{prefix}openblas_set_num_threads{suffix}")
+                      for prefix in ("scipy_", "") for suffix in ("64_", ""))
+
+
+@functools.cache
+def openblas_pools() -> tuple:
+    """The (get, set) thread-count calls of every OpenBLAS this process has
+    loaded, found by file name in /proc/self/maps; empty where there is no
+    such file or no OpenBLAS.
+
+    Looked up once, on the first call.  Importing imexest has loaded numpy
+    and scipy by then, and with them every BLAS the pipeline calls.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1].lower()})
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _THREAD_CALLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                put.restype, put.argtypes = None, [ctypes.c_int]
+                pools.append((get, put))
+                break
+    return tuple(pools)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with every OpenBLAS pool at one thread, restoring each
+    pool's thread count on exit, also when an exception leaves the block.
+
+    The pipeline makes long runs of dense LAPACK calls of order at most
+    1194 with Python in between.  At that size a second thread gains
+    little, and after each threaded call OpenBLAS busy-waits on the other
+    cores, about as much CPU time again as the work itself.
+    """
+    pools = openblas_pools()
+    saved = [get() for get, _ in pools]
+    for _, put in pools:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, saved):
+            put(count)

@@ -50,7 +50,8 @@ class PiecewisePolynomial:
 
     def evaluate(self, t: float) -> np.ndarray:
         n = self.grid.locate(t)
-        tau = (t - self.grid.nodes[n]) / self.grid.steps[n]
+        nodes = self.grid.nodes
+        tau = (t - nodes[n]) / (nodes[n + 1] - nodes[n])
         return (self.basis.eval_matrix([tau]) @ self.coeffs[n])[0]
 
     def gauss_table(self, factor: int):
@@ -93,9 +94,10 @@ def build_cg(pair: ImexPair, forward: ForwardSolution) -> PiecewisePolynomial:
 
     coeffs = np.empty((n_int, q + 1, m))
     lhs = emat[:, 1:]
+    steps = grid.steps
     for n in range(n_int):
         rec = forward.stages[n]
-        k_n = grid.steps[n]
+        k_n = steps[n]
         combo = w_ex[:, None] * rec.f_vals + w_im[:, None] * rec.g_vals
         rhs = k_n * (test_d @ combo) - np.outer(emat[:, 0], forward.nodal[n])
         coeffs[n, 0] = forward.nodal[n]

@@ -121,9 +121,10 @@ def qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
     at grid.t_end, or the shared Gauss rule on every grid interval."""
     if qoi.kind == "final-time":
         return float(np.dot(states_at(grid.t_end), qoi.psi))
+    steps = grid.steps
     total = 0.0
     for n in range(grid.n_intervals):
-        k_n = grid.steps[n]
+        k_n = steps[n]
         for tau, w in zip(GAUSS_NODES, GAUSS_WEIGHTS):
             t = grid.nodes[n] + k_n * tau
             total += k_n * w * float(np.dot(states_at(t), qoi.psi_tilde(t)))
@@ -249,9 +250,10 @@ class RadauIIA(OdeSolver):
 
 
 def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value, rtol: float,
-               atol: float, config: ReferenceConfig) -> float:
-    """value(z(T)) from RadauIIA solves with doubling step counts, by the
-    rule in the module docstring; a ReferenceError as any step past
+               atol: float, config: ReferenceConfig):
+    """value(z(T)) from RadauIIA solves with doubling step counts: the value
+    the rule in the module docstring accepts, then the value of each
+    further doubling level; a ReferenceError as any step past
     config.step_cap, summed over the solves, starts."""
     steps = 0
 
@@ -261,24 +263,32 @@ def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value, rtol: float,
         if steps > config.step_cap:
             raise _over_cap(config)
 
+    def level(n):
+        sol = solve_ivp(fun, t_span, z0, method=RadauIIA, jac=jac, n_steps=n,
+                        start_step=start_step)
+        return value(sol.y[:, -1])
+
     # a level longer than step_cap stops at the cap whatever its length,
     # so the min only keeps a tiny max_step from overflowing the count
     length = t_span[1] - t_span[0]
     n = max(RADAU_START_STEPS,
             math.ceil(min(length / config.max_step, config.step_cap + 1)))
-    coarse = None
+    coarse, fine = level(n), level(2 * n)
+    while abs(fine - coarse) > (max(rtol / 100.0, 10.0 * RTOL_FLOOR) * abs(fine)
+                                + atol / 100.0):
+        n *= 2
+        coarse, fine = fine, level(2 * n)
     while True:
-        sol = solve_ivp(fun, t_span, z0, method=RadauIIA, jac=jac, n_steps=n,
-                        start_step=start_step)
-        fine = value(sol.y[:, -1])
-        if coarse is not None and abs(fine - coarse) <= (
-                max(rtol / 100.0, 10.0 * RTOL_FLOOR) * abs(fine) + atol / 100.0):
-            return fine
-        coarse, n = fine, 2 * n
+        yield fine
+        n *= 2
+        fine = level(2 * n)
 
 
 def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
-                 rtol: float, atol: float, config: ReferenceConfig) -> float:
+                 rtol: float, atol: float, config: ReferenceConfig):
+    """The numeric QoI at rtol and atol, then values of finer solves, each
+    computed when asked for: DOP853 once more at halved tolerances, or
+    Radau IIA at every further doubling level."""
     rhs = ivp_rhs(problem)
     if qoi.kind == "final-time":
         fun = rhs
@@ -296,9 +306,12 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
             return float(z[-1])
     t_span = (float(grid.nodes[0]), grid.t_end)
     if problem.linear and problem.pickups is not None:
-        return _radau_qoi(fun, state_operator(problem), t_span, z0, value,
-                          rtol, atol, config)
-    return value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])
+        yield from _radau_qoi(fun, state_operator(problem), t_span, z0, value,
+                              rtol, atol, config)
+    else:
+        yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])
+        yield value(_dop853(fun, t_span, z0, rtol / 2.0, atol / 2.0,
+                            config).y[:, -1])
 
 
 def reference_states(problem: SplitOdeProblem, t_end: float,
@@ -323,7 +336,8 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
 
     mode="auto" prefers the exact solution when the problem carries one
     and falls back to the high-order numeric route.  With verify=True the
-    numeric route is repeated at halved tolerances; if the change is not
+    numeric value is checked against a finer solve: DOP853 at halved
+    tolerances, Radau IIA one more doubling level.  If the change is not
     small relative to the IMEX error being measured (imex_qoi must then
     be given), the tolerances are tightened and the solve retried before
     giving up.
@@ -335,13 +349,14 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
 
     rtol, atol = config.rtol, config.atol
     for _ in range(3):
-        q1 = _numeric_qoi(problem, grid, qoi, rtol, atol, config)
+        values = _numeric_qoi(problem, grid, qoi, rtol, atol, config)
+        q1 = next(values)
         if not config.verify:
             return q1
-        q2 = _numeric_qoi(problem, grid, qoi, rtol / 2.0, atol / 2.0, config)
+        q2 = next(values)
         drift = abs(q1 - q2)
         if imex_qoi is None:
-            # no external scale: accept when the halving barely moves the value
+            # no external scale: accept when the finer solve barely moves the value
             if drift <= max(config.rtol * max(1.0, abs(q2)), 10 * config.atol):
                 return q2
         else:
@@ -352,6 +367,6 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
         rtol = max(rtol * 1e-2, RTOL_FLOOR)
         atol = atol * 1e-2
     raise ReferenceError(
-        "reference not converged: tolerance halving still moves the QoI by "
+        "reference not converged: a finer solve still moves the QoI by "
         f"{drift:.3e}"
     )

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from imexest import cli
+from imexest import cli, numerics
 from imexest.cli import (
     COMPONENT_COLUMNS,
     SCHEME_ORDER,
@@ -586,6 +586,41 @@ def test_main_reports_config_errors_on_stderr(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: [config]")
     assert "does not divide" in err
+
+
+@pytest.fixture
+def blas_counts(monkeypatch):
+    """Every thread count a fake OpenBLAS pool, starting at 3, is set to,
+    with the loaded pools still looked up alongside it."""
+    counts = [3]
+    pool = (lambda: counts[-1], counts.append)
+    real = numerics.openblas_pools()
+    monkeypatch.setattr(numerics, "openblas_pools", lambda: real + (pool,))
+    return counts
+
+
+def test_main_runs_the_verb_on_one_blas_thread(monkeypatch, blas_counts):
+    seen = []
+
+    def verb(args):
+        seen.extend(get() for get, _ in numerics.openblas_pools())
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_run", verb)
+    before = [get() for get, _ in numerics.openblas_pools()]
+    assert main(["run", "--config", "unread.json"]) == 0
+    assert seen == [1] * len(before)
+    assert [get() for get, _ in numerics.openblas_pools()] == before
+    assert blas_counts == [3, 1, 3]
+
+
+def test_main_restores_the_blas_threads_after_a_failing_config(tmp_path, capsys,
+                                                               blas_counts):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(base_config(grid={"t_end": 1.0, "k": 0.3})))
+    assert main(["run", "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: [config]")
+    assert blas_counts == [3, 1, 3]
 
 
 def test_analytic_reference_without_an_exact_solution_fails_at_config(

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from imexest import numerics
 from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
-                              legendre_shifted)
+                              legendre_shifted, one_blas_thread, openblas_pools)
 from oracles import l2_project, poly_eval
 
 
@@ -119,3 +120,47 @@ def test_legendre_shifted_orthonormal():
     vals = legendre_shifted(3, GAUSS_NODES)
     gram = (vals * GAUSS_WEIGHTS) @ vals.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-13
+
+
+# -- BLAS threads ---------------------------------------------------------------
+
+def fake_pool(count):
+    """A (get, set) pair over one thread count, and the list of counts it
+    has held, the current one last."""
+    counts = [count]
+    return (lambda: counts[-1], counts.append), counts
+
+
+def thread_counts(pools):
+    return [get() for get, _ in pools]
+
+
+def test_one_blas_thread_limits_every_loaded_openblas():
+    pools = openblas_pools()
+    before = thread_counts(pools)
+    assert all(count >= 1 for count in before)
+    with one_blas_thread():
+        assert thread_counts(pools) == [1] * len(pools)
+    assert thread_counts(pools) == before
+
+
+def test_one_blas_thread_restores_the_counts_after_an_exception(monkeypatch):
+    real = openblas_pools()
+    before = thread_counts(real)
+    pool, counts = fake_pool(3)
+    monkeypatch.setattr(numerics, "openblas_pools", lambda: real + (pool,))
+    with pytest.raises(RuntimeError, match="inside"):
+        with one_blas_thread():
+            assert thread_counts(real + (pool,)) == [1] * (len(real) + 1)
+            raise RuntimeError("inside")
+    assert thread_counts(real) == before
+    assert counts == [3, 1, 3]
+
+
+def test_one_blas_thread_without_openblas_does_nothing(monkeypatch):
+    real = openblas_pools()
+    before = thread_counts(real)
+    monkeypatch.setattr(numerics, "openblas_pools", lambda: ())
+    with one_blas_thread():
+        assert thread_counts(real) == before
+    assert thread_counts(real) == before

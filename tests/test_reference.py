@@ -378,6 +378,38 @@ def test_radau_doubling_stops_at_the_rtol_floor(solves):
     assert radau_steps(solves) <= 10_000 < cfg.step_cap
 
 
+def test_radau_verify_compares_one_more_doubling_level(solves):
+    # below rtol 1e-10 halved tolerances keep the same stopping rule, so
+    # verify checks against the next level instead of repeating the levels
+    prob = mhd_alfven(h=0.05)
+    qoi = mhd_qois(prob)[0]
+    plain = true_qoi(prob, MHD_GRID, qoi, NUMERIC)
+    first = [sol.t.size - 1 for sol in solves]
+    solves.clear()
+    got = true_qoi(prob, MHD_GRID, qoi, replace(NUMERIC, verify=True))
+    assert [sol.t.size - 1 for sol in solves] == first + [2 * first[-1]]
+    assert got == float(solves[-1].y[:, -1] @ qoi.psi)
+    assert got == pytest.approx(plain, rel=1e-12)
+
+
+def test_radau_verify_rejects_a_disagreeing_finer_level(monkeypatch):
+    prob = mhd_alfven(h=0.05)
+    qoi = mhd_qois(prob)[0]
+
+    def shifted(*args, **kwargs):
+        # every level past the 400 steps that agree moves the QoI by 1e-3 * n
+        sol = solve_ivp(*args, **kwargs)
+        steps = sol.t.size - 1
+        if steps > 400:
+            sol.y[:, -1] += 1e-3 * steps * qoi.psi
+        return sol
+
+    monkeypatch.setattr(reference, "solve_ivp", shifted)
+    with pytest.raises(ReferenceError, match="not converged"):
+        true_qoi(prob, MHD_GRID, qoi,
+                 replace(NUMERIC, verify=True, step_cap=100 + 200 + 400 + 800))
+
+
 def test_radau_solver_converges_at_order_five():
     # y' = -y + t, y(0) = 1 has y(1) = 2 / e; halving the step divides
     # the error by about 2^5
