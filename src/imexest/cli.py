@@ -21,7 +21,7 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -67,22 +67,36 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _require_keys(section: dict, required, where: str):
-    missing = [k for k in required if k not in section]
-    if missing:
-        raise ValueError(f"missing keys in {where}: {missing}")
+class Typed(NamedTuple):
+    """Stands in a defaults table for a key without a default value: a
+    value given to it must pass test (None: any value), a required key
+    must be given non-null, and any other resolves to null."""
+
+    test: Optional[Callable]
+    what: str = ""
+    required: bool = False
 
 
-def _reject_unknown(section: dict, allowed, where: str):
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {unknown}")
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-# defaults of a key that has none and must be given: REQUIRED takes any
-# value, NUMBER a real number
-REQUIRED = object()
-NUMBER = object()
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+REQUIRED = Typed(None, required=True)
+NUMBER = Typed(_is_number, "a number", required=True)
+NUMBER_OR_NULL = Typed(lambda v: v is None or _is_number(v), "a number")
+INTEGER_OR_NULL = Typed(lambda v: v is None or _is_integer(v), "an integer")
+STRING_OR_NULL = Typed(lambda v: v is None or isinstance(v, str),
+                       "a string or null")
+# the type a default value gives its key: null admits any value, a string
+# is checked against its known names by its consumer, and an object marks
+# a section, whose own resolution checks its shape
+_TYPE_OF_DEFAULT = {bool: Typed(lambda v: isinstance(v, bool), "true or false"),
+                    int: Typed(_is_integer, "an integer"),
+                    float: Typed(_is_number, "a number")}
 
 # problem name -> (constructor, parameter defaults).  Each constructor is
 # looked up in this module when it is called, not captured here, so a
@@ -92,8 +106,10 @@ _PROBLEMS = {
         lambda **p: linear_advection_diffusion(**p),
         {"gamma": NUMBER, "h": NUMBER, "swap_roles": False}),
     "burgers": (lambda **p: burgers(**p), {"gamma": NUMBER, "h": NUMBER}),
+    # A0 is the derived wave speed an echo carries, not a parameter
     "mhd-alfven": (lambda **p: mhd_alfven(**p),
-                   {"h": 5e-3, "v_mode": "v-split", **MHD_DEFAULTS}),
+                   {"h": 5e-3, "v_mode": "v-split", **MHD_DEFAULTS,
+                    "A0": NUMBER_OR_NULL}),
     "scalar-bernoulli": (lambda **p: split_scalar_bernoulli(**p),
                          dict.fromkeys(("lam", "mu", "y0"), NUMBER)),
     "scalar-linear": (lambda **p: split_scalar_linear(**p),
@@ -109,57 +125,65 @@ _QOI_PARAMS = {
     "time-integrated": {"psi_tilde_const": REQUIRED},
 }
 
+_CONFIG_DEFAULTS = {"scheme": REQUIRED, "problem": REQUIRED, "grid": REQUIRED,
+                    "qoi": REQUIRED, "newton": {}, "reference": {},
+                    "adjoint": {}, "output": {}, "components": False}
+_GRID_DEFAULTS = {"t_end": NUMBER, "k": NUMBER_OR_NULL, "n": INTEGER_OR_NULL}
 _ADJOINT_DEFAULTS = {"refine": DEFAULT_REFINE}
-_OUTPUT_DEFAULTS = {"row_csv": None, "series_dir": None,
-                    "series_indices": None, "name": None}
+_OUTPUT_DEFAULTS = {"row_csv": STRING_OR_NULL, "series_dir": STRING_OR_NULL,
+                    "series_indices": None, "name": STRING_OR_NULL}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _fits_float(value) -> bool:
-    """A number converts to a float: an integer of 309 or more digits
-    does not."""
-    try:
-        float(value)
-    except OverflowError:
-        return False
-    return True
-
-
-def _resolve_section(given: dict, defaults: dict, where: str) -> dict:
-    """Defaults merged under the given keys.  REQUIRED and NUMBER keys
-    must be non-null; a given number must fit in a float; a key whose
-    default is a bool must be given a bool, one whose default is an
-    integer an integer, and one whose default is NUMBER or another number
-    a finite number, or infinity where the default is infinite (checked,
-    not converted, so the echo keeps its bytes)."""
-    _reject_unknown(given, defaults, where)
+def _resolve_section(given, defaults: dict, where: str) -> dict:
+    """Defaults merged under the given keys, a Typed default resolving to
+    null.  given must be an object, with every required key non-null and
+    no key without a default.  A given number must fit in a float.  A
+    given value must have its key's type: the one its Typed default names,
+    else that of its default value, and a number must be finite unless
+    the default is infinite.  Values are checked, not converted, so the
+    echo keeps its bytes."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{where} must be an object, got {given!r}")
     missing = [k for k, v in defaults.items()
-               if (v is REQUIRED or v is NUMBER) and given.get(k) is None]
+               if isinstance(v, Typed) and v.required and given.get(k) is None]
     if missing:
         raise ValueError(f"missing keys in {where}: {missing}")
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {unknown}")
     for k, v in given.items():
         default = defaults[k]
-        if _is_number(v) and not _fits_float(v):
-            raise ValueError(f"{where} {k} is too large for a float, got {v!r}")
-        if isinstance(default, bool):
-            if not isinstance(v, bool):
-                raise ValueError(f"{where} {k} must be true or false, got {v!r}")
-        elif _is_integer(default):
-            if not _is_integer(v):
-                raise ValueError(f"{where} {k} must be an integer, got {v!r}")
-        elif default is NUMBER or _is_number(default):
-            # only an infinite default (reference max_step) admits infinity
-            if not _is_number(v) or not (math.isfinite(v) or default == math.inf):
-                finite = "finite " if _is_number(v) else ""
-                raise ValueError(f"{where} {k} must be a {finite}number, got {v!r}")
-    return {**defaults, **given}
+        typed = (default if isinstance(default, Typed)
+                 else _TYPE_OF_DEFAULT.get(type(default)))
+        try:
+            finite = not _is_number(v) or math.isfinite(v)
+        except OverflowError:
+            raise ValueError(
+                f"{where} {k} is too large for a float, got {v!r}") from None
+        # only an infinite default (reference max_step) admits infinity,
+        # also as JSON's "inf"
+        if (typed is None or typed.test is None
+                or default == math.inf and v in (math.inf, "inf")):
+            continue
+        if not typed.test(v):
+            raise ValueError(f"{where} {k} must be {typed.what}, got {v!r}")
+        if not finite:
+            raise ValueError(f"{where} {k} must be a finite number, got {v!r}")
+    return {**{k: None if isinstance(v, Typed) else v
+               for k, v in defaults.items()}, **given}
+
+
+def _resolve_named(doc: dict, section: str, key: str, tables: dict):
+    """doc[section]'s key (a problem name or QoI kind), and its other keys
+    resolved against that name's defaults, tables[name]."""
+    given, where = doc[section], f"config.{section}"
+    name = given.get(key) if isinstance(given, dict) else None
+    if name is not None and not (isinstance(name, str) and name in tables):
+        raise ValueError(f"unknown {section} {key} {name!r}; "
+                         f"known: {sorted(tables)}")
+    rest = _resolve_section(given, {key: REQUIRED, **tables.get(name, {})},
+                            where if name is None else f"{where} ({name})")
+    return name, {k: v for k, v in rest.items() if k != key}
 
 
 def _field_defaults(cls) -> dict:
@@ -187,26 +211,15 @@ class RunConfig:
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Validate a config document; an echo is accepted back."""
-        if not isinstance(doc, dict):
-            raise ValueError("config must be a JSON object")
-        top_allowed = ("scheme", "problem", "grid", "qoi", "newton",
-                       "reference", "adjoint", "output", "components")
-        _reject_unknown(doc, top_allowed, "config")
-        _require_keys(doc, ("scheme", "problem", "grid", "qoi"), "config")
+        doc = _resolve_section(doc, _CONFIG_DEFAULTS, "config")
         echo = {"scheme": str(doc["scheme"])}
         pair = builtin(echo["scheme"])
 
-        prob = dict(doc["problem"])
-        _require_keys(prob, ("name",), "config.problem")
-        pname = prob.pop("name")
-        if pname not in _PROBLEMS:
-            raise ValueError(
-                f"unknown problem {pname!r}; known: {sorted(_PROBLEMS)}")
-        a0 = prob.pop("A0", None) if pname == "mhd-alfven" else None
-        build, defaults = _PROBLEMS[pname]
-        prob = _resolve_section(prob, defaults, f"config.problem ({pname})")
+        pname, prob = _resolve_named(
+            doc, "problem", "name", {n: d for n, (_, d) in _PROBLEMS.items()})
+        a0 = prob.pop("A0", None)
         try:
-            ode = build(**prob)
+            ode = _PROBLEMS[pname][0](**prob)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"config.problem ({pname}): {exc}") from None
         echo["problem"] = prob = {**prob, "name": pname}
@@ -217,23 +230,14 @@ class RunConfig:
                 raise ValueError(f"config.problem.A0 = {a0} disagrees with "
                                  f"B0/sqrt(mu0*rho) = {prob['A0']}")
 
-        echo["components"] = components = doc.get("components", False)
-        if not isinstance(components, bool):
-            raise ValueError(
-                f"config: components must be true or false, got {components!r}")
-        masks = component_masks(ode) if components else None
+        echo["components"] = doc["components"]
+        masks = component_masks(ode) if doc["components"] else None
 
-        grid = _resolve_section(dict(doc["grid"]),
-                                {"t_end": NUMBER, "k": None, "n": None},
-                                "config.grid")
+        grid = _resolve_section(doc["grid"], _GRID_DEFAULTS, "config.grid")
         t_end, k, n = float(grid["t_end"]), grid["k"], grid["n"]
         if t_end <= 0:
             raise ValueError("config.grid.t_end must be positive")
-        if n is not None and not _is_integer(n):
-            raise ValueError(f"config.grid n must be an integer, got {n!r}")
         if k is not None:
-            if not _is_number(k):
-                raise ValueError(f"config.grid k must be a number, got {k!r}")
             n_k = grid_cells(0.0, t_end, float(k), "step")
             if n not in (None, n_k):
                 raise ValueError(
@@ -247,50 +251,38 @@ class RunConfig:
         echo["grid"] = {"t_end": t_end, "n": int(n), "k": t_end / n}
         time_grid = TimeGrid.uniform(t_end, int(n))
 
-        qoi = dict(doc["qoi"])
-        _require_keys(qoi, ("kind",), "config.qoi")
-        kind = qoi.pop("kind")
-        if kind not in _QOI_PARAMS:
-            raise ValueError(
-                f"unknown qoi kind {kind!r}; known: {sorted(_QOI_PARAMS)}")
+        kind, qoi = _resolve_named(doc, "qoi", "kind", _QOI_PARAMS)
         if kind == "integral-v" and pname != "mhd-alfven":
             raise ValueError("config.qoi: integral-v needs the mhd-alfven "
                              "problem, whose velocity block it integrates; "
                              f"got {pname!r}")
-        qoi = _resolve_section(qoi, _QOI_PARAMS[kind], f"config.qoi ({kind})")
         try:
             qoi_spec = _build_qoi(kind, qoi, ode)
         except (ValueError, TypeError) as exc:
             raise ValueError(f"config.qoi ({kind}): {exc}") from None
         echo["qoi"] = {**qoi, "kind": kind}
 
-        newton_in, reference_in, adjoint_in = (
-            dict(doc.get(name, {})) for name in ("newton", "reference", "adjoint"))
         echo["newton"] = _resolve_section(
-            newton_in, _field_defaults(NewtonConfig), "config.newton")
+            doc["newton"], _field_defaults(NewtonConfig), "config.newton")
         newton = NewtonConfig(**echo["newton"])
-        if reference_in.get("max_step") == "inf":
-            reference_in["max_step"] = np.inf  # JSON has no infinity
-        ref = _resolve_section(reference_in, _field_defaults(ReferenceConfig),
+        ref = _resolve_section(doc["reference"],
+                               _field_defaults(ReferenceConfig),
                                "config.reference")
-        reference = ReferenceConfig(**ref)
+        reference = ReferenceConfig(
+            **{**ref, "max_step": float(ref["max_step"])})
         try:
             exact_solution(ode, reference.mode)
         except ReferenceError as exc:
             raise ValueError(f"config.reference: {exc}") from None
-        # the echo writes an infinite max_step as the string it accepts
+        # JSON has no infinity: the echo writes it as the string "inf"
         echo["reference"] = ({**ref, "max_step": "inf"}
-                             if ref["max_step"] == np.inf else ref)
-        echo["adjoint"] = _resolve_section(adjoint_in, _ADJOINT_DEFAULTS,
+                             if reference.max_step == np.inf else ref)
+        echo["adjoint"] = _resolve_section(doc["adjoint"], _ADJOINT_DEFAULTS,
                                            "config.adjoint")
         if echo["adjoint"]["refine"] < 1:
             raise ValueError("config.adjoint.refine must be >= 1")
-        output = _resolve_section(dict(doc.get("output", {})),
-                                  _OUTPUT_DEFAULTS, "config.output")
-        for key in ("row_csv", "series_dir", "name"):
-            if output[key] is not None and not isinstance(output[key], str):
-                raise ValueError(f"config.output {key} must be a string or "
-                                 f"null, got {output[key]!r}")
+        output = _resolve_section(doc["output"], _OUTPUT_DEFAULTS,
+                                  "config.output")
         indices = output["series_indices"]
         if indices is not None and not (isinstance(indices, list) and all(
                 _is_integer(i) and 0 <= i < ode.dim for i in indices)):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy import sparse
@@ -249,8 +250,8 @@ class RadauIIA(OdeSolver):
         return True, None
 
 
-def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value, rtol: float,
-               atol: float, config: ReferenceConfig):
+def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value,
+               config: ReferenceConfig):
     """value(z(T)) from RadauIIA solves with doubling step counts: the value
     the rule in the module docstring accepts, then the value of each
     further doubling level; a ReferenceError as any step past
@@ -274,8 +275,8 @@ def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value, rtol: float,
     n = max(RADAU_START_STEPS,
             math.ceil(min(length / config.max_step, config.step_cap + 1)))
     coarse, fine = level(n), level(2 * n)
-    while abs(fine - coarse) > (max(rtol / 100.0, 10.0 * RTOL_FLOOR) * abs(fine)
-                                + atol / 100.0):
+    while abs(fine - coarse) > (max(config.rtol / 100.0, 10.0 * RTOL_FLOOR)
+                                * abs(fine) + config.atol / 100.0):
         n *= 2
         coarse, fine = fine, level(2 * n)
     while True:
@@ -285,10 +286,11 @@ def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value, rtol: float,
 
 
 def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
-                 rtol: float, atol: float, config: ReferenceConfig):
-    """The numeric QoI at rtol and atol, then values of finer solves, each
-    computed when asked for: DOP853 once more at halved tolerances, or
-    Radau IIA at every further doubling level."""
+                 config: ReferenceConfig):
+    """The numeric QoI at config's rtol and atol, then values of finer
+    solves, each computed when asked for: Radau IIA at every further
+    doubling level, or DOP853 at a hundredth of the previous rtol and
+    atol, the rtol never below RTOL_FLOOR, until it reaches RTOL_FLOOR."""
     rhs = ivp_rhs(problem)
     if qoi.kind == "final-time":
         fun = rhs
@@ -307,11 +309,13 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     t_span = (float(grid.nodes[0]), grid.t_end)
     if problem.linear and problem.pickups is not None:
         yield from _radau_qoi(fun, state_operator(problem), t_span, z0, value,
-                              rtol, atol, config)
-    else:
+                              config)
+        return
+    rtol, atol = config.rtol, config.atol
+    yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])
+    while rtol > RTOL_FLOOR:
+        rtol, atol = max(rtol / 100.0, RTOL_FLOOR), atol / 100.0
         yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])
-        yield value(_dop853(fun, t_span, z0, rtol / 2.0, atol / 2.0,
-                            config).y[:, -1])
 
 
 def reference_states(problem: SplitOdeProblem, t_end: float,
@@ -335,37 +339,36 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     """Reference QoI value.
 
     mode="auto" prefers the exact solution when the problem carries one
-    and falls back to the high-order numeric route.  With verify=True the
-    numeric value is checked against a finer solve: DOP853 at halved
-    tolerances, Radau IIA one more doubling level.  If the change is not
-    small relative to the IMEX error being measured (imex_qoi must then
-    be given), the tolerances are tightened and the solve retried before
-    giving up.
+    and falls back to the high-order numeric route.  With verify=True
+    each numeric value is checked against the next, finer one
+    _numeric_qoi gives, for at most three comparisons, and the first
+    finer value that agrees is returned.  They agree when the change is
+    small relative to the IMEX error being measured (imex_qoi), or
+    without imex_qoi, relative to the value and the tolerances.
     """
     config = config or ReferenceConfig()
     exact = exact_solution(problem, config.mode)
     if exact is not None:
         return qoi_from_states(exact, grid, qoi)
 
-    rtol, atol = config.rtol, config.atol
-    for _ in range(3):
-        values = _numeric_qoi(problem, grid, qoi, rtol, atol, config)
-        q1 = next(values)
-        if not config.verify:
-            return q1
-        q2 = next(values)
-        drift = abs(q1 - q2)
+    values = _numeric_qoi(problem, grid, qoi, config)
+    q = next(values)
+    if not config.verify:
+        return q
+    drift = None
+    # islice asks for no value past the third comparison
+    for finer in islice(values, 3):
+        drift = abs(finer - q)
         if imex_qoi is None:
             # no external scale: accept when the finer solve barely moves the value
-            if drift <= max(config.rtol * max(1.0, abs(q2)), 10 * config.atol):
-                return q2
-        else:
-            if drift <= config.verify_ratio * abs(q2 - imex_qoi):
-                return q2
-        if rtol <= RTOL_FLOOR:
-            break
-        rtol = max(rtol * 1e-2, RTOL_FLOOR)
-        atol = atol * 1e-2
+            if drift <= max(config.rtol * max(1.0, abs(finer)), 10 * config.atol):
+                return finer
+        elif drift <= config.verify_ratio * abs(finer - imex_qoi):
+            return finer
+        q = finer
+    if drift is None:
+        raise ReferenceError(f"reference not converged: rtol {config.rtol} "
+                             "leaves no finer solve to check against")
     raise ReferenceError(
         "reference not converged: a finer solve still moves the QoI by "
         f"{drift:.3e}"

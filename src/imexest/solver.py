@@ -44,6 +44,8 @@ class TimeGrid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 2:
             raise ValueError("grid needs at least two nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("grid nodes must be finite")
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("grid nodes must be strictly increasing")
 

@@ -176,6 +176,14 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
                   "g_mat": [[-1.0]], "y0": [1.0]}},
      r"config\.problem \(linear-split\): f_mat must be finite"),
     ({"newton": {"abs_tol": -1}}, "newton abs_tol must be >= 0, got -1"),
+    # a section that is not an object fails naming the section, and a list
+    # of pairs is not read as one
+    ({"problem": "burgers"},
+     r"config\.problem must be an object, got 'burgers'"),
+    ({"grid": [1, 2]}, r"config\.grid must be an object, got \[1, 2\]"),
+    ({"newton": None}, r"config\.newton must be an object, got None"),
+    ({"newton": [["abs_tol", 0.001]]},
+     r"config\.newton must be an object, got \[\['abs_tol', 0\.001\]\]"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
@@ -192,7 +200,8 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "series-indices-out-of-range", "grid-k-bool", "grid-k-string",
         "output-row-csv-int", "output-series-dir-int", "output-name-list",
         "lam-f-nan", "newton-abs-tol-nan", "psi-nan", "psi-tilde-inf",
-        "linear-split-nan", "newton-abs-tol-negative"])
+        "linear-split-nan", "newton-abs-tol-negative", "problem-string",
+        "grid-list", "newton-null", "newton-pairs"])
 def test_config_rejects_bad_values_before_any_numerics(patch, message):
     with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))

@@ -1,7 +1,9 @@
-"""Property tests of the estimate on random small linear split systems over
-random non-uniform grids, for every built-in scheme and for random valid
-IMEX pairs: inputs the shipped benchmarks never use.  Also the estimate's
-sharpening as the adjoint grid is refined on one linear system."""
+"""Property tests of the estimate on random small linear split systems and
+the nonlinear Bernoulli equation over random non-uniform grids, for
+final-time and time-varying time-integrated QoIs, every built-in scheme
+and random valid IMEX pairs: inputs the shipped benchmarks never use.
+Also the estimate's sharpening as the adjoint grid is refined on one
+linear system, over a uniform grid and a graded one."""
 
 import numpy as np
 import pytest
@@ -13,8 +15,11 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from imexest.adjoint import solve_adjoint  # noqa: E402
 from imexest.cli import SCHEME_ORDER, run  # noqa: E402
 from imexest.estimate import (  # noqa: E402
-    component_split, error_breakdown, residual_weighted_estimate)
-from imexest.problems import QoiSpec, split_linear_system  # noqa: E402
+    component_split, effectivity, error_breakdown, error_breakdown_timedep,
+    residual_weighted_estimate)
+from imexest.problems import (  # noqa: E402
+    QoiSpec, split_linear_system, split_scalar_bernoulli)
+from imexest.reference import qoi_from_states, true_qoi  # noqa: E402
 from imexest.reconstruct import build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate  # noqa: E402
@@ -52,30 +57,49 @@ def random_pairs(draw):
 
 
 @st.composite
-def linear_runs(draw):
-    """Forward, reconstruction, adjoint and breakdown of one random case."""
-    m = draw(st.integers(1, 3))
-    f_mat = draw(arrays(float, (m, m), elements=ENTRIES))
-    g_mat = draw(arrays(float, (m, m), elements=ENTRIES))
-    y0 = draw(arrays(float, m, elements=ENTRIES))
+def runs(draw):
+    """Forward, reconstruction, adjoint and breakdown of one random case: a
+    linear system of 1 to 3 equations, or the scalar Bernoulli equation,
+    whose nonlinear explicit half makes the adjoint take its Jacobian per
+    interval; a final-time QoI, or a time-integrated one whose weight
+    varies in time."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 3))
+        prob = split_linear_system(
+            draw(arrays(float, (m, m), elements=ENTRIES)),
+            draw(arrays(float, (m, m), elements=ENTRIES)),
+            draw(arrays(float, m, elements=ENTRIES)))
+    else:
+        # lam <= -0.5, |mu| <= 0.5 and 0 < y0 <= 1 keep y(t) finite for t > 0
+        m = 1
+        prob = split_scalar_bernoulli(draw(st.floats(-2.0, -0.5)),
+                                      draw(ENTRIES), draw(st.floats(0.2, 1.0)))
     psi = draw(arrays(float, m, elements=ENTRIES))
+    if draw(st.booleans()):
+        qoi = QoiSpec(kind="final-time", psi=psi)
+    else:
+        omega = draw(st.floats(0.5, 5.0))
+        qoi = QoiSpec(kind="time-integrated",
+                      psi_tilde=lambda t: psi * np.cos(omega * t))
     steps = draw(st.lists(st.floats(0.02, 0.2), min_size=1, max_size=8))
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
     pair = draw(st.sampled_from(("mid122", "ssp332", "ssp343")).map(builtin)
                 | random_pairs())
     refine = draw(st.integers(1, 4))
 
-    prob = split_linear_system(f_mat, g_mat, y0)
     fwd = solve_forward(prob, pair, grid)
     recon = build_cg(pair, fwd)
-    adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi),
-                        refine=refine)
-    bd = error_breakdown(prob, pair, fwd, recon, adj)
+    adj = solve_adjoint(prob, recon, qoi, refine=refine)
+    bd = breakdown(qoi)(prob, pair, fwd, recon, adj)
     return prob, fwd, recon, adj, bd
 
 
+def breakdown(qoi: QoiSpec):
+    return error_breakdown if qoi.kind == "final-time" else error_breakdown_timedep
+
+
 @settings(max_examples=60, deadline=None)
-@given(linear_runs())
+@given(runs())
 def test_components_sum_to_the_residual_weighted_estimate(case):
     prob, fwd, recon, adj, bd = case
     direct = residual_weighted_estimate(prob, recon, adj)
@@ -84,15 +108,16 @@ def test_components_sum_to_the_residual_weighted_estimate(case):
 
 
 @settings(max_examples=60, deadline=None)
-@given(linear_runs())
+@given(runs())
 def test_reconstruction_matches_the_nodal_values(case):
     _prob, fwd, recon, _adj, _bd = case
-    defect = np.abs(recon.coeffs[:, -1] - fwd.nodal[1:]).max()
-    assert defect <= 1e-12 * (1.0 + np.abs(fwd.nodal).max())
+    scale = 1e-12 * (1.0 + np.abs(fwd.nodal).max())
+    assert np.abs(recon.coeffs[:, -1] - fwd.nodal[1:]).max() <= scale
+    assert recon.continuity_defect() <= scale
 
 
 @settings(max_examples=60, deadline=None)
-@given(linear_runs(), st.data())
+@given(runs(), st.data())
 def test_component_blocks_sum_to_the_three_terms(case, data):
     # a random partition into up to three blocks, some possibly empty
     bd = case[-1]
@@ -118,5 +143,33 @@ def test_effectivity_converges_under_adjoint_refinement(qoi, scheme):
                        "g_mat": [[-1.0, 0.0], [0.0, -3.0]], "y0": [1.0, 0.5]}}
     devs = [abs(run({**doc, "adjoint": {"refine": refine}}).effectivity - 1.0)
             for refine in (1, 2, 4, 8)]
+    for coarse, fine in zip(devs, devs[1:]):
+        assert fine * 8.0 <= coarse, devs
+
+
+@pytest.mark.parametrize("scheme", SCHEME_ORDER)
+@pytest.mark.parametrize("qoi", [
+    QoiSpec(kind="final-time", psi=np.array([1.0, 0.5])),
+    QoiSpec(kind="time-integrated", psi_tilde=lambda t: np.array([1.0, 0.5])),
+], ids=["final-time", "time-integrated"])
+def test_effectivity_converges_under_adjoint_refinement_on_a_graded_grid(
+        qoi, scheme):
+    # the library pipeline on 10 steps growing by 1.25 each, over [0, 1]:
+    # the adjoint's per-interval path, with the same rates as on a uniform grid
+    steps = 1.25 ** np.arange(10)
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps / steps.sum())]))
+    prob = split_linear_system([[0.0, 2.0], [-2.0, 0.0]],
+                               [[-1.0, 0.0], [0.0, -3.0]], [1.0, 0.5])
+    pair = builtin(scheme)
+    fwd = solve_forward(prob, pair, grid)
+    recon = build_cg(pair, fwd)
+    states_at = ((lambda t: fwd.final_state) if qoi.kind == "final-time"
+                 else recon.evaluate)
+    true_err = true_qoi(prob, grid, qoi) - qoi_from_states(states_at, grid, qoi)
+    devs = []
+    for refine in (1, 2, 4, 8):
+        adj = solve_adjoint(prob, recon, qoi, refine=refine)
+        bd = breakdown(qoi)(prob, pair, fwd, recon, adj)
+        devs.append(abs(effectivity(bd.estimate_total, true_err) - 1.0))
     for coarse, fine in zip(devs, devs[1:]):
         assert fine * 8.0 <= coarse, devs

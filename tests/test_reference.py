@@ -148,6 +148,30 @@ def test_verify_rejects_unreachable_target():
         true_qoi(prob, GRID, qoi, cfg, imex_qoi=float(np.exp(-1.0)))
 
 
+@pytest.mark.parametrize("rtol, want", [
+    (1e-3, [1e-3, 1e-5, 1e-7, 1e-9]),
+    (1e-12, [1e-12, RTOL_FLOOR]),
+    (RTOL_FLOOR, [RTOL_FLOOR]),
+], ids=["three-comparisons", "stops-at-the-floor", "nothing-finer"])
+def test_dop853_verify_tightens_a_hundredfold_down_to_the_floor(
+        monkeypatch, rtol, want):
+    prob = split_scalar_linear(0.0, -1.0, 1.0)
+    qoi = QoiSpec(kind="final-time", psi=np.array([1.0]))
+    tolerances = []
+    real_dop853 = reference._dop853
+
+    def recorded(fun, t_span, z0, rtol, atol, config, dense=False):
+        tolerances.append(rtol)
+        return real_dop853(fun, t_span, z0, rtol, atol, config, dense)
+
+    monkeypatch.setattr(reference, "_dop853", recorded)
+    cfg = ReferenceConfig(mode="high-order-numeric", rtol=rtol, verify=True)
+    # the IMEX value on top of the truth leaves every drift too large
+    with pytest.raises(ReferenceError, match="not converged"):
+        true_qoi(prob, GRID, qoi, cfg, imex_qoi=float(np.exp(-1.0)))
+    assert tolerances == pytest.approx(want, rel=1e-12)
+
+
 def test_step_cap_guards_runaway_integrations():
     f_mat = [[0.0, 20.0], [-20.0, 0.0]]
     prob = split_linear_system(f_mat, np.zeros((2, 2)), [1.0, 0.0])
@@ -395,19 +419,25 @@ def test_radau_verify_compares_one_more_doubling_level(solves):
 def test_radau_verify_rejects_a_disagreeing_finer_level(monkeypatch):
     prob = mhd_alfven(h=0.05)
     qoi = mhd_qois(prob)[0]
+    levels = []
 
     def shifted(*args, **kwargs):
         # every level past the 400 steps that agree moves the QoI by 1e-3 * n
         sol = solve_ivp(*args, **kwargs)
         steps = sol.t.size - 1
+        levels.append(steps)
         if steps > 400:
             sol.y[:, -1] += 1e-3 * steps * qoi.psi
         return sol
 
     monkeypatch.setattr(reference, "solve_ivp", shifted)
+    # three comparisons move on to finer levels, never repeating one, and
+    # ask for no level past the third
+    want = [100, 200, 400, 800, 1600, 3200]
     with pytest.raises(ReferenceError, match="not converged"):
         true_qoi(prob, MHD_GRID, qoi,
-                 replace(NUMERIC, verify=True, step_cap=100 + 200 + 400 + 800))
+                 replace(NUMERIC, verify=True, step_cap=sum(want)))
+    assert levels == want
 
 
 def test_radau_solver_converges_at_order_five():

@@ -49,6 +49,15 @@ def test_time_grid_validation():
         TimeGrid(nodes=np.array([0.0]))
 
 
+@pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],
+                                   [-np.inf, 0.0, 1.0]],
+                         ids=["nan", "inf-end", "inf-start"])
+def test_time_grid_rejects_non_finite_nodes(nodes):
+    # a NaN compares false against zero, so the increasing check passes it
+    with pytest.raises(ValueError, match="grid nodes must be finite"):
+        TimeGrid(nodes=np.array(nodes))
+
+
 def test_time_grid_locate():
     grid = TimeGrid.uniform(1.0, 4)
     assert grid.locate(0.1) == 0
