@@ -84,11 +84,10 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     steps = grid.steps
 
     gp, gw = GAUSS_NODES, GAUSS_WEIGHTS
-    n_gauss = gp.size
     constant = as_dense(problem.f_op + problem.g_op) if problem.linear else None
     if constant is None:
-        # the reconstruction at the Gauss points of every refined interval
-        y_gauss = reconstruction.gauss_table(refine)[2]
+        # the reconstruction at the Gauss points, one row per refined interval
+        y_gauss = reconstruction.gauss_table(refine)[2].reshape(n_int, gp.size, m)
     basis = LagrangeBasis(np.linspace(0.0, 1.0, r + 1))
     tests = legendre_shifted(q, gp)                 # (r, 5)
     dmat = galerkin_deriv_matrix(r)                 # (r, r+1)
@@ -106,10 +105,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             blocks = -wgt.sum(axis=2)[:, :, None, None] * constant.T
         else:
             # H at the Gauss points: jac_f + jac_g at the reconstruction
-            rows = (n % refine) * n_gauss
             blocks = np.einsum("ajk,kxy->ajxy", -wgt, np.stack([
-                (problem.jac_f(y) + problem.jac_g(y)).T
-                for y in y_gauss[n // refine, rows:rows + n_gauss]]))
+                (problem.jac_f(y) + problem.jac_g(y)).T for y in y_gauss[n]]))
         diag = np.arange(m)
         blocks[:, :, diag, diag] -= dmat[:, :, None]
         # Fortran order, so LAPACK factors it in place instead of a copy

@@ -86,6 +86,7 @@ def _is_integer(value) -> bool:
 
 
 REQUIRED = Typed(None, required=True)
+STRING = Typed(lambda v: isinstance(v, str), "a string", required=True)
 NUMBER = Typed(_is_number, "a number", required=True)
 NUMBER_OR_NULL = Typed(lambda v: v is None or _is_number(v), "a number")
 INTEGER_OR_NULL = Typed(lambda v: v is None or _is_integer(v), "an integer")
@@ -125,7 +126,7 @@ _QOI_PARAMS = {
     "time-integrated": {"psi_tilde_const": REQUIRED},
 }
 
-_CONFIG_DEFAULTS = {"scheme": REQUIRED, "problem": REQUIRED, "grid": REQUIRED,
+_CONFIG_DEFAULTS = {"scheme": STRING, "problem": REQUIRED, "grid": REQUIRED,
                     "qoi": REQUIRED, "newton": {}, "reference": {},
                     "adjoint": {}, "output": {}, "components": False}
 _GRID_DEFAULTS = {"t_end": NUMBER, "k": NUMBER_OR_NULL, "n": INTEGER_OR_NULL}
@@ -212,7 +213,7 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         """Validate a config document; an echo is accepted back."""
         doc = _resolve_section(doc, _CONFIG_DEFAULTS, "config")
-        echo = {"scheme": str(doc["scheme"])}
+        echo = {"scheme": doc["scheme"]}
         pair = builtin(echo["scheme"])
 
         pname, prob = _resolve_named(
@@ -238,7 +239,7 @@ class RunConfig:
         if t_end <= 0:
             raise ValueError("config.grid.t_end must be positive")
         if k is not None:
-            n_k = grid_cells(0.0, t_end, float(k), "step")
+            n_k = grid_cells(0.0, t_end, float(k), "config.grid: step")
             if n not in (None, n_k):
                 raise ValueError(
                     "config.grid takes k or n, not both, unless they agree: "
@@ -283,6 +284,8 @@ class RunConfig:
             raise ValueError("config.adjoint.refine must be >= 1")
         output = _resolve_section(doc["output"], _OUTPUT_DEFAULTS,
                                   "config.output")
+        if output["row_csv"]:
+            _check_out_dir(output["row_csv"], "config.output row_csv")
         indices = output["series_indices"]
         if indices is not None and not (isinstance(indices, list) and all(
                 _is_integer(i) and 0 <= i < ode.dim for i in indices)):
@@ -292,6 +295,15 @@ class RunConfig:
                    qoi_spec=qoi_spec, masks=masks, newton=newton,
                    reference=reference, refine=echo["adjoint"]["refine"],
                    output=output)
+
+
+def _check_out_dir(path: str, where: str) -> None:
+    """A report is written after its run: its directory must exist first."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise ValueError(f"{where}: {path!r} is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(f"{where}: directory {folder!r} does not exist")
 
 
 def _build_qoi(kind: str, q: dict, problem: SplitOdeProblem) -> QoiSpec:
@@ -553,8 +565,16 @@ def table_config(table_id: int, scheme: str) -> dict:
 
 def reproduce_table(table_id: int, out_csv: Optional[str] = None) -> list:
     """All three scheme rows of a published table, run in the published
-    order; the rows after the first reuse its reference."""
-    rows = [run(table_config(table_id, s)) for s in SCHEME_ORDER]
+    order; the rows after the first reuse its reference.  An unknown id or
+    a missing output directory fails at the config stage, before any row
+    runs."""
+    try:
+        configs = [table_config(table_id, s) for s in SCHEME_ORDER]
+        if out_csv:
+            _check_out_dir(out_csv, "table output")
+    except ValueError as exc:
+        raise CliError("config", exc) from exc
+    rows = [run(cfg) for cfg in configs]
     if out_csv:
         write_report_csv(out_csv, rows, table_id=table_id)
     return rows

@@ -10,7 +10,8 @@
 All continuous inner products use the one Gauss rule of ``numerics`` on
 every adjoint subinterval, so they stay exact when the adjoint grid is a
 refinement of the forward grid: the reconstruction and its derivative
-come from its Gauss table, phi from its coefficients at the same points.
+come from its Gauss table, phi from ``PiecewisePolynomial.at`` at the
+same points and at the stage abscissae.
 The quadrature sums reuse the recorded stage values, so e2/e3 vanish to
 roundoff exactly when the stage quadrature integrates the weighted term
 exactly.
@@ -24,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .adjoint import AdjointSolution
-from .numerics import GAUSS_NODES, legendre_shifted
+from .numerics import legendre_shifted
 from .problems import SplitOdeProblem
 from .reconstruct import PiecewisePolynomial
 from .solver import ForwardSolution
@@ -62,25 +63,6 @@ def _subinterval_factor(forward_intervals: int, adjoint: AdjointSolution) -> int
     return n_adj // forward_intervals
 
 
-def _stage_eval_data(d: np.ndarray, basis, factor: int):
-    """Subinterval index and local basis row for each stage abscissa."""
-    sub = np.clip(np.floor(d * factor).astype(int), 0, factor - 1)
-    local = d * factor - sub
-    rows = basis.eval_matrix(local)  # (nu, r+1)
-    return sub, rows
-
-
-def _adjoint_at_gauss(adjoint: AdjointSolution, factor: int):
-    """Per forward interval: the adjoint coefficients of its ``factor``
-    subintervals and phi at their Gauss points, (5*factor, m)."""
-    a_eval = adjoint.poly.basis.eval_matrix(GAUSS_NODES)   # (5, r+1)
-    coeffs = adjoint.poly.coeffs
-    for lo in range(0, coeffs.shape[0], factor):
-        c_adj = coeffs[lo:lo + factor]
-        yield c_adj, np.einsum("kj,sjm->skm", a_eval, c_adj).reshape(
-            -1, coeffs.shape[2])
-
-
 def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution,
               recon: PiecewisePolynomial, adjoint: AdjointSolution) -> ErrorBreakdown:
     grid = recon.grid
@@ -95,17 +77,19 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
 
     leg_t = legendre_shifted(recon.degree - 1, taus)     # (q, 5*factor)
     leg_d = legendre_shifted(recon.degree - 1, d)        # (q, nu)
-    d_sub, d_rows = _stage_eval_data(d, adjoint.poly.basis, factor)
+    # phi at the same points, and at the stage abscissae
+    phi_tab = adjoint.poly.at(taus, factor)
+    phi_d_tab = adjoint.poly.at(d, factor)
 
     density = np.empty((n_int, 3, m))
     galerkin = np.empty(n_int)
     galerkin_abs = np.empty(n_int)
 
-    for n, (c_adj, phi_all) in enumerate(_adjoint_at_gauss(adjoint, factor)):
+    for n in range(n_int):
         k_n = steps[n]
         y_all, ydot_all = y_tab[n], ydot_tab[n]
+        phi_all, phi_d = phi_tab[n], phi_d_tab[n]
         stage = forward.stages[n]
-        phi_d = np.einsum("ij,ijm->im", d_rows, c_adj[d_sub])
         # L2 projection of phi onto P^{q-1} via orthonormal Legendre modes
         modes = leg_t @ (wts[:, None] * phi_all)
         pphi_all = leg_t.T @ modes
@@ -188,10 +172,11 @@ def residual_weighted_estimate(problem: SplitOdeProblem,
     grid = recon.grid
     factor = _subinterval_factor(grid.n_intervals, adjoint)
     taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
+    phi_tab = adjoint.poly.at(taus, factor)
     steps = grid.steps
     total = 0.0
-    for n, (_c_adj, phi_all) in enumerate(_adjoint_at_gauss(adjoint, factor)):
+    for n in range(grid.n_intervals):
         k_n = steps[n]
         resid = problem.rhs(y_tab[n], grid.nodes[n] + k_n * taus) - ydot_tab[n]
-        total += k_n * float(np.sum((wts[:, None] * resid) * phi_all))
+        total += k_n * float(np.sum((wts[:, None] * resid) * phi_tab[n]))
     return total

@@ -54,13 +54,29 @@ class PiecewisePolynomial:
         tau = (t - nodes[n]) / (nodes[n + 1] - nodes[n])
         return (self.basis.eval_matrix([tau]) @ self.coeffs[n])[0]
 
+    def at(self, taus, factor: int = 1) -> np.ndarray:
+        """Values at local coordinates taus in [0, 1] of every run of
+        ``factor`` consecutive intervals, each run read as one interval:
+        shape (N // factor, len(taus), m).  A point on a boundary between
+        two intervals of a run is read from the later one."""
+        scaled = np.asarray(taus, dtype=float) * factor
+        # clipped at both ends: a stage abscissa summed from a tableau row
+        # can land a rounding error outside [0, 1]
+        sub = np.clip(np.floor(scaled).astype(int), 0, factor - 1)
+        runs = self.coeffs.reshape(-1, factor, *self.coeffs.shape[1:])
+        out = np.empty((runs.shape[0], sub.size, self.dim))
+        for s in np.unique(sub):
+            pick = sub == s
+            out[:, pick] = self.basis.eval_matrix(scaled[pick] - s) @ runs[:, s]
+        return out
+
     def gauss_table(self, factor: int):
         """The Gauss rule on each of ``factor`` equal subintervals of every
         interval: local points and weights (5*factor,), then the values and
         time derivatives there, each of shape (N, 5*factor, m)."""
         taus = ((np.arange(factor)[:, None] + GAUSS_NODES) / factor).reshape(-1)
         wts = np.tile(GAUSS_WEIGHTS, factor) / factor
-        values = self.basis.eval_matrix(taus) @ self.coeffs
+        values = self.at(taus)
         derivs = self.basis.deriv_matrix(taus) @ self.coeffs
         derivs /= self.grid.steps[:, None, None]
         return taus, wts, values, derivs

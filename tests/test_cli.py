@@ -184,6 +184,14 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     ({"newton": None}, r"config\.newton must be an object, got None"),
     ({"newton": [["abs_tol", 0.001]]},
      r"config\.newton must be an object, got \[\['abs_tol', 0\.001\]\]"),
+    # each message names its key, not only the value it could not use
+    ({"scheme": True}, r"config scheme must be a string, got True"),
+    ({"grid": {"t_end": 1.0, "k": 0.3}},
+     r"config\.grid: step=0\.3 does not divide \[0\.0, 1\.0\] evenly"),
+    # the row would otherwise be solved and then fail to be written
+    ({"output": {"row_csv": "no-such-dir/row.csv"}},
+     r"config\.output row_csv: directory 'no-such-dir' does not exist"),
+    ({"output": {"row_csv": "."}}, r"config\.output row_csv: '\.' is a directory"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
@@ -201,7 +209,9 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "output-row-csv-int", "output-series-dir-int", "output-name-list",
         "lam-f-nan", "newton-abs-tol-nan", "psi-nan", "psi-tilde-inf",
         "linear-split-nan", "newton-abs-tol-negative", "problem-string",
-        "grid-list", "newton-null", "newton-pairs"])
+        "grid-list", "newton-null", "newton-pairs", "scheme-bool",
+        "grid-k-not-dividing", "output-row-csv-missing-dir",
+        "output-row-csv-directory"])
 def test_config_rejects_bad_values_before_any_numerics(patch, message):
     with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))
@@ -731,13 +741,28 @@ def test_main_unknown_scheme_is_reported(capsys):
     (["run", "--config", "{cfg}"], "unknown scheme 'rk4'; built-ins: "),
     (["converge", "--config", "{cfg}", "--levels", "2"],
      "need at least 3 levels for observed orders, got 2"),
-], ids=["dump-tableau", "run", "converge-levels"])
-def test_main_reports_bad_arguments_as_config(tmp_path, capsys, verb, message):
+    (["table", "--id", "3", "--out", "{tmp}/t3.csv"],
+     "unknown table id 3; supported: 4..16"),
+    (["table", "--id", "4", "--out", "{tmp}/missing/t4.csv"],
+     "table output: directory '{tmp}/missing' does not exist"),
+    (["table", "--id", "4", "--out", "{tmp}"],
+     "table output: '{tmp}' is a directory"),
+], ids=["dump-tableau", "run", "converge-levels", "table-id",
+        "table-out-missing-dir", "table-out-directory"])
+def test_main_reports_bad_arguments_as_config(tmp_path, capsys, monkeypatch,
+                                              verb, message):
     cfg = tmp_path / "cfg.json"
     scheme = "rk4" if verb[0] == "run" else "mid122"
     cfg.write_text(json.dumps(base_config(scheme=scheme)))
-    assert main([arg.format(cfg=cfg) for arg in verb]) == 1
-    assert capsys.readouterr().err.startswith(f"error: [config] {message}")
+    monkeypatch.setattr(cli, "solve_forward", _never_called)
+    assert main([arg.format(cfg=cfg, tmp=tmp_path) for arg in verb]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: [config] " + message.format(tmp=tmp_path))
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def _never_called(*_args, **_kwargs):
+    raise AssertionError("a bad argument reached the numerics")
 
 
 def test_reference_cache_consistency():

@@ -58,7 +58,8 @@ def random_pairs(draw):
 
 @st.composite
 def runs(draw):
-    """Forward, reconstruction, adjoint and breakdown of one random case: a
+    """Problem, pair, forward, reconstruction, adjoint and breakdown of one
+    random case: a
     linear system of 1 to 3 equations, or the scalar Bernoulli equation,
     whose nonlinear explicit half makes the adjoint take its Jacobian per
     interval; a final-time QoI, or a time-integrated one whose weight
@@ -91,7 +92,7 @@ def runs(draw):
     recon = build_cg(pair, fwd)
     adj = solve_adjoint(prob, recon, qoi, refine=refine)
     bd = breakdown(qoi)(prob, pair, fwd, recon, adj)
-    return prob, fwd, recon, adj, bd
+    return prob, pair, fwd, recon, adj, bd
 
 
 def breakdown(qoi: QoiSpec):
@@ -101,7 +102,7 @@ def breakdown(qoi: QoiSpec):
 @settings(max_examples=60, deadline=None)
 @given(runs())
 def test_components_sum_to_the_residual_weighted_estimate(case):
-    prob, fwd, recon, adj, bd = case
+    prob, _pair, fwd, recon, adj, bd = case
     direct = residual_weighted_estimate(prob, recon, adj)
     roundoff = 1e-12 * (1.0 + np.abs(fwd.nodal).max() * (1.0 + adj.max_abs()))
     assert abs(bd.e1 + bd.e2 + bd.e3 - direct) <= bd.galerkin_raw.sum() + roundoff
@@ -110,10 +111,34 @@ def test_components_sum_to_the_residual_weighted_estimate(case):
 @settings(max_examples=60, deadline=None)
 @given(runs())
 def test_reconstruction_matches_the_nodal_values(case):
-    _prob, fwd, recon, _adj, _bd = case
+    _prob, _pair, fwd, recon, _adj, _bd = case
     scale = 1e-12 * (1.0 + np.abs(fwd.nodal).max())
     assert np.abs(recon.coeffs[:, -1] - fwd.nodal[1:]).max() <= scale
     assert recon.continuity_defect() <= scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs())
+def test_tables_at_local_points_match_pointwise_evaluation(case):
+    # phi on each forward interval, read as one interval of the refined
+    # adjoint grid: at the Gauss points of its subintervals, at the stage
+    # abscissae, and at tau = 0, 1/2 and 1, where a point can sit on a
+    # subinterval boundary; a random pair's abscissa can be a rounding
+    # error below 0, as -1e-17 is
+    _prob, pair, _fwd, recon, adj, _bd = case
+    grid = recon.grid
+    refine = adj.poly.grid.n_intervals // grid.n_intervals
+    taus, _wts, values, _derivs = recon.gauss_table(refine)
+    assert np.array_equal(recon.at(taus), values)
+    points = np.concatenate([taus, pair.implicit.abscissae,
+                             [0.0, 0.5, 1.0, -1e-17]])
+    table = adj.poly.at(points, refine)
+    assert table.shape == (grid.n_intervals, points.size, recon.dim)
+    scale = 1e-12 * adj.max_abs()
+    for n in range(grid.n_intervals):
+        want = np.stack([adj.poly.evaluate(grid.nodes[n] + grid.steps[n] * tau)
+                         for tau in points])
+        assert np.all(np.abs(table[n] - want) <= 1e-12 * np.abs(want) + scale)
 
 
 @settings(max_examples=60, deadline=None)
