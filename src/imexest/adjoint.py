@@ -7,8 +7,9 @@ reconstruction (trial degree q+1, test space P^q), marching backward
 interval by interval from phi(T) = psi (final-time QoI) or phi(T) = 0
 with the QoI density as a source (time-integrated QoI).  Every interval
 integral uses the one Gauss rule of ``numerics``.  H is needed only at
-its points, where the reconstruction's Gauss table supplies Y; with both
-halves linear H is the constant f_op + g_op.
+its points, where the reconstruction is read at the sub-Gauss nodes
+(``reconstruct.sub_gauss_nodes``); with both halves linear H is the
+constant f_op + g_op.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -28,7 +29,7 @@ from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
                        galerkin_deriv_matrix, legendre_shifted)
 from .problems import QoiSpec, SplitOdeProblem, as_dense
-from .reconstruct import PiecewisePolynomial
+from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
 from .solver import TimeGrid
 
 UNIFORM_TOL = 1e-12
@@ -87,7 +88,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     constant = as_dense(problem.f_op + problem.g_op) if problem.linear else None
     if constant is None:
         # the reconstruction at the Gauss points, one row per refined interval
-        y_gauss = reconstruction.gauss_table(refine)[2].reshape(n_int, gp.size, m)
+        y_gauss = reconstruction.at(sub_gauss_nodes(refine)).reshape(
+            n_int, gp.size, m)
     basis = LagrangeBasis(np.linspace(0.0, 1.0, r + 1))
     tests = legendre_shifted(q, gp)                 # (r, 5)
     dmat = galerkin_deriv_matrix(r)                 # (r, r+1)

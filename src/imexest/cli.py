@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple, Optional
 
@@ -65,6 +66,29 @@ class CliError(RuntimeError):
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@contextmanager
+def _stage(stage: str, echo: Optional[dict] = None):
+    """Any failure in the block leaves it as a CliError labelled with the
+    stage, and with the resolved config once there is one; a CliError
+    from an inner stage keeps its own label."""
+    try:
+        yield
+    except CliError:
+        raise
+    except Exception as exc:
+        raise CliError(stage, exc, echo) from exc
+
+
+@contextmanager
+def _labelled(where: str):
+    """A builder's error in the block leaves it as a ValueError prefixed
+    with the config section the builder resolves."""
+    try:
+        yield
+    except (ValueError, TypeError, ReferenceError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 class Typed(NamedTuple):
@@ -219,10 +243,8 @@ class RunConfig:
         pname, prob = _resolve_named(
             doc, "problem", "name", {n: d for n, (_, d) in _PROBLEMS.items()})
         a0 = prob.pop("A0", None)
-        try:
+        with _labelled(f"config.problem ({pname})"):
             ode = _PROBLEMS[pname][0](**prob)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"config.problem ({pname}): {exc}") from None
         echo["problem"] = prob = {**prob, "name": pname}
         if pname == "mhd-alfven":
             # derived wave speed recorded so reports carry it explicitly
@@ -257,10 +279,8 @@ class RunConfig:
             raise ValueError("config.qoi: integral-v needs the mhd-alfven "
                              "problem, whose velocity block it integrates; "
                              f"got {pname!r}")
-        try:
+        with _labelled(f"config.qoi ({kind})"):
             qoi_spec = _build_qoi(kind, qoi, ode)
-        except (ValueError, TypeError) as exc:
-            raise ValueError(f"config.qoi ({kind}): {exc}") from None
         echo["qoi"] = {**qoi, "kind": kind}
 
         echo["newton"] = _resolve_section(
@@ -271,10 +291,8 @@ class RunConfig:
                                "config.reference")
         reference = ReferenceConfig(
             **{**ref, "max_step": float(ref["max_step"])})
-        try:
+        with _labelled("config.reference"):
             exact_solution(ode, reference.mode)
-        except ReferenceError as exc:
-            raise ValueError(f"config.reference: {exc}") from None
         # JSON has no infinity: the echo writes it as the string "inf"
         echo["reference"] = ({**ref, "max_step": "inf"}
                              if reference.max_step == np.inf else ref)
@@ -286,6 +304,18 @@ class RunConfig:
                                   "config.output")
         if output["row_csv"]:
             _check_out_dir(output["row_csv"], "config.output row_csv")
+        # series files go into series_dir, made after the run with any
+        # directory above it that is missing
+        existing = output["series_dir"]
+        while existing and not os.path.lexists(existing):
+            existing = os.path.dirname(existing) or "."
+        if existing and not os.path.isdir(existing):
+            raise ValueError(
+                f"config.output series_dir: {existing!r} is not a directory")
+        name = output["name"] or ""
+        if any(sep and sep in name for sep in (os.sep, os.altsep)):
+            raise ValueError("config.output name must not contain a path "
+                             f"separator, got {name!r}")
         indices = output["series_indices"]
         if indices is not None and not (isinstance(indices, list) and all(
                 _is_integer(i) and 0 <= i < ode.dim for i in indices)):
@@ -362,19 +392,11 @@ def _reference_key(resolved: dict) -> str:
                            for k in ("problem", "grid", "qoi", "reference")})
 
 
-def _resolve_config(config: dict) -> RunConfig:
-    try:
-        return RunConfig.from_dict(config)
-    except Exception as exc:
-        raise CliError("config", exc) from exc
-
-
 def _load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CliError("config", exc) from exc
+    """The config document in a file; a file that cannot be opened,
+    decoded or parsed, for any reason, fails at the config stage."""
+    with _stage("config"), open(path) as fh:
+        return json.load(fh)
 
 
 def run(config: dict):
@@ -383,25 +405,21 @@ def run(config: dict):
     Failures raise CliError labelled with the pipeline stage and echo the
     resolved config.
     """
-    cfg = _resolve_config(config)
+    with _stage("config"):
+        cfg = RunConfig.from_dict(config)
     problem, pair, grid, qoi = cfg.ode, cfg.pair, cfg.time_grid, cfg.qoi_spec
-    try:
-        stage = "forward"
+    with _stage("forward", cfg.echo):
         forward = solve_forward(problem, pair, grid, cfg.newton)
-
-        stage = "reconstruct"
+    with _stage("reconstruct", cfg.echo):
         recon = build_cg(pair, forward)
-
-        stage = "adjoint"
+    with _stage("adjoint", cfg.echo):
         adj = solve_adjoint(problem, recon, qoi, refine=cfg.refine)
-
-        stage = "estimate"
+    with _stage("estimate", cfg.echo):
         if qoi.kind == "final-time":
             bd = error_breakdown(problem, pair, forward, recon, adj)
         else:
             bd = error_breakdown_timedep(problem, pair, forward, recon, adj)
-
-        stage = "reference"
+    with _stage("reference", cfg.echo):
         # the final-time IMEX QoI is the nodal value itself, not the
         # reconstruction evaluated at t_end (which differs at roundoff)
         states_at = ((lambda t: forward.final_state) if qoi.kind == "final-time"
@@ -419,11 +437,9 @@ def run(config: dict):
             _REFERENCE_CACHE[key] = (ref_q, abs(ref_q - imex_q))
         true_err = ref_q - imex_q
         eff = effectivity(bd.estimate_total, true_err)
-
-        stage = "components"
+    with _stage("components", cfg.echo):
         comps = None if cfg.masks is None else component_split(bd, cfg.masks)
-
-        stage = "report"
+    with _stage("report", cfg.echo):
         row = ReportRow(
             scheme=pair.name, computed_error=bd.estimate_total,
             effectivity=eff, e1=bd.e1, e2=bd.e2, e3=bd.e3, components=comps,
@@ -437,10 +453,6 @@ def run(config: dict):
             write_report_csv(cfg.output["row_csv"], [row])
         if cfg.output["series_dir"]:
             _emit_series(cfg, forward, adj, bd)
-    except CliError:
-        raise
-    except Exception as exc:
-        raise CliError(stage, exc, cfg.echo) from exc
     return row
 
 
@@ -568,12 +580,10 @@ def reproduce_table(table_id: int, out_csv: Optional[str] = None) -> list:
     order; the rows after the first reuse its reference.  An unknown id or
     a missing output directory fails at the config stage, before any row
     runs."""
-    try:
+    with _stage("config"):
         configs = [table_config(table_id, s) for s in SCHEME_ORDER]
         if out_csv:
             _check_out_dir(out_csv, "table output")
-    except ValueError as exc:
-        raise CliError("config", exc) from exc
     rows = [run(cfg) for cfg in configs]
     if out_csv:
         write_report_csv(out_csv, rows, table_id=table_id)
@@ -634,17 +644,13 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _resolve_config(_load_config(args.config))
-    try:
+    with _stage("config"):
+        cfg = RunConfig.from_dict(_load_config(args.config))
         _check_levels(args.levels)
-    except ValueError as exc:
-        raise CliError("config", exc) from exc
     grid = cfg.echo["grid"]
-    try:
+    with _stage("converge", cfg.echo):
         rows = convergence_study(cfg.ode, cfg.pair, grid["k"], args.levels,
                                  grid["t_end"], cfg.newton, cfg.reference)
-    except Exception as exc:
-        raise CliError("converge", exc, cfg.echo) from exc
     print(f"# config: {canonical_json(cfg.echo)}")
     print("k,error,order")
     for r in rows:
@@ -654,10 +660,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_dump_tableau(args) -> int:
-    try:
+    with _stage("config"):
         pair = builtin(args.scheme)
-    except ValueError as exc:
-        raise CliError("config", exc) from exc
     print(json.dumps(pair_to_dict(pair), indent=2))
     return 0
 

@@ -23,6 +23,12 @@ from .solver import ForwardSolution
 from .tableaus import ImexPair
 
 
+def sub_gauss_nodes(factor: int) -> np.ndarray:
+    """The Gauss points of each of ``factor`` equal subintervals of [0, 1],
+    in order: shape (5*factor,)."""
+    return ((np.arange(factor)[:, None] + GAUSS_NODES) / factor).reshape(-1)
+
+
 @dataclass
 class PiecewisePolynomial:
     """Piecewise polynomial stored as nodal values on equispaced local nodes.
@@ -74,7 +80,7 @@ class PiecewisePolynomial:
         """The Gauss rule on each of ``factor`` equal subintervals of every
         interval: local points and weights (5*factor,), then the values and
         time derivatives there, each of shape (N, 5*factor, m)."""
-        taus = ((np.arange(factor)[:, None] + GAUSS_NODES) / factor).reshape(-1)
+        taus = sub_gauss_nodes(factor)
         wts = np.tile(GAUSS_WEIGHTS, factor) / factor
         values = self.at(taus)
         derivs = self.basis.deriv_matrix(taus) @ self.coeffs

@@ -65,7 +65,7 @@ def test_linearized_operator_constant_for_linear_problems():
     for grid in (TimeGrid.uniform(1.0, 10), TimeGrid([0.0, 0.1, 0.35, 0.5, 1.0])):
         recon = build_cg(pair, solve_forward(prob, pair, grid))
         want = solve_adjoint(prob, recon, qoi).poly.coeffs
-        recon.gauss_table = _never
+        recon.at = _never
         assert np.array_equal(solve_adjoint(bare, recon, qoi).poly.coeffs, want)
 
 

@@ -192,6 +192,19 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     ({"output": {"row_csv": "no-such-dir/row.csv"}},
      r"config\.output row_csv: directory 'no-such-dir' does not exist"),
     ({"output": {"row_csv": "."}}, r"config\.output row_csv: '\.' is a directory"),
+    # series files would otherwise fail to be written after the whole run
+    ({"output": {"series_dir": __file__}},
+     r"config\.output series_dir: '.*test_cli\.py' is not a directory"),
+    ({"output": {"series_dir": os.path.join(__file__, "a", "b")}},
+     r"config\.output series_dir: '.*test_cli\.py' is not a directory"),
+    ({"output": {"name": "sub/x"}},
+     r"config\.output name must not contain a path separator, got 'sub/x'"),
+    ({"grid": {"t_end": -1.0, "k": 0.1}}, r"config\.grid\.t_end must be positive"),
+    ({"grid": {"t_end": 1.0, "n": 0}}, r"config\.grid\.n must be >= 1"),
+    ({"problem": {"name": "linear-split", "f_mat": [[0.0]], "g_mat": [[-1.0]],
+                  "y0": [[1.0]]}},
+     r"config\.problem \(linear-split\): y0 must be a vector, got shape "
+     r"\(1, 1\)"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
@@ -211,8 +224,12 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "linear-split-nan", "newton-abs-tol-negative", "problem-string",
         "grid-list", "newton-null", "newton-pairs", "scheme-bool",
         "grid-k-not-dividing", "output-row-csv-missing-dir",
-        "output-row-csv-directory"])
-def test_config_rejects_bad_values_before_any_numerics(patch, message):
+        "output-row-csv-directory", "output-series-dir-file",
+        "output-series-dir-below-file", "output-name-separator",
+        "grid-t-end-negative", "grid-n-zero", "linear-split-y0-matrix"])
+def test_config_rejects_bad_values_before_any_numerics(monkeypatch, patch,
+                                                       message):
+    monkeypatch.setattr(cli, "solve_forward", _never_called)
     with pytest.raises(CliError, match=message) as info:
         run(base_config(**patch))
     assert info.value.stage == "config"
@@ -455,7 +472,8 @@ def test_table_config_validates_id():
 
 
 def test_series_emission(tmp_path):
-    out = tmp_path / "series"
+    # the missing directories of series_dir are made, not only its last
+    out = tmp_path / "runs" / "series"
     doc = base_config(output={"series_dir": str(out), "name": "demo",
                               "series_indices": [0]})
     run(doc)
@@ -715,9 +733,13 @@ def test_main_reports_config_and_file_errors_as_config(tmp_path, capsys, verb):
     bad.write_text(json.dumps(base_config(grid={"t_end": 1.0, "k": 0.3})))
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{")
+    # nested beyond the parser's recursion limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     for path, message in ((bad, "step=0.3 does not divide"),
                           (tmp_path / "missing.json", "No such file"),
-                          (malformed, "Expecting property name")):
+                          (malformed, "Expecting property name"),
+                          (deep, "maximum recursion depth exceeded")):
         assert main([verb[0], "--config", str(path), *verb[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: [config]")
@@ -763,6 +785,16 @@ def test_main_reports_bad_arguments_as_config(tmp_path, capsys, monkeypatch,
 
 def _never_called(*_args, **_kwargs):
     raise AssertionError("a bad argument reached the numerics")
+
+
+def test_main_reports_any_other_failure_as_internal(tmp_path, capsys,
+                                                    monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("not a stage failure")
+
+    monkeypatch.setattr(cli, "reproduce_table", broken)
+    assert main(["table", "--id", "4", "--out", str(tmp_path / "t4.csv")]) == 1
+    assert capsys.readouterr().err == "error: [internal] not a stage failure\n"
 
 
 def test_reference_cache_consistency():

@@ -236,6 +236,11 @@ def test_mhd_rejects_physics_the_closed_form_cannot_take(params, message):
         mhd_alfven(h=0.05, **params)
 
 
+def test_alfven_analytic_rejects_an_unknown_parameter():
+    with pytest.raises(TypeError, match=r"unknown mhd parameters: \['B1'\]"):
+        alfven_analytic(np.linspace(0.0, 1.0, 3), 0.1, B1=1.0)
+
+
 def test_alfven_analytic_rest_state_at_nonpositive_time():
     zeta = np.linspace(0.0, 1.0, 11)
     for t in (0.0, -0.5):

@@ -187,6 +187,14 @@ def test_reference_config_validates_mode():
         ReferenceConfig(mode="exact")
 
 
+def test_reference_config_takes_verify_only_as_a_bool():
+    # a config's verify fails its type check first; the library's own
+    # check keeps a string from switching verification on
+    with pytest.raises(ValueError, match="reference verify must be true or "
+                                         "false, got 'yes'"):
+        ReferenceConfig(verify="yes")
+
+
 # -- the DOP853 right-hand side ------------------------------------------------
 
 NUMERIC = ReferenceConfig(mode="high-order-numeric")

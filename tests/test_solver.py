@@ -47,6 +47,8 @@ def test_time_grid_validation():
         TimeGrid(nodes=np.array([0.0, 0.5, 0.5, 1.0]))
     with pytest.raises(ValueError):
         TimeGrid(nodes=np.array([0.0]))
+    with pytest.raises(ValueError, match="need at least one interval"):
+        TimeGrid.uniform(1.0, 0)
 
 
 @pytest.mark.parametrize("nodes", [[0.0, np.nan, 1.0], [0.0, 1.0, np.inf],

@@ -1,5 +1,7 @@
 """Tests for the built-in additive Runge-Kutta tableau pairs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,24 @@ def test_validate_flags_weights_not_summing_to_one():
     )
     report = validate(bad)
     assert any("sum" in item for item in report)
+
+
+MID = builtin("mid122")
+
+
+@pytest.mark.parametrize("bad, defect", [
+    (replace(MID, implicit=builtin("ssp332").implicit),
+     "stage count mismatch: explicit 2 vs implicit 3"),
+    (replace(MID, order=0), "order must be a positive integer, got 0"),
+    (replace(MID, implicit=ButcherTableau(
+        abscissae=[0.0, 0.5], coeffs=[[-0.5, 0.5], [0.0, 0.5]],
+        weights=[0.0, 1.0])), "B not lower triangular (row 0, col 1)"),
+    (replace(MID, explicit=ButcherTableau(
+        abscissae=[0.0, 0.6], coeffs=[[0.0, 0.0], [0.5, 0.0]],
+        weights=[0.0, 1.0])), "explicit row sum mismatch at row 1"),
+], ids=["stage-count", "order", "implicit-upper", "row-sum"])
+def test_validate_names_each_defect(bad, defect):
+    assert any(item.startswith(defect) for item in validate(bad))
 
 
 def test_validate_is_pure():
