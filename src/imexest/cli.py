@@ -496,7 +496,8 @@ def _emit_series(cfg: RunConfig, forward, adj, bd) -> None:
     if indices is None:
         indices = [problem.dim // 2]
     nodes = grid.nodes
-    phi_nodes = np.stack([adj.poly.evaluate(t) for t in nodes])
+    ends = adj.poly.at([0.0, 1.0], cfg.refine)  # the ends of each forward interval
+    phi_nodes = np.concatenate((ends[:, 0], ends[-1:, 1]))
     for idx in indices:
         for tag, vals in (("Y", forward.nodal[:, idx]), ("phi", phi_nodes[:, idx])):
             _write_columns(os.path.join(out_dir, f"{name}_{tag}_state{idx}.csv"),

@@ -1,17 +1,20 @@
 """Small numerical kernels shared by the solver and the estimator:
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
-on [0, 1], and shifted Legendre modes for L2 projection onto low-degree
-polynomials; and ``one_blas_thread``, the BLAS threading policy of a
-pipeline run.
+on [0, 1], shifted Legendre modes for L2 projection onto low-degree
+polynomials, ``lu_factor``, the one factorisation, and
+``one_blas_thread``, the BLAS threading policy of a pipeline run.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
+from scipy import linalg, sparse
+from scipy.sparse.linalg import splu
 
 # The 5-point Gauss-Legendre rule on [0, 1]: the one interval rule of the
 # reconstruction, the adjoint, the estimate and the reference QoI.  It is
@@ -88,6 +91,24 @@ def galerkin_deriv_matrix(degree: int) -> np.ndarray:
     basis = LagrangeBasis(np.linspace(0.0, 1.0, degree + 1))
     return legendre_shifted(degree - 1, GAUSS_NODES) @ (
         GAUSS_WEIGHTS[:, None] * basis.deriv_matrix(GAUSS_NODES))
+
+
+def lu_factor(matrix, *, singular: Exception):
+    """Factor a square matrix once; returns its solve b -> matrix^-1 b, b a
+    vector or a matrix.  A sparse matrix goes to SuperLU, any other to
+    LAPACK, which factors a Fortran-order float array in place.  An exact
+    zero pivot raises ``singular``, never a warning."""
+    if sparse.issparse(matrix):
+        try:
+            return splu(matrix.tocsc()).solve
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise singular from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", linalg.LinAlgWarning)
+        fac = linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
+    if np.any(fac[0].diagonal() == 0.0):
+        raise singular
+    return functools.partial(linalg.lu_solve, fac, check_finite=False)
 
 
 # the thread-count calls of an OpenBLAS build: numpy's and scipy's wheels

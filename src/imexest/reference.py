@@ -47,9 +47,8 @@ from itertools import islice
 import numpy as np
 from scipy import sparse
 from scipy.integrate import DOP853, OdeSolver, solve_ivp
-from scipy.sparse.linalg import splu
 
-from .numerics import GAUSS_NODES, GAUSS_WEIGHTS
+from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, lu_factor
 from .problems import QoiSpec, SplitOdeProblem
 from .solver import TimeGrid
 
@@ -88,7 +87,7 @@ class ReferenceConfig:
         if not isinstance(self.verify, bool):
             raise ValueError(f"reference verify must be true or false, "
                              f"got {self.verify!r}")
-        for name, ok, bound in (("rtol", self.rtol > 0, "> 0"),
+        for name, ok, bound in (("rtol", self.rtol >= RTOL_FLOOR, f">= {RTOL_FLOOR:g}"),
                                 ("atol", self.atol >= 0, ">= 0"),
                                 ("max_step", self.max_step > 0, "> 0"),
                                 ("step_cap", self.step_cap >= 1, ">= 1"),
@@ -208,8 +207,8 @@ class RadauIIA(OdeSolver):
     on themselves.
 
     The stage values Y solve (I - k A (x) jac) Y = 1 (x) z + k (A (x) I) R,
-    R the stages' fun(t, 0), with one splu made here, and the step ends
-    at Y_3 (stiffly accurate).  start_step() is called as each step
+    R the stages' fun(t, 0), with one sparse LU made here, and the step
+    ends at Y_3 (stiffly accurate).  start_step() is called as each step
     starts; it may raise to stop the solve.
     """
 
@@ -222,7 +221,8 @@ class RadauIIA(OdeSolver):
         self.start_step = start_step
         system = (sparse.identity(3 * self.m, format="csc")
                   - self.k * sparse.kron(RADAU_A, jac, format="csc"))
-        self.lu = splu(system.tocsc())
+        self.lu = lu_factor(system, singular=ReferenceError(
+            "singular Radau IIA stage system"))
         self.nlu = 1
         self.zero = np.zeros(self.n)
 
@@ -231,8 +231,8 @@ class RadauIIA(OdeSolver):
         m, k, z = self.m, self.k, self.y
         times = self.t + RADAU_C * k
         forcing = np.stack([self.fun(t, self.zero)[:m] for t in times])
-        stages = self.lu.solve(np.tile(z[:m], 3)
-                               + k * (RADAU_A @ forcing).ravel()).reshape(3, m)
+        stages = self.lu(np.tile(z[:m], 3)
+                         + k * (RADAU_A @ forcing).ravel()).reshape(3, m)
         if self.n > m:
             rates = np.stack([self.fun(t, np.concatenate((y, z[m:])))[m:]
                               for t, y in zip(times, stages)])

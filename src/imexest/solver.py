@@ -13,12 +13,11 @@ estimator assumes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
+from .numerics import lu_factor
 from .problems import SplitOdeProblem
 from .tableaus import ImexPair, validate
 
@@ -128,18 +127,14 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
                               f": residual {rnorm:.3e} after {iters} iterations")
         key = (k_n, bii)
         if lu_cache is not None and key in lu_cache:
-            fac = lu_cache[key]
+            solve = lu_cache[key]
         else:
             mat = np.eye(x.size) - k_n * bii * problem.jac_g(x)
-            # a zero pivot is reported below with its interval, not warned about
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LinAlgWarning)
-                fac = lu_factor(mat, check_finite=False)
-            if np.any(fac[0].diagonal() == 0.0):
-                raise SolverError("singular Newton matrix", interval, stage)
+            solve = lu_factor(mat, singular=SolverError(
+                "singular Newton matrix", interval, stage))
             if lu_cache is not None:
-                lu_cache[key] = fac
-        x = x + lu_solve(fac, -r, check_finite=False)
+                lu_cache[key] = solve
+        x = x + solve(-r)
         iters += 1
 
 

@@ -70,7 +70,8 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     ({"reference": {"mode": "numeric"}}, "reference mode must be one of"),
     ({"adjoint": {"refine": 0}}, "adjoint.refine must be >= 1"),
     ({"newton": {"max_iters": -1}}, "newton max_iters must be >= 1"),
-    ({"reference": {"rtol": -1}}, "reference rtol must be > 0"),
+    ({"reference": {"rtol": -1}}, "reference rtol must be >= 1e-13, got -1"),
+    ({"reference": {"rtol": 1e-16}}, "reference rtol must be >= 1e-13, got 1e-16"),
     ({"reference": {"atol": -1}}, "reference atol must be >= 0"),
     ({"reference": {"max_step": 0}}, "reference max_step must be > 0"),
     ({"reference": {"step_cap": 0}}, "reference step_cap must be >= 1"),
@@ -206,6 +207,7 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
      r"config\.problem \(linear-split\): y0 must be a vector, got shape "
      r"\(1, 1\)"),
 ], ids=["reference-mode", "adjoint-refine", "newton-max-iters", "reference-rtol",
+        "reference-rtol-below-floor",
         "reference-atol", "reference-max-step", "reference-step-cap",
         "reference-verify-ratio", "problem-a0", "problem-null",
         "problem-y0-string", "problem-gamma-string", "components-string",

@@ -1,11 +1,14 @@
-"""Tests for the shared polynomial and quadrature kernels."""
+"""Tests for the shared polynomial, quadrature, factorisation and BLAS
+threading kernels."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from imexest import numerics
+from imexest import adjoint, numerics, reference, solver
 from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
-                              legendre_shifted, one_blas_thread, openblas_pools)
+                              legendre_shifted, lu_factor, one_blas_thread,
+                              openblas_pools)
 from oracles import l2_project, poly_eval
 
 
@@ -120,6 +123,58 @@ def test_legendre_shifted_orthonormal():
     vals = legendre_shifted(3, GAUSS_NODES)
     gram = (vals * GAUSS_WEIGHTS) @ vals.T
     assert np.max(np.abs(gram - np.eye(4))) < 1e-13
+
+
+# -- the one factorisation ------------------------------------------------------
+
+class Singular(Exception):
+    pass
+
+
+ROUTES = {"dense": np.array, "csr": sparse.csr_array, "csc": sparse.csc_array}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("rhs_shape", [(6,), (6, 3)], ids=["vector", "matrix"])
+def test_lu_factor_solves_like_numpy_on_every_route(route, rhs_shape):
+    rng = np.random.default_rng(7)
+    mat = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
+    mat[0, 3] = mat[4, 1] = 0.0  # entries the sparse routes do not store
+    rhs = rng.standard_normal(rhs_shape)
+    want = np.linalg.solve(mat, rhs)
+    got = lu_factor(ROUTES[route](mat.copy()), singular=Singular())(rhs)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_lu_factor_overwrites_a_fortran_array_in_place():
+    # the adjoint's local systems reach 1194^2 on the Alfven wave: factoring
+    # them in place saves a copy of each
+    mat = np.asfortranarray(np.array([[4.0, 1.0], [2.0, 3.0]]))
+    solve = lu_factor(mat, singular=Singular())
+    assert not np.array_equal(mat, [[4.0, 1.0], [2.0, 3.0]])
+    np.testing.assert_allclose(solve(np.array([5.0, 5.0])), [1.0, 1.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("matrix", [
+    np.array([[1.0, 2.0], [2.0, 4.0]]),
+    sparse.csc_array((3, 3)),
+    sparse.csr_array(np.diag([1.0, 0.0, 2.0])),
+], ids=["dense", "csc-all-zero", "csr-zero-diagonal"])
+def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
+    error = Singular("singular on interval 3")
+    with pytest.raises(Singular) as info:
+        lu_factor(matrix, singular=error)
+    assert info.value is error
+
+
+def test_every_factorisation_goes_through_numerics():
+    # perfbench's tracer and test_adjoint count factorisations by rebinding
+    # imexest.solver.lu_factor and imexest.adjoint.lu_factor
+    assert solver.lu_factor is numerics.lu_factor
+    assert adjoint.lu_factor is numerics.lu_factor
+    assert reference.lu_factor is numerics.lu_factor
 
 
 # -- BLAS threads ---------------------------------------------------------------

@@ -195,6 +195,15 @@ def test_reference_config_takes_verify_only_as_a_bool():
         ReferenceConfig(verify="yes")
 
 
+def test_reference_config_rejects_an_rtol_below_the_floor():
+    # no route integrates finer than RTOL_FLOOR: DOP853 would raise a finer
+    # rtol to about 2.2e-14 with a warning, and verify stops at the floor
+    assert ReferenceConfig(rtol=RTOL_FLOOR).rtol == RTOL_FLOOR
+    with pytest.raises(ValueError, match="reference rtol must be >= 1e-13, "
+                                         "got 1e-16"):
+        ReferenceConfig(rtol=1e-16)
+
+
 # -- the DOP853 right-hand side ------------------------------------------------
 
 NUMERIC = ReferenceConfig(mode="high-order-numeric")
