@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
                        galerkin_deriv_matrix, legendre_shifted, lu_factor)
-from .problems import QoiSpec, SplitOdeProblem, as_dense
+from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
 from .solver import TimeGrid
 
@@ -83,7 +84,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     steps = grid.steps
 
     gp, gw = GAUSS_NODES, GAUSS_WEIGHTS
-    constant = as_dense(problem.f_op + problem.g_op) if problem.linear else None
+    constant = problem.f_op + problem.g_op if problem.linear else None
     if constant is None:
         # the reconstruction at the Gauss points, one row per refined interval
         y_gauss = reconstruction.at(sub_gauss_nodes(refine)).reshape(
@@ -99,8 +100,18 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         k_n = steps[n]
         # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k)
         wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
+        singular = AdjointSolveError(n, "singular local system")
+        if sparse.issparse(constant):
+            # the same blocks as below, kept in the operator's sparse form:
+            # the unknown nodes' columns are factored, the known one's dense
+            big, known = (
+                sparse.kron(-wgt.sum(axis=2)[:, cols], constant.T, format="csc")
+                - sparse.kron(dmat[:, cols], sparse.eye_array(m), format="csc")
+                for cols in (slice(None, r), slice(r, None)))
+            return (lu_factor(big, singular=singular),
+                    known.toarray().reshape(r, m, m))
         # blocks[a, j] = -dmat[a, j] I - sum_k W[a, j, k] H(t_k)^T, built in
-        # place: at m = 398 each (r, r + 1, m, m) temporary is 15 MB
+        # place: each (r, r + 1, m, m) temporary is 0.6 MB at Burgers' m = 80
         if constant is not None:
             blocks = -wgt.sum(axis=2)[:, :, None, None] * constant.T
         else:
@@ -112,7 +123,6 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         # Fortran order, so LAPACK factors it in place instead of a copy
         big = np.empty((r * m, r * m), order="F")
         big.T.reshape(r, m, r, m)[...] = blocks[:, :r].transpose(1, 3, 0, 2)
-        singular = AdjointSolveError(n, "singular local system")
         return lu_factor(big, singular=singular), blocks[:, r].copy()
 
     def source(n):

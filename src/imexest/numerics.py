@@ -156,7 +156,7 @@ def one_blas_thread():
     pool's thread count on exit, also when an exception leaves the block.
 
     The pipeline makes long runs of dense LAPACK calls of order at most
-    1194 with Python in between.  At that size a second thread gains
+    240 with Python in between.  At that size a second thread gains
     little, and after each threaded call OpenBLAS busy-waits on the other
     cores, about as much CPU time again as the work itself.
     """

@@ -8,7 +8,9 @@ A half that is linear in the state is given by its constant operator,
 from which its evaluation and Jacobian follow.  The PDE benchmarks use
 method-of-lines finite differences on uniform grids.  Each builder picks
 the operator form by structure: the two-field Alfven system is CSR, the
-small periodic stencils (at most a few dozen unknowns) stay dense.
+small periodic stencils (at most a few dozen unknowns) stay dense.  The
+forward Newton matrix and the adjoint's local system are built from the
+operators in that form, so a CSR operator is factored sparse.
 """
 
 from __future__ import annotations
@@ -46,10 +48,14 @@ class SplitOdeProblem:
     nonlinear half.  A half with an operator is given by it alone:
     eval_f defaults to y -> f_op y and jac_f to f_op made dense, and every
     state-independent term is carried by the forcing.  A half without one
-    needs eval and jac.  The adjoint's constant operator and the
-    reference's sparse operator are built from the operators.  ``linear``
-    (both halves carry an operator) switches on the forward LU cache and
-    the adjoint propagator.
+    needs eval and jac.  The forward Newton matrix I - k b_ii g_op, the
+    adjoint's constant operator f_op + g_op and the reference's sparse
+    operator are built from the operators in their own form, dense or
+    sparse, never from the dense Jacobians; the forward solve calls jac_g
+    only for a nonlinear g half.  ``linear`` (both halves carry an
+    operator) makes the forward Newton matrix constant, so it is factored
+    once per step size and stage coefficient, and lets the adjoint factor
+    one local system for all intervals of a uniform grid.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, time -> the d data
@@ -107,11 +113,12 @@ class SplitOdeProblem:
                         else self.boundary_data(t))
         return tuple((pick @ data.T).T for pick in self.pickups)
 
-    def halves(self, y: Array, t) -> tuple[Array, Array]:
-        """(f(y, t), g(y, t)) with one forcing evaluation."""
+    def halves(self, y: Array, t, force=None) -> tuple[Array, Array]:
+        """(f(y, t), g(y, t)) with one forcing evaluation, or none when the
+        caller hands in ``force``, the forcing at t it already has."""
         f, g = self.eval_f(y), self.eval_g(y)
         if self.pickups is not None:
-            force_f, force_g = self.forcing(t)
+            force_f, force_g = self.forcing(t) if force is None else force
             f, g = f + force_f, g + force_g
         return f, g
 

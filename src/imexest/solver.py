@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from .numerics import lu_factor
 from .problems import SplitOdeProblem
@@ -109,11 +110,10 @@ class ForwardSolution:
         return self.nodal[-1]
 
 
-def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cache):
+def _newton_stage(problem, t_i, k_n, bii, known, force_g, newton, interval,
+                  stage, lu_cache):
     x = known.copy()
     iters = 0
-    # the forcing does not depend on the state: one evaluation per stage
-    force_g = 0.0 if problem.pickups is None else problem.forcing(t_i)[1]
     while True:
         r = x - k_n * bii * (problem.eval_g(x) + force_g) - known
         if not np.all(np.isfinite(r)):
@@ -129,8 +129,12 @@ def _newton_stage(problem, t_i, k_n, bii, known, newton, interval, stage, lu_cac
         if lu_cache is not None and key in lu_cache:
             solve = lu_cache[key]
         else:
-            mat = np.eye(x.size) - k_n * bii * problem.jac_g(x)
-            solve = lu_factor(mat, singular=SolverError(
+            # a linear g half gives its operator, in its own form: a CSR
+            # g_op makes a sparse Newton matrix, factored by SuperLU
+            jac = problem.jac_g(x) if problem.g_op is None else problem.g_op
+            eye = (sparse.eye_array(x.size, format="csc") if sparse.issparse(jac)
+                   else np.eye(x.size))
+            solve = lu_factor(eye - k_n * bii * jac, singular=SolverError(
                 "singular Newton matrix", interval, stage))
             if lu_cache is not None:
                 lu_cache[key] = solve
@@ -162,15 +166,18 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
             known += k_n * (b_im[i, :i] @ g_vals[:i])
         bii = b_im[i, i]
         t_i = times[i]
+        # the forcing does not depend on the state: one evaluation per stage
+        force = None if problem.pickups is None else problem.forcing(t_i)
         if bii == 0.0:
             x = known
         else:
-            x, iters[i] = _newton_stage(problem, t_i, k_n, bii, known, newton,
-                                        interval, i, lu_cache)
+            x, iters[i] = _newton_stage(problem, t_i, k_n, bii, known,
+                                        0.0 if force is None else force[1],
+                                        newton, interval, i, lu_cache)
         if not np.all(np.isfinite(x)):
             raise SolverError("non-finite state", interval, i, f", t={t_i:.6g}")
         values[i] = x
-        f_vals[i], g_vals[i] = problem.halves(x, t_i)
+        f_vals[i], g_vals[i] = problem.halves(x, t_i, force)
 
     y_next = y_n + k_n * (w_ex @ f_vals + w_im @ g_vals)
     if not np.all(np.isfinite(y_next)):

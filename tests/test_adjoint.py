@@ -4,8 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from imexest import adjoint
+from imexest import adjoint, solver
 from imexest.adjoint import (
     DEFAULT_REFINE,
     AdjointSolveError,
@@ -18,6 +19,7 @@ from imexest.problems import (
     SplitOdeProblem,
     as_dense,
     burgers,
+    linear_advection_diffusion,
     mhd_alfven,
     qoi_integral_v,
     split_linear_system,
@@ -250,19 +252,46 @@ def test_adjoint_failure_on_a_constant_nan_operator():
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("prob", [split_scalar_linear(-0.4, -0.6, 1.0),
-                                  burgers(0.05, 0.1)],
-                         ids=["propagator", "per-interval"])
+                                  burgers(0.05, 0.1), mhd_alfven(h=0.05)],
+                         ids=["propagator", "per-interval", "sparse-propagator"])
 def test_zero_pivot_is_reported_once_without_a_warning(prob, monkeypatch):
     # scipy warns about the zero pivot; the solve reports it as an error
     # naming the interval the backward sweep factors first
     recon = reconstruct_case(prob, n=4)
     lu_factor = adjoint.lu_factor
+    # the system with every entry zero, dense or sparse like the system
     monkeypatch.setattr(adjoint, "lu_factor",
-                        lambda a, **kw: lu_factor(np.zeros_like(a), **kw))
+                        lambda a, **kw: lu_factor(a * 0.0, **kw))
     psi = np.ones(prob.dim)
     with pytest.raises(AdjointSolveError, match="singular local system") as info:
         solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
     assert info.value.interval == 4 * DEFAULT_REFINE - 1
+
+
+def recording(lu_factor, seen):
+    """lu_factor, appending to seen whether each matrix it factors is sparse."""
+    def wrapper(a, **kw):
+        seen.append(sparse.issparse(a))
+        return lu_factor(a, **kw)
+    return wrapper
+
+
+@pytest.mark.parametrize("build, sparse_route", [
+    (lambda: mhd_alfven(h=0.05), True),
+    (lambda: linear_advection_diffusion(0.1, 1.0 / 20.0), False),
+    (lambda: burgers(0.05, 0.1), False)], ids=["mhd", "advdiff", "burgers"])
+def test_operator_structure_picks_the_factorisation_route(build, sparse_route,
+                                                          monkeypatch):
+    # a CSR operator is factored sparse, forward and backward, and a dense
+    # one dense; a nonlinear half has no operator and stays dense
+    routes = {solver: [], adjoint: []}
+    for module, seen in routes.items():
+        monkeypatch.setattr(module, "lu_factor", recording(module.lu_factor, seen))
+    prob = build()
+    recon = reconstruct_case(prob, t_end=0.2, n=4)
+    solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(prob.dim)))
+    for seen in routes.values():
+        assert seen and set(seen) == {sparse_route}
 
 
 def random_linear_system(m=5, seed=4):
