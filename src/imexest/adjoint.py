@@ -9,7 +9,8 @@ with the QoI density as a source (time-integrated QoI).  Every interval
 integral uses the one Gauss rule of ``numerics``.  H is needed only at
 its points, where the reconstruction is read at the sub-Gauss nodes
 (``reconstruct.sub_gauss_nodes``); with both halves linear H is the
-constant f_op + g_op.
+constant f_op + g_op, and the local system takes its form, CSC or dense,
+through ``numerics.kron``.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -23,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
-from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
-                       galerkin_deriv_matrix, legendre_shifted, lu_factor)
+from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis, as_dense,
+                       galerkin_deriv_matrix, identity_like, kron,
+                       legendre_shifted, lu_factor)
 from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
 from .solver import TimeGrid
@@ -101,23 +102,17 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k)
         wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
         singular = AdjointSolveError(n, "singular local system")
-        if sparse.issparse(constant):
-            # the same blocks as below, kept in the operator's sparse form:
-            # the unknown nodes' columns are factored, the known one's dense
-            big, known = (
-                sparse.kron(-wgt.sum(axis=2)[:, cols], constant.T, format="csc")
-                - sparse.kron(dmat[:, cols], sparse.eye_array(m), format="csc")
-                for cols in (slice(None, r), slice(r, None)))
-            return (lu_factor(big, singular=singular),
-                    known.toarray().reshape(r, m, m))
-        # blocks[a, j] = -dmat[a, j] I - sum_k W[a, j, k] H(t_k)^T, built in
-        # place: each (r, r + 1, m, m) temporary is 0.6 MB at Burgers' m = 80
         if constant is not None:
-            blocks = -wgt.sum(axis=2)[:, :, None, None] * constant.T
-        else:
-            # H at the Gauss points: jac_f + jac_g at the reconstruction
-            blocks = np.einsum("ajk,kxy->ajxy", -wgt, np.stack([
-                (problem.jac_f(y) + problem.jac_g(y)).T for y in y_gauss[n]]))
+            # block (a, j) is -dmat[a, j] I - sum_k W[a, j, k] H^T, in H's
+            # form; the unknown nodes' columns are factored, the known one's dense
+            full = (kron(-wgt.sum(axis=2), constant.T)
+                    - kron(dmat, identity_like(constant, m)))
+            return (lu_factor(full[:, :r * m], singular=singular),
+                    as_dense(full[:, r * m:]).reshape(r, m, m))
+        # the same blocks with H(t_k) = jac_f + jac_g at the reconstruction,
+        # built in place: each (r, r + 1, m, m) temporary is 0.6 MB at Burgers' m = 80
+        blocks = np.einsum("ajk,kxy->ajxy", -wgt, np.stack([
+            (problem.jac_f(y) + problem.jac_g(y)).T for y in y_gauss[n]]))
         diag = np.arange(m)
         blocks[:, :, diag, diag] -= dmat[:, :, None]
         # Fortran order, so LAPACK factors it in place instead of a copy

@@ -1,7 +1,9 @@
 """Small numerical kernels shared by the solver and the estimator:
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
-polynomials, ``lu_factor``, the one factorisation, and
+polynomials, the one place an operator's form becomes a system's
+(``identity_like`` and ``kron`` give CSC for a sparse operator and
+dense arrays otherwise), ``lu_factor``, the one factorisation, and
 ``one_blas_thread``, the BLAS threading policy of a pipeline run.
 """
 
@@ -91,6 +93,21 @@ def galerkin_deriv_matrix(degree: int) -> np.ndarray:
     basis = LagrangeBasis(np.linspace(0.0, 1.0, degree + 1))
     return legendre_shifted(degree - 1, GAUSS_NODES) @ (
         GAUSS_WEIGHTS[:, None] * basis.deriv_matrix(GAUSS_NODES))
+
+
+def as_dense(op) -> np.ndarray:
+    """An operator as a dense array (the array itself when it is dense)."""
+    return op.toarray() if sparse.issparse(op) else op
+
+
+def identity_like(op, n: int):
+    """The n x n identity in op's form."""
+    return sparse.eye_array(n, format="csc") if sparse.issparse(op) else np.eye(n)
+
+
+def kron(a, op):
+    """The Kronecker product a (x) op in op's form."""
+    return sparse.kron(a, op, format="csc") if sparse.issparse(op) else np.kron(a, op)
 
 
 def lu_factor(matrix, *, singular: Exception):

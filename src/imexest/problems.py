@@ -8,9 +8,9 @@ A half that is linear in the state is given by its constant operator,
 from which its evaluation and Jacobian follow.  The PDE benchmarks use
 method-of-lines finite differences on uniform grids.  Each builder picks
 the operator form by structure: the two-field Alfven system is CSR, the
-small periodic stencils (at most a few dozen unknowns) stay dense.  The
-forward Newton matrix and the adjoint's local system are built from the
-operators in that form, so a CSR operator is factored sparse.
+small periodic stencils (at most a few dozen unknowns) stay dense.  No
+other module decides the form: ``numerics`` builds each system in its
+operator's form, so a CSR operator is factored sparse.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
+
+from .numerics import as_dense
 
 Array = np.ndarray
 Operator = Array | sparse.csr_array
@@ -48,14 +50,13 @@ class SplitOdeProblem:
     nonlinear half.  A half with an operator is given by it alone:
     eval_f defaults to y -> f_op y and jac_f to f_op made dense, and every
     state-independent term is carried by the forcing.  A half without one
-    needs eval and jac.  The forward Newton matrix I - k b_ii g_op, the
-    adjoint's constant operator f_op + g_op and the reference's sparse
-    operator are built from the operators in their own form, dense or
-    sparse, never from the dense Jacobians; the forward solve calls jac_g
-    only for a nonlinear g half.  ``linear`` (both halves carry an
-    operator) makes the forward Newton matrix constant, so it is factored
-    once per step size and stage coefficient, and lets the adjoint factor
-    one local system for all intervals of a uniform grid.
+    needs eval and jac.  The forward Newton matrix I - k b_ii g_op and
+    the systems in f_op + g_op read the operators, never the dense
+    Jacobians; the forward solve calls jac_g only for a nonlinear g
+    half.  ``linear`` (both halves carry an operator) makes the forward
+    Newton matrix constant, so it is factored once per step size and
+    stage coefficient, and lets the adjoint factor one local system for
+    all intervals of a uniform grid.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, time -> the d data
@@ -144,11 +145,6 @@ class QoiSpec:
             self.psi = np.asarray(self.psi, dtype=float)
         elif self.psi_tilde is None:
             raise ValueError("time-integrated qoi needs psi_tilde")
-
-
-def as_dense(op: Operator) -> Array:
-    """An operator as a dense array (the array itself when it is dense)."""
-    return op.toarray() if sparse.issparse(op) else op
 
 
 def _dense_jacobian(op: Operator) -> Callable[[Array], Array]:

@@ -14,7 +14,7 @@ The numeric route integrates with ``solve_ivp`` in one of two ways.
 * A linear problem with boundary forcing (the Alfven wave) takes the
   fixed-step Radau IIA method of ``RadauIIA`` (Hairer and Wanner,
   *Solving ODEs II*, IV.5 and IV.8): 3 stages, order 5, L-stable and
-  stiffly accurate, with one sparse LU per solve.  The step is
+  stiffly accurate, with one LU per solve (sparse here).  The step is
   k = T / n with n = 100 or, if that step exceeds ``max_step``, the
   smallest n whose step does not.  n doubles until two successive
   solves agree:
@@ -48,7 +48,7 @@ import numpy as np
 from scipy import sparse
 from scipy.integrate import DOP853, OdeSolver, solve_ivp
 
-from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, lu_factor
+from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, identity_like, kron, lu_factor
 from .problems import QoiSpec, SplitOdeProblem
 from .solver import TimeGrid
 
@@ -131,20 +131,15 @@ def qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
     return total
 
 
-def state_operator(problem: SplitOdeProblem) -> sparse.csr_array:
-    """A linear problem's f_op + g_op as one CSR operator."""
-    return sparse.csr_array(problem.f_op) + sparse.csr_array(problem.g_op)
-
-
 def reference_operator(problem: SplitOdeProblem) -> sparse.csr_array:
     """A linear problem's full right-hand side as one CSR operator:
-    state_operator, with the summed boundary pickups of a forced problem
+    f_op + g_op, with the summed boundary pickups of a forced problem
     appended as columns that act on the boundary data."""
-    op = state_operator(problem)
+    op = problem.f_op + problem.g_op
     if problem.pickups is not None:
-        pick_f, pick_g = map(sparse.csr_array, problem.pickups)
+        pick_f, pick_g = problem.pickups
         op = sparse.hstack((op, pick_f + pick_g), format="csr")
-    return op
+    return sparse.csr_array(op)
 
 
 def ivp_rhs(problem: SplitOdeProblem):
@@ -207,9 +202,9 @@ class RadauIIA(OdeSolver):
     on themselves.
 
     The stage values Y solve (I - k A (x) jac) Y = 1 (x) z + k (A (x) I) R,
-    R the stages' fun(t, 0), with one sparse LU made here, and the step
-    ends at Y_3 (stiffly accurate).  start_step() is called as each step
-    starts; it may raise to stop the solve.
+    R the stages' fun(t, 0), with one LU made here in jac's form
+    (``numerics.kron``), and the step ends at Y_3 (stiffly accurate).
+    start_step() is called as each step starts; it may raise to stop the solve.
     """
 
     def __init__(self, fun, t0, y0, t_bound, vectorized, jac, n_steps,
@@ -219,8 +214,7 @@ class RadauIIA(OdeSolver):
         self.t_start, self.n_steps, self.taken = t0, n_steps, 0
         self.k = (t_bound - t0) / n_steps
         self.start_step = start_step
-        system = (sparse.identity(3 * self.m, format="csc")
-                  - self.k * sparse.kron(RADAU_A, jac, format="csc"))
+        system = identity_like(jac, 3 * self.m) - self.k * kron(RADAU_A, jac)
         self.lu = lu_factor(system, singular=ReferenceError(
             "singular Radau IIA stage system"))
         self.nlu = 1
@@ -308,8 +302,8 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
             return float(z[-1])
     t_span = (float(grid.nodes[0]), grid.t_end)
     if problem.linear and problem.pickups is not None:
-        yield from _radau_qoi(fun, state_operator(problem), t_span, z0, value,
-                              config)
+        yield from _radau_qoi(fun, problem.f_op + problem.g_op, t_span, z0,
+                              value, config)
         return
     rtol, atol = config.rtol, config.atol
     yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 
-from .numerics import lu_factor
+from .numerics import identity_like, lu_factor
 from .problems import SplitOdeProblem
 from .tableaus import ImexPair, validate
 
@@ -129,13 +128,11 @@ def _newton_stage(problem, t_i, k_n, bii, known, force_g, newton, interval,
         if lu_cache is not None and key in lu_cache:
             solve = lu_cache[key]
         else:
-            # a linear g half gives its operator, in its own form: a CSR
-            # g_op makes a sparse Newton matrix, factored by SuperLU
+            # a linear g half gives its operator, whose form numerics keeps
             jac = problem.jac_g(x) if problem.g_op is None else problem.g_op
-            eye = (sparse.eye_array(x.size, format="csc") if sparse.issparse(jac)
-                   else np.eye(x.size))
-            solve = lu_factor(eye - k_n * bii * jac, singular=SolverError(
-                "singular Newton matrix", interval, stage))
+            solve = lu_factor(identity_like(jac, x.size) - k_n * bii * jac,
+                              singular=SolverError("singular Newton matrix",
+                                                   interval, stage))
             if lu_cache is not None:
                 lu_cache[key] = solve
         x = x + solve(-r)

@@ -1,8 +1,12 @@
 """Independent reference implementations the tests check the package
 against: a monomial L2 projection (the estimator projects with Legendre
-modes) and finite-difference Jacobians."""
+modes), finite-difference Jacobians and a problem's dense form."""
+
+import dataclasses
 
 import numpy as np
+
+from imexest.numerics import as_dense
 
 
 def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:
@@ -60,3 +64,12 @@ def check_jacobians(problem, n_samples: int = 5, seed: int = 0,
             denom = max(1.0, np.abs(j_exact).max())
             worst = max(worst, np.abs(j_exact - j_fd).max() / denom)
     return worst
+
+
+def dense_form(problem):
+    """A linear forced problem rebuilt from dense copies of its operators
+    and pickups, so every system made from them is dense."""
+    return dataclasses.replace(
+        problem, f_op=as_dense(problem.f_op), g_op=as_dense(problem.g_op),
+        pickups=tuple(map(as_dense, problem.pickups)),
+        eval_f=None, eval_g=None, jac_f=None, jac_g=None)

@@ -28,6 +28,7 @@ from imexest.problems import (
 from imexest.reconstruct import build_cg
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
+from oracles import dense_form
 
 
 def reconstruct_case(problem, name="mid122", t_end=1.0, n=40, t_start=0.0):
@@ -292,6 +293,24 @@ def test_operator_structure_picks_the_factorisation_route(build, sparse_route,
     solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(prob.dim)))
     for seen in routes.values():
         assert seen and set(seen) == {sparse_route}
+
+
+@pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])
+def test_sparse_operators_match_their_dense_form(scheme):
+    # the Alfven problem's CSR operators, and the same problem rebuilt
+    # from dense copies of them, give the same adjoint: one sparse and one
+    # dense local system, each with its propagator and loads
+    prob = mhd_alfven(h=0.05)
+    dense = dense_form(prob)
+    assert sparse.issparse(prob.f_op + prob.g_op)
+    assert not sparse.issparse(dense.f_op + dense.g_op)
+    recons = [reconstruct_case(p, scheme, t_end=0.1, n=8) for p in (prob, dense)]
+    for qoi in oracle_qois(prob):
+        got, want = (solve_adjoint(p, recon, qoi).poly.coeffs
+                     for p, recon in zip((prob, dense), recons))
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        assert np.abs(got - want).max() <= 1e-13 * scale
 
 
 def random_linear_system(m=5, seed=4):

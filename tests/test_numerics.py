@@ -1,14 +1,16 @@
 """Tests for the shared polynomial, quadrature, factorisation and BLAS
 threading kernels."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from imexest import adjoint, numerics, reference, solver
 from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
-                              legendre_shifted, lu_factor, one_blas_thread,
-                              openblas_pools)
+                              as_dense, identity_like, kron, legendre_shifted,
+                              lu_factor, one_blas_thread, openblas_pools)
 from oracles import l2_project, poly_eval
 
 
@@ -125,13 +127,32 @@ def test_legendre_shifted_orthonormal():
     assert np.max(np.abs(gram - np.eye(4))) < 1e-13
 
 
-# -- the one factorisation ------------------------------------------------------
+# -- operator forms and the one factorisation -----------------------------------
 
 class Singular(Exception):
     pass
 
 
 ROUTES = {"dense": np.array, "csr": sparse.csr_array, "csc": sparse.csc_array}
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_systems_take_their_operators_form(route):
+    # a CSR or CSC operator gives CSC systems, a dense one ndarrays, with
+    # the same values either way
+    rng = np.random.default_rng(3)
+    mat = rng.standard_normal((4, 4))
+    mat[1, 2] = mat[3, 0] = 0.0
+    coeffs = rng.standard_normal((2, 3))
+    op = ROUTES[route](mat)
+    assert type(as_dense(op)) is np.ndarray and np.array_equal(as_dense(op), mat)
+    for got, want in ((identity_like(op, 5), np.eye(5)),
+                      (kron(coeffs, op), np.kron(coeffs, mat))):
+        if route == "dense":
+            assert type(got) is np.ndarray
+        else:
+            assert isinstance(got, sparse.csc_array)
+        assert np.array_equal(as_dense(got), want)
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -175,6 +196,20 @@ def test_every_factorisation_goes_through_numerics():
     assert solver.lu_factor is numerics.lu_factor
     assert adjoint.lu_factor is numerics.lu_factor
     assert reference.lu_factor is numerics.lu_factor
+    # and numerics alone turns an operator's form into a system's: the
+    # solver and the adjoint bind nothing of scipy.sparse
+    for module in (solver, adjoint):
+        assert sparse_bindings(module) == [], module.__name__
+
+
+def sparse_bindings(module):
+    """The names module binds to scipy.sparse, its submodules or anything
+    defined there."""
+    def origin(value):
+        return value.__name__ if inspect.ismodule(value) else getattr(
+            value, "__module__", None)
+    return [name for name, value in vars(module).items()
+            if str(origin(value)).startswith("scipy.sparse")]
 
 
 # -- BLAS threads ---------------------------------------------------------------

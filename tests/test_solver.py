@@ -1,14 +1,11 @@
 """Tests for the IMEX time stepper."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import sparse
 
 from imexest.problems import (
     SplitOdeProblem,
-    as_dense,
     burgers,
     grid_cells,
     linear_advection_diffusion,
@@ -25,6 +22,7 @@ from imexest.solver import (
     step,
 )
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate
+from oracles import dense_form
 
 
 def zero_problem(m=3):
@@ -246,10 +244,7 @@ def test_sparse_operators_match_their_dense_form():
     # the Alfven problem's CSR operators, and the same problem rebuilt
     # from dense copies of them, give the same forward solution
     prob = mhd_alfven(h=0.05)
-    dense = dataclasses.replace(
-        prob, f_op=as_dense(prob.f_op), g_op=as_dense(prob.g_op),
-        pickups=tuple(map(as_dense, prob.pickups)),
-        eval_f=None, eval_g=None, jac_f=None, jac_g=None)
+    dense = dense_form(prob)
     assert sparse.issparse(prob.g_op) and not sparse.issparse(dense.g_op)
     for name in ("mid122", "ssp343"):
         grid = TimeGrid.uniform(0.1, 8)
