@@ -10,7 +10,10 @@ integral uses the one Gauss rule of ``numerics``.  H is needed only at
 its points, where the reconstruction is read at the sub-Gauss nodes
 (``reconstruct.sub_gauss_nodes``); with both halves linear H is the
 constant f_op + g_op, and the local system takes its form, CSC or dense,
-through ``numerics.kron``.
+through ``numerics.kron``.  A varying H's systems take the form of the
+problem's stated Jacobian pattern through ``numerics.BlockForm``: CSC on
+the pattern, assembled through an index map built once per solve, or,
+with no pattern, dense.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -25,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis, as_dense,
-                       galerkin_deriv_matrix, identity_like, kron,
+from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
+                       as_dense, galerkin_deriv_matrix, identity_like, kron,
                        legendre_shifted, lu_factor)
 from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
@@ -87,6 +90,10 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     gp, gw = GAUSS_NODES, GAUSS_WEIGHTS
     constant = problem.f_op + problem.g_op if problem.linear else None
     if constant is None:
+        # every block of a local system is H^T's: its pattern is the
+        # transpose of the stated Jacobian pattern
+        pattern = problem.jac_pattern
+        form = BlockForm(m, r, None if pattern is None else pattern.T)
         # the reconstruction at the Gauss points, one row per refined interval
         y_gauss = reconstruction.at(sub_gauss_nodes(refine)).reshape(
             n_int, gp.size, m)
@@ -110,15 +117,14 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             return (lu_factor(full[:, :r * m], singular=singular),
                     as_dense(full[:, r * m:]).reshape(r, m, m))
         # the same blocks with H(t_k) = jac_f + jac_g at the reconstruction,
-        # built in place: each (r, r + 1, m, m) temporary is 0.6 MB at Burgers' m = 80
-        blocks = np.einsum("ajk,kxy->ajxy", -wgt, np.stack([
-            (problem.jac_f(y) + problem.jac_g(y)).T for y in y_gauss[n]]))
-        diag = np.arange(m)
-        blocks[:, :, diag, diag] -= dmat[:, :, None]
-        # Fortran order, so LAPACK factors it in place instead of a copy
-        big = np.empty((r * m, r * m), order="F")
-        big.T.reshape(r, m, r, m)[...] = blocks[:, :r].transpose(1, 3, 0, 2)
-        return lu_factor(big, singular=singular), blocks[:, r].copy()
+        # as H^T's values in the form of its pattern
+        hts = form.values([(problem.jac_f(y) + problem.jac_g(y)).T for y in y_gauss[n]],
+                          outside=AdjointSolveError(n, "Jacobian nonzero outside "
+                                                       "its stated pattern"))
+        blocks = np.einsum("ajk,k...->aj...", -wgt, hts)
+        blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
+        return (lu_factor(form.system(blocks[:, :r]), singular=singular),
+                form.dense(blocks[:, r]))
 
     def source(n):
         """(r, m) load of a time-integrated QoI's density on interval n."""

@@ -3,19 +3,21 @@ Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
 polynomials, the one place an operator's form becomes a system's
 (``identity_like`` and ``kron`` give CSC for a sparse operator and
-dense arrays otherwise), ``lu_factor``, the one factorisation, and
-``one_blas_thread``, the BLAS threading policy of a pipeline run.
+dense arrays otherwise, and ``BlockForm`` gives CSC for blocks on a
+stated sparsity pattern and a dense array otherwise), ``lu_factor``, the
+one factorisation, and ``one_blas_thread``, the BLAS threading policy of
+a pipeline run.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import warnings
 from contextlib import contextmanager
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import sparse
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import splu
 
 # The 5-point Gauss-Legendre rule on [0, 1]: the one interval rule of the
@@ -110,22 +112,87 @@ def kron(a, op):
     return sparse.kron(a, op, format="csc") if sparse.issparse(op) else np.kron(a, op)
 
 
+class BlockForm:
+    """How r x r blocks of m x m matrices become one (r m) x (r m) system.
+
+    With a stated ``pattern``, a (m, m) array or sparse matrix that is
+    nonzero wherever a block may be, each block is read as its values at
+    the pattern's entries and the diagonal, and the system is CSC through
+    an index map built here, once.  Without one, the blocks are the dense
+    matrices themselves and the system is a Fortran-order array, which
+    ``lu_factor`` factors in place.
+    """
+
+    def __init__(self, m: int, r: int, pattern=None):
+        self.m, self.r = m, r
+        if pattern is None:
+            self.order = None
+            diag = np.arange(m)
+            self.diagonal = (diag, diag)
+            return
+        rows, cols = sparse.coo_array(pattern).nonzero()
+        self.rows, self.cols = np.divmod(
+            np.unique(np.concatenate([rows * m + cols, np.arange(m) * (m + 1)])), m)
+        # values[..., diagonal] are the diagonal entries, in row order
+        self.diagonal = (np.flatnonzero(self.rows == self.cols),)
+        # value (a, j, z) sits at row a m + rows[z] and column j m + cols[z]
+        # of the system; CSC stores them by column, then by row
+        a, j = np.divmod(np.arange(r * r), r)
+        sys_rows = (a[:, None] * m + self.rows).ravel()
+        sys_cols = (j[:, None] * m + self.cols).ravel()
+        self.order = np.lexsort((sys_rows, sys_cols))
+        self.indices = sys_rows[self.order].astype(np.int32)
+        self.indptr = np.searchsorted(sys_cols[self.order],
+                                      np.arange(r * m + 1)).astype(np.int32)
+
+    def values(self, mats, *, outside: Exception) -> np.ndarray:
+        """The m x m matrices mats, stacked, in this form.  A nonzero off
+        the pattern raises ``outside``: it is never dropped."""
+        if self.order is None:
+            return np.stack(mats)
+        vals = np.stack([mat[self.rows, self.cols] for mat in mats])
+        # counted on the boolean masks, which is twice as fast as on floats
+        if sum(np.count_nonzero(mat != 0.0) for mat in mats) != np.count_nonzero(vals):
+            raise outside
+        return vals
+
+    def system(self, blocks):
+        """The system whose block (a, j) has the values blocks[a, j]."""
+        n = self.r * self.m
+        if self.order is not None:
+            return sparse.csc_array((blocks.reshape(-1)[self.order], self.indices,
+                                     self.indptr), shape=(n, n))
+        # Fortran order, so LAPACK factors it in place instead of a copy
+        big = np.empty((n, n), order="F")
+        r, m = self.r, self.m
+        big.T.reshape(r, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
+        return big
+
+    def dense(self, blocks) -> np.ndarray:
+        """The dense (..., m, m) matrices of values blocks (...)."""
+        if self.order is None:
+            return blocks.copy()
+        out = np.zeros(blocks.shape[:-1] + (self.m, self.m))
+        out[..., self.rows, self.cols] = blocks
+        return out
+
+
 def lu_factor(matrix, *, singular: Exception):
     """Factor a square matrix once; returns its solve b -> matrix^-1 b, b a
     vector or a matrix.  A sparse matrix goes to SuperLU, any other to
-    LAPACK, which factors a Fortran-order float array in place.  An exact
-    zero pivot raises ``singular``, never a warning."""
+    LAPACK's getrf and getrs, called directly, which factor a
+    Fortran-order float array in place.  An exact zero pivot raises
+    ``singular``, never a warning."""
     if sparse.issparse(matrix):
         try:
             return splu(matrix.tocsc()).solve
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise singular from exc
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", linalg.LinAlgWarning)
-        fac = linalg.lu_factor(matrix, overwrite_a=True, check_finite=False)
-    if np.any(fac[0].diagonal() == 0.0):
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (matrix,))
+    lu, piv, info = getrf(matrix, overwrite_a=True)
+    if info > 0:  # U[info - 1, info - 1] is exactly zero
         raise singular
-    return functools.partial(linalg.lu_solve, fac, check_finite=False)
+    return lambda b: getrs(lu, piv, b)[0]
 
 
 # the thread-count calls of an OpenBLAS build: numpy's and scipy's wheels
@@ -172,10 +239,11 @@ def one_blas_thread():
     """Run the block with every OpenBLAS pool at one thread, restoring each
     pool's thread count on exit, also when an exception leaves the block.
 
-    The pipeline makes long runs of dense LAPACK calls of order at most
-    240 with Python in between.  At that size a second thread gains
-    little, and after each threaded call OpenBLAS busy-waits on the other
-    cores, about as much CPU time again as the work itself.
+    The pipeline makes long runs of dense LAPACK calls with Python in
+    between, on the shipped tables of order at most 120.  At that size a
+    second thread gains little, and after each threaded call OpenBLAS
+    busy-waits on the other cores, about as much CPU time again as the
+    work itself.
     """
     pools = openblas_pools()
     saved = [get() for get, _ in pools]

@@ -8,9 +8,10 @@ A half that is linear in the state is given by its constant operator,
 from which its evaluation and Jacobian follow.  The PDE benchmarks use
 method-of-lines finite differences on uniform grids.  Each builder picks
 the operator form by structure: the two-field Alfven system is CSR, the
-small periodic stencils (at most a few dozen unknowns) stay dense.  No
-other module decides the form: ``numerics`` builds each system in its
-operator's form, so a CSR operator is factored sparse.
+small periodic stencils (at most a few dozen unknowns) stay dense, and
+Burgers states its Jacobian's sparsity pattern.  No other module decides
+the form: ``numerics`` builds each system in its operator's form, or on
+its stated pattern, so a CSR operator or a pattern is factored sparse.
 """
 
 from __future__ import annotations
@@ -58,6 +59,13 @@ class SplitOdeProblem:
     stage coefficient, and lets the adjoint factor one local system for
     all intervals of a uniform grid.
 
+    ``jac_pattern`` states, once, where jac_f + jac_g may be nonzero at
+    any state: a (dim, dim) array or sparse matrix, nonzero there.  A
+    problem that is not linear and states one has its adjoint's
+    per-interval systems assembled and factored sparse on that pattern
+    (Burgers states its stencils' pattern); one that states none has them
+    dense.  The adjoint refuses a Jacobian with a nonzero off the pattern.
+
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, time -> the d data
     values b(t); its forcing is (pick_f @ b(t), pick_g @ b(t)).  The
@@ -72,6 +80,7 @@ class SplitOdeProblem:
     eval_g: Optional[Callable[[Array], Array]] = None
     jac_f: Optional[Callable[[Array], Array]] = None
     jac_g: Optional[Callable[[Array], Array]] = None
+    jac_pattern: Optional[Operator] = None
     pickups: Optional[tuple[Operator, Operator]] = None
     boundary_data: Optional[Callable[[float], Array]] = None
     analytic: Optional[Callable[[float], Array]] = None
@@ -92,6 +101,9 @@ class SplitOdeProblem:
             if getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
                 raise ValueError(f"the {half} half needs {half}_op, or eval_{half} "
                                  f"and jac_{half}")
+        if self.jac_pattern is not None and self.jac_pattern.shape != (self.dim,) * 2:
+            raise ValueError(f"jac_pattern has shape {self.jac_pattern.shape}; "
+                             f"y0 of length {self.dim} needs {(self.dim,) * 2}")
         if (self.pickups is None) != (self.boundary_data is None):
             raise ValueError("a forced problem needs pickups = (pick_f, pick_g) "
                              "and boundary_data together")
@@ -316,7 +328,8 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     """udot + u u_x = gamma u_xx on [-1,1], periodic, u0 = sin(pi x).
 
     Advective-form nonlinearity u * (centered u_x), explicit; diffusion
-    implicit, and linear: it is the dense g_op.
+    implicit, and linear: it is the dense g_op.  The Jacobian's pattern
+    is the two stencils' and the diagonal: three entries a row, wrapped.
     """
     domain = (-1.0, 1.0)
     x = _grid_points(*domain, h)
@@ -337,6 +350,7 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
         g_op=diff,
         eval_f=eval_f,
         jac_f=jac_f,
+        jac_pattern=(d1 != 0.0) | (diff != 0.0) | np.eye(m, dtype=bool),
         metadata={"benchmark": "burgers", "gamma": gamma, "h": h, "m": m,
                   "domain": list(domain)},
     )

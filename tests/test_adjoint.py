@@ -277,22 +277,60 @@ def recording(lu_factor, seen):
     return wrapper
 
 
-@pytest.mark.parametrize("build, sparse_route", [
-    (lambda: mhd_alfven(h=0.05), True),
-    (lambda: linear_advection_diffusion(0.1, 1.0 / 20.0), False),
-    (lambda: burgers(0.05, 0.1), False)], ids=["mhd", "advdiff", "burgers"])
-def test_operator_structure_picks_the_factorisation_route(build, sparse_route,
-                                                          monkeypatch):
+@pytest.mark.parametrize("build, forward_sparse, adjoint_sparse", [
+    (lambda: mhd_alfven(h=0.05), True, True),
+    (lambda: linear_advection_diffusion(0.1, 1.0 / 20.0), False, False),
+    (lambda: burgers(0.05, 0.1), False, True)], ids=["mhd", "advdiff", "burgers"])
+def test_operator_structure_picks_the_factorisation_route(
+        build, forward_sparse, adjoint_sparse, monkeypatch):
     # a CSR operator is factored sparse, forward and backward, and a dense
-    # one dense; a nonlinear half has no operator and stays dense
+    # one dense; Burgers' Newton matrix is dense, and its adjoint systems
+    # follow the Jacobian pattern it states, sparse
     routes = {solver: [], adjoint: []}
     for module, seen in routes.items():
         monkeypatch.setattr(module, "lu_factor", recording(module.lu_factor, seen))
     prob = build()
     recon = reconstruct_case(prob, t_end=0.2, n=4)
     solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(prob.dim)))
-    for seen in routes.values():
-        assert seen and set(seen) == {sparse_route}
+    for module, want in ((solver, forward_sparse), (adjoint, adjoint_sparse)):
+        assert routes[module] and set(routes[module]) == {want}
+
+
+@pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])
+def test_jacobian_pattern_matches_the_dense_systems(scheme):
+    # Burgers' adjoint systems assembled sparse on its stated Jacobian
+    # pattern, and the same problem with the pattern dropped, assembled
+    # dense, give the same adjoint
+    prob = burgers(0.05, 0.1)
+    dense = dataclasses.replace(prob, jac_pattern=None)
+    recon = reconstruct_case(prob, scheme, t_end=0.5, n=10)
+    for qoi in oracle_qois(prob):
+        got, want = (solve_adjoint(p, recon, qoi).poly.coeffs for p in (prob, dense))
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        assert np.abs(got - want).max() <= 1e-13 * scale
+
+
+def test_jacobian_nonzero_off_its_pattern_names_the_interval():
+    # a Jacobian entry the pattern does not hold fails the solve on the
+    # interval where it appears; it is never dropped
+    prob = burgers(0.05, 0.1)
+    recon = reconstruct_case(prob, n=4)
+    calls = []
+
+    def jac_f(y):
+        calls.append(None)
+        jac = prob.jac_f(y)
+        if len(calls) > 3 * GAUSS_NODES.size:  # from the fourth interval on
+            jac[0, prob.dim // 2] = 1e-300
+        return jac
+
+    stray = dataclasses.replace(prob, jac_f=jac_f)
+    assert not stray.jac_pattern[0, prob.dim // 2]
+    qoi = QoiSpec(kind="final-time", psi=np.ones(prob.dim))
+    with pytest.raises(AdjointSolveError, match="outside its stated pattern") as info:
+        solve_adjoint(stray, recon, qoi)
+    assert info.value.interval == 4 * DEFAULT_REFINE - 4
 
 
 @pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])

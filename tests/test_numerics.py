@@ -5,10 +5,10 @@ import inspect
 
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy import linalg, sparse
 
 from imexest import adjoint, numerics, reference, solver
-from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, LagrangeBasis,
+from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
                               as_dense, identity_like, kron, legendre_shifted,
                               lu_factor, one_blas_thread, openblas_pools)
 from oracles import l2_project, poly_eval
@@ -168,6 +168,18 @@ def test_lu_factor_solves_like_numpy_on_every_route(route, rhs_shape):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lu_factor_solves_bit_for_bit_like_scipy_linalg(order):
+    # the dense route calls LAPACK's getrf and getrs itself, to the bit
+    # what scipy.linalg.lu_factor and lu_solve compute
+    rng = np.random.default_rng(5)
+    mat = np.array(rng.standard_normal((40, 40)), order=order)
+    for rhs in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+        want = linalg.lu_solve(linalg.lu_factor(mat), rhs)
+        solve = lu_factor(mat.copy(order="K"), singular=Singular())
+        assert np.array_equal(solve(rhs), want)
+
+
 def test_lu_factor_overwrites_a_fortran_array_in_place():
     # the adjoint's local systems reach 1194^2 on the Alfven wave: factoring
     # them in place saves a copy of each
@@ -187,6 +199,44 @@ def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
     error = Singular("singular on interval 3")
     with pytest.raises(Singular) as info:
         lu_factor(matrix, singular=error)
+    assert info.value is error
+
+
+def test_block_form_of_a_pattern_is_its_dense_form_in_csc():
+    # blocks on a stated pattern give a CSC system with the values of the
+    # dense form's Fortran-order system, and read only the pattern and
+    # the diagonal
+    rng = np.random.default_rng(8)
+    m, r = 5, 3
+    pattern = rng.random((m, m)) < 0.3
+    sparse_form = BlockForm(m, r, sparse.csr_array(pattern))
+    dense_form = BlockForm(m, r)
+    blocks = rng.standard_normal((r, r, sparse_form.rows.size))
+    dense_blocks = sparse_form.dense(blocks)
+    allowed = pattern | np.eye(m, dtype=bool)
+    assert np.array_equal(dense_blocks != 0.0, np.broadcast_to(allowed, (r, r, m, m)))
+    got, want = sparse_form.system(blocks), dense_form.system(dense_blocks)
+    assert isinstance(got, sparse.csc_array) and got.has_sorted_indices
+    assert type(want) is np.ndarray and want.flags.f_contiguous
+    assert np.array_equal(got.toarray(), want)
+    assert np.array_equal(want, np.block([[dense_blocks[a, j] for j in range(r)]
+                                          for a in range(r)]))
+    # the diagonal index reads the diagonal of every block
+    for form, values in ((sparse_form, blocks), (dense_form, dense_blocks)):
+        assert np.array_equal(values[(Ellipsis, *form.diagonal)],
+                              np.diagonal(dense_blocks, axis1=2, axis2=3))
+
+
+def test_block_form_never_drops_a_nonzero_off_its_pattern():
+    m = 4
+    form = BlockForm(m, 2, np.eye(m, k=1))
+    mats = [np.eye(m) + np.eye(m, k=1), np.diag([1.0, 0.0, np.nan, 2.0])]
+    np.testing.assert_array_equal(form.dense(form.values(mats, outside=Singular())),
+                                  np.stack(mats))
+    error = Singular("outside on interval 7")
+    mats[1][3, 0] = -1e-300
+    with pytest.raises(Singular) as info:
+        form.values(mats, outside=error)
     assert info.value is error
 
 

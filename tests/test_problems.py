@@ -178,6 +178,29 @@ def test_burgers_grid_and_nonlinearity():
     assert not prob.linear
 
 
+def test_burgers_jacobian_stays_on_its_stated_pattern():
+    # three entries a row, wrapped: the stencils' neighbours and the
+    # diagonal; the Jacobian at any state is nonzero only there
+    prob = burgers(0.05, 1.0 / 10.0)
+    m = prob.dim
+    want = np.zeros((m, m), dtype=bool)
+    for shift in (-1, 0, 1):
+        want[np.arange(m), (np.arange(m) + shift) % m] = True
+    assert np.array_equal(prob.jac_pattern, want)
+    rng = np.random.default_rng(2)
+    for y in rng.standard_normal((5, m)):
+        jac = prob.jac_f(y) + prob.jac_g(y)
+        assert not np.any(jac[~want])
+
+
+def test_a_jacobian_pattern_has_the_state_shape():
+    with pytest.raises(ValueError, match=r"jac_pattern has shape \(2, 3\)"):
+        problems.SplitOdeProblem(name="bad-pattern", y0=np.ones(2),
+                                 eval_f=lambda y: y * y,
+                                 jac_f=lambda y: np.diag(2.0 * y),
+                                 g_op=-np.eye(2), jac_pattern=np.ones((2, 3)))
+
+
 def test_mhd_dimensions_and_metadata():
     prob = mhd_alfven()
     md = prob.metadata
