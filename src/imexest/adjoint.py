@@ -6,14 +6,14 @@ continuous Galerkin method one degree higher than the forward
 reconstruction (trial degree q+1, test space P^q), marching backward
 interval by interval from phi(T) = psi (final-time QoI) or phi(T) = 0
 with the QoI density as a source (time-integrated QoI).  Every interval
-integral uses the one Gauss rule of ``numerics``.  H is needed only at
-its points, where the reconstruction is read at the sub-Gauss nodes
-(``reconstruct.sub_gauss_nodes``); with both halves linear H is the
-constant f_op + g_op, and the local system takes its form, CSC or dense,
-through ``numerics.kron``.  A varying H's systems take the form of the
-problem's stated Jacobian pattern through ``numerics.BlockForm``: CSC on
-the pattern, assembled through an index map built once per solve, or,
-with no pattern, dense.
+integral uses the one Gauss rule of ``numerics``.  H(t) is the linear
+halves' operators, summed once per solve, plus the nonlinear halves'
+Jacobians at the reconstruction, read at the sub-Gauss nodes
+(``reconstruct.sub_gauss_nodes``).  Every local system is assembled by
+one body through ``numerics.BlockForm``, in the summed operator's form
+when H is constant (both halves linear) and in the form of the
+problem's stated Jacobian pattern otherwise: CSC for a sparse one,
+dense for anything else.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
-                       as_dense, galerkin_deriv_matrix, identity_like, kron,
-                       legendre_shifted, lu_factor)
+                       galerkin_deriv_matrix, legendre_shifted, lu_factor)
 from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
 from .solver import TimeGrid
@@ -88,12 +87,15 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     steps = grid.steps
 
     gp, gw = GAUSS_NODES, GAUSS_WEIGHTS
-    constant = problem.f_op + problem.g_op if problem.linear else None
-    if constant is None:
-        # every block of a local system is H^T's: its pattern is the
-        # transpose of the stated Jacobian pattern
-        pattern = problem.jac_pattern
-        form = BlockForm(m, r, None if pattern is None else pattern.T)
+    # H = the linear halves' operators, summed, plus the nonlinear halves'
+    # Jacobians; its constant part is read once, in the systems' form
+    halves = ((problem.f_op, problem.jac_f), (problem.g_op, problem.jac_g))
+    ops = [op for op, _ in halves if op is not None]
+    jacs = [jac for op, jac in halves if op is None]
+    summed = sum(ops[1:], ops[0]) if ops else None
+    form = BlockForm(m, r, summed if problem.linear else problem.jac_pattern)
+    op_values = form.values([summed])[0] if ops else 0.0
+    if not problem.linear:
         # the reconstruction at the Gauss points, one row per refined interval
         y_gauss = reconstruction.at(sub_gauss_nodes(refine)).reshape(
             n_int, gp.size, m)
@@ -106,24 +108,20 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         """The solve of interval n's system in its r unknown nodes, and the
         (r, m, m) blocks acting on its known right end value."""
         k_n = steps[n]
-        # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k)
+        # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k); block (a, j)
+        # is -dmat[a, j] I - sum_k W[a, j, k] H(t_k)^T
         wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
-        singular = AdjointSolveError(n, "singular local system")
-        if constant is not None:
-            # block (a, j) is -dmat[a, j] I - sum_k W[a, j, k] H^T, in H's
-            # form; the unknown nodes' columns are factored, the known one's dense
-            full = (kron(-wgt.sum(axis=2), constant.T)
-                    - kron(dmat, identity_like(constant, m)))
-            return (lu_factor(full[:, :r * m], singular=singular),
-                    as_dense(full[:, r * m:]).reshape(r, m, m))
-        # the same blocks with H(t_k) = jac_f + jac_g at the reconstruction,
-        # as H^T's values in the form of its pattern
-        hts = form.values([(problem.jac_f(y) + problem.jac_g(y)).T for y in y_gauss[n]],
-                          outside=AdjointSolveError(n, "Jacobian nonzero outside "
-                                                       "its stated pattern"))
-        blocks = np.einsum("ajk,k...->aj...", -wgt, hts)
+        if problem.linear:
+            blocks = np.multiply.outer(-wgt.sum(axis=2), op_values)
+        else:
+            outside = AdjointSolveError(n, "Jacobian nonzero outside its stated pattern")
+            hts = op_values + sum(form.values([jac(y) for y in y_gauss[n]],
+                                              outside=outside) for jac in jacs)
+            blocks = np.einsum("ajk,k...->aj...", -wgt, hts)
         blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
-        return (lu_factor(form.system(blocks[:, :r]), singular=singular),
+        # the unknown nodes' columns are factored, the known one's read dense
+        return (lu_factor(form.system(blocks[:, :r]),
+                          singular=AdjointSolveError(n, "singular local system")),
                 form.dense(blocks[:, r]))
 
     def source(n):
@@ -139,7 +137,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
 
     coeffs = np.empty((n_int, r + 1, m))
     uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
-    if constant is not None and uniform:
+    if problem.linear and uniform:
         solve, known = local_system(n_int - 1)
         # node values of an interval: prop[j] @ (its right end value) + loads[n, j]
         prop = solve(-known.reshape(r * m, m)).reshape(r, m, m)

@@ -29,7 +29,7 @@ import numpy as np
 from .adjoint import DEFAULT_REFINE, solve_adjoint
 from .estimate import (component_split, effectivity, error_breakdown,
                        error_breakdown_timedep)
-from .numerics import one_blas_thread
+from .numerics import GAUSS_NODES, one_blas_thread
 from .problems import (MHD_DEFAULTS, QoiSpec, SplitOdeProblem, burgers,
                        component_masks, finite_array, grid_cells,
                        linear_advection_diffusion,
@@ -422,9 +422,9 @@ def run(config: dict):
     with _stage("reference", cfg.echo):
         # the final-time IMEX QoI is the nodal value itself, not the
         # reconstruction evaluated at t_end (which differs at roundoff)
-        states_at = ((lambda t: forward.final_state) if qoi.kind == "final-time"
-                     else recon.evaluate)
-        imex_q = qoi_from_states(states_at, grid, qoi)
+        states = (forward.final_state if qoi.kind == "final-time"
+                  else recon.at(GAUSS_NODES))
+        imex_q = qoi_from_states(states, grid, qoi)
         key = _reference_key(cfg.echo)
         cached = _REFERENCE_CACHE.get(key)
         # a verified reference holds only for errors at least as large as

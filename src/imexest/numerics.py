@@ -2,11 +2,10 @@
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
 polynomials, the one place an operator's form becomes a system's
-(``identity_like`` and ``kron`` give CSC for a sparse operator and
-dense arrays otherwise, and ``BlockForm`` gives CSC for blocks on a
-stated sparsity pattern and a dense array otherwise), ``lu_factor``, the
-one factorisation, and ``one_blas_thread``, the BLAS threading policy of
-a pipeline run.
+(``identity_like``, ``kron`` and ``BlockForm`` give CSC where their
+operator or stated pattern is sparse, by ``sparse.issparse`` alone, and
+dense arrays otherwise), ``lu_factor``, the one factorisation, and
+``one_blas_thread``, the BLAS threading policy of a pipeline run.
 """
 
 from __future__ import annotations
@@ -113,24 +112,25 @@ def kron(a, op):
 
 
 class BlockForm:
-    """How r x r blocks of m x m matrices become one (r m) x (r m) system.
+    """How r x r blocks, each the transpose of an m x m matrix, become one
+    (r m) x (r m) system, in the form of ``like``, an m x m matrix.
 
-    With a stated ``pattern``, a (m, m) array or sparse matrix that is
-    nonzero wherever a block may be, each block is read as its values at
-    the pattern's entries and the diagonal, and the system is CSC through
-    an index map built here, once.  Without one, the blocks are the dense
-    matrices themselves and the system is a Fortran-order array, which
-    ``lu_factor`` factors in place.
+    A sparse ``like`` is nonzero wherever the matrices may be: each block
+    is read as its values at like's transposed entries and the diagonal,
+    and the system is CSC through an index map built here, once.  Any
+    other ``like`` keeps the dense transposes, in a Fortran-order system
+    that ``lu_factor`` factors in place.
     """
 
-    def __init__(self, m: int, r: int, pattern=None):
+    def __init__(self, m: int, r: int, like):
         self.m, self.r = m, r
-        if pattern is None:
+        if not sparse.issparse(like):
             self.order = None
             diag = np.arange(m)
             self.diagonal = (diag, diag)
             return
-        rows, cols = sparse.coo_array(pattern).nonzero()
+        # like's entry (i, j) is a block's entry (j, i)
+        cols, rows = sparse.coo_array(like).nonzero()
         self.rows, self.cols = np.divmod(
             np.unique(np.concatenate([rows * m + cols, np.arange(m) * (m + 1)])), m)
         # values[..., diagonal] are the diagonal entries, in row order
@@ -145,14 +145,15 @@ class BlockForm:
         self.indptr = np.searchsorted(sys_cols[self.order],
                                       np.arange(r * m + 1)).astype(np.int32)
 
-    def values(self, mats, *, outside: Exception) -> np.ndarray:
-        """The m x m matrices mats, stacked, in this form.  A nonzero off
-        the pattern raises ``outside``: it is never dropped."""
+    def values(self, mats, *, outside: Exception | None = None) -> np.ndarray:
+        """The transposes of the m x m matrices mats, stacked, in this form.
+        With ``outside``, a nonzero off the pattern raises it, never drops."""
         if self.order is None:
-            return np.stack(mats)
-        vals = np.stack([mat[self.rows, self.cols] for mat in mats])
+            return np.stack([as_dense(mat).T for mat in mats])
+        vals = np.stack([mat[self.cols, self.rows] for mat in mats])
         # counted on the boolean masks, which is twice as fast as on floats
-        if sum(np.count_nonzero(mat != 0.0) for mat in mats) != np.count_nonzero(vals):
+        if outside is not None and (sum(np.count_nonzero(mat != 0.0) for mat in mats)
+                                    != np.count_nonzero(vals)):
             raise outside
         return vals
 

@@ -10,8 +10,8 @@ method-of-lines finite differences on uniform grids.  Each builder picks
 the operator form by structure: the two-field Alfven system is CSR, the
 small periodic stencils (at most a few dozen unknowns) stay dense, and
 Burgers states its Jacobian's sparsity pattern.  No other module decides
-the form: ``numerics`` builds each system in its operator's form, or on
-its stated pattern, so a CSR operator or a pattern is factored sparse.
+the form: ``numerics`` builds each system in its operator's or its
+stated pattern's form, so a CSR operator or a pattern is factored sparse.
 """
 
 from __future__ import annotations
@@ -60,11 +60,11 @@ class SplitOdeProblem:
     all intervals of a uniform grid.
 
     ``jac_pattern`` states, once, where jac_f + jac_g may be nonzero at
-    any state: a (dim, dim) array or sparse matrix, nonzero there.  A
-    problem that is not linear and states one has its adjoint's
-    per-interval systems assembled and factored sparse on that pattern
-    (Burgers states its stencils' pattern); one that states none has them
-    dense.  The adjoint refuses a Jacobian with a nonzero off the pattern.
+    any state: a (dim, dim) array or sparse matrix, nonzero there, held
+    as CSR.  A problem that is not linear has its adjoint's systems in
+    the pattern's form: sparse on a stated one (Burgers'), dense without
+    one.  Construction refuses an operator half with a nonzero off the
+    pattern; the adjoint, a Jacobian with one.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, time -> the d data
@@ -101,9 +101,15 @@ class SplitOdeProblem:
             if getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
                 raise ValueError(f"the {half} half needs {half}_op, or eval_{half} "
                                  f"and jac_{half}")
-        if self.jac_pattern is not None and self.jac_pattern.shape != (self.dim,) * 2:
-            raise ValueError(f"jac_pattern has shape {self.jac_pattern.shape}; "
-                             f"y0 of length {self.dim} needs {(self.dim,) * 2}")
+        if self.jac_pattern is not None:
+            self.jac_pattern = sparse.csr_array(self.jac_pattern)
+            if self.jac_pattern.shape != (self.dim,) * 2:
+                raise ValueError(f"jac_pattern has shape {self.jac_pattern.shape}; "
+                                 f"y0 of length {self.dim} needs {(self.dim,) * 2}")
+            # the adjoint reads an operator at the pattern alone
+            for half, op in (("f", self.f_op), ("g", self.g_op)):
+                if op is not None and np.any(as_dense(op)[self.jac_pattern.toarray() == 0]):
+                    raise ValueError(f"{half}_op is nonzero off jac_pattern")
         if (self.pickups is None) != (self.boundary_data is None):
             raise ValueError("a forced problem needs pickups = (pick_f, pick_g) "
                              "and boundary_data together")
@@ -341,8 +347,10 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     def eval_f(u: Array) -> Array:
         return -u * grad(u)
 
-    def jac_f(u: Array) -> Array:
-        return -(np.diag(d1 @ u) + u[:, None] * d1)
+    def jac_f(u: Array) -> Array:  # -(diag(d1 u) + u d1), one temporary
+        jac = u[:, None] * d1
+        jac.flat[::m + 1] += d1 @ u
+        return np.negative(jac, out=jac)
 
     return SplitOdeProblem(
         name="burgers",

@@ -54,12 +54,6 @@ class PiecewisePolynomial:
     def dim(self) -> int:
         return self.coeffs.shape[2]
 
-    def evaluate(self, t: float) -> np.ndarray:
-        n = self.grid.locate(t)
-        nodes = self.grid.nodes
-        tau = (t - nodes[n]) / (nodes[n + 1] - nodes[n])
-        return (self.basis.eval_matrix([tau]) @ self.coeffs[n])[0]
-
     def at(self, taus, factor: int = 1) -> np.ndarray:
         """Values at local coordinates taus in [0, 1] of every run of
         ``factor`` consecutive intervals, each run read as one interval:

@@ -116,18 +116,17 @@ def exact_solution(problem: SplitOdeProblem, mode: str):
     return problem.pde_solution
 
 
-def qoi_from_states(states_at, grid: TimeGrid, qoi: QoiSpec) -> float:
-    """QoI of the trajectory t -> states_at(t): the final-time functional
-    at grid.t_end, or the shared Gauss rule on every grid interval."""
+def qoi_from_states(states, grid: TimeGrid, qoi: QoiSpec) -> float:
+    """QoI of a trajectory from its states: the state at grid.t_end for a
+    final-time QoI, or the (N, 5, m) states at the shared Gauss rule's
+    points on every grid interval for a time-integrated one."""
     if qoi.kind == "final-time":
-        return float(np.dot(states_at(grid.t_end), qoi.psi))
-    steps = grid.steps
+        return float(np.dot(states, qoi.psi))
     total = 0.0
-    for n in range(grid.n_intervals):
-        k_n = steps[n]
-        for tau, w in zip(GAUSS_NODES, GAUSS_WEIGHTS):
-            t = grid.nodes[n] + k_n * tau
-            total += k_n * w * float(np.dot(states_at(t), qoi.psi_tilde(t)))
+    for t_n, k_n, row in zip(grid.nodes, grid.steps, states):
+        for tau, w, y in zip(GAUSS_NODES, GAUSS_WEIGHTS, row):
+            t = t_n + k_n * tau
+            total += k_n * w * float(np.dot(y, qoi.psi_tilde(t)))
     return total
 
 
@@ -343,7 +342,10 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     config = config or ReferenceConfig()
     exact = exact_solution(problem, config.mode)
     if exact is not None:
-        return qoi_from_states(exact, grid, qoi)
+        if qoi.kind == "final-time":
+            return qoi_from_states(exact(grid.t_end), grid, qoi)
+        times = grid.nodes[:-1, None] + grid.steps[:, None] * GAUSS_NODES
+        return qoi_from_states([[exact(t) for t in row] for row in times], grid, qoi)
 
     values = _numeric_qoi(problem, grid, qoi, config)
     q = next(values)

@@ -66,11 +66,6 @@ class TimeGrid:
             raise ValueError("need at least one interval")
         return cls(np.linspace(t_start, t_end, n_intervals + 1))
 
-    def locate(self, t: float) -> int:
-        """Index n with t in [t_n, t_n+1]; clamps to the end intervals."""
-        n = int(np.searchsorted(self.nodes, t, side="right")) - 1
-        return min(max(n, 0), self.n_intervals - 1)
-
 
 @dataclass
 class NewtonConfig:

@@ -1,6 +1,8 @@
 """Independent reference implementations the tests check the package
 against: a monomial L2 projection (the estimator projects with Legendre
-modes), finite-difference Jacobians and a problem's dense form."""
+modes), finite-difference Jacobians, a problem's dense form and a
+point-by-point reader of piecewise polynomials (the package reads them
+at local points of every interval at once)."""
 
 import dataclasses
 
@@ -73,3 +75,14 @@ def dense_form(problem):
         problem, f_op=as_dense(problem.f_op), g_op=as_dense(problem.g_op),
         pickups=tuple(map(as_dense, problem.pickups)),
         eval_f=None, eval_g=None, jac_f=None, jac_g=None)
+
+
+def evaluate(poly, t: float) -> np.ndarray:
+    """A piecewise polynomial's value at one time t, on the interval
+    [t_n, t_n+1] that holds it, found by bisection and clamped to the end
+    intervals (a shared node is read from the later interval)."""
+    nodes = poly.grid.nodes
+    n = int(np.searchsorted(nodes, t, side="right")) - 1
+    n = min(max(n, 0), poly.grid.n_intervals - 1)
+    tau = (t - nodes[n]) / (nodes[n + 1] - nodes[n])
+    return (poly.basis.eval_matrix([tau]) @ poly.coeffs[n])[0]

@@ -28,7 +28,7 @@ from imexest.problems import (
 from imexest.reconstruct import build_cg
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
-from oracles import dense_form
+from oracles import dense_form, evaluate
 
 
 def reconstruct_case(problem, name="mid122", t_end=1.0, n=40, t_start=0.0):
@@ -52,7 +52,7 @@ def test_refine_grid_counts_and_endpoints():
 
 
 def _never(*_args):
-    raise AssertionError("a constant operator needs no state")
+    raise AssertionError("an operator half needs neither its Jacobian nor the state")
 
 
 def test_linearized_operator_constant_for_linear_problems():
@@ -72,6 +72,20 @@ def test_linearized_operator_constant_for_linear_problems():
         assert np.array_equal(solve_adjoint(bare, recon, qoi).poly.coeffs, want)
 
 
+@pytest.mark.parametrize("pattern", [True, False], ids=["pattern", "dense"])
+def test_burgers_adjoint_reads_its_diffusion_operator_not_jac_g(pattern):
+    # the linear g half enters H through g_op, read once per solve, on the
+    # sparse and on the dense route alike
+    prob = burgers(0.05, 1.0 / 10.0)
+    if not pattern:
+        prob = dataclasses.replace(prob, jac_pattern=None)
+    recon = reconstruct_case(prob, "ssp332", t_end=0.5, n=10)
+    qoi = QoiSpec(kind="final-time", psi=prob.y0)
+    want = solve_adjoint(prob, recon, qoi).poly.coeffs
+    bare = dataclasses.replace(prob, jac_g=_never)
+    assert np.array_equal(solve_adjoint(bare, recon, qoi).poly.coeffs, want)
+
+
 def test_linearized_operator_tracks_the_reconstruction():
     # the states H is evaluated at, interval by interval from the end, are
     # the reconstruction at the Gauss points of each refined interval
@@ -88,7 +102,7 @@ def test_linearized_operator_tracks_the_reconstruction():
         states = iter(seen)
         for n in range(fine.n_intervals - 1, -1, -1):
             for t in fine.nodes[n] + fine.steps[n] * GAUSS_NODES:
-                y, at_t = next(states), recon.evaluate(t)
+                y, at_t = next(states), evaluate(recon, t)
                 np.testing.assert_allclose(
                     prob.jac_f(y) + prob.jac_g(y),
                     prob.jac_f(at_t) + prob.jac_g(at_t), rtol=0, atol=1e-14)
@@ -118,7 +132,7 @@ def test_zero_operator_keeps_terminal_value():
     psi = np.array([0.3, -0.7])
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
     for t in (0.0, 0.37, 1.0):
-        np.testing.assert_allclose(adj.poly.evaluate(t), psi, atol=1e-13)
+        np.testing.assert_allclose(evaluate(adj.poly, t), psi, atol=1e-13)
 
 
 def test_scalar_adjoint_matches_exponential():
@@ -129,7 +143,7 @@ def test_scalar_adjoint_matches_exponential():
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.array([1.0])))
     for t in recon.grid.nodes:
         want = np.exp(lam * (1.0 - t))
-        assert adj.poly.evaluate(t)[0] == pytest.approx(want, rel=1e-6)
+        assert evaluate(adj.poly, t)[0] == pytest.approx(want, rel=1e-6)
 
 
 def test_time_integrated_zero_density_gives_zero_adjoint():
@@ -150,7 +164,7 @@ def test_time_integrated_constant_density_closed_form():
     adj = solve_adjoint(prob, recon, qoi)
     for t in (0.0, 0.25, 0.6, 1.0):
         want = (np.exp(lam * (1.0 - t)) - 1.0) / lam
-        assert adj.poly.evaluate(t)[0] == pytest.approx(want, abs=1e-6)
+        assert evaluate(adj.poly, t)[0] == pytest.approx(want, abs=1e-6)
 
 
 def test_adjoint_galerkin_residual_per_interval():
@@ -169,7 +183,7 @@ def test_adjoint_galerkin_residual_per_interval():
     for n in range(grid.n_intervals):
         k_n = grid.steps[n]
         t_gauss = grid.nodes[n] + k_n * GAUSS_NODES
-        ys = [recon.evaluate(t) for t in t_gauss]
+        ys = [evaluate(recon, t) for t in t_gauss]
         hp = np.stack([(prob.jac_f(y) + prob.jac_g(y)).T @ vals[n, j]
                        for j, y in enumerate(ys)])
         integrand = -derivs[n] - hp
@@ -187,7 +201,7 @@ def test_duality_identity_linear_system():
     psi = np.array([1.0, -0.5])
     adj = solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
     lhs = float(np.dot(prob.analytic(1.0), psi))
-    rhs = float(np.dot(prob.y0, adj.poly.evaluate(0.0)))
+    rhs = float(np.dot(prob.y0, evaluate(adj.poly, 0.0)))
     assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -205,7 +219,7 @@ def test_backward_sweep_tail_is_local():
     )
     for t in (0.5, 0.6, 0.85, 1.0):
         np.testing.assert_allclose(
-            tail.poly.evaluate(t), full.poly.evaluate(t), atol=1e-12
+            evaluate(tail.poly, t), evaluate(full.poly, t), atol=1e-12
         )
 
 

@@ -203,17 +203,17 @@ def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
 
 
 def test_block_form_of_a_pattern_is_its_dense_form_in_csc():
-    # blocks on a stated pattern give a CSC system with the values of the
-    # dense form's Fortran-order system, and read only the pattern and
-    # the diagonal
+    # blocks, each the transpose of a matrix on a stated sparse pattern,
+    # give a CSC system with the values of the dense form's Fortran-order
+    # system, and read only the transposed pattern and the diagonal
     rng = np.random.default_rng(8)
     m, r = 5, 3
     pattern = rng.random((m, m)) < 0.3
     sparse_form = BlockForm(m, r, sparse.csr_array(pattern))
-    dense_form = BlockForm(m, r)
+    dense_form = BlockForm(m, r, pattern)  # the same pattern, dense
     blocks = rng.standard_normal((r, r, sparse_form.rows.size))
     dense_blocks = sparse_form.dense(blocks)
-    allowed = pattern | np.eye(m, dtype=bool)
+    allowed = pattern.T | np.eye(m, dtype=bool)
     assert np.array_equal(dense_blocks != 0.0, np.broadcast_to(allowed, (r, r, m, m)))
     got, want = sparse_form.system(blocks), dense_form.system(dense_blocks)
     assert isinstance(got, sparse.csc_array) and got.has_sorted_indices
@@ -229,15 +229,39 @@ def test_block_form_of_a_pattern_is_its_dense_form_in_csc():
 
 def test_block_form_never_drops_a_nonzero_off_its_pattern():
     m = 4
-    form = BlockForm(m, 2, np.eye(m, k=1))
+    form = BlockForm(m, 2, sparse.csr_array(np.eye(m, k=1)))
     mats = [np.eye(m) + np.eye(m, k=1), np.diag([1.0, 0.0, np.nan, 2.0])]
     np.testing.assert_array_equal(form.dense(form.values(mats, outside=Singular())),
-                                  np.stack(mats))
+                                  np.stack([mat.T for mat in mats]))
     error = Singular("outside on interval 7")
     mats[1][3, 0] = -1e-300
     with pytest.raises(Singular) as info:
         form.values(mats, outside=error)
     assert info.value is error
+
+
+@pytest.mark.parametrize("route", ["dense", "csr"])
+def test_block_form_of_an_operator_is_its_kronecker_system(route):
+    # the adjoint's constant-operator system: blocks c[a, j] op^T - D[a, j] I
+    # in the operator's own form are kron(c, op^T) - kron(D, I), value for
+    # value, with the form's known column read dense
+    rng = np.random.default_rng(11)
+    m, r = 6, 3
+    mat = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.4)
+    c, dmat = rng.standard_normal((r, r + 1)), rng.standard_normal((r, r + 1))
+    op = ROUTES[route](mat)
+    form = BlockForm(m, r, op)
+    blocks = np.multiply.outer(c, form.values([op])[0])
+    blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
+    if route == "dense":
+        want = np.kron(c, mat.T) - np.kron(dmat, np.eye(m))
+    else:
+        want = (sparse.kron(c, op.T) - sparse.kron(dmat, sparse.eye_array(m))).toarray()
+    got = form.system(blocks[:, :r])
+    assert sparse.issparse(got) == (route == "csr")
+    assert np.array_equal(as_dense(got), want[:, :r * m])
+    known = want[:, r * m:].reshape(r, m, m)
+    assert np.array_equal(form.dense(blocks[:, r]), known)
 
 
 def test_every_factorisation_goes_through_numerics():

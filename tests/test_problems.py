@@ -186,11 +186,38 @@ def test_burgers_jacobian_stays_on_its_stated_pattern():
     want = np.zeros((m, m), dtype=bool)
     for shift in (-1, 0, 1):
         want[np.arange(m), (np.arange(m) + shift) % m] = True
-    assert np.array_equal(prob.jac_pattern, want)
+    assert isinstance(prob.jac_pattern, sparse.csr_array)
+    assert np.array_equal(prob.jac_pattern.toarray(), want)
     rng = np.random.default_rng(2)
     for y in rng.standard_normal((5, m)):
         jac = prob.jac_f(y) + prob.jac_g(y)
         assert not np.any(jac[~want])
+
+
+def test_burgers_jacobian_is_the_stencil_formula():
+    # jac_f builds -(diag(d1 u) + u d1) in one temporary, to the value
+    prob = burgers(0.05, 1.0 / 10.0)
+    d1 = problems._stencil(prob.dim, 0.1, 1, periodic=True)
+    rng = np.random.default_rng(9)
+    for u in (prob.y0, *rng.standard_normal((5, prob.dim))):
+        assert np.array_equal(prob.jac_f(u), -(np.diag(d1 @ u) + u[:, None] * d1))
+
+
+@pytest.mark.parametrize("half", ["f", "g"])
+def test_an_operator_half_off_its_jacobian_pattern_is_refused(half):
+    # the adjoint reads an operator at the stated pattern alone, so an
+    # entry off it would be dropped: construction refuses it, naming the half
+    op = np.diag([-1.0, -2.0, -3.0])
+    op[0, 2] = 1e-300
+    halves = {f"{half}_op": op}
+    other = "g" if half == "f" else "f"
+    halves.update({f"eval_{other}": lambda y: y * y,
+                   f"jac_{other}": lambda y: np.diag(2.0 * y)})
+    with pytest.raises(ValueError, match=f"^{half}_op is nonzero off jac_pattern$"):
+        problems.SplitOdeProblem(name="off-pattern", y0=np.ones(3),
+                                 jac_pattern=sparse.eye_array(3), **halves)
+    problems.SplitOdeProblem(name="on-pattern", y0=np.ones(3),
+                             jac_pattern=op != 0.0, **halves)
 
 
 def test_a_jacobian_pattern_has_the_state_shape():

@@ -17,12 +17,14 @@ from imexest.cli import SCHEME_ORDER, run  # noqa: E402
 from imexest.estimate import (  # noqa: E402
     component_split, effectivity, error_breakdown, error_breakdown_timedep,
     residual_weighted_estimate)
+from imexest.numerics import GAUSS_NODES  # noqa: E402
 from imexest.problems import (  # noqa: E402
     QoiSpec, split_linear_system, split_scalar_bernoulli)
 from imexest.reference import qoi_from_states, true_qoi  # noqa: E402
 from imexest.reconstruct import build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate  # noqa: E402
+from oracles import evaluate  # noqa: E402
 
 ENTRIES = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
 
@@ -136,7 +138,7 @@ def test_tables_at_local_points_match_pointwise_evaluation(case):
     assert table.shape == (grid.n_intervals, points.size, recon.dim)
     scale = 1e-12 * adj.max_abs()
     for n in range(grid.n_intervals):
-        want = np.stack([adj.poly.evaluate(grid.nodes[n] + grid.steps[n] * tau)
+        want = np.stack([evaluate(adj.poly, grid.nodes[n] + grid.steps[n] * tau)
                          for tau in points])
         assert np.all(np.abs(table[n] - want) <= 1e-12 * np.abs(want) + scale)
 
@@ -188,9 +190,8 @@ def test_effectivity_converges_under_adjoint_refinement_on_a_graded_grid(
     pair = builtin(scheme)
     fwd = solve_forward(prob, pair, grid)
     recon = build_cg(pair, fwd)
-    states_at = ((lambda t: fwd.final_state) if qoi.kind == "final-time"
-                 else recon.evaluate)
-    true_err = true_qoi(prob, grid, qoi) - qoi_from_states(states_at, grid, qoi)
+    states = fwd.final_state if qoi.kind == "final-time" else recon.at(GAUSS_NODES)
+    true_err = true_qoi(prob, grid, qoi) - qoi_from_states(states, grid, qoi)
     devs = []
     for refine in (1, 2, 4, 8):
         adj = solve_adjoint(prob, recon, qoi, refine=refine)

@@ -63,15 +63,6 @@ def test_time_grid_rejects_non_finite_nodes(nodes):
         TimeGrid(nodes=np.array(nodes))
 
 
-def test_time_grid_locate():
-    grid = TimeGrid.uniform(1.0, 4)
-    assert grid.locate(0.1) == 0
-    assert grid.locate(0.25) == 1
-    assert grid.locate(1.0) == 3
-    assert grid.locate(-5.0) == 0
-    assert grid.locate(5.0) == 3
-
-
 def test_midpoint_scalar_amplification_factor():
     # f = 0, g = lam*y under Mid(1,2,2) gives the trapezoidal-type factor
     # (1 + k lam / 2) / (1 - k lam / 2)
