@@ -1,19 +1,19 @@
 """Backward-in-time adjoint solves.
 
 The adjoint problem is linearized around the reconstructed discrete
-solution: H(t) = jac_f(Y(t)) + jac_g(Y(t)).  It is solved with a
+solution: H(t) is the Jacobian of f + g at Y(t).  It is solved with a
 continuous Galerkin method one degree higher than the forward
 reconstruction (trial degree q+1, test space P^q), marching backward
 interval by interval from phi(T) = psi (final-time QoI) or phi(T) = 0
 with the QoI density as a source (time-integrated QoI).  Every interval
 integral uses the one Gauss rule of ``numerics``.  H(t) is the linear
 halves' operators, summed once per solve, plus the nonlinear halves'
-Jacobians at the reconstruction, read at the sub-Gauss nodes
-(``reconstruct.sub_gauss_nodes``).  Every local system is assembled by
-one body through ``numerics.BlockForm``, in the summed operator's form
-when H is constant (both halves linear) and in the form of the
-problem's stated Jacobian pattern otherwise: CSC for a sparse one,
-dense for anything else.
+Jacobians at the reconstruction's sub-Gauss nodes
+(``reconstruct.sub_gauss_nodes``): one call per half and solve, whose
+values at the problem's Jacobian pattern serve every interval.  Every
+local system is assembled by one body through ``numerics.BlockForm``,
+in the summed operator's form when H is constant (both halves linear)
+and as CSC on the Jacobian pattern otherwise.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -96,28 +96,29 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     form = BlockForm(m, r, summed if problem.linear else problem.jac_pattern)
     op_values = form.values([summed])[0] if ops else 0.0
     if not problem.linear:
-        # the reconstruction at the Gauss points, one row per refined interval
-        y_gauss = reconstruction.at(sub_gauss_nodes(refine)).reshape(
-            n_int, gp.size, m)
+        # H^T's values at the reconstruction's Gauss points, from one call
+        # per nonlinear half; one row per refined interval
+        states = reconstruction.at(sub_gauss_nodes(refine)).reshape(-1, m)
+        values = [jac(states) for jac in jacs]
+        hts = form.scatter(sum(values[1:], values[0])).reshape(n_int, gp.size, -1)
+        hts += op_values
     basis = LagrangeBasis(np.linspace(0.0, 1.0, r + 1))
     tests = legendre_shifted(q, gp)                 # (r, 5)
     dmat = galerkin_deriv_matrix(r)                 # (r, r+1)
     lvals = basis.eval_matrix(gp)                   # (5, r+1)
+    # W[a, j, k] = gw_k * v_a(tau_k) * l_j(tau_k): on interval n, block
+    # (a, j) is -dmat[a, j] I - k_n sum_k W[a, j, k] H(t_k)^T
+    wgt = np.einsum("ak,jk->ajk", tests, lvals.T * gw)
 
     def local_system(n):
         """The solve of interval n's system in its r unknown nodes, and the
         (r, m, m) blocks acting on its known right end value."""
-        k_n = steps[n]
-        # W[a, j, k] = k_n * gw_k * v_a(tau_k) * l_j(tau_k); block (a, j)
-        # is -dmat[a, j] I - sum_k W[a, j, k] H(t_k)^T
-        wgt = k_n * np.einsum("ak,jk->ajk", tests, lvals.T * gw)
+        k_wgt = steps[n] * wgt
         if problem.linear:
-            blocks = np.multiply.outer(-wgt.sum(axis=2), op_values)
+            blocks = np.multiply.outer(-k_wgt.sum(axis=2), op_values)
         else:
-            outside = AdjointSolveError(n, "Jacobian nonzero outside its stated pattern")
-            hts = op_values + sum(form.values([jac(y) for y in y_gauss[n]],
-                                              outside=outside) for jac in jacs)
-            blocks = np.einsum("ajk,k...->aj...", -wgt, hts)
+            blocks = (-k_wgt.reshape(r * (r + 1), gp.size) @ hts[n]).reshape(
+                r, r + 1, -1)
         blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
         # the unknown nodes' columns are factored, the known one's read dense
         return (lu_factor(form.system(blocks[:, :r]),

@@ -4,7 +4,8 @@ on [0, 1], shifted Legendre modes for L2 projection onto low-degree
 polynomials, the one place an operator's form becomes a system's
 (``identity_like``, ``kron`` and ``BlockForm`` give CSC where their
 operator or stated pattern is sparse, by ``sparse.issparse`` alone, and
-dense arrays otherwise), ``lu_factor``, the one factorisation, and
+dense arrays otherwise; ``BlockForm`` builds its CSC's structure once and
+refills only its data), ``lu_factor``, the one factorisation, and
 ``one_blas_thread``, the BLAS threading policy of a pipeline run.
 """
 
@@ -111,15 +112,24 @@ def kron(a, op):
     return sparse.kron(a, op, format="csc") if sparse.issparse(op) else np.kron(a, op)
 
 
+def on_pattern(values, pattern) -> sparse.csr_array:
+    """The CSR matrix with values (nnz,) at the CSR pattern's entries."""
+    return sparse.csr_array((values, pattern.indices, pattern.indptr),
+                            shape=pattern.shape)
+
+
 class BlockForm:
     """How r x r blocks, each the transpose of an m x m matrix, become one
     (r m) x (r m) system, in the form of ``like``, an m x m matrix.
 
     A sparse ``like`` is nonzero wherever the matrices may be: each block
-    is read as its values at like's transposed entries and the diagonal,
-    and the system is CSC through an index map built here, once.  Any
-    other ``like`` keeps the dense transposes, in a Fortran-order system
-    that ``lu_factor`` factors in place.
+    is read as its values at like's transposed entries and the diagonal.
+    ``values`` gathers them from matrices and ``scatter`` places values
+    stated at like's own entries.  The system is one CSC whose indices
+    are built here, once; each ``system`` call refills its data, which
+    SuperLU copies into its factors.  Any other ``like`` keeps the dense
+    transposes, in a Fortran-order system, new on each call, that
+    ``lu_factor`` factors in place.
     """
 
     def __init__(self, m: int, r: int, like):
@@ -130,9 +140,11 @@ class BlockForm:
             self.diagonal = (diag, diag)
             return
         # like's entry (i, j) is a block's entry (j, i)
-        cols, rows = sparse.coo_array(like).nonzero()
-        self.rows, self.cols = np.divmod(
-            np.unique(np.concatenate([rows * m + cols, np.arange(m) * (m + 1)])), m)
+        cols, rows = sparse.csr_array(like).nonzero()
+        keys = np.unique(np.concatenate([rows * m + cols, np.arange(m) * (m + 1)]))
+        self.rows, self.cols = np.divmod(keys, m)
+        # values[..., slots] are like's entries, in CSR order
+        self.slots = np.searchsorted(keys, rows * m + cols)
         # values[..., diagonal] are the diagonal entries, in row order
         self.diagonal = (np.flatnonzero(self.rows == self.cols),)
         # value (a, j, z) sits at row a m + rows[z] and column j m + cols[z]
@@ -141,31 +153,36 @@ class BlockForm:
         sys_rows = (a[:, None] * m + self.rows).ravel()
         sys_cols = (j[:, None] * m + self.cols).ravel()
         self.order = np.lexsort((sys_rows, sys_cols))
-        self.indices = sys_rows[self.order].astype(np.int32)
-        self.indptr = np.searchsorted(sys_cols[self.order],
-                                      np.arange(r * m + 1)).astype(np.int32)
+        n = r * m
+        self.csc = sparse.csc_array(
+            (np.zeros(self.order.size), sys_rows[self.order].astype(np.int32),
+             np.searchsorted(sys_cols[self.order], np.arange(n + 1)).astype(np.int32)),
+            shape=(n, n))
 
-    def values(self, mats, *, outside: Exception | None = None) -> np.ndarray:
-        """The transposes of the m x m matrices mats, stacked, in this form.
-        With ``outside``, a nonzero off the pattern raises it, never drops."""
+    def values(self, mats) -> np.ndarray:
+        """The transposes of the m x m matrices mats, stacked, in this form."""
         if self.order is None:
             return np.stack([as_dense(mat).T for mat in mats])
-        vals = np.stack([mat[self.cols, self.rows] for mat in mats])
-        # counted on the boolean masks, which is twice as fast as on floats
-        if outside is not None and (sum(np.count_nonzero(mat != 0.0) for mat in mats)
-                                    != np.count_nonzero(vals)):
-            raise outside
-        return vals
+        return np.stack([mat[self.cols, self.rows] for mat in mats])
+
+    def scatter(self, vals) -> np.ndarray:
+        """Values (..., nnz) at a sparse like's entries, in CSR order, in
+        this form; zero on a diagonal entry like does not hold."""
+        if vals.shape[-1] != self.slots.size:
+            raise ValueError(f"{vals.shape[-1]} values for a pattern of "
+                             f"{self.slots.size} entries")
+        out = np.zeros(vals.shape[:-1] + self.rows.shape)
+        out[..., self.slots] = vals
+        return out
 
     def system(self, blocks):
         """The system whose block (a, j) has the values blocks[a, j]."""
-        n = self.r * self.m
         if self.order is not None:
-            return sparse.csc_array((blocks.reshape(-1)[self.order], self.indices,
-                                     self.indptr), shape=(n, n))
+            self.csc.data[:] = blocks.reshape(-1)[self.order]
+            return self.csc
         # Fortran order, so LAPACK factors it in place instead of a copy
+        n, r, m = self.r * self.m, self.r, self.m
         big = np.empty((n, n), order="F")
-        r, m = self.r, self.m
         big.T.reshape(r, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
         return big
 

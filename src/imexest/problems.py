@@ -43,28 +43,27 @@ class SplitOdeProblem:
     f(y, t) = eval_f(y) + forcing(t)[0] and likewise for g.  eval_f,
     eval_g and forcing accept one state (m,) with one time, or a (P, m)
     stack of states with a (P,) vector of times, and return the same
-    shape.  jac_f/jac_g are state Jacobians at one state, as dense arrays
-    (the forcing does not depend on the state).
+    shape.
 
     ``f_op``/``g_op`` hold the constant (dim, dim) operator of a half that
     is linear in the state, as a dense array or CSR, and are None for a
     nonlinear half.  A half with an operator is given by it alone:
-    eval_f defaults to y -> f_op y and jac_f to f_op made dense, and every
-    state-independent term is carried by the forcing.  A half without one
-    needs eval and jac.  The forward Newton matrix I - k b_ii g_op and
-    the systems in f_op + g_op read the operators, never the dense
-    Jacobians; the forward solve calls jac_g only for a nonlinear g
-    half.  ``linear`` (both halves carry an operator) makes the forward
-    Newton matrix constant, so it is factored once per step size and
-    stage coefficient, and lets the adjoint factor one local system for
-    all intervals of a uniform grid.
+    eval_f defaults to y -> f_op y, its Jacobian is the operator, and
+    every state-independent term is carried by the forcing.  A half
+    without one needs eval and jac: jac_f/jac_g take a (P, m) stack of
+    states and return the (P, nnz) Jacobian values at jac_pattern's
+    entries, in CSR order (the forcing does not depend on the state).
+    ``linear`` (both halves carry an operator) makes the forward Newton
+    matrix I - k b_ii g_op constant, so it is factored once per step size
+    and stage coefficient, and lets the adjoint factor one local system
+    for all intervals of a uniform grid.
 
-    ``jac_pattern`` states, once, where jac_f + jac_g may be nonzero at
-    any state: a (dim, dim) array or sparse matrix, nonzero there, held
-    as CSR.  A problem that is not linear has its adjoint's systems in
-    the pattern's form: sparse on a stated one (Burgers'), dense without
-    one.  Construction refuses an operator half with a nonzero off the
-    pattern; the adjoint, a Jacobian with one.
+    ``jac_pattern`` states, once, where the Jacobian of f + g may be
+    nonzero at any state: a (dim, dim) array or sparse matrix, nonzero
+    there, held as CSR with sorted indices.  A problem that is not linear
+    and states none has the full pattern.  Construction refuses an
+    operator half with a nonzero off the pattern, since the adjoint reads
+    every Jacobian at the pattern alone.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, time -> the d data
@@ -91,18 +90,19 @@ class SplitOdeProblem:
         self.y0 = np.asarray(self.y0, dtype=float)
         if self.y0.ndim != 1:
             raise ValueError(f"y0 must be a vector, got shape {self.y0.shape}")
-        if self.f_op is not None:
-            self.eval_f = self.eval_f or _apply(self.f_op)
-            self.jac_f = self.jac_f or _dense_jacobian(self.f_op)
-        if self.g_op is not None:
-            self.eval_g = self.eval_g or _apply(self.g_op)
-            self.jac_g = self.jac_g or _dense_jacobian(self.g_op)
         for half in ("f", "g"):
-            if getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
+            op = getattr(self, f"{half}_op")
+            if op is not None:
+                setattr(self, f"eval_{half}", getattr(self, f"eval_{half}") or _apply(op))
+            elif getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
                 raise ValueError(f"the {half} half needs {half}_op, or eval_{half} "
                                  f"and jac_{half}")
+        if self.jac_pattern is None and not self.linear:
+            self.jac_pattern = np.ones((self.dim, self.dim), dtype=bool)
         if self.jac_pattern is not None:
-            self.jac_pattern = sparse.csr_array(self.jac_pattern)
+            self.jac_pattern = sparse.csr_array(self.jac_pattern, dtype=bool)
+            self.jac_pattern.sum_duplicates()  # sorts each row's indices
+            self.jac_pattern.eliminate_zeros()
             if self.jac_pattern.shape != (self.dim,) * 2:
                 raise ValueError(f"jac_pattern has shape {self.jac_pattern.shape}; "
                                  f"y0 of length {self.dim} needs {(self.dim,) * 2}")
@@ -163,11 +163,6 @@ class QoiSpec:
             self.psi = np.asarray(self.psi, dtype=float)
         elif self.psi_tilde is None:
             raise ValueError("time-integrated qoi needs psi_tilde")
-
-
-def _dense_jacobian(op: Operator) -> Callable[[Array], Array]:
-    """The Jacobian of y -> op y at any state: op as a dense array."""
-    return lambda y: as_dense(op)
 
 
 def _operator(mat) -> Operator:
@@ -247,7 +242,8 @@ def split_scalar_bernoulli(lam: float, mu: float, y0: float) -> SplitOdeProblem:
     y(t) = 1 / ((1/y0 + mu/lam) exp(-lam t) - mu/lam).  Genuinely
     nonlinear, which avoids the accidental cancellations linear test
     problems can show in convergence studies.  The implicit half is
-    linear, the dense g_op [[lam]].
+    linear, the dense g_op [[lam]]; the explicit half's Jacobian has the
+    full 1 x 1 pattern.
     """
     if lam == 0.0:
         raise ValueError("lam must be nonzero")
@@ -261,7 +257,7 @@ def split_scalar_bernoulli(lam: float, mu: float, y0: float) -> SplitOdeProblem:
         y0=np.array([y0]),
         g_op=np.array([[lam]]),
         eval_f=lambda y: mu * y * y,
-        jac_f=lambda y: np.array([[2.0 * mu * y[0]]]),
+        jac_f=lambda y: 2.0 * mu * y,
         analytic=analytic,
         metadata={"lam": lam, "mu": mu},
     )
@@ -336,6 +332,8 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     Advective-form nonlinearity u * (centered u_x), explicit; diffusion
     implicit, and linear: it is the dense g_op.  The Jacobian's pattern
     is the two stencils' and the diagonal: three entries a row, wrapped.
+    The advection's Jacobian -(diag(d1 u) + u d1) is stated at that
+    pattern alone.
     """
     domain = (-1.0, 1.0)
     x = _grid_points(*domain, h)
@@ -343,13 +341,21 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
     d1 = _stencil(m, h, 1, periodic=True)
     diff = gamma * _stencil(m, h, 2, periodic=True)
     grad = _apply(d1)
+    # d1 u summed over each row's two neighbours alone, as the matvec of
+    # one state sums it, for a stack of any height
+    stencil_grad = _apply(sparse.csr_array(d1))
+    pattern = sparse.csr_array((d1 != 0.0) | (diff != 0.0) | np.eye(m, dtype=bool))
+    rows, cols = pattern.nonzero()
+    d1_at = d1[rows, cols]
+    diagonal = np.flatnonzero(rows == cols)  # one a row, in row order
 
     def eval_f(u: Array) -> Array:
         return -u * grad(u)
 
-    def jac_f(u: Array) -> Array:  # -(diag(d1 u) + u d1), one temporary
-        jac = u[:, None] * d1
-        jac.flat[::m + 1] += d1 @ u
+    def jac_f(u: Array) -> Array:
+        """-(diag(d1 u) + u d1) at the pattern, a row for each state u."""
+        jac = u[:, rows] * d1_at
+        jac[:, diagonal] += stencil_grad(u)
         return np.negative(jac, out=jac)
 
     return SplitOdeProblem(
@@ -358,7 +364,7 @@ def burgers(gamma: float, h: float) -> SplitOdeProblem:
         g_op=diff,
         eval_f=eval_f,
         jac_f=jac_f,
-        jac_pattern=(d1 != 0.0) | (diff != 0.0) | np.eye(m, dtype=bool),
+        jac_pattern=pattern,
         metadata={"benchmark": "burgers", "gamma": gamma, "h": h, "m": m,
                   "domain": list(domain)},
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import identity_like, lu_factor
+from .numerics import identity_like, lu_factor, on_pattern
 from .problems import SplitOdeProblem
 from .tableaus import ImexPair, validate
 
@@ -123,8 +123,11 @@ def _newton_stage(problem, t_i, k_n, bii, known, force_g, newton, interval,
         if lu_cache is not None and key in lu_cache:
             solve = lu_cache[key]
         else:
-            # a linear g half gives its operator, whose form numerics keeps
-            jac = problem.jac_g(x) if problem.g_op is None else problem.g_op
+            # a linear g half gives its operator, whose form numerics keeps,
+            # a nonlinear one its values on the Jacobian pattern's CSR
+            jac = problem.g_op
+            if jac is None:
+                jac = on_pattern(problem.jac_g(x[None])[0], problem.jac_pattern)
             solve = lu_factor(identity_like(jac, x.size) - k_n * bii * jac,
                               singular=SolverError("singular Newton matrix",
                                                    interval, stage))

@@ -1,6 +1,7 @@
 """Independent reference implementations the tests check the package
 against: a monomial L2 projection (the estimator projects with Legendre
-modes), finite-difference Jacobians, a problem's dense form and a
+modes), finite-difference and dense Jacobians (the package states them
+at a pattern, for a stack of states), a problem's dense form and a
 point-by-point reader of piecewise polynomials (the package reads them
 at local points of every interval at once)."""
 
@@ -53,19 +54,42 @@ def fd_jacobian(fn, y, eps: float = 1e-6) -> np.ndarray:
     return out
 
 
+def dense_jacobian(problem, half: str, y) -> np.ndarray:
+    """A half's Jacobian at one state y, dense: its operator, or the values
+    its jac states for y placed at the pattern's entries, row by row."""
+    op = getattr(problem, f"{half}_op")
+    if op is not None:
+        return as_dense(op)
+    pattern = problem.jac_pattern
+    rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+    out = np.zeros(pattern.shape)
+    out[rows, pattern.indices] = getattr(problem, f"jac_{half}")(y[None])[0]
+    return out
+
+
 def check_jacobians(problem, n_samples: int = 5, seed: int = 0,
                     scale: float = 1.0, eps: float = 1e-6) -> float:
-    """Max relative defect between stored and finite-difference Jacobians."""
+    """Max relative defect between stated and finite-difference Jacobians.
+    Asserts that each finite-difference Jacobian is exactly zero off a
+    stated pattern, where no value can be stated."""
     rng = np.random.default_rng(seed)
+    pattern = problem.jac_pattern
+    off = None if pattern is None else pattern.toarray() == 0
     worst = 0.0
     for _ in range(n_samples):
         y = problem.y0 + scale * rng.standard_normal(problem.dim)
-        for jac, fn in ((problem.jac_f, problem.eval_f), (problem.jac_g, problem.eval_g)):
-            j_exact = jac(y)
-            j_fd = fd_jacobian(fn, y, eps)
+        for half in ("f", "g"):
+            j_exact = dense_jacobian(problem, half, y)
+            j_fd = fd_jacobian(getattr(problem, f"eval_{half}"), y, eps)
+            assert off is None or not np.any(j_fd[off]), (problem.name, half)
             denom = max(1.0, np.abs(j_exact).max())
             worst = max(worst, np.abs(j_exact - j_fd).max() / denom)
     return worst
+
+
+def burgers_jacobian(d1, u) -> np.ndarray:
+    """Burgers' advection Jacobian at one state u, dense: -(diag(d1 u) + u d1)."""
+    return -(np.diag(d1 @ u) + u[:, None] * d1)
 
 
 def dense_form(problem):
@@ -73,8 +97,18 @@ def dense_form(problem):
     and pickups, so every system made from them is dense."""
     return dataclasses.replace(
         problem, f_op=as_dense(problem.f_op), g_op=as_dense(problem.g_op),
-        pickups=tuple(map(as_dense, problem.pickups)),
-        eval_f=None, eval_g=None, jac_f=None, jac_g=None)
+        pickups=tuple(map(as_dense, problem.pickups)), eval_f=None, eval_g=None)
+
+
+def without_operators(problem):
+    """A linear problem with its operators dropped: each half states its
+    operator as a constant Jacobian at the full pattern."""
+    def constant(op):
+        values = as_dense(op).ravel()
+        return lambda ys: np.broadcast_to(values, (len(ys), values.size))
+    return dataclasses.replace(problem, f_op=None, g_op=None,
+                               jac_f=constant(problem.f_op),
+                               jac_g=constant(problem.g_op))
 
 
 def evaluate(poly, t: float) -> np.ndarray:

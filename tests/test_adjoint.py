@@ -17,6 +17,7 @@ from imexest.numerics import GAUSS_NODES, GAUSS_WEIGHTS, legendre_shifted
 from imexest.problems import (
     QoiSpec,
     SplitOdeProblem,
+    _stencil,
     as_dense,
     burgers,
     linear_advection_diffusion,
@@ -25,10 +26,11 @@ from imexest.problems import (
     split_linear_system,
     split_scalar_linear,
 )
-from imexest.reconstruct import build_cg
+from imexest.reconstruct import build_cg, sub_gauss_nodes
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
-from oracles import dense_form, evaluate
+from oracles import (burgers_jacobian, dense_form, dense_jacobian, evaluate,
+                     without_operators)
 
 
 def reconstruct_case(problem, name="mid122", t_end=1.0, n=40, t_start=0.0):
@@ -52,33 +54,30 @@ def test_refine_grid_counts_and_endpoints():
 
 
 def _never(*_args):
-    raise AssertionError("an operator half needs neither its Jacobian nor the state")
+    raise AssertionError("an operator half needs neither a Jacobian nor the state")
 
 
 def test_linearized_operator_constant_for_linear_problems():
-    # H is the constant f_op + g_op: the sweep evaluates neither the
-    # Jacobians nor the reconstruction, on uniform and non-uniform grids
+    # H is the constant f_op + g_op: the halves state no Jacobian, and the
+    # sweep never reads the reconstruction, on uniform and non-uniform grids
     f_mat = np.array([[0.0, 1.0], [-1.0, 0.0]])
     g_mat = np.array([[-2.0, 0.0], [0.0, -2.0]])
     prob = split_linear_system(f_mat, g_mat, [1.0, 0.0])
     assert np.array_equal(as_dense(prob.f_op + prob.g_op), f_mat + g_mat)
-    bare = dataclasses.replace(prob, jac_f=_never, jac_g=_never)
+    assert prob.jac_f is None and prob.jac_g is None
     qoi = QoiSpec(kind="final-time", psi=np.array([1.0, 0.5]))
     pair = builtin("ssp332")
     for grid in (TimeGrid.uniform(1.0, 10), TimeGrid([0.0, 0.1, 0.35, 0.5, 1.0])):
         recon = build_cg(pair, solve_forward(prob, pair, grid))
         want = solve_adjoint(prob, recon, qoi).poly.coeffs
         recon.at = _never
-        assert np.array_equal(solve_adjoint(bare, recon, qoi).poly.coeffs, want)
+        assert np.array_equal(solve_adjoint(prob, recon, qoi).poly.coeffs, want)
 
 
-@pytest.mark.parametrize("pattern", [True, False], ids=["pattern", "dense"])
-def test_burgers_adjoint_reads_its_diffusion_operator_not_jac_g(pattern):
-    # the linear g half enters H through g_op, read once per solve, on the
-    # sparse and on the dense route alike
+def test_burgers_adjoint_reads_its_diffusion_operator_not_jac_g():
+    # the linear g half enters H through g_op, read once per solve; a
+    # Jacobian handed to that half is never called
     prob = burgers(0.05, 1.0 / 10.0)
-    if not pattern:
-        prob = dataclasses.replace(prob, jac_pattern=None)
     recon = reconstruct_case(prob, "ssp332", t_end=0.5, n=10)
     qoi = QoiSpec(kind="final-time", psi=prob.y0)
     want = solve_adjoint(prob, recon, qoi).poly.coeffs
@@ -87,33 +86,30 @@ def test_burgers_adjoint_reads_its_diffusion_operator_not_jac_g(pattern):
 
 
 def test_linearized_operator_tracks_the_reconstruction():
-    # the states H is evaluated at, interval by interval from the end, are
-    # the reconstruction at the Gauss points of each refined interval
+    # H's Jacobian is stated in one call per solve, on the reconstruction at
+    # the Gauss points of every refined interval, in time order
     prob = burgers(0.05, 1.0 / 10.0)
     recon = reconstruct_case(prob, "ssp332", t_end=0.5, n=10)
     for refine in (1, 3):
         seen = []
         spy = dataclasses.replace(
-            prob, jac_f=lambda y: seen.append(y.copy()) or prob.jac_f(y))
+            prob, jac_f=lambda ys: seen.append(ys.copy()) or prob.jac_f(ys))
         solve_adjoint(spy, recon, QoiSpec(kind="final-time", psi=prob.y0),
                       refine=refine)
+        want = recon.at(sub_gauss_nodes(refine)).reshape(-1, prob.dim)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        # which is the reconstruction at each refined interval's Gauss times
         fine = refine_grid(recon.grid, refine)
-        assert len(seen) == fine.n_intervals * GAUSS_NODES.size
-        states = iter(seen)
-        for n in range(fine.n_intervals - 1, -1, -1):
-            for t in fine.nodes[n] + fine.steps[n] * GAUSS_NODES:
-                y, at_t = next(states), evaluate(recon, t)
-                np.testing.assert_allclose(
-                    prob.jac_f(y) + prob.jac_g(y),
-                    prob.jac_f(at_t) + prob.jac_g(at_t), rtol=0, atol=1e-14)
+        times = (fine.nodes[:-1, None] + fine.steps[:, None] * GAUSS_NODES).ravel()
+        assert len(want) == len(times) == fine.n_intervals * GAUSS_NODES.size
+        for y, t in zip(want, times):
+            np.testing.assert_allclose(y, evaluate(recon, t), rtol=0, atol=1e-14)
 
 
 def test_operator_at_zero_state_is_diffusion_only():
     prob = burgers(0.05, 1.0 / 10.0)
-    zero = np.zeros(prob.dim)
-    np.testing.assert_allclose(
-        prob.jac_f(zero) + prob.jac_g(zero), prob.jac_g(zero), atol=1e-14
-    )
+    np.testing.assert_allclose(prob.jac_f(np.zeros((1, prob.dim))), 0.0, atol=1e-14)
+    assert prob.jac_g is None and prob.g_op is not None
 
 
 def test_terminal_condition_imposed_exactly():
@@ -184,8 +180,8 @@ def test_adjoint_galerkin_residual_per_interval():
         k_n = grid.steps[n]
         t_gauss = grid.nodes[n] + k_n * GAUSS_NODES
         ys = [evaluate(recon, t) for t in t_gauss]
-        hp = np.stack([(prob.jac_f(y) + prob.jac_g(y)).T @ vals[n, j]
-                       for j, y in enumerate(ys)])
+        hp = np.stack([(dense_jacobian(prob, "f", y) + dense_jacobian(prob, "g", y)).T
+                       @ vals[n, j] for j, y in enumerate(ys)])
         integrand = -derivs[n] - hp
         res = k_n * np.einsum("ak,k,km->am", tests, GAUSS_WEIGHTS, integrand)
         assert np.abs(res).max() < 1e-10 * scale
@@ -224,13 +220,14 @@ def test_backward_sweep_tail_is_local():
 
 
 def test_adjoint_failure_reports_interval():
-    nan_mat = np.full((1, 1), np.nan)
+    # a NaN Jacobian at every state fails on the interval the backward
+    # sweep reaches first
     prob = SplitOdeProblem(
         name="nan-jacobian",
         eval_f=lambda y: np.zeros(1),
         eval_g=lambda y: -y,
-        jac_f=lambda y: nan_mat,
-        jac_g=lambda y: np.array([[-1.0]]),
+        jac_f=lambda ys: np.full(ys.shape, np.nan),
+        jac_g=lambda ys: -np.ones_like(ys),
         y0=np.array([1.0]),
     )
     pair = builtin("mid122")
@@ -238,8 +235,9 @@ def test_adjoint_failure_reports_interval():
         split_scalar_linear(0.0, -1.0, 1.0), pair, TimeGrid.uniform(1.0, 4)
     )
     recon = build_cg(pair, fwd)
-    with pytest.raises(AdjointSolveError, match="adjoint solve failed"):
+    with pytest.raises(AdjointSolveError, match="adjoint solve failed") as info:
         solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(1)))
+    assert info.value.interval == 4 * DEFAULT_REFINE - 1
 
 
 def test_adjoint_failure_on_a_constant_nan_operator():
@@ -312,11 +310,15 @@ def test_operator_structure_picks_the_factorisation_route(
 
 @pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])
 def test_jacobian_pattern_matches_the_dense_systems(scheme):
-    # Burgers' adjoint systems assembled sparse on its stated Jacobian
-    # pattern, and the same problem with the pattern dropped, assembled
-    # dense, give the same adjoint
+    # Burgers' adjoint systems on its stated Jacobian pattern, and the same
+    # problem stating the oracle's dense Jacobian on the full pattern, give
+    # the same adjoint
     prob = burgers(0.05, 0.1)
-    dense = dataclasses.replace(prob, jac_pattern=None)
+    d1 = _stencil(prob.dim, 0.1, 1, periodic=True)
+    dense = dataclasses.replace(
+        prob, jac_pattern=None,
+        jac_f=lambda ys: np.stack([burgers_jacobian(d1, y).ravel() for y in ys]))
+    assert dense.jac_pattern.nnz == prob.dim ** 2
     recon = reconstruct_case(prob, scheme, t_end=0.5, n=10)
     for qoi in oracle_qois(prob):
         got, want = (solve_adjoint(p, recon, qoi).poly.coeffs for p in (prob, dense))
@@ -325,26 +327,30 @@ def test_jacobian_pattern_matches_the_dense_systems(scheme):
         assert np.abs(got - want).max() <= 1e-13 * scale
 
 
-def test_jacobian_nonzero_off_its_pattern_names_the_interval():
-    # a Jacobian entry the pattern does not hold fails the solve on the
-    # interval where it appears; it is never dropped
+def test_refilled_system_solves_as_a_freshly_built_one(monkeypatch):
+    # every interval refills the data of one CSC; its solve equals that of
+    # a csc_array built from a copy, and still does after later intervals
+    # have refilled it
     prob = burgers(0.05, 0.1)
-    recon = reconstruct_case(prob, n=4)
-    calls = []
+    recon = reconstruct_case(prob, "ssp332", n=4)
+    lu_factor = adjoint.lu_factor
+    rng = np.random.default_rng(6)
+    systems, checks = [], []
 
-    def jac_f(y):
-        calls.append(None)
-        jac = prob.jac_f(y)
-        if len(calls) > 3 * GAUSS_NODES.size:  # from the fourth interval on
-            jac[0, prob.dim // 2] = 1e-300
-        return jac
+    def spy(a, **kw):
+        fresh = sparse.csc_array((a.data.copy(), a.indices.copy(), a.indptr.copy()),
+                                 shape=a.shape)
+        solve, b = lu_factor(a, **kw), rng.standard_normal(a.shape[0])
+        systems.append(a)
+        checks.append((solve, b, lu_factor(fresh, **kw)(b)))
+        return solve
 
-    stray = dataclasses.replace(prob, jac_f=jac_f)
-    assert not stray.jac_pattern[0, prob.dim // 2]
-    qoi = QoiSpec(kind="final-time", psi=np.ones(prob.dim))
-    with pytest.raises(AdjointSolveError, match="outside its stated pattern") as info:
-        solve_adjoint(stray, recon, qoi)
-    assert info.value.interval == 4 * DEFAULT_REFINE - 4
+    monkeypatch.setattr(adjoint, "lu_factor", spy)
+    solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(prob.dim)))
+    assert len(checks) == 4 * DEFAULT_REFINE
+    assert all(a is systems[0] for a in systems)
+    for solve, b, want in checks:
+        assert np.array_equal(solve(b), want)
 
 
 @pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])
@@ -392,7 +398,7 @@ def test_propagator_matches_the_per_interval_sweep(build, scheme, monkeypatch):
     # solved interval by interval
     prob = build()
     recon = reconstruct_case(prob, scheme, t_end=0.1, n=8)
-    per_interval = dataclasses.replace(prob, f_op=None, g_op=None)
+    per_interval = without_operators(prob)
     factors = []
     lu_factor = adjoint.lu_factor
     monkeypatch.setattr(adjoint, "lu_factor",

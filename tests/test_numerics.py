@@ -227,17 +227,21 @@ def test_block_form_of_a_pattern_is_its_dense_form_in_csc():
                               np.diagonal(dense_blocks, axis1=2, axis2=3))
 
 
-def test_block_form_never_drops_a_nonzero_off_its_pattern():
+def test_block_form_scatters_values_stated_at_its_pattern():
+    # values at a CSR pattern's entries, in CSR order, become the blocks of
+    # the matrices' transposes; a diagonal the pattern lacks reads zero
+    rng = np.random.default_rng(5)
     m = 4
-    form = BlockForm(m, 2, sparse.csr_array(np.eye(m, k=1)))
-    mats = [np.eye(m) + np.eye(m, k=1), np.diag([1.0, 0.0, np.nan, 2.0])]
-    np.testing.assert_array_equal(form.dense(form.values(mats, outside=Singular())),
-                                  np.stack([mat.T for mat in mats]))
-    error = Singular("outside on interval 7")
-    mats[1][3, 0] = -1e-300
-    with pytest.raises(Singular) as info:
-        form.values(mats, outside=error)
-    assert info.value is error
+    pattern = sparse.csr_array(np.eye(m, k=1) + np.eye(m, k=-3))
+    form = BlockForm(m, 2, pattern)
+    mats = rng.standard_normal((3, m, m)) * (pattern.toarray() != 0.0)
+    rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
+    stated = mats[:, rows, pattern.indices]
+    np.testing.assert_array_equal(form.dense(form.scatter(stated)),
+                                  mats.transpose(0, 2, 1))
+    np.testing.assert_array_equal(form.scatter(stated), form.values(mats))
+    with pytest.raises(ValueError, match="^5 values for a pattern of 4 entries$"):
+        form.scatter(np.ones((3, 5)))
 
 
 @pytest.mark.parametrize("route", ["dense", "csr"])

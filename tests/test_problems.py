@@ -22,7 +22,7 @@ from imexest.problems import (
     split_scalar_linear,
 )
 from imexest.reference import reference_operator
-from oracles import check_jacobians, fd_jacobian
+from oracles import burgers_jacobian, check_jacobians, fd_jacobian
 
 
 def all_benchmarks():
@@ -47,12 +47,17 @@ def test_fd_jacobian_on_quadratic_map():
 
 
 def test_eval_outputs_have_problem_dim():
+    # an operator half states no Jacobian; a nonlinear half states one row
+    # of values at the pattern for each state of a stack
     for prob in all_benchmarks():
         y = prob.y0
         assert prob.eval_f(y).shape == (prob.dim,)
         assert prob.eval_g(y).shape == (prob.dim,)
-        assert prob.jac_f(y).shape == (prob.dim, prob.dim)
-        assert prob.jac_g(y).shape == (prob.dim, prob.dim)
+        for op, jac in ((prob.f_op, prob.jac_f), (prob.g_op, prob.jac_g)):
+            if op is not None:
+                assert jac is None
+            else:
+                assert jac(np.stack([y, 2.0 * y])).shape == (2, prob.jac_pattern.nnz)
 
 
 def test_split_partition_is_conserved_under_swap():
@@ -173,14 +178,15 @@ def test_burgers_grid_and_nonlinearity():
     # y0 = sin(pi x) on [-1, 1)
     assert prob.y0[0] == pytest.approx(0.0, abs=1e-14)
     # advection Jacobian vanishes at the zero state: only diffusion remains
-    jz = prob.jac_f(np.zeros(prob.dim))
+    jz = prob.jac_f(np.zeros((1, prob.dim)))
     np.testing.assert_allclose(jz, 0.0, atol=1e-14)
     assert not prob.linear
 
 
 def test_burgers_jacobian_stays_on_its_stated_pattern():
     # three entries a row, wrapped: the stencils' neighbours and the
-    # diagonal; the Jacobian at any state is nonzero only there
+    # diagonal; the finite-difference Jacobian at any state is nonzero only
+    # there, and jac_f states one value for each entry
     prob = burgers(0.05, 1.0 / 10.0)
     m = prob.dim
     want = np.zeros((m, m), dtype=bool)
@@ -189,18 +195,25 @@ def test_burgers_jacobian_stays_on_its_stated_pattern():
     assert isinstance(prob.jac_pattern, sparse.csr_array)
     assert np.array_equal(prob.jac_pattern.toarray(), want)
     rng = np.random.default_rng(2)
-    for y in rng.standard_normal((5, m)):
-        jac = prob.jac_f(y) + prob.jac_g(y)
+    ys = rng.standard_normal((5, m))
+    assert prob.jac_f(ys).shape == (5, 3 * m)
+    for y in ys:
+        jac = fd_jacobian(lambda u: prob.eval_f(u) + prob.eval_g(u), y)
         assert not np.any(jac[~want])
 
 
 def test_burgers_jacobian_is_the_stencil_formula():
-    # jac_f builds -(diag(d1 u) + u d1) in one temporary, to the value
+    # jac_f states -(diag(d1 u) + u d1) at the pattern, to the value, for
+    # every state of a stack: of 6 states, and of as many as an adjoint
+    # solve reads, where a dense matmul would round d1 u another way
     prob = burgers(0.05, 1.0 / 10.0)
     d1 = problems._stencil(prob.dim, 0.1, 1, periodic=True)
+    rows, cols = prob.jac_pattern.nonzero()
     rng = np.random.default_rng(9)
-    for u in (prob.y0, *rng.standard_normal((5, prob.dim))):
-        assert np.array_equal(prob.jac_f(u), -(np.diag(d1 @ u) + u[:, None] * d1))
+    for us in (np.vstack([prob.y0, rng.standard_normal((5, prob.dim))]),
+               rng.standard_normal((800, prob.dim))):
+        want = np.stack([burgers_jacobian(d1, u)[rows, cols] for u in us])
+        assert np.array_equal(prob.jac_f(us), want)
 
 
 @pytest.mark.parametrize("half", ["f", "g"])
@@ -212,7 +225,7 @@ def test_an_operator_half_off_its_jacobian_pattern_is_refused(half):
     halves = {f"{half}_op": op}
     other = "g" if half == "f" else "f"
     halves.update({f"eval_{other}": lambda y: y * y,
-                   f"jac_{other}": lambda y: np.diag(2.0 * y)})
+                   f"jac_{other}": lambda ys: 2.0 * ys})
     with pytest.raises(ValueError, match=f"^{half}_op is nonzero off jac_pattern$"):
         problems.SplitOdeProblem(name="off-pattern", y0=np.ones(3),
                                  jac_pattern=sparse.eye_array(3), **halves)
@@ -224,7 +237,7 @@ def test_a_jacobian_pattern_has_the_state_shape():
     with pytest.raises(ValueError, match=r"jac_pattern has shape \(2, 3\)"):
         problems.SplitOdeProblem(name="bad-pattern", y0=np.ones(2),
                                  eval_f=lambda y: y * y,
-                                 jac_f=lambda y: np.diag(2.0 * y),
+                                 jac_f=lambda ys: 2.0 * ys,
                                  g_op=-np.eye(2), jac_pattern=np.ones((2, 3)))
 
 
@@ -256,7 +269,7 @@ def test_mhd_v_implicit_momentum_rows_are_fully_implicit():
     rng = np.random.default_rng(2)
     y = rng.standard_normal(prob.dim)
     np.testing.assert_allclose(prob.eval_f(y)[:mh], 0.0, atol=1e-15)
-    np.testing.assert_allclose(prob.jac_f(y)[:mh, :], 0.0, atol=1e-15)
+    np.testing.assert_allclose(problems.as_dense(prob.f_op)[:mh, :], 0.0, atol=1e-15)
     force_f, _ = prob.forcing(0.03)
     np.testing.assert_allclose(force_f[:mh], 0.0, atol=1e-15)
     assert np.abs(prob.eval_f(y)[mh:]).max() > 0.0
@@ -446,7 +459,9 @@ def test_linear_problems_are_their_jacobians_times_the_state(case):
     probs = [prob for prob, _ in contract_problems() if prob.linear]
     assert len(probs) == 6
     prob = probs[case]
-    op = prob.jac_f(prob.y0) + prob.jac_g(prob.y0)
+    # an operator half's Jacobian is its operator: it states none
+    assert prob.jac_f is None and prob.jac_g is None
+    op = problems.as_dense(prob.f_op) + problems.as_dense(prob.g_op)
     rng = np.random.default_rng(case)
     for _ in range(5):
         y = rng.standard_normal(prob.dim)
@@ -454,8 +469,6 @@ def test_linear_problems_are_their_jacobians_times_the_state(case):
         # the split sums a row in two parts: roundoff of the summed magnitudes
         scale = (np.abs(op) @ np.abs(y)).max()
         assert np.abs(got - op @ y).max() <= 1e-14 * scale
-        assert np.array_equal(prob.jac_f(y), prob.jac_f(prob.y0))
-        assert np.array_equal(prob.jac_g(y), prob.jac_g(prob.y0))
 
 
 def test_alfven_analytic_on_a_time_vector_matches_each_time():
@@ -716,7 +729,7 @@ def test_linear_problem_with_a_forcing_needs_its_boundary():
     forced = dict(pickups=(np.zeros((1, 1)), np.ones((1, 1))),
                   boundary_data=lambda t: [1.0])
     fields = dict(name="forced", eval_f=lambda y: 0.0 * y, eval_g=lambda y: -y,
-                  jac_f=lambda y: np.zeros((1, 1)), jac_g=lambda y: -np.eye(1),
+                  jac_f=lambda ys: 0.0 * ys, jac_g=lambda ys: -np.ones_like(ys),
                   y0=np.ones(1))
     ops = dict(f_op=np.zeros((1, 1)), g_op=-np.eye(1))
     for halves in (ops, {}):
@@ -735,12 +748,14 @@ def test_linear_problem_with_a_forcing_needs_its_boundary():
 
 def test_a_half_is_given_by_its_operator_or_by_eval_and_jac():
     g_op = sparse.csr_array(np.array([[-2.0, 1.0], [0.0, -3.0]]))
-    prob = problems.SplitOdeProblem(name="derived", y0=np.ones(2),
-                                    g_op=g_op, eval_f=lambda y: y * y,
-                                    jac_f=lambda y: np.diag(2.0 * y))
+    # the f half's Jacobian is 2 diag(y), stated on the full pattern
+    prob = problems.SplitOdeProblem(
+        name="derived", y0=np.ones(2), g_op=g_op, eval_f=lambda y: y * y,
+        jac_f=lambda ys: np.stack([np.diag(2.0 * y).ravel() for y in ys]))
     y = np.array([0.5, -1.5])
-    jac = prob.jac_g(y)
-    assert type(jac) is np.ndarray and np.array_equal(jac, g_op.toarray())
+    # the g half is its operator alone, and states no Jacobian
+    assert prob.jac_g is None
+    assert np.array_equal(prob.jac_pattern.toarray(), np.ones((2, 2), dtype=bool))
     for state in (y, np.stack([y, 2.0 * y])):
         got = prob.eval_g(state)
         assert type(got) is np.ndarray
@@ -805,7 +820,7 @@ def test_csr_halves_and_forcing_match_the_dense_product(v_mode):
     "scalar-linear", "linear-split"])
 def test_constant_operators_equal_the_summed_jacobians(case):
     prob = [prob for prob, _ in contract_problems() if prob.linear][case]
-    jac = prob.jac_f(prob.y0) + prob.jac_g(prob.y0)
+    jac = problems.as_dense(prob.f_op) + problems.as_dense(prob.g_op)
     # the adjoint's constant operator
     assert np.array_equal(problems.as_dense(prob.f_op + prob.g_op), jac)
     ref = reference_operator(prob)

@@ -112,8 +112,8 @@ def test_quadrature_constant_integrand():
         name="constant-f",
         eval_f=lambda y: np.array([2.0]),
         eval_g=lambda y: np.zeros(1),
-        jac_f=lambda y: np.zeros((1, 1)),
-        jac_g=lambda y: np.zeros((1, 1)),
+        jac_f=lambda ys: np.zeros_like(ys),
+        jac_g=lambda ys: np.zeros_like(ys),
         y0=np.array([0.0]),
     )
     pair, fwd = forward_case("ssp332", prob, t_end=0.4, n=4)

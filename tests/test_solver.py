@@ -22,7 +22,7 @@ from imexest.solver import (
     step,
 )
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate
-from oracles import dense_form
+from oracles import check_jacobians, dense_form
 
 
 def zero_problem(m=3):
@@ -128,15 +128,28 @@ def test_newton_single_iteration_on_linear_g():
     assert np.all(rec.newton_iters[diag != 0.0] == 1)
 
 
-def test_newton_handles_nonlinear_g():
-    prob = SplitOdeProblem(
-        name="cubic-implicit",
+def cubic(name, **forcing):
+    """y' = -y^3, integrated implicitly; each half states its Jacobian at
+    the full 1 x 1 pattern."""
+    return SplitOdeProblem(
+        name=name,
         eval_f=lambda y: np.zeros(1),
         eval_g=lambda y: -(y**3),
-        jac_f=lambda y: np.zeros((1, 1)),
-        jac_g=lambda y: np.array([[-3.0 * y[0] ** 2]]),
+        jac_f=lambda ys: np.zeros_like(ys),
+        jac_g=lambda ys: -3.0 * ys**2,
         y0=np.array([1.0]),
+        **forcing,
     )
+
+
+def test_nonlinear_g_jacobian_matches_finite_differences():
+    prob = cubic("cubic-implicit")
+    assert np.array_equal(prob.jac_pattern.toarray(), [[True]])
+    assert check_jacobians(prob, n_samples=20, seed=3) < 1e-8
+
+
+def test_newton_handles_nonlinear_g():
+    prob = cubic("cubic-implicit")
     y1, rec = step(prob, builtin("mid122"), 0.0, 0.2, prob.y0)
     # stage solves x = y0 - k/2 x^3; check the residual directly
     x = rec.values[1, 0]
@@ -145,14 +158,7 @@ def test_newton_handles_nonlinear_g():
 
 
 def test_newton_failure_reports_interval_and_stage():
-    prob = SplitOdeProblem(
-        name="stiff-cubic",
-        eval_f=lambda y: np.zeros(1),
-        eval_g=lambda y: -(y**3),
-        jac_f=lambda y: np.zeros((1, 1)),
-        jac_g=lambda y: np.array([[-3.0 * y[0] ** 2]]),
-        y0=np.array([1.0]),
-    )
+    prob = cubic("stiff-cubic")
     tight = NewtonConfig(abs_tol=1e-16, rel_tol=0.0, max_iters=1)
     with pytest.raises(SolverError, match="Newton did not converge") as err:
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2), tight)
@@ -173,16 +179,8 @@ def test_newton_evaluates_the_forcing_once_per_stage():
         return [np.sin(t)]
 
     # the forcing (0, sin t): a zero f pickup and a unit g pickup
-    prob = SplitOdeProblem(
-        name="forced-cubic",
-        eval_f=lambda y: np.zeros(1),
-        eval_g=lambda y: -(y**3),
-        jac_f=lambda y: np.zeros((1, 1)),
-        jac_g=lambda y: np.array([[-3.0 * y[0] ** 2]]),
-        y0=np.array([1.0]),
-        pickups=(np.zeros((1, 1)), np.eye(1)),
-        boundary_data=boundary_data,
-    )
+    prob = cubic("forced-cubic", pickups=(np.zeros((1, 1)), np.eye(1)),
+                 boundary_data=boundary_data)
     pair = builtin("ssp343")
     _, rec = step(prob, pair, 0.0, 0.5, prob.y0)
     implicit = np.count_nonzero(np.diag(pair.implicit.coeffs))
@@ -267,8 +265,8 @@ def test_non_finite_state_raises():
         name="hard-blowup",
         eval_f=lambda y: y * y * 1e150,
         eval_g=lambda y: np.zeros(1),
-        jac_f=lambda y: np.array([[2e150 * y[0]]]),
-        jac_g=lambda y: np.zeros((1, 1)),
+        jac_f=lambda ys: 2e150 * ys,
+        jac_g=lambda ys: np.zeros_like(ys),
         y0=np.array([1e200]),
     )
     with np.errstate(over="ignore", invalid="ignore"):
