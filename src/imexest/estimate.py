@@ -80,6 +80,12 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
     # phi at the same points, and at the stage abscissae
     phi_tab = adjoint.poly.at(taus, factor)
     phi_d_tab = adjoint.poly.at(d, factor)
+    times = grid.nodes[:-1, None] + steps[:, None] * taus
+    # a forced problem's boundary data at every Gauss time, read at once;
+    # the pickups are applied per interval, which keeps the (N, 5*factor,
+    # m) forcing from ever being formed
+    data = None if problem.pickups is None else (
+        np.asarray(problem.boundary_data(times.ravel())).reshape(*times.shape, -1))
 
     density = np.empty((n_int, 3, m))
     galerkin = np.empty(n_int)
@@ -95,7 +101,8 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
         pphi_all = leg_t.T @ modes
         pphi_d = leg_d.T @ modes
 
-        f_all, g_all = problem.halves(y_all, grid.nodes[n] + k_n * taus)
+        f_all, g_all = problem.halves(
+            y_all, times[n], None if data is None else problem.forcing_from(data[n]))
 
         delta_t = phi_all - pphi_all
         delta_d = phi_d - pphi_d

@@ -66,9 +66,11 @@ class SplitOdeProblem:
     every Jacobian at the pattern alone.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
-    matrices, dense or CSR, and ``boundary_data``, time -> the d data
-    values b(t); its forcing is (pick_f @ b(t), pick_g @ b(t)).  The
-    reference applies the summed pickups with the operator in one matvec.
+    matrices, dense or CSR, and ``boundary_data``, which maps one time to
+    the d data values b(t), or a (P,) vector of times to their (P, d)
+    rows; its forcing is (pick_f @ b(t), pick_g @ b(t)).  Each layer reads
+    the data for all of its times in one call and applies the pickups
+    with ``forcing_from``.  The reference sums the pickups itself.
     """
 
     name: str
@@ -81,7 +83,7 @@ class SplitOdeProblem:
     jac_g: Optional[Callable[[Array], Array]] = None
     jac_pattern: Optional[Operator] = None
     pickups: Optional[tuple[Operator, Operator]] = None
-    boundary_data: Optional[Callable[[float], Array]] = None
+    boundary_data: Optional[Callable[[float | Array], Array]] = None
     analytic: Optional[Callable[[float], Array]] = None
     pde_solution: Optional[Callable[[float], Array]] = None
     metadata: dict = field(default_factory=dict)
@@ -126,10 +128,14 @@ class SplitOdeProblem:
 
     def forcing(self, t) -> tuple[Array, Array]:
         """(pick_f @ b(t), pick_g @ b(t)) of a forced problem, at one time
-        or row by row on a (P,) vector of times."""
-        t = np.asarray(t, dtype=float)
-        data = np.array([self.boundary_data(s) for s in t] if t.ndim
-                        else self.boundary_data(t))
+        or row by row on a (P,) vector of times, from one boundary_data
+        call."""
+        return self.forcing_from(self.boundary_data(t))
+
+    def forcing_from(self, data) -> tuple[Array, Array]:
+        """The forcing pair of boundary data already read: the (d,) values
+        at one time, or their (P, d) rows."""
+        data = np.asarray(data, dtype=float)
         return tuple((pick @ data.T).T for pick in self.pickups)
 
     def halves(self, y: Array, t, force=None) -> tuple[Array, Array]:
@@ -505,11 +511,18 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
         for cols, width in ((slice(1, -1), mh), ([0, -1], 2)))
     physics = tuple(p[k] for k in _ALFVEN_PHYSICS)
 
-    def boundary_data(t: float) -> list:
+    def ends(t: float) -> list:
         """(v(0), v(L), B(0), B(L)) at one time."""
-        (v_0, b_0), (v_l, b_l) = (_alfven_point(z, float(t), *physics)
-                                  for z in (0.0, L))
+        v_0, b_0 = _alfven_point(0.0, t, *physics)
+        v_l, b_l = _alfven_point(L, t, *physics)
         return [v_0, v_l, b_0, b_l]
+
+    def boundary_data(t) -> Array:
+        """ends at one time, or a row of them per time of a (P,) vector."""
+        times = np.asarray(t, dtype=float)
+        if times.ndim == 0:
+            return np.array(ends(float(times)))
+        return np.array([ends(s) for s in times.tolist()]).reshape(-1, 4)
 
     def pde_solution(t: float) -> Array:
         v, b = alfven_analytic(zeta, t, **p)

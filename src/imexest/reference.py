@@ -25,17 +25,20 @@ The numeric route integrates with ``solve_ivp`` in one of two ways.
   the doubling stops at any rtol down to RTOL_FLOOR.  The grid is
   uniform: on the Alfven wave, grading the first step geometrically
   towards t = 0, in up to 32 halvings, moved the error by under 10% at
-  every n, for final-time and time-integrated QoIs alike.
+  every n, for final-time and time-integrated QoIs alike.  The stages'
+  forcing, the summed pickups times the boundary data, is read for
+  blocks of at most RADAU_START_STEPS steps in one boundary-data call
+  each, never for a whole level, whose length only ``step_cap`` bounds.
 * Any other problem takes scipy's adaptive DOP853 at rtol and atol.
 
 ``step_cap`` bounds the steps a numeric QoI attempts: DOP853's attempted
 steps, rejected ones included, and every Radau IIA step of every
 doubling level, each checked as it starts.  Per ``solve_ivp`` call,
-``nfev`` counts right-hand-side calls, 3 per Radau step (6 for a
+``nfev`` counts 3 per Radau step, one forcing row per stage (6 for a
 time-integrated QoI, whose integrand is read at the stage values), or
-12 per DOP853 attempt plus 2 to start (and 3 per accepted step for a
-dense solve's interpolant), and ``t.size - 1`` counts the accepted
-steps.
+12 right-hand-side calls per DOP853 attempt plus 2 to start (and 3 per
+accepted step for a dense solve's interpolant), and ``t.size - 1``
+counts the accepted steps.
 """
 
 from __future__ import annotations
@@ -195,41 +198,54 @@ def _dop853(fun, t_span: tuple, z0: np.ndarray, rtol: float, atol: float,
 class RadauIIA(OdeSolver):
     """Radau IIA with 3 stages (order 5) on n_steps equal steps.
 
-    The leading m = jac.shape[0] unknowns y = z[:m] must obey the affine
-    system y' = jac y + fun(t, 0)[:m].  Any further unknowns are
-    quadratures: their rates fun(t, z)[m:] may depend on t and y, never
-    on themselves.
+    fun is the whole system's right-hand side, which the solver reads
+    through its parts instead of calling it.  The leading m = jac.shape[0]
+    unknowns y = z[:m] obey the affine system y' = jac y + r(t), whose
+    forcing rows forcing(times) gives for a (P,) vector of times as
+    (P, m).  Any further unknowns are quadratures with rates
+    rate(t, y), which depend on t and y alone, never on themselves.
 
     The stage values Y solve (I - k A (x) jac) Y = 1 (x) z + k (A (x) I) R,
-    R the stages' fun(t, 0), with one LU made here in jac's form
+    R the stages' forcing rows, with one LU made here in jac's form
     (``numerics.kron``), and the step ends at Y_3 (stiffly accurate).
-    start_step() is called as each step starts; it may raise to stop the solve.
+    start_step() is called as each step starts; it may raise to stop the
+    solve.  The forcing is read for blocks of at most RADAU_START_STEPS
+    steps, each block as its first step starts, after start_step().
+    ``nfev`` counts 3 per step for the stages' forcing rows, and 3 more
+    for the rates when there are quadratures.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, vectorized, jac, n_steps,
-                 start_step):
+    def __init__(self, fun, t0, y0, t_bound, vectorized, jac, forcing,
+                 n_steps, start_step, rate=None):
         super().__init__(fun, t0, y0, t_bound, vectorized)
         self.m = jac.shape[0]
         self.t_start, self.n_steps, self.taken = t0, n_steps, 0
         self.k = (t_bound - t0) / n_steps
-        self.start_step = start_step
+        self.forcing, self.rate, self.start_step = forcing, rate, start_step
         system = identity_like(jac, 3 * self.m) - self.k * kron(RADAU_A, jac)
         self.lu = lu_factor(system, singular=ReferenceError(
             "singular Radau IIA stage system"))
         self.nlu = 1
-        self.zero = np.zeros(self.n)
 
     def _step_impl(self):
         self.start_step()
         m, k, z = self.m, self.k, self.y
-        times = self.t + RADAU_C * k
-        forcing = np.stack([self.fun(t, self.zero)[:m] for t in times])
+        at = self.taken % RADAU_START_STEPS
+        if at == 0:
+            # the block's stage times, as self.t + RADAU_C * k gives them per step
+            first = self.taken + np.arange(min(RADAU_START_STEPS,
+                                               self.n_steps - self.taken))
+            self.block_times = (self.t_start + first * k)[:, None] + RADAU_C * k
+            self.block = self.forcing(self.block_times.ravel()).reshape(-1, 3, m)
+        times, forcing = self.block_times[at], self.block[at]
         stages = self.lu(np.tile(z[:m], 3)
                          + k * (RADAU_A @ forcing).ravel()).reshape(3, m)
+        self.nfev += 3
         if self.n > m:
-            rates = np.stack([self.fun(t, np.concatenate((y, z[m:])))[m:]
-                              for t, y in zip(times, stages)])
-            self.y = np.concatenate((stages[-1], z[m:] + k * RADAU_A[-1] @ rates))
+            rates = np.array([self.rate(t, y) for t, y in zip(times, stages)])
+            self.nfev += 3
+            self.y = np.concatenate((stages[-1], z[m:] + k * RADAU_A[-1]
+                                     @ rates.reshape(3, -1)))
         else:
             self.y = stages[-1]
         self.taken += 1
@@ -238,13 +254,13 @@ class RadauIIA(OdeSolver):
         else:
             # the solver lives on in a reference cycle until the garbage
             # collector runs; its factors (about 12 MB in SuperLU's
-            # workspace for table 14) need not
-            self.t, self.lu = self.t_bound, None
+            # workspace for table 14) and forcing block need not
+            self.t, self.lu, self.block = self.t_bound, None, None
         return True, None
 
 
-def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value,
-               config: ReferenceConfig):
+def _radau_qoi(fun, jac, forcing, rate, t_span: tuple, z0: np.ndarray,
+               value, config: ReferenceConfig):
     """value(z(T)) from RadauIIA solves with doubling step counts: the value
     the rule in the module docstring accepts, then the value of each
     further doubling level; a ReferenceError as any step past
@@ -258,7 +274,8 @@ def _radau_qoi(fun, jac, t_span: tuple, z0: np.ndarray, value,
             raise _over_cap(config)
 
     def level(n):
-        sol = solve_ivp(fun, t_span, z0, method=RadauIIA, jac=jac, n_steps=n,
+        sol = solve_ivp(fun, t_span, z0, method=RadauIIA, jac=jac,
+                        forcing=forcing, rate=rate, n_steps=n,
                         start_step=start_step)
         return value(sol.y[:, -1])
 
@@ -286,23 +303,31 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     atol, the rtol never below RTOL_FLOOR, until it reaches RTOL_FLOOR."""
     rhs = ivp_rhs(problem)
     if qoi.kind == "final-time":
-        fun = rhs
+        fun, rate = rhs, None
         z0 = problem.y0
 
         def value(z):
             return float(np.dot(z, qoi.psi))
     else:
+        def rate(t, y):
+            return np.dot(y, qoi.psi_tilde(t))
+
         def fun(t, z):
             y = z[:-1]
-            return np.append(rhs(t, y), np.dot(y, qoi.psi_tilde(t)))
+            return np.append(rhs(t, y), rate(t, y))
         z0 = np.append(problem.y0, 0.0)
 
         def value(z):
             return float(z[-1])
     t_span = (float(grid.nodes[0]), grid.t_end)
     if problem.linear and problem.pickups is not None:
-        yield from _radau_qoi(fun, problem.f_op + problem.g_op, t_span, z0,
-                              value, config)
+        # the forcing rows fun(t, 0)[:m], to the bit, for many times at once
+        pickup = problem.pickups[0] + problem.pickups[1]
+
+        def forcing(times):
+            return (pickup @ problem.boundary_data(times).T).T
+        yield from _radau_qoi(fun, problem.f_op + problem.g_op, forcing, rate,
+                              t_span, z0, value, config)
         return
     rtol, atol = config.rtol, config.atol
     yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])

@@ -139,8 +139,15 @@ def _newton_stage(problem, t_i, k_n, bii, known, force_g, newton, interval,
 
 def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
          y_n: np.ndarray, newton: NewtonConfig | None = None,
-         interval: int = 0, lu_cache: dict | None = None):
-    """One IMEX step from (t_n, y_n); returns (y_next, StageRecord)."""
+         interval: int = 0, lu_cache: dict | None = None, force=None):
+    """One IMEX step from (t_n, y_n); returns (y_next, StageRecord).
+
+    A forced problem's step takes ``force``, the (force_f, force_g) pair
+    of (n_stages, m) forcing rows at the stage times t_n + k_n d, read
+    beforehand; an unforced one takes none."""
+    if (force is None) != (problem.pickups is None):
+        raise ValueError("a step takes its stages' forcing exactly when the "
+                         "problem is forced")
     newton = newton or NewtonConfig()
     a_ex, w_ex = pair.explicit.coeffs, pair.explicit.weights
     b_im, w_im = pair.implicit.coeffs, pair.implicit.weights
@@ -161,18 +168,17 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
             known += k_n * (b_im[i, :i] @ g_vals[:i])
         bii = b_im[i, i]
         t_i = times[i]
-        # the forcing does not depend on the state: one evaluation per stage
-        force = None if problem.pickups is None else problem.forcing(t_i)
+        force_i = None if force is None else (force[0][i], force[1][i])
         if bii == 0.0:
             x = known
         else:
             x, iters[i] = _newton_stage(problem, t_i, k_n, bii, known,
-                                        0.0 if force is None else force[1],
+                                        0.0 if force_i is None else force_i[1],
                                         newton, interval, i, lu_cache)
         if not np.all(np.isfinite(x)):
             raise SolverError("non-finite state", interval, i, f", t={t_i:.6g}")
         values[i] = x
-        f_vals[i], g_vals[i] = problem.halves(x, t_i, force)
+        f_vals[i], g_vals[i] = problem.halves(x, t_i, force_i)
 
     y_next = y_n + k_n * (w_ex @ f_vals + w_im @ g_vals)
     if not np.all(np.isfinite(y_next)):
@@ -185,21 +191,33 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
 
 def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
                   newton: NewtonConfig | None = None) -> ForwardSolution:
-    """March the IMEX pair over the whole grid."""
+    """March the IMEX pair over the whole grid.
+
+    A forced problem's forcing is read once, at every stage time of the
+    grid: the forcing does not depend on the state, and the grid and the
+    tableau fix its times before the first step."""
     issues = validate(pair)
     if issues:
         raise ValueError("invalid tableau pair: " + "; ".join(issues))
     newton = newton or NewtonConfig()
-    nodes = grid.nodes
-    nodal = np.empty((grid.n_intervals + 1, problem.dim))
+    nodes, steps = grid.nodes, grid.steps
+    n_int, m = grid.n_intervals, problem.dim
+    nodal = np.empty((n_int + 1, m))
     nodal[0] = problem.y0
     stages: list[StageRecord] = []
     lu_cache: dict | None = {} if problem.linear else None
+    forces = [None] * n_int
+    if problem.pickups is not None:
+        # step's times, t_n + k_n d, in the same float arithmetic
+        times = nodes[:-1, None] + steps[:, None] * pair.implicit.abscissae
+        forces = list(zip(*(half.reshape(n_int, pair.n_stages, m)
+                            for half in problem.forcing(times.ravel()))))
     # an overflow is reported by step's own non-finite checks, not warned about
     with np.errstate(all="ignore"):
-        for n in range(grid.n_intervals):
-            y_next, record = step(problem, pair, nodes[n], nodes[n + 1] - nodes[n],
-                                  nodal[n], newton, interval=n, lu_cache=lu_cache)
+        for n in range(n_int):
+            y_next, record = step(problem, pair, nodes[n], steps[n], nodal[n],
+                                  newton, interval=n, lu_cache=lu_cache,
+                                  force=forces[n])
             nodal[n + 1] = y_next
             stages.append(record)
     return ForwardSolution(grid=grid, nodal=nodal, stages=stages)

@@ -15,6 +15,8 @@ from imexest.estimate import (
 from imexest.problems import (
     QoiSpec,
     burgers,
+    mhd_alfven,
+    qoi_integral_v,
     qoi_mean_left_half,
     split_linear_system,
     split_scalar_linear,
@@ -230,3 +232,31 @@ def test_adjoint_must_refine_forward_grid():
     _, _, recon5, adj5 = pipeline(prob, qoi, n=5)
     with pytest.raises(ValueError, match="refinement"):
         error_breakdown(prob, pair, fwd, recon, adj5)
+
+
+@pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
+def test_breakdown_reads_the_boundary_data_once_at_its_gauss_times(kind):
+    prob = mhd_alfven(h=0.05)
+    psi = qoi_integral_v(prob.metadata["interior_per_field"], prob.metadata["h"]).psi
+    qoi = (QoiSpec(kind=kind, psi=psi) if kind == "final-time"
+           else QoiSpec(kind=kind, psi_tilde=lambda t: psi))
+    refine = 2
+    pair, fwd, recon, adj = pipeline(prob, qoi, scheme="ssp332", t_end=0.01,
+                                     n=10, refine=refine)
+    calls = []
+    data = prob.boundary_data
+
+    def counted(t):
+        calls.append(np.array(t, copy=True))
+        return data(t)
+
+    prob.boundary_data = counted
+    breakdown = error_breakdown if kind == "final-time" else error_breakdown_timedep
+    bd = breakdown(prob, pair, fwd, recon, adj)
+    assert np.isfinite(bd.estimate_total)
+    # every Gauss point of every adjoint subinterval, interval by interval
+    taus = recon.gauss_table(refine)[0]
+    grid = recon.grid
+    (times,) = calls
+    assert np.array_equal(times, np.concatenate(
+        [t_n + k_n * taus for t_n, k_n in zip(grid.nodes, grid.steps)]))

@@ -633,6 +633,32 @@ def test_alfven_analytic_matches_the_numpy_closed_form(physics):
             assert np.all(np.abs(new - old) <= ALFVEN_ULPS * mag)
 
 
+@pytest.mark.parametrize("v_mode", MHD_V_MODES)
+@pytest.mark.parametrize("physics", ALFVEN_PHYSICS, ids=ALFVEN_PHYSICS_IDS)
+def test_boundary_data_over_a_vector_equals_the_per_time_calls(physics, v_mode):
+    prob = mhd_alfven(h=0.1, v_mode=v_mode, **physics)
+    # the rest state (t <= 0 and NaN), and 5e-324, where d*t underflows
+    # for the mixed and negative-B0 physics (the start-limit branch)
+    ts = np.concatenate([alfven_times(np.random.default_rng(5)), [5e-324, -1.0]])
+    calls = []
+    data = prob.boundary_data
+
+    def counted(t):
+        calls.append(t)
+        return data(t)
+
+    prob.boundary_data = counted
+    got = prob.boundary_data(ts)
+    assert got.shape == (ts.size, 4)
+    assert np.array_equal(got, np.stack([data(t) for t in ts]))
+    assert data(ts[:0]).shape == (0, 4)
+    # a vector's forcing is one read, applied by forcing_from
+    calls.clear()
+    for half, want in zip(prob.forcing(ts), prob.forcing_from(got)):
+        assert np.array_equal(half, want)
+    assert len(calls) == 1
+
+
 def test_alfven_fields_take_the_start_limit_where_d_t_underflows():
     # eta/mu0 * 5e-324 rounds to zero: the numpy form divided by zero into
     # erf(+-inf), which gives the t -> 0+ limit; a float division would raise

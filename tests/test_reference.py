@@ -17,6 +17,8 @@ from imexest.problems import (
 )
 from imexest.reference import (
     MODES,
+    RADAU_C,
+    RADAU_START_STEPS,
     RTOL_FLOOR,
     RadauIIA,
     ReferenceConfig,
@@ -272,24 +274,34 @@ def test_numeric_reference_matches_an_rhs_oracle(kind):
     assert true_qoi(prob, MHD_GRID, qoi, NUMERIC) == pytest.approx(want, rel=1e-12)
 
 
-def test_step_cap_bounds_attempted_steps():
-    # the forced linear problem takes the Radau IIA route, which reads the
-    # boundary data 3 times per step and checks the cap as each step
-    # starts: cap 3 allows 9 reads instead of the whole solve (38 bounds
-    # the 2 + 12 * 3 evaluations DOP853 would make in 3 attempts)
+def test_step_cap_bounds_attempted_steps(monkeypatch):
+    # the forced linear problem takes the Radau IIA route, which checks the
+    # cap as each step starts and reads the boundary data for a block of
+    # steps as its first step starts: cap 3 starts no fourth step and reads
+    # one block of times, not the whole solve
     prob = mhd_alfven(h=0.05)
-    calls = []
+    reads = []
     data = prob.boundary_data
 
     def counted(t):
-        calls.append(t)
+        reads.append(np.size(t))
         return data(t)
 
     prob.boundary_data = counted
+    taken = []
+    step_impl = RadauIIA._step_impl
+
+    def counted_step(solver):
+        out = step_impl(solver)
+        taken.append(solver.taken)
+        return out
+
+    monkeypatch.setattr(RadauIIA, "_step_impl", counted_step)
     cfg = ReferenceConfig(mode="high-order-numeric", step_cap=3)
     with pytest.raises(ReferenceError, match="cap 3"):
         true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], cfg)
-    assert 0 < len(calls) <= 38
+    assert taken == [1, 2, 3]
+    assert reads == [3 * RADAU_START_STEPS]
 
 
 def test_step_cap_equal_to_the_step_count_passes():
@@ -466,6 +478,7 @@ def test_radau_solver_converges_at_order_five():
     for n in (4, 8):
         sol = solve_ivp(lambda t, y: jac @ y + t, (0.0, 1.0), [1.0],
                         method=RadauIIA, jac=jac, n_steps=n,
+                        forcing=lambda times: times[:, None],
                         start_step=lambda: None)
         assert sol.t.size == n + 1 and sol.t[-1] == 1.0
         assert sol.nfev == 3 * n
@@ -477,8 +490,44 @@ def test_radau_solver_frees_its_factors_with_the_last_step():
     # solve_ivp's solver outlives the solve in a reference cycle; its LU
     # must not, or the doubling levels keep their factors alive together
     solver = RadauIIA(lambda t, y: -y, 0.0, [1.0], 1.0, False,
-                      jac=np.array([[-1.0]]), n_steps=2, start_step=lambda: None)
+                      jac=np.array([[-1.0]]), n_steps=2, start_step=lambda: None,
+                      forcing=lambda times: np.zeros((times.size, 1)))
     solver.step()
     assert solver.lu is not None and solver.status == "running"
     solver.step()
-    assert solver.lu is None and solver.status == "finished"
+    assert solver.lu is None and solver.block is None
+    assert solver.status == "finished"
+
+
+@pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
+def test_radau_reads_the_forcing_per_block_of_steps(monkeypatch, kind):
+    # 250 steps are three blocks: two of RADAU_START_STEPS steps and one of
+    # 50, each read in one call, and the rows are the stage forcing
+    # fun(t, 0)[:m] that one step at a time would read, to the bit
+    prob = mhd_alfven(h=0.05)
+    qoi = {q.kind: q for q in mhd_qois(prob)}[kind]
+    reads, sols = [], []
+
+    def recorded(*args, forcing, **kwargs):
+        def read(times):
+            rows = forcing(times)
+            reads.append((times.copy(), rows))
+            return rows
+
+        sols.append(solve_ivp(*args, forcing=read, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(reference, "solve_ivp", recorded)
+    true_qoi(prob, MHD_GRID, qoi, replace(NUMERIC, max_step=MHD_GRID.t_end / 249.5))
+    sol, n = sols[0], 250
+    assert sol.t.size - 1 == n
+    assert sol.nfev == (3 if kind == "final-time" else 6) * n
+    block = reads[:3]
+    assert [times.size for times, _ in block] == [3 * RADAU_START_STEPS] * 2 + [150]
+    k = MHD_GRID.t_end / n
+    want = np.concatenate([t + RADAU_C * k for t in sol.t[:-1]])
+    got = np.concatenate([times for times, _ in block])
+    assert np.array_equal(got, want)
+    rhs, zero = ivp_rhs(prob), np.zeros(prob.dim)
+    assert np.array_equal(np.concatenate([rows for _, rows in block]),
+                          np.stack([rhs(t, zero) for t in want]))

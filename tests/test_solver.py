@@ -171,23 +171,39 @@ def test_newton_config_rejects_no_iterations():
         NewtonConfig(max_iters=0)
 
 
-def test_newton_evaluates_the_forcing_once_per_stage():
+def test_forward_solve_reads_the_forcing_once():
     calls = []
 
     def boundary_data(t):
-        calls.append(t)
-        return [np.sin(t)]
+        calls.append(np.array(t, copy=True))
+        return np.sin(t)[..., None]
 
     # the forcing (0, sin t): a zero f pickup and a unit g pickup
     prob = cubic("forced-cubic", pickups=(np.zeros((1, 1)), np.eye(1)),
                  boundary_data=boundary_data)
     pair = builtin("ssp343")
-    _, rec = step(prob, pair, 0.0, 0.5, prob.y0)
-    implicit = np.count_nonzero(np.diag(pair.implicit.coeffs))
-    assert rec.newton_iters.max() >= 2
-    assert implicit > 0
-    # one call per stage, shared by its Newton solve and its halves
-    assert len(calls) == pair.n_stages
+    grid = TimeGrid(np.array([0.0, 0.5, 0.8, 1.5]))
+    fwd = solve_forward(prob, pair, grid)
+    assert np.count_nonzero(np.diag(pair.implicit.coeffs)) > 0
+    assert max(rec.newton_iters.max() for rec in fwd.stages) >= 2
+    # one read for every Newton iteration and both halves of every stage,
+    # at exactly the stage times each step records
+    (times,) = calls
+    assert np.array_equal(times, np.concatenate([rec.times for rec in fwd.stages]))
+    for rec in fwd.stages:
+        assert np.array_equal(rec.g_vals, -(rec.values**3) + np.sin(rec.times)[:, None])
+
+
+def test_a_step_takes_the_forcing_exactly_when_the_problem_is_forced():
+    forced = cubic("forced-cubic", pickups=(np.zeros((1, 1)), np.eye(1)),
+                   boundary_data=lambda t: np.sin(t)[..., None])
+    pair = builtin("mid122")
+    force = forced.forcing(0.2 * pair.implicit.abscissae)
+    y1, _ = step(forced, pair, 0.0, 0.2, forced.y0, force=force)
+    assert np.isfinite(y1).all()
+    for prob, given in ((forced, None), (cubic("cubic-implicit"), force)):
+        with pytest.raises(ValueError, match="forcing exactly when"):
+            step(prob, pair, 0.0, 0.2, prob.y0, force=given)
 
 
 def test_blowup_completes_until_overflow():
