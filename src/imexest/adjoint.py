@@ -94,7 +94,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     jacs = [jac for op, jac in halves if op is None]
     summed = sum(ops[1:], ops[0]) if ops else None
     form = BlockForm(m, r, summed if problem.linear else problem.jac_pattern)
-    op_values = form.values([summed])[0] if ops else 0.0
+    op_values = form.values(summed) if ops else 0.0
     if not problem.linear:
         # H^T's values at the reconstruction's Gauss points, from one call
         # per nonlinear half; one row per refined interval
@@ -125,16 +125,17 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
                           singular=AdjointSolveError(n, "singular local system")),
                 form.dense(blocks[:, r]))
 
-    def source(n):
-        """(r, m) load of a time-integrated QoI's density on interval n."""
-        k_n = steps[n]
-        src = np.stack([qoi.psi_tilde(grid.nodes[n] + k_n * tau) for tau in gp])
-        return k_n * (tests @ (gw[:, None] * src))
-
     if qoi.kind == "final-time":
         phi_right = qoi.psi.astype(float).copy()
+        load = None
     else:
         phi_right = np.zeros(m)
+        # the density's (r, m) load on every interval, from one read of
+        # psi_tilde at each refined Gauss time
+        times = grid.nodes[:-1, None] + steps[:, None] * gp
+        dens = np.stack([qoi.psi_tilde(t) for t in times.ravel()])
+        load = steps[:, None, None] * (
+            tests @ (gw[:, None] * dens.reshape(n_int, gp.size, m)))
 
     coeffs = np.empty((n_int, r + 1, m))
     uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
@@ -143,9 +144,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         # node values of an interval: prop[j] @ (its right end value) + loads[n, j]
         prop = solve(-known.reshape(r * m, m)).reshape(r, m, m)
         loads = np.zeros((n_int, r, m))
-        if qoi.kind == "time-integrated":
-            rhs = np.stack([source(n) for n in range(n_int)]).reshape(n_int, r * m)
-            loads = solve(rhs.T).T.reshape(n_int, r, m)
+        if load is not None:
+            loads = solve(load.reshape(n_int, r * m).T).T.reshape(n_int, r, m)
         # a non-finite value is reported by the check below, not warned about
         with np.errstate(all="ignore"):
             for n in range(n_int - 1, -1, -1):
@@ -163,8 +163,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         for n in range(n_int - 1, -1, -1):
             solve, known = local_system(n)
             rhs = -(known @ phi_right)
-            if qoi.kind == "time-integrated":
-                rhs += source(n)
+            if load is not None:
+                rhs += load[n]
             sol = solve(rhs.reshape(r * m))
             if not np.all(np.isfinite(sol)):
                 raise AdjointSolveError(n, "non-finite adjoint values")

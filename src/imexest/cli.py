@@ -8,7 +8,8 @@ high-accuracy reference, the three components, and optional per-block
 component columns.  Reports are CSV with scientific notation at 6
 significant digits, each row preceded by a comment echoing the fully
 resolved config (defaults included) so runs are reproducible
-byte-for-byte.
+byte-for-byte.  ``run``, ``reproduce_table`` and ``convergence_study``
+each hold every OpenBLAS pool at one thread (``numerics.one_blas_thread``).
 """
 
 from __future__ import annotations
@@ -399,6 +400,7 @@ def _load_config(path: str) -> dict:
         return json.load(fh)
 
 
+@one_blas_thread()
 def run(config: dict):
     """Execute one configured experiment and produce its report row.
 
@@ -576,6 +578,7 @@ def table_config(table_id: int, scheme: str) -> dict:
     return {"scheme": scheme, **copy.deepcopy(TABLE_CONFIGS[table_id])}
 
 
+@one_blas_thread()
 def reproduce_table(table_id: int, out_csv: Optional[str] = None) -> list:
     """All three scheme rows of a published table, run in the published
     order; the rows after the first reuse its reference.  An unknown id or
@@ -596,6 +599,7 @@ def _check_levels(levels: int) -> None:
         raise ValueError(f"need at least 3 levels for observed orders, got {levels}")
 
 
+@one_blas_thread()
 def convergence_study(problem: SplitOdeProblem, scheme, base_k: float,
                       levels: int, t_end: float,
                       newton: Optional[NewtonConfig] = None,
@@ -693,8 +697,7 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        with one_blas_thread():
-            return args.fn(args)
+        return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

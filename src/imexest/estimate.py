@@ -12,9 +12,9 @@ every adjoint subinterval, so they stay exact when the adjoint grid is a
 refinement of the forward grid: the reconstruction and its derivative
 come from its Gauss table, phi from ``PiecewisePolynomial.at`` at the
 same points and at the stage abscissae.
-The quadrature sums reuse the recorded stage values, so e2/e3 vanish to
-roundoff exactly when the stage quadrature integrates the weighted term
-exactly.
+The quadrature sums reuse the recorded stage f and g values, so e2/e3
+vanish to roundoff exactly when the stage quadrature integrates the
+weighted term exactly.
 """
 
 from __future__ import annotations

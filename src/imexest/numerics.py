@@ -124,7 +124,7 @@ class BlockForm:
 
     A sparse ``like`` is nonzero wherever the matrices may be: each block
     is read as its values at like's transposed entries and the diagonal.
-    ``values`` gathers them from matrices and ``scatter`` places values
+    ``values`` gathers them from a matrix and ``scatter`` places values
     stated at like's own entries.  The system is one CSC whose indices
     are built here, once; each ``system`` call refills its data, which
     SuperLU copies into its factors.  Any other ``like`` keeps the dense
@@ -159,11 +159,11 @@ class BlockForm:
              np.searchsorted(sys_cols[self.order], np.arange(n + 1)).astype(np.int32)),
             shape=(n, n))
 
-    def values(self, mats) -> np.ndarray:
-        """The transposes of the m x m matrices mats, stacked, in this form."""
+    def values(self, mat) -> np.ndarray:
+        """The transpose of the m x m matrix mat, in this form."""
         if self.order is None:
-            return np.stack([as_dense(mat).T for mat in mats])
-        return np.stack([mat[self.cols, self.rows] for mat in mats])
+            return as_dense(mat).T.copy()
+        return mat[self.cols, self.rows]
 
     def scatter(self, vals) -> np.ndarray:
         """Values (..., nnz) at a sparse like's entries, in CSR order, in
@@ -256,6 +256,8 @@ def openblas_pools() -> tuple:
 def one_blas_thread():
     """Run the block with every OpenBLAS pool at one thread, restoring each
     pool's thread count on exit, also when an exception leaves the block.
+    A pool already at one thread, as inside another such block, is left
+    alone.
 
     The pipeline makes long runs of dense LAPACK calls with Python in
     between, on the shipped tables of order at most 120.  At that size a
@@ -263,12 +265,13 @@ def one_blas_thread():
     busy-waits on the other cores, about as much CPU time again as the
     work itself.
     """
-    pools = openblas_pools()
-    saved = [get() for get, _ in pools]
-    for _, put in pools:
-        put(1)
+    saved = []
+    for get, put in openblas_pools():
+        if (count := get()) != 1:
+            saved.append((put, count))
+            put(1)
     try:
         yield
     finally:
-        for (_, put), count in zip(pools, saved):
+        for put, count in saved:
             put(count)

@@ -98,24 +98,18 @@ def build_cg(pair: ImexPair, forward: ForwardSolution) -> PiecewisePolynomial:
     if q not in (1, 2):
         raise ValueError(f"reconstruction degree must be 1 or 2, got {q} "
                          f"(scheme order {pair.order})")
-    grid = forward.grid
-    n_int = grid.n_intervals
-    m = forward.nodal.shape[1]
     # tests: orthonormal shifted Legendre through degree q-1
     test_d = legendre_shifted(q - 1, pair.implicit.abscissae)  # (q, nu)
     emat = galerkin_deriv_matrix(q)                   # (q, q+1)
-
-    w_ex = pair.explicit.weights
-    w_im = pair.implicit.weights
-
-    coeffs = np.empty((n_int, q + 1, m))
-    lhs = emat[:, 1:]
-    steps = grid.steps
-    for n in range(n_int):
-        rec = forward.stages[n]
-        k_n = steps[n]
-        combo = w_ex[:, None] * rec.f_vals + w_im[:, None] * rec.g_vals
-        rhs = k_n * (test_d @ combo) - np.outer(emat[:, 0], forward.nodal[n])
-        coeffs[n, 0] = forward.nodal[n]
-        coeffs[n, 1:] = np.linalg.solve(lhs, rhs)
-    return PiecewisePolynomial(grid=grid, degree=q, coeffs=coeffs)
+    f_vals = np.stack([rec.f_vals for rec in forward.stages])  # (N, nu, m)
+    g_vals = np.stack([rec.g_vals for rec in forward.stages])
+    combo = (pair.explicit.weights[:, None] * f_vals
+             + pair.implicit.weights[:, None] * g_vals)
+    left = forward.nodal[:-1]
+    rhs = (forward.grid.steps[:, None, None] * (test_d @ combo)
+           - emat[:, 0, None] * left[:, None])
+    coeffs = np.empty((left.shape[0], q + 1, left.shape[1]))
+    coeffs[:, 0] = left
+    # one constant (q x q) matrix, solved against every interval's rhs
+    coeffs[:, 1:] = np.linalg.solve(emat[:, 1:], rhs)
+    return PiecewisePolynomial(grid=forward.grid, degree=q, coeffs=coeffs)

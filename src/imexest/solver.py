@@ -61,10 +61,11 @@ class TimeGrid:
         return float(self.nodes[-1])
 
     @classmethod
-    def uniform(cls, t_end: float, n_intervals: int, t_start: float = 0.0) -> "TimeGrid":
+    def uniform(cls, t_end: float, n_intervals: int) -> "TimeGrid":
+        """n_intervals equal intervals of [0, t_end]."""
         if n_intervals < 1:
             raise ValueError("need at least one interval")
-        return cls(np.linspace(t_start, t_end, n_intervals + 1))
+        return cls(np.linspace(0.0, t_end, n_intervals + 1))
 
 
 @dataclass
@@ -84,10 +85,10 @@ class NewtonConfig:
 
 @dataclass
 class StageRecord:
-    """Per-interval stage data: values, their times, and cached f/g values."""
+    """Per-interval stage data that later layers read: the f and g values
+    at the stages, which the reconstruction and the estimate weigh, and
+    the Newton iterations each stage took."""
 
-    values: np.ndarray       # (n_stages, m)
-    times: np.ndarray        # (n_stages,) implicit-abscissae times
     f_vals: np.ndarray       # (n_stages, m)
     g_vals: np.ndarray       # (n_stages, m)
     newton_iters: np.ndarray  # (n_stages,) ints, 0 for explicit stages
@@ -155,7 +156,6 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
     nu = pair.n_stages
     m = y_n.size
 
-    values = np.empty((nu, m))
     times = t_n + k_n * d
     f_vals = np.empty((nu, m))
     g_vals = np.empty((nu, m))
@@ -177,16 +177,13 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
                                         newton, interval, i, lu_cache)
         if not np.all(np.isfinite(x)):
             raise SolverError("non-finite state", interval, i, f", t={t_i:.6g}")
-        values[i] = x
         f_vals[i], g_vals[i] = problem.halves(x, t_i, force_i)
 
     y_next = y_n + k_n * (w_ex @ f_vals + w_im @ g_vals)
     if not np.all(np.isfinite(y_next)):
         raise SolverError("non-finite state", interval, nu - 1,
                           f", t={t_n + k_n:.6g}")
-    record = StageRecord(values=values, times=times, f_vals=f_vals,
-                         g_vals=g_vals, newton_iters=iters)
-    return y_next, record
+    return y_next, StageRecord(f_vals=f_vals, g_vals=g_vals, newton_iters=iters)
 
 
 def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,

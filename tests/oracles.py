@@ -1,9 +1,10 @@
 """Independent reference implementations the tests check the package
 against: a monomial L2 projection (the estimator projects with Legendre
 modes), finite-difference and dense Jacobians (the package states them
-at a pattern, for a stack of states), a problem's dense form and a
+at a pattern, for a stack of states), a problem's dense form, a
 point-by-point reader of piecewise polynomials (the package reads them
-at local points of every interval at once)."""
+at local points of every interval at once) and the stage times and
+states of a forward solve (the package records only f and g there)."""
 
 import dataclasses
 
@@ -120,3 +121,19 @@ def evaluate(poly, t: float) -> np.ndarray:
     n = min(max(n, 0), poly.grid.n_intervals - 1)
     tau = (t - nodes[n]) / (nodes[n + 1] - nodes[n])
     return (poly.basis.eval_matrix([tau]) @ poly.coeffs[n])[0]
+
+
+def stage_times(grid, pair) -> np.ndarray:
+    """The (N, n_stages) stage times t_n + k_n d of a grid, in the float
+    arithmetic the stepper uses."""
+    return grid.nodes[:-1, None] + grid.steps[:, None] * pair.implicit.abscissae
+
+
+def stage_states(pair, y_n, k_n, record) -> np.ndarray:
+    """One step's (n_stages, m) stage states, from its recorded f and g
+    values and the tableaus: X_i = y_n + k_n (sum_{j<i} A_ij f_j +
+    sum_{j<=i} B_ij g_j).  An implicit stage's state is the stepper's to
+    within its Newton residual."""
+    a = np.tril(pair.explicit.coeffs, -1)
+    b = np.tril(pair.implicit.coeffs)
+    return y_n + k_n * (a @ record.f_vals + b @ record.g_vals)

@@ -35,7 +35,7 @@ from oracles import (burgers_jacobian, dense_form, dense_jacobian, evaluate,
 
 def reconstruct_case(problem, name="mid122", t_end=1.0, n=40, t_start=0.0):
     pair = builtin(name)
-    grid = TimeGrid.uniform(t_end, n, t_start)
+    grid = TimeGrid(np.linspace(t_start, t_end, n + 1))
     fwd = solve_forward(problem, pair, grid)
     return build_cg(pair, fwd)
 
@@ -161,6 +161,32 @@ def test_time_integrated_constant_density_closed_form():
     for t in (0.0, 0.25, 0.6, 1.0):
         want = (np.exp(lam * (1.0 - t)) - 1.0) / lam
         assert evaluate(adj.poly, t)[0] == pytest.approx(want, abs=1e-6)
+
+
+@pytest.mark.parametrize("build, factorisations", [
+    (lambda: split_linear_system([[0.0, 1.0], [-1.0, 0.0]], -np.eye(2), [1.0, 0.0]),
+     lambda n_int: 1),
+    (lambda: burgers(0.05, 0.1), lambda n_int: n_int)],
+    ids=["propagator", "per-interval"])
+def test_time_integrated_load_reads_psi_tilde_once_per_gauss_time(
+        build, factorisations, monkeypatch):
+    # both sweeps take one load, read at every refined Gauss time once
+    prob = build()
+    seen, times = [], []
+    monkeypatch.setattr(adjoint, "lu_factor", recording(adjoint.lu_factor, seen))
+    density = np.linspace(1.0, -1.0, prob.dim)
+
+    def psi_tilde(t):
+        times.append(t)
+        return density * np.cos(3.0 * t) + t
+
+    recon = reconstruct_case(prob, "ssp332", t_end=0.5, n=5)
+    adj = solve_adjoint(prob, recon, QoiSpec(kind="time-integrated", psi_tilde=psi_tilde))
+    grid = adj.poly.grid
+    assert len(seen) == factorisations(grid.n_intervals) > 0
+    want = grid.nodes[:-1, None] + grid.steps[:, None] * GAUSS_NODES
+    assert len(times) == grid.n_intervals * GAUSS_NODES.size
+    assert np.array_equal(times, want.ravel())
 
 
 def test_adjoint_galerkin_residual_per_interval():

@@ -26,7 +26,7 @@ from imexest.cli import (
 from imexest.problems import mhd_alfven, split_scalar_bernoulli, split_scalar_linear
 from imexest.adjoint import DEFAULT_REFINE
 from imexest.reference import ReferenceConfig, ReferenceError, ivp_rhs
-from imexest.solver import NewtonConfig, TimeGrid, solve_forward
+from imexest.solver import NewtonConfig, SolverError, TimeGrid, solve_forward
 from imexest.tableaus import builtin
 
 
@@ -638,19 +638,53 @@ def blas_counts(monkeypatch):
     return counts
 
 
-def test_main_runs_the_verb_on_one_blas_thread(monkeypatch, blas_counts):
+def counting_pools(fn, seen):
+    """fn, appending every pool's thread count to seen on each call."""
+    def wrapper(*args, **kwargs):
+        seen.append([get() for get, _ in numerics.openblas_pools()])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+@pytest.mark.parametrize("call, forward_solves", [
+    (lambda: run(base_config()), 1),
+    (lambda: reproduce_table(4), 3),
+    (lambda: convergence_study(split_scalar_linear(-0.4, -0.6, 1.0), "mid122",
+                               0.25, 3, 1.0), 3)],
+    ids=["run", "reproduce_table", "convergence_study"])
+def test_library_calls_run_on_one_blas_thread(call, forward_solves, monkeypatch,
+                                              blas_counts):
+    # each entry point sets every pool to one thread itself; a table's rows
+    # run inside its limit and leave the pools alone
     seen = []
-
-    def verb(args):
-        seen.extend(get() for get, _ in numerics.openblas_pools())
-        return 0
-
-    monkeypatch.setattr(cli, "_cmd_run", verb)
+    monkeypatch.setattr(cli, "solve_forward", counting_pools(cli.solve_forward, seen))
     before = [get() for get, _ in numerics.openblas_pools()]
-    assert main(["run", "--config", "unread.json"]) == 0
-    assert seen == [1] * len(before)
+    call()
+    assert len(seen) == forward_solves
+    assert all(counts == [1] * len(before) for counts in seen)
     assert [get() for get, _ in numerics.openblas_pools()] == before
     assert blas_counts == [3, 1, 3]
+
+
+def test_library_calls_restore_the_blas_threads_after_an_error(monkeypatch,
+                                                               blas_counts):
+    with pytest.raises(CliError, match=r"^\[config\]"):
+        run(base_config(grid={"t_end": 1.0, "k": 0.3}))
+    assert blas_counts == [3, 1, 3]
+    # the second row of a table fails in its forward solve
+    calls = []
+
+    def forward(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SolverError("Newton did not converge", 0, 1)
+        return solve_forward(*args)
+
+    monkeypatch.setattr(cli, "solve_forward", forward)
+    with pytest.raises(CliError, match=r"^\[forward\]"):
+        reproduce_table(4)
+    assert len(calls) == 2
+    assert blas_counts == [3, 1, 3, 1, 3]
 
 
 def test_main_restores_the_blas_threads_after_a_failing_config(tmp_path, capsys,

@@ -239,7 +239,8 @@ def test_block_form_scatters_values_stated_at_its_pattern():
     stated = mats[:, rows, pattern.indices]
     np.testing.assert_array_equal(form.dense(form.scatter(stated)),
                                   mats.transpose(0, 2, 1))
-    np.testing.assert_array_equal(form.scatter(stated), form.values(mats))
+    np.testing.assert_array_equal(form.scatter(stated),
+                                  np.stack([form.values(mat) for mat in mats]))
     with pytest.raises(ValueError, match="^5 values for a pattern of 4 entries$"):
         form.scatter(np.ones((3, 5)))
 
@@ -255,7 +256,7 @@ def test_block_form_of_an_operator_is_its_kronecker_system(route):
     c, dmat = rng.standard_normal((r, r + 1)), rng.standard_normal((r, r + 1))
     op = ROUTES[route](mat)
     form = BlockForm(m, r, op)
-    blocks = np.multiply.outer(c, form.values([op])[0])
+    blocks = np.multiply.outer(c, form.values(op))
     blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
     if route == "dense":
         want = np.kron(c, mat.T) - np.kron(dmat, np.eye(m))
@@ -322,6 +323,17 @@ def test_one_blas_thread_restores_the_counts_after_an_exception(monkeypatch):
             assert thread_counts(real + (pool,)) == [1] * (len(real) + 1)
             raise RuntimeError("inside")
     assert thread_counts(real) == before
+    assert counts == [3, 1, 3]
+
+
+def test_a_nested_one_blas_thread_leaves_the_pools_to_the_outer_block(monkeypatch):
+    real = openblas_pools()
+    pool, counts = fake_pool(3)
+    monkeypatch.setattr(numerics, "openblas_pools", lambda: real + (pool,))
+    with one_blas_thread():
+        with one_blas_thread():
+            assert thread_counts(real + (pool,)) == [1] * (len(real) + 1)
+        assert thread_counts(real + (pool,)) == [1] * (len(real) + 1)
     assert counts == [3, 1, 3]
 
 

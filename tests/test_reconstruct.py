@@ -15,26 +15,26 @@ from imexest.problems import (
 from imexest.reconstruct import PiecewisePolynomial, build_cg
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
-from oracles import evaluate
+from oracles import evaluate, stage_times
 
 
 def quad_f(forward, pair, n, weight_fn=None):
     """k_n * sum_i w_i f(stage_i) weight_fn(t_i): the explicit-half quadrature."""
-    return _stage_quadrature(forward, pair.explicit.weights,
+    return _stage_quadrature(forward, pair, pair.explicit.weights,
                              forward.stages[n].f_vals, n, weight_fn)
 
 
 def quad_g(forward, pair, n, weight_fn=None):
     """k_n * sum_i wtilde_i g(stage_i) weight_fn(t_i): the implicit-half quadrature."""
-    return _stage_quadrature(forward, pair.implicit.weights,
+    return _stage_quadrature(forward, pair, pair.implicit.weights,
                              forward.stages[n].g_vals, n, weight_fn)
 
 
-def _stage_quadrature(forward, w, vals, n, weight_fn):
+def _stage_quadrature(forward, pair, w, vals, n, weight_fn):
     k_n = forward.grid.steps[n]
     if weight_fn is None:
         return k_n * (w @ vals)
-    wt = np.array([weight_fn(t) for t in forward.stages[n].times])
+    wt = np.array([weight_fn(t) for t in stage_times(forward.grid, pair)[n]])
     return k_n * ((w * wt) @ vals)
 
 

@@ -22,7 +22,7 @@ from imexest.solver import (
     step,
 )
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate
-from oracles import check_jacobians, dense_form
+from oracles import check_jacobians, dense_form, stage_states, stage_times
 
 
 def zero_problem(m=3):
@@ -73,7 +73,10 @@ def test_midpoint_scalar_amplification_factor():
     expected = (1.0 + 0.5 * k * lam) / (1.0 - 0.5 * k * lam)
     assert y1[0] == pytest.approx(expected, abs=1e-14)
     assert rec.newton_iters[0] == 0
-    np.testing.assert_allclose(rec.times, [0.0, 0.5 * k])
+    # the implicit stage is the midpoint value, and g is read there
+    states = stage_states(pair, prob.y0, k, rec)
+    np.testing.assert_allclose(states[:, 0], [1.0, 0.5 * (1.0 + y1[0])], atol=1e-14)
+    np.testing.assert_allclose(rec.g_vals, lam * states, atol=1e-14)
 
 
 def test_power_of_single_step_factor():
@@ -108,7 +111,9 @@ def test_zero_field_keeps_state():
     pair = builtin("ssp343")
     y1, rec = step(prob, pair, 0.0, 0.3, prob.y0)
     np.testing.assert_allclose(y1, prob.y0)
-    np.testing.assert_allclose(rec.values, np.tile(prob.y0, (pair.n_stages, 1)))
+    assert not rec.f_vals.any() and not rec.g_vals.any()
+    np.testing.assert_array_equal(stage_states(pair, prob.y0, 0.3, rec),
+                                  np.tile(prob.y0, (pair.n_stages, 1)))
 
 
 def test_explicit_stages_skip_newton():
@@ -150,10 +155,14 @@ def test_nonlinear_g_jacobian_matches_finite_differences():
 
 def test_newton_handles_nonlinear_g():
     prob = cubic("cubic-implicit")
-    y1, rec = step(prob, builtin("mid122"), 0.0, 0.2, prob.y0)
-    # stage solves x = y0 - k/2 x^3; check the residual directly
-    x = rec.values[1, 0]
-    assert x - 1.0 + 0.1 * x**3 == pytest.approx(0.0, abs=1e-12)
+    pair = builtin("mid122")
+    y1, rec = step(prob, pair, 0.0, 0.2, prob.y0)
+    # stage solves x = y0 - k/2 x^3: g is read at the stage state, and the
+    # stage equation holds there to Newton's tolerance
+    x = stage_states(pair, prob.y0, 0.2, rec)[1, 0]
+    tol = 2e-12  # NewtonConfig's abs_tol + rel_tol |x|, with |x| < 1
+    assert rec.g_vals[1, 0] == pytest.approx(-(x**3), abs=3.0 * tol)
+    assert x - 1.0 + 0.1 * x**3 == pytest.approx(0.0, abs=2.0 * tol)
     assert rec.newton_iters[1] >= 2
 
 
@@ -162,8 +171,8 @@ def test_newton_failure_reports_interval_and_stage():
     tight = NewtonConfig(abs_tol=1e-16, rel_tol=0.0, max_iters=1)
     with pytest.raises(SolverError, match="Newton did not converge") as err:
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2), tight)
-    assert "interval" in str(err.value)
-    assert err.value.interval == 0
+    assert "on interval 0, stage 1" in str(err.value)
+    assert (err.value.interval, err.value.stage) == (0, 1)
 
 
 def test_newton_config_rejects_no_iterations():
@@ -187,11 +196,16 @@ def test_forward_solve_reads_the_forcing_once():
     assert np.count_nonzero(np.diag(pair.implicit.coeffs)) > 0
     assert max(rec.newton_iters.max() for rec in fwd.stages) >= 2
     # one read for every Newton iteration and both halves of every stage,
-    # at exactly the stage times each step records
+    # at exactly the stage times t_n + k_n d
     (times,) = calls
-    assert np.array_equal(times, np.concatenate([rec.times for rec in fwd.stages]))
-    for rec in fwd.stages:
-        assert np.array_equal(rec.g_vals, -(rec.values**3) + np.sin(rec.times)[:, None])
+    want = stage_times(grid, pair)
+    assert np.array_equal(times, want.ravel())
+    # each stage's g is read at its state and its own time's forcing, to
+    # Newton's tolerance
+    for n, rec in enumerate(fwd.stages):
+        states = stage_states(pair, fwd.nodal[n], grid.steps[n], rec)
+        np.testing.assert_allclose(rec.g_vals, -(states**3) + np.sin(want[n])[:, None],
+                                   rtol=0.0, atol=1e-11)
 
 
 def test_a_step_takes_the_forcing_exactly_when_the_problem_is_forced():
@@ -272,7 +286,7 @@ def test_pair_with_an_implicit_abscissa_beyond_the_step_runs():
     assert validate(pair) == []
     grid = TimeGrid.uniform(1.0, 20)
     fwd = solve_forward(split_scalar_linear(-0.4, -0.6, 1.0), pair, grid)
-    assert fwd.stages[0].times[1] > grid.nodes[1]
+    assert stage_times(grid, pair)[0, 1] > grid.nodes[1]
     assert abs(fwd.final_state[0] - np.exp(-1.0)) < 0.05
 
 
@@ -354,11 +368,15 @@ def test_nodal_accuracy_orders():
 
 
 def test_stage_times_follow_implicit_abscissae():
-    prob = split_scalar_linear(-1.0, -1.0, 1.0)
+    # the forcing is read at every stage's time, one interval after another
+    calls = []
+    prob = cubic("forced-cubic", pickups=(np.eye(1), np.eye(1)),
+                 boundary_data=lambda t: calls.append(t) or np.cos(t)[..., None])
     pair = builtin("ssp343")
     grid = TimeGrid.uniform(0.2, 2)
-    fwd = solve_forward(prob, pair, grid)
-    for n, rec in enumerate(fwd.stages):
+    solve_forward(prob, pair, grid)
+    (times,) = calls
+    for n, row in enumerate(times.reshape(grid.n_intervals, pair.n_stages)):
         t_n = grid.nodes[n]
         k_n = grid.steps[n]
-        np.testing.assert_allclose(rec.times, t_n + k_n * pair.implicit.abscissae)
+        np.testing.assert_allclose(row, t_n + k_n * pair.implicit.abscissae)
