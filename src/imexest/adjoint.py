@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
-                       galerkin_deriv_matrix, legendre_shifted, lu_factor)
+                       as_dense, galerkin_deriv_matrix, legendre_shifted,
+                       lu_factor)
 from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
 from .solver import TimeGrid
@@ -50,12 +51,9 @@ def refine_grid(grid: TimeGrid, factor: int) -> TimeGrid:
         raise ValueError("refinement factor must be >= 1")
     if factor == 1:
         return grid
-    pieces = [
-        np.linspace(grid.nodes[n], grid.nodes[n + 1], factor + 1)[:-1]
-        for n in range(grid.n_intervals)
-    ]
-    pieces.append(grid.nodes[-1:])
-    return TimeGrid(np.concatenate(pieces))
+    # each interval's np.linspace(t_n, t_n+1, factor + 1)[:-1], to the bit
+    nodes = grid.nodes[:-1, None] + np.arange(factor) * (grid.steps / factor)[:, None]
+    return TimeGrid(np.append(nodes, grid.nodes[-1]))
 
 
 @dataclass
@@ -112,7 +110,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
 
     def local_system(n):
         """The solve of interval n's system in its r unknown nodes, and the
-        (r, m, m) blocks acting on its known right end value."""
+        (r m, m) matrix acting on its known right end value."""
         k_wgt = steps[n] * wgt
         if problem.linear:
             blocks = np.multiply.outer(-k_wgt.sum(axis=2), op_values)
@@ -120,10 +118,9 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             blocks = (-k_wgt.reshape(r * (r + 1), gp.size) @ hts[n]).reshape(
                 r, r + 1, -1)
         blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
-        # the unknown nodes' columns are factored, the known one's read dense
-        return (lu_factor(form.system(blocks[:, :r]),
-                          singular=AdjointSolveError(n, "singular local system")),
-                form.dense(blocks[:, r]))
+        system, known = form.system(blocks)
+        singular = AdjointSolveError(n, "singular local system")
+        return lu_factor(system, singular=singular), known
 
     if qoi.kind == "final-time":
         phi_right = qoi.psi.astype(float).copy()
@@ -132,8 +129,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         phi_right = np.zeros(m)
         # the density's (r, m) load on every interval, from one read of
         # psi_tilde at each refined Gauss time
-        times = grid.nodes[:-1, None] + steps[:, None] * gp
-        dens = np.stack([qoi.psi_tilde(t) for t in times.ravel()])
+        dens = np.stack([qoi.psi_tilde(t) for t in grid.local_times(gp).ravel()])
         load = steps[:, None, None] * (
             tests @ (gw[:, None] * dens.reshape(n_int, gp.size, m)))
 
@@ -142,7 +138,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     if problem.linear and uniform:
         solve, known = local_system(n_int - 1)
         # node values of an interval: prop[j] @ (its right end value) + loads[n, j]
-        prop = solve(-known.reshape(r * m, m)).reshape(r, m, m)
+        prop = solve(-as_dense(known)).reshape(r, m, m)
         loads = np.zeros((n_int, r, m))
         if load is not None:
             loads = solve(load.reshape(n_int, r * m).T).T.reshape(n_int, r, m)
@@ -164,8 +160,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             solve, known = local_system(n)
             rhs = -(known @ phi_right)
             if load is not None:
-                rhs += load[n]
-            sol = solve(rhs.reshape(r * m))
+                rhs += load[n].reshape(r * m)
+            sol = solve(rhs)
             if not np.all(np.isfinite(sol)):
                 raise AdjointSolveError(n, "non-finite adjoint values")
             coeffs[n, :r] = sol.reshape(r, m)

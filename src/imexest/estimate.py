@@ -80,7 +80,7 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
     # phi at the same points, and at the stage abscissae
     phi_tab = adjoint.poly.at(taus, factor)
     phi_d_tab = adjoint.poly.at(d, factor)
-    times = grid.nodes[:-1, None] + steps[:, None] * taus
+    times = grid.local_times(taus)
     # a forced problem's boundary data at every Gauss time, read at once;
     # the pickups are applied per interval, which keeps the (N, 5*factor,
     # m) forcing from ever being formed
@@ -180,10 +180,9 @@ def residual_weighted_estimate(problem: SplitOdeProblem,
     factor = _subinterval_factor(grid.n_intervals, adjoint)
     taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
     phi_tab = adjoint.poly.at(taus, factor)
-    steps = grid.steps
+    times = grid.local_times(taus)
     total = 0.0
-    for n in range(grid.n_intervals):
-        k_n = steps[n]
-        resid = problem.rhs(y_tab[n], grid.nodes[n] + k_n * taus) - ydot_tab[n]
+    for n, k_n in enumerate(grid.steps):
+        resid = problem.rhs(y_tab[n], times[n]) - ydot_tab[n]
         total += k_n * float(np.sum((wts[:, None] * resid) * phi_tab[n]))
     return total

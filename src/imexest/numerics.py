@@ -4,8 +4,8 @@ on [0, 1], shifted Legendre modes for L2 projection onto low-degree
 polynomials, the one place an operator's form becomes a system's
 (``identity_like``, ``kron`` and ``BlockForm`` give CSC where their
 operator or stated pattern is sparse, by ``sparse.issparse`` alone, and
-dense arrays otherwise; ``BlockForm`` builds its CSC's structure once and
-refills only its data), ``lu_factor``, the one factorisation, and
+dense arrays otherwise; ``BlockForm`` builds its CSCs' structure once and
+refills only their data), ``lu_factor``, the one factorisation, and
 ``one_blas_thread``, the BLAS threading policy of a pipeline run.
 """
 
@@ -119,17 +119,20 @@ def on_pattern(values, pattern) -> sparse.csr_array:
 
 
 class BlockForm:
-    """How r x r blocks, each the transpose of an m x m matrix, become one
-    (r m) x (r m) system, in the form of ``like``, an m x m matrix.
+    """How an adjoint interval's r x (r + 1) blocks, each the transpose of
+    an m x m matrix, become its (r m) x (r m) system, the first r block
+    columns, and the (r m) x m matrix of its known last column, in the
+    form of ``like``, an m x m matrix.
 
     A sparse ``like`` is nonzero wherever the matrices may be: each block
     is read as its values at like's transposed entries and the diagonal.
     ``values`` gathers them from a matrix and ``scatter`` places values
-    stated at like's own entries.  The system is one CSC whose indices
-    are built here, once; each ``system`` call refills its data, which
-    SuperLU copies into its factors.  Any other ``like`` keeps the dense
-    transposes, in a Fortran-order system, new on each call, that
-    ``lu_factor`` factors in place.
+    stated at like's own entries.  The system and the known matrix are
+    CSCs whose indices are built here, once; each ``system`` call refills
+    their data, so both are valid until the next call (SuperLU copies the
+    system into its factors).  Any other ``like`` keeps the dense
+    transposes in one Fortran-order array, new on each call, whose first
+    r m columns are the system, which ``lu_factor`` factors in place.
     """
 
     def __init__(self, m: int, r: int, like):
@@ -147,17 +150,19 @@ class BlockForm:
         self.slots = np.searchsorted(keys, rows * m + cols)
         # values[..., diagonal] are the diagonal entries, in row order
         self.diagonal = (np.flatnonzero(self.rows == self.cols),)
-        # value (a, j, z) sits at row a m + rows[z] and column j m + cols[z]
-        # of the system; CSC stores them by column, then by row
-        a, j = np.divmod(np.arange(r * r), r)
-        sys_rows = (a[:, None] * m + self.rows).ravel()
-        sys_cols = (j[:, None] * m + self.cols).ravel()
-        self.order = np.lexsort((sys_rows, sys_cols))
+        # value (a, j, z) sits at row a m + rows[z] and column j m + cols[z];
+        # CSC stores them by column, then by row, so the system's come first
+        a, j = np.divmod(np.arange(r * (r + 1)), r + 1)
+        all_rows = (a[:, None] * m + self.rows).ravel()
+        all_cols = (j[:, None] * m + self.cols).ravel()
+        self.order = np.lexsort((all_rows, all_cols))
         n = r * m
-        self.csc = sparse.csc_array(
-            (np.zeros(self.order.size), sys_rows[self.order].astype(np.int32),
-             np.searchsorted(sys_cols[self.order], np.arange(n + 1)).astype(np.int32)),
-            shape=(n, n))
+        full = sparse.csc_array(
+            (np.zeros(self.order.size), all_rows[self.order].astype(np.int32),
+             np.searchsorted(all_cols[self.order], np.arange(n + m + 1)).astype(np.int32)),
+            shape=(n, n + m))
+        self.csc, self.known = full[:, :n], full[:, n:]
+        self.split = self.csc.nnz
 
     def values(self, mat) -> np.ndarray:
         """The transpose of the m x m matrix mat, in this form."""
@@ -176,23 +181,18 @@ class BlockForm:
         return out
 
     def system(self, blocks):
-        """The system whose block (a, j) has the values blocks[a, j]."""
+        """The system whose block (a, j) has the values blocks[a, j], and
+        the known matrix whose block a has blocks[a, r]."""
         if self.order is not None:
-            self.csc.data[:] = blocks.reshape(-1)[self.order]
-            return self.csc
-        # Fortran order, so LAPACK factors it in place instead of a copy
+            vals = blocks.reshape(-1)[self.order]
+            self.csc.data[:] = vals[:self.split]
+            self.known.data[:] = vals[self.split:]
+            return self.csc, self.known
+        # Fortran order, so LAPACK factors the system in place instead of a copy
         n, r, m = self.r * self.m, self.r, self.m
-        big = np.empty((n, n), order="F")
-        big.T.reshape(r, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
-        return big
-
-    def dense(self, blocks) -> np.ndarray:
-        """The dense (..., m, m) matrices of values blocks (...)."""
-        if self.order is None:
-            return blocks.copy()
-        out = np.zeros(blocks.shape[:-1] + (self.m, self.m))
-        out[..., self.rows, self.cols] = blocks
-        return out
+        big = np.empty((n, n + m), order="F")
+        big.T.reshape(r + 1, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
+        return big[:, :n], big[:, n:]
 
 
 def lu_factor(matrix, *, singular: Exception):

@@ -126,9 +126,8 @@ def qoi_from_states(states, grid: TimeGrid, qoi: QoiSpec) -> float:
     if qoi.kind == "final-time":
         return float(np.dot(states, qoi.psi))
     total = 0.0
-    for t_n, k_n, row in zip(grid.nodes, grid.steps, states):
-        for tau, w, y in zip(GAUSS_NODES, GAUSS_WEIGHTS, row):
-            t = t_n + k_n * tau
+    for k_n, times, row in zip(grid.steps, grid.local_times(GAUSS_NODES), states):
+        for t, w, y in zip(times, GAUSS_WEIGHTS, row):
             total += k_n * w * float(np.dot(y, qoi.psi_tilde(t)))
     return total
 
@@ -369,7 +368,7 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     if exact is not None:
         if qoi.kind == "final-time":
             return qoi_from_states(exact(grid.t_end), grid, qoi)
-        times = grid.nodes[:-1, None] + grid.steps[:, None] * GAUSS_NODES
+        times = grid.local_times(GAUSS_NODES)
         return qoi_from_states([[exact(t) for t in row] for row in times], grid, qoi)
 
     values = _numeric_qoi(problem, grid, qoi, config)

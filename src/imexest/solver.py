@@ -60,6 +60,11 @@ class TimeGrid:
     def t_end(self) -> float:
         return float(self.nodes[-1])
 
+    def local_times(self, taus) -> np.ndarray:
+        """The (N, len(taus)) times t_n + k_n tau at local points taus of
+        every interval."""
+        return self.nodes[:-1, None] + self.steps[:, None] * taus
+
     @classmethod
     def uniform(cls, t_end: float, n_intervals: int) -> "TimeGrid":
         """n_intervals equal intervals of [0, t_end]."""
@@ -206,7 +211,7 @@ def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
     forces = [None] * n_int
     if problem.pickups is not None:
         # step's times, t_n + k_n d, in the same float arithmetic
-        times = nodes[:-1, None] + steps[:, None] * pair.implicit.abscissae
+        times = grid.local_times(pair.implicit.abscissae)
         forces = list(zip(*(half.reshape(n_int, pair.n_stages, m)
                             for half in problem.forcing(times.ravel()))))
     # an overflow is reported by step's own non-finite checks, not warned about

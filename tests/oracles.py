@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check the package
 against: a monomial L2 projection (the estimator projects with Legendre
 modes), finite-difference and dense Jacobians (the package states them
-at a pattern, for a stack of states), a problem's dense form, a
+at a pattern, for a stack of states), the dense blocks of values a
+sparse adjoint block form states, a problem's dense form, a
 point-by-point reader of piecewise polynomials (the package reads them
 at local points of every interval at once) and the stage times and
 states of a forward solve (the package records only f and g there)."""
@@ -91,6 +92,14 @@ def check_jacobians(problem, n_samples: int = 5, seed: int = 0,
 def burgers_jacobian(d1, u) -> np.ndarray:
     """Burgers' advection Jacobian at one state u, dense: -(diag(d1 u) + u d1)."""
     return -(np.diag(d1 @ u) + u[:, None] * d1)
+
+
+def dense_blocks(form, values) -> np.ndarray:
+    """The dense (..., m, m) matrices of values (..., nnz) stated at a
+    sparse ``BlockForm``'s entries."""
+    out = np.zeros(values.shape[:-1] + (form.m, form.m))
+    out[..., form.rows, form.cols] = values
+    return out
 
 
 def dense_form(problem):

@@ -53,6 +53,17 @@ def test_refine_grid_counts_and_endpoints():
         refine_grid(grid, 0)
 
 
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_refine_grid_splits_each_interval_as_linspace_does(factor):
+    # on a graded grid, the refined nodes are each interval's linspace
+    # without its right end, to the bit, and then the last node
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(1.3 ** np.arange(7) / 10.0)]))
+    want = np.concatenate(
+        [np.linspace(a, b, factor + 1)[:-1] for a, b in zip(grid.nodes, grid.nodes[1:])]
+        + [grid.nodes[-1:]])
+    assert np.array_equal(refine_grid(grid, factor).nodes, want)
+
+
 def _never(*_args):
     raise AssertionError("an operator half needs neither a Jacobian nor the state")
 

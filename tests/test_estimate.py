@@ -232,6 +232,15 @@ def test_adjoint_must_refine_forward_grid():
     _, _, recon5, adj5 = pipeline(prob, qoi, n=5)
     with pytest.raises(ValueError, match="refinement"):
         error_breakdown(prob, pair, fwd, recon, adj5)
+    # 3 adjoint intervals, unrefined, do not split 2 forward intervals,
+    # for the breakdown and the direct residual-weighted estimate alike
+    refused = "^adjoint grid is not a refinement of the forward grid$"
+    pair, fwd, recon, _ = pipeline(prob, qoi, n=2, refine=1)
+    adj3 = pipeline(prob, qoi, n=3, refine=1)[3]
+    with pytest.raises(ValueError, match=refused):
+        error_breakdown(prob, pair, fwd, recon, adj3)
+    with pytest.raises(ValueError, match=refused):
+        residual_weighted_estimate(prob, recon, adj3)
 
 
 @pytest.mark.parametrize("kind", ["final-time", "time-integrated"])

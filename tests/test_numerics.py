@@ -11,7 +11,7 @@ from imexest import adjoint, numerics, reference, solver
 from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
                               as_dense, identity_like, kron, legendre_shifted,
                               lu_factor, one_blas_thread, openblas_pools)
-from oracles import l2_project, poly_eval
+from oracles import dense_blocks, l2_project, poly_eval
 
 
 def test_lagrange_delta_property_exact():
@@ -203,28 +203,41 @@ def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
 
 
 def test_block_form_of_a_pattern_is_its_dense_form_in_csc():
-    # blocks, each the transpose of a matrix on a stated sparse pattern,
-    # give a CSC system with the values of the dense form's Fortran-order
-    # system, and read only the transposed pattern and the diagonal
+    # r x (r + 1) blocks, each the transpose of a matrix on a stated sparse
+    # pattern, give a CSC system and a CSC known matrix with the values of
+    # the dense form's Fortran-order array, and read only the transposed
+    # pattern and the diagonal
     rng = np.random.default_rng(8)
     m, r = 5, 3
     pattern = rng.random((m, m)) < 0.3
     sparse_form = BlockForm(m, r, sparse.csr_array(pattern))
     dense_form = BlockForm(m, r, pattern)  # the same pattern, dense
-    blocks = rng.standard_normal((r, r, sparse_form.rows.size))
-    dense_blocks = sparse_form.dense(blocks)
+    blocks = rng.standard_normal((r, r + 1, sparse_form.rows.size))
+    full_blocks = dense_blocks(sparse_form, blocks)
     allowed = pattern.T | np.eye(m, dtype=bool)
-    assert np.array_equal(dense_blocks != 0.0, np.broadcast_to(allowed, (r, r, m, m)))
-    got, want = sparse_form.system(blocks), dense_form.system(dense_blocks)
-    assert isinstance(got, sparse.csc_array) and got.has_sorted_indices
+    assert np.array_equal(full_blocks != 0.0,
+                          np.broadcast_to(allowed, (r, r + 1, m, m)))
+    got, got_known = sparse_form.system(blocks)
+    want, want_known = dense_form.system(full_blocks)
+    for mat, width in ((got, r * m), (got_known, m)):
+        assert isinstance(mat, sparse.csc_array) and mat.has_sorted_indices
+        assert mat.shape == (r * m, width)
+    # the dense system and known matrix are one Fortran-order array
     assert type(want) is np.ndarray and want.flags.f_contiguous
+    assert want_known.base is want.base and want_known.shape == (r * m, m)
+    full = np.block([[full_blocks[a, j] for j in range(r + 1)] for a in range(r)])
+    assert np.array_equal(want, full[:, :r * m])
+    assert np.array_equal(want_known, full[:, r * m:])
     assert np.array_equal(got.toarray(), want)
-    assert np.array_equal(want, np.block([[dense_blocks[a, j] for j in range(r)]
-                                          for a in range(r)]))
+    assert np.array_equal(got_known.toarray(), want_known)
     # the diagonal index reads the diagonal of every block
-    for form, values in ((sparse_form, blocks), (dense_form, dense_blocks)):
+    for form, values in ((sparse_form, blocks), (dense_form, full_blocks)):
         assert np.array_equal(values[(Ellipsis, *form.diagonal)],
-                              np.diagonal(dense_blocks, axis1=2, axis2=3))
+                              np.diagonal(full_blocks, axis1=2, axis2=3))
+    # a second call refills both CSCs in place
+    again, again_known = sparse_form.system(2.0 * blocks)
+    assert again is got and again_known is got_known
+    assert np.array_equal(again_known.toarray(), 2.0 * want_known)
 
 
 def test_block_form_scatters_values_stated_at_its_pattern():
@@ -237,7 +250,7 @@ def test_block_form_scatters_values_stated_at_its_pattern():
     mats = rng.standard_normal((3, m, m)) * (pattern.toarray() != 0.0)
     rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
     stated = mats[:, rows, pattern.indices]
-    np.testing.assert_array_equal(form.dense(form.scatter(stated)),
+    np.testing.assert_array_equal(dense_blocks(form, form.scatter(stated)),
                                   mats.transpose(0, 2, 1))
     np.testing.assert_array_equal(form.scatter(stated),
                                   np.stack([form.values(mat) for mat in mats]))
@@ -249,7 +262,7 @@ def test_block_form_scatters_values_stated_at_its_pattern():
 def test_block_form_of_an_operator_is_its_kronecker_system(route):
     # the adjoint's constant-operator system: blocks c[a, j] op^T - D[a, j] I
     # in the operator's own form are kron(c, op^T) - kron(D, I), value for
-    # value, with the form's known column read dense
+    # value, the system its first r m columns and the known matrix the rest
     rng = np.random.default_rng(11)
     m, r = 6, 3
     mat = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.4)
@@ -262,11 +275,10 @@ def test_block_form_of_an_operator_is_its_kronecker_system(route):
         want = np.kron(c, mat.T) - np.kron(dmat, np.eye(m))
     else:
         want = (sparse.kron(c, op.T) - sparse.kron(dmat, sparse.eye_array(m))).toarray()
-    got = form.system(blocks[:, :r])
-    assert sparse.issparse(got) == (route == "csr")
+    got, known = form.system(blocks)
+    assert sparse.issparse(got) == sparse.issparse(known) == (route == "csr")
     assert np.array_equal(as_dense(got), want[:, :r * m])
-    known = want[:, r * m:].reshape(r, m, m)
-    assert np.array_equal(form.dense(blocks[:, r]), known)
+    assert np.array_equal(as_dense(known), want[:, r * m:])
 
 
 def test_every_factorisation_goes_through_numerics():

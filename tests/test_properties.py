@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from imexest.adjoint import solve_adjoint  # noqa: E402
@@ -88,8 +88,12 @@ def runs(draw):
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps)]))
     pair = draw(st.sampled_from(("mid122", "ssp332", "ssp343")).map(builtin)
                 | random_pairs())
-    refine = draw(st.integers(1, 4))
+    return pipeline(prob, pair, grid, qoi, refine=draw(st.integers(1, 4)))
 
+
+def pipeline(prob, pair, grid, qoi, refine):
+    """The (problem, pair, forward, reconstruction, adjoint, breakdown)
+    tuple that ``runs`` draws."""
     fwd = solve_forward(prob, pair, grid)
     recon = build_cg(pair, fwd)
     adj = solve_adjoint(prob, recon, qoi, refine=refine)
@@ -99,6 +103,15 @@ def runs(draw):
 
 def breakdown(qoi: QoiSpec):
     return error_breakdown if qoi.kind == "final-time" else error_breakdown_timedep
+
+
+# a subnormal psi makes every phi subnormal: 1e-12 |phi| is then zero,
+# and a table and the point reader can differ by one float spacing, 5e-324
+SUBNORMAL_ADJOINT = pipeline(
+    split_scalar_bernoulli(-0.7788222146412762, -0.2825119433215395,
+                           0.597787320703541),
+    builtin("ssp343"), TimeGrid([0.0, 0.19974060031730675, 0.3053653500527479]),
+    QoiSpec(kind="final-time", psi=np.array([1.79e-321])), refine=2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,6 +134,7 @@ def test_reconstruction_matches_the_nodal_values(case):
 
 @settings(max_examples=60, deadline=None)
 @given(runs())
+@example(SUBNORMAL_ADJOINT)
 def test_tables_at_local_points_match_pointwise_evaluation(case):
     # phi on each forward interval, read as one interval of the refined
     # adjoint grid: at the Gauss points of its subintervals, at the stage
@@ -136,7 +150,8 @@ def test_tables_at_local_points_match_pointwise_evaluation(case):
                              [0.0, 0.5, 1.0, -1e-17]])
     table = adj.poly.at(points, refine)
     assert table.shape == (grid.n_intervals, points.size, recon.dim)
-    scale = 1e-12 * adj.max_abs()
+    # a few float spacings, for an adjoint so small that 1e-12 of it is zero
+    scale = max(1e-12 * adj.max_abs(), 4 * np.spacing(adj.max_abs()))
     for n in range(grid.n_intervals):
         want = np.stack([evaluate(adj.poly, grid.nodes[n] + grid.steps[n] * tau)
                          for tau in points])

@@ -45,6 +45,16 @@ def test_time_grid_from_step():
         grid_cells(0.0, 1.0, 0.3, "step")
 
 
+@pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])
+def test_time_grid_local_times_are_the_stage_times(scheme):
+    # on a graded grid, at a pair's implicit abscissae, to the bit
+    grid = TimeGrid(np.concatenate([[0.0], np.cumsum(1.3 ** np.arange(6) / 7.0)]))
+    pair = builtin(scheme)
+    times = grid.local_times(pair.implicit.abscissae)
+    assert times.shape == (grid.n_intervals, pair.n_stages)
+    assert np.array_equal(times, stage_times(grid, pair))
+
+
 def test_time_grid_validation():
     with pytest.raises(ValueError):
         TimeGrid(nodes=np.array([0.0, 0.5, 0.5, 1.0]))
