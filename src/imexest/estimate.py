@@ -15,12 +15,22 @@ same points and at the stage abscissae.
 The quadrature sums reuse the recorded stage f and g values, so e2/e3
 vanish to roundoff exactly when the stage quadrature integrates the
 weighted term exactly.
+
+The Gauss table is walked a block of consecutive intervals at a time,
+each block's projections, density rows and Galerkin residuals one
+broadcast product, with one ``problem.halves`` call a block.  A block
+holds max(1, BLOCK_FLOATS // (points * m)) intervals, so each of its
+(intervals, points, m) arrays stays within 256 KiB: a whole
+advection-diffusion grid of m = 20-40 is one or two blocks, while MHD
+(m = 398, 20 points) takes 4 intervals a block, as larger blocks there
+ran slower and grew the peak memory.  Every product is made slab by
+slab, so a block's values are bit for bit those of one interval alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,6 +40,10 @@ from .problems import SplitOdeProblem
 from .reconstruct import PiecewisePolynomial
 from .solver import ForwardSolution
 from .tableaus import ImexPair
+
+# Floats in one (intervals, points, m) array of a block: 2**15 floats is
+# 256 KiB, which stays in a core's cache.
+BLOCK_FLOATS = 2 ** 15
 
 
 @dataclass
@@ -56,72 +70,114 @@ def effectivity(estimate_total: float, true_error: float) -> Optional[float]:
     return estimate_total / true_error
 
 
-def _subinterval_factor(forward_intervals: int, adjoint: AdjointSolution) -> int:
-    n_adj = adjoint.poly.grid.n_intervals
-    if n_adj % forward_intervals != 0:
+def _subinterval_factor(recon: PiecewisePolynomial, adjoint: AdjointSolution) -> int:
+    """How many adjoint subintervals split each reconstruction interval;
+    a ValueError unless the adjoint grid is the reconstruction grid with
+    every interval split into that many parts, its nodes kept to the bit
+    (as ``refine_grid`` keeps them)."""
+    n_adj, n_int = adjoint.poly.grid.n_intervals, recon.grid.n_intervals
+    factor = n_adj // n_int
+    if n_adj % n_int or not np.array_equal(adjoint.poly.grid.nodes[::factor],
+                                           recon.grid.nodes):
         raise ValueError("adjoint grid is not a refinement of the forward grid")
-    return n_adj // forward_intervals
+    return factor
+
+
+class _Block(NamedTuple):
+    """A run of consecutive intervals at the Gauss points of their adjoint
+    subintervals: each array is (intervals, points, m) but ``steps``."""
+
+    span: slice
+    steps: np.ndarray  # (intervals,)
+    ydot: np.ndarray   # the reconstruction's time derivative
+    phi: np.ndarray    # the adjoint
+    f: np.ndarray      # f(Y, t) and g(Y, t) of the reconstruction Y
+    g: np.ndarray
+
+
+def _gauss_blocks(problem: SplitOdeProblem, recon: PiecewisePolynomial,
+                  adjoint: AdjointSolution, factor: int):
+    """The Gauss rule on each of ``factor`` subintervals of every interval:
+    its local points and weights, and an iterator over blocks of at most
+    BLOCK_FLOATS // (points * m) intervals (at least one), each with one
+    ``problem.halves`` call for all of its points."""
+    grid = recon.grid
+    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
+    phi_tab = adjoint.poly.at(taus, factor)
+    times = grid.local_times(taus)
+    # a forced problem's boundary data at every Gauss time, read at once;
+    # the pickups are applied per block, which keeps the (N, points, m)
+    # forcing from ever being formed
+    data = None if problem.pickups is None else (
+        np.asarray(problem.boundary_data(times.ravel())).reshape(*times.shape, -1))
+    n_int, points, m = y_tab.shape
+    size = max(1, BLOCK_FLOATS // (points * m))
+
+    def blocks():
+        for start in range(0, n_int, size):
+            span = slice(start, start + size)
+            force = None if data is None else problem.forcing_from(data[span])
+            f, g = problem.halves(y_tab[span], times[span], force)
+            yield _Block(span, grid.steps[span], ydot_tab[span], phi_tab[span], f, g)
+
+    return taus, wts, blocks()
+
+
+def _row_sums(arr: np.ndarray) -> np.ndarray:
+    """The sum of each (points, m) slab of a block, summed as one array."""
+    return arr.reshape(arr.shape[0], -1).sum(axis=1)
 
 
 def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution,
               recon: PiecewisePolynomial, adjoint: AdjointSolution) -> ErrorBreakdown:
-    grid = recon.grid
-    factor = _subinterval_factor(grid.n_intervals, adjoint)
-    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
+    if not np.array_equal(forward.grid.nodes, recon.grid.nodes):
+        raise ValueError("the forward solution and the reconstruction are on "
+                         "different grids")
+    factor = _subinterval_factor(recon, adjoint)
+    taus, wts, blocks = _gauss_blocks(problem, recon, adjoint, factor)
     d = pair.implicit.abscissae
     w_ex = pair.explicit.weights
     w_im = pair.implicit.weights
-    n_int = grid.n_intervals
-    steps = grid.steps
+    n_int = recon.grid.n_intervals
     m = recon.dim
 
     leg_t = legendre_shifted(recon.degree - 1, taus)     # (q, 5*factor)
     leg_d = legendre_shifted(recon.degree - 1, d)        # (q, nu)
-    # phi at the same points, and at the stage abscissae
-    phi_tab = adjoint.poly.at(taus, factor)
-    phi_d_tab = adjoint.poly.at(d, factor)
-    times = grid.local_times(taus)
-    # a forced problem's boundary data at every Gauss time, read at once;
-    # the pickups are applied per interval, which keeps the (N, 5*factor,
-    # m) forcing from ever being formed
-    data = None if problem.pickups is None else (
-        np.asarray(problem.boundary_data(times.ravel())).reshape(*times.shape, -1))
+    phi_d_tab = adjoint.poly.at(d, factor)               # phi at the stages
+    f_stage = np.stack([rec.f_vals for rec in forward.stages])  # (N, nu, m)
+    g_stage = np.stack([rec.g_vals for rec in forward.stages])
 
     density = np.empty((n_int, 3, m))
     galerkin = np.empty(n_int)
     galerkin_abs = np.empty(n_int)
 
-    for n in range(n_int):
-        k_n = steps[n]
-        y_all, ydot_all = y_tab[n], ydot_tab[n]
-        phi_all, phi_d = phi_tab[n], phi_d_tab[n]
-        stage = forward.stages[n]
+    for blk in blocks:
+        span, k_n = blk.span, blk.steps[:, None]
+        phi, phi_d = blk.phi, phi_d_tab[span]
+        f_vals, g_vals = f_stage[span], g_stage[span]
         # L2 projection of phi onto P^{q-1} via orthonormal Legendre modes
-        modes = leg_t @ (wts[:, None] * phi_all)
-        pphi_all = leg_t.T @ modes
+        modes = leg_t @ (wts[:, None] * phi)
+        pphi = leg_t.T @ modes
         pphi_d = leg_d.T @ modes
 
-        f_all, g_all = problem.halves(
-            y_all, times[n], None if data is None else problem.forcing_from(data[n]))
-
-        delta_t = phi_all - pphi_all
+        delta_t = phi - pphi
         delta_d = phi_d - pphi_d
-        density[n, 0] = k_n * (
-            wts @ (-ydot_all * delta_t)
-            + w_ex @ (stage.f_vals * delta_d)
-            + w_im @ (stage.g_vals * delta_d)
+        density[span, 0] = k_n * (
+            wts @ (-blk.ydot * delta_t)
+            + w_ex @ (f_vals * delta_d)
+            + w_im @ (g_vals * delta_d)
         )
-        density[n, 1] = k_n * (wts @ (f_all * phi_all) - w_ex @ (stage.f_vals * phi_d))
-        density[n, 2] = k_n * (wts @ (g_all * phi_all) - w_im @ (stage.g_vals * phi_d))
+        density[span, 1] = k_n * (wts @ (blk.f * phi) - w_ex @ (f_vals * phi_d))
+        density[span, 2] = k_n * (wts @ (blk.g * phi) - w_im @ (g_vals * phi_d))
 
         # Orthogonality residual of the reconstruction against pi phi,
         # scaled by the size of its three constituent terms so that it is
         # meaningful even when the forward solution has blown up.
-        t1 = k_n * float(np.sum((wts[:, None] * ydot_all) * pphi_all))
-        t2 = k_n * float(np.sum((w_ex[:, None] * stage.f_vals) * pphi_d))
-        t3 = k_n * float(np.sum((w_im[:, None] * stage.g_vals) * pphi_d))
-        galerkin_abs[n] = abs(t1 - t2 - t3)
-        galerkin[n] = galerkin_abs[n] / (1.0 + abs(t1) + abs(t2) + abs(t3))
+        t1 = blk.steps * _row_sums((wts[:, None] * blk.ydot) * pphi)
+        t2 = blk.steps * _row_sums((w_ex[:, None] * f_vals) * pphi_d)
+        t3 = blk.steps * _row_sums((w_im[:, None] * g_vals) * pphi_d)
+        galerkin_abs[span] = np.abs(t1 - t2 - t3)
+        galerkin[span] = galerkin_abs[span] / (1.0 + np.abs(t1) + np.abs(t2) + np.abs(t3))
 
     per_interval = density.sum(axis=2)
     totals = per_interval.sum(axis=0)
@@ -176,13 +232,11 @@ def residual_weighted_estimate(problem: SplitOdeProblem,
                                adjoint: AdjointSolution) -> float:
     """Direct evaluation of sum_n <f(Y) + g(Y) - Ydot, phi>: equals
     e1 + e2 + e3 up to the (roundoff-size) orthogonality residual."""
-    grid = recon.grid
-    factor = _subinterval_factor(grid.n_intervals, adjoint)
-    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
-    phi_tab = adjoint.poly.at(taus, factor)
-    times = grid.local_times(taus)
+    _taus, wts, blocks = _gauss_blocks(problem, recon, adjoint,
+                                       _subinterval_factor(recon, adjoint))
     total = 0.0
-    for n, k_n in enumerate(grid.steps):
-        resid = problem.rhs(y_tab[n], times[n]) - ydot_tab[n]
-        total += k_n * float(np.sum((wts[:, None] * resid) * phi_tab[n]))
+    for blk in blocks:
+        resid = blk.f + blk.g - blk.ydot
+        for term in (blk.steps * _row_sums((wts[:, None] * resid) * blk.phi)).tolist():
+            total += term
     return total

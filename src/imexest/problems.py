@@ -43,7 +43,9 @@ class SplitOdeProblem:
     f(y, t) = eval_f(y) + forcing(t)[0] and likewise for g.  eval_f,
     eval_g and forcing accept one state (m,) with one time, or a (P, m)
     stack of states with a (P,) vector of times, and return the same
-    shape.
+    shape.  The estimate also hands eval_f and eval_g a (B, P, m) stack of
+    B such stacks; an operator half gives each (P, m) slab exactly the
+    rows it gives that slab alone.
 
     ``f_op``/``g_op`` hold the constant (dim, dim) operator of a half that
     is linear in the state, as a dense array or CSR, and are None for a
@@ -134,9 +136,9 @@ class SplitOdeProblem:
 
     def forcing_from(self, data) -> tuple[Array, Array]:
         """The forcing pair of boundary data already read: the (d,) values
-        at one time, or their (P, d) rows."""
+        at one time, their (P, d) rows, or a (B, P, d) stack of such rows."""
         data = np.asarray(data, dtype=float)
-        return tuple((pick @ data.T).T for pick in self.pickups)
+        return tuple(_apply(pick)(data) for pick in self.pickups)
 
     def halves(self, y: Array, t, force=None) -> tuple[Array, Array]:
         """(f(y, t), g(y, t)) with one forcing evaluation, or none when the
@@ -192,8 +194,17 @@ def finite_array(value, key: str) -> Array:
 
 
 def _apply(mat: Operator) -> Callable[[Array], Array]:
-    """y -> mat y, for one vector (m,) or row by row on a (P, m) stack."""
-    return lambda y: (mat @ y.T).T
+    """y -> mat y, for one vector (m,), row by row on a (P, m) stack, and
+    on each (P, m) slab of a (B, P, m) stack exactly as on that slab alone."""
+    def apply(y: Array) -> Array:
+        if y.ndim < 3:
+            return (mat @ y.T).T
+        if sparse.issparse(mat):
+            # a sparse row sums its own nonzeros alone, at any stack height
+            return (mat @ y.reshape(-1, y.shape[-1]).T).T.reshape(*y.shape[:-1], -1)
+        # a dense product's rows depend on its height: one product a slab
+        return np.matmul(mat, y.swapaxes(1, 2)).swapaxes(1, 2)
+    return apply
 
 
 def _matrix_problem(name, f_mat, g_mat, y0, pickups=None, boundary_data=None,

@@ -13,6 +13,7 @@ estimator assumes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,16 +113,23 @@ class ForwardSolution:
 
 def _newton_stage(problem, t_i, k_n, bii, known, force_g, newton, interval,
                   stage, lu_cache):
+    """Solve X = known + k_n bii g(X, t_i) by Newton's method; returns X,
+    g(X, t_i) as the converged residual read it, and the iterations.  An
+    unforced problem's force_g is None."""
     x = known.copy()
     iters = 0
     while True:
-        r = x - k_n * bii * (problem.eval_g(x) + force_g) - known
-        if not np.all(np.isfinite(r)):
-            raise SolverError("non-finite state", interval, stage, f", t={t_i:.6g}")
+        g = problem.eval_g(x)
+        if force_g is not None:
+            g = g + force_g
+        r = x - k_n * bii * g - known
+        # max propagates NaN and inf: a finite norm is a finite residual
         rnorm = float(np.abs(r).max())
+        if not math.isfinite(rnorm):
+            raise SolverError("non-finite state", interval, stage, f", t={t_i:.6g}")
         xnorm = float(np.abs(x).max())
         if rnorm <= newton.abs_tol + newton.rel_tol * xnorm:
-            return x, iters
+            return x, g, iters
         if iters >= newton.max_iters:
             raise SolverError("Newton did not converge", interval, stage,
                               f": residual {rnorm:.3e} after {iters} iterations")
@@ -175,14 +183,18 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
         t_i = times[i]
         force_i = None if force is None else (force[0][i], force[1][i])
         if bii == 0.0:
-            x = known
+            if not np.all(np.isfinite(known)):
+                raise SolverError("non-finite state", interval, i, f", t={t_i:.6g}")
+            f_vals[i], g_vals[i] = problem.halves(known, t_i, force_i)
         else:
-            x, iters[i] = _newton_stage(problem, t_i, k_n, bii, known,
-                                        0.0 if force_i is None else force_i[1],
-                                        newton, interval, i, lu_cache)
-        if not np.all(np.isfinite(x)):
-            raise SolverError("non-finite state", interval, i, f", t={t_i:.6g}")
-        f_vals[i], g_vals[i] = problem.halves(x, t_i, force_i)
+            # Newton returns g at the state it accepted, whose finite
+            # residual makes the state finite too: only f is left
+            x, g_vals[i], iters[i] = _newton_stage(
+                problem, t_i, k_n, bii, known, None if force_i is None else force_i[1],
+                newton, interval, i, lu_cache)
+            f_vals[i] = problem.eval_f(x)
+            if force_i is not None:
+                f_vals[i] += force_i[0]
 
     y_next = y_n + k_n * (w_ex @ f_vals + w_im @ g_vals)
     if not np.all(np.isfinite(y_next)):

@@ -4,14 +4,17 @@ modes), finite-difference and dense Jacobians (the package states them
 at a pattern, for a stack of states), the dense blocks of values a
 sparse adjoint block form states, a problem's dense form, a
 point-by-point reader of piecewise polynomials (the package reads them
-at local points of every interval at once) and the stage times and
-states of a forward solve (the package records only f and g there)."""
+at local points of every interval at once), the stage times and
+states of a forward solve (the package records only f and g there) and
+an interval-by-interval assembly of the error breakdown (the package
+assembles it a block of intervals at a time)."""
 
 import dataclasses
 
 import numpy as np
 
-from imexest.numerics import as_dense
+from imexest.estimate import ErrorBreakdown
+from imexest.numerics import as_dense, legendre_shifted
 
 
 def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:
@@ -146,3 +149,65 @@ def stage_states(pair, y_n, k_n, record) -> np.ndarray:
     a = np.tril(pair.explicit.coeffs, -1)
     b = np.tril(pair.implicit.coeffs)
     return y_n + k_n * (a @ record.f_vals + b @ record.g_vals)
+
+
+def assemble_per_interval(problem, pair, forward, recon, adjoint) -> ErrorBreakdown:
+    """The error breakdown assembled one interval at a time, with one
+    ``problem.halves`` call and one set of projections per interval."""
+    grid = recon.grid
+    factor = adjoint.poly.grid.n_intervals // grid.n_intervals
+    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
+    d = pair.implicit.abscissae
+    w_ex = pair.explicit.weights
+    w_im = pair.implicit.weights
+    n_int = grid.n_intervals
+    steps = grid.steps
+    m = recon.dim
+
+    leg_t = legendre_shifted(recon.degree - 1, taus)
+    leg_d = legendre_shifted(recon.degree - 1, d)
+    phi_tab = adjoint.poly.at(taus, factor)
+    phi_d_tab = adjoint.poly.at(d, factor)
+    times = grid.local_times(taus)
+    data = None if problem.pickups is None else (
+        np.asarray(problem.boundary_data(times.ravel())).reshape(*times.shape, -1))
+
+    density = np.empty((n_int, 3, m))
+    galerkin = np.empty(n_int)
+    galerkin_abs = np.empty(n_int)
+
+    for n in range(n_int):
+        k_n = steps[n]
+        y_all, ydot_all = y_tab[n], ydot_tab[n]
+        phi_all, phi_d = phi_tab[n], phi_d_tab[n]
+        stage = forward.stages[n]
+        modes = leg_t @ (wts[:, None] * phi_all)
+        pphi_all = leg_t.T @ modes
+        pphi_d = leg_d.T @ modes
+
+        f_all, g_all = problem.halves(
+            y_all, times[n], None if data is None else problem.forcing_from(data[n]))
+
+        delta_t = phi_all - pphi_all
+        delta_d = phi_d - pphi_d
+        density[n, 0] = k_n * (
+            wts @ (-ydot_all * delta_t)
+            + w_ex @ (stage.f_vals * delta_d)
+            + w_im @ (stage.g_vals * delta_d)
+        )
+        density[n, 1] = k_n * (wts @ (f_all * phi_all) - w_ex @ (stage.f_vals * phi_d))
+        density[n, 2] = k_n * (wts @ (g_all * phi_all) - w_im @ (stage.g_vals * phi_d))
+
+        t1 = k_n * float(np.sum((wts[:, None] * ydot_all) * pphi_all))
+        t2 = k_n * float(np.sum((w_ex[:, None] * stage.f_vals) * pphi_d))
+        t3 = k_n * float(np.sum((w_im[:, None] * stage.g_vals) * pphi_d))
+        galerkin_abs[n] = abs(t1 - t2 - t3)
+        galerkin[n] = galerkin_abs[n] / (1.0 + abs(t1) + abs(t2) + abs(t3))
+
+    per_interval = density.sum(axis=2)
+    totals = per_interval.sum(axis=0)
+    return ErrorBreakdown(
+        e1=float(totals[0]), e2=float(totals[1]), e3=float(totals[2]),
+        per_interval=per_interval, term_density=density,
+        galerkin_scaled=galerkin, galerkin_raw=galerkin_abs,
+    )

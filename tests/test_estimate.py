@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from imexest import estimate
 from imexest.adjoint import solve_adjoint
 from imexest.estimate import (
     ErrorBreakdown,
@@ -15,6 +16,7 @@ from imexest.estimate import (
 from imexest.problems import (
     QoiSpec,
     burgers,
+    linear_advection_diffusion,
     mhd_alfven,
     qoi_integral_v,
     qoi_mean_left_half,
@@ -24,7 +26,7 @@ from imexest.problems import (
 from imexest.reconstruct import build_cg
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
-from oracles import evaluate
+from oracles import assemble_per_interval, evaluate
 
 
 def pipeline(problem, qoi, scheme="mid122", t_end=1.0, n=40, refine=4):
@@ -241,6 +243,53 @@ def test_adjoint_must_refine_forward_grid():
         error_breakdown(prob, pair, fwd, recon, adj3)
     with pytest.raises(ValueError, match=refused):
         residual_weighted_estimate(prob, recon, adj3)
+
+
+def test_adjoint_must_be_solved_on_the_reconstruction_grid():
+    prob = split_scalar_linear(-0.4, -0.6, 1.0)
+    qoi = QoiSpec(kind="final-time", psi=np.array([1.0]))
+    pair, fwd, recon, adj = pipeline(prob, qoi, t_end=1.0, n=10)
+    # as many intervals on [0, 2]: a count that splits, on other nodes
+    adj_long = pipeline(prob, qoi, t_end=2.0, n=10)[3]
+    refused = "^adjoint grid is not a refinement of the forward grid$"
+    with pytest.raises(ValueError, match=refused):
+        error_breakdown(prob, pair, fwd, recon, adj_long)
+    with pytest.raises(ValueError, match=refused):
+        residual_weighted_estimate(prob, recon, adj_long)
+    # a forward solution on another grid than the reconstruction's
+    fwd_long = pipeline(prob, qoi, t_end=2.0, n=10)[1]
+    with pytest.raises(ValueError, match="different grids"):
+        error_breakdown(prob, pair, fwd_long, recon, adj)
+
+
+def oracle_cases():
+    """(id, problem, qoi, scheme, t_end, intervals, refine): a dense linear,
+    a nonlinear, and a CSR forced problem."""
+    adv = linear_advection_diffusion(0.1, 1.0 / 20.0)
+    bur = burgers(0.05, 1.0 / 20.0)
+    mhd = mhd_alfven(h=0.05)
+    return [
+        ("advection-diffusion", adv, qoi_mean_left_half(adv.dim), "ssp343", 1.0, 13, 4),
+        ("burgers", bur, qoi_mean_left_half(bur.dim, 1.0 / bur.dim), "ssp332", 0.5, 13, 2),
+        ("mhd", mhd, qoi_integral_v(mhd.metadata["interior_per_field"], 0.05),
+         "mid122", 0.01, 13, 3),
+    ]
+
+
+@pytest.mark.parametrize("case", oracle_cases(), ids=lambda case: case[0])
+def test_block_assembly_equals_the_per_interval_oracle(case, monkeypatch):
+    _, prob, qoi, scheme, t_end, n, refine = case
+    pair, fwd, recon, adj = pipeline(prob, qoi, scheme=scheme, t_end=t_end, n=n,
+                                     refine=refine)
+    want = assemble_per_interval(prob, pair, fwd, recon, adj)
+    slab = 5 * refine * prob.dim  # floats of one interval's (points, m) slab
+    # one interval a block, 4 (which does not divide 13), the whole grid
+    for intervals in (1, 4, n):
+        monkeypatch.setattr(estimate, "BLOCK_FLOATS", intervals * slab)
+        got = error_breakdown(prob, pair, fwd, recon, adj)
+        for name in ("per_interval", "term_density", "galerkin_scaled", "galerkin_raw"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (intervals, name)
+        assert (got.e1, got.e2, got.e3) == (want.e1, want.e2, want.e3)
 
 
 @pytest.mark.parametrize("kind", ["final-time", "time-integrated"])

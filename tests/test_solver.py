@@ -176,6 +176,63 @@ def test_newton_handles_nonlinear_g():
     assert rec.newton_iters[1] >= 2
 
 
+@pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])
+def test_a_one_iteration_implicit_stage_evaluates_g_twice(scheme):
+    # once at the stage's known part, once at the Newton update, where the
+    # converged residual's g is the stage's g; an explicit stage reads g once
+    prob = linear_advection_diffusion(0.1, 1.0 / 20.0)
+    pair = builtin(scheme)
+    calls = []
+    eval_g = prob.eval_g
+    prob.eval_g = lambda y: calls.append(y.copy()) or eval_g(y)
+    _, rec = step(prob, pair, 0.0, 0.05, prob.y0)
+    implicit = np.diag(pair.implicit.coeffs) != 0.0
+    assert np.all(rec.newton_iters[implicit] == 1)
+    assert len(calls) == 2 * np.count_nonzero(implicit) + np.count_nonzero(~implicit)
+
+
+def recorded_states(prob):
+    """Wrap prob.eval_f to record every state it is called at; a stage's
+    f is read exactly once, at its state."""
+    states = []
+    eval_f = prob.eval_f
+    prob.eval_f = lambda y: states.append(y.copy()) or eval_f(y)
+    return states
+
+
+@pytest.mark.parametrize("forced", [True, False], ids=["forced-mhd", "unforced-cubic"])
+def test_stage_values_are_the_halves_at_the_stage_states(forced):
+    prob = mhd_alfven(h=0.1) if forced else cubic("cubic-implicit")
+    pair = builtin("ssp343")
+    grid = TimeGrid.uniform(0.05, 5)
+    states = recorded_states(prob)
+    fwd = solve_forward(prob, pair, grid)
+    assert len(states) == grid.n_intervals * pair.n_stages
+    times = stage_times(grid, pair).ravel()
+    force = [None] * times.size
+    if prob.pickups is not None:
+        force = list(zip(*prob.forcing(times)))
+    f_vals = np.concatenate([rec.f_vals for rec in fwd.stages])
+    g_vals = np.concatenate([rec.g_vals for rec in fwd.stages])
+    for x, t, forced, f, g in zip(states, times, force, f_vals, g_vals):
+        want_f, want_g = prob.halves(x, t, forced)
+        assert np.array_equal(f, want_f) and np.array_equal(g, want_g)
+        assert np.array_equal(np.signbit(g), np.signbit(want_g))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_newton_residual_names_its_interval_and_stage(bad):
+    prob = SplitOdeProblem(name="forced-decay", y0=np.ones(1), f_op=-np.eye(1),
+                           g_op=-np.eye(1), pickups=(np.eye(1), np.eye(1)),
+                           boundary_data=lambda t: np.zeros(np.shape(t) + (1,)))
+    pair = builtin("ssp332")
+    force_f, force_g = np.zeros((3, 1)), np.zeros((3, 1))
+    force_g[1] = bad
+    with pytest.raises(SolverError, match="^non-finite state on interval 7, stage 1, ") as exc:
+        step(prob, pair, 0.0, 0.1, prob.y0, interval=7, force=(force_f, force_g))
+    assert (exc.value.interval, exc.value.stage) == (7, 1)
+
+
 def test_newton_failure_reports_interval_and_stage():
     prob = cubic("stiff-cubic")
     tight = NewtonConfig(abs_tol=1e-16, rel_tol=0.0, max_iters=1)
