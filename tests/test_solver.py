@@ -214,8 +214,8 @@ def test_stage_values_are_the_halves_at_the_stage_states(forced):
         force = list(zip(*prob.forcing(times)))
     f_vals = np.concatenate([rec.f_vals for rec in fwd.stages])
     g_vals = np.concatenate([rec.g_vals for rec in fwd.stages])
-    for x, t, forced, f, g in zip(states, times, force, f_vals, g_vals):
-        want_f, want_g = prob.halves(x, t, forced)
+    for x, t, stage_force, f, g in zip(states, times, force, f_vals, g_vals):
+        want_f, want_g = prob.halves(x, t, stage_force)
         assert np.array_equal(f, want_f) and np.array_equal(g, want_g)
         assert np.array_equal(np.signbit(g), np.signbit(want_g))
 
