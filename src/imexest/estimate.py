@@ -18,7 +18,8 @@ weighted term exactly.
 
 The Gauss table is walked a block of consecutive intervals at a time,
 each block's projections, density rows and Galerkin residuals one
-broadcast product, with one ``problem.halves`` call a block.  A block
+broadcast product, with one ``problem.halves`` call a block, which reads
+a forced problem's forcing at the block's Gauss times alone.  A block
 holds max(1, BLOCK_FLOATS // (points * m)) intervals, so each of its
 (intervals, points, m) arrays stays within 256 KiB: a whole
 advection-diffusion grid of m = 20-40 is one or two blocks, while MHD
@@ -105,19 +106,13 @@ def _gauss_blocks(problem: SplitOdeProblem, recon: PiecewisePolynomial,
     taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
     phi_tab = adjoint.poly.at(taus, factor)
     times = grid.local_times(taus)
-    # a forced problem's boundary data at every Gauss time, read at once;
-    # the pickups are applied per block, which keeps the (N, points, m)
-    # forcing from ever being formed
-    data = None if problem.pickups is None else (
-        np.asarray(problem.boundary_data(times.ravel())).reshape(*times.shape, -1))
     n_int, points, m = y_tab.shape
     size = max(1, BLOCK_FLOATS // (points * m))
 
     def blocks():
         for start in range(0, n_int, size):
             span = slice(start, start + size)
-            force = None if data is None else problem.forcing_from(data[span])
-            f, g = problem.halves(y_tab[span], times[span], force)
+            f, g = problem.halves(y_tab[span], times[span])
             yield _Block(span, grid.steps[span], ydot_tab[span], phi_tab[span], f, g)
 
     return taus, wts, blocks()

@@ -12,6 +12,8 @@ small periodic stencils (at most a few dozen unknowns) stay dense, and
 Burgers states its Jacobian's sparsity pattern.  No other module decides
 the form: ``numerics`` builds each system in its operator's or its
 stated pattern's form, so a CSR operator or a pattern is factored sparse.
+A forced problem's forcing has one reader, ``SplitOdeProblem.forcing``,
+which every layer hands its times in the shape it holds them.
 """
 
 from __future__ import annotations
@@ -40,12 +42,11 @@ class SplitOdeProblem:
     """Autonomous split system plus optional additive time-dependent forcing.
 
     eval_f/eval_g take the state only; the full right-hand side halves are
-    f(y, t) = eval_f(y) + forcing(t)[0] and likewise for g.  eval_f,
-    eval_g and forcing accept one state (m,) with one time, or a (P, m)
-    stack of states with a (P,) vector of times, and return the same
-    shape.  The estimate also hands eval_f and eval_g a (B, P, m) stack of
-    B such stacks; an operator half gives each (P, m) slab exactly the
-    rows it gives that slab alone.
+    f(y, t) = eval_f(y) + forcing(t)[0] and likewise for g.  halves takes
+    one state (m,) with one time, a (P, m) stack of states with a (P,)
+    vector of times, or, from the estimate, a (B, P, m) stack with (B, P)
+    times, and returns the states' shape; an operator half gives each
+    (P, m) slab exactly the rows it gives that slab alone.
 
     ``f_op``/``g_op`` hold the constant (dim, dim) operator of a half that
     is linear in the state, as a dense array or CSR, and are None for a
@@ -70,9 +71,9 @@ class SplitOdeProblem:
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, which maps one time to
     the d data values b(t), or a (P,) vector of times to their (P, d)
-    rows; its forcing is (pick_f @ b(t), pick_g @ b(t)).  Each layer reads
-    the data for all of its times in one call and applies the pickups
-    with ``forcing_from``.  The reference sums the pickups itself.
+    rows; its forcing is (pick_f @ b(t), pick_g @ b(t)).  ``forcing`` is
+    the one reader of it: every layer hands it all the times it needs at
+    once, in whatever shape it holds them.
     """
 
     name: str
@@ -129,16 +130,15 @@ class SplitOdeProblem:
         return self.f_op is not None and self.g_op is not None
 
     def forcing(self, t) -> tuple[Array, Array]:
-        """(pick_f @ b(t), pick_g @ b(t)) of a forced problem, at one time
-        or row by row on a (P,) vector of times, from one boundary_data
-        call."""
-        return self.forcing_from(self.boundary_data(t))
-
-    def forcing_from(self, data) -> tuple[Array, Array]:
-        """The forcing pair of boundary data already read: the (d,) values
-        at one time, their (P, d) rows, or a (B, P, d) stack of such rows."""
-        data = np.asarray(data, dtype=float)
-        return tuple(_apply(pick)(data) for pick in self.pickups)
+        """(pick_f @ b(t), pick_g @ b(t)) of a forced problem at a time or
+        an array of times of any shape, each half shaped t.shape + (dim,),
+        from one boundary_data call on the raveled times.  CSR pickups
+        give each time's row exactly as that time alone gives it; dense
+        ones make one product over all the times."""
+        times = np.asarray(t, dtype=float)
+        data = np.asarray(self.boundary_data(times.ravel()), dtype=float)
+        return tuple(_apply(pick)(data).reshape(*times.shape, -1)
+                     for pick in self.pickups)
 
     def halves(self, y: Array, t, force=None) -> tuple[Array, Array]:
         """(f(y, t), g(y, t)) with one forcing evaluation, or none when the
@@ -434,17 +434,14 @@ def alfven_analytic(zeta, t, **params) -> tuple[Array, Array]:
     At t <= 0 both fields vanish (the fluid starts at rest); for t > 0
     the impulsively started plate makes the velocity boundary value at
     zeta = 0 exactly U, which is also the t -> 0+ limit of the erf
-    expressions.  A vector of times gives (len(t), len(zeta)) fields,
-    one row per time.
+    expressions.  An array of times gives t.shape + (len(zeta),) fields.
     """
     unknown = set(params) - set(MHD_DEFAULTS)
     if unknown:
         raise TypeError(f"unknown mhd parameters: {sorted(unknown)}")
     p = {**MHD_DEFAULTS, **params}
-    t = np.asarray(t, dtype=float)
-    if t.ndim:
-        t = t[:, None]
-    return _alfven_fields(np.asarray(zeta, dtype=float), t,
+    return _alfven_fields(np.asarray(zeta, dtype=float),
+                          np.asarray(t, dtype=float)[..., None],
                           *(p[k] for k in _ALFVEN_PHYSICS))
 
 
@@ -522,22 +519,17 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
         for cols, width in ((slice(1, -1), mh), ([0, -1], 2)))
     physics = tuple(p[k] for k in _ALFVEN_PHYSICS)
 
-    def ends(t: float) -> list:
-        """(v(0), v(L), B(0), B(L)) at one time."""
-        v_0, b_0 = _alfven_point(0.0, t, *physics)
-        v_l, b_l = _alfven_point(L, t, *physics)
-        return [v_0, v_l, b_0, b_l]
+    def fields_at(points: Array, t) -> Array:
+        """The exact (v, B) at points, concatenated, for each of the times t."""
+        v, b = _alfven_fields(points, np.asarray(t, dtype=float)[..., None], *physics)
+        return np.concatenate([v, b], axis=-1)
 
     def boundary_data(t) -> Array:
-        """ends at one time, or a row of them per time of a (P,) vector."""
-        times = np.asarray(t, dtype=float)
-        if times.ndim == 0:
-            return np.array(ends(float(times)))
-        return np.array([ends(s) for s in times.tolist()]).reshape(-1, 4)
+        """(v(0), v(L), B(0), B(L)) for each of the times t."""
+        return fields_at(np.array([0.0, L]), t)
 
-    def pde_solution(t: float) -> Array:
-        v, b = alfven_analytic(zeta, t, **p)
-        return np.concatenate([v, b], axis=-1)
+    def pde_solution(t) -> Array:
+        return fields_at(zeta, t)
 
     return _matrix_problem(
         f"mhd-alfven-{v_mode}", f_mat, g_mat, np.zeros(m),

@@ -26,9 +26,9 @@ The numeric route integrates with ``solve_ivp`` in one of two ways.
   uniform: on the Alfven wave, grading the first step geometrically
   towards t = 0, in up to 32 halvings, moved the error by under 10% at
   every n, for final-time and time-integrated QoIs alike.  The stages'
-  forcing, the summed pickups times the boundary data, is read for
-  blocks of at most RADAU_START_STEPS steps in one boundary-data call
-  each, never for a whole level, whose length only ``step_cap`` bounds.
+  forcing, the sum of the two halves ``problem.forcing`` gives, is read
+  for blocks of at most RADAU_START_STEPS steps in one call each, never
+  for a whole level, whose length only ``step_cap`` bounds.
 * Any other problem takes scipy's adaptive DOP853 at rtol and atol.
 
 ``step_cap`` bounds the steps a numeric QoI attempts: DOP853's attempted
@@ -320,11 +320,9 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
             return float(z[-1])
     t_span = (float(grid.nodes[0]), grid.t_end)
     if problem.linear and problem.pickups is not None:
-        # the forcing rows fun(t, 0)[:m], to the bit, for many times at once
-        pickup = problem.pickups[0] + problem.pickups[1]
-
         def forcing(times):
-            return (pickup @ problem.boundary_data(times).T).T
+            force_f, force_g = problem.forcing(times)
+            return force_f + force_g
         yield from _radau_qoi(fun, problem.f_op + problem.g_op, forcing, rate,
                               t_span, z0, value, config)
         return

@@ -224,8 +224,7 @@ def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
     if problem.pickups is not None:
         # step's times, t_n + k_n d, in the same float arithmetic
         times = grid.local_times(pair.implicit.abscissae)
-        forces = list(zip(*(half.reshape(n_int, pair.n_stages, m)
-                            for half in problem.forcing(times.ravel()))))
+        forces = list(zip(*problem.forcing(times)))
     # an overflow is reported by step's own non-finite checks, not warned about
     with np.errstate(all="ignore"):
         for n in range(n_int):

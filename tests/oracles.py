@@ -169,8 +169,6 @@ def assemble_per_interval(problem, pair, forward, recon, adjoint) -> ErrorBreakd
     phi_tab = adjoint.poly.at(taus, factor)
     phi_d_tab = adjoint.poly.at(d, factor)
     times = grid.local_times(taus)
-    data = None if problem.pickups is None else (
-        np.asarray(problem.boundary_data(times.ravel())).reshape(*times.shape, -1))
 
     density = np.empty((n_int, 3, m))
     galerkin = np.empty(n_int)
@@ -185,8 +183,7 @@ def assemble_per_interval(problem, pair, forward, recon, adjoint) -> ErrorBreakd
         pphi_all = leg_t.T @ modes
         pphi_d = leg_d.T @ modes
 
-        f_all, g_all = problem.halves(
-            y_all, times[n], None if data is None else problem.forcing_from(data[n]))
+        f_all, g_all = problem.halves(y_all, times[n])
 
         delta_t = phi_all - pphi_all
         delta_d = phi_d - pphi_d

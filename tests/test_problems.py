@@ -633,30 +633,34 @@ def test_alfven_analytic_matches_the_numpy_closed_form(physics):
             assert np.all(np.abs(new - old) <= ALFVEN_ULPS * mag)
 
 
+def bits(arr):
+    """An array's float64 bits: equal only to the bit, signs of zero and
+    NaNs included."""
+    return np.asarray(arr, dtype=float).view(np.int64)
+
+
 @pytest.mark.parametrize("v_mode", MHD_V_MODES)
 @pytest.mark.parametrize("physics", ALFVEN_PHYSICS, ids=ALFVEN_PHYSICS_IDS)
 def test_boundary_data_over_a_vector_equals_the_per_time_calls(physics, v_mode):
     prob = mhd_alfven(h=0.1, v_mode=v_mode, **physics)
+    md = prob.metadata
+    point = [md[key] for key in problems._ALFVEN_PHYSICS]
     # the rest state (t <= 0 and NaN), and 5e-324, where d*t underflows
     # for the mixed and negative-B0 physics (the start-limit branch)
     ts = np.concatenate([alfven_times(np.random.default_rng(5)), [5e-324, -1.0]])
-    calls = []
-    data = prob.boundary_data
-
-    def counted(t):
-        calls.append(t)
-        return data(t)
-
-    prob.boundary_data = counted
-    got = prob.boundary_data(ts)
-    assert got.shape == (ts.size, 4)
-    assert np.array_equal(got, np.stack([data(t) for t in ts]))
-    assert data(ts[:0]).shape == (0, 4)
-    # a vector's forcing is one read, applied by forcing_from
-    calls.clear()
-    for half, want in zip(prob.forcing(ts), prob.forcing_from(got)):
-        assert np.array_equal(half, want)
-    assert len(calls) == 1
+    # one time is the closed form at both ends: (v(0), v(L), B(0), B(L))
+    for t in ts:
+        (v_0, b_0), (v_l, b_l) = (problems._alfven_point(zeta, float(t), *point)
+                                  for zeta in (0.0, md["L"]))
+        assert np.array_equal(bits(prob.boundary_data(t)), bits([v_0, v_l, b_0, b_l]))
+    # an array of times, of any shape, gives each time's row to the bit,
+    # and so does the exact solution at the interior points
+    for fn, width in ((prob.boundary_data, 4), (prob.pde_solution, prob.dim)):
+        want = np.stack([fn(t) for t in ts])
+        for shape in ((ts.size,), (2, ts.size // 2), (0,)):
+            got = fn(ts[:np.prod(shape, dtype=int)].reshape(shape))
+            assert got.shape == shape + (width,)
+            assert np.array_equal(bits(got).reshape(-1, width), bits(want[:got.size // width]))
 
 
 def test_alfven_fields_take_the_start_limit_where_d_t_underflows():
@@ -719,19 +723,30 @@ def test_mhd_forcing_is_the_pickups_times_the_exact_boundary_data(physics, lengt
 
 @pytest.mark.parametrize("v_mode", MHD_V_MODES)
 def test_stacked_forcing_equals_the_per_time_calls(v_mode):
+    # the estimate's (B, P) Gauss times: one boundary_data call on all of
+    # them, and each time's forcing exactly as that time alone gives it,
+    # since a CSR pickup's rows do not depend on the stack height
     prob = mhd_alfven(h=0.05, v_mode=v_mode)
     ts = alfven_times(np.random.default_rng(7))
-    data = np.abs(np.concatenate(numpy_alfven([0.0, 1.0], ts)[:2], axis=-1))
-    rows = [prob.forcing(t) for t in ts]
-    for j, (got, pick) in enumerate(zip(prob.forcing(ts), pickups(prob.metadata))):
-        # the same boundary data: equal wherever a row takes one boundary
-        # value; a stack may sum a row's two pickups (v-implicit viscosity
-        # and Lorentz) in another order
-        want = np.stack([row[j] for row in rows])
-        two = np.count_nonzero(pick, axis=1) > 1
-        assert np.array_equal(got[:, ~two], want[:, ~two])
-        bound = np.finfo(float).eps * (data @ np.abs(pick).T)
-        assert np.all(np.abs(got - want)[:, two] <= bound[:, two])
+    times = ts.reshape(2, -1)
+    calls = []
+    data = prob.boundary_data
+
+    def counted(t):
+        calls.append(np.shape(t))
+        return data(t)
+
+    prob.boundary_data = counted
+    got = prob.forcing(times)
+    assert calls == [(ts.size,)]
+    rows = [prob.forcing(row) for row in times]
+    ones = [prob.forcing(t) for t in ts]
+    for j, half in enumerate(got):
+        assert half.shape == times.shape + (prob.dim,)
+        assert ones[0][j].shape == (prob.dim,)
+        assert np.array_equal(bits(half), bits(np.stack([row[j] for row in rows])))
+        assert np.array_equal(bits(half).reshape(ts.size, -1),
+                              bits(np.stack([one[j] for one in ones])))
 
 
 @pytest.mark.parametrize("v_mode", MHD_V_MODES)

@@ -3,7 +3,7 @@ the nonlinear Bernoulli equation over random non-uniform grids, for
 final-time and time-varying time-integrated QoIs, every built-in scheme
 and random valid IMEX pairs: inputs the shipped benchmarks never use.
 Also the estimate's sharpening as the adjoint grid is refined on one
-linear system, over a uniform grid and a graded one."""
+linear system, over a uniform grid and random graded ones."""
 
 import numpy as np
 import pytest
@@ -189,16 +189,23 @@ def test_effectivity_converges_under_adjoint_refinement(qoi, scheme):
         assert fine * 8.0 <= coarse, devs
 
 
+# 4 to 12 steps, each 0.7 to 1.4 times the one before
+GROWTHS = st.lists(st.floats(0.7, 1.4), min_size=3, max_size=11)
+
+
 @pytest.mark.parametrize("scheme", SCHEME_ORDER)
 @pytest.mark.parametrize("qoi", [
     QoiSpec(kind="final-time", psi=np.array([1.0, 0.5])),
     QoiSpec(kind="time-integrated", psi_tilde=lambda t: np.array([1.0, 0.5])),
 ], ids=["final-time", "time-integrated"])
+@settings(max_examples=15, deadline=None)
+@given(growth=GROWTHS)
+@example(growth=[1.25] * 9)  # 10 steps growing by 1.25 each
 def test_effectivity_converges_under_adjoint_refinement_on_a_graded_grid(
-        qoi, scheme):
-    # the library pipeline on 10 steps growing by 1.25 each, over [0, 1]:
-    # the adjoint's per-interval path, with the same rates as on a uniform grid
-    steps = 1.25 ** np.arange(10)
+        qoi, scheme, growth):
+    # the library pipeline on a random graded grid over [0, 1]: the
+    # adjoint's per-interval path, with the same rates as on a uniform grid
+    steps = np.cumprod([1.0, *growth])
     grid = TimeGrid(np.concatenate([[0.0], np.cumsum(steps / steps.sum())]))
     prob = split_linear_system([[0.0, 2.0], [-2.0, 0.0]],
                                [[-1.0, 0.0], [0.0, -3.0]], [1.0, 0.5])

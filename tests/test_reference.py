@@ -318,20 +318,29 @@ def test_step_cap_equal_to_the_step_count_passes():
         true_qoi(prob, GRID, qoi, replace(cfg, step_cap=steps - 1))
 
 
-def test_numeric_reference_of_a_forced_linear_problem_calls_no_forcing():
-    # the boundary data enter through the augmented operator instead
+def test_numeric_reference_of_a_forced_linear_problem_reads_the_boundary_data_through_forcing(
+        solves):
+    # Radau IIA reads the boundary data through problem.forcing alone: one
+    # call a block of at most RADAU_START_STEPS steps, at its stage times
     prob = mhd_alfven(h=0.05)
-    calls = []
-    forcing = prob.forcing
+    forcing_reads, data_reads = [], []
+    forcing, data = prob.forcing, prob.boundary_data
 
-    def counted(t):
-        calls.append(t)
+    def counted_forcing(t):
+        forcing_reads.append(np.size(t))
         return forcing(t)
 
-    prob.forcing = counted
+    def counted_data(t):
+        data_reads.append(np.size(t))
+        return data(t)
+
+    prob.forcing, prob.boundary_data = counted_forcing, counted_data
     for qoi in mhd_qois(prob):
         true_qoi(prob, MHD_GRID, qoi, NUMERIC)
-    assert calls == []
+    blocks = [3 * min(RADAU_START_STEPS, sol.t.size - 1 - start)
+              for sol in solves for start in range(0, sol.t.size - 1, RADAU_START_STEPS)]
+    assert len(solves) >= 4 and forcing_reads == blocks
+    assert data_reads == forcing_reads
 
 
 @pytest.fixture
@@ -395,7 +404,9 @@ def test_radau_reference_goes_through_solve_ivp(solves, kind):
     prob.forcing = counted
     qoi = {q.kind: q for q in mhd_qois(prob)}[kind]
     true_qoi(prob, MHD_GRID, qoi, NUMERIC)
-    assert len(solves) >= 2 and calls == []
+    # one forcing call a block of at most RADAU_START_STEPS steps
+    assert len(solves) >= 2
+    assert len(calls) == sum(-(-(sol.t.size - 1) // RADAU_START_STEPS) for sol in solves)
     per_step = 3 if kind == "final-time" else 6  # stage forcing, then integrand
     for sol in solves:
         assert sol.nfev == per_step * (sol.t.size - 1) > 0
