@@ -13,7 +13,7 @@ Burgers states its Jacobian's sparsity pattern.  No other module decides
 the form: ``numerics`` builds each system in its operator's or its
 stated pattern's form, so a CSR operator or a pattern is factored sparse.
 A forced problem's forcing has one reader, ``SplitOdeProblem.forcing``,
-which every layer hands its times in the shape it holds them.
+which each layer hands a batch of times in the shape it holds them.
 """
 
 from __future__ import annotations
@@ -72,8 +72,8 @@ class SplitOdeProblem:
     matrices, dense or CSR, and ``boundary_data``, which maps one time to
     the d data values b(t), or a (P,) vector of times to their (P, d)
     rows; its forcing is (pick_f @ b(t), pick_g @ b(t)).  ``forcing`` is
-    the one reader of it: every layer hands it all the times it needs at
-    once, in whatever shape it holds them.
+    the one reader of it: each layer hands it a batch of times in the
+    shape it holds them.
     """
 
     name: str

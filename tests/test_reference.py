@@ -318,8 +318,7 @@ def test_step_cap_equal_to_the_step_count_passes():
         true_qoi(prob, GRID, qoi, replace(cfg, step_cap=steps - 1))
 
 
-def test_numeric_reference_of_a_forced_linear_problem_reads_the_boundary_data_through_forcing(
-        solves):
+def test_numeric_reference_of_a_forced_linear_problem_reads_forcing_per_block(solves):
     # Radau IIA reads the boundary data through problem.forcing alone: one
     # call a block of at most RADAU_START_STEPS steps, at its stage times
     prob = mhd_alfven(h=0.05)
