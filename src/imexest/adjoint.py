@@ -13,7 +13,9 @@ Jacobians at the reconstruction's sub-Gauss nodes
 values at the problem's Jacobian pattern serve every interval.  Every
 local system is assembled by one body through ``numerics.BlockForm``,
 in the summed operator's form when H is constant (both halves linear)
-and as CSC on the Jacobian pattern otherwise.
+and as CSC on the Jacobian pattern otherwise.  A constant H in a dense
+form becomes one propagator; every other sweep solves once per interval,
+and a sparse constant H (MHD) is factored once for all of them.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -29,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
-                       as_dense, galerkin_deriv_matrix, legendre_shifted,
-                       lu_factor)
+                       galerkin_deriv_matrix, legendre_shifted, lu_factor)
 from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
 from .solver import TimeGrid
@@ -72,10 +73,11 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     """Backward cG(q+1) adjoint solve around the reconstruction.
 
     A constant operator on a uniform grid has one local system for every
-    interval: one factorisation turns it into a propagator, and the sweep
-    is an m x m recurrence for the left end values plus one matmul per
-    interior node over all intervals.  Otherwise each interval factors
-    and solves its own system.
+    interval, factored once.  In a dense form that solve turns into a
+    propagator, and the sweep is an m x m recurrence for the left end
+    values plus one matmul per interior node over all intervals.  In a
+    sparse form the sweep solves it once per interval.  Otherwise each
+    interval factors and solves its own system in that same sweep.
     """
     q = reconstruction.degree
     r = q + 1
@@ -135,10 +137,12 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
 
     coeffs = np.empty((n_int, r + 1, m))
     uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
-    if problem.linear and uniform:
+    constant = problem.linear and uniform
+    if constant:
         solve, known = local_system(n_int - 1)
+    if constant and form.dense:
         # node values of an interval: prop[j] @ (its right end value) + loads[n, j]
-        prop = solve(-as_dense(known)).reshape(r, m, m)
+        prop = solve(-known).reshape(r, m, m)
         loads = np.zeros((n_int, r, m))
         if load is not None:
             loads = solve(load.reshape(n_int, r * m).T).T.reshape(n_int, r, m)
@@ -157,7 +161,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             raise AdjointSolveError(n_bad, "non-finite adjoint values")
     else:
         for n in range(n_int - 1, -1, -1):
-            solve, known = local_system(n)
+            if not constant:
+                solve, known = local_system(n)
             rhs = -(known @ phi_right)
             if load is not None:
                 rhs += load[n].reshape(r * m)

@@ -10,14 +10,16 @@
 All continuous inner products use the one Gauss rule of ``numerics`` on
 every adjoint subinterval, so they stay exact when the adjoint grid is a
 refinement of the forward grid: the reconstruction and its derivative
-come from its Gauss table, phi from ``PiecewisePolynomial.at`` at the
+come from its Gauss table, phi from ``PiecewisePolynomial.reader`` at the
 same points and at the stage abscissae.
 The quadrature sums reuse the recorded stage f and g values, so e2/e3
 vanish to roundoff exactly when the stage quadrature integrates the
 weighted term exactly.
 
-The Gauss table is walked a block of consecutive intervals at a time,
-each block's projections, density rows and Galerkin residuals one
+The grid is walked a block of consecutive intervals at a time, and each
+block reads its own Y, Ydot, phi at both point sets and stage f and g
+values, so the working memory is a fixed number of blocks at any N.
+Each block's projections, density rows and Galerkin residuals are one
 broadcast product, with one ``problem.halves`` call a block, which reads
 a forced problem's forcing at the block's Gauss times alone.  A block
 holds max(1, BLOCK_FLOATS // (points * m)) intervals, so each of its
@@ -100,20 +102,21 @@ def _gauss_blocks(problem: SplitOdeProblem, recon: PiecewisePolynomial,
                   adjoint: AdjointSolution, factor: int):
     """The Gauss rule on each of ``factor`` subintervals of every interval:
     its local points and weights, and an iterator over blocks of at most
-    BLOCK_FLOATS // (points * m) intervals (at least one), each with one
+    BLOCK_FLOATS // (points * m) intervals (at least one), each read from
+    the reconstruction and the adjoint on its own, with one
     ``problem.halves`` call for all of its points."""
-    grid = recon.grid
-    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
-    phi_tab = adjoint.poly.at(taus, factor)
-    times = grid.local_times(taus)
-    n_int, points, m = y_tab.shape
-    size = max(1, BLOCK_FLOATS // (points * m))
+    taus, wts, read_recon = recon.gauss_table(factor)
+    read_phi = adjoint.poly.reader(taus, factor)
+    times, steps = recon.grid.local_times(taus), recon.grid.steps
+    n_int, points = times.shape
+    size = max(1, BLOCK_FLOATS // (points * recon.dim))
 
     def blocks():
         for start in range(0, n_int, size):
             span = slice(start, start + size)
-            f, g = problem.halves(y_tab[span], times[span])
-            yield _Block(span, grid.steps[span], ydot_tab[span], phi_tab[span], f, g)
+            y, ydot = read_recon(span)
+            f, g = problem.halves(y, times[span])
+            yield _Block(span, steps[span], ydot, read_phi(span), f, g)
 
     return taus, wts, blocks()
 
@@ -138,9 +141,7 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
 
     leg_t = legendre_shifted(recon.degree - 1, taus)     # (q, 5*factor)
     leg_d = legendre_shifted(recon.degree - 1, d)        # (q, nu)
-    phi_d_tab = adjoint.poly.at(d, factor)               # phi at the stages
-    f_stage = np.stack([rec.f_vals for rec in forward.stages])  # (N, nu, m)
-    g_stage = np.stack([rec.g_vals for rec in forward.stages])
+    read_phi_d = adjoint.poly.reader(d, factor)          # phi at the stages
 
     density = np.empty((n_int, 3, m))
     galerkin = np.empty(n_int)
@@ -148,8 +149,9 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
 
     for blk in blocks:
         span, k_n = blk.span, blk.steps[:, None]
-        phi, phi_d = blk.phi, phi_d_tab[span]
-        f_vals, g_vals = f_stage[span], g_stage[span]
+        phi, phi_d = blk.phi, read_phi_d(span)
+        f_vals = np.stack([rec.f_vals for rec in forward.stages[span]])
+        g_vals = np.stack([rec.g_vals for rec in forward.stages[span]])
         # L2 projection of phi onto P^{q-1} via orthonormal Legendre modes
         modes = leg_t @ (wts[:, None] * phi)
         pphi = leg_t.T @ modes

@@ -130,15 +130,16 @@ class BlockForm:
     stated at like's own entries.  The system and the known matrix are
     CSCs whose indices are built here, once; each ``system`` call refills
     their data, so both are valid until the next call (SuperLU copies the
-    system into its factors).  Any other ``like`` keeps the dense
-    transposes in one Fortran-order array, new on each call, whose first
-    r m columns are the system, which ``lu_factor`` factors in place.
+    system into its factors).  Any other ``like``, for which ``dense`` is
+    true, keeps the dense transposes in one Fortran-order array, new on
+    each call, whose first r m columns are the system, which
+    ``lu_factor`` factors in place.
     """
 
     def __init__(self, m: int, r: int, like):
         self.m, self.r = m, r
-        if not sparse.issparse(like):
-            self.order = None
+        self.dense = not sparse.issparse(like)
+        if self.dense:
             diag = np.arange(m)
             self.diagonal = (diag, diag)
             return
@@ -166,7 +167,7 @@ class BlockForm:
 
     def values(self, mat) -> np.ndarray:
         """The transpose of the m x m matrix mat, in this form."""
-        if self.order is None:
+        if self.dense:
             return as_dense(mat).T.copy()
         return mat[self.cols, self.rows]
 
@@ -183,7 +184,7 @@ class BlockForm:
     def system(self, blocks):
         """The system whose block (a, j) has the values blocks[a, j], and
         the known matrix whose block a has blocks[a, r]."""
-        if self.order is not None:
+        if not self.dense:
             vals = blocks.reshape(-1)[self.order]
             self.csc.data[:] = vals[:self.split]
             self.known.data[:] = vals[self.split:]

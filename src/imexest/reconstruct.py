@@ -54,32 +54,53 @@ class PiecewisePolynomial:
     def dim(self) -> int:
         return self.coeffs.shape[2]
 
-    def at(self, taus, factor: int = 1) -> np.ndarray:
-        """Values at local coordinates taus in [0, 1] of every run of
-        ``factor`` consecutive intervals, each run read as one interval:
-        shape (N // factor, len(taus), m).  A point on a boundary between
-        two intervals of a run is read from the later one."""
+    def reader(self, taus, factor: int = 1):
+        """The reader of values at local coordinates taus in [0, 1] of every
+        run of ``factor`` consecutive intervals, each run read as one
+        interval: ``read(span)`` gives the runs a slice span selects, as a
+        (runs, len(taus), m) array.  A point on a boundary between two
+        intervals of a run is read from the later one.  The basis is
+        evaluated here, once; a read only multiplies, run by run, so a
+        span's values are bit for bit those of the whole grid."""
         scaled = np.asarray(taus, dtype=float) * factor
         # clipped at both ends: a stage abscissa summed from a tableau row
         # can land a rounding error outside [0, 1]
         sub = np.clip(np.floor(scaled).astype(int), 0, factor - 1)
+        parts = [(s, sub == s, self.basis.eval_matrix(scaled[sub == s] - s))
+                 for s in np.unique(sub)]
         runs = self.coeffs.reshape(-1, factor, *self.coeffs.shape[1:])
-        out = np.empty((runs.shape[0], sub.size, self.dim))
-        for s in np.unique(sub):
-            pick = sub == s
-            out[:, pick] = self.basis.eval_matrix(scaled[pick] - s) @ runs[:, s]
-        return out
+
+        def read(span: slice) -> np.ndarray:
+            block = runs[span]
+            out = np.empty((block.shape[0], sub.size, self.dim))
+            for s, pick, mat in parts:
+                out[:, pick] = mat @ block[:, s]
+            return out
+
+        return read
+
+    def at(self, taus, factor: int = 1) -> np.ndarray:
+        """The values ``reader(taus, factor)`` reads on the whole grid:
+        shape (N // factor, len(taus), m)."""
+        return self.reader(taus, factor)(slice(None))
 
     def gauss_table(self, factor: int):
         """The Gauss rule on each of ``factor`` equal subintervals of every
-        interval: local points and weights (5*factor,), then the values and
-        time derivatives there, each of shape (N, 5*factor, m)."""
+        interval: local points and weights (5*factor,), and ``read(span)``,
+        the values and time derivatives there on the intervals a slice span
+        selects, each of shape (intervals, 5*factor, m)."""
         taus = sub_gauss_nodes(factor)
         wts = np.tile(GAUSS_WEIGHTS, factor) / factor
-        values = self.at(taus)
-        derivs = self.basis.deriv_matrix(taus) @ self.coeffs
-        derivs /= self.grid.steps[:, None, None]
-        return taus, wts, values, derivs
+        values = self.reader(taus)
+        slopes = self.basis.deriv_matrix(taus)
+        steps = self.grid.steps
+
+        def read(span: slice):
+            derivs = slopes @ self.coeffs[span]
+            derivs /= steps[span, None, None]
+            return values(span), derivs
+
+        return taus, wts, read
 
     def continuity_defect(self) -> float:
         """Max mismatch between interval right values and next left values."""

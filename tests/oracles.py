@@ -156,7 +156,7 @@ def assemble_per_interval(problem, pair, forward, recon, adjoint) -> ErrorBreakd
     ``problem.halves`` call and one set of projections per interval."""
     grid = recon.grid
     factor = adjoint.poly.grid.n_intervals // grid.n_intervals
-    taus, wts, y_tab, ydot_tab = recon.gauss_table(factor)
+    taus, wts, read = recon.gauss_table(factor)
     d = pair.implicit.abscissae
     w_ex = pair.explicit.weights
     w_im = pair.implicit.weights
@@ -176,7 +176,7 @@ def assemble_per_interval(problem, pair, forward, recon, adjoint) -> ErrorBreakd
 
     for n in range(n_int):
         k_n = steps[n]
-        y_all, ydot_all = y_tab[n], ydot_tab[n]
+        (y_all,), (ydot_all,) = read(slice(n, n + 1))
         phi_all, phi_d = phi_tab[n], phi_d_tab[n]
         stage = forward.stages[n]
         modes = leg_t @ (wts[:, None] * phi_all)

@@ -1,5 +1,7 @@
 """Tests for the adjoint-weighted error estimate and its decompositions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,32 @@ def test_block_assembly_equals_the_per_interval_oracle(case, monkeypatch):
         for name in ("per_interval", "term_density", "galerkin_scaled", "galerkin_raw"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (intervals, name)
         assert (got.e1, got.e2, got.e3) == (want.e1, want.e2, want.e3)
+
+
+def test_breakdown_working_memory_does_not_grow_with_the_grid():
+    # the breakdown's traced peak, less its outputs, stays a fixed number
+    # of blocks: every (intervals, points, m) array is one block's, and
+    # the inputs were made before tracing started.  The whole-grid tables
+    # of Y, Ydot and phi made it 18 blocks at 100 intervals and 43 at 400.
+    prob = mhd_alfven(h=0.05)
+    qoi = qoi_integral_v(prob.metadata["interior_per_field"], 0.05)
+    block = estimate.BLOCK_FLOATS * 8  # bytes
+    # 100 intervals of 20 points hold more than two blocks
+    assert 100 * 20 * prob.dim > 2 * estimate.BLOCK_FLOATS
+    work = []
+    for n in (25, 100, 400):
+        pair, fwd, recon, adj = pipeline(prob, qoi, scheme="ssp332", t_end=n * 1e-3, n=n)
+        tracemalloc.start()
+        try:
+            bd = error_breakdown(prob, pair, fwd, recon, adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work.append(peak - sum(arr.nbytes for arr in (
+            bd.term_density, bd.per_interval, bd.galerkin_scaled, bd.galerkin_raw)))
+    assert max(work) < 20 * block, [w / block for w in work]
+    # the (N, points) Gauss times alone grow with N: 48 KB from 100 to 400
+    assert work[2] - work[1] < block, [w / block for w in work]
 
 
 @pytest.mark.parametrize("kind", ["final-time", "time-integrated"])

@@ -3,7 +3,8 @@ the nonlinear Bernoulli equation over random non-uniform grids, for
 final-time and time-varying time-integrated QoIs, every built-in scheme
 and random valid IMEX pairs: inputs the shipped benchmarks never use.
 Also the estimate's sharpening as the adjoint grid is refined on one
-linear system, over a uniform grid and random graded ones."""
+linear system, over a uniform grid and random graded ones, and a
+piecewise polynomial's span readers against its whole-grid tables."""
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from imexest.numerics import GAUSS_NODES  # noqa: E402
 from imexest.problems import (  # noqa: E402
     QoiSpec, split_linear_system, split_scalar_bernoulli)
 from imexest.reference import qoi_from_states, true_qoi  # noqa: E402
-from imexest.reconstruct import build_cg  # noqa: E402
+from imexest.reconstruct import PiecewisePolynomial, build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate  # noqa: E402
 from oracles import evaluate  # noqa: E402
@@ -144,7 +145,8 @@ def test_tables_at_local_points_match_pointwise_evaluation(case):
     _prob, pair, _fwd, recon, adj, _bd = case
     grid = recon.grid
     refine = adj.poly.grid.n_intervals // grid.n_intervals
-    taus, _wts, values, _derivs = recon.gauss_table(refine)
+    taus, _wts, read = recon.gauss_table(refine)
+    values, _derivs = read(slice(None))
     assert np.array_equal(recon.at(taus), values)
     points = np.concatenate([taus, pair.implicit.abscissae,
                              [0.0, 0.5, 1.0, -1e-17]])
@@ -156,6 +158,45 @@ def test_tables_at_local_points_match_pointwise_evaluation(case):
         want = np.stack([evaluate(adj.poly, grid.nodes[n] + grid.steps[n] * tau)
                          for tau in points])
         assert np.all(np.abs(table[n] - want) <= 1e-12 * np.abs(want) + scale)
+
+
+@st.composite
+def polynomials(draw):
+    """A piecewise polynomial of degree 1 to 4 in 1 to 3 states on 1 to 12
+    random steps, read in runs of 1 to 4 of them, and a span, which may
+    reach past the last run or interval."""
+    factor = draw(st.integers(1, 4))
+    n = factor * draw(st.integers(1, 3))
+    degree, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    steps = draw(arrays(float, n, elements=st.floats(0.01, 1.0)))
+    coeffs = draw(arrays(float, (n, degree + 1, m), elements=st.floats(-1e3, 1e3)))
+    poly = PiecewisePolynomial(TimeGrid(np.concatenate([[0.0], np.cumsum(steps)])),
+                               degree, coeffs)
+    start = draw(st.integers(0, n))
+    return poly, factor, slice(start, draw(st.integers(start, n + 1)))
+
+
+def bits(arr: np.ndarray) -> np.ndarray:
+    return arr.view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polynomials(),
+       arrays(float, st.integers(1, 12), elements=st.floats(-1e-16, 1.0 + 1e-15)))
+def test_span_readers_read_the_whole_grid_tables_bit_for_bit(case, taus):
+    # a span's values, and the Gauss table's values and time derivatives,
+    # are those of the whole grid to the bit; the derivatives are the
+    # basis derivatives' product with every interval, over its step
+    poly, factor, span = case
+    got, want = poly.reader(taus, factor)(span), poly.at(taus, factor)[span]
+    assert got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+    gauss, _wts, read = poly.gauss_table(factor)
+    values, derivs = read(span)
+    slopes = poly.basis.deriv_matrix(gauss) @ poly.coeffs
+    slopes /= poly.grid.steps[:, None, None]
+    assert np.array_equal(bits(values), bits(poly.at(gauss)[span]))
+    assert np.array_equal(bits(derivs), bits(slopes[span]))
 
 
 @settings(max_examples=60, deadline=None)
