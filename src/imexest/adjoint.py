@@ -13,9 +13,12 @@ Jacobians at the reconstruction's sub-Gauss nodes
 values at the problem's Jacobian pattern serve every interval.  Every
 local system is assembled by one body through ``numerics.BlockForm``,
 in the summed operator's form when H is constant (both halves linear)
-and as CSC on the Jacobian pattern otherwise.  A constant H in a dense
-form becomes one propagator; every other sweep solves once per interval,
-and a sparse constant H (MHD) is factored once for all of them.
+and on the Jacobian pattern otherwise; a sparse form gives each system
+as a LAPACK band, in one ordering of the unknowns per solve.  A constant
+H in a dense form becomes one propagator; every other sweep solves once
+per interval, and a sparse constant H (MHD) is factored once for all of
+them.  A time-integrated QoI's load is read a block of intervals at a
+time, in forward order.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -30,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
-                       galerkin_deriv_matrix, legendre_shifted, lu_factor)
+from .numerics import (BLOCK_FLOATS, GAUSS_NODES, GAUSS_WEIGHTS, BlockForm,
+                       LagrangeBasis, galerkin_deriv_matrix, legendre_shifted,
+                       lu_factor)
 from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
 from .solver import TimeGrid
@@ -130,10 +134,16 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     else:
         phi_right = np.zeros(m)
         # the density's (r, m) load on every interval, from one read of
-        # psi_tilde at each refined Gauss time
-        dens = np.stack([qoi.psi_tilde(t) for t in grid.local_times(gp).ravel()])
-        load = steps[:, None, None] * (
-            tests @ (gw[:, None] * dens.reshape(n_int, gp.size, m)))
+        # psi_tilde at each refined Gauss time, in forward order, a block
+        # of intervals at a time
+        times = grid.local_times(gp)
+        load = np.empty((n_int, r, m))
+        size = max(1, BLOCK_FLOATS // (gp.size * m))
+        for start in range(0, n_int, size):
+            span = slice(start, start + size)
+            dens = np.stack([qoi.psi_tilde(t) for t in times[span].ravel()])
+            load[span] = steps[span, None, None] * (
+                tests @ (gw[:, None] * dens.reshape(-1, gp.size, m)))
 
     coeffs = np.empty((n_int, r + 1, m))
     uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))

@@ -18,7 +18,8 @@ weighted term exactly.
 
 The grid is walked a block of consecutive intervals at a time, and each
 block reads its own Y, Ydot, phi at both point sets and stage f and g
-values, so the working memory is a fixed number of blocks at any N.
+values, and lets them go before the next block is read, so the working
+memory is a fixed number of blocks at any N.
 Each block's projections, density rows and Galerkin residuals are one
 broadcast product, with one ``problem.halves`` call a block, which reads
 a forced problem's forcing at the block's Gauss times alone.  A block
@@ -38,15 +39,11 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .adjoint import AdjointSolution
-from .numerics import legendre_shifted
+from .numerics import BLOCK_FLOATS, legendre_shifted
 from .problems import SplitOdeProblem
 from .reconstruct import PiecewisePolynomial
 from .solver import ForwardSolution
 from .tableaus import ImexPair
-
-# Floats in one (intervals, points, m) array of a block: 2**15 floats is
-# 256 KiB, which stays in a core's cache.
-BLOCK_FLOATS = 2 ** 15
 
 
 @dataclass
@@ -101,24 +98,23 @@ class _Block(NamedTuple):
 def _gauss_blocks(problem: SplitOdeProblem, recon: PiecewisePolynomial,
                   adjoint: AdjointSolution, factor: int):
     """The Gauss rule on each of ``factor`` subintervals of every interval:
-    its local points and weights, and an iterator over blocks of at most
-    BLOCK_FLOATS // (points * m) intervals (at least one), each read from
-    the reconstruction and the adjoint on its own, with one
-    ``problem.halves`` call for all of its points."""
+    its local points and weights, the spans of blocks of at most
+    BLOCK_FLOATS // (points * m) intervals (at least one), and
+    ``read(span)``, one block read from the reconstruction and the adjoint
+    on its own, with one ``problem.halves`` call for all of its points."""
     taus, wts, read_recon = recon.gauss_table(factor)
     read_phi = adjoint.poly.reader(taus, factor)
     times, steps = recon.grid.local_times(taus), recon.grid.steps
     n_int, points = times.shape
     size = max(1, BLOCK_FLOATS // (points * recon.dim))
 
-    def blocks():
-        for start in range(0, n_int, size):
-            span = slice(start, start + size)
-            y, ydot = read_recon(span)
-            f, g = problem.halves(y, times[span])
-            yield _Block(span, steps[span], ydot, read_phi(span), f, g)
+    def read(span):
+        y, ydot = read_recon(span)
+        return _Block(span, steps[span], ydot, read_phi(span),
+                      *problem.halves(y, times[span]))
 
-    return taus, wts, blocks()
+    spans = [slice(start, start + size) for start in range(0, n_int, size)]
+    return taus, wts, spans, read
 
 
 def _row_sums(arr: np.ndarray) -> np.ndarray:
@@ -132,7 +128,7 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
         raise ValueError("the forward solution and the reconstruction are on "
                          "different grids")
     factor = _subinterval_factor(recon, adjoint)
-    taus, wts, blocks = _gauss_blocks(problem, recon, adjoint, factor)
+    taus, wts, spans, read = _gauss_blocks(problem, recon, adjoint, factor)
     d = pair.implicit.abscissae
     w_ex = pair.explicit.weights
     w_im = pair.implicit.weights
@@ -147,7 +143,9 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
     galerkin = np.empty(n_int)
     galerkin_abs = np.empty(n_int)
 
-    for blk in blocks:
+    def add(blk):
+        """Write one block's densities and residuals; its arrays and
+        temporaries go when this returns, before the next block is read."""
         span, k_n = blk.span, blk.steps[:, None]
         phi, phi_d = blk.phi, read_phi_d(span)
         f_vals = np.stack([rec.f_vals for rec in forward.stages[span]])
@@ -175,6 +173,9 @@ def _assemble(problem: SplitOdeProblem, pair: ImexPair, forward: ForwardSolution
         t3 = blk.steps * _row_sums((w_im[:, None] * g_vals) * pphi_d)
         galerkin_abs[span] = np.abs(t1 - t2 - t3)
         galerkin[span] = galerkin_abs[span] / (1.0 + np.abs(t1) + np.abs(t2) + np.abs(t3))
+
+    for span in spans:
+        add(read(span))
 
     per_interval = density.sum(axis=2)
     totals = per_interval.sum(axis=0)
@@ -229,10 +230,10 @@ def residual_weighted_estimate(problem: SplitOdeProblem,
                                adjoint: AdjointSolution) -> float:
     """Direct evaluation of sum_n <f(Y) + g(Y) - Ydot, phi>: equals
     e1 + e2 + e3 up to the (roundoff-size) orthogonality residual."""
-    _taus, wts, blocks = _gauss_blocks(problem, recon, adjoint,
-                                       _subinterval_factor(recon, adjoint))
+    _taus, wts, spans, read = _gauss_blocks(problem, recon, adjoint,
+                                            _subinterval_factor(recon, adjoint))
     total = 0.0
-    for blk in blocks:
+    for blk in map(read, spans):
         resid = blk.f + blk.g - blk.ydot
         for term in (blk.steps * _row_sums((wts[:, None] * resid) * blk.phi)).tolist():
             total += term

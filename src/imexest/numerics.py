@@ -2,11 +2,13 @@
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
 polynomials, the one place an operator's form becomes a system's
-(``identity_like``, ``kron`` and ``BlockForm`` give CSC where their
-operator or stated pattern is sparse, by ``sparse.issparse`` alone, and
-dense arrays otherwise; ``BlockForm`` builds its CSCs' structure once and
-refills only their data), ``lu_factor``, the one factorisation, and
-``one_blas_thread``, the BLAS threading policy of a pipeline run.
+(``identity_like`` and ``kron`` give CSC where their operator is sparse,
+by ``sparse.issparse`` alone, and dense arrays otherwise; ``BlockForm``
+gives an adjoint system on a sparse operator or pattern as a LAPACK
+``Band``, in a reverse Cuthill-McKee ordering of its unknowns computed
+once), ``lu_factor``, the one factorisation (a band to gbtrf, CSC to
+SuperLU, a dense array to getrf), and ``one_blas_thread``, the BLAS
+threading policy of a pipeline run.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ from __future__ import annotations
 import ctypes
 import functools
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import get_lapack_funcs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 # The 5-point Gauss-Legendre rule on [0, 1]: the one interval rule of the
@@ -28,6 +32,11 @@ _POINTS, _WEIGHTS = np.polynomial.legendre.leggauss(5)
 GAUSS_NODES = 0.5 * (_POINTS + 1.0)
 GAUSS_WEIGHTS = 0.5 * _WEIGHTS
 GAUSS_NODES.flags.writeable = GAUSS_WEIGHTS.flags.writeable = False
+
+# Floats in one (intervals, points, m) array of a block of intervals, the
+# unit in which the adjoint reads its load and the estimate its values:
+# 2**15 floats is 256 KiB, which stays in a core's cache.
+BLOCK_FLOATS = 2 ** 15
 
 
 class LagrangeBasis:
@@ -118,6 +127,23 @@ def on_pattern(values, pattern) -> sparse.csr_array:
                             shape=pattern.shape)
 
 
+class Band(NamedTuple):
+    """A square system in LAPACK's band storage, in an ordering of its
+    unknowns: row and column i of the ordered matrix are row and column
+    ``order[i]`` of the system, and its entry (i, j) sits at
+    ``ab[kl + ku + i - j, j]``.  The first kl rows of the Fortran-order
+    ``ab`` are zero, room for ``gbtrf``'s fill-in."""
+
+    ab: np.ndarray     # (2 kl + ku + 1, n)
+    kl: int
+    ku: int
+    order: np.ndarray  # (n,)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.order.size, self.order.size)
+
+
 class BlockForm:
     """How an adjoint interval's r x (r + 1) blocks, each the transpose of
     an m x m matrix, become its (r m) x (r m) system, the first r block
@@ -127,13 +153,15 @@ class BlockForm:
     A sparse ``like`` is nonzero wherever the matrices may be: each block
     is read as its values at like's transposed entries and the diagonal.
     ``values`` gathers them from a matrix and ``scatter`` places values
-    stated at like's own entries.  The system and the known matrix are
-    CSCs whose indices are built here, once; each ``system`` call refills
-    their data, so both are valid until the next call (SuperLU copies the
-    system into its factors).  Any other ``like``, for which ``dense`` is
-    true, keeps the dense transposes in one Fortran-order array, new on
-    each call, whose first r m columns are the system, which
-    ``lu_factor`` factors in place.
+    stated at like's own entries.  The system's unknowns are ordered
+    here, once, by reverse Cuthill-McKee on the symmetrised structure of
+    its blocks, which makes it a narrow band (a periodic ring included),
+    and each ``system`` call scatters its values into a new ``Band``.  The
+    known matrix is a CSC whose indices are built here too; each call
+    refills its data, so it is valid until the next call.  Any other
+    ``like``, for which ``dense`` is true, keeps the dense transposes in
+    one Fortran-order array, new on each call, whose first r m columns
+    are the system, which ``lu_factor`` factors in place.
     """
 
     def __init__(self, m: int, r: int, like):
@@ -151,19 +179,34 @@ class BlockForm:
         self.slots = np.searchsorted(keys, rows * m + cols)
         # values[..., diagonal] are the diagonal entries, in row order
         self.diagonal = (np.flatnonzero(self.rows == self.cols),)
-        # value (a, j, z) sits at row a m + rows[z] and column j m + cols[z];
-        # CSC stores them by column, then by row, so the system's come first
+        # value (a, j, z) sits at row a m + rows[z] and column j m + cols[z]
         a, j = np.divmod(np.arange(r * (r + 1)), r + 1)
         all_rows = (a[:, None] * m + self.rows).ravel()
         all_cols = (j[:, None] * m + self.cols).ravel()
-        self.order = np.lexsort((all_rows, all_cols))
         n = r * m
-        full = sparse.csc_array(
-            (np.zeros(self.order.size), all_rows[self.order].astype(np.int32),
-             np.searchsorted(all_cols[self.order], np.arange(n + m + 1)).astype(np.int32)),
-            shape=(n, n + m))
-        self.csc, self.known = full[:, :n], full[:, n:]
-        self.split = self.csc.nnz
+        in_system = all_cols < n
+        self.band_values = np.flatnonzero(in_system)
+        rows, cols = all_rows[in_system], all_cols[in_system]
+        structure = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        self.order = reverse_cuthill_mckee((structure + structure.T).tocsr(),
+                                           symmetric_mode=True)
+        position = np.empty(n, dtype=np.intp)
+        position[self.order] = np.arange(n)
+        rows, cols = position[rows], position[cols]
+        self.kl, self.ku = int((rows - cols).max()), int((cols - rows).max())
+        # entry (i, j) of the ordered system at ab[kl + ku + i - j, j]: the
+        # flat index into ab's Fortran-order storage
+        self.height = 2 * self.kl + self.ku + 1
+        self.band_slots = cols * self.height + self.kl + self.ku + rows - cols
+        # the known matrix's values, by column and then by row
+        known = np.flatnonzero(~in_system)
+        by_column = np.lexsort((all_rows[known], all_cols[known]))
+        self.known_values = known[by_column]
+        self.known = sparse.csc_array(
+            (np.zeros(known.size), all_rows[self.known_values].astype(np.int32),
+             np.searchsorted(all_cols[self.known_values] - n,
+                             np.arange(m + 1)).astype(np.int32)),
+            shape=(n, m))
 
     def values(self, mat) -> np.ndarray:
         """The transpose of the m x m matrix mat, in this form."""
@@ -184,13 +227,15 @@ class BlockForm:
     def system(self, blocks):
         """The system whose block (a, j) has the values blocks[a, j], and
         the known matrix whose block a has blocks[a, r]."""
-        if not self.dense:
-            vals = blocks.reshape(-1)[self.order]
-            self.csc.data[:] = vals[:self.split]
-            self.known.data[:] = vals[self.split:]
-            return self.csc, self.known
-        # Fortran order, so LAPACK factors the system in place instead of a copy
         n, r, m = self.r * self.m, self.r, self.m
+        if not self.dense:
+            vals = blocks.reshape(-1)
+            ab = np.zeros(n * self.height)
+            ab[self.band_slots] = vals[self.band_values]
+            self.known.data[:] = vals[self.known_values]
+            band = Band(ab.reshape(n, self.height).T, self.kl, self.ku, self.order)
+            return band, self.known
+        # Fortran order, so LAPACK factors the system in place instead of a copy
         big = np.empty((n, n + m), order="F")
         big.T.reshape(r + 1, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
         return big[:, :n], big[:, n:]
@@ -198,10 +243,24 @@ class BlockForm:
 
 def lu_factor(matrix, *, singular: Exception):
     """Factor a square matrix once; returns its solve b -> matrix^-1 b, b a
-    vector or a matrix.  A sparse matrix goes to SuperLU, any other to
-    LAPACK's getrf and getrs, called directly, which factor a
+    vector or a matrix.  A ``Band`` goes to LAPACK's gbtrf and gbtrs, and
+    its solve gathers b into the band's ordering and scatters the result
+    back; a sparse matrix goes to SuperLU; any other to LAPACK's getrf
+    and getrs.  The LAPACK routes are called directly and factor a
     Fortran-order float array in place.  An exact zero pivot raises
     ``singular``, never a warning."""
+    if isinstance(matrix, Band):
+        gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (matrix.ab,))
+        kl, ku, order = matrix.kl, matrix.ku, matrix.order
+        lu, piv, info = gbtrf(matrix.ab, kl, ku, overwrite_ab=True)
+        if info > 0:  # U[info - 1, info - 1] is exactly zero
+            raise singular
+
+        def solve(b):
+            x = np.empty_like(b, dtype=float)
+            x[order] = gbtrs(lu, kl, ku, b[order], piv, overwrite_b=True)[0]
+            return x
+        return solve
     if sparse.issparse(matrix):
         try:
             return splu(matrix.tocsc()).solve

@@ -2,7 +2,8 @@
 against: a monomial L2 projection (the estimator projects with Legendre
 modes), finite-difference and dense Jacobians (the package states them
 at a pattern, for a stack of states), the dense blocks of values a
-sparse adjoint block form states, a problem's dense form, a
+sparse adjoint block form states and the dense matrix of its band, a
+problem's dense form, a
 point-by-point reader of piecewise polynomials (the package reads them
 at local points of every interval at once), the stage times and
 states of a forward solve (the package records only f and g there) and
@@ -102,6 +103,19 @@ def dense_blocks(form, values) -> np.ndarray:
     sparse ``BlockForm``'s entries."""
     out = np.zeros(values.shape[:-1] + (form.m, form.m))
     out[..., form.rows, form.cols] = values
+    return out
+
+
+def band_matrix(band) -> np.ndarray:
+    """The dense system a ``numerics.Band`` holds, in the system's own
+    ordering of its unknowns, read entry by entry inside the band."""
+    n = band.order.size
+    ordered = np.zeros((n, n))
+    for j in range(n):
+        for i in range(max(0, j - band.ku), min(n, j + band.kl + 1)):
+            ordered[i, j] = band.ab[band.kl + band.ku + i - j, j]
+    out = np.empty((n, n))
+    out[np.ix_(band.order, band.order)] = ordered
     return out
 
 

@@ -8,10 +8,12 @@ import pytest
 from scipy import linalg, sparse
 
 from imexest import adjoint, numerics, reference, solver
-from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
-                              as_dense, identity_like, kron, legendre_shifted,
-                              lu_factor, one_blas_thread, openblas_pools)
-from oracles import dense_blocks, l2_project, poly_eval
+from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, Band, BlockForm,
+                              LagrangeBasis, as_dense, identity_like, kron,
+                              legendre_shifted, lu_factor, one_blas_thread,
+                              openblas_pools)
+from imexest.problems import burgers, mhd_alfven
+from oracles import band_matrix, dense_blocks, l2_project, poly_eval
 
 
 def test_lagrange_delta_property_exact():
@@ -189,12 +191,25 @@ def test_lu_factor_overwrites_a_fortran_array_in_place():
     np.testing.assert_allclose(solve(np.array([5.0, 5.0])), [1.0, 1.0])
 
 
+def natural_band(mat, kl, ku) -> Band:
+    """The square matrix mat, zero outside its kl sub- and ku
+    superdiagonals, as a Band in its own ordering."""
+    n = mat.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for i, j in zip(*np.nonzero(mat)):
+        ab[kl + ku + i - j, j] = mat[i, j]
+    return Band(ab, kl, ku, np.arange(n))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("matrix", [
     np.array([[1.0, 2.0], [2.0, 4.0]]),
     sparse.csc_array((3, 3)),
     sparse.csr_array(np.diag([1.0, 0.0, 2.0])),
-], ids=["dense", "csc-all-zero", "csr-zero-diagonal"])
+    # the second pivot is exactly zero after partial pivoting
+    natural_band(np.array([[1.0, 2.0], [2.0, 4.0]]), 1, 1),
+    natural_band(np.zeros((3, 3)), 1, 0),
+], ids=["dense", "csc-all-zero", "csr-zero-diagonal", "band-zero-pivot", "band-all-zero"])
 def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
     error = Singular("singular on interval 3")
     with pytest.raises(Singular) as info:
@@ -202,9 +217,9 @@ def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
     assert info.value is error
 
 
-def test_block_form_of_a_pattern_is_its_dense_form_in_csc():
+def test_block_form_of_a_pattern_is_its_dense_form_in_band():
     # r x (r + 1) blocks, each the transpose of a matrix on a stated sparse
-    # pattern, give a CSC system and a CSC known matrix with the values of
+    # pattern, give a band system and a CSC known matrix with the values of
     # the dense form's Fortran-order array, and read only the transposed
     # pattern and the diagonal
     rng = np.random.default_rng(8)
@@ -219,27 +234,74 @@ def test_block_form_of_a_pattern_is_its_dense_form_in_csc():
                           np.broadcast_to(allowed, (r, r + 1, m, m)))
     got, got_known = sparse_form.system(blocks)
     want, want_known = dense_form.system(full_blocks)
-    for mat, width in ((got, r * m), (got_known, m)):
-        assert isinstance(mat, sparse.csc_array) and mat.has_sorted_indices
-        assert mat.shape == (r * m, width)
+    # the band is LAPACK's: Fortran order, with kl zero rows for gbtrf's fill
+    assert isinstance(got, Band) and got.shape == (r * m, r * m)
+    assert got.ab.shape == (2 * got.kl + got.ku + 1, r * m) and got.ab.flags.f_contiguous
+    assert not got.ab[:got.kl].any()
+    assert np.array_equal(np.sort(got.order), np.arange(r * m))
+    assert isinstance(got_known, sparse.csc_array) and got_known.has_sorted_indices
+    assert got_known.shape == (r * m, m)
     # the dense system and known matrix are one Fortran-order array
     assert type(want) is np.ndarray and want.flags.f_contiguous
     assert want_known.base is want.base and want_known.shape == (r * m, m)
     full = np.block([[full_blocks[a, j] for j in range(r + 1)] for a in range(r)])
     assert np.array_equal(want, full[:, :r * m])
     assert np.array_equal(want_known, full[:, r * m:])
-    assert np.array_equal(got.toarray(), want)
+    assert np.array_equal(band_matrix(got), want)
     assert np.array_equal(got_known.toarray(), want_known)
     # the diagonal index reads the diagonal of every block
     for form, values in ((sparse_form, blocks), (dense_form, full_blocks)):
         assert np.array_equal(values[(Ellipsis, *form.diagonal)],
                               np.diagonal(full_blocks, axis1=2, axis2=3))
-    # a second call refills both CSCs in place
+    # a second call makes a new band in the same ordering, leaving the first
+    # as it was, and refills the known matrix in place
     again, again_known = sparse_form.system(2.0 * blocks)
-    assert again is got and again_known is got_known
+    assert not np.shares_memory(again.ab, got.ab) and again.order is got.order
+    assert np.array_equal(band_matrix(got), want)
+    assert np.array_equal(band_matrix(again), 2.0 * want)
+    assert again_known is got_known
     assert np.array_equal(again_known.toarray(), 2.0 * want_known)
 
 
+def block_operators():
+    """Burgers' Jacobian pattern and the Alfven wave's summed operator, the
+    sparse likes of the adjoint's block forms."""
+    mhd = mhd_alfven(h=0.05)
+    return {"burgers": burgers(0.05, 0.025).jac_pattern, "mhd": mhd.f_op + mhd.g_op}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", ["burgers", "mhd"])
+def test_band_is_the_dense_system_in_its_ordering(name, r):
+    # the band holds, value for value, the dense form's system with its
+    # rows and columns in the band's ordering, and nothing outside the band
+    like = block_operators()[name]
+    m = like.shape[0]
+    form = BlockForm(m, r, like)
+    rng = np.random.default_rng(r)
+    blocks = rng.standard_normal((r, r + 1, form.rows.size))
+    band, _ = form.system(blocks)
+    want, _ = BlockForm(m, r, as_dense(like)).system(dense_blocks(form, blocks))
+    ordered = want[np.ix_(band.order, band.order)]
+    i, j = np.nonzero(ordered)
+    assert (i - j).max() == band.kl and (j - i).max() == band.ku
+    assert np.array_equal(band.ab[band.kl + band.ku + i - j, j], ordered[i, j])
+    assert np.count_nonzero(band.ab) == i.size
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_burgers_band_width_does_not_grow_with_the_ring(r):
+    # reverse Cuthill-McKee unrolls Burgers' periodic ring: the half-widths
+    # are those of a few rings' neighbours, the same at m = 80 and m = 320,
+    # where the ring's wrap put entries m - 1 off the diagonal
+    widths = set()
+    for h in (0.025, 1.0 / 160.0):
+        pattern = burgers(0.05, h).jac_pattern
+        form = BlockForm(pattern.shape[0], r, pattern)
+        widths.add((form.kl, form.ku))
+    assert len(widths) == 1
+    kl, ku = widths.pop()
+    assert kl == ku <= 4 * r
 def test_block_form_scatters_values_stated_at_its_pattern():
     # values at a CSR pattern's entries, in CSR order, become the blocks of
     # the matrices' transposes; a diagonal the pattern lacks reads zero
@@ -262,7 +324,8 @@ def test_block_form_scatters_values_stated_at_its_pattern():
 def test_block_form_of_an_operator_is_its_kronecker_system(route):
     # the adjoint's constant-operator system: blocks c[a, j] op^T - D[a, j] I
     # in the operator's own form are kron(c, op^T) - kron(D, I), value for
-    # value, the system its first r m columns and the known matrix the rest
+    # value, the system its first r m columns (a band for a sparse operator)
+    # and the known matrix the rest
     rng = np.random.default_rng(11)
     m, r = 6, 3
     mat = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.4)
@@ -276,8 +339,8 @@ def test_block_form_of_an_operator_is_its_kronecker_system(route):
     else:
         want = (sparse.kron(c, op.T) - sparse.kron(dmat, sparse.eye_array(m))).toarray()
     got, known = form.system(blocks)
-    assert sparse.issparse(got) == sparse.issparse(known) == (route == "csr")
-    assert np.array_equal(as_dense(got), want[:, :r * m])
+    assert isinstance(got, Band) == sparse.issparse(known) == (route == "csr")
+    assert np.array_equal(band_matrix(got) if route == "csr" else got, want[:, :r * m])
     assert np.array_equal(as_dense(known), want[:, r * m:])
 
 

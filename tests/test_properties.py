@@ -3,11 +3,13 @@ the nonlinear Bernoulli equation over random non-uniform grids, for
 final-time and time-varying time-integrated QoIs, every built-in scheme
 and random valid IMEX pairs: inputs the shipped benchmarks never use.
 Also the estimate's sharpening as the adjoint grid is refined on one
-linear system, over a uniform grid and random graded ones, and a
-piecewise polynomial's span readers against its whole-grid tables."""
+linear system, over a uniform grid and random graded ones, a piecewise
+polynomial's span readers against its whole-grid tables, and the band
+solve of an adjoint block form on random sparse patterns."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
@@ -18,14 +20,14 @@ from imexest.cli import SCHEME_ORDER, run  # noqa: E402
 from imexest.estimate import (  # noqa: E402
     component_split, effectivity, error_breakdown, error_breakdown_timedep,
     residual_weighted_estimate)
-from imexest.numerics import GAUSS_NODES  # noqa: E402
+from imexest.numerics import GAUSS_NODES, BlockForm, lu_factor  # noqa: E402
 from imexest.problems import (  # noqa: E402
     QoiSpec, split_linear_system, split_scalar_bernoulli)
 from imexest.reference import qoi_from_states, true_qoi  # noqa: E402
 from imexest.reconstruct import PiecewisePolynomial, build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate  # noqa: E402
-from oracles import evaluate  # noqa: E402
+from oracles import dense_blocks, evaluate  # noqa: E402
 
 ENTRIES = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
 
@@ -262,3 +264,35 @@ def test_effectivity_converges_under_adjoint_refinement_on_a_graded_grid(
         devs.append(abs(effectivity(bd.estimate_total, true_err) - 1.0))
     for coarse, fine in zip(devs, devs[1:]):
         assert fine * 8.0 <= coarse, devs
+
+
+@st.composite
+def block_systems(draw):
+    """A sparse block form on a random m x m pattern, r from 1 to 3, its
+    blocks' values on it in [-1, 1], with 2 r m added to the system's
+    diagonal so that it is strictly diagonally dominant, and a right-hand
+    side: a vector or three columns."""
+    m = draw(st.integers(1, 12))
+    r = draw(st.integers(1, 3))
+    pattern = draw(arrays(bool, (m, m)))
+    form = BlockForm(m, r, sparse.csr_array(pattern))
+    blocks = draw(arrays(float, (r, r + 1, form.rows.size),
+                         elements=st.floats(-1.0, 1.0)))
+    for a in range(r):
+        blocks[(a, a, *form.diagonal)] += 2 * r * m
+    shape = draw(st.sampled_from([(r * m,), (r * m, 3)]))
+    rhs = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
+    return form, blocks, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems())
+def test_band_solve_matches_numpy_on_random_patterns(case):
+    form, blocks, rhs = case
+    dense, _ = BlockForm(form.m, form.r, np.zeros((form.m, form.m))).system(
+        dense_blocks(form, blocks))
+    want = np.linalg.solve(dense, rhs)
+    band, _ = form.system(blocks)
+    got = lu_factor(band, singular=ZeroDivisionError())(rhs)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
