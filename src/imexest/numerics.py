@@ -154,9 +154,10 @@ class BlockForm:
     is read as its values at like's transposed entries and the diagonal.
     ``values`` gathers them from a matrix and ``scatter`` places values
     stated at like's own entries.  The system's unknowns are ordered
-    here, once, by reverse Cuthill-McKee on the symmetrised structure of
-    its blocks, which makes it a narrow band (a periodic ring included),
-    and each ``system`` call scatters its values into a new ``Band``.  The
+    here, once, by reverse Cuthill-McKee on the symmetrised pattern, each
+    node's r unknowns together, which makes it a narrow band (a periodic
+    ring included), and each ``system`` call scatters its values into a
+    new ``Band``.  The
     known matrix is a CSC whose indices are built here too; each call
     refills its data, so it is valid until the next call.  Any other
     ``like``, for which ``dense`` is true, keeps the dense transposes in
@@ -186,10 +187,15 @@ class BlockForm:
         n = r * m
         in_system = all_cols < n
         self.band_values = np.flatnonzero(in_system)
+        # every block holds the same pattern, so order its m nodes by
+        # reverse Cuthill-McKee on the symmetrised pattern and keep each
+        # node's r unknowns together (Burgers' ring: half-width 3 r - 1;
+        # reverse Cuthill-McKee on the r m unknowns themselves gave 4 r)
+        pattern = sparse.coo_array((np.ones(keys.size), (self.rows, self.cols)),
+                                   shape=(m, m))
+        nodes = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+        self.order = (nodes[:, None] + m * np.arange(r)).ravel()
         rows, cols = all_rows[in_system], all_cols[in_system]
-        structure = sparse.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n))
-        self.order = reverse_cuthill_mckee((structure + structure.T).tocsr(),
-                                           symmetric_mode=True)
         position = np.empty(n, dtype=np.intp)
         position[self.order] = np.arange(n)
         rows, cols = position[rows], position[cols]

@@ -292,8 +292,9 @@ def test_band_is_the_dense_system_in_its_ordering(name, r):
 @pytest.mark.parametrize("r", [2, 3])
 def test_burgers_band_width_does_not_grow_with_the_ring(r):
     # reverse Cuthill-McKee unrolls Burgers' periodic ring: the half-widths
-    # are those of a few rings' neighbours, the same at m = 80 and m = 320,
-    # where the ring's wrap put entries m - 1 off the diagonal
+    # are those of a node's two neighbours on either side, each with its r
+    # unknowns, the same at m = 80 and m = 320, where the ring's wrap put
+    # entries m - 1 off the diagonal
     widths = set()
     for h in (0.025, 1.0 / 160.0):
         pattern = burgers(0.05, h).jac_pattern
@@ -301,7 +302,7 @@ def test_burgers_band_width_does_not_grow_with_the_ring(r):
         widths.add((form.kl, form.ku))
     assert len(widths) == 1
     kl, ku = widths.pop()
-    assert kl == ku <= 4 * r
+    assert kl == ku <= 3 * r - 1
 def test_block_form_scatters_values_stated_at_its_pattern():
     # values at a CSR pattern's entries, in CSR order, become the blocks of
     # the matrices' transposes; a diagonal the pattern lacks reads zero
