@@ -14,11 +14,11 @@ values at the problem's Jacobian pattern serve every interval.  Every
 local system is assembled by one body through ``numerics.BlockForm``,
 in the summed operator's form when H is constant (both halves linear)
 and on the Jacobian pattern otherwise; a sparse form gives each system
-as a LAPACK band, in one ordering of the unknowns per solve.  A constant
-H in a dense form becomes one propagator; every other sweep solves once
-per interval, and a sparse constant H (MHD) is factored once for all of
-them.  A time-integrated QoI's load is read a block of intervals at a
-time, in forward order.
+as a LAPACK band, in one ordering of the unknowns per solve.  One
+backward sweep serves every form.  A constant H is factored once; in a
+dense form that solve is applied once, before the sweep, to the known
+matrix and to every load.  A time-integrated QoI's load is read a block
+of intervals at a time, in forward order.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -76,12 +76,13 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
                   qoi: QoiSpec, refine: int = DEFAULT_REFINE) -> AdjointSolution:
     """Backward cG(q+1) adjoint solve around the reconstruction.
 
-    A constant operator on a uniform grid has one local system for every
-    interval, factored once.  In a dense form that solve turns into a
-    propagator, and the sweep is an m x m recurrence for the left end
-    values plus one matmul per interior node over all intervals.  In a
-    sparse form the sweep solves it once per interval.  Otherwise each
-    interval factors and solves its own system in that same sweep.
+    One sweep, from the last interval to the first, solves each
+    interval's node values from its right end value and its load.  A
+    constant operator on a uniform grid has one local system, factored
+    once; a dense form applies that solve to the known matrix and the
+    loads before the sweep, which then only multiplies.  Otherwise each
+    interval factors its own system in the sweep.  A non-finite value
+    fails after the sweep, on the interval the sweep reached first.
     """
     q = reconstruction.degree
     r = q + 1
@@ -150,38 +151,32 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     constant = problem.linear and uniform
     if constant:
         solve, known = local_system(n_int - 1)
-    if constant and form.dense:
-        # node values of an interval: prop[j] @ (its right end value) + loads[n, j]
-        prop = solve(-known).reshape(r, m, m)
-        loads = np.zeros((n_int, r, m))
-        if load is not None:
-            loads = solve(load.reshape(n_int, r * m).T).T.reshape(n_int, r, m)
-        # a non-finite value is reported by the check below, not warned about
-        with np.errstate(all="ignore"):
-            for n in range(n_int - 1, -1, -1):
-                coeffs[n, r] = phi_right
-                phi_right = prop[0] @ phi_right + loads[n, 0]
-                coeffs[n, 0] = phi_right
-            for j in range(1, r):
-                coeffs[:, j] = coeffs[:, r] @ prop[j].T + loads[:, j]
-        finite = np.isfinite(coeffs[:, :r]).all(axis=(1, 2))
-        if not finite.all():
-            # the interval the backward sweep reaches first
-            n_bad = int(np.flatnonzero(~finite)[-1])
-            raise AdjointSolveError(n_bad, "non-finite adjoint values")
-    else:
+        if form.dense:
+            # one solve, before the sweep, of the known matrix (minus the
+            # propagator after it) and of every load; the sweep only multiplies
+            known = solve(known)
+            if load is not None:
+                load = solve(load.reshape(n_int, r * m).T).T
+            solve = np.asarray  # the identity
+    # a non-finite value is reported by the one check below, not warned about
+    with np.errstate(all="ignore"):
         for n in range(n_int - 1, -1, -1):
             if not constant:
                 solve, known = local_system(n)
             rhs = -(known @ phi_right)
             if load is not None:
                 rhs += load[n].reshape(r * m)
-            sol = solve(rhs)
-            if not np.all(np.isfinite(sol)):
-                raise AdjointSolveError(n, "non-finite adjoint values")
-            coeffs[n, :r] = sol.reshape(r, m)
+            coeffs[n, :r] = solve(rhs).reshape(r, m)
             coeffs[n, r] = phi_right
             phi_right = coeffs[n, 0]
+    # each interval's max and min carry a NaN and reach +-inf, with no
+    # (N, r, m) temporary
+    nodes = coeffs[:, :r]
+    finite = np.isfinite(nodes.max(axis=(1, 2))) & np.isfinite(nodes.min(axis=(1, 2)))
+    if not finite.all():
+        # the interval the backward sweep reaches first
+        n_bad = int(np.flatnonzero(~finite)[-1])
+        raise AdjointSolveError(n_bad, "non-finite adjoint values")
 
     poly = PiecewisePolynomial(grid=grid, degree=r, coeffs=coeffs)
     return AdjointSolution(poly=poly, qoi=qoi)

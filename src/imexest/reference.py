@@ -197,8 +197,8 @@ def _dop853(fun, t_span: tuple, z0: np.ndarray, rtol: float, atol: float,
 class RadauIIA(OdeSolver):
     """Radau IIA with 3 stages (order 5) on n_steps equal steps.
 
-    fun is the whole system's right-hand side, which the solver reads
-    through its parts instead of calling it.  The leading m = jac.shape[0]
+    fun is never called (``_radau_qoi`` passes None): the solver reads
+    the system through its parts.  The leading m = jac.shape[0]
     unknowns y = z[:m] obey the affine system y' = jac y + r(t), whose
     forcing rows forcing(times) gives for a (P,) vector of times as
     (P, m).  Any further unknowns are quadratures with rates
@@ -258,7 +258,7 @@ class RadauIIA(OdeSolver):
         return True, None
 
 
-def _radau_qoi(fun, jac, forcing, rate, t_span: tuple, z0: np.ndarray,
+def _radau_qoi(jac, forcing, rate, t_span: tuple, z0: np.ndarray,
                value, config: ReferenceConfig):
     """value(z(T)) from RadauIIA solves with doubling step counts: the value
     the rule in the module docstring accepts, then the value of each
@@ -273,7 +273,8 @@ def _radau_qoi(fun, jac, forcing, rate, t_span: tuple, z0: np.ndarray,
             raise _over_cap(config)
 
     def level(n):
-        sol = solve_ivp(fun, t_span, z0, method=RadauIIA, jac=jac,
+        # RadauIIA reads the system through jac, forcing and rate alone
+        sol = solve_ivp(None, t_span, z0, method=RadauIIA, jac=jac,
                         forcing=forcing, rate=rate, n_steps=n,
                         start_step=start_step)
         return value(sol.y[:, -1])
@@ -300,20 +301,14 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
     solves, each computed when asked for: Radau IIA at every further
     doubling level, or DOP853 at a hundredth of the previous rtol and
     atol, the rtol never below RTOL_FLOOR, until it reaches RTOL_FLOOR."""
-    rhs = ivp_rhs(problem)
     if qoi.kind == "final-time":
-        fun, rate = rhs, None
-        z0 = problem.y0
+        rate, z0 = None, problem.y0
 
         def value(z):
             return float(np.dot(z, qoi.psi))
     else:
         def rate(t, y):
             return np.dot(y, qoi.psi_tilde(t))
-
-        def fun(t, z):
-            y = z[:-1]
-            return np.append(rhs(t, y), rate(t, y))
         z0 = np.append(problem.y0, 0.0)
 
         def value(z):
@@ -323,9 +318,15 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
         def forcing(times):
             force_f, force_g = problem.forcing(times)
             return force_f + force_g
-        yield from _radau_qoi(fun, problem.f_op + problem.g_op, forcing, rate,
+        yield from _radau_qoi(problem.f_op + problem.g_op, forcing, rate,
                               t_span, z0, value, config)
         return
+    # only DOP853 calls the right-hand side
+    fun = rhs = ivp_rhs(problem)
+    if rate is not None:
+        def fun(t, z):
+            y = z[:-1]
+            return np.append(rhs(t, y), rate(t, y))
     rtol, atol = config.rtol, config.atol
     yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])
     while rtol > RTOL_FLOOR:

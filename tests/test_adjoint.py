@@ -280,8 +280,9 @@ def test_adjoint_failure_reports_interval():
 
 
 def test_adjoint_failure_on_a_constant_nan_operator():
-    # a dense linear problem takes the propagator path; the NaN surfaces at
-    # the interval the backward sweep reaches first
+    # a dense linear problem solves for its propagator once and then
+    # sweeps; the NaN surfaces at the interval the backward sweep reaches
+    # first
     nan_mat = np.full((1, 1), np.nan)
     prob = SplitOdeProblem(
         name="nan-operator",
@@ -431,8 +432,9 @@ def test_each_interval_factors_its_own_band(monkeypatch):
 @pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])
 def test_sparse_operators_match_their_dense_form(scheme):
     # the Alfven problem's CSR operators, and the same problem rebuilt
-    # from dense copies of them, give the same adjoint: one sparse and one
-    # dense local system, each with its propagator and loads
+    # from dense copies of them, give the same adjoint: one sparse local
+    # system solved per interval, and one dense one whose solve of its
+    # known matrix and loads comes before the sweep
     prob = mhd_alfven(h=0.05)
     dense = dense_form(prob)
     assert sparse.issparse(prob.f_op + prob.g_op)
@@ -468,7 +470,7 @@ def oracle_qois(prob):
 @pytest.mark.parametrize("scheme", ["mid122", "ssp343"], ids=["r2", "r3"])
 @pytest.mark.parametrize("build, propagated, swept, sweep_factors", [
     # the Alfven problem sweeps its CSR operator, factored once; its dense
-    # form keeps the propagator
+    # form sweeps with the propagator, solved for once
     (lambda: mhd_alfven(h=0.05), dense_form, lambda p: p, lambda n_int: 1),
     # without its operators, the same constant Jacobian is factored and
     # solved interval by interval
@@ -494,26 +496,30 @@ def test_propagator_matches_the_per_interval_sweep(build, propagated, swept,
 
 
 def test_sparse_sweep_working_memory_does_not_grow_with_the_grid(monkeypatch):
-    # a sparse constant operator is factored once per solve, and the sweep
-    # keeps one interval's values besides the returned solution: the
-    # propagator's (N, r, m) loads and node products grew the traced peak
-    # by 1.4 MB from 25 to 400 intervals here
-    prob = mhd_alfven(h=0.05)
-    qoi = oracle_qois(prob)[0]
-    seen, work = [], []
+    # a constant operator is factored once per solve, and the sweep keeps
+    # one interval's values besides the returned solution, in a sparse form
+    # and in a dense one: the dense form's separate propagator recurrence,
+    # with its (N, r, m) zero loads and batched interior products, grew the
+    # traced peak by 1.93 MB from 25 to 400 intervals on advection-diffusion
+    seen = []
     monkeypatch.setattr(adjoint, "lu_factor", recording(adjoint.lu_factor, seen))
-    for n in (25, 400):
-        recon = reconstruct_case(prob, "ssp332", t_end=n * 1e-3, n=n)
-        seen.clear()
-        tracemalloc.start()
-        try:
-            adj = solve_adjoint(prob, recon, qoi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert seen == ["band"]
-        work.append(peak - adj.poly.coeffs.nbytes - adj.poly.grid.nodes.nbytes)
-    assert work[1] - work[0] < 2 ** 16, work
+    for prob, scheme, want in ((mhd_alfven(h=0.05), "ssp332", ["band"]),
+                               (linear_advection_diffusion(0.1, 1.0 / 40.0),
+                                "ssp343", ["dense"])):
+        qoi = oracle_qois(prob)[0]
+        work = []
+        for n in (25, 400):
+            recon = reconstruct_case(prob, scheme, t_end=n * 1e-3, n=n)
+            seen.clear()
+            tracemalloc.start()
+            try:
+                adj = solve_adjoint(prob, recon, qoi)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert seen == want
+            work.append(peak - adj.poly.coeffs.nbytes - adj.poly.grid.nodes.nbytes)
+        assert work[1] - work[0] < 2 ** 16, (prob.name, work)
 
 
 def test_time_integrated_load_is_read_a_block_of_intervals_at_a_time():

@@ -412,6 +412,24 @@ def test_radau_reference_goes_through_solve_ivp(solves, kind):
         assert sol.nlu == 1
 
 
+@pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
+def test_radau_reference_builds_no_right_hand_side_operator(monkeypatch, kind):
+    # Radau IIA reads the system through its parts and never calls a
+    # right-hand side, so the reference builds no [A | P] operator for it
+    built = []
+    reference_operator = reference.reference_operator
+
+    def counted(problem):
+        built.append(problem)
+        return reference_operator(problem)
+
+    monkeypatch.setattr(reference, "reference_operator", counted)
+    prob = mhd_alfven(h=0.05)
+    qoi = {q.kind: q for q in mhd_qois(prob)}[kind]
+    assert np.isfinite(true_qoi(prob, MHD_GRID, qoi))
+    assert built == []
+
+
 def radau_steps(solves) -> int:
     return sum(sol.t.size - 1 for sol in solves)
 
