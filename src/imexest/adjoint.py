@@ -81,8 +81,9 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     constant operator on a uniform grid has one local system, factored
     once; a dense form applies that solve to the known matrix and the
     loads before the sweep, which then only multiplies.  Otherwise each
-    interval factors its own system in the sweep.  A non-finite value
-    fails after the sweep, on the interval the sweep reached first.
+    interval factors its own system in the sweep.  The fault the sweep
+    reached first fails: a non-finite value on the highest such interval,
+    checked as the sweep ends, else a singular system as it is factored.
     """
     q = reconstruction.degree
     r = q + 1
@@ -146,7 +147,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             load[span] = steps[span, None, None] * (
                 tests @ (gw[:, None] * dens.reshape(-1, gp.size, m)))
 
-    coeffs = np.empty((n_int, r + 1, m))
+    coeffs = np.zeros((n_int, r + 1, m))  # finite where the sweep never reaches
     uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
     constant = problem.linear and uniform
     if constant:
@@ -158,25 +159,28 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             if load is not None:
                 load = solve(load.reshape(n_int, r * m).T).T
             solve = np.asarray  # the identity
-    # a non-finite value is reported by the one check below, not warned about
+    # a non-finite value is reported by the one check below, not warned
+    # about, and ahead of a singular system the sweep reached after it
     with np.errstate(all="ignore"):
-        for n in range(n_int - 1, -1, -1):
-            if not constant:
-                solve, known = local_system(n)
-            rhs = -(known @ phi_right)
-            if load is not None:
-                rhs += load[n].reshape(r * m)
-            coeffs[n, :r] = solve(rhs).reshape(r, m)
-            coeffs[n, r] = phi_right
-            phi_right = coeffs[n, 0]
-    # each interval's max and min carry a NaN and reach +-inf, with no
-    # (N, r, m) temporary
-    nodes = coeffs[:, :r]
-    finite = np.isfinite(nodes.max(axis=(1, 2))) & np.isfinite(nodes.min(axis=(1, 2)))
-    if not finite.all():
-        # the interval the backward sweep reaches first
-        n_bad = int(np.flatnonzero(~finite)[-1])
-        raise AdjointSolveError(n_bad, "non-finite adjoint values")
+        try:
+            for n in range(n_int - 1, -1, -1):
+                if not constant:
+                    solve, known = local_system(n)
+                rhs = -(known @ phi_right)
+                if load is not None:
+                    rhs += load[n].reshape(r * m)
+                coeffs[n, :r] = solve(rhs).reshape(r, m)
+                coeffs[n, r] = phi_right
+                phi_right = coeffs[n, 0]
+        finally:
+            # each interval's max and min carry a NaN and reach +-inf, with
+            # no (N, r, m) temporary
+            nodes = coeffs[:, :r]
+            finite = np.isfinite(nodes.max(axis=(1, 2))) & np.isfinite(nodes.min(axis=(1, 2)))
+            if not finite.all():
+                # the interval the backward sweep reaches first
+                n_bad = int(np.flatnonzero(~finite)[-1])
+                raise AdjointSolveError(n_bad, "non-finite adjoint values")
 
     poly = PiecewisePolynomial(grid=grid, degree=r, coeffs=coeffs)
     return AdjointSolution(poly=poly, qoi=qoi)

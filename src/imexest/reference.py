@@ -29,7 +29,8 @@ The numeric route integrates with ``solve_ivp`` in one of two ways.
   forcing, the sum of the two halves ``problem.forcing`` gives, is read
   for blocks of at most RADAU_START_STEPS steps in one call each, never
   for a whole level, whose length only ``step_cap`` bounds.
-* Any other problem takes scipy's adaptive DOP853 at rtol and atol.
+* Any other problem takes scipy's adaptive DOP853 at rtol and atol on
+  ``problem.rhs``, so both read boundary data through ``problem.forcing``.
 
 ``step_cap`` bounds the steps a numeric QoI attempts: DOP853's attempted
 steps, rejected ones included, and every Radau IIA step of every
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy import sparse
 from scipy.integrate import DOP853, OdeSolver, solve_ivp
 
 from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, identity_like, kron, lu_factor
@@ -130,33 +130,6 @@ def qoi_from_states(states, grid: TimeGrid, qoi: QoiSpec) -> float:
         for t, w, y in zip(times, GAUSS_WEIGHTS, row):
             total += k_n * w * float(np.dot(y, qoi.psi_tilde(t)))
     return total
-
-
-def reference_operator(problem: SplitOdeProblem) -> sparse.csr_array:
-    """A linear problem's full right-hand side as one CSR operator:
-    f_op + g_op, with the summed boundary pickups of a forced problem
-    appended as columns that act on the boundary data."""
-    op = problem.f_op + problem.g_op
-    if problem.pickups is not None:
-        pick_f, pick_g = problem.pickups
-        op = sparse.hstack((op, pick_f + pick_g), format="csr")
-    return sparse.csr_array(op)
-
-
-def ivp_rhs(problem: SplitOdeProblem):
-    """The full right-hand side (t, y) -> f(y, t) + g(y, t) for an ODE solver.
-
-    A linear problem applies its reference_operator, built once here, to
-    the state stacked with the boundary data of a forced problem.  Any
-    other problem evaluates problem.rhs.
-    """
-    if not problem.linear:
-        return lambda t, y: problem.rhs(y, t)
-    op = reference_operator(problem)
-    data = problem.boundary_data
-    if data is None:
-        return lambda t, y: op @ y
-    return lambda t, y: op @ np.concatenate((y, data(t)))
 
 
 def _over_cap(config: ReferenceConfig) -> ReferenceError:
@@ -321,12 +294,10 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
         yield from _radau_qoi(problem.f_op + problem.g_op, forcing, rate,
                               t_span, z0, value, config)
         return
-    # only DOP853 calls the right-hand side
-    fun = rhs = ivp_rhs(problem)
-    if rate is not None:
-        def fun(t, z):
-            y = z[:-1]
-            return np.append(rhs(t, y), rate(t, y))
+    def fun(t, z):
+        if rate is None:
+            return problem.rhs(z, t)
+        return np.append(problem.rhs(z[:-1], t), rate(t, z[:-1]))
     rtol, atol = config.rtol, config.atol
     yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])
     while rtol > RTOL_FLOOR:
@@ -344,8 +315,8 @@ def reference_states(problem: SplitOdeProblem, t_end: float,
     exact = exact_solution(problem, config.mode)
     if exact is not None:
         return lambda nodes: np.stack([exact(t) for t in nodes])
-    sol = _dop853(ivp_rhs(problem), (0.0, t_end), problem.y0, config.rtol,
-                  config.atol, config, dense=True)
+    sol = _dop853(lambda t, y: problem.rhs(y, t), (0.0, t_end), problem.y0,
+                  config.rtol, config.atol, config, dense=True)
     return lambda nodes: sol.sol(nodes).T
 
 

@@ -8,9 +8,11 @@ point-by-point reader of piecewise polynomials (the package reads them
 at local points of every interval at once), the stage times and
 states of a forward solve (the package records only f and g there) and
 an interval-by-interval assembly of the error breakdown (the package
-assembles it a block of intervals at a time)."""
+assembles it a block of intervals at a time).  Also the traced working
+memory the scaling tests compare across grid sizes."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 
@@ -222,3 +224,20 @@ def assemble_per_interval(problem, pair, forward, recon, adjoint) -> ErrorBreakd
         per_interval=per_interval, term_density=density,
         galerkin_scaled=galerkin, galerkin_raw=galerkin_abs,
     )
+
+
+def working_memory(setup, run, output_bytes, sizes=(25, 400)):
+    """For each n in sizes, the peak bytes tracemalloc traces while
+    run(inputs) runs, less output_bytes(its result): inputs =
+    setup(n * 1e-3, n), n steps of 1e-3, is built before tracing starts."""
+    work = []
+    for n in sizes:
+        inputs = setup(n * 1e-3, n)
+        tracemalloc.start()
+        try:
+            out = run(inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work.append(peak - output_bytes(out))
+    return work

@@ -1,7 +1,6 @@
 """Tests for the backward Galerkin adjoint solve."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from imexest.reconstruct import build_cg, sub_gauss_nodes
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
 from oracles import (band_matrix, burgers_jacobian, dense_form, dense_jacobian,
-                     evaluate, without_operators)
+                     evaluate, without_operators, working_memory)
 
 
 def reconstruct_case(problem, name="mid122", t_end=1.0, n=40, t_start=0.0):
@@ -179,7 +178,7 @@ def test_time_integrated_constant_density_closed_form():
     (lambda: split_linear_system([[0.0, 1.0], [-1.0, 0.0]], -np.eye(2), [1.0, 0.0]),
      lambda n_int: 1),
     (lambda: burgers(0.05, 0.1), lambda n_int: n_int)],
-    ids=["propagator", "per-interval"])
+    ids=["dense-constant", "per-interval"])
 def test_time_integrated_load_reads_psi_tilde_once_per_gauss_time(
         build, factorisations, monkeypatch):
     # both sweeps take one load, read at every refined Gauss time once
@@ -280,9 +279,8 @@ def test_adjoint_failure_reports_interval():
 
 
 def test_adjoint_failure_on_a_constant_nan_operator():
-    # a dense linear problem solves for its propagator once and then
-    # sweeps; the NaN surfaces at the interval the backward sweep reaches
-    # first
+    # a dense linear problem applies its one solve before the sweep; the
+    # NaN surfaces at the interval the backward sweep reaches first
     nan_mat = np.full((1, 1), np.nan)
     prob = SplitOdeProblem(
         name="nan-operator",
@@ -327,7 +325,7 @@ def test_sparse_sweep_failure_reports_the_interval_it_reaches_first():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("prob", [split_scalar_linear(-0.4, -0.6, 1.0),
                                   burgers(0.05, 0.1), mhd_alfven(h=0.05)],
-                         ids=["propagator", "per-interval", "sparse-sweep"])
+                         ids=["dense-constant", "per-interval", "sparse-sweep"])
 def test_zero_pivot_is_reported_once_without_a_warning(prob, monkeypatch):
     # LAPACK's getrf and gbtrf report the zero pivot; the solve reports it
     # as an error naming the interval the backward sweep factors first
@@ -340,6 +338,34 @@ def test_zero_pivot_is_reported_once_without_a_warning(prob, monkeypatch):
     with pytest.raises(AdjointSolveError, match="singular local system") as info:
         solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=psi))
     assert info.value.interval == 4 * DEFAULT_REFINE - 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_fault_swept_before_a_singular_system_is_reported_first(monkeypatch):
+    # the density is NaN on the last intervals, which the sweep reaches
+    # before interval 6, the tenth system it factors, here zeroed
+    prob = burgers(0.05, 0.1)
+    recon = reconstruct_case(prob, n=4)
+    lu_factor, factored = adjoint.lu_factor, []
+
+    def tenth_zeroed(a, **kw):
+        factored.append(route(a))
+        return lu_factor(zeroed(a) if len(factored) == 10 else a, **kw)
+
+    monkeypatch.setattr(adjoint, "lu_factor", tenth_zeroed)
+    psi = np.ones(prob.dim)
+    nan_late = QoiSpec(kind="time-integrated",
+                       psi_tilde=lambda t: psi * (np.nan if t > 0.9 else 1.0))
+    with pytest.raises(AdjointSolveError, match="non-finite adjoint values") as info:
+        solve_adjoint(prob, recon, nan_late)
+    assert info.value.interval == 4 * DEFAULT_REFINE - 1
+    assert factored == ["band"] * 10
+    # with every swept value finite the singular system is the fault
+    factored.clear()
+    finite = QoiSpec(kind="time-integrated", psi_tilde=lambda t: psi)
+    with pytest.raises(AdjointSolveError, match="singular local system") as info:
+        solve_adjoint(prob, recon, finite)
+    assert info.value.interval == 6
 
 
 def zeroed(a):
@@ -468,31 +494,31 @@ def oracle_qois(prob):
 
 
 @pytest.mark.parametrize("scheme", ["mid122", "ssp343"], ids=["r2", "r3"])
-@pytest.mark.parametrize("build, propagated, swept, sweep_factors", [
+@pytest.mark.parametrize("build, presolved, swept, sweep_factors", [
     # the Alfven problem sweeps its CSR operator, factored once; its dense
-    # form sweeps with the propagator, solved for once
+    # form applies its one solve before the sweep
     (lambda: mhd_alfven(h=0.05), dense_form, lambda p: p, lambda n_int: 1),
     # without its operators, the same constant Jacobian is factored and
     # solved interval by interval
     (random_linear_system, lambda p: p, without_operators, lambda n_int: n_int)],
     ids=["mhd", "random-linear"])
-def test_propagator_matches_the_per_interval_sweep(build, propagated, swept,
-                                                   sweep_factors, scheme, monkeypatch):
+def test_dense_form_solved_before_the_sweep_matches_the_factored_sweep(
+        build, presolved, swept, sweep_factors, scheme, monkeypatch):
     prob = build()
     recon = reconstruct_case(prob, scheme, t_end=0.1, n=8)
     seen = []
     monkeypatch.setattr(adjoint, "lu_factor", recording(adjoint.lu_factor, seen))
     for qoi in oracle_qois(prob):
         seen.clear()
-        propagator = solve_adjoint(propagated(prob), recon, qoi)
+        before = solve_adjoint(presolved(prob), recon, qoi)
         assert seen == ["dense"]
         seen.clear()
         sweep = solve_adjoint(swept(prob), recon, qoi)
         assert len(seen) == sweep_factors(8 * DEFAULT_REFINE)
-        assert propagator.poly.coeffs.shape == sweep.poly.coeffs.shape
+        assert before.poly.coeffs.shape == sweep.poly.coeffs.shape
         scale = sweep.max_abs()
         assert scale > 0.0
-        assert np.abs(propagator.poly.coeffs - sweep.poly.coeffs).max() <= 1e-13 * scale
+        assert np.abs(before.poly.coeffs - sweep.poly.coeffs).max() <= 1e-13 * scale
 
 
 def test_sparse_sweep_working_memory_does_not_grow_with_the_grid(monkeypatch):
@@ -507,18 +533,12 @@ def test_sparse_sweep_working_memory_does_not_grow_with_the_grid(monkeypatch):
                                (linear_advection_diffusion(0.1, 1.0 / 40.0),
                                 "ssp343", ["dense"])):
         qoi = oracle_qois(prob)[0]
-        work = []
-        for n in (25, 400):
-            recon = reconstruct_case(prob, scheme, t_end=n * 1e-3, n=n)
-            seen.clear()
-            tracemalloc.start()
-            try:
-                adj = solve_adjoint(prob, recon, qoi)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert seen == want
-            work.append(peak - adj.poly.coeffs.nbytes - adj.poly.grid.nodes.nbytes)
+        seen.clear()
+        work = working_memory(
+            lambda t_end, n: reconstruct_case(prob, scheme, t_end=t_end, n=n),
+            lambda recon: solve_adjoint(prob, recon, qoi),
+            lambda adj: adj.poly.coeffs.nbytes + adj.poly.grid.nodes.nbytes)
+        assert seen == want * 2  # one solve per grid size
         assert work[1] - work[0] < 2 ** 16, (prob.name, work)
 
 
@@ -530,18 +550,12 @@ def test_time_integrated_load_is_read_a_block_of_intervals_at_a_time():
     prob = mhd_alfven(h=0.05)
     psi = oracle_qois(prob)[0].psi
     qoi = QoiSpec(kind="time-integrated", psi_tilde=lambda t: psi * np.cos(3.0 * t) + t)
-    work = []
-    for n in (25, 400):
-        recon = reconstruct_case(prob, "ssp332", t_end=n * 1e-3, n=n)
-        tracemalloc.start()
-        try:
-            adj = solve_adjoint(prob, recon, qoi)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        coeffs = adj.poly.coeffs
-        load = coeffs[:, 1:].nbytes
-        work.append(peak - coeffs.nbytes - adj.poly.grid.nodes.nbytes - load)
+    # the (N, r, m) load has the size of the coefficients' first r nodes
+    work = working_memory(
+        lambda t_end, n: reconstruct_case(prob, "ssp332", t_end=t_end, n=n),
+        lambda recon: solve_adjoint(prob, recon, qoi),
+        lambda adj: (adj.poly.coeffs.nbytes + adj.poly.grid.nodes.nbytes
+                     + adj.poly.coeffs[:, 1:].nbytes))
     assert max(work) < 2 ** 19, work
 
 

@@ -1,7 +1,5 @@
 """Tests for the adjoint-weighted error estimate and its decompositions."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,7 @@ from imexest.problems import (
 from imexest.reconstruct import build_cg
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
-from oracles import assemble_per_interval, evaluate
+from oracles import assemble_per_interval, evaluate, working_memory
 
 
 def pipeline(problem, qoi, scheme="mid122", t_end=1.0, n=40, refine=4):
@@ -306,17 +304,12 @@ def test_breakdown_working_memory_does_not_grow_with_the_grid():
     block = estimate.BLOCK_FLOATS * 8  # bytes
     # 100 intervals of 20 points hold more than two blocks
     assert 100 * 20 * prob.dim > 2 * estimate.BLOCK_FLOATS
-    work = []
-    for n in (25, 100, 400):
-        pair, fwd, recon, adj = pipeline(prob, qoi, scheme="ssp332", t_end=n * 1e-3, n=n)
-        tracemalloc.start()
-        try:
-            bd = error_breakdown(prob, pair, fwd, recon, adj)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        work.append(peak - sum(arr.nbytes for arr in (
-            bd.term_density, bd.per_interval, bd.galerkin_scaled, bd.galerkin_raw)))
+    work = working_memory(
+        lambda t_end, n: pipeline(prob, qoi, scheme="ssp332", t_end=t_end, n=n),
+        lambda inputs: error_breakdown(prob, *inputs),
+        lambda bd: sum(arr.nbytes for arr in (
+            bd.term_density, bd.per_interval, bd.galerkin_scaled, bd.galerkin_raw)),
+        sizes=(25, 100, 400))
     assert max(work) < 11 * block, [w / block for w in work]
     # the (N, points) Gauss times alone grow with N: 48 KB from 100 to 400
     assert work[2] - work[1] < block, [w / block for w in work]

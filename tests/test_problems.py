@@ -21,7 +21,6 @@ from imexest.problems import (
     split_scalar_bernoulli,
     split_scalar_linear,
 )
-from imexest.reference import reference_operator
 from oracles import burgers_jacobian, check_jacobians, fd_jacobian
 
 
@@ -864,11 +863,3 @@ def test_constant_operators_equal_the_summed_jacobians(case):
     jac = problems.as_dense(prob.f_op) + problems.as_dense(prob.g_op)
     # the adjoint's constant operator
     assert np.array_equal(problems.as_dense(prob.f_op + prob.g_op), jac)
-    ref = reference_operator(prob)
-    assert isinstance(ref, sparse.csr_array)
-    assert np.array_equal(ref[:, :prob.dim].toarray(), jac)
-    if prob.pickups is None:
-        assert ref.shape == (prob.dim, prob.dim)
-    else:
-        assert np.array_equal(ref[:, prob.dim:].toarray(),
-                              sum(map(problems.as_dense, prob.pickups)))

@@ -9,7 +9,6 @@ from scipy.integrate import DOP853, solve_ivp
 from imexest import reference
 from imexest.problems import (
     QoiSpec,
-    as_dense,
     mhd_alfven,
     qoi_integral_v,
     split_linear_system,
@@ -24,7 +23,6 @@ from imexest.reference import (
     ReferenceConfig,
     ReferenceError,
     exact_solution,
-    ivp_rhs,
     reference_states,
     true_qoi,
 )
@@ -235,22 +233,6 @@ def rhs_oracle_qoi(prob, qoi, cfg):
 
 
 @pytest.mark.parametrize("v_mode", ["v-split", "v-implicit"])
-def test_ivp_rhs_matches_problem_rhs(v_mode):
-    prob = mhd_alfven(h=0.05, v_mode=v_mode)
-    rhs = ivp_rhs(prob)
-    jf, jg = np.abs(as_dense(prob.f_op)), np.abs(as_dense(prob.g_op))
-    rng = np.random.default_rng(3)
-    for t in np.concatenate([[-0.01, 0.0], rng.uniform(0.0, 0.1, 6)]):
-        y = rng.standard_normal(prob.dim)
-        force_f, force_g = prob.forcing(t)
-        # the two routes sum the same terms in another order, so they may
-        # differ by roundoff of the summed magnitudes, not of each entry
-        scale = (jf @ np.abs(y) + jg @ np.abs(y)
-                 + np.abs(force_f) + np.abs(force_g)).max()
-        assert np.abs(rhs(t, y) - prob.rhs(y, t)).max() <= 1e-14 * scale
-
-
-@pytest.mark.parametrize("v_mode", ["v-split", "v-implicit"])
 def test_numeric_reference_of_a_linear_problem_evaluates_no_halves(v_mode):
     prob = mhd_alfven(h=0.05, v_mode=v_mode)
     calls = {"eval_f": 0, "eval_g": 0}
@@ -307,8 +289,8 @@ def test_step_cap_bounds_attempted_steps(monkeypatch):
 def test_step_cap_equal_to_the_step_count_passes():
     prob = split_scalar_linear(-0.4, -0.6, 1.0)
     qoi = QoiSpec(kind="final-time", psi=np.array([1.0]))
-    sol = solve_ivp(ivp_rhs(prob), (0.0, GRID.t_end), prob.y0, method="DOP853",
-                    rtol=NUMERIC.rtol, atol=NUMERIC.atol)
+    sol = solve_ivp(lambda t, y: prob.rhs(y, t), (0.0, GRID.t_end), prob.y0,
+                    method="DOP853", rtol=NUMERIC.rtol, atol=NUMERIC.atol)
     steps = sol.t.size - 1  # 5 with scipy 1.17
     assert steps >= 2
     want = float(sol.y[0, -1])
@@ -372,6 +354,31 @@ def test_dense_step_cap_counts_rejected_steps(solves):
         reference_states(prob, 0.1, replace(cfg, step_cap=attempts - 1))
 
 
+def test_dense_reference_reads_the_boundary_data_through_forcing_alone():
+    # DOP853 integrates problem.rhs, so a forced problem's boundary data
+    # has one reader, problem.forcing, on the dense route too
+    prob = mhd_alfven(h=0.05)
+    forcing, data = prob.forcing, prob.boundary_data
+    inside, reads = False, []
+
+    def counted_forcing(t):
+        nonlocal inside
+        inside = True
+        try:
+            return forcing(t)
+        finally:
+            inside = False
+
+    def counted_data(t):
+        reads.append(inside)
+        return data(t)
+
+    prob.forcing, prob.boundary_data = counted_forcing, counted_data
+    states = reference_states(prob, 0.01)
+    assert np.isfinite(states(np.linspace(0.0, 0.01, 3))).all()
+    assert len(reads) > 0 and all(reads)
+
+
 # -- the Radau IIA route of a forced linear problem ----------------------------
 
 TABLE14_QOI = 0.4862600621828902  # DOP853 at rtol 1e-10 and 1e-13 agree on it
@@ -410,24 +417,6 @@ def test_radau_reference_goes_through_solve_ivp(solves, kind):
     for sol in solves:
         assert sol.nfev == per_step * (sol.t.size - 1) > 0
         assert sol.nlu == 1
-
-
-@pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
-def test_radau_reference_builds_no_right_hand_side_operator(monkeypatch, kind):
-    # Radau IIA reads the system through its parts and never calls a
-    # right-hand side, so the reference builds no [A | P] operator for it
-    built = []
-    reference_operator = reference.reference_operator
-
-    def counted(problem):
-        built.append(problem)
-        return reference_operator(problem)
-
-    monkeypatch.setattr(reference, "reference_operator", counted)
-    prob = mhd_alfven(h=0.05)
-    qoi = {q.kind: q for q in mhd_qois(prob)}[kind]
-    assert np.isfinite(true_qoi(prob, MHD_GRID, qoi))
-    assert built == []
 
 
 def radau_steps(solves) -> int:
@@ -556,6 +545,6 @@ def test_radau_reads_the_forcing_per_block_of_steps(monkeypatch, kind):
     want = np.concatenate([t + RADAU_C * k for t in sol.t[:-1]])
     got = np.concatenate([times for times, _ in block])
     assert np.array_equal(got, want)
-    rhs, zero = ivp_rhs(prob), np.zeros(prob.dim)
+    zero = np.zeros(prob.dim)
     assert np.array_equal(np.concatenate([rows for _, rows in block]),
-                          np.stack([rhs(t, zero) for t in want]))
+                          np.stack([prob.rhs(zero, t) for t in want]))
