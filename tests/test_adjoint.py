@@ -493,18 +493,10 @@ def oracle_qois(prob):
                     psi_tilde=lambda t: psi * np.cos(3.0 * t) + t)]
 
 
-@pytest.mark.parametrize("scheme", ["mid122", "ssp343"], ids=["r2", "r3"])
-@pytest.mark.parametrize("build, presolved, swept, sweep_factors", [
-    # the Alfven problem sweeps its CSR operator, factored once; its dense
-    # form applies its one solve before the sweep
-    (lambda: mhd_alfven(h=0.05), dense_form, lambda p: p, lambda n_int: 1),
-    # without its operators, the same constant Jacobian is factored and
-    # solved interval by interval
-    (random_linear_system, lambda p: p, without_operators, lambda n_int: n_int)],
-    ids=["mhd", "random-linear"])
-def test_dense_form_solved_before_the_sweep_matches_the_factored_sweep(
-        build, presolved, swept, sweep_factors, scheme, monkeypatch):
-    prob = build()
+def assert_presolved_matches_the_sweep(prob, presolved, swept, sweep_factors,
+                                       scheme, monkeypatch):
+    """The presolved form's adjoint, one dense factorisation, equals the
+    swept form's, factored sweep_factors times, for both QoI kinds."""
     recon = reconstruct_case(prob, scheme, t_end=0.1, n=8)
     seen = []
     monkeypatch.setattr(adjoint, "lu_factor", recording(adjoint.lu_factor, seen))
@@ -514,11 +506,31 @@ def test_dense_form_solved_before_the_sweep_matches_the_factored_sweep(
         assert seen == ["dense"]
         seen.clear()
         sweep = solve_adjoint(swept(prob), recon, qoi)
-        assert len(seen) == sweep_factors(8 * DEFAULT_REFINE)
+        assert len(seen) == sweep_factors
         assert before.poly.coeffs.shape == sweep.poly.coeffs.shape
         scale = sweep.max_abs()
         assert scale > 0.0
         assert np.abs(before.poly.coeffs - sweep.poly.coeffs).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("scheme", ["mid122", "ssp343"], ids=["mhd-r2", "mhd-r3"])
+def test_dense_form_solved_before_the_sweep_matches_the_factored_sweep(
+        scheme, monkeypatch):
+    # the Alfven problem sweeps its CSR operator, factored once; its dense
+    # form applies its one solve before the sweep
+    assert_presolved_matches_the_sweep(mhd_alfven(h=0.05), dense_form, lambda p: p,
+                                       1, scheme, monkeypatch)
+
+
+@pytest.mark.parametrize("scheme", ["mid122", "ssp343"],
+                         ids=["random-linear-r2", "random-linear-r3"])
+def test_propagator_matches_the_per_interval_sweep(scheme, monkeypatch):
+    # the constant operator's one solve gives the propagator before the
+    # sweep; without its operators, the same constant Jacobian is factored
+    # and solved interval by interval
+    assert_presolved_matches_the_sweep(random_linear_system(), lambda p: p,
+                                       without_operators, 8 * DEFAULT_REFINE,
+                                       scheme, monkeypatch)
 
 
 def test_sparse_sweep_working_memory_does_not_grow_with_the_grid(monkeypatch):
