@@ -10,7 +10,7 @@ from .tableaus import ButcherTableau, ImexPair, builtin, validate
 from .numerics import LagrangeBasis
 from .problems import (
     SplitOdeProblem, QoiSpec, linear_advection_diffusion, burgers,
-    mhd_alfven, alfven_analytic, qoi_mean_left_half, qoi_integral_v,
+    mhd_alfven, qoi_mean_left_half, qoi_integral_v,
     split_linear_system, split_scalar_linear, split_scalar_bernoulli,
     component_masks,
 )
@@ -39,7 +39,7 @@ __all__ = [
     "ButcherTableau", "ImexPair", "builtin", "validate",
     "LagrangeBasis",
     "SplitOdeProblem", "QoiSpec", "linear_advection_diffusion", "burgers",
-    "mhd_alfven", "alfven_analytic", "qoi_mean_left_half",
+    "mhd_alfven", "qoi_mean_left_half",
     "qoi_integral_v", "split_linear_system", "split_scalar_linear",
     "split_scalar_bernoulli", "component_masks",
     "TimeGrid", "NewtonConfig", "ForwardSolution", "solve_forward", "step",

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (BLOCK_FLOATS, GAUSS_NODES, GAUSS_WEIGHTS, BlockForm,
-                       LagrangeBasis, galerkin_deriv_matrix, legendre_shifted,
+from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
+                       block_spans, galerkin_deriv_matrix, legendre_shifted,
                        lu_factor)
 from .problems import QoiSpec, SplitOdeProblem
 from .reconstruct import PiecewisePolynomial, sub_gauss_nodes
@@ -140,9 +140,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         # of intervals at a time
         times = grid.local_times(gp)
         load = np.empty((n_int, r, m))
-        size = max(1, BLOCK_FLOATS // (gp.size * m))
-        for start in range(0, n_int, size):
-            span = slice(start, start + size)
+        for span in block_spans(n_int, gp.size, m):
             dens = np.stack([qoi.psi_tilde(t) for t in times[span].ravel()])
             load[span] = steps[span, None, None] * (
                 tests @ (gw[:, None] * dens.reshape(-1, gp.size, m)))

@@ -23,12 +23,13 @@ memory is a fixed number of blocks at any N.
 Each block's projections, density rows and Galerkin residuals are one
 broadcast product, with one ``problem.halves`` call a block, which reads
 a forced problem's forcing at the block's Gauss times alone.  A block
-holds max(1, BLOCK_FLOATS // (points * m)) intervals, so each of its
-(intervals, points, m) arrays stays within 256 KiB: a whole
-advection-diffusion grid of m = 20-40 is one or two blocks, while MHD
-(m = 398, 20 points) takes 4 intervals a block, as larger blocks there
-ran slower and grew the peak memory.  Every product is made slab by
-slab, so a block's values are bit for bit those of one interval alone.
+holds max(1, BLOCK_FLOATS // (points * m)) intervals (``block_spans``,
+the adjoint's rule too), so its (intervals, points, m) arrays stay within
+256 KiB: a whole advection-diffusion grid of m = 20-40 is one or two
+blocks, while MHD (m = 398, 20 points) takes 4 intervals a block, as
+larger blocks there ran slower and grew the peak memory.  Every product
+is made slab by slab, so a block's values are bit for bit those of one
+interval alone.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .adjoint import AdjointSolution
-from .numerics import BLOCK_FLOATS, legendre_shifted
+from .numerics import block_spans, legendre_shifted
 from .problems import SplitOdeProblem
 from .reconstruct import PiecewisePolynomial
 from .solver import ForwardSolution
@@ -98,23 +99,19 @@ class _Block(NamedTuple):
 def _gauss_blocks(problem: SplitOdeProblem, recon: PiecewisePolynomial,
                   adjoint: AdjointSolution, factor: int):
     """The Gauss rule on each of ``factor`` subintervals of every interval:
-    its local points and weights, the spans of blocks of at most
-    BLOCK_FLOATS // (points * m) intervals (at least one), and
-    ``read(span)``, one block read from the reconstruction and the adjoint
-    on its own, with one ``problem.halves`` call for all of its points."""
+    its local points and weights, the spans of its blocks (``block_spans``)
+    and ``read(span)``, one block read from the reconstruction and the
+    adjoint on its own, with one ``problem.halves`` call for all its points."""
     taus, wts, read_recon = recon.gauss_table(factor)
     read_phi = adjoint.poly.reader(taus, factor)
     times, steps = recon.grid.local_times(taus), recon.grid.steps
-    n_int, points = times.shape
-    size = max(1, BLOCK_FLOATS // (points * recon.dim))
 
     def read(span):
         y, ydot = read_recon(span)
         return _Block(span, steps[span], ydot, read_phi(span),
                       *problem.halves(y, times[span]))
 
-    spans = [slice(start, start + size) for start in range(0, n_int, size)]
-    return taus, wts, spans, read
+    return taus, wts, block_spans(*times.shape, recon.dim), read
 
 
 def _row_sums(arr: np.ndarray) -> np.ndarray:

@@ -39,6 +39,13 @@ GAUSS_NODES.flags.writeable = GAUSS_WEIGHTS.flags.writeable = False
 BLOCK_FLOATS = 2 ** 15
 
 
+def block_spans(n_intervals: int, points: int, m: int) -> list[slice]:
+    """Slices of max(1, BLOCK_FLOATS // (points * m)) consecutive intervals:
+    a block's (intervals, points, m) array fits BLOCK_FLOATS, or holds one interval."""
+    size = max(1, BLOCK_FLOATS // (points * m))
+    return [slice(start, start + size) for start in range(0, n_intervals, size)]
+
+
 class LagrangeBasis:
     """Lagrange basis on distinct (not necessarily sorted) nodes.
 

@@ -401,7 +401,8 @@ _EXP_MAX = math.log(sys.float_info.max)  # math.exp overflows above this
 def _alfven_point(zeta: float, t: float, B0: float, rho: float, mu: float,
                   eta: float, mu0: float, U: float) -> tuple[float, float]:
     """Exact (v, B) at one point zeta and one time t; the one implementation
-    of the closed form.  Zero at t <= 0 and at a NaN time (rest state)."""
+    of the closed form.  Zero at t <= 0 and at a NaN time (rest state); for
+    t > 0 the plate value v(0) is exactly U, the t -> 0+ limit of the erf form."""
     # isnan first: an ordered comparison with NaN raises the invalid flag,
     # which np.vectorize reports as a RuntimeWarning
     if math.isnan(t) or t <= 0.0:
@@ -425,24 +426,6 @@ def _alfven_point(zeta: float, t: float, B0: float, rho: float, mu: float,
 
 _alfven_fields = np.vectorize(_alfven_point, otypes=[float, float])
 _ALFVEN_PHYSICS = ("B0", "rho", "mu", "eta", "mu0", "U")  # _alfven_point's order
-
-
-def alfven_analytic(zeta, t, **params) -> tuple[Array, Array]:
-    """Exact (v, B) of the viscous/resistive Alfven-wave half-space problem,
-    for the physics params over MHD_DEFAULTS (the half-space ignores L).
-
-    At t <= 0 both fields vanish (the fluid starts at rest); for t > 0
-    the impulsively started plate makes the velocity boundary value at
-    zeta = 0 exactly U, which is also the t -> 0+ limit of the erf
-    expressions.  An array of times gives t.shape + (len(zeta),) fields.
-    """
-    unknown = set(params) - set(MHD_DEFAULTS)
-    if unknown:
-        raise TypeError(f"unknown mhd parameters: {sorted(unknown)}")
-    p = {**MHD_DEFAULTS, **params}
-    return _alfven_fields(np.asarray(zeta, dtype=float),
-                          np.asarray(t, dtype=float)[..., None],
-                          *(p[k] for k in _ALFVEN_PHYSICS))
 
 
 def mhd_params(v_mode: str, **params) -> dict:

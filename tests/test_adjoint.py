@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from imexest import adjoint, solver
+from imexest import adjoint, numerics, solver
 from imexest.adjoint import (
     DEFAULT_REFINE,
     AdjointSolveError,
@@ -583,7 +583,7 @@ def test_time_integrated_load_is_the_same_at_any_block_size(build, monkeypatch):
     slab = GAUSS_NODES.size * prob.dim  # psi_tilde values of one interval
     coeffs = []
     for intervals in (1, 7, 10 * DEFAULT_REFINE):
-        monkeypatch.setattr(adjoint, "BLOCK_FLOATS", intervals * slab)
+        monkeypatch.setattr(numerics, "BLOCK_FLOATS", intervals * slab)
         coeffs.append(solve_adjoint(prob, recon, qoi).poly.coeffs)
     assert all(np.array_equal(c, coeffs[0]) for c in coeffs[1:])
 

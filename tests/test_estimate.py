@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from imexest import estimate
+from imexest import numerics
 from imexest.adjoint import solve_adjoint
 from imexest.estimate import (
     ErrorBreakdown,
@@ -285,7 +285,7 @@ def test_block_assembly_equals_the_per_interval_oracle(case, monkeypatch):
     slab = 5 * refine * prob.dim  # floats of one interval's (points, m) slab
     # one interval a block, 4 (which does not divide 13), the whole grid
     for intervals in (1, 4, n):
-        monkeypatch.setattr(estimate, "BLOCK_FLOATS", intervals * slab)
+        monkeypatch.setattr(numerics, "BLOCK_FLOATS", intervals * slab)
         got = error_breakdown(prob, pair, fwd, recon, adj)
         for name in ("per_interval", "term_density", "galerkin_scaled", "galerkin_raw"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (intervals, name)
@@ -301,9 +301,9 @@ def test_breakdown_working_memory_does_not_grow_with_the_grid():
     # at 400 intervals here.
     prob = mhd_alfven(h=0.05)
     qoi = qoi_integral_v(prob.metadata["interior_per_field"], 0.05)
-    block = estimate.BLOCK_FLOATS * 8  # bytes
+    block = numerics.BLOCK_FLOATS * 8  # bytes
     # 100 intervals of 20 points hold more than two blocks
-    assert 100 * 20 * prob.dim > 2 * estimate.BLOCK_FLOATS
+    assert 100 * 20 * prob.dim > 2 * numerics.BLOCK_FLOATS
     work = working_memory(
         lambda t_end, n: pipeline(prob, qoi, scheme="ssp332", t_end=t_end, n=n),
         lambda inputs: error_breakdown(prob, *inputs),

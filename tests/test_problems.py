@@ -10,7 +10,6 @@ from imexest.problems import (
     MHD_DEFAULTS,
     MHD_V_MODES,
     QoiSpec,
-    alfven_analytic,
     burgers,
     component_masks,
     linear_advection_diffusion,
@@ -298,45 +297,40 @@ def test_mhd_rejects_physics_the_closed_form_cannot_take(params, message):
         mhd_alfven(h=0.05, **params)
 
 
-def test_alfven_analytic_rejects_an_unknown_parameter():
-    with pytest.raises(TypeError, match=r"unknown mhd parameters: \['B1'\]"):
-        alfven_analytic(np.linspace(0.0, 1.0, 3), 0.1, B1=1.0)
+def test_mhd_rejects_an_unknown_physics_parameter():
+    # the cli rejects unknown config keys before the builder runs
+    with pytest.raises(ValueError, match=r"unknown mhd parameters: \['B1'\]"):
+        mhd_alfven(h=0.05, B1=1.0)
 
 
 def test_alfven_analytic_rest_state_at_nonpositive_time():
-    zeta = np.linspace(0.0, 1.0, 11)
-    for t in (0.0, -0.5):
-        v, b = alfven_analytic(zeta, t)
-        np.testing.assert_allclose(v, 0.0)
-        np.testing.assert_allclose(b, 0.0)
+    prob = mhd_alfven(h=0.05)
+    for t in (0.0, -0.5, np.nan):
+        np.testing.assert_allclose(prob.boundary_data(t), 0.0)
+        np.testing.assert_allclose(prob.pde_solution(t), 0.0)
 
 
 def test_alfven_analytic_boundary_values():
     # impulsively started plate: v -> U at zeta = 0 as t -> 0+, and the
     # induced field vanishes at the plate for all times
-    v, b = alfven_analytic(np.array([0.0]), 1e-12)
-    assert v[0] == pytest.approx(1.0, abs=1e-9)
-    assert b[0] == pytest.approx(0.0, abs=1e-15)
-    v, b = alfven_analytic(np.array([0.0]), 0.05)
-    assert v[0] == pytest.approx(1.0, abs=1e-12)
-    assert b[0] == pytest.approx(0.0, abs=1e-15)
+    prob = mhd_alfven(h=0.05)
+    v_0, _, b_0, _ = prob.boundary_data(1e-12)
+    assert v_0 == pytest.approx(1.0, abs=1e-9)
+    assert b_0 == pytest.approx(0.0, abs=1e-15)
+    v_0, _, b_0, _ = prob.boundary_data(0.05)
+    assert v_0 == pytest.approx(1.0, abs=1e-12)
+    assert b_0 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_alfven_analytic_decays_into_interior():
-    v, b = alfven_analytic(np.array([0.9]), 1e-3)
-    assert abs(v[0]) < 1e-10
-    assert abs(b[0]) < 1e-10
-
-
-def test_mhd_pde_solution_samples_the_analytic_fields():
     prob = mhd_alfven(h=0.05)
     mh = prob.metadata["interior_per_field"]
     zeta = prob.metadata["h"] * np.arange(1, mh + 1)
-    v, b = alfven_analytic(zeta, 0.1, **{k: MHD_DEFAULTS[k] for k in MHD_DEFAULTS
-                                         if k != "L"})
-    got = prob.pde_solution(0.1)
-    np.testing.assert_allclose(got[:mh], v, atol=1e-12)
-    np.testing.assert_allclose(got[mh:], b, atol=1e-12)
+    i = np.argmin(np.abs(zeta - 0.9))
+    assert zeta[i] == pytest.approx(0.9)
+    got = prob.pde_solution(1e-3)
+    assert abs(got[i]) < 1e-10
+    assert abs(got[mh + i]) < 1e-10
 
 
 def test_component_masks_partition_the_state():
@@ -468,16 +462,6 @@ def test_linear_problems_are_their_jacobians_times_the_state(case):
         # the split sums a row in two parts: roundoff of the summed magnitudes
         scale = (np.abs(op) @ np.abs(y)).max()
         assert np.abs(got - op @ y).max() <= 1e-14 * scale
-
-
-def test_alfven_analytic_on_a_time_vector_matches_each_time():
-    zeta = np.linspace(0.0, 1.0, 11)
-    ts = np.array([-0.1, 0.0, 1e-3, 0.05])
-    v_all, b_all = alfven_analytic(zeta, ts)
-    assert v_all.shape == b_all.shape == (ts.size, zeta.size)
-    for j, t in enumerate(ts):
-        v, b = alfven_analytic(zeta, t)
-        assert np.array_equal(v_all[j], v) and np.array_equal(b_all[j], b)
 
 
 def test_one_halves_or_rhs_call_evaluates_the_forcing_once():
@@ -618,6 +602,14 @@ def alfven_times(rng):
 ALFVEN_ULPS = 4 * np.finfo(float).eps
 
 
+def alfven_fields(zeta, t, **physics):
+    """The scalar kernel mapped over points zeta and each of the times t,
+    for the physics over MHD_DEFAULTS."""
+    p = {**MHD_DEFAULTS, **physics}
+    return problems._alfven_fields(zeta, np.asarray(t, dtype=float)[..., None],
+                                   *(p[k] for k in problems._ALFVEN_PHYSICS))
+
+
 @pytest.mark.parametrize("physics", ALFVEN_PHYSICS, ids=ALFVEN_PHYSICS_IDS)
 def test_alfven_analytic_matches_the_numpy_closed_form(physics):
     rng = np.random.default_rng(len(physics))
@@ -625,11 +617,21 @@ def test_alfven_analytic_matches_the_numpy_closed_form(physics):
     ts = alfven_times(rng)
     cases = [(ts, (ts.size, zeta.size))] + [(t, zeta.shape) for t in ts]
     for t, shape in cases:
-        got = alfven_analytic(zeta, t, **physics)
+        got = alfven_fields(zeta, t, **physics)
         v, b, v_mag, b_mag = numpy_alfven(zeta, t, **physics)
         for new, old, mag in zip(got, (v, b), (v_mag, b_mag)):
             assert new.shape == shape
             assert np.all(np.abs(new - old) <= ALFVEN_ULPS * mag)
+
+
+def test_mhd_pde_solution_samples_the_analytic_fields():
+    prob = mhd_alfven(h=0.05)
+    mh = prob.metadata["interior_per_field"]
+    zeta = prob.metadata["h"] * np.arange(1, mh + 1)
+    v, b, v_mag, b_mag = numpy_alfven(zeta, 0.1)
+    got = prob.pde_solution(0.1)
+    assert np.all(np.abs(got[:mh] - v) <= ALFVEN_ULPS * v_mag)
+    assert np.all(np.abs(got[mh:] - b) <= ALFVEN_ULPS * b_mag)
 
 
 def bits(arr):
@@ -667,7 +669,7 @@ def test_alfven_fields_take_the_start_limit_where_d_t_underflows():
     # erf(+-inf), which gives the t -> 0+ limit; a float division would raise
     zeta = np.array([0.0, 0.5, 1.0])
     for physics in ({"eta": 0.3}, *ALFVEN_PHYSICS[1:3]):
-        got = alfven_analytic(zeta, 5e-324, **physics)
+        got = alfven_fields(zeta, 5e-324, **physics)
         with np.errstate(divide="ignore", invalid="ignore"):
             want = numpy_alfven(zeta, 5e-324, **physics)[:2]
         u = physics.get("U", 1.0)
