@@ -9,12 +9,13 @@ error.  Mode "analytic" samples ``problem.analytic`` or, failing that,
 Alfven wave that is the PDE's solution, and the true error it gives
 includes the spatial error, which the estimate does not see.
 
-The numeric route integrates with ``solve_ivp`` in one of two ways.
+The numeric route runs one of this module's two loops, each through
+``solve_ivp``, the one call every numeric solve makes.
 
-* A linear problem with boundary forcing (the Alfven wave) takes the
-  fixed-step Radau IIA method of ``RadauIIA`` (Hairer and Wanner,
-  *Solving ODEs II*, IV.5 and IV.8): 3 stages, order 5, L-stable and
-  stiffly accurate, with one LU per solve (sparse here).  The step is
+* A linear problem with boundary forcing (the Alfven wave) takes
+  ``radau_iia``, fixed-step Radau IIA (Hairer and Wanner, *Solving
+  ODEs II*, IV.5 and IV.8): 3 stages, order 5, L-stable and stiffly
+  accurate, with one LU per solve (sparse here).  The step is
   k = T / n with n = 100 or, if that step exceeds ``max_step``, the
   smallest n whose step does not.  n doubles until two successive
   solves agree:
@@ -29,8 +30,17 @@ The numeric route integrates with ``solve_ivp`` in one of two ways.
   forcing, the sum of the two halves ``problem.forcing`` gives, is read
   for blocks of at most RADAU_START_STEPS steps in one call each, never
   for a whole level, whose length only ``step_cap`` bounds.
-* Any other problem takes scipy's adaptive DOP853 at rtol and atol on
-  ``problem.rhs``, so both read boundary data through ``problem.forcing``.
+* Any other problem takes ``dop853``, adaptive DOP853 (Hairer, Norsett
+  and Wanner, *Solving ODEs I*, II.5) at rtol and atol on
+  ``problem.rhs``, so both read boundary data through
+  ``problem.forcing``.  It ports scipy 1.17's ``DOP853`` as
+  ``solve_ivp`` runs it: the same coefficients, first step, error norm,
+  step factors and dense interpolant, the same calls in the same order,
+  and the same bits.
+
+Neither loop imports ``scipy.integrate``: that import, with the
+``scipy.optimize`` and ``scipy.special`` it loads, took over a third of
+a table process's start-up.
 
 ``step_cap`` bounds the steps a numeric QoI attempts: DOP853's attempted
 steps, rejected ones included, and every Radau IIA step of every
@@ -47,9 +57,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolver, solve_ivp
 
 from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, identity_like, kron, lu_factor
 from .problems import QoiSpec, SplitOdeProblem
@@ -68,6 +78,107 @@ RADAU_A = np.array([
      (-2.0 - 3.0 * _SQRT6) / 225.0],
     [(16.0 - _SQRT6) / 36.0, (16.0 + _SQRT6) / 36.0, 1.0 / 9.0],
 ])
+
+
+def _table(shape, entries: dict) -> np.ndarray:
+    """Zeros of shape with entries {(row, column): value} set."""
+    table = np.zeros(shape)
+    for at, value in entries.items():
+        table[at] = value
+    return table
+
+
+# DOP853's coefficients (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5,
+# and Hairer's Fortran code): 12 stages (rows and nodes 0-11), the order-8
+# weights (row 12) and three more stages for the dense interpolant (rows
+# and nodes 13-15).  Each literal is the shortest that rounds to the double
+# of the published 30-digit value; the tests pin every table to scipy's.
+DOP853_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+])
+DOP853_A = _table((16, 16), {
+    (1, 0): 0.05260015195876773,
+    (2, 0): 0.0197250569845379, (2, 1): 0.0591751709536137,
+    (3, 0): 0.02958758547680685, (3, 2): 0.08876275643042054,
+    (4, 0): 0.2413651341592667, (4, 2): -0.8845494793282861, (4, 3): 0.924834003261792,
+    (5, 0): 0.037037037037037035, (5, 3): 0.17082860872947386,
+    (5, 4): 0.12546768756682242,
+    (6, 0): 0.037109375, (6, 3): 0.17025221101954405, (6, 4): 0.06021653898045596,
+    (6, 5): -0.017578125,
+    (7, 0): 0.03709200011850479, (7, 3): 0.17038392571223998,
+    (7, 4): 0.10726203044637328, (7, 5): -0.015319437748624402,
+    (7, 6): 0.008273789163814023,
+    (8, 0): 0.6241109587160757, (8, 3): -3.3608926294469414, (8, 4): -0.868219346841726,
+    (8, 5): 27.59209969944671, (8, 6): 20.154067550477894, (8, 7): -43.48988418106996,
+    (9, 0): 0.47766253643826434, (9, 3): -2.4881146199716677,
+    (9, 4): -0.590290826836843, (9, 5): 21.230051448181193, (9, 6): 15.279233632882423,
+    (9, 7): -33.28821096898486, (9, 8): -0.020331201708508627,
+    (10, 0): -0.9371424300859873, (10, 3): 5.186372428844064,
+    (10, 4): 1.0914373489967295, (10, 5): -8.149787010746927,
+    (10, 6): -18.52006565999696, (10, 7): 22.739487099350505,
+    (10, 8): 2.4936055526796523, (10, 9): -3.0467644718982196,
+    (11, 0): 2.273310147516538, (11, 3): -10.53449546673725,
+    (11, 4): -2.0008720582248625, (11, 5): -17.9589318631188,
+    (11, 6): 27.94888452941996, (11, 7): -2.8589982771350235,
+    (11, 8): -8.87285693353063, (11, 9): 12.360567175794303,
+    (11, 10): 0.6433927460157636,
+    (12, 0): 0.054293734116568765, (12, 5): 4.450312892752409,
+    (12, 6): 1.8915178993145003, (12, 7): -5.801203960010585,
+    (12, 8): 0.3111643669578199, (12, 9): -0.1521609496625161,
+    (12, 10): 0.20136540080403034, (12, 11): 0.04471061572777259,
+    (13, 0): 0.056167502283047954, (13, 6): 0.25350021021662483,
+    (13, 7): -0.2462390374708025, (13, 8): -0.12419142326381637,
+    (13, 9): 0.15329179827876568, (13, 10): 0.00820105229563469,
+    (13, 11): 0.007567897660545699, (13, 12): -0.008298,
+    (14, 0): 0.03183464816350214, (14, 5): 0.028300909672366776,
+    (14, 6): 0.053541988307438566, (14, 7): -0.05492374857139099,
+    (14, 10): -0.00010834732869724932, (14, 11): 0.0003825710908356584,
+    (14, 12): -0.00034046500868740456, (14, 13): 0.1413124436746325,
+    (15, 0): -0.42889630158379194, (15, 5): -4.697621415361164,
+    (15, 6): 7.683421196062599, (15, 7): 4.06898981839711, (15, 8): 0.3567271874552811,
+    (15, 12): -0.0013990241651590145, (15, 13): 2.9475147891527724,
+    (15, 14): -9.15095847217987,
+})
+DOP853_B = DOP853_A[12, :12]
+# the weights of the embedded order-5 and order-3 error estimates, stages 0-12
+DOP853_E5 = _table(13, {
+    0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+    7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+    10: 0.08192320648511571, 11: -0.022355307863886294,
+})
+DOP853_E3 = np.append(DOP853_B, 0.0)
+DOP853_E3[[0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
+# the interpolant's coefficients 3-6 over the 16 stages (0-2 come from the
+# step's two ends)
+DOP853_D = _table((4, 16), {
+    (0, 0): -8.428938276109013, (0, 5): 0.5667149535193777, (0, 6): -3.0689499459498917,
+    (0, 7): 2.38466765651207, (0, 8): 2.117034582445028, (0, 9): -0.871391583777973,
+    (0, 10): 2.2404374302607883, (0, 11): 0.6315787787694688,
+    (0, 12): -0.08899033645133331, (0, 13): 18.148505520854727,
+    (0, 14): -9.194632392478356, (0, 15): -4.436036387594894,
+    (1, 0): 10.427508642579134, (1, 5): 242.28349177525817, (1, 6): 165.20045171727028,
+    (1, 7): -374.5467547226902, (1, 8): -22.113666853125306, (1, 9): 7.733432668472264,
+    (1, 10): -30.674084731089398, (1, 11): -9.332130526430229,
+    (1, 12): 15.697238121770845, (1, 13): -31.139403219565178,
+    (1, 14): -9.35292435884448, (1, 15): 35.81684148639408,
+    (2, 0): 19.985053242002433, (2, 5): -387.0373087493518, (2, 6): -189.17813819516758,
+    (2, 7): 527.8081592054236, (2, 8): -11.57390253995963, (2, 9): 6.8812326946963,
+    (2, 10): -1.0006050966910838, (2, 11): 0.7777137798053443,
+    (2, 12): -2.778205752353508, (2, 13): -60.19669523126412,
+    (2, 14): 84.32040550667716, (2, 15): 11.99229113618279,
+    (3, 0): -25.69393346270375, (3, 5): -154.18974869023643, (3, 6): -231.5293791760455,
+    (3, 7): 357.6391179106141, (3, 8): 93.40532418362432, (3, 9): -37.45832313645163,
+    (3, 10): 104.0996495089623, (3, 11): 29.8402934266605, (3, 12): -43.53345659001114,
+    (3, 13): 96.32455395918828, (3, 14): -39.17726167561544,
+    (3, 15): -149.72683625798564,
+})
+
+# DOP853's step control: the next step is this one times 0.9 err^(-1/8),
+# within [_MIN_FACTOR, _MAX_FACTOR], and never grows right after a rejection
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_ERROR_EXPONENT = -1 / 8
 
 
 class ReferenceError(RuntimeError):
@@ -132,50 +243,46 @@ def qoi_from_states(states, grid: TimeGrid, qoi: QoiSpec) -> float:
     return total
 
 
-def _over_cap(config: ReferenceConfig) -> ReferenceError:
-    return ReferenceError(f"reference integration attempted more than "
-                          f"{config.step_cap} steps (cap {config.step_cap})")
+class Solution(NamedTuple):
+    """One solve: the accepted step times t (steps + 1,) and the states y
+    (n, steps + 1) at them, from the initial one; nfev right-hand-side
+    calls or forcing rows; and sol, a dense solve's interpolant
+    nodes (P,) -> (n, P) states, else None."""
+    t: np.ndarray
+    y: np.ndarray
+    nfev: int
+    sol: Optional[Callable] = None
 
 
-def _dop853(fun, t_span: tuple, z0: np.ndarray, rtol: float, atol: float,
-            config: ReferenceConfig, dense: bool = False):
-    """The DOP853 solution of z' = fun(t, z) from z0 over t_span; a
-    ReferenceError once it starts step config.step_cap + 1 or fails."""
-    # DOP853 makes two evaluations to start and n_stages per attempted
-    # step; a dense solve's interpolant makes more per accepted step,
-    # which are handed back to the budget since they attempt no step
-    budget = 2 + DOP853.n_stages * config.step_cap
-    calls = 0
-
-    def counted(t, z):
-        nonlocal calls
-        calls += 1
-        if calls > budget:
-            raise _over_cap(config)
-        return fun(t, z)
-
-    class Interpolated(DOP853):
-        def _dense_output_impl(self):
-            nonlocal calls
-            calls -= len(self.C_EXTRA)
-            return super()._dense_output_impl()
-
-    sol = solve_ivp(counted, t_span, z0, method=Interpolated, rtol=rtol,
-                    atol=atol, max_step=config.max_step, dense_output=dense)
-    if not sol.success:
-        raise ReferenceError(f"reference integration failed: {sol.message}")
-    return sol
+def solve_ivp(method, t_span: tuple, z0: np.ndarray, **options) -> Solution:
+    """method(t_span, z0, **options), method ``radau_iia`` or ``dop853``:
+    the one call through which every numeric solve of this module runs."""
+    return method(t_span, z0, **options)
 
 
-class RadauIIA(OdeSolver):
+def _step_counter(config: ReferenceConfig):
+    """A start_step() to call as each step starts; it raises ReferenceError
+    as step config.step_cap + 1, counted over every call, starts."""
+    steps = 0
+
+    def start_step():
+        nonlocal steps
+        steps += 1
+        if steps > config.step_cap:
+            raise ReferenceError(f"reference integration attempted more than "
+                                 f"{config.step_cap} steps (cap {config.step_cap})")
+    return start_step
+
+
+def radau_iia(t_span: tuple, z0: np.ndarray, *, jac, forcing, rate, n_steps: int,
+              start_step) -> Solution:
     """Radau IIA with 3 stages (order 5) on n_steps equal steps.
 
-    fun is never called (``_radau_qoi`` passes None): the solver reads
-    the system through its parts.  The leading m = jac.shape[0]
-    unknowns y = z[:m] obey the affine system y' = jac y + r(t), whose
-    forcing rows forcing(times) gives for a (P,) vector of times as
-    (P, m).  Any further unknowns are quadratures with rates
-    rate(t, y), which depend on t and y alone, never on themselves.
+    The leading m = jac.shape[0] unknowns y = z[:m] obey the affine system
+    y' = jac y + r(t), whose forcing rows forcing(times) gives for a (P,)
+    vector of times as (P, m).  Any further unknowns are quadratures with
+    rates rate(t, y), which depend on t and y alone, never on themselves;
+    rate is None when there are none.
 
     The stage values Y solve (I - k A (x) jac) Y = 1 (x) z + k (A (x) I) R,
     R the stages' forcing rows, with one LU made here in jac's form
@@ -186,70 +293,167 @@ class RadauIIA(OdeSolver):
     ``nfev`` counts 3 per step for the stages' forcing rows, and 3 more
     for the rates when there are quadratures.
     """
-
-    def __init__(self, fun, t0, y0, t_bound, vectorized, jac, forcing,
-                 n_steps, start_step, rate=None):
-        super().__init__(fun, t0, y0, t_bound, vectorized)
-        self.m = jac.shape[0]
-        self.t_start, self.n_steps, self.taken = t0, n_steps, 0
-        self.k = (t_bound - t0) / n_steps
-        self.forcing, self.rate, self.start_step = forcing, rate, start_step
-        system = identity_like(jac, 3 * self.m) - self.k * kron(RADAU_A, jac)
-        self.lu = lu_factor(system, singular=ReferenceError(
-            "singular Radau IIA stage system"))
-        self.nlu = 1
-
-    def _step_impl(self):
-        self.start_step()
-        m, k, z = self.m, self.k, self.y
-        at = self.taken % RADAU_START_STEPS
+    t0, t_bound = map(float, t_span)
+    m, k = jac.shape[0], (t_bound - t0) / n_steps
+    solve = lu_factor(identity_like(jac, 3 * m) - k * kron(RADAU_A, jac),
+                      singular=ReferenceError("singular Radau IIA stage system"))
+    z, ts, zs, nfev = z0, [t0], [z0], 0
+    for step in range(n_steps):
+        start_step()
+        at = step % RADAU_START_STEPS
         if at == 0:
-            # the block's stage times, as self.t + RADAU_C * k gives them per step
-            first = self.taken + np.arange(min(RADAU_START_STEPS,
-                                               self.n_steps - self.taken))
-            self.block_times = (self.t_start + first * k)[:, None] + RADAU_C * k
-            self.block = self.forcing(self.block_times.ravel()).reshape(-1, 3, m)
-        times, forcing = self.block_times[at], self.block[at]
-        stages = self.lu(np.tile(z[:m], 3)
-                         + k * (RADAU_A @ forcing).ravel()).reshape(3, m)
-        self.nfev += 3
-        if self.n > m:
-            rates = np.array([self.rate(t, y) for t, y in zip(times, stages)])
-            self.nfev += 3
-            self.y = np.concatenate((stages[-1], z[m:] + k * RADAU_A[-1]
-                                     @ rates.reshape(3, -1)))
+            # the block's stage times, t_n + RADAU_C * k for each of its steps
+            first = step + np.arange(min(RADAU_START_STEPS, n_steps - step))
+            block_times = (t0 + first * k)[:, None] + RADAU_C * k
+            block = forcing(block_times.ravel()).reshape(-1, 3, m)
+        stages = solve(np.tile(z[:m], 3)
+                       + k * (RADAU_A @ block[at]).ravel()).reshape(3, m)
+        nfev += 3
+        if rate is None:
+            z = stages[-1]
         else:
-            self.y = stages[-1]
-        self.taken += 1
-        if self.taken < self.n_steps:
-            self.t = self.t_start + self.taken * k
-        else:
-            # the solver lives on in a reference cycle until the garbage
-            # collector runs; its factors (about 12 MB in SuperLU's
-            # workspace for table 14) and forcing block need not
-            self.t, self.lu, self.block = self.t_bound, None, None
-        return True, None
+            rates = np.array([rate(t, y) for t, y in zip(block_times[at], stages)])
+            nfev += 3
+            z = np.concatenate((stages[-1], z[m:] + k * RADAU_A[-1]
+                                @ rates.reshape(3, -1)))
+        ts.append(t0 + (step + 1) * k if step + 1 < n_steps else t_bound)
+        zs.append(z)
+    return Solution(np.array(ts), np.vstack(zs).T, nfev)
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _dop853_first_step(fun, t0: float, z0, f0, t_bound: float, rtol: float,
+                       atol: float, max_step: float) -> float:
+    """DOP853's first step, from the sizes of z0, f0 and one more call of
+    fun (Hairer, Norsett and Wanner, *Solving ODEs I*, II.4)."""
+    length = t_bound - t0
+    scale = atol + np.abs(z0) * rtol
+    d0, d1 = _rms(z0 / scale), _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, length)
+    d2 = _rms((fun(t0 + h0, z0 + h0 * f0) - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, length, max_step)
+
+
+def _dop853_interpolant(ts: np.ndarray, zs: np.ndarray, coefficients: list):
+    """nodes (P,) -> (n, P) states from each accepted step's seven
+    interpolant coefficients; a node on a step boundary takes the earlier
+    step, and one outside [ts[0], ts[-1]] the nearest end step."""
+    coefficients = np.stack(coefficients)
+
+    def at(nodes):
+        nodes = np.asarray(nodes, dtype=float)
+        step = np.clip(np.searchsorted(ts, nodes) - 1, 0, len(coefficients) - 1)
+        x = ((nodes - ts[step]) / (ts[step + 1] - ts[step]))[:, None]
+        y = np.zeros((nodes.size, zs.shape[1]))
+        for j in range(6, -1, -1):
+            y += coefficients[step, j]
+            y *= x if j % 2 == 0 else 1 - x
+        return (y + zs[step]).T
+    return at
+
+
+def dop853(t_span: tuple, z0: np.ndarray, *, fun, rtol: float, atol: float,
+           max_step: float, start_step, dense: bool = False) -> Solution:
+    """The DOP853 solution of z' = fun(t, z) from z0 over t_span, at rtol,
+    atol and max_step, with the interpolant as ``sol`` if dense.
+
+    start_step() is called as each attempted step starts, rejected ones
+    included; it may raise to stop the solve.  A step that falls below
+    ten spacings of the floats at t raises ReferenceError.
+    """
+    nfev = 0
+
+    def f(t, z):
+        nonlocal nfev
+        nfev += 1
+        return fun(t, z)
+
+    t, t_bound = map(float, t_span)
+    z = z0
+    f_z = f(t, z)
+    h_abs = _dop853_first_step(f, t, z, f_z, t_bound, rtol, atol, max_step)
+    stages = np.empty((16, z.size))
+    ts, zs, coefficients = [t], [z], []
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ReferenceError("reference integration failed: Required step "
+                                     "size is less than spacing between numbers.")
+            start_step()
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            stages[0] = f_z
+            for s in range(1, 12):
+                stages[s] = f(t + DOP853_C[s] * h,
+                              z + np.dot(stages[:s].T, DOP853_A[s, :s]) * h)
+            z_new = z + h * np.dot(stages[:12].T, DOP853_B)
+            f_new = f(t + h, z_new)
+            stages[12] = f_new
+            scale = atol + np.maximum(np.abs(z), np.abs(z_new)) * rtol
+            err5 = np.linalg.norm(np.dot(stages[:13].T, DOP853_E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(stages[:13].T, DOP853_E3) / scale) ** 2
+            if err5 == 0 and err3 == 0:
+                error = 0.0
+            else:
+                error = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * z.size)
+            if error < 1:
+                factor = (_MAX_FACTOR if error == 0
+                          else min(_MAX_FACTOR, _SAFETY * error ** _ERROR_EXPONENT))
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
+            rejected = True
+        if dense:
+            for s in range(13, 16):
+                stages[s] = f(t + DOP853_C[s] * h,
+                              z + np.dot(stages[:s].T, DOP853_A[s, :s]) * h)
+            dz = z_new - z
+            coefficients.append(np.vstack((dz, h * stages[0] - dz,
+                                           2 * dz - h * (f_new + stages[0]),
+                                           h * np.dot(DOP853_D, stages))))
+        t, z, f_z = t_new, z_new, f_new
+        ts.append(t)
+        zs.append(z)
+    ts, zs = np.array(ts), np.vstack(zs)
+    sol = _dop853_interpolant(ts, zs, coefficients) if dense else None
+    return Solution(ts, zs.T, nfev, sol=sol)
+
+
+def _dop853(fun, t_span: tuple, z0: np.ndarray, rtol: float, atol: float,
+            config: ReferenceConfig, dense: bool = False) -> Solution:
+    """The DOP853 solution of z' = fun(t, z) from z0 over t_span; a
+    ReferenceError once it starts step config.step_cap + 1 or fails."""
+    return solve_ivp(dop853, t_span, z0, fun=fun, rtol=rtol, atol=atol,
+                     max_step=config.max_step, start_step=_step_counter(config),
+                     dense=dense)
 
 
 def _radau_qoi(jac, forcing, rate, t_span: tuple, z0: np.ndarray,
                value, config: ReferenceConfig):
-    """value(z(T)) from RadauIIA solves with doubling step counts: the value
+    """value(z(T)) from Radau IIA solves with doubling step counts: the value
     the rule in the module docstring accepts, then the value of each
     further doubling level; a ReferenceError as any step past
     config.step_cap, summed over the solves, starts."""
-    steps = 0
-
-    def start_step():
-        nonlocal steps
-        steps += 1
-        if steps > config.step_cap:
-            raise _over_cap(config)
+    start_step = _step_counter(config)
 
     def level(n):
-        # RadauIIA reads the system through jac, forcing and rate alone
-        sol = solve_ivp(None, t_span, z0, method=RadauIIA, jac=jac,
-                        forcing=forcing, rate=rate, n_steps=n,
-                        start_step=start_step)
+        sol = solve_ivp(radau_iia, t_span, z0, jac=jac, forcing=forcing,
+                        rate=rate, n_steps=n, start_step=start_step)
         return value(sol.y[:, -1])
 
     # a level longer than step_cap stops at the cap whatever its length,

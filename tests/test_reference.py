@@ -1,5 +1,7 @@
 """Tests for the reference QoI computation."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from scipy.integrate import DOP853, solve_ivp
 
 from imexest import reference
+from imexest.cli import RunConfig, table_config
 from imexest.problems import (
     QoiSpec,
     mhd_alfven,
@@ -19,10 +22,11 @@ from imexest.reference import (
     RADAU_C,
     RADAU_START_STEPS,
     RTOL_FLOOR,
-    RadauIIA,
     ReferenceConfig,
     ReferenceError,
+    dop853,
     exact_solution,
+    radau_iia,
     reference_states,
     true_qoi,
 )
@@ -270,15 +274,19 @@ def test_step_cap_bounds_attempted_steps(monkeypatch):
         return data(t)
 
     prob.boundary_data = counted
+    # each step solves its stage system once
     taken = []
-    step_impl = RadauIIA._step_impl
+    real_lu = reference.lu_factor
 
-    def counted_step(solver):
-        out = step_impl(solver)
-        taken.append(solver.taken)
-        return out
+    def counted_lu(*args, **kwargs):
+        solve = real_lu(*args, **kwargs)
 
-    monkeypatch.setattr(RadauIIA, "_step_impl", counted_step)
+        def counted_solve(b):
+            taken.append(len(taken) + 1)
+            return solve(b)
+        return counted_solve
+
+    monkeypatch.setattr(reference, "lu_factor", counted_lu)
     cfg = ReferenceConfig(mode="high-order-numeric", step_cap=3)
     with pytest.raises(ReferenceError, match="cap 3"):
         true_qoi(prob, MHD_GRID, mhd_qois(prob)[0], cfg)
@@ -328,9 +336,10 @@ def test_numeric_reference_of_a_forced_linear_problem_reads_forcing_per_block(so
 def solves(monkeypatch):
     """Every solution reference.solve_ivp returns, in call order."""
     sols = []
+    real = reference.solve_ivp
 
     def recorded(*args, **kwargs):
-        sol = solve_ivp(*args, **kwargs)
+        sol = real(*args, **kwargs)
         sols.append(sol)
         return sol
 
@@ -398,9 +407,16 @@ def test_radau_reference_reproduces_table_14(v_mode):
 
 
 @pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
-def test_radau_reference_goes_through_solve_ivp(solves, kind):
+def test_radau_reference_goes_through_solve_ivp(monkeypatch, solves, kind):
     prob = mhd_alfven(h=0.05)
-    calls = []
+    calls, factorisations = [], []
+    real_lu = reference.lu_factor
+
+    def counted_lu(*args, **kwargs):
+        factorisations.append(args[0].shape)
+        return real_lu(*args, **kwargs)
+
+    monkeypatch.setattr(reference, "lu_factor", counted_lu)
     forcing = prob.forcing
 
     def counted(t):
@@ -416,7 +432,7 @@ def test_radau_reference_goes_through_solve_ivp(solves, kind):
     per_step = 3 if kind == "final-time" else 6  # stage forcing, then integrand
     for sol in solves:
         assert sol.nfev == per_step * (sol.t.size - 1) > 0
-        assert sol.nlu == 1
+    assert len(factorisations) == len(solves)  # one LU per solve
 
 
 def radau_steps(solves) -> int:
@@ -467,10 +483,11 @@ def test_radau_verify_rejects_a_disagreeing_finer_level(monkeypatch):
     prob = mhd_alfven(h=0.05)
     qoi = mhd_qois(prob)[0]
     levels = []
+    real = reference.solve_ivp
 
     def shifted(*args, **kwargs):
         # every level past the 400 steps that agree moves the QoI by 1e-3 * n
-        sol = solve_ivp(*args, **kwargs)
+        sol = real(*args, **kwargs)
         steps = sol.t.size - 1
         levels.append(steps)
         if steps > 400:
@@ -493,27 +510,47 @@ def test_radau_solver_converges_at_order_five():
     jac = np.array([[-1.0]])
     errors = []
     for n in (4, 8):
-        sol = solve_ivp(lambda t, y: jac @ y + t, (0.0, 1.0), [1.0],
-                        method=RadauIIA, jac=jac, n_steps=n,
-                        forcing=lambda times: times[:, None],
-                        start_step=lambda: None)
+        sol = reference.solve_ivp(radau_iia, (0.0, 1.0), np.array([1.0]), jac=jac,
+                                  forcing=lambda times: times[:, None], rate=None,
+                                  n_steps=n, start_step=lambda: None)
         assert sol.t.size == n + 1 and sol.t[-1] == 1.0
         assert sol.nfev == 3 * n
         errors.append(abs(sol.y[0, -1] - 2.0 * np.exp(-1.0)))
     assert 2.0 ** 4.5 < errors[0] / errors[1] < 2.0 ** 5.5
 
 
-def test_radau_solver_frees_its_factors_with_the_last_step():
-    # solve_ivp's solver outlives the solve in a reference cycle; its LU
-    # must not, or the doubling levels keep their factors alive together
-    solver = RadauIIA(lambda t, y: -y, 0.0, [1.0], 1.0, False,
-                      jac=np.array([[-1.0]]), n_steps=2, start_step=lambda: None,
-                      forcing=lambda times: np.zeros((times.size, 1)))
-    solver.step()
-    assert solver.lu is not None and solver.status == "running"
-    solver.step()
-    assert solver.lu is None and solver.block is None
-    assert solver.status == "finished"
+def test_radau_solver_frees_its_factors_with_the_last_step(monkeypatch):
+    # the LU and the forcing block live through every step and die with the
+    # solve, with no reference cycle left for the garbage collector, or the
+    # doubling levels would keep their factors alive together
+    factors, blocks, alive = [], [], []
+    real_lu = reference.lu_factor
+
+    def recorded_lu(*args, **kwargs):
+        solve = real_lu(*args, **kwargs)
+        factors.append(weakref.ref(solve))
+        return solve
+
+    def forcing(times):
+        rows = np.zeros((times.size, 1))
+        blocks.append(weakref.ref(rows))
+        return rows
+
+    def start_step():
+        alive.append(factors[0]() is not None
+                     and all(block() is not None for block in blocks))
+
+    monkeypatch.setattr(reference, "lu_factor", recorded_lu)
+    gc.disable()
+    try:
+        sol = reference.solve_ivp(radau_iia, (0.0, 1.0), np.array([1.0]),
+                                  jac=np.array([[-1.0]]), forcing=forcing,
+                                  rate=None, n_steps=2, start_step=start_step)
+        assert alive == [True, True] and len(blocks) == 1
+        assert factors[0]() is None and blocks[0]() is None
+    finally:
+        gc.enable()
+    assert sol.t.tolist() == [0.0, 0.5, 1.0]
 
 
 @pytest.mark.parametrize("kind", ["final-time", "time-integrated"])
@@ -525,13 +562,15 @@ def test_radau_reads_the_forcing_per_block_of_steps(monkeypatch, kind):
     qoi = {q.kind: q for q in mhd_qois(prob)}[kind]
     reads, sols = [], []
 
+    real = reference.solve_ivp
+
     def recorded(*args, forcing, **kwargs):
         def read(times):
             rows = forcing(times)
             reads.append((times.copy(), rows))
             return rows
 
-        sols.append(solve_ivp(*args, forcing=read, **kwargs))
+        sols.append(real(*args, forcing=read, **kwargs))
         return sols[-1]
 
     monkeypatch.setattr(reference, "solve_ivp", recorded)
@@ -548,3 +587,107 @@ def test_radau_reads_the_forcing_per_block_of_steps(monkeypatch, kind):
     zero = np.zeros(prob.dim)
     assert np.array_equal(np.concatenate([rows for _, rows in block]),
                           np.stack([prob.rhs(zero, t) for t in want]))
+
+
+# -- the DOP853 loop against scipy.integrate's ----------------------------------
+
+def bits(a) -> np.ndarray:
+    """The float64 bits of a, for comparisons that tell -0.0 from 0.0."""
+    return np.ascontiguousarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("name, ours", [
+    ("A", reference.DOP853_A[:12, :12]),
+    ("B", reference.DOP853_B),
+    ("C", reference.DOP853_C[:12]),
+    ("E3", reference.DOP853_E3),
+    ("E5", reference.DOP853_E5),
+    ("D", reference.DOP853_D),
+    ("A_EXTRA", reference.DOP853_A[13:]),
+    ("C_EXTRA", reference.DOP853_C[13:]),
+])
+def test_dop853_tables_are_scipys_to_the_bit(name, ours):
+    theirs = getattr(DOP853, name)
+    assert ours.shape == theirs.shape
+    assert np.array_equal(bits(ours), bits(theirs))
+
+
+def scipy_solve(fun, t_span, z0, rtol, atol, max_step, dense_output=False, **_):
+    return solve_ivp(fun, t_span, z0, method="DOP853", rtol=rtol, atol=atol,
+                     max_step=max_step, dense_output=dense_output)
+
+
+def assert_same_solve(ours, theirs):
+    assert ours.nfev == theirs.nfev
+    assert np.array_equal(bits(ours.t), bits(theirs.t))
+    assert np.array_equal(bits(ours.y), bits(theirs.y))
+
+
+@pytest.mark.parametrize("table, nfev, steps", [(10, 782, 48), (11, 1646, 98)])
+def test_dop853_reproduces_scipy_on_the_burgers_references(monkeypatch, table,
+                                                           nfev, steps):
+    calls = []
+    real = reference.solve_ivp
+
+    def recorded(method, t_span, z0, **options):
+        calls.append((method, t_span, z0, options, real(method, t_span, z0, **options)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(reference, "solve_ivp", recorded)
+    cfg = RunConfig.from_dict(table_config(table, "mid122"))
+    true_qoi(cfg.ode, cfg.time_grid, cfg.qoi_spec, cfg.reference)
+    ((method, t_span, z0, options, ours),) = calls
+    assert method is dop853 and not options["dense"]
+    assert (ours.nfev, ours.t.size - 1) == (nfev, steps)  # with scipy 1.17
+    assert_same_solve(ours, scipy_solve(options.pop("fun"), t_span, z0, **options))
+
+
+def test_dop853_interpolant_reproduces_scipys_on_the_alfven_converge_reference(solves):
+    # the reference states `imexest converge` reads on the Alfven wave
+    prob = mhd_alfven(h=0.05)
+    cfg = ReferenceConfig()
+    states = reference_states(prob, 0.01, cfg)
+    (ours,) = solves
+    theirs = scipy_solve(lambda t, y: prob.rhs(y, t), (0.0, 0.01), prob.y0, cfg.rtol,
+                         cfg.atol, cfg.max_step, dense_output=True)
+    assert_same_solve(ours, theirs)
+    assert ours.t.size > 3
+    nodes = np.random.default_rng(7).uniform(0.0, 0.01, 200)
+    for at in (nodes, ours.t, ours.t[::-1]):
+        assert np.array_equal(bits(ours.sol(at)), bits(theirs.sol(at)))
+        assert np.array_equal(bits(states(at)), bits(theirs.sol(at).T))
+
+
+def test_dop853_fails_where_scipy_does_at_a_blow_up():
+    # z' = z^2, z(0) = 1 blows up at t = 1: the step falls below ten float
+    # spacings after the same calls as scipy's
+    calls = 0
+
+    def fun(t, z):
+        nonlocal calls
+        calls += 1
+        return z ** 2
+
+    theirs = scipy_solve(fun, (0.0, 2.0), np.array([1.0]), 1e-10, 1e-12, np.inf)
+    assert theirs.status == -1 and 1.0 < theirs.t[-1] < 1.0 + 1e-10
+    calls = 0
+    with pytest.raises(ReferenceError, match="reference integration failed: "
+                                             "Required step size is less than "
+                                             "spacing between numbers"):
+        reference._dop853(fun, (0.0, 2.0), np.array([1.0]), 1e-10, 1e-12, NUMERIC)
+    assert calls == theirs.nfev  # 6,410 with scipy 1.17
+
+
+@pytest.mark.parametrize("max_step", [0.03, 0.3])
+def test_dop853_reproduces_scipy_under_a_max_step(max_step):
+    # a time-integrated QoI's augmented system, stepped within max_step
+    prob = split_scalar_linear(-0.4, -0.6, 1.0)
+
+    def fun(t, z):
+        return np.append(prob.rhs(z[:-1], t), z[0] * np.cos(t))
+
+    z0 = np.append(prob.y0, 0.0)
+    cfg = replace(NUMERIC, max_step=max_step)
+    ours = reference._dop853(fun, (0.0, 1.0), z0, cfg.rtol, cfg.atol, cfg)
+    assert_same_solve(ours, scipy_solve(fun, (0.0, 1.0), z0, cfg.rtol, cfg.atol,
+                                        max_step))
