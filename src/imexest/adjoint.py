@@ -11,10 +11,12 @@ halves' operators, summed once per solve, plus the nonlinear halves'
 Jacobians at the reconstruction's sub-Gauss nodes
 (``reconstruct.sub_gauss_nodes``): one call per half and solve, whose
 values at the problem's Jacobian pattern serve every interval.  Every
-local system is assembled by one body through ``numerics.BlockForm``,
-in the summed operator's form when H is constant (both halves linear)
-and on the Jacobian pattern otherwise; a sparse form gives each system
-as a LAPACK band, in one ordering of the unknowns per solve.  One
+local system is assembled through ``numerics.BlockForm``, in the summed
+operator's form when H is constant (both halves linear) and on the
+Jacobian pattern otherwise; a sparse form gives each system as a LAPACK
+band, in one ordering of the unknowns per solve: on the pattern, the
+problem's ``node_order``, which its forward Newton bands share.  A
+varying H's systems are formed a block of intervals at a time.  One
 backward sweep serves every form.  A constant H is factored once; in a
 dense form that solve is applied once, before the sweep, to the known
 matrix and to every load.  A time-integrated QoI's load is read a block
@@ -29,6 +31,7 @@ a single-interval cG(q+1) adjoint would visibly pollute effectivities.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +102,10 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     ops = [op for op, _ in halves if op is not None]
     jacs = [jac for op, jac in halves if op is None]
     summed = sum(ops[1:], ops[0]) if ops else None
-    form = BlockForm(m, r, summed if problem.linear else problem.jac_pattern)
+    if problem.linear:
+        form = BlockForm(m, r, summed)
+    else:
+        form = BlockForm(m, r, problem.jac_pattern, problem.node_order)
     op_values = form.values(summed) if ops else 0.0
     if not problem.linear:
         # H^T's values at the reconstruction's Gauss points, from one call
@@ -117,18 +123,34 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     wgt = np.einsum("ak,jk->ajk", tests, lvals.T * gw)
 
     def local_system(n):
-        """The solve of interval n's system in its r unknown nodes, and the
-        (r m, m) matrix acting on its known right end value."""
+        """The solve of a linear problem's interval n system in its r
+        unknown nodes, and the (r m, m) matrix acting on its known right
+        end value."""
         k_wgt = steps[n] * wgt
-        if problem.linear:
-            blocks = np.multiply.outer(-k_wgt.sum(axis=2), op_values)
-        else:
-            blocks = (-k_wgt.reshape(r * (r + 1), gp.size) @ hts[n]).reshape(
-                r, r + 1, -1)
+        blocks = np.multiply.outer(-k_wgt.sum(axis=2), op_values)
         blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
         system, known = form.system(blocks)
-        singular = AdjointSolveError(n, "singular local system")
-        return lu_factor(system, singular=singular), known
+        return lu_factor(system, singular=lambda: AdjointSolveError(
+            n, "singular local system")), known
+
+    def varying_systems():
+        """Each interval's solve and known matrix, the last interval's
+        first, on a sparse form: a block of intervals at a time, its
+        arrays within BLOCK_FLOATS, from one product, -D on the blocks'
+        diagonals, and one gather each for the band storages and the
+        known values."""
+        neg_wgt = -wgt.reshape(r * (r + 1), gp.size)
+        floats = max(r * m * form.height, r * (r + 1) * form.rows.size + 1)
+        for span in reversed(block_spans(n_int, 1, floats)):
+            blocks = ((steps[span, None, None] * neg_wgt) @ hts[span]).reshape(
+                -1, r, r + 1, form.rows.size)
+            blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
+            abs_, knowns = form.gather(blocks)
+            for i in range(len(abs_) - 1, -1, -1):
+                solve = lu_factor(form.band(abs_[i]), singular=lambda: AdjointSolveError(
+                    span.start + i, "singular local system"))
+                form.known.data[:] = knowns[i]
+                yield solve, form.known
 
     if qoi.kind == "final-time":
         phi_right = qoi.psi.astype(float).copy()
@@ -147,8 +169,9 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
 
     coeffs = np.zeros((n_int, r + 1, m))  # finite where the sweep never reaches
     uniform = bool(np.all(np.abs(steps - steps[0]) <= UNIFORM_TOL * steps[0]))
-    constant = problem.linear and uniform
-    if constant:
+    if not problem.linear:
+        systems = varying_systems()
+    elif uniform:
         solve, known = local_system(n_int - 1)
         if form.dense:
             # one solve, before the sweep, of the known matrix (minus the
@@ -157,13 +180,14 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             if load is not None:
                 load = solve(load.reshape(n_int, r * m).T).T
             solve = np.asarray  # the identity
+        systems = itertools.repeat((solve, known))
+    else:
+        systems = map(local_system, range(n_int - 1, -1, -1))
     # a non-finite value is reported by the one check below, not warned
     # about, and ahead of a singular system the sweep reached after it
     with np.errstate(all="ignore"):
         try:
-            for n in range(n_int - 1, -1, -1):
-                if not constant:
-                    solve, known = local_system(n)
+            for n, (solve, known) in zip(range(n_int - 1, -1, -1), systems):
                 rhs = -(known @ phi_right)
                 if load is not None:
                     rhs += load[n].reshape(r * m)

@@ -3,12 +3,14 @@ Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
 polynomials, the one place an operator's form becomes a system's
 (``identity_like`` and ``kron`` give CSC where their operator is sparse,
-by ``sparse.issparse`` alone, and dense arrays otherwise; ``BlockForm``
-gives an adjoint system on a sparse operator or pattern as a LAPACK
-``Band``, in a reverse Cuthill-McKee ordering of its unknowns computed
-once), ``lu_factor``, the one factorisation (a band to gbtrf, CSC to
-SuperLU, a dense array to getrf), and ``one_blas_thread``, the BLAS
-threading policy of a pipeline run.
+by ``sparse.issparse`` alone, and dense arrays otherwise), the one band
+layout of a sparse pattern (``node_order``, reverse Cuthill-McKee on the
+pattern symmetrised, and ``band_layout``, the slots of its entries in a
+LAPACK ``Band``: the forward's Newton matrices and, through
+``BlockForm``, the adjoint's systems on a sparse operator or pattern),
+``lu_factor``, the one factorisation (a band to gbtrf, CSC to SuperLU, a
+dense array to getrf), and ``one_blas_thread``, the BLAS threading
+policy of a pipeline run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from contextlib import contextmanager
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 # scipy.linalg first: it loads scipy's OpenBLAS, whose worker thread spins
@@ -132,10 +134,24 @@ def kron(a, op):
     return sparse.kron(a, op, format="csc") if sparse.issparse(op) else np.kron(a, op)
 
 
-def on_pattern(values, pattern) -> sparse.csr_array:
-    """The CSR matrix with values (nnz,) at the CSR pattern's entries."""
-    return sparse.csr_array((values, pattern.indices, pattern.indptr),
-                            shape=pattern.shape)
+def node_order(pattern) -> np.ndarray:
+    """The order of a square sparse pattern's nodes in every band on it:
+    reverse Cuthill-McKee on the pattern symmetrised, with its diagonal.
+    A periodic ring of three entries a row gets half-width 2."""
+    nonzero = sparse.csr_array(pattern) != 0
+    graph = nonzero + nonzero.T + sparse.eye_array(nonzero.shape[0], dtype=bool)
+    return reverse_cuthill_mckee(graph.tocsr(), symmetric_mode=True)
+
+
+def band_layout(rows, cols, order) -> tuple[int, int, np.ndarray]:
+    """The half-widths kl and ku of the entries (rows, cols) of a square
+    system whose unknowns are ordered by ``order``, and each entry's flat
+    index into the Fortran-order storage of that ``Band``."""
+    position = np.empty(order.size, dtype=np.intp)
+    position[order] = np.arange(order.size)
+    rows, cols = position[rows], position[cols]
+    kl, ku = int((rows - cols).max()), int((cols - rows).max())
+    return kl, ku, cols * (2 * kl + ku + 1) + kl + ku + rows - cols
 
 
 class Band(NamedTuple):
@@ -149,6 +165,12 @@ class Band(NamedTuple):
     kl: int
     ku: int
     order: np.ndarray  # (n,)
+
+    @classmethod
+    def of(cls, flat, kl: int, ku: int, order) -> "Band":
+        """The band whose Fortran-order storage is the 1-d array flat, a
+        view of it, with its slots as ``band_layout`` numbers them."""
+        return cls(flat.reshape(order.size, 2 * kl + ku + 1).T, kl, ku, order)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -164,19 +186,20 @@ class BlockForm:
     A sparse ``like`` is nonzero wherever the matrices may be: each block
     is read as its values at like's transposed entries and the diagonal.
     ``values`` gathers them from a matrix and ``scatter`` places values
-    stated at like's own entries.  The system's unknowns are ordered
-    here, once, by reverse Cuthill-McKee on the symmetrised pattern, each
-    node's r unknowns together, which makes it a narrow band (a periodic
-    ring included), and each ``system`` call scatters its values into a
-    new ``Band``.  The
-    known matrix is a CSC whose indices are built here too; each call
-    refills its data, so it is valid until the next call.  Any other
-    ``like``, for which ``dense`` is true, keeps the dense transposes in
-    one Fortran-order array, new on each call, whose first r m columns
-    are the system, which ``lu_factor`` factors in place.
+    stated at like's own entries.  The system's unknowns are ordered by
+    ``nodes`` (``node_order`` of like when not given), each node's r
+    unknowns together, which makes it a narrow band (a periodic ring
+    included).  ``gather`` takes a block of intervals' band storages and
+    known values from their block values, one precomputed index each,
+    and ``band`` wraps one storage as a ``Band``.  The known matrix is a
+    CSC whose indices are built here too; a caller refills its data, as
+    ``system`` does on each call, so it is valid until the next refill.
+    Any other ``like``, for which ``dense`` is true, keeps the dense
+    transposes in one Fortran-order array, new on each call, whose first
+    r m columns are the system, which ``lu_factor`` factors in place.
     """
 
-    def __init__(self, m: int, r: int, like):
+    def __init__(self, m: int, r: int, like, nodes=None):
         self.m, self.r = m, r
         self.dense = not sparse.issparse(like)
         if self.dense:
@@ -197,24 +220,18 @@ class BlockForm:
         all_cols = (j[:, None] * m + self.cols).ravel()
         n = r * m
         in_system = all_cols < n
-        self.band_values = np.flatnonzero(in_system)
-        # every block holds the same pattern, so order its m nodes by
-        # reverse Cuthill-McKee on the symmetrised pattern and keep each
-        # node's r unknowns together (Burgers' ring: half-width 3 r - 1;
-        # reverse Cuthill-McKee on the r m unknowns themselves gave 4 r)
-        pattern = sparse.coo_array((np.ones(keys.size), (self.rows, self.cols)),
-                                   shape=(m, m))
-        nodes = reverse_cuthill_mckee((pattern + pattern.T).tocsr(), symmetric_mode=True)
+        # every block holds the same pattern, so keep each node's r
+        # unknowns together (Burgers' ring: half-width 3 r - 1; reverse
+        # Cuthill-McKee on the r m unknowns themselves gave 4 r)
+        nodes = node_order(like) if nodes is None else nodes
         self.order = (nodes[:, None] + m * np.arange(r)).ravel()
-        rows, cols = all_rows[in_system], all_cols[in_system]
-        position = np.empty(n, dtype=np.intp)
-        position[self.order] = np.arange(n)
-        rows, cols = position[rows], position[cols]
-        self.kl, self.ku = int((rows - cols).max()), int((cols - rows).max())
-        # entry (i, j) of the ordered system at ab[kl + ku + i - j, j]: the
-        # flat index into ab's Fortran-order storage
+        self.kl, self.ku, slots = band_layout(all_rows[in_system], all_cols[in_system],
+                                              self.order)
         self.height = 2 * self.kl + self.ku + 1
-        self.band_slots = cols * self.height + self.kl + self.ku + rows - cols
+        # ab's flat slot s holds value band_gather[s] of a block's values
+        # with one zero appended, the zero where no entry sits
+        self.band_gather = np.full(n * self.height, all_rows.size)
+        self.band_gather[slots] = np.flatnonzero(in_system)
         # the known matrix's values, by column and then by row
         known = np.flatnonzero(~in_system)
         by_column = np.lexsort((all_rows[known], all_cols[known]))
@@ -241,37 +258,48 @@ class BlockForm:
         out[..., self.slots] = vals
         return out
 
+    def gather(self, blocks) -> tuple[np.ndarray, np.ndarray]:
+        """The (B, r m height) flat band storages and (B, nnz) known matrix
+        values of the B systems whose block (a, j) has the values
+        blocks[i, a, j], in a sparse form."""
+        vals = blocks.reshape(len(blocks), -1)
+        padded = np.concatenate([vals, np.zeros((len(vals), 1))], axis=1)
+        return (np.take(padded, self.band_gather, axis=1),
+                np.take(vals, self.known_values, axis=1))
+
+    def band(self, flat) -> Band:
+        """The system whose flat band storage is ``flat``, a view of it."""
+        return Band.of(flat, self.kl, self.ku, self.order)
+
     def system(self, blocks):
         """The system whose block (a, j) has the values blocks[a, j], and
         the known matrix whose block a has blocks[a, r]."""
         n, r, m = self.r * self.m, self.r, self.m
         if not self.dense:
-            vals = blocks.reshape(-1)
-            ab = np.zeros(n * self.height)
-            ab[self.band_slots] = vals[self.band_values]
-            self.known.data[:] = vals[self.known_values]
-            band = Band(ab.reshape(n, self.height).T, self.kl, self.ku, self.order)
-            return band, self.known
+            ab, known = self.gather(blocks[None])
+            self.known.data[:] = known[0]
+            return self.band(ab[0]), self.known
         # Fortran order, so LAPACK factors the system in place instead of a copy
         big = np.empty((n, n + m), order="F")
         big.T.reshape(r + 1, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
         return big[:, :n], big[:, n:]
 
 
-def lu_factor(matrix, *, singular: Exception):
+def lu_factor(matrix, *, singular: Callable[[], Exception]):
     """Factor a square matrix once; returns its solve b -> matrix^-1 b, b a
     vector or a matrix.  A ``Band`` goes to LAPACK's gbtrf and gbtrs, and
     its solve gathers b into the band's ordering and scatters the result
     back; a sparse matrix goes to SuperLU; any other to LAPACK's getrf
     and getrs.  The LAPACK routes are called directly and factor a
-    Fortran-order float array in place.  An exact zero pivot raises
-    ``singular``, never a warning."""
+    Fortran-order float array in place.  An exact zero pivot raises the
+    exception ``singular()`` builds, never a warning; it is built only
+    then."""
     if isinstance(matrix, Band):
         gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (matrix.ab,))
         kl, ku, order = matrix.kl, matrix.ku, matrix.order
         lu, piv, info = gbtrf(matrix.ab, kl, ku, overwrite_ab=True)
         if info > 0:  # U[info - 1, info - 1] is exactly zero
-            raise singular
+            raise singular()
 
         def solve(b):
             x = np.empty_like(b, dtype=float)
@@ -282,11 +310,11 @@ def lu_factor(matrix, *, singular: Exception):
         try:
             return splu(matrix.tocsc()).solve
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise singular from exc
+            raise singular() from exc
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (matrix,))
     lu, piv, info = getrf(matrix, overwrite_a=True)
     if info > 0:  # U[info - 1, info - 1] is exactly zero
-        raise singular
+        raise singular()
     return lambda b: getrs(lu, piv, b)[0]
 
 

@@ -11,13 +11,15 @@ the operator form by structure: the two-field Alfven system is CSR, the
 small periodic stencils (at most a few dozen unknowns) stay dense, and
 Burgers states its Jacobian's sparsity pattern.  No other module decides
 the form: ``numerics`` builds each system in its operator's or its
-stated pattern's form, so a CSR operator or a pattern is factored sparse.
+stated pattern's form, so a CSR operator or a pattern is factored sparse,
+a pattern's as a band in the one node order the problem keeps.
 A forced problem's forcing has one reader, ``SplitOdeProblem.forcing``,
 which each layer hands a batch of times in the shape it holds them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -27,7 +29,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import expm
 
-from .numerics import as_dense
+from .numerics import as_dense, node_order
 
 Array = np.ndarray
 Operator = Array | sparse.csr_array
@@ -66,7 +68,8 @@ class SplitOdeProblem:
     there, held as CSR with sorted indices.  A problem that is not linear
     and states none has the full pattern.  Construction refuses an
     operator half with a nonzero off the pattern, since the adjoint reads
-    every Jacobian at the pattern alone.
+    every Jacobian at the pattern alone.  ``node_order`` orders the
+    pattern's nodes for the bands of both sweeps.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, which maps one time to
@@ -123,6 +126,13 @@ class SplitOdeProblem:
     def dim(self) -> int:
         """The state dimension: the length of y0."""
         return self.y0.size
+
+    @functools.cached_property
+    def node_order(self) -> np.ndarray:
+        """``numerics.node_order`` of jac_pattern, computed on first use:
+        the order of the unknowns in the forward's Newton bands and the
+        adjoint's local bands."""
+        return node_order(self.jac_pattern)
 
     @property
     def linear(self) -> bool:

@@ -296,7 +296,7 @@ def radau_iia(t_span: tuple, z0: np.ndarray, *, jac, forcing, rate, n_steps: int
     t0, t_bound = map(float, t_span)
     m, k = jac.shape[0], (t_bound - t0) / n_steps
     solve = lu_factor(identity_like(jac, 3 * m) - k * kron(RADAU_A, jac),
-                      singular=ReferenceError("singular Radau IIA stage system"))
+                      singular=lambda: ReferenceError("singular Radau IIA stage system"))
     z, ts, zs, nfev = z0, [t0], [z0], 0
     for step in range(n_steps):
         start_step()

@@ -9,6 +9,13 @@ entry makes the stage explicit.  All right-hand-side evaluations,
 including the explicit half, are pinned to the implicit abscissae times
 t_n + k_n d_i, which is what the shared quadrature of the error
 estimator assumes.
+
+An implicit stage runs Newton's method on I - k_n B[i,i] J_g.  A linear
+problem's Newton matrix is in g_op's own form (CSR to SuperLU, dense to
+getrf) and is factored once per step size and stage coefficient.  Any
+other problem's is a LAPACK band on its Jacobian pattern, in the node
+order the adjoint's bands share (``numerics.node_order``), and is
+factored on every iteration.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import identity_like, lu_factor, on_pattern
+from .numerics import Band, band_layout, identity_like, lu_factor
 from .problems import SplitOdeProblem
 from .tableaus import ImexPair, validate
 
@@ -111,58 +118,84 @@ class ForwardSolution:
         return self.nodal[-1]
 
 
-def _newton_stage(problem, t_i, k_n, bii, known, force_g, newton, interval,
-                  stage, lu_cache):
-    """Solve X = known + k_n bii g(X, t_i) by Newton's method; returns X,
-    g(X, t_i) as the converged residual read it, and the iterations.  An
-    unforced problem's force_g is None."""
-    x = known.copy()
+def newton_matrix(problem: SplitOdeProblem):
+    """The Newton matrix (c, x) -> I - c J_g(x) of a problem at a state x,
+    in the form lu_factor takes.  A linear problem's is in g_op's form.
+    Any other's is a ``numerics.Band`` on jac_pattern in the problem's
+    node order, whose J_g is g_op read at the pattern once, here, or
+    jac_g's values at x, in CSR order."""
+    m = problem.dim
+    if problem.linear:
+        op, eye = problem.g_op, identity_like(problem.g_op, m)
+        return lambda c, x: eye - c * op
+    pattern, order = problem.jac_pattern, problem.node_order
+    rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
+    diagonal = np.arange(m)
+    kl, ku, slots = band_layout(np.append(rows, diagonal),
+                                np.append(pattern.indices, diagonal), order)
+    slots, ones = slots[:rows.size], slots[rows.size:]
+    fixed = None if problem.g_op is None else problem.g_op[rows, pattern.indices]
+    size = m * (2 * kl + ku + 1)
+
+    def matrix(c, x):
+        jac = fixed if fixed is not None else problem.jac_g(x[None])[0]
+        ab = np.zeros(size)
+        ab[ones] = 1.0
+        ab[slots] -= c * jac
+        return Band.of(ab, kl, ku, order)
+    return matrix
+
+
+def _newton_stage(problem, t_i, c, known, force_g, newton, matrix, solve,
+                  interval, stage):
+    """Solve X = known + c g(X, t_i), c = k_n bii, by Newton's method;
+    returns X, g(X, t_i) as the converged residual read it, the
+    iterations and the solve of the last Newton matrix factored, or the
+    solve handed in.  A linear problem factors matrix(c, x) on the first
+    iteration that needs it, unless it hands in that solve; any other
+    problem on every iteration.  An unforced problem's force_g is None."""
+    x = known
     iters = 0
     while True:
         g = problem.eval_g(x)
         if force_g is not None:
             g = g + force_g
-        r = x - k_n * bii * g - known
-        # max propagates NaN and inf: a finite norm is a finite residual
+        r = x - c * g - known
+        # max propagates NaN and inf: a finite norm is a finite residual,
+        # and so a finite x
         rnorm = float(np.abs(r).max())
         if not math.isfinite(rnorm):
             raise SolverError("non-finite state", interval, stage, f", t={t_i:.6g}")
-        xnorm = float(np.abs(x).max())
-        if rnorm <= newton.abs_tol + newton.rel_tol * xnorm:
-            return x, g, iters
+        # rel_tol >= 0, so |x| can only matter past abs_tol
+        if rnorm <= newton.abs_tol or (
+                rnorm <= newton.abs_tol + newton.rel_tol * float(np.abs(x).max())):
+            return x, g, iters, solve
         if iters >= newton.max_iters:
             raise SolverError("Newton did not converge", interval, stage,
                               f": residual {rnorm:.3e} after {iters} iterations")
-        key = (k_n, bii)
-        if lu_cache is not None and key in lu_cache:
-            solve = lu_cache[key]
-        else:
-            # a linear g half gives its operator, whose form numerics keeps,
-            # a nonlinear one its values on the Jacobian pattern's CSR
-            jac = problem.g_op
-            if jac is None:
-                jac = on_pattern(problem.jac_g(x[None])[0], problem.jac_pattern)
-            solve = lu_factor(identity_like(jac, x.size) - k_n * bii * jac,
-                              singular=SolverError("singular Newton matrix",
-                                                   interval, stage))
-            if lu_cache is not None:
-                lu_cache[key] = solve
+        if solve is None or not problem.linear:
+            solve = lu_factor(matrix(c, x), singular=lambda: SolverError(
+                "singular Newton matrix", interval, stage))
         x = x + solve(-r)
         iters += 1
 
 
 def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
          y_n: np.ndarray, newton: NewtonConfig | None = None,
-         interval: int = 0, lu_cache: dict | None = None, force=None):
+         interval: int = 0, lu_cache: dict | None = None, force=None,
+         matrix=None):
     """One IMEX step from (t_n, y_n); returns (y_next, StageRecord).
 
     A forced problem's step takes ``force``, the (force_f, force_g) pair
     of (n_stages, m) forcing rows at the stage times t_n + k_n d, read
-    beforehand; an unforced one takes none."""
+    beforehand; an unforced one takes none.  ``matrix`` is the problem's
+    ``newton_matrix``, built here when not handed in; a linear problem's
+    ``lu_cache`` keeps its solves by (k_n, b_ii)."""
     if (force is None) != (problem.pickups is None):
         raise ValueError("a step takes its stages' forcing exactly when the "
                          "problem is forced")
     newton = newton or NewtonConfig()
+    matrix = matrix or newton_matrix(problem)
     a_ex, w_ex = pair.explicit.coeffs, pair.explicit.weights
     b_im, w_im = pair.implicit.coeffs, pair.implicit.weights
     d = pair.implicit.abscissae
@@ -189,9 +222,13 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
         else:
             # Newton returns g at the state it accepted, whose finite
             # residual makes the state finite too: only f is left
-            x, g_vals[i], iters[i] = _newton_stage(
-                problem, t_i, k_n, bii, known, None if force_i is None else force_i[1],
-                newton, interval, i, lu_cache)
+            key = (k_n, bii)
+            x, g_vals[i], iters[i], solve = _newton_stage(
+                problem, t_i, k_n * bii, known,
+                None if force_i is None else force_i[1], newton, matrix,
+                None if lu_cache is None else lu_cache.get(key), interval, i)
+            if lu_cache is not None and solve is not None:
+                lu_cache[key] = solve
             f_vals[i] = problem.eval_f(x)
             if force_i is not None:
                 f_vals[i] += force_i[0]
@@ -220,6 +257,7 @@ def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
     nodal[0] = problem.y0
     stages: list[StageRecord] = []
     lu_cache: dict | None = {} if problem.linear else None
+    matrix = newton_matrix(problem)
     forces = [None] * n_int
     if problem.pickups is not None:
         # step's times, t_n + k_n d, in the same float arithmetic
@@ -230,7 +268,7 @@ def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
         for n in range(n_int):
             y_next, record = step(problem, pair, nodes[n], steps[n], nodal[n],
                                   newton, interval=n, lu_cache=lu_cache,
-                                  force=forces[n])
+                                  force=forces[n], matrix=matrix)
             nodal[n + 1] = y_next
             stages.append(record)
     return ForwardSolution(grid=grid, nodal=nodal, stages=stages)

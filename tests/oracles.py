@@ -3,7 +3,8 @@ against: a monomial L2 projection (the estimator projects with Legendre
 modes), finite-difference and dense Jacobians (the package states them
 at a pattern, for a stack of states), the dense blocks of values a
 sparse adjoint block form states and the dense matrix of its band, a
-problem's dense form, a
+problem's dense form, an interval-by-interval adjoint sweep on a
+Jacobian pattern (the package forms a block of intervals at a time), a
 point-by-point reader of piecewise polynomials (the package reads them
 at local points of every interval at once), the stage times and
 states of a forward solve (the package records only f and g there) and
@@ -16,8 +17,12 @@ import tracemalloc
 
 import numpy as np
 
+from imexest.adjoint import refine_grid
 from imexest.estimate import ErrorBreakdown
-from imexest.numerics import as_dense, legendre_shifted
+from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, LagrangeBasis,
+                              as_dense, galerkin_deriv_matrix, legendre_shifted,
+                              lu_factor)
+from imexest.reconstruct import sub_gauss_nodes
 
 
 def l2_project(fn, a: float, b: float, degree: int) -> np.ndarray:
@@ -138,6 +143,46 @@ def without_operators(problem):
     return dataclasses.replace(problem, f_op=None, g_op=None,
                                jac_f=constant(problem.f_op),
                                jac_g=constant(problem.g_op))
+
+
+def adjoint_per_interval(problem, reconstruction, qoi, refine: int) -> np.ndarray:
+    """The (N, r + 1, m) adjoint coefficients of a problem that is not
+    linear, swept as the package did before it formed its systems a block
+    of intervals at a time: each interval's blocks from one product, -D
+    subtracted on their diagonals, ``BlockForm.system`` and one
+    ``lu_factor``."""
+    gp, gw = GAUSS_NODES, GAUSS_WEIGHTS
+    q, m = reconstruction.degree, reconstruction.dim
+    r = q + 1
+    grid = refine_grid(reconstruction.grid, refine)
+    n_int, steps = grid.n_intervals, grid.steps
+    form = BlockForm(m, r, problem.jac_pattern)
+    halves = ((problem.f_op, problem.jac_f), (problem.g_op, problem.jac_g))
+    states = reconstruction.at(sub_gauss_nodes(refine)).reshape(-1, m)
+    hts = form.scatter(sum(jac(states) for op, jac in halves if op is None))
+    hts = hts.reshape(n_int, gp.size, -1)
+    hts += sum(form.values(op) for op, _ in halves if op is not None)
+    tests = legendre_shifted(q, gp)
+    dmat = galerkin_deriv_matrix(r)
+    lvals = LagrangeBasis(np.linspace(0.0, 1.0, r + 1)).eval_matrix(gp)
+    wgt = np.einsum("ak,jk->ajk", tests, lvals.T * gw)
+    times = grid.local_times(gp)
+    coeffs = np.zeros((n_int, r + 1, m))
+    phi_right = qoi.psi.astype(float) if qoi.kind == "final-time" else np.zeros(m)
+    for n in range(n_int - 1, -1, -1):
+        k_wgt = steps[n] * wgt
+        blocks = (-k_wgt.reshape(r * (r + 1), gp.size) @ hts[n]).reshape(r, r + 1, -1)
+        blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
+        system, known = form.system(blocks)
+        rhs = -(known @ phi_right)
+        if qoi.kind != "final-time":
+            dens = np.stack([qoi.psi_tilde(t) for t in times[n]])
+            rhs += (steps[n] * (tests @ (gw[:, None] * dens))).reshape(r * m)
+        solve = lu_factor(system, singular=lambda: ZeroDivisionError(n))
+        coeffs[n, :r] = solve(rhs).reshape(r, m)
+        coeffs[n, r] = phi_right
+        phi_right = coeffs[n, 0]
+    return coeffs
 
 
 def evaluate(poly, t: float) -> np.ndarray:

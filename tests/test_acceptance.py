@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from imexest import cli
+from imexest import adjoint, cli, solver
 from imexest.adjoint import solve_adjoint
 from imexest.cli import SCHEME_ORDER, convergence_study, run, table_config
 from imexest.estimate import error_breakdown
@@ -71,13 +71,26 @@ def linear_tables():
     return out
 
 
+def counting(lus, layer, lu_factor):
+    """lu_factor, counting each call in lus[layer]."""
+    def wrapper(a, **kw):
+        lus[layer] += 1
+        return lu_factor(a, **kw)
+    return wrapper
+
+
 @pytest.fixture(scope="module")
 def burgers_tables():
+    # each table's rows, time, and its forward and adjoint factorisations
     out = {}
     for tid in (10, 11):
+        lus = {"forward": 0, "adjoint": 0}
         t0 = time.perf_counter()
-        out[tid] = {"rows": run_table_rows(tid),
-                    "elapsed": time.perf_counter() - t0}
+        with pytest.MonkeyPatch.context() as mp:
+            for layer, module in (("forward", solver), ("adjoint", adjoint)):
+                mp.setattr(module, "lu_factor", counting(lus, layer, module.lu_factor))
+            rows = run_table_rows(tid)
+        out[tid] = {"rows": rows, "elapsed": time.perf_counter() - t0, "lus": lus}
     return out
 
 
@@ -185,6 +198,17 @@ def test_burgers_tables(burgers_tables):
             assert abs(row.effectivity - want) <= 0.06, (tid, row.scheme)
         errors = [abs(row.computed_error) for row, _ in rows]
         assert errors[2] == min(errors), (tid, errors)
+
+
+def test_burgers_tables_do_the_work_the_benchmark_pins(burgers_tables):
+    # one Newton factorisation per iteration and one adjoint factorisation
+    # per refined interval, as perfbench pins them
+    lus = {tid: burgers_tables[tid]["lus"] for tid in (10, 11)}
+    assert lus == {10: {"forward": 160, "adjoint": 240},
+                   11: {"forward": 320, "adjoint": 480}}
+    iters = [sum(int(rec.newton_iters.sum()) for rec in art.forward.stages)
+             for _, art in burgers_tables[10]["rows"]]
+    assert iters == [20, 60, 80]
 
 
 # criterion 7 ---------------------------------------------------------------

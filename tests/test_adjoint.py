@@ -29,8 +29,8 @@ from imexest.problems import (
 from imexest.reconstruct import build_cg, sub_gauss_nodes
 from imexest.solver import TimeGrid, solve_forward
 from imexest.tableaus import builtin
-from oracles import (band_matrix, burgers_jacobian, dense_form, dense_jacobian,
-                     evaluate, without_operators, working_memory)
+from oracles import (adjoint_per_interval, band_matrix, burgers_jacobian, dense_form,
+                     dense_jacobian, evaluate, without_operators, working_memory)
 
 
 def reconstruct_case(problem, name="mid122", t_end=1.0, n=40, t_start=0.0):
@@ -389,13 +389,13 @@ def recording(lu_factor, seen):
 @pytest.mark.parametrize("build, forward_route, adjoint_route", [
     (lambda: mhd_alfven(h=0.05), "sparse", "band"),
     (lambda: linear_advection_diffusion(0.1, 1.0 / 20.0), "dense", "dense"),
-    (lambda: burgers(0.05, 0.1), "dense", "band")], ids=["mhd", "advdiff", "burgers"])
+    (lambda: burgers(0.05, 0.1), "band", "band")], ids=["mhd", "advdiff", "burgers"])
 def test_operator_structure_picks_the_factorisation_route(
         build, forward_route, adjoint_route, monkeypatch):
     # a CSR operator's Newton matrix goes to SuperLU and its adjoint
     # systems to a band, and a dense operator is factored dense; Burgers'
-    # Newton matrix is dense, and its adjoint systems follow the Jacobian
-    # pattern it states, as a band
+    # Newton matrices and adjoint systems both follow the Jacobian pattern
+    # it states, as bands
     routes = {solver: [], adjoint: []}
     for module, seen in routes.items():
         monkeypatch.setattr(module, "lu_factor", recording(module.lu_factor, seen))
@@ -426,11 +426,12 @@ def test_jacobian_pattern_matches_the_dense_systems(scheme):
 
 
 def test_each_interval_factors_its_own_band(monkeypatch):
-    # every interval scatters its system into a new band, in the one
-    # ordering of the solve; its solve solves the system, densely read, and
-    # equals that of a band built from a copy, also after later intervals
-    # have made theirs
-    prob = burgers(0.05, 0.1)
+    # every interval's band is its own storage, in the one ordering of the
+    # solve, though bands may be rows of one block array: no two overlap,
+    # and each band's solve still solves its system, densely read when it
+    # was factored, and equals that of a band built from a copy, after
+    # later intervals have built and factored theirs
+    prob = burgers(0.05, 0.025)
     recon = reconstruct_case(prob, "ssp332", n=4)
     lu_factor = adjoint.lu_factor
     rng = np.random.default_rng(6)
@@ -447,12 +448,50 @@ def test_each_interval_factors_its_own_band(monkeypatch):
     monkeypatch.setattr(adjoint, "lu_factor", spy)
     solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(prob.dim)))
     assert len(checks) == 4 * DEFAULT_REFINE
-    assert len({id(a.ab.base) for a in systems}) == len(systems)
+    # 16 intervals of r = 3 at m = 80 take more than one block
+    assert len({id(a.ab.base) for a in systems}) < len(systems)
+    for i, a in enumerate(systems):
+        assert not any(np.shares_memory(a.ab, b.ab) for b in systems[i + 1:])
     assert all(a.order is systems[0].order for a in systems)
     for solve, b, mat, want in checks:
         x = solve(b)
         assert np.array_equal(x, want)
         np.testing.assert_allclose(mat @ x, b, rtol=0.0, atol=1e-12 * np.abs(b).max())
+
+
+@pytest.mark.parametrize("scheme", ["mid122", "ssp343"], ids=["r2", "r3"])
+def test_block_sweep_matches_the_per_interval_sweep(scheme):
+    # Burgers' systems formed a block of intervals at a time give the
+    # adjoint the interval-by-interval sweep gives, to the bit; 28 refined
+    # intervals fill neither r = 2's blocks of 12 nor r = 3's of 5 at m = 80
+    prob = burgers(0.05, 0.025)
+    recon = reconstruct_case(prob, scheme, t_end=0.07, n=7)
+    for qoi in oracle_qois(prob):
+        got = solve_adjoint(prob, recon, qoi).poly.coeffs
+        want = adjoint_per_interval(prob, recon, qoi, DEFAULT_REFINE)
+        assert np.abs(want).max() > 0.0
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_system_inside_a_block_names_its_interval(monkeypatch):
+    # 28 refined mid122 intervals at m = 80 sweep as blocks 24-27, 12-23
+    # and 0-11; the tenth band factored, interval 18, is zeroed
+    prob = burgers(0.05, 0.025)
+    recon = reconstruct_case(prob, t_end=0.07, n=7)
+    lu_factor, factored = adjoint.lu_factor, []
+
+    def tenth_zeroed(a, **kw):
+        factored.append(route(a))
+        return lu_factor(zeroed(a) if len(factored) == 10 else a, **kw)
+
+    monkeypatch.setattr(adjoint, "lu_factor", tenth_zeroed)
+    with pytest.raises(AdjointSolveError,
+                       match="^adjoint solve failed on interval 18: singular local system$"
+                       ) as info:
+        solve_adjoint(prob, recon, QoiSpec(kind="final-time", psi=np.ones(prob.dim)))
+    assert info.value.interval == 18
+    assert factored == ["band"] * 10
 
 
 @pytest.mark.parametrize("scheme", ["mid122", "ssp332", "ssp343"])

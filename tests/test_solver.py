@@ -14,15 +14,18 @@ from imexest.problems import (
     split_scalar_bernoulli,
     split_scalar_linear,
 )
+from imexest.numerics import Band, lu_factor
 from imexest.solver import (
     NewtonConfig,
     SolverError,
     TimeGrid,
+    newton_matrix,
     solve_forward,
     step,
 )
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate
-from oracles import check_jacobians, dense_form, stage_states, stage_times
+from oracles import (band_matrix, check_jacobians, dense_form, dense_jacobian,
+                     stage_states, stage_times)
 
 
 def zero_problem(m=3):
@@ -324,6 +327,77 @@ def test_singular_sparse_newton_matrix_is_reported_without_a_warning():
                        match="singular Newton matrix on interval 0, stage 1") as err:
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2))
     assert (err.value.interval, err.value.stage) == (0, 1)
+
+
+@pytest.mark.filterwarnings("error")
+def test_singular_band_newton_matrix_names_its_interval_and_stage():
+    # g(y) = 4 y stated by its Jacobian, not as an operator, so its Newton
+    # matrix is a band; Mid(1,2,2)'s b_ii = 1/2 at the second step's
+    # k = 0.5 makes it exactly zero
+    prob = SplitOdeProblem(name="band-singular", y0=np.ones(1), f_op=np.zeros((1, 1)),
+                           eval_g=lambda y: 4.0 * y,
+                           jac_g=lambda ys: np.full((len(ys), 1), 4.0))
+    with pytest.raises(SolverError,
+                       match="^singular Newton matrix on interval 1, stage 1$") as err:
+        solve_forward(prob, builtin("mid122"), TimeGrid(np.array([0.0, 0.1, 0.6])))
+    assert (err.value.interval, err.value.stage) == (1, 1)
+
+
+def assert_band_solves_the_dense_system(band, dense, seed=0):
+    """The band holds the dense matrix, entry for entry, and its solve
+    matches numpy's of the dense matrix to 1e-12 relative."""
+    assert isinstance(band, Band)
+    assert np.array_equal(band_matrix(band), dense)
+    b = np.random.default_rng(seed).standard_normal(dense.shape[0])
+    got = lu_factor(band, singular=ZeroDivisionError)(b)
+    want = np.linalg.solve(dense, b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("h", [0.025, 1.0 / 160.0], ids=["m80", "m320"])
+def test_burgers_newton_matrix_is_a_band_of_half_width_two(h):
+    # I - c g_op on Burgers' ring, in the node order its adjoint bands
+    # share, is a band of half-width 2 at any m
+    prob = burgers(0.05, h)
+    c = 0.05
+    band = newton_matrix(prob)(c, prob.y0)
+    assert (band.kl, band.ku) == (2, 2) and band.order is prob.node_order
+    assert_band_solves_the_dense_system(band, np.eye(prob.dim) - c * prob.g_op)
+
+
+def test_nonlinear_g_newton_band_on_a_non_symmetric_pattern():
+    # g_i = -y_i^3 + y_{i-1}^2, and g_0 also reads y_{m-1}: a pattern that
+    # is not symmetric, so a transposed band would hold the wrong matrix;
+    # the band is I - c J_g at the state x, J_g read from jac_g each time
+    m = 9
+    rows = np.concatenate([np.arange(m), np.arange(1, m), [0]])
+    cols = np.concatenate([np.arange(m), np.arange(m - 1), [m - 1]])
+    pattern = sparse.csr_array((np.ones(rows.size), (rows, cols)), shape=(m, m))
+    pr, pc = pattern.nonzero()
+
+    def eval_g(y):
+        g = -y ** 3
+        g[..., 1:] += y[..., :-1] ** 2
+        g[..., 0] += 0.5 * y[..., -1]
+        return g
+
+    def jac_g(ys):
+        dense = np.zeros((len(ys), m, m))
+        dense[:, np.arange(m), np.arange(m)] = -3.0 * ys ** 2
+        dense[:, np.arange(1, m), np.arange(m - 1)] = 2.0 * ys[:, :-1]
+        dense[:, 0, m - 1] = 0.5
+        return dense[:, pr, pc]
+
+    prob = SplitOdeProblem(name="upwind-cubic", y0=np.linspace(0.5, 1.5, m),
+                           f_op=np.zeros((m, m)), eval_g=eval_g, jac_g=jac_g,
+                           jac_pattern=pattern)
+    assert check_jacobians(prob) < 1e-8
+    matrix = newton_matrix(prob)
+    for seed, c in enumerate((0.1, 0.3)):
+        x = np.random.default_rng(seed).standard_normal(m)
+        want = np.eye(m) - c * dense_jacobian(prob, "g", x)
+        assert not np.array_equal(want, want.T)
+        assert_band_solves_the_dense_system(matrix(c, x), want, seed)
 
 
 def test_sparse_operators_match_their_dense_form():
