@@ -9,18 +9,19 @@ with the QoI density as a source (time-integrated QoI).  Every interval
 integral uses the one Gauss rule of ``numerics``.  H(t) is the linear
 halves' operators, summed once per solve, plus the nonlinear halves'
 Jacobians at the reconstruction's sub-Gauss nodes
-(``reconstruct.sub_gauss_nodes``): one call per half and solve, whose
-values at the problem's Jacobian pattern serve every interval.  Every
-local system is assembled through ``numerics.BlockForm``, in the summed
-operator's form when H is constant (both halves linear) and on the
-Jacobian pattern otherwise; a sparse form gives each system as a LAPACK
-band, in one ordering of the unknowns per solve: on the pattern, the
-problem's ``node_order``, which its forward Newton bands share.  A
-varying H's systems are formed a block of intervals at a time.  One
-backward sweep serves every form.  A constant H is factored once; in a
-dense form that solve is applied once, before the sweep, to the known
-matrix and to every load.  A time-integrated QoI's load is read a block
-of intervals at a time, in forward order.
+(``reconstruct.sub_gauss_nodes``).  Every local system is assembled
+through ``numerics.BlockForm``, in the summed operator's form when H is
+constant (both halves linear) and on the Jacobian pattern otherwise; a
+sparse form gives each system as a LAPACK band, in one ordering of the
+unknowns per solve: on the pattern, the problem's ``node_order``, which
+its forward Newton bands share.  A varying H's systems are formed a
+block of refined intervals at a time, the blocks ``numerics.block_spans``
+sets: Y at the block's Gauss points, one Jacobian call per nonlinear
+half and block, and its values at the pattern serve that block alone.
+One backward sweep serves every form.  A constant H is factored once;
+in a dense form that solve is applied once, before the sweep, to the
+known matrix and to every load.  A time-integrated QoI's load is read a
+block of intervals at a time, in forward order.
 
 The sweep runs on a uniform refinement of the forward grid (factor
 ``refine``, default 4).  The error representation holds for the exact
@@ -107,13 +108,6 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     else:
         form = BlockForm(m, r, problem.jac_pattern, problem.node_order)
     op_values = form.values(summed) if ops else 0.0
-    if not problem.linear:
-        # H^T's values at the reconstruction's Gauss points, from one call
-        # per nonlinear half; one row per refined interval
-        states = reconstruction.at(sub_gauss_nodes(refine)).reshape(-1, m)
-        values = [jac(states) for jac in jacs]
-        hts = form.scatter(sum(values[1:], values[0])).reshape(n_int, gp.size, -1)
-        hts += op_values
     basis = LagrangeBasis(np.linspace(0.0, 1.0, r + 1))
     tests = legendre_shifted(q, gp)                 # (r, 5)
     dmat = galerkin_deriv_matrix(r)                 # (r, r+1)
@@ -136,16 +130,34 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     def varying_systems():
         """Each interval's solve and known matrix, the last interval's
         first, on a sparse form: a block of intervals at a time, its
-        arrays within BLOCK_FLOATS, from one product, -D on the blocks'
-        diagonals, and one gather each for the band storages and the
-        known values."""
+        arrays within BLOCK_FLOATS, and one gather each for the band
+        storages and the known values."""
         neg_wgt = -wgt.reshape(r * (r + 1), gp.size)
         floats = max(r * m * form.height, r * (r + 1) * form.rows.size + 1)
-        for span in reversed(block_spans(n_int, 1, floats)):
-            blocks = ((steps[span, None, None] * neg_wgt) @ hts[span]).reshape(
+        # Y at each forward interval's refine * 5 sub-Gauss points
+        read = reconstruction.reader(sub_gauss_nodes(refine))
+
+        def block_values(span):
+            """The (B, r, r + 1, nnz) block values of the B intervals span
+            selects: H^T at their Gauss points, from one jac call per
+            nonlinear half, in one product, -D on the blocks' diagonals."""
+            block = range(n_int)[span]
+            # Y on the forward intervals the block meets, one row per Gauss
+            # point; the block's rows start inside the first of them
+            states = read(slice(block.start // refine, (block.stop - 1) // refine + 1))
+            start = (block.start % refine) * gp.size
+            states = states.reshape(-1, m)[start:start + len(block) * gp.size]
+            values = [jac(states) for jac in jacs]
+            hts = form.scatter(sum(values[1:], values[0])).reshape(len(block), gp.size, -1)
+            hts += op_values
+            blocks = ((steps[span, None, None] * neg_wgt) @ hts).reshape(
                 -1, r, r + 1, form.rows.size)
             blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
-            abs_, knowns = form.gather(blocks)
+            return blocks
+
+        for span in reversed(block_spans(n_int, 1, floats)):
+            # the block's Jacobian values die before its gather
+            abs_, knowns = form.gather(block_values(span))
             for i in range(len(abs_) - 1, -1, -1):
                 solve = lu_factor(form.band(abs_[i]), singular=lambda: AdjointSolveError(
                     span.start + i, "singular local system"))

@@ -2,15 +2,17 @@
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
 polynomials, the one place an operator's form becomes a system's
-(``identity_like`` and ``kron`` give CSC where their operator is sparse,
-by ``sparse.issparse`` alone, and dense arrays otherwise), the one band
+(``identity_like`` gives CSC where its operator is sparse, by
+``sparse.issparse`` alone, and a dense array otherwise), the one band
 layout of a sparse pattern (``node_order``, reverse Cuthill-McKee on the
 pattern symmetrised, and ``band_layout``, the slots of its entries in a
-LAPACK ``Band``: the forward's Newton matrices and, through
+LAPACK ``Band``: the forward's Newton matrices of a problem that is not
+linear, Radau IIA's stage system on a sparse operator and, through
 ``BlockForm``, the adjoint's systems on a sparse operator or pattern),
-``lu_factor``, the one factorisation (a band to gbtrf, CSC to SuperLU, a
-dense array to getrf), and ``one_blas_thread``, the BLAS threading
-policy of a pipeline run.
+``lu_factor``, the one factorisation (a band to gbtrf, CSC to SuperLU,
+which only a linear problem's sparse Newton matrices take, a dense array
+to getrf), and ``one_blas_thread``, the BLAS threading policy of a
+pipeline run.
 """
 
 from __future__ import annotations
@@ -127,11 +129,6 @@ def as_dense(op) -> np.ndarray:
 def identity_like(op, n: int):
     """The n x n identity in op's form."""
     return sparse.eye_array(n, format="csc") if sparse.issparse(op) else np.eye(n)
-
-
-def kron(a, op):
-    """The Kronecker product a (x) op in op's form."""
-    return sparse.kron(a, op, format="csc") if sparse.issparse(op) else np.kron(a, op)
 
 
 def node_order(pattern) -> np.ndarray:

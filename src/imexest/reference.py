@@ -15,7 +15,8 @@ The numeric route runs one of this module's two loops, each through
 * A linear problem with boundary forcing (the Alfven wave) takes
   ``radau_iia``, fixed-step Radau IIA (Hairer and Wanner, *Solving
   ODEs II*, IV.5 and IV.8): 3 stages, order 5, L-stable and stiffly
-  accurate, with one LU per solve (sparse here).  The step is
+  accurate, with one LU per solve (a LAPACK band on the Alfven wave's
+  sparse operator, ``stage_system``).  The step is
   k = T / n with n = 100 or, if that step exceeds ``max_step``, the
   smallest n whose step does not.  n doubles until two successive
   solves agree:
@@ -60,8 +61,10 @@ from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
+from scipy import sparse
 
-from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, identity_like, kron, lu_factor
+from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, Band, band_layout, lu_factor,
+                       node_order)
 from .problems import QoiSpec, SplitOdeProblem
 from .solver import TimeGrid
 
@@ -274,6 +277,32 @@ def _step_counter(config: ReferenceConfig):
     return start_step
 
 
+def stage_system(jac, k: float):
+    """Radau IIA's stage system I - k A (x) jac, in the form lu_factor
+    takes: a dense array for a dense jac, and for a sparse one a
+    ``numerics.Band`` whose unknowns are ordered by ``node_order(jac)``,
+    each node's 3 stage unknowns together, as ``BlockForm`` keeps an
+    interval's unknowns (table 14's m = 398: half-widths 14)."""
+    m = jac.shape[0]
+    if not sparse.issparse(jac):
+        return np.eye(3 * m) - k * np.kron(RADAU_A, jac)
+    entries = sparse.coo_array(jac)
+    entries.sum_duplicates()
+    entries.eliminate_zeros()
+    # A's entry (a, b) times jac's entry (i, j) sits at row a m + i and
+    # column b m + j
+    a, b = np.divmod(np.arange(9), 3)
+    rows = (m * a[:, None] + entries.row).ravel()
+    cols = (m * b[:, None] + entries.col).ravel()
+    diagonal = np.arange(3 * m)
+    order = (node_order(jac)[:, None] + m * np.arange(3)).ravel()
+    kl, ku, slots = band_layout(np.append(rows, diagonal), np.append(cols, diagonal), order)
+    ab = np.zeros(3 * m * (2 * kl + ku + 1))
+    ab[slots[rows.size:]] = 1.0
+    ab[slots[:rows.size]] -= k * (RADAU_A.reshape(9, 1) * entries.data).ravel()
+    return Band.of(ab, kl, ku, order)
+
+
 def radau_iia(t_span: tuple, z0: np.ndarray, *, jac, forcing, rate, n_steps: int,
               start_step) -> Solution:
     """Radau IIA with 3 stages (order 5) on n_steps equal steps.
@@ -285,8 +314,8 @@ def radau_iia(t_span: tuple, z0: np.ndarray, *, jac, forcing, rate, n_steps: int
     rate is None when there are none.
 
     The stage values Y solve (I - k A (x) jac) Y = 1 (x) z + k (A (x) I) R,
-    R the stages' forcing rows, with one LU made here in jac's form
-    (``numerics.kron``), and the step ends at Y_3 (stiffly accurate).
+    R the stages' forcing rows, with one LU made here (``stage_system``),
+    and the step ends at Y_3 (stiffly accurate).
     start_step() is called as each step starts; it may raise to stop the
     solve.  The forcing is read for blocks of at most RADAU_START_STEPS
     steps, each block as its first step starts, after start_step().
@@ -295,7 +324,7 @@ def radau_iia(t_span: tuple, z0: np.ndarray, *, jac, forcing, rate, n_steps: int
     """
     t0, t_bound = map(float, t_span)
     m, k = jac.shape[0], (t_bound - t0) / n_steps
-    solve = lu_factor(identity_like(jac, 3 * m) - k * kron(RADAU_A, jac),
+    solve = lu_factor(stage_system(jac, k),
                       singular=lambda: ReferenceError("singular Radau IIA stage system"))
     z, ts, zs, nfev = z0, [t0], [z0], 0
     for step in range(n_steps):

@@ -473,6 +473,55 @@ def test_block_sweep_matches_the_per_interval_sweep(scheme):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("scheme", ["mid122", "ssp343"], ids=["r2", "r3"])
+def test_jacobian_read_a_block_at_a_time_is_the_same_at_any_block_size(
+        scheme, monkeypatch):
+    # H is read at the Gauss points of one block of refined intervals at a
+    # time, one jac call a block: 1 interval a block, 7 (so a block starts
+    # inside a forward interval) and the whole grid give the same adjoint,
+    # to the bit
+    prob = burgers(0.05, 0.025)
+    recon = reconstruct_case(prob, scheme, t_end=0.07, n=7)
+    r, n_int = recon.degree + 1, 7 * DEFAULT_REFINE
+    form = numerics.BlockForm(prob.dim, r, prob.jac_pattern, prob.node_order)
+    # the floats of one interval's largest block array
+    floats = max(r * prob.dim * form.height, r * (r + 1) * form.rows.size + 1)
+    jac_f, rows = prob.jac_f, []
+
+    def counted(states):
+        rows.append(len(states))
+        return jac_f(states)
+
+    prob = dataclasses.replace(prob, jac_f=counted)
+    for qoi in oracle_qois(prob):
+        coeffs = []
+        for intervals in (1, 7, n_int):
+            monkeypatch.setattr(numerics, "BLOCK_FLOATS", intervals * floats)
+            rows.clear()
+            coeffs.append(solve_adjoint(prob, recon, qoi).poly.coeffs)
+            # the last block first
+            want = [n_int % intervals or intervals] + [intervals] * (
+                -(-n_int // intervals) - 1)
+            assert rows == [GAUSS_NODES.size * size for size in want]
+        assert np.abs(coeffs[0]).max() > 0.0
+        assert all(np.array_equal(c, coeffs[0]) for c in coeffs[1:])
+
+
+def test_varying_jacobian_working_memory_does_not_grow_with_the_grid():
+    # the Jacobian is read a block of refined intervals at a time, so the
+    # traced peak less the returned solution stays about 0.9 MB at 25 and
+    # 400 intervals; reading it at every Gauss point of the grid before the
+    # sweep took 3.0 and 35.1 MB
+    prob = burgers(0.05, 0.025)
+    qoi = QoiSpec(kind="final-time", psi=np.ones(prob.dim))
+    for scheme in ("ssp332", "ssp343"):
+        work = working_memory(
+            lambda t_end, n: reconstruct_case(prob, scheme, t_end=t_end, n=n),
+            lambda recon: solve_adjoint(prob, recon, qoi),
+            lambda adj: adj.poly.coeffs.nbytes + adj.poly.grid.nodes.nbytes)
+        assert max(work) < 2 ** 20, (scheme, work)
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_singular_system_inside_a_block_names_its_interval(monkeypatch):
     # 28 refined mid122 intervals at m = 80 sweep as blocks 24-27, 12-23

@@ -9,7 +9,7 @@ from scipy import linalg, sparse
 
 from imexest import adjoint, numerics, reference, solver
 from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, Band, BlockForm,
-                              LagrangeBasis, as_dense, identity_like, kron,
+                              LagrangeBasis, as_dense, identity_like,
                               legendre_shifted, lu_factor, one_blas_thread,
                               openblas_pools)
 from imexest.problems import burgers, mhd_alfven
@@ -144,21 +144,19 @@ ROUTES = {"dense": np.array, "csr": sparse.csr_array, "csc": sparse.csc_array}
 
 @pytest.mark.parametrize("route", ROUTES)
 def test_systems_take_their_operators_form(route):
-    # a CSR or CSC operator gives CSC systems, a dense one ndarrays, with
-    # the same values either way
+    # a CSR or CSC operator gives a CSC identity, a dense one an ndarray,
+    # with the same values either way
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((4, 4))
     mat[1, 2] = mat[3, 0] = 0.0
-    coeffs = rng.standard_normal((2, 3))
     op = ROUTES[route](mat)
     assert type(as_dense(op)) is np.ndarray and np.array_equal(as_dense(op), mat)
-    for got, want in ((identity_like(op, 5), np.eye(5)),
-                      (kron(coeffs, op), np.kron(coeffs, mat))):
-        if route == "dense":
-            assert type(got) is np.ndarray
-        else:
-            assert isinstance(got, sparse.csc_array)
-        assert np.array_equal(as_dense(got), want)
+    got = identity_like(op, 5)
+    if route == "dense":
+        assert type(got) is np.ndarray
+    else:
+        assert isinstance(got, sparse.csc_array)
+    assert np.array_equal(as_dense(got), np.eye(5))
 
 
 @pytest.mark.parametrize("route", ROUTES)

@@ -10,6 +10,7 @@ from scipy.integrate import DOP853, solve_ivp
 
 from imexest import reference
 from imexest.cli import RunConfig, table_config
+from imexest.numerics import Band
 from imexest.problems import (
     QoiSpec,
     mhd_alfven,
@@ -31,6 +32,7 @@ from imexest.reference import (
     true_qoi,
 )
 from imexest.solver import TimeGrid
+from oracles import band_matrix
 
 
 GRID = TimeGrid.uniform(1.0, 10)
@@ -517,6 +519,39 @@ def test_radau_solver_converges_at_order_five():
         assert sol.nfev == 3 * n
         errors.append(abs(sol.y[0, -1] - 2.0 * np.exp(-1.0)))
     assert 2.0 ** 4.5 < errors[0] / errors[1] < 2.0 ** 5.5
+
+
+@pytest.mark.parametrize("h", [0.05, 1 / 200], ids=["m38", "m398"])
+def test_radau_stage_system_is_a_band_on_a_sparse_operator(h):
+    # each node's 3 stage unknowns together: the Alfven operator gives
+    # half-widths 14 at any m, table 14's m = 398 included; the band holds
+    # I - k A (x) jac to the bit, and a dense operator keeps that dense
+    # system
+    prob = mhd_alfven(h=h)
+    jac, k = prob.f_op + prob.g_op, 1e-3
+    want = np.eye(3 * prob.dim) - k * np.kron(reference.RADAU_A, jac.toarray())
+    band = reference.stage_system(jac, k)
+    assert isinstance(band, Band) and (band.kl, band.ku) == (14, 14)
+    assert np.array_equal(band_matrix(band), want)
+    dense = reference.stage_system(jac.toarray(), k)
+    assert type(dense) is np.ndarray and np.array_equal(dense, want)
+
+
+def test_radau_on_a_band_solves_as_on_the_dense_system():
+    prob = mhd_alfven(h=0.05)
+    jac = prob.f_op + prob.g_op
+
+    def forcing(times):
+        force_f, force_g = prob.forcing(times)
+        return force_f + force_g
+
+    band, dense = (reference.solve_ivp(radau_iia, (0.0, 0.01), prob.y0, jac=op,
+                                       forcing=forcing, rate=None, n_steps=20,
+                                       start_step=lambda: None).y
+                   for op in (jac, jac.toarray()))
+    scale = np.abs(dense).max()
+    assert scale > 0.0
+    assert np.abs(band - dense).max() <= 1e-13 * scale
 
 
 def test_radau_solver_frees_its_factors_with_the_last_step(monkeypatch):
