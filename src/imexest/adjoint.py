@@ -10,11 +10,9 @@ integral uses the one Gauss rule of ``numerics``.  H(t) is the linear
 halves' operators, summed once per solve, plus the nonlinear halves'
 Jacobians at the reconstruction's sub-Gauss nodes
 (``reconstruct.sub_gauss_nodes``).  Every local system is assembled
-through ``numerics.BlockForm``, in the summed operator's form when H is
-constant (both halves linear) and on the Jacobian pattern otherwise; a
-sparse form gives each system as a LAPACK band, in one ordering of the
-unknowns per solve: on the pattern, the problem's ``node_order``, which
-its forward Newton bands share.  A varying H's systems are formed a
+through ``numerics.BlockForm`` on the problem's Jacobian pattern, as a
+LAPACK band in the problem's ``node_order``, which its forward Newton
+bands share, or densely for a problem without a pattern.  A varying H's systems are formed a
 block of refined intervals at a time, the blocks ``numerics.block_spans``
 sets: Y at the block's Gauss points, one Jacobian call per nonlinear
 half and block, and its values at the pattern serve that block alone.
@@ -103,10 +101,7 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     ops = [op for op, _ in halves if op is not None]
     jacs = [jac for op, jac in halves if op is None]
     summed = sum(ops[1:], ops[0]) if ops else None
-    if problem.linear:
-        form = BlockForm(m, r, summed)
-    else:
-        form = BlockForm(m, r, problem.jac_pattern, problem.node_order)
+    form = BlockForm(m, r, problem.jac_pattern, problem.node_order)
     op_values = form.values(summed) if ops else 0.0
     basis = LagrangeBasis(np.linspace(0.0, 1.0, r + 1))
     tests = legendre_shifted(q, gp)                 # (r, 5)

@@ -1,18 +1,14 @@
 """Small numerical kernels shared by the solver and the estimator:
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
-polynomials, the one place an operator's form becomes a system's
-(``identity_like`` gives CSC where its operator is sparse, by
-``sparse.issparse`` alone, and a dense array otherwise), the one band
-layout of a sparse pattern (``node_order``, reverse Cuthill-McKee on the
-pattern symmetrised, and ``band_layout``, the slots of its entries in a
-LAPACK ``Band``: the forward's Newton matrices of a problem that is not
-linear, Radau IIA's stage system on a sparse operator and, through
-``BlockForm``, the adjoint's systems on a sparse operator or pattern),
-``lu_factor``, the one factorisation (a band to gbtrf, CSC to SuperLU,
-which only a linear problem's sparse Newton matrices take, a dense array
-to getrf), and ``one_blas_thread``, the BLAS threading policy of a
-pipeline run.
+polynomials, and the one place a system is laid out: every system on a
+problem's Jacobian pattern is a LAPACK ``Band`` in the problem's one
+``node_order`` (reverse Cuthill-McKee on the pattern symmetrised), its
+slots numbered by ``band_layout``, through ``StageForm`` (the forward's
+Newton matrices and Radau IIA's stage system) or ``BlockForm`` (the
+adjoint's systems); a problem without a pattern gets dense systems.
+``lu_factor`` is the one factorisation (a band to gbtrf, a dense array
+to getrf), and ``one_blas_thread`` the BLAS threading policy of a run.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 from scipy import sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
-from scipy.sparse.linalg import splu
 
 # The 5-point Gauss-Legendre rule on [0, 1]: the one interval rule of the
 # reconstruction, the adjoint, the estimate and the reference QoI.  It is
@@ -126,11 +121,6 @@ def as_dense(op) -> np.ndarray:
     return op.toarray() if sparse.issparse(op) else op
 
 
-def identity_like(op, n: int):
-    """The n x n identity in op's form."""
-    return sparse.eye_array(n, format="csc") if sparse.issparse(op) else np.eye(n)
-
-
 def node_order(pattern) -> np.ndarray:
     """The order of a square sparse pattern's nodes in every band on it:
     reverse Cuthill-McKee on the pattern symmetrised, with its diagonal.
@@ -174,6 +164,47 @@ class Band(NamedTuple):
         return (self.order.size, self.order.size)
 
 
+class StageForm:
+    """The systems I - k C (x) J of an implicit stage, C an (r, r)
+    coefficient matrix and J an m x m Jacobian, in the form lu_factor
+    takes: with no pattern, J dense and np.eye(r m) - k np.kron(C, J); on
+    a CSR pattern with sorted indices, J its values there in CSR order and
+    a ``Band`` ordered by ``nodes``, each node's r unknowns together,
+    whose layout is made here, once.  ``values`` reads an operator as J."""
+
+    def __init__(self, coeffs, pattern, nodes):
+        self.coeffs = np.asarray(coeffs, dtype=float)
+        self.dense = pattern is None
+        if self.dense:
+            return
+        r, m = len(self.coeffs), pattern.shape[0]
+        self.rows, self.cols = pattern.nonzero()
+        # C's entry (a, b) times J's entry (i, j) sits at row a m + i and
+        # column b m + j
+        a, b = np.divmod(np.arange(r * r), r)
+        rows = (m * a[:, None] + self.rows).ravel()
+        cols = (m * b[:, None] + self.cols).ravel()
+        diagonal = np.arange(r * m)
+        self.order = (nodes[:, None] + m * np.arange(r)).ravel()
+        self.kl, self.ku, slots = band_layout(np.append(rows, diagonal),
+                                              np.append(cols, diagonal), self.order)
+        self.slots, self.ones = slots[:rows.size], slots[rows.size:]
+        self.size = r * m * (2 * self.kl + self.ku + 1)
+
+    def values(self, op):
+        """The m x m operator op, dense or sparse, as this form's J."""
+        return op if self.dense else op[self.rows, self.cols]
+
+    def system(self, k: float, jac):
+        """I - k C (x) J, J given as ``values`` gives it."""
+        if self.dense:
+            return np.eye(len(self.coeffs) * len(jac)) - k * np.kron(self.coeffs, jac)
+        ab = np.zeros(self.size)
+        ab[self.ones] = 1.0
+        ab[self.slots] -= k * (self.coeffs.reshape(-1, 1) * jac).ravel()
+        return Band.of(ab, self.kl, self.ku, self.order)
+
+
 class BlockForm:
     """How an adjoint interval's r x (r + 1) blocks, each the transpose of
     an m x m matrix, become its (r m) x (r m) system, the first r block
@@ -184,19 +215,20 @@ class BlockForm:
     is read as its values at like's transposed entries and the diagonal.
     ``values`` gathers them from a matrix and ``scatter`` places values
     stated at like's own entries.  The system's unknowns are ordered by
-    ``nodes`` (``node_order`` of like when not given), each node's r
-    unknowns together, which makes it a narrow band (a periodic ring
-    included).  ``gather`` takes a block of intervals' band storages and
-    known values from their block values, one precomputed index each,
-    and ``band`` wraps one storage as a ``Band``.  The known matrix is a
+    ``nodes``, the ``node_order`` of like, each node's r unknowns
+    together, which makes it a narrow band (a periodic ring included).
+    ``gather`` takes a block of intervals' band storages and known values
+    from their block values, one precomputed index each, and ``band``
+    wraps one storage as a ``Band``.  The known matrix is a
     CSC whose indices are built here too; a caller refills its data, as
     ``system`` does on each call, so it is valid until the next refill.
-    Any other ``like``, for which ``dense`` is true, keeps the dense
-    transposes in one Fortran-order array, new on each call, whose first
-    r m columns are the system, which ``lu_factor`` factors in place.
+    Any other ``like`` (a dense array, or None), for which ``dense`` is
+    true and ``nodes`` is not read, keeps the dense transposes in one
+    Fortran-order array, new on each call, whose first r m columns are
+    the system, which ``lu_factor`` factors in place.
     """
 
-    def __init__(self, m: int, r: int, like, nodes=None):
+    def __init__(self, m: int, r: int, like, nodes):
         self.m, self.r = m, r
         self.dense = not sparse.issparse(like)
         if self.dense:
@@ -220,7 +252,6 @@ class BlockForm:
         # every block holds the same pattern, so keep each node's r
         # unknowns together (Burgers' ring: half-width 3 r - 1; reverse
         # Cuthill-McKee on the r m unknowns themselves gave 4 r)
-        nodes = node_order(like) if nodes is None else nodes
         self.order = (nodes[:, None] + m * np.arange(r)).ravel()
         self.kl, self.ku, slots = band_layout(all_rows[in_system], all_cols[in_system],
                                               self.order)
@@ -286,8 +317,7 @@ def lu_factor(matrix, *, singular: Callable[[], Exception]):
     """Factor a square matrix once; returns its solve b -> matrix^-1 b, b a
     vector or a matrix.  A ``Band`` goes to LAPACK's gbtrf and gbtrs, and
     its solve gathers b into the band's ordering and scatters the result
-    back; a sparse matrix goes to SuperLU; any other to LAPACK's getrf
-    and getrs.  The LAPACK routes are called directly and factor a
+    back; a dense array to LAPACK's getrf and getrs.  Both factor a
     Fortran-order float array in place.  An exact zero pivot raises the
     exception ``singular()`` builds, never a warning; it is built only
     then."""
@@ -303,11 +333,6 @@ def lu_factor(matrix, *, singular: Callable[[], Exception]):
             x[order] = gbtrs(lu, kl, ku, b[order], piv, overwrite_b=True)[0]
             return x
         return solve
-    if sparse.issparse(matrix):
-        try:
-            return splu(matrix.tocsc()).solve
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise singular() from exc
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (matrix,))
     lu, piv, info = getrf(matrix, overwrite_a=True)
     if info > 0:  # U[info - 1, info - 1] is exactly zero

@@ -10,9 +10,8 @@ method-of-lines finite differences on uniform grids.  Each builder picks
 the operator form by structure: the two-field Alfven system is CSR, the
 small periodic stencils (at most a few dozen unknowns) stay dense, and
 Burgers states its Jacobian's sparsity pattern.  No other module decides
-the form: ``numerics`` builds each system in its operator's or its
-stated pattern's form, so a CSR operator or a pattern is factored sparse,
-a pattern's as a band in the one node order the problem keeps.
+the form: ``numerics`` lays out every system on a problem's one pattern
+as a band in its one node order, and a problem without one densely.
 A forced problem's forcing has one reader, ``SplitOdeProblem.forcing``,
 which each layer hands a batch of times in the shape it holds them.
 """
@@ -66,10 +65,12 @@ class SplitOdeProblem:
     ``jac_pattern`` states, once, where the Jacobian of f + g may be
     nonzero at any state: a (dim, dim) array or sparse matrix, nonzero
     there, held as CSR with sorted indices.  A problem that is not linear
-    and states none has the full pattern.  Construction refuses an
-    operator half with a nonzero off the pattern, since the adjoint reads
-    every Jacobian at the pattern alone.  ``node_order`` orders the
-    pattern's nodes for the bands of both sweeps.
+    and states none has the full pattern; a linear one with a sparse
+    operator, the union of its two operators' patterns (not the nonzeros
+    of their sum, where f and g could cancel).  Construction refuses an
+    operator half with a nonzero off a stated pattern, since the adjoint
+    reads every Jacobian at the pattern alone.  ``node_order`` orders the
+    pattern's nodes for the bands of both sweeps and of the reference.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, which maps one time to
@@ -105,7 +106,11 @@ class SplitOdeProblem:
             elif getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
                 raise ValueError(f"the {half} half needs {half}_op, or eval_{half} "
                                  f"and jac_{half}")
-        if self.jac_pattern is None and not self.linear:
+        derived = self.linear and self.jac_pattern is None and (
+            sparse.issparse(self.f_op) or sparse.issparse(self.g_op))
+        if derived:
+            self.jac_pattern = sparse.csr_array(self.f_op != 0) + (self.g_op != 0)
+        elif self.jac_pattern is None and not self.linear:
             self.jac_pattern = np.ones((self.dim, self.dim), dtype=bool)
         if self.jac_pattern is not None:
             self.jac_pattern = sparse.csr_array(self.jac_pattern, dtype=bool)
@@ -114,9 +119,11 @@ class SplitOdeProblem:
             if self.jac_pattern.shape != (self.dim,) * 2:
                 raise ValueError(f"jac_pattern has shape {self.jac_pattern.shape}; "
                                  f"y0 of length {self.dim} needs {(self.dim,) * 2}")
-            # the adjoint reads an operator at the pattern alone
+            # the adjoint reads an operator at the pattern alone; a derived
+            # pattern holds both operators, and is not densified to check
             for half, op in (("f", self.f_op), ("g", self.g_op)):
-                if op is not None and np.any(as_dense(op)[self.jac_pattern.toarray() == 0]):
+                if (not derived and op is not None
+                        and np.any(as_dense(op)[self.jac_pattern.toarray() == 0])):
                     raise ValueError(f"{half}_op is nonzero off jac_pattern")
         if (self.pickups is None) != (self.boundary_data is None):
             raise ValueError("a forced problem needs pickups = (pick_f, pick_g) "
@@ -128,11 +135,12 @@ class SplitOdeProblem:
         return self.y0.size
 
     @functools.cached_property
-    def node_order(self) -> np.ndarray:
-        """``numerics.node_order`` of jac_pattern, computed on first use:
-        the order of the unknowns in the forward's Newton bands and the
-        adjoint's local bands."""
-        return node_order(self.jac_pattern)
+    def node_order(self) -> Optional[np.ndarray]:
+        """``numerics.node_order`` of jac_pattern, computed on first use,
+        or None without a pattern: the order of the unknowns in the
+        forward's Newton bands, the adjoint's local bands and Radau IIA's
+        stage band."""
+        return None if self.jac_pattern is None else node_order(self.jac_pattern)
 
     @property
     def linear(self) -> bool:
@@ -485,6 +493,8 @@ def mhd_alfven(h: float = 5e-3, v_mode: str = "v-split", **params) -> SplitOdePr
 
     zeta = _grid_points(0.0, L, h)[1:]
     mh = zeta.size
+    if mh < 1:
+        raise ValueError(f"h={h} leaves no interior grid point on [0, {L}]")
     m = 2 * mh
 
     # the stencils' first and last columns pick up the Dirichlet data;

@@ -15,8 +15,9 @@ The numeric route runs one of this module's two loops, each through
 * A linear problem with boundary forcing (the Alfven wave) takes
   ``radau_iia``, fixed-step Radau IIA (Hairer and Wanner, *Solving
   ODEs II*, IV.5 and IV.8): 3 stages, order 5, L-stable and stiffly
-  accurate, with one LU per solve (a LAPACK band on the Alfven wave's
-  sparse operator, ``stage_system``).  The step is
+  accurate, with one LU per solve of its stage system, laid out once per
+  reference by ``numerics.StageForm`` (a LAPACK band on the Alfven
+  wave's Jacobian pattern, in its node order).  The step is
   k = T / n with n = 100 or, if that step exceeds ``max_step``, the
   smallest n whose step does not.  n doubles until two successive
   solves agree:
@@ -61,10 +62,8 @@ from itertools import islice
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
 
-from .numerics import (GAUSS_NODES, GAUSS_WEIGHTS, Band, band_layout, lu_factor,
-                       node_order)
+from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, StageForm, lu_factor
 from .problems import QoiSpec, SplitOdeProblem
 from .solver import TimeGrid
 
@@ -277,45 +276,20 @@ def _step_counter(config: ReferenceConfig):
     return start_step
 
 
-def stage_system(jac, k: float):
-    """Radau IIA's stage system I - k A (x) jac, in the form lu_factor
-    takes: a dense array for a dense jac, and for a sparse one a
-    ``numerics.Band`` whose unknowns are ordered by ``node_order(jac)``,
-    each node's 3 stage unknowns together, as ``BlockForm`` keeps an
-    interval's unknowns (table 14's m = 398: half-widths 14)."""
-    m = jac.shape[0]
-    if not sparse.issparse(jac):
-        return np.eye(3 * m) - k * np.kron(RADAU_A, jac)
-    entries = sparse.coo_array(jac)
-    entries.sum_duplicates()
-    entries.eliminate_zeros()
-    # A's entry (a, b) times jac's entry (i, j) sits at row a m + i and
-    # column b m + j
-    a, b = np.divmod(np.arange(9), 3)
-    rows = (m * a[:, None] + entries.row).ravel()
-    cols = (m * b[:, None] + entries.col).ravel()
-    diagonal = np.arange(3 * m)
-    order = (node_order(jac)[:, None] + m * np.arange(3)).ravel()
-    kl, ku, slots = band_layout(np.append(rows, diagonal), np.append(cols, diagonal), order)
-    ab = np.zeros(3 * m * (2 * kl + ku + 1))
-    ab[slots[rows.size:]] = 1.0
-    ab[slots[:rows.size]] -= k * (RADAU_A.reshape(9, 1) * entries.data).ravel()
-    return Band.of(ab, kl, ku, order)
-
-
-def radau_iia(t_span: tuple, z0: np.ndarray, *, jac, forcing, rate, n_steps: int,
+def radau_iia(t_span: tuple, z0: np.ndarray, *, system, forcing, rate, n_steps: int,
               start_step) -> Solution:
     """Radau IIA with 3 stages (order 5) on n_steps equal steps.
 
-    The leading m = jac.shape[0] unknowns y = z[:m] obey the affine system
-    y' = jac y + r(t), whose forcing rows forcing(times) gives for a (P,)
+    The leading m unknowns y = z[:m] obey the affine system
+    y' = J y + r(t), whose forcing rows forcing(times) gives for a (P,)
     vector of times as (P, m).  Any further unknowns are quadratures with
     rates rate(t, y), which depend on t and y alone, never on themselves;
     rate is None when there are none.
 
-    The stage values Y solve (I - k A (x) jac) Y = 1 (x) z + k (A (x) I) R,
-    R the stages' forcing rows, with one LU made here (``stage_system``),
-    and the step ends at Y_3 (stiffly accurate).
+    The stage values Y solve (I - k A (x) J) Y = 1 (x) z + k (A (x) I) R,
+    R the stages' forcing rows, with one LU made here of system(k), that
+    3 m x 3 m matrix in the form lu_factor takes, and the step ends at
+    Y_3 (stiffly accurate).
     start_step() is called as each step starts; it may raise to stop the
     solve.  The forcing is read for blocks of at most RADAU_START_STEPS
     steps, each block as its first step starts, after start_step().
@@ -323,9 +297,11 @@ def radau_iia(t_span: tuple, z0: np.ndarray, *, jac, forcing, rate, n_steps: int
     for the rates when there are quadratures.
     """
     t0, t_bound = map(float, t_span)
-    m, k = jac.shape[0], (t_bound - t0) / n_steps
-    solve = lu_factor(stage_system(jac, k),
-                      singular=lambda: ReferenceError("singular Radau IIA stage system"))
+    k = (t_bound - t0) / n_steps
+    matrix = system(k)
+    m = matrix.shape[0] // 3
+    solve = lu_factor(matrix, singular=lambda: ReferenceError(
+        "singular Radau IIA stage system"))
     z, ts, zs, nfev = z0, [t0], [z0], 0
     for step in range(n_steps):
         start_step()
@@ -472,17 +448,25 @@ def _dop853(fun, t_span: tuple, z0: np.ndarray, rtol: float, atol: float,
                      dense=dense)
 
 
-def _radau_qoi(jac, forcing, rate, t_span: tuple, z0: np.ndarray,
+def _radau_qoi(problem: SplitOdeProblem, rate, t_span: tuple, z0: np.ndarray,
                value, config: ReferenceConfig):
-    """value(z(T)) from Radau IIA solves with doubling step counts: the value
-    the rule in the module docstring accepts, then the value of each
-    further doubling level; a ReferenceError as any step past
-    config.step_cap, summed over the solves, starts."""
+    """value(z(T)) of a linear forced problem from Radau IIA solves with
+    doubling step counts: the value the rule in the module docstring
+    accepts, then the value of each further doubling level; a
+    ReferenceError as any step past config.step_cap, summed over the
+    solves, starts.  The stage system's layout is made once, here, on the
+    problem's pattern; each level only fills and factors it."""
     start_step = _step_counter(config)
+    form = StageForm(RADAU_A, problem.jac_pattern, problem.node_order)
+    jac = form.values(problem.f_op + problem.g_op)
+
+    def forcing(times):
+        force_f, force_g = problem.forcing(times)
+        return force_f + force_g
 
     def level(n):
-        sol = solve_ivp(radau_iia, t_span, z0, jac=jac, forcing=forcing,
-                        rate=rate, n_steps=n, start_step=start_step)
+        sol = solve_ivp(radau_iia, t_span, z0, system=lambda k: form.system(k, jac),
+                        forcing=forcing, rate=rate, n_steps=n, start_step=start_step)
         return value(sol.y[:, -1])
 
     # a level longer than step_cap stops at the cap whatever its length,
@@ -521,11 +505,7 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
             return float(z[-1])
     t_span = (float(grid.nodes[0]), grid.t_end)
     if problem.linear and problem.pickups is not None:
-        def forcing(times):
-            force_f, force_g = problem.forcing(times)
-            return force_f + force_g
-        yield from _radau_qoi(problem.f_op + problem.g_op, forcing, rate,
-                              t_span, z0, value, config)
+        yield from _radau_qoi(problem, rate, t_span, z0, value, config)
         return
     def fun(t, z):
         if rate is None:

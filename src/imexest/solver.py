@@ -10,12 +10,12 @@ including the explicit half, are pinned to the implicit abscissae times
 t_n + k_n d_i, which is what the shared quadrature of the error
 estimator assumes.
 
-An implicit stage runs Newton's method on I - k_n B[i,i] J_g.  A linear
-problem's Newton matrix is in g_op's own form (CSR to SuperLU, dense to
-getrf) and is factored once per step size and stage coefficient.  Any
-other problem's is a LAPACK band on its Jacobian pattern, in the node
-order the adjoint's bands share (``numerics.node_order``), and is
-factored on every iteration.
+An implicit stage runs Newton's method on I - k_n B[i,i] J_g, laid out
+by ``numerics.StageForm``: a LAPACK band on the problem's Jacobian
+pattern, in the node order the adjoint's and the reference's bands
+share, or a dense array for a problem without a pattern.  A linear
+problem's is factored once per step size and stage coefficient, any
+other's on every iteration.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import Band, band_layout, identity_like, lu_factor
+from .numerics import StageForm, lu_factor
 from .problems import SplitOdeProblem
 from .tableaus import ImexPair, validate
 
@@ -120,30 +120,14 @@ class ForwardSolution:
 
 def newton_matrix(problem: SplitOdeProblem):
     """The Newton matrix (c, x) -> I - c J_g(x) of a problem at a state x,
-    in the form lu_factor takes.  A linear problem's is in g_op's form.
-    Any other's is a ``numerics.Band`` on jac_pattern in the problem's
-    node order, whose J_g is g_op read at the pattern once, here, or
-    jac_g's values at x, in CSR order."""
-    m = problem.dim
-    if problem.linear:
-        op, eye = problem.g_op, identity_like(problem.g_op, m)
-        return lambda c, x: eye - c * op
-    pattern, order = problem.jac_pattern, problem.node_order
-    rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
-    diagonal = np.arange(m)
-    kl, ku, slots = band_layout(np.append(rows, diagonal),
-                                np.append(pattern.indices, diagonal), order)
-    slots, ones = slots[:rows.size], slots[rows.size:]
-    fixed = None if problem.g_op is None else problem.g_op[rows, pattern.indices]
-    size = m * (2 * kl + ku + 1)
-
-    def matrix(c, x):
-        jac = fixed if fixed is not None else problem.jac_g(x[None])[0]
-        ab = np.zeros(size)
-        ab[ones] = 1.0
-        ab[slots] -= c * jac
-        return Band.of(ab, kl, ku, order)
-    return matrix
+    in the form lu_factor takes: ``numerics.StageForm`` with C = [[1]] on
+    the problem's pattern, where J_g is g_op, read once, here, or jac_g's
+    values at x."""
+    form = StageForm(np.ones((1, 1)), problem.jac_pattern, problem.node_order)
+    if problem.g_op is None:
+        return lambda c, x: form.system(c, problem.jac_g(x[None])[0])
+    jac = form.values(problem.g_op)
+    return lambda c, x: form.system(c, jac)
 
 
 def _newton_stage(problem, t_i, c, known, force_g, newton, matrix, solve,

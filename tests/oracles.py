@@ -128,10 +128,12 @@ def band_matrix(band) -> np.ndarray:
 
 def dense_form(problem):
     """A linear forced problem rebuilt from dense copies of its operators
-    and pickups, so every system made from them is dense."""
+    and pickups, without the pattern derived from its sparse ones, so
+    every system made from them is dense."""
     return dataclasses.replace(
         problem, f_op=as_dense(problem.f_op), g_op=as_dense(problem.g_op),
-        pickups=tuple(map(as_dense, problem.pickups)), eval_f=None, eval_g=None)
+        pickups=tuple(map(as_dense, problem.pickups)), eval_f=None, eval_g=None,
+        jac_pattern=None)
 
 
 def without_operators(problem):
@@ -156,7 +158,7 @@ def adjoint_per_interval(problem, reconstruction, qoi, refine: int) -> np.ndarra
     r = q + 1
     grid = refine_grid(reconstruction.grid, refine)
     n_int, steps = grid.n_intervals, grid.steps
-    form = BlockForm(m, r, problem.jac_pattern)
+    form = BlockForm(m, r, problem.jac_pattern, problem.node_order)
     halves = ((problem.f_op, problem.jac_f), (problem.g_op, problem.jac_g))
     states = reconstruction.at(sub_gauss_nodes(refine)).reshape(-1, m)
     hts = form.scatter(sum(jac(states) for op, jac in halves if op is None))

@@ -8,6 +8,8 @@ implementation can meet; the analysis behind both lives in the
 decisions ledger kept next to this repository.
 """
 
+import dataclasses
+import pathlib
 import time
 from types import SimpleNamespace
 
@@ -374,6 +376,37 @@ def test_property_suite_summary():
     for prob in (linear_advection_diffusion(0.1, 1.0 / 40.0),
                  burgers(0.05, 1.0 / 40.0)):
         assert check_jacobians(prob, n_samples=20) < 1e-5
+
+
+# the table CSVs against their goldens -------------------------------------
+
+GOLDEN_DIRS = [pathlib.Path(__file__).parents[1] / "perfbench" / "golden",
+               pathlib.Path(__file__).parent / "golden"]
+
+
+def without_components(row):
+    """The row of a table without components whose config differs from
+    row's in that alone: the same six columns, and "components": false."""
+    config = {**row.metadata["config"], "components": False}
+    return dataclasses.replace(row, components=None,
+                               metadata={**row.metadata, "config": config})
+
+
+def test_every_table_csv_is_byte_identical_to_its_golden(
+        linear_tables, burgers_tables, mhd_tables, tmp_path):
+    # what `imexest table --id N` writes for tables 4-16, from the rows the
+    # fixtures ran; tables 13 and 15 are 14 and 16 without components
+    tables = {tid: [row for row, _ in fixture[tid]["rows"]]
+              for fixture in (linear_tables, burgers_tables) for tid in fixture}
+    for tid, mode in ((14, "v-split"), (16, "v-implicit")):
+        tables[tid] = [row for row, _ in mhd_tables[mode]]
+        tables[tid - 1] = [without_components(row) for row in tables[tid]]
+    assert sorted(tables) == list(range(4, 17))
+    for tid, rows in tables.items():
+        path = tmp_path / f"table{tid}.csv"
+        cli.write_report_csv(str(path), rows, table_id=tid)
+        golden, = (d / path.name for d in GOLDEN_DIRS if (d / path.name).exists())
+        assert path.read_bytes() == golden.read_bytes(), tid
 
 
 # estimator pipeline consistency against the table driver ------------------

@@ -375,7 +375,7 @@ def zeroed(a):
 
 def route(a) -> str:
     """The route lu_factor takes for the system a."""
-    return "band" if isinstance(a, Band) else "sparse" if sparse.issparse(a) else "dense"
+    return "band" if isinstance(a, Band) else "dense"
 
 
 def recording(lu_factor, seen):
@@ -387,15 +387,14 @@ def recording(lu_factor, seen):
 
 
 @pytest.mark.parametrize("build, forward_route, adjoint_route", [
-    (lambda: mhd_alfven(h=0.05), "sparse", "band"),
+    (lambda: mhd_alfven(h=0.05), "band", "band"),
     (lambda: linear_advection_diffusion(0.1, 1.0 / 20.0), "dense", "dense"),
     (lambda: burgers(0.05, 0.1), "band", "band")], ids=["mhd", "advdiff", "burgers"])
 def test_operator_structure_picks_the_factorisation_route(
         build, forward_route, adjoint_route, monkeypatch):
-    # a CSR operator's Newton matrix goes to SuperLU and its adjoint
-    # systems to a band, and a dense operator is factored dense; Burgers'
-    # Newton matrices and adjoint systems both follow the Jacobian pattern
-    # it states, as bands
+    # a CSR operator's Newton matrices and adjoint systems are bands on
+    # the pattern of its operators, and a dense operator is factored
+    # dense; Burgers' both follow the Jacobian pattern it states, as bands
     routes = {solver: [], adjoint: []}
     for module, seen in routes.items():
         monkeypatch.setattr(module, "lu_factor", recording(module.lu_factor, seen))

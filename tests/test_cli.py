@@ -123,6 +123,10 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
     ({"problem": {**_MHD, "h": 0.3}, "qoi": {"kind": "integral-v"}},
      r"config\.problem \(mhd-alfven\): h=0\.3 does not divide "
      r"\[0\.0, 1\.0\] evenly"),
+    # h = L leaves no unknown: the forward would fail on an empty state
+    ({"problem": {**_MHD, "h": 1.0}, "qoi": {"kind": "integral-v"}},
+     r"config\.problem \(mhd-alfven\): h=1\.0 leaves no interior grid "
+     r"point on \[0, 1\.0\]"),
     ({"grid": {"t_end": 1.0, "k": 0}}, "step must be positive, got 0"),
     # (hi - lo) / k overflows to inf
     ({"grid": {"t_end": 1.0, "k": 1e-320}},
@@ -217,7 +221,8 @@ _MHD = {"name": "mhd-alfven", "h": 0.05}
         "reference-rtol-string", "reference-max-step-string",
         "newton-max-iters-string",
         "integral-v-not-mhd", "mhd-h-zero", "advdiff-h-negative",
-        "mhd-h-not-dividing", "grid-k-zero", "grid-k-overflow", "psi-length",
+        "mhd-h-not-dividing", "mhd-h-no-interior", "grid-k-zero", "grid-k-overflow",
+        "psi-length",
         "psi-tilde-length", "unknown-scheme", "mean-left-half-odd-dim",
         "bernoulli-lam-zero", "psi-strings", "linear-split-shapes",
         "series-indices-out-of-range", "grid-k-bool", "grid-k-string",

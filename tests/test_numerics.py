@@ -9,8 +9,8 @@ from scipy import linalg, sparse
 
 from imexest import adjoint, numerics, reference, solver
 from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, Band, BlockForm,
-                              LagrangeBasis, as_dense, identity_like,
-                              legendre_shifted, lu_factor, one_blas_thread,
+                              LagrangeBasis, StageForm, as_dense, legendre_shifted,
+                              lu_factor, node_order, one_blas_thread,
                               openblas_pools)
 from imexest.problems import burgers, mhd_alfven
 from oracles import band_matrix, dense_blocks, l2_project, poly_eval
@@ -139,24 +139,41 @@ def never():
     raise AssertionError("a regular matrix built its singular error")
 
 
-ROUTES = {"dense": np.array, "csr": sparse.csr_array, "csc": sparse.csc_array}
+FORMS = {"dense": np.array, "csr": sparse.csr_array, "csc": sparse.csc_array}
 
 
-@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("route", FORMS)
 def test_systems_take_their_operators_form(route):
-    # a CSR or CSC operator gives a CSC identity, a dense one an ndarray,
-    # with the same values either way
+    # a CSR or CSC operator's stage system I - k C (x) J is a band on the
+    # operator's pattern, a dense operator's an ndarray, with the same
+    # values either way
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((4, 4))
     mat[1, 2] = mat[3, 0] = 0.0
-    op = ROUTES[route](mat)
+    op = FORMS[route](mat)
     assert type(as_dense(op)) is np.ndarray and np.array_equal(as_dense(op), mat)
-    got = identity_like(op, 5)
+    coeffs, k = rng.standard_normal((2, 2)), 0.3
+    pattern = sparse.csr_array(op != 0) if sparse.issparse(op) else None
+    form = StageForm(coeffs, pattern, None if pattern is None else node_order(pattern))
+    got = form.system(k, form.values(op))
+    want = np.eye(8) - k * np.kron(coeffs, mat)
     if route == "dense":
-        assert type(got) is np.ndarray
+        assert type(got) is np.ndarray and np.array_equal(got, want)
     else:
-        assert isinstance(got, sparse.csc_array)
-    assert np.array_equal(as_dense(got), np.eye(5))
+        assert isinstance(got, Band) and np.array_equal(band_matrix(got), want)
+
+
+def natural_band(mat, kl, ku) -> Band:
+    """The square matrix mat, zero outside its kl sub- and ku
+    superdiagonals, as a Band in its own ordering."""
+    n = mat.shape[0]
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    for i, j in zip(*np.nonzero(mat)):
+        ab[kl + ku + i - j, j] = mat[i, j]
+    return Band(ab, kl, ku, np.arange(n))
+
+
+ROUTES = {"dense": np.array, "band": lambda mat: natural_band(mat, 5, 5)}
 
 
 @pytest.mark.parametrize("route", ROUTES)
@@ -164,7 +181,7 @@ def test_systems_take_their_operators_form(route):
 def test_lu_factor_solves_like_numpy_on_every_route(route, rhs_shape):
     rng = np.random.default_rng(7)
     mat = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-    mat[0, 3] = mat[4, 1] = 0.0  # entries the sparse routes do not store
+    mat[0, 3] = mat[4, 1] = 0.0  # entries a band holds as zeros
     rhs = rng.standard_normal(rhs_shape)
     want = np.linalg.solve(mat, rhs)
     # a regular matrix never builds the caller's error
@@ -194,25 +211,14 @@ def test_lu_factor_overwrites_a_fortran_array_in_place():
     np.testing.assert_allclose(solve(np.array([5.0, 5.0])), [1.0, 1.0])
 
 
-def natural_band(mat, kl, ku) -> Band:
-    """The square matrix mat, zero outside its kl sub- and ku
-    superdiagonals, as a Band in its own ordering."""
-    n = mat.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    for i, j in zip(*np.nonzero(mat)):
-        ab[kl + ku + i - j, j] = mat[i, j]
-    return Band(ab, kl, ku, np.arange(n))
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("matrix", [
     np.array([[1.0, 2.0], [2.0, 4.0]]),
-    sparse.csc_array((3, 3)),
-    sparse.csr_array(np.diag([1.0, 0.0, 2.0])),
+    natural_band(np.diag([1.0, 0.0, 2.0]), 0, 0),
     # the second pivot is exactly zero after partial pivoting
     natural_band(np.array([[1.0, 2.0], [2.0, 4.0]]), 1, 1),
     natural_band(np.zeros((3, 3)), 1, 0),
-], ids=["dense", "csc-all-zero", "csr-zero-diagonal", "band-zero-pivot", "band-all-zero"])
+], ids=["dense", "band-zero-row", "band-zero-pivot", "band-all-zero"])
 def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
     # the error is built by the caller's callable, once, at the zero pivot
     built = []
@@ -234,8 +240,8 @@ def test_block_form_of_a_pattern_is_its_dense_form_in_band():
     rng = np.random.default_rng(8)
     m, r = 5, 3
     pattern = rng.random((m, m)) < 0.3
-    sparse_form = BlockForm(m, r, sparse.csr_array(pattern))
-    dense_form = BlockForm(m, r, pattern)  # the same pattern, dense
+    sparse_form = BlockForm(m, r, sparse.csr_array(pattern), node_order(pattern))
+    dense_form = BlockForm(m, r, pattern, None)  # the same pattern, dense
     blocks = rng.standard_normal((r, r + 1, sparse_form.rows.size))
     full_blocks = dense_blocks(sparse_form, blocks)
     allowed = pattern.T | np.eye(m, dtype=bool)
@@ -286,11 +292,11 @@ def test_band_is_the_dense_system_in_its_ordering(name, r):
     # rows and columns in the band's ordering, and nothing outside the band
     like = block_operators()[name]
     m = like.shape[0]
-    form = BlockForm(m, r, like)
+    form = BlockForm(m, r, like, node_order(like))
     rng = np.random.default_rng(r)
     blocks = rng.standard_normal((r, r + 1, form.rows.size))
     band, _ = form.system(blocks)
-    want, _ = BlockForm(m, r, as_dense(like)).system(dense_blocks(form, blocks))
+    want, _ = BlockForm(m, r, as_dense(like), None).system(dense_blocks(form, blocks))
     ordered = want[np.ix_(band.order, band.order)]
     i, j = np.nonzero(ordered)
     assert (i - j).max() == band.kl and (j - i).max() == band.ku
@@ -307,7 +313,7 @@ def test_burgers_band_width_does_not_grow_with_the_ring(r):
     widths = set()
     for h in (0.025, 1.0 / 160.0):
         pattern = burgers(0.05, h).jac_pattern
-        form = BlockForm(pattern.shape[0], r, pattern)
+        form = BlockForm(pattern.shape[0], r, pattern, node_order(pattern))
         widths.add((form.kl, form.ku))
     assert len(widths) == 1
     kl, ku = widths.pop()
@@ -318,7 +324,7 @@ def test_block_form_scatters_values_stated_at_its_pattern():
     rng = np.random.default_rng(5)
     m = 4
     pattern = sparse.csr_array(np.eye(m, k=1) + np.eye(m, k=-3))
-    form = BlockForm(m, 2, pattern)
+    form = BlockForm(m, 2, pattern, node_order(pattern))
     mats = rng.standard_normal((3, m, m)) * (pattern.toarray() != 0.0)
     rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
     stated = mats[:, rows, pattern.indices]
@@ -340,8 +346,8 @@ def test_block_form_of_an_operator_is_its_kronecker_system(route):
     m, r = 6, 3
     mat = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.4)
     c, dmat = rng.standard_normal((r, r + 1)), rng.standard_normal((r, r + 1))
-    op = ROUTES[route](mat)
-    form = BlockForm(m, r, op)
+    op = FORMS[route](mat)
+    form = BlockForm(m, r, op, node_order(op))
     blocks = np.multiply.outer(c, form.values(op))
     blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
     if route == "dense":
@@ -360,9 +366,9 @@ def test_every_factorisation_goes_through_numerics():
     assert solver.lu_factor is numerics.lu_factor
     assert adjoint.lu_factor is numerics.lu_factor
     assert reference.lu_factor is numerics.lu_factor
-    # and numerics alone turns an operator's form into a system's: the
-    # solver and the adjoint bind nothing of scipy.sparse
-    for module in (solver, adjoint):
+    # and numerics alone lays out a system: the solver, the adjoint and
+    # the reference bind nothing of scipy.sparse
+    for module in (solver, adjoint, reference):
         assert sparse_bindings(module) == [], module.__name__
 
 

@@ -5,7 +5,10 @@ and random valid IMEX pairs: inputs the shipped benchmarks never use.
 Also the estimate's sharpening as the adjoint grid is refined on one
 linear system, over a uniform grid and random graded ones, a piecewise
 polynomial's span readers against its whole-grid tables, and the band
-solve of an adjoint block form on random sparse patterns."""
+systems of an adjoint block form and of a stage form on random sparse
+patterns."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,14 +23,15 @@ from imexest.cli import SCHEME_ORDER, run  # noqa: E402
 from imexest.estimate import (  # noqa: E402
     component_split, effectivity, error_breakdown, error_breakdown_timedep,
     residual_weighted_estimate)
-from imexest.numerics import GAUSS_NODES, BlockForm, lu_factor  # noqa: E402
+from imexest.numerics import (  # noqa: E402
+    GAUSS_NODES, BlockForm, StageForm, lu_factor, node_order)
 from imexest.problems import (  # noqa: E402
     QoiSpec, split_linear_system, split_scalar_bernoulli)
 from imexest.reference import qoi_from_states, true_qoi  # noqa: E402
 from imexest.reconstruct import PiecewisePolynomial, build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate  # noqa: E402
-from oracles import dense_blocks, evaluate  # noqa: E402
+from oracles import band_matrix, dense_blocks, evaluate  # noqa: E402
 
 ENTRIES = st.floats(-0.5, 0.5, allow_nan=False, allow_infinity=False)
 
@@ -268,31 +272,62 @@ def test_effectivity_converges_under_adjoint_refinement_on_a_graded_grid(
 
 @st.composite
 def block_systems(draw):
-    """A sparse block form on a random m x m pattern, r from 1 to 3, its
-    blocks' values on it in [-1, 1], with 2 r m added to the system's
-    diagonal so that it is strictly diagonally dominant, and a right-hand
-    side: a vector or three columns."""
+    """A random m x m pattern (m from 1 to 12), r from 1 to 3, a right-hand
+    side of r m rows, a vector or three columns, and two kinds of systems
+    on the pattern: a sparse adjoint block form, its blocks' values on it
+    in [-1, 1], with 2 r m added to the system's diagonal so that it is
+    strictly diagonally dominant; and a stage form, with an (r, r)
+    coefficient matrix C and Jacobian values on the pattern in [-1, 1],
+    and a step k of size below 1 / (r m), which also makes I - k C (x) J
+    strictly diagonally dominant."""
     m = draw(st.integers(1, 12))
     r = draw(st.integers(1, 3))
-    pattern = draw(arrays(bool, (m, m)))
-    form = BlockForm(m, r, sparse.csr_array(pattern))
+    pattern = sparse.csr_array(draw(arrays(bool, (m, m))))
+    nodes = node_order(pattern)
+    form = BlockForm(m, r, pattern, nodes)
     blocks = draw(arrays(float, (r, r + 1, form.rows.size),
                          elements=st.floats(-1.0, 1.0)))
     for a in range(r):
         blocks[(a, a, *form.diagonal)] += 2 * r * m
     shape = draw(st.sampled_from([(r * m,), (r * m, 3)]))
     rhs = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
-    return form, blocks, rhs
+    coeffs = draw(arrays(float, (r, r), elements=st.floats(-1.0, 1.0)))
+    jac = draw(arrays(float, pattern.nnz, elements=st.floats(-1.0, 1.0)))
+    k = draw(st.floats(-0.99, 0.99)) / (r * m)
+    stage = SimpleNamespace(pattern=pattern, nodes=nodes, coeffs=coeffs, jac=jac, k=k)
+    return form, blocks, rhs, stage
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_systems())
 def test_band_solve_matches_numpy_on_random_patterns(case):
-    form, blocks, rhs = case
-    dense, _ = BlockForm(form.m, form.r, np.zeros((form.m, form.m))).system(
+    form, blocks, rhs, _ = case
+    dense, _ = BlockForm(form.m, form.r, np.zeros((form.m, form.m)), None).system(
         dense_blocks(form, blocks))
     want = np.linalg.solve(dense, rhs)
     band, _ = form.system(blocks)
     got = lu_factor(band, singular=ZeroDivisionError)(rhs)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems())
+def test_stage_band_is_the_kronecker_system_on_random_patterns(case):
+    # the band holds I - k C (x) J entry for entry, the dense stage form
+    # gives exactly numpy's bits, and on these diagonally dominant draws a
+    # band solve matches numpy's of the dense system
+    _, _, rhs, stage = case
+    rows, cols = stage.pattern.nonzero()
+    mat = np.zeros(stage.pattern.shape)
+    mat[rows, cols] = stage.jac
+    want = np.eye(rhs.shape[0]) - stage.k * np.kron(stage.coeffs, mat)
+    dense = StageForm(stage.coeffs, None, None).system(stage.k, mat)
+    assert type(dense) is np.ndarray
+    assert np.array_equal(dense.view(np.int64), want.view(np.int64))
+    band = StageForm(stage.coeffs, stage.pattern, stage.nodes).system(stage.k, stage.jac)
+    assert np.array_equal(band_matrix(band), want)
+    off_diagonal = np.abs(want).sum(axis=1) - np.abs(np.diagonal(want))
+    assert np.all(np.abs(np.diagonal(want)) > off_diagonal)
+    got = lu_factor(band, singular=ZeroDivisionError)(rhs)
+    np.testing.assert_allclose(got, np.linalg.solve(want, rhs), rtol=0.0, atol=1e-12)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, solve_ivp
 
-from imexest import reference
+from imexest import numerics, reference
+from imexest.adjoint import solve_adjoint
 from imexest.cli import RunConfig, table_config
-from imexest.numerics import Band
+from imexest.numerics import Band, StageForm
 from imexest.problems import (
     QoiSpec,
     mhd_alfven,
@@ -31,7 +32,8 @@ from imexest.reference import (
     reference_states,
     true_qoi,
 )
-from imexest.solver import TimeGrid
+from imexest.reconstruct import build_cg
+from imexest.solver import TimeGrid, solve_forward
 from oracles import band_matrix
 
 
@@ -506,13 +508,21 @@ def test_radau_verify_rejects_a_disagreeing_finer_level(monkeypatch):
     assert levels == want
 
 
+def stage_systems(jac, pattern=None, nodes=None):
+    """Radau IIA's stage systems k -> I - k A (x) jac, dense, or on a
+    pattern in an order of its nodes."""
+    form = StageForm(reference.RADAU_A, pattern, nodes)
+    values = form.values(jac)
+    return lambda k: form.system(k, values)
+
+
 def test_radau_solver_converges_at_order_five():
     # y' = -y + t, y(0) = 1 has y(1) = 2 / e; halving the step divides
     # the error by about 2^5
-    jac = np.array([[-1.0]])
+    system = stage_systems(np.array([[-1.0]]))
     errors = []
     for n in (4, 8):
-        sol = reference.solve_ivp(radau_iia, (0.0, 1.0), np.array([1.0]), jac=jac,
+        sol = reference.solve_ivp(radau_iia, (0.0, 1.0), np.array([1.0]), system=system,
                                   forcing=lambda times: times[:, None], rate=None,
                                   n_steps=n, start_step=lambda: None)
         assert sol.t.size == n + 1 and sol.t[-1] == 1.0
@@ -530,10 +540,10 @@ def test_radau_stage_system_is_a_band_on_a_sparse_operator(h):
     prob = mhd_alfven(h=h)
     jac, k = prob.f_op + prob.g_op, 1e-3
     want = np.eye(3 * prob.dim) - k * np.kron(reference.RADAU_A, jac.toarray())
-    band = reference.stage_system(jac, k)
+    band = stage_systems(jac, prob.jac_pattern, prob.node_order)(k)
     assert isinstance(band, Band) and (band.kl, band.ku) == (14, 14)
     assert np.array_equal(band_matrix(band), want)
-    dense = reference.stage_system(jac.toarray(), k)
+    dense = stage_systems(jac.toarray())(k)
     assert type(dense) is np.ndarray and np.array_equal(dense, want)
 
 
@@ -545,13 +555,34 @@ def test_radau_on_a_band_solves_as_on_the_dense_system():
         force_f, force_g = prob.forcing(times)
         return force_f + force_g
 
-    band, dense = (reference.solve_ivp(radau_iia, (0.0, 0.01), prob.y0, jac=op,
+    band, dense = (reference.solve_ivp(radau_iia, (0.0, 0.01), prob.y0, system=system,
                                        forcing=forcing, rate=None, n_steps=20,
                                        start_step=lambda: None).y
-                   for op in (jac, jac.toarray()))
+                   for system in (stage_systems(jac, prob.jac_pattern, prob.node_order),
+                                  stage_systems(jac.toarray())))
     scale = np.abs(dense).max()
     assert scale > 0.0
     assert np.abs(band - dense).max() <= 1e-13 * scale
+
+
+def test_a_table_14_row_orders_its_nodes_once(monkeypatch, solves):
+    # reverse Cuthill-McKee runs once per problem: the forward's Newton
+    # bands, the adjoint's local bands and Radau IIA's stage band all take
+    # the problem's node order; and each lays out its band once, the
+    # reference once over its three doubling levels
+    orderings, layouts = [], []
+    rcm, layout = numerics.reverse_cuthill_mckee, numerics.band_layout
+    monkeypatch.setattr(numerics, "reverse_cuthill_mckee",
+                        lambda *args, **kw: orderings.append(1) or rcm(*args, **kw))
+    monkeypatch.setattr(numerics, "band_layout",
+                        lambda *args: layouts.append(args[0].size) or layout(*args))
+    cfg = RunConfig.from_dict(table_config(14, "ssp343"))
+    fwd = solve_forward(cfg.ode, cfg.pair, cfg.time_grid, cfg.newton)
+    solve_adjoint(cfg.ode, build_cg(cfg.pair, fwd), cfg.qoi_spec, cfg.refine)
+    true_qoi(cfg.ode, cfg.time_grid, cfg.qoi_spec, cfg.reference)
+    assert [sol.t.size - 1 for sol in solves] == [100, 200, 400]
+    assert len(orderings) == 1
+    assert len(layouts) == 3
 
 
 def test_radau_solver_frees_its_factors_with_the_last_step(monkeypatch):
@@ -579,8 +610,9 @@ def test_radau_solver_frees_its_factors_with_the_last_step(monkeypatch):
     gc.disable()
     try:
         sol = reference.solve_ivp(radau_iia, (0.0, 1.0), np.array([1.0]),
-                                  jac=np.array([[-1.0]]), forcing=forcing,
-                                  rate=None, n_steps=2, start_step=start_step)
+                                  system=stage_systems(np.array([[-1.0]])),
+                                  forcing=forcing, rate=None, n_steps=2,
+                                  start_step=start_step)
         assert alive == [True, True] and len(blocks) == 1
         assert factors[0]() is None and blocks[0]() is None
     finally:

@@ -318,11 +318,12 @@ def test_singular_newton_matrix_is_reported_without_a_warning():
 
 @pytest.mark.filterwarnings("error")
 def test_singular_sparse_newton_matrix_is_reported_without_a_warning():
-    # as above, with a CSR g_op: I - k b_ii g_op is factored sparse, and
-    # its first row and column are exactly zero
+    # as above, with a CSR g_op: I - k b_ii g_op is a band on the
+    # operators' pattern, and its first pivot is exactly zero
     g_op = sparse.csr_array(np.diag([4.0, -1.0]))
     prob = SplitOdeProblem(name="sparse-singular", y0=np.ones(2),
                            f_op=sparse.csr_array((2, 2)), g_op=g_op)
+    assert isinstance(newton_matrix(prob)(0.25, prob.y0), Band)
     with pytest.raises(SolverError,
                        match="singular Newton matrix on interval 0, stage 1") as err:
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2))
@@ -361,7 +362,7 @@ def test_burgers_newton_matrix_is_a_band_of_half_width_two(h):
     prob = burgers(0.05, h)
     c = 0.05
     band = newton_matrix(prob)(c, prob.y0)
-    assert (band.kl, band.ku) == (2, 2) and band.order is prob.node_order
+    assert (band.kl, band.ku) == (2, 2) and np.array_equal(band.order, prob.node_order)
     assert_band_solves_the_dense_system(band, np.eye(prob.dim) - c * prob.g_op)
 
 
