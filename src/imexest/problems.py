@@ -52,9 +52,9 @@ class SplitOdeProblem:
     ``f_op``/``g_op`` hold the constant (dim, dim) operator of a half that
     is linear in the state, as a dense array or CSR, and are None for a
     nonlinear half.  A half with an operator is given by it alone:
-    eval_f defaults to y -> f_op y, its Jacobian is the operator, and
-    every state-independent term is carried by the forcing.  A half
-    without one needs eval and jac: jac_f/jac_g take a (P, m) stack of
+    eval_f is y -> f_op y, made by every construction, its Jacobian is
+    the operator, and every state-independent term is carried by the
+    forcing.  A half without one needs eval and jac: jac_f/jac_g take a (P, m) stack of
     states and return the (P, nnz) Jacobian values at jac_pattern's
     entries, in CSR order (the forcing does not depend on the state).
     ``linear`` (both halves carry an operator) makes the forward Newton
@@ -65,12 +65,14 @@ class SplitOdeProblem:
     ``jac_pattern`` states, once, where the Jacobian of f + g may be
     nonzero at any state: a (dim, dim) array or sparse matrix, nonzero
     there, held as CSR with sorted indices.  A problem that is not linear
-    and states none has the full pattern; a linear one with a sparse
-    operator, the union of its two operators' patterns (not the nonzeros
-    of their sum, where f and g could cancel).  Construction refuses an
-    operator half with a nonzero off a stated pattern, since the adjoint
-    reads every Jacobian at the pattern alone.  ``node_order`` orders the
-    pattern's nodes for the bands of both sweeps and of the reference.
+    and states none has the full pattern.  A linear one's is made from
+    its operators by every construction, a stated one unread: the union
+    of their patterns when either is sparse (not the nonzeros of their
+    sum, where f and g could cancel), else None.  Construction refuses an
+    operator half of a problem that is not linear with a nonzero off its
+    pattern, since the adjoint reads every Jacobian at the pattern alone.
+    ``node_order`` orders the pattern's nodes for the bands of both
+    sweeps and of the reference.
 
     A forced problem carries ``pickups`` = (pick_f, pick_g), two (dim, d)
     matrices, dense or CSR, and ``boundary_data``, which maps one time to
@@ -102,15 +104,16 @@ class SplitOdeProblem:
         for half in ("f", "g"):
             op = getattr(self, f"{half}_op")
             if op is not None:
-                setattr(self, f"eval_{half}", getattr(self, f"eval_{half}") or _apply(op))
+                setattr(self, f"eval_{half}", _apply(op))
             elif getattr(self, f"eval_{half}") is None or getattr(self, f"jac_{half}") is None:
                 raise ValueError(f"the {half} half needs {half}_op, or eval_{half} "
                                  f"and jac_{half}")
-        derived = self.linear and self.jac_pattern is None and (
-            sparse.issparse(self.f_op) or sparse.issparse(self.g_op))
-        if derived:
-            self.jac_pattern = sparse.csr_array(self.f_op != 0) + (self.g_op != 0)
-        elif self.jac_pattern is None and not self.linear:
+        if self.linear:
+            # made afresh: a dataclasses.replace copy has its own operators
+            self.jac_pattern = (sparse.csr_array(self.f_op != 0) + (self.g_op != 0)
+                                if sparse.issparse(self.f_op) or sparse.issparse(self.g_op)
+                                else None)
+        elif self.jac_pattern is None:
             self.jac_pattern = np.ones((self.dim, self.dim), dtype=bool)
         if self.jac_pattern is not None:
             self.jac_pattern = sparse.csr_array(self.jac_pattern, dtype=bool)
@@ -119,10 +122,10 @@ class SplitOdeProblem:
             if self.jac_pattern.shape != (self.dim,) * 2:
                 raise ValueError(f"jac_pattern has shape {self.jac_pattern.shape}; "
                                  f"y0 of length {self.dim} needs {(self.dim,) * 2}")
-            # the adjoint reads an operator at the pattern alone; a derived
-            # pattern holds both operators, and is not densified to check
+            # the adjoint reads an operator at the pattern alone; a linear
+            # problem's pattern holds both operators, and is not densified
             for half, op in (("f", self.f_op), ("g", self.g_op)):
-                if (not derived and op is not None
+                if (not self.linear and op is not None
                         and np.any(as_dense(op)[self.jac_pattern.toarray() == 0])):
                     raise ValueError(f"{half}_op is nonzero off jac_pattern")
         if (self.pickups is None) != (self.boundary_data is None):

@@ -36,9 +36,11 @@ The numeric route runs one of this module's two loops, each through
   and Wanner, *Solving ODEs I*, II.5) at rtol and atol on
   ``problem.rhs``, so both read boundary data through
   ``problem.forcing``.  It ports scipy 1.17's ``DOP853`` as
-  ``solve_ivp`` runs it: the same coefficients, first step, error norm,
-  step factors and dense interpolant, the same calls in the same order,
-  and the same bits.
+  ``solve_ivp`` runs it: the same coefficients, first step, error norm
+  and step factors, the same calls in the same order, and the same bits.
+  Handed more times than the two ends, as ``reference_states`` hands it
+  a grid's nodes, it ends a step on each, so the state there is under
+  the error control, which scipy's dense output between steps is not.
 
 Neither loop imports ``scipy.integrate``: that import, with the
 ``scipy.optimize`` and ``scipy.special`` it loads, took over a third of
@@ -49,9 +51,8 @@ steps, rejected ones included, and every Radau IIA step of every
 doubling level, each checked as it starts.  Per ``solve_ivp`` call,
 ``nfev`` counts 3 per Radau step, one forcing row per stage (6 for a
 time-integrated QoI, whose integrand is read at the stage values), or
-12 right-hand-side calls per DOP853 attempt plus 2 to start (and 3 per
-accepted step for a dense solve's interpolant), and ``t.size - 1``
-counts the accepted steps.
+12 right-hand-side calls per DOP853 attempt plus 2 to start, and
+``t.size - 1`` counts the accepted steps.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,16 +92,16 @@ def _table(shape, entries: dict) -> np.ndarray:
 
 
 # DOP853's coefficients (Hairer, Norsett and Wanner, *Solving ODEs I*, II.5,
-# and Hairer's Fortran code): 12 stages (rows and nodes 0-11), the order-8
-# weights (row 12) and three more stages for the dense interpolant (rows
-# and nodes 13-15).  Each literal is the shortest that rounds to the double
-# of the published 30-digit value; the tests pin every table to scipy's.
+# and Hairer's Fortran code): 12 stages (rows and nodes 0-11) and the
+# order-8 weights (row 12).  Each literal is the shortest that rounds to the
+# double of the published 30-digit value; the tests pin every table to
+# scipy's.
 DOP853_C = np.array([
     0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
-    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2, 0.7777777777777778,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
 ])
-DOP853_A = _table((16, 16), {
+DOP853_A = _table((13, 12), {
     (1, 0): 0.05260015195876773,
     (2, 0): 0.0197250569845379, (2, 1): 0.0591751709536137,
     (3, 0): 0.02958758547680685, (3, 2): 0.08876275643042054,
@@ -130,20 +131,8 @@ DOP853_A = _table((16, 16), {
     (12, 6): 1.8915178993145003, (12, 7): -5.801203960010585,
     (12, 8): 0.3111643669578199, (12, 9): -0.1521609496625161,
     (12, 10): 0.20136540080403034, (12, 11): 0.04471061572777259,
-    (13, 0): 0.056167502283047954, (13, 6): 0.25350021021662483,
-    (13, 7): -0.2462390374708025, (13, 8): -0.12419142326381637,
-    (13, 9): 0.15329179827876568, (13, 10): 0.00820105229563469,
-    (13, 11): 0.007567897660545699, (13, 12): -0.008298,
-    (14, 0): 0.03183464816350214, (14, 5): 0.028300909672366776,
-    (14, 6): 0.053541988307438566, (14, 7): -0.05492374857139099,
-    (14, 10): -0.00010834732869724932, (14, 11): 0.0003825710908356584,
-    (14, 12): -0.00034046500868740456, (14, 13): 0.1413124436746325,
-    (15, 0): -0.42889630158379194, (15, 5): -4.697621415361164,
-    (15, 6): 7.683421196062599, (15, 7): 4.06898981839711, (15, 8): 0.3567271874552811,
-    (15, 12): -0.0013990241651590145, (15, 13): 2.9475147891527724,
-    (15, 14): -9.15095847217987,
 })
-DOP853_B = DOP853_A[12, :12]
+DOP853_B = DOP853_A[12]
 # the weights of the embedded order-5 and order-3 error estimates, stages 0-12
 DOP853_E5 = _table(13, {
     0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
@@ -152,30 +141,6 @@ DOP853_E5 = _table(13, {
 })
 DOP853_E3 = np.append(DOP853_B, 0.0)
 DOP853_E3[[0, 8, 11]] -= (0.2440944881889764, 0.7338466882816118, 0.022058823529411766)
-# the interpolant's coefficients 3-6 over the 16 stages (0-2 come from the
-# step's two ends)
-DOP853_D = _table((4, 16), {
-    (0, 0): -8.428938276109013, (0, 5): 0.5667149535193777, (0, 6): -3.0689499459498917,
-    (0, 7): 2.38466765651207, (0, 8): 2.117034582445028, (0, 9): -0.871391583777973,
-    (0, 10): 2.2404374302607883, (0, 11): 0.6315787787694688,
-    (0, 12): -0.08899033645133331, (0, 13): 18.148505520854727,
-    (0, 14): -9.194632392478356, (0, 15): -4.436036387594894,
-    (1, 0): 10.427508642579134, (1, 5): 242.28349177525817, (1, 6): 165.20045171727028,
-    (1, 7): -374.5467547226902, (1, 8): -22.113666853125306, (1, 9): 7.733432668472264,
-    (1, 10): -30.674084731089398, (1, 11): -9.332130526430229,
-    (1, 12): 15.697238121770845, (1, 13): -31.139403219565178,
-    (1, 14): -9.35292435884448, (1, 15): 35.81684148639408,
-    (2, 0): 19.985053242002433, (2, 5): -387.0373087493518, (2, 6): -189.17813819516758,
-    (2, 7): 527.8081592054236, (2, 8): -11.57390253995963, (2, 9): 6.8812326946963,
-    (2, 10): -1.0006050966910838, (2, 11): 0.7777137798053443,
-    (2, 12): -2.778205752353508, (2, 13): -60.19669523126412,
-    (2, 14): 84.32040550667716, (2, 15): 11.99229113618279,
-    (3, 0): -25.69393346270375, (3, 5): -154.18974869023643, (3, 6): -231.5293791760455,
-    (3, 7): 357.6391179106141, (3, 8): 93.40532418362432, (3, 9): -37.45832313645163,
-    (3, 10): 104.0996495089623, (3, 11): 29.8402934266605, (3, 12): -43.53345659001114,
-    (3, 13): 96.32455395918828, (3, 14): -39.17726167561544,
-    (3, 15): -149.72683625798564,
-})
 
 # DOP853's step control: the next step is this one times 0.9 err^(-1/8),
 # within [_MIN_FACTOR, _MAX_FACTOR], and never grows right after a rejection
@@ -247,16 +212,14 @@ def qoi_from_states(states, grid: TimeGrid, qoi: QoiSpec) -> float:
 
 class Solution(NamedTuple):
     """One solve: the accepted step times t (steps + 1,) and the states y
-    (n, steps + 1) at them, from the initial one; nfev right-hand-side
-    calls or forcing rows; and sol, a dense solve's interpolant
-    nodes (P,) -> (n, P) states, else None."""
+    (n, steps + 1) at them, from the initial one; and nfev right-hand-side
+    calls or forcing rows."""
     t: np.ndarray
     y: np.ndarray
     nfev: int
-    sol: Optional[Callable] = None
 
 
-def solve_ivp(method, t_span: tuple, z0: np.ndarray, **options) -> Solution:
+def solve_ivp(method, t_span, z0: np.ndarray, **options) -> Solution:
     """method(t_span, z0, **options), method ``radau_iia`` or ``dop853``:
     the one call through which every numeric solve of this module runs."""
     return method(t_span, z0, **options)
@@ -347,28 +310,13 @@ def _dop853_first_step(fun, t0: float, z0, f0, t_bound: float, rtol: float,
     return min(100 * h0, h1, length, max_step)
 
 
-def _dop853_interpolant(ts: np.ndarray, zs: np.ndarray, coefficients: list):
-    """nodes (P,) -> (n, P) states from each accepted step's seven
-    interpolant coefficients; a node on a step boundary takes the earlier
-    step, and one outside [ts[0], ts[-1]] the nearest end step."""
-    coefficients = np.stack(coefficients)
-
-    def at(nodes):
-        nodes = np.asarray(nodes, dtype=float)
-        step = np.clip(np.searchsorted(ts, nodes) - 1, 0, len(coefficients) - 1)
-        x = ((nodes - ts[step]) / (ts[step + 1] - ts[step]))[:, None]
-        y = np.zeros((nodes.size, zs.shape[1]))
-        for j in range(6, -1, -1):
-            y += coefficients[step, j]
-            y *= x if j % 2 == 0 else 1 - x
-        return (y + zs[step]).T
-    return at
-
-
-def dop853(t_span: tuple, z0: np.ndarray, *, fun, rtol: float, atol: float,
-           max_step: float, start_step, dense: bool = False) -> Solution:
-    """The DOP853 solution of z' = fun(t, z) from z0 over t_span, at rtol,
-    atol and max_step, with the interpolant as ``sol`` if dense.
+def dop853(t_span, z0: np.ndarray, *, fun, rtol: float, atol: float,
+           max_step: float, start_step) -> Solution:
+    """The DOP853 solution of z' = fun(t, z) from z0 at rtol, atol and
+    max_step over t_span, an increasing sequence of times whose first and
+    last bound the solve: a step that would pass the next of them ends on
+    it, so every one is an accepted step's time.  Handed (t0, T), this is
+    scipy's DOP853 to the bit.
 
     start_step() is called as each attempted step starts, rejected ones
     included; it may raise to stop the solve.  A step that falls below
@@ -381,13 +329,16 @@ def dop853(t_span: tuple, z0: np.ndarray, *, fun, rtol: float, atol: float,
         nfev += 1
         return fun(t, z)
 
-    t, t_bound = map(float, t_span)
+    times = [float(t) for t in t_span]
+    t, t_bound, stop = times[0], times[-1], 1
     z = z0
     f_z = f(t, z)
     h_abs = _dop853_first_step(f, t, z, f_z, t_bound, rtol, atol, max_step)
-    stages = np.empty((16, z.size))
-    ts, zs, coefficients = [t], [z], []
+    stages = np.empty((13, z.size))
+    ts, zs = [t], [z]
     while t < t_bound:
+        while times[stop] <= t:
+            stop += 1
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
         if h_abs > max_step:
             h_abs = max_step
@@ -399,7 +350,7 @@ def dop853(t_span: tuple, z0: np.ndarray, *, fun, rtol: float, atol: float,
                 raise ReferenceError("reference integration failed: Required step "
                                      "size is less than spacing between numbers.")
             start_step()
-            t_new = min(t + h_abs, t_bound)
+            t_new = min(t + h_abs, times[stop])
             h = t_new - t
             h_abs = np.abs(h)
             stages[0] = f_z
@@ -410,8 +361,8 @@ def dop853(t_span: tuple, z0: np.ndarray, *, fun, rtol: float, atol: float,
             f_new = f(t + h, z_new)
             stages[12] = f_new
             scale = atol + np.maximum(np.abs(z), np.abs(z_new)) * rtol
-            err5 = np.linalg.norm(np.dot(stages[:13].T, DOP853_E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(stages[:13].T, DOP853_E3) / scale) ** 2
+            err5 = np.linalg.norm(np.dot(stages.T, DOP853_E5) / scale) ** 2
+            err3 = np.linalg.norm(np.dot(stages.T, DOP853_E3) / scale) ** 2
             if err5 == 0 and err3 == 0:
                 error = 0.0
             else:
@@ -423,29 +374,18 @@ def dop853(t_span: tuple, z0: np.ndarray, *, fun, rtol: float, atol: float,
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error ** _ERROR_EXPONENT)
             rejected = True
-        if dense:
-            for s in range(13, 16):
-                stages[s] = f(t + DOP853_C[s] * h,
-                              z + np.dot(stages[:s].T, DOP853_A[s, :s]) * h)
-            dz = z_new - z
-            coefficients.append(np.vstack((dz, h * stages[0] - dz,
-                                           2 * dz - h * (f_new + stages[0]),
-                                           h * np.dot(DOP853_D, stages))))
         t, z, f_z = t_new, z_new, f_new
         ts.append(t)
         zs.append(z)
-    ts, zs = np.array(ts), np.vstack(zs)
-    sol = _dop853_interpolant(ts, zs, coefficients) if dense else None
-    return Solution(ts, zs.T, nfev, sol=sol)
+    return Solution(np.array(ts), np.vstack(zs).T, nfev)
 
 
-def _dop853(fun, t_span: tuple, z0: np.ndarray, rtol: float, atol: float,
-            config: ReferenceConfig, dense: bool = False) -> Solution:
+def _dop853(fun, t_span, z0: np.ndarray, rtol: float, atol: float,
+            config: ReferenceConfig) -> Solution:
     """The DOP853 solution of z' = fun(t, z) from z0 over t_span; a
     ReferenceError once it starts step config.step_cap + 1 or fails."""
     return solve_ivp(dop853, t_span, z0, fun=fun, rtol=rtol, atol=atol,
-                     max_step=config.max_step, start_step=_step_counter(config),
-                     dense=dense)
+                     max_step=config.max_step, start_step=_step_counter(config))
 
 
 def _radau_qoi(problem: SplitOdeProblem, rate, t_span: tuple, z0: np.ndarray,
@@ -518,19 +458,20 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
         yield value(_dop853(fun, t_span, z0, rtol, atol, config).y[:, -1])
 
 
-def reference_states(problem: SplitOdeProblem, t_end: float,
-                     config: ReferenceConfig | None = None):
-    """The reference trajectory on [0, t_end] as nodes -> (P, m) states:
-    the exact solution config.mode picks, else DOP853's dense output at
-    config.rtol, atol, max_step and step_cap (verify and verify_ratio
-    judge a QoI and are not read here)."""
+def reference_states(problem: SplitOdeProblem, nodes,
+                     config: ReferenceConfig | None = None) -> np.ndarray:
+    """The (P, m) reference states at nodes, increasing times from y0's
+    time 0: the exact solution config.mode picks, sampled there, else one DOP853
+    solve at config.rtol, atol, max_step and step_cap whose steps end on
+    every node (verify and verify_ratio judge a QoI and are not read
+    here)."""
     config = config or ReferenceConfig()
     exact = exact_solution(problem, config.mode)
     if exact is not None:
-        return lambda nodes: np.stack([exact(t) for t in nodes])
-    sol = _dop853(lambda t, y: problem.rhs(y, t), (0.0, t_end), problem.y0,
-                  config.rtol, config.atol, config, dense=True)
-    return lambda nodes: sol.sol(nodes).T
+        return np.stack([exact(t) for t in nodes])
+    sol = _dop853(lambda t, y: problem.rhs(y, t), nodes, problem.y0,
+                  config.rtol, config.atol, config)
+    return sol.y[:, np.searchsorted(sol.t, nodes)].T
 
 
 def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,

@@ -128,12 +128,11 @@ def band_matrix(band) -> np.ndarray:
 
 def dense_form(problem):
     """A linear forced problem rebuilt from dense copies of its operators
-    and pickups, without the pattern derived from its sparse ones, so
-    every system made from them is dense."""
+    and pickups; it derives no pattern from them, so every system made
+    from them is dense."""
     return dataclasses.replace(
         problem, f_op=as_dense(problem.f_op), g_op=as_dense(problem.g_op),
-        pickups=tuple(map(as_dense, problem.pickups)), eval_f=None, eval_g=None,
-        jac_pattern=None)
+        pickups=tuple(map(as_dense, problem.pickups)))
 
 
 def without_operators(problem):
@@ -142,7 +141,7 @@ def without_operators(problem):
     def constant(op):
         values = as_dense(op).ravel()
         return lambda ys: np.broadcast_to(values, (len(ys), values.size))
-    return dataclasses.replace(problem, f_op=None, g_op=None,
+    return dataclasses.replace(problem, f_op=None, g_op=None, jac_pattern=None,
                                jac_f=constant(problem.f_op),
                                jac_g=constant(problem.g_op))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from imexest import cli, numerics
+from imexest import cli, numerics, reference
 from imexest.cli import (
     COMPONENT_COLUMNS,
     SCHEME_ORDER,
@@ -25,7 +25,7 @@ from imexest.cli import (
 )
 from imexest.problems import mhd_alfven, split_scalar_bernoulli, split_scalar_linear
 from imexest.adjoint import DEFAULT_REFINE
-from imexest.reference import ReferenceConfig, ReferenceError
+from imexest.reference import ReferenceConfig, ReferenceError, reference_states
 from imexest.solver import NewtonConfig, SolverError, TimeGrid, solve_forward
 from imexest.tableaus import builtin
 
@@ -559,17 +559,20 @@ def test_convergence_study_zero_field_has_no_orders():
 
 
 def test_convergence_study_without_exact_solution_matches_an_rhs_oracle():
-    # the dense reference integrates problem.rhs with DOP853
+    # the reference integrates problem.rhs with DOP853, stepping onto the
+    # finest level's nodes; each coarser level reads every 2^j-th of them
     prob = mhd_alfven(h=0.05)
-    rows = convergence_study(prob, "ssp343", 0.01, 3, 0.1,
-                             reference=ReferenceConfig(rtol=1e-12, atol=1e-13))
-    sol = solve_ivp(lambda t, y: prob.rhs(y, t), (0.0, 0.1), prob.y0,
-                    method="DOP853", rtol=1e-12, atol=1e-13, dense_output=True)
+    cfg = ReferenceConfig(rtol=1e-12, atol=1e-13)
+    rows = convergence_study(prob, "ssp343", 0.01, 3, 0.1, reference=cfg)
+    nodes = TimeGrid.uniform(0.1, 40).nodes
+    states = reference_states(prob, nodes, cfg)
+    oracle = solve_ivp(lambda t, y: prob.rhs(y, t), (0.0, 0.1), prob.y0,
+                       method="DOP853", rtol=1e-13, atol=1e-15, t_eval=nodes)
+    assert np.abs(states - oracle.y.T).max() <= 1e-10
     for lev, row in enumerate(rows):
         grid = TimeGrid.uniform(0.1, 10 * 2 ** lev)
         fwd = solve_forward(prob, builtin("ssp343"), grid)
-        want = float(np.abs(sol.sol(grid.nodes).T - fwd.nodal).max())
-        assert row["error"] == pytest.approx(want, rel=1e-12)
+        assert row["error"] == float(np.abs(states[::2 ** (2 - lev)] - fwd.nodal).max())
 
 
 def test_convergence_study_analytic_mode_samples_the_pde_solution():
@@ -587,15 +590,25 @@ def test_convergence_study_analytic_mode_samples_the_pde_solution():
         assert row["error"] != other["error"]
 
 
-def test_convergence_study_step_cap_counts_dense_output():
+def test_convergence_study_step_cap_counts_attempted_steps(monkeypatch):
     prob = split_scalar_linear(-0.4, -0.6, 1.0)
     prob.analytic = None
     cfg = ReferenceConfig()
-    sol = solve_ivp(lambda t, y: prob.rhs(y, t), (0.0, 1.0), prob.y0,
-                    method="DOP853", rtol=cfg.rtol, atol=cfg.atol, dense_output=True)
-    steps = sol.t.size - 1  # 5 with scipy 1.17
-    # no rejected step: 2 to start, 12 per step and 3 for its interpolant
-    assert sol.nfev == 2 + 15 * steps
+    solves = []
+    real = reference.solve_ivp
+
+    def recorded(*args, **kwargs):
+        solves.append(real(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(reference, "solve_ivp", recorded)
+    convergence_study(prob, "mid122", 0.25, 3, 1.0, reference=cfg)
+    (sol,) = solves
+    # the solve ends a step on each of the finest level's 16 nodes; no
+    # step is rejected: 2 calls to start and 12 a step
+    steps = sol.t.size - 1
+    assert set(TimeGrid.uniform(1.0, 16).nodes) <= set(sol.t)
+    assert sol.nfev == 2 + 12 * steps
     rows = convergence_study(prob, "mid122", 0.25, 3, 1.0,
                              reference=replace(cfg, step_cap=steps))
     assert len(rows) == 3

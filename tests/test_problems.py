@@ -1,5 +1,7 @@
 """Tests for the split ODE systems and the finite-difference benchmarks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -805,6 +807,29 @@ def test_a_half_is_given_by_its_operator_or_by_eval_and_jac():
     with pytest.raises(ValueError, match="f half needs f_op, or eval_f and jac_f"):
         problems.SplitOdeProblem(name="no-f", y0=np.ones(2), g_op=g_op,
                                  eval_f=lambda y: y * y)
+
+
+def test_a_replaced_operator_gives_its_half_its_evaluation():
+    # a copy made with dataclasses.replace evaluates its own operator, not
+    # the one it replaced, so the forward and the adjoint solve one f
+    prob = dataclasses.replace(split_scalar_linear(-1.0, -2.0, 1.0), f_op=[[5.0]])
+    assert np.array_equal(prob.eval_f(np.array([1.0])), [5.0])
+    assert np.array_equal(prob.eval_g(np.array([1.0])), [-2.0])
+
+
+def test_a_replaced_operator_gives_a_linear_problem_its_pattern():
+    # a linear problem derives its pattern from its operators on every
+    # construction: a copy with a new entry in g_op carries it, where the
+    # copied pattern would refuse the operator as nonzero off it
+    prob = mhd_alfven(h=0.05)
+    g_op = prob.g_op.tolil()
+    g_op[0, prob.dim - 1] = 1.0
+    copy = dataclasses.replace(prob, g_op=sparse.csr_array(g_op))
+    want = sparse.csr_array(prob.f_op != 0) + (copy.g_op != 0)
+    assert (copy.jac_pattern != want).nnz == 0
+    assert copy.jac_pattern[0, prob.dim - 1] and not prob.jac_pattern[0, prob.dim - 1]
+    assert dataclasses.replace(copy, f_op=prob.f_op.toarray(),
+                               g_op=copy.g_op.toarray()).jac_pattern is None
 
 
 @pytest.mark.parametrize("case", range(8), ids=[

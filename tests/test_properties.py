@@ -4,9 +4,10 @@ final-time and time-varying time-integrated QoIs, every built-in scheme
 and random valid IMEX pairs: inputs the shipped benchmarks never use.
 Also the estimate's sharpening as the adjoint grid is refined on one
 linear system, over a uniform grid and random graded ones, a piecewise
-polynomial's span readers against its whole-grid tables, and the band
+polynomial's span readers against its whole-grid tables, the band
 systems of an adjoint block form and of a stage form on random sparse
-patterns."""
+patterns, and the reference states DOP853 steps onto on random uniform
+grids."""
 
 from types import SimpleNamespace
 
@@ -27,7 +28,8 @@ from imexest.numerics import (  # noqa: E402
     GAUSS_NODES, BlockForm, StageForm, lu_factor, node_order)
 from imexest.problems import (  # noqa: E402
     QoiSpec, split_linear_system, split_scalar_bernoulli)
-from imexest.reference import qoi_from_states, true_qoi  # noqa: E402
+from imexest.reference import (  # noqa: E402
+    ReferenceConfig, qoi_from_states, reference_states, true_qoi)
 from imexest.reconstruct import PiecewisePolynomial, build_cg  # noqa: E402
 from imexest.solver import TimeGrid, solve_forward  # noqa: E402
 from imexest.tableaus import ButcherTableau, ImexPair, builtin, validate  # noqa: E402
@@ -331,3 +333,22 @@ def test_stage_band_is_the_kronecker_system_on_random_patterns(case):
     assert np.all(np.abs(np.diagonal(want)) > off_diagonal)
     got = lu_factor(band, singular=ZeroDivisionError)(rhs)
     np.testing.assert_allclose(got, np.linalg.solve(want, rhs), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lam=st.floats(-2.0, -0.5), mu=st.floats(-0.5, 0.5),
+       y0=st.floats(0.1, 1.0, exclude_min=True, exclude_max=True),
+       rtol_exponent=st.floats(-12.0, -4.0), t_end=st.floats(0.1, 3.0),
+       n=st.integers(1, 40))
+def test_node_stepping_reference_matches_the_closed_form(lam, mu, y0, rtol_exponent,
+                                                        t_end, n):
+    # w = 1 / y solves w' = -lam w - mu from 1 / y0 > 1 > |mu / lam|, so w
+    # grows and never crosses zero: y stays in (0, 1)
+    prob = split_scalar_bernoulli(lam, mu, y0)
+    nodes = TimeGrid.uniform(t_end, n).nodes
+    rtol = 10.0 ** rtol_exponent
+    cfg = ReferenceConfig(mode="high-order-numeric", rtol=rtol, atol=1e-2 * rtol)
+    got = reference_states(prob, nodes, cfg)
+    want = np.stack([prob.analytic(t) for t in nodes])
+    assert got.shape == want.shape == (n + 1, 1)
+    assert np.abs(got - want).max() <= 10.0 * (cfg.rtol * np.abs(want).max() + cfg.atol)

@@ -14,6 +14,7 @@ from imexest.cli import RunConfig, table_config
 from imexest.numerics import Band, StageForm
 from imexest.problems import (
     QoiSpec,
+    burgers,
     mhd_alfven,
     qoi_integral_v,
     split_linear_system,
@@ -169,9 +170,9 @@ def test_dop853_verify_tightens_a_hundredfold_down_to_the_floor(
     tolerances = []
     real_dop853 = reference._dop853
 
-    def recorded(fun, t_span, z0, rtol, atol, config, dense=False):
+    def recorded(fun, t_span, z0, rtol, atol, config):
         tolerances.append(rtol)
-        return real_dop853(fun, t_span, z0, rtol, atol, config, dense)
+        return real_dop853(fun, t_span, z0, rtol, atol, config)
 
     monkeypatch.setattr(reference, "_dop853", recorded)
     cfg = ReferenceConfig(mode="high-order-numeric", rtol=rtol, verify=True)
@@ -352,24 +353,24 @@ def solves(monkeypatch):
 
 
 def test_dense_step_cap_counts_rejected_steps(solves):
-    # a dense solve reads 3 more calls per accepted step for its
-    # interpolant; a rejected step makes none of them, and the cap still
-    # bounds the attempts exactly
+    # reference_states' solve, stepping onto nodes, makes 12 calls per
+    # attempt and 2 to start, as the QoI route does, and the cap bounds
+    # the attempts exactly
     prob = mhd_alfven(h=0.05)
     cfg = ReferenceConfig(mode="high-order-numeric", rtol=1e-4)
-    reference_states(prob, 0.1, cfg)
+    reference_states(prob, MHD_GRID.nodes, cfg)
     (sol,) = solves
     accepted = sol.t.size - 1
-    attempts = (sol.nfev - 2 - len(DOP853.C_EXTRA) * accepted) // DOP853.n_stages
-    assert attempts > accepted  # 80 attempts for 40 accepted with scipy 1.17
-    reference_states(prob, 0.1, replace(cfg, step_cap=attempts))
+    attempts, rest = divmod(sol.nfev - 2, DOP853.n_stages)
+    assert rest == 0 and attempts > accepted  # 85 attempts for 40 accepted
+    reference_states(prob, MHD_GRID.nodes, replace(cfg, step_cap=attempts))
     with pytest.raises(ReferenceError, match=f"cap {attempts - 1}"):
-        reference_states(prob, 0.1, replace(cfg, step_cap=attempts - 1))
+        reference_states(prob, MHD_GRID.nodes, replace(cfg, step_cap=attempts - 1))
 
 
 def test_dense_reference_reads_the_boundary_data_through_forcing_alone():
     # DOP853 integrates problem.rhs, so a forced problem's boundary data
-    # has one reader, problem.forcing, on the dense route too
+    # has one reader, problem.forcing, on reference_states' route too
     prob = mhd_alfven(h=0.05)
     forcing, data = prob.forcing, prob.boundary_data
     inside, reads = False, []
@@ -387,8 +388,8 @@ def test_dense_reference_reads_the_boundary_data_through_forcing_alone():
         return data(t)
 
     prob.forcing, prob.boundary_data = counted_forcing, counted_data
-    states = reference_states(prob, 0.01)
-    assert np.isfinite(states(np.linspace(0.0, 0.01, 3))).all()
+    states = reference_states(prob, np.linspace(0.0, 0.01, 3))
+    assert states.shape == (3, prob.dim) and np.isfinite(states).all()
     assert len(reads) > 0 and all(reads)
 
 
@@ -664,14 +665,11 @@ def bits(a) -> np.ndarray:
 
 
 @pytest.mark.parametrize("name, ours", [
-    ("A", reference.DOP853_A[:12, :12]),
+    ("A", reference.DOP853_A[:12]),
     ("B", reference.DOP853_B),
-    ("C", reference.DOP853_C[:12]),
+    ("C", reference.DOP853_C),
     ("E3", reference.DOP853_E3),
     ("E5", reference.DOP853_E5),
-    ("D", reference.DOP853_D),
-    ("A_EXTRA", reference.DOP853_A[13:]),
-    ("C_EXTRA", reference.DOP853_C[13:]),
 ])
 def test_dop853_tables_are_scipys_to_the_bit(name, ours):
     theirs = getattr(DOP853, name)
@@ -679,9 +677,9 @@ def test_dop853_tables_are_scipys_to_the_bit(name, ours):
     assert np.array_equal(bits(ours), bits(theirs))
 
 
-def scipy_solve(fun, t_span, z0, rtol, atol, max_step, dense_output=False, **_):
+def scipy_solve(fun, t_span, z0, rtol, atol, max_step, **_):
     return solve_ivp(fun, t_span, z0, method="DOP853", rtol=rtol, atol=atol,
-                     max_step=max_step, dense_output=dense_output)
+                     max_step=max_step)
 
 
 def assert_same_solve(ours, theirs):
@@ -704,25 +702,40 @@ def test_dop853_reproduces_scipy_on_the_burgers_references(monkeypatch, table,
     cfg = RunConfig.from_dict(table_config(table, "mid122"))
     true_qoi(cfg.ode, cfg.time_grid, cfg.qoi_spec, cfg.reference)
     ((method, t_span, z0, options, ours),) = calls
-    assert method is dop853 and not options["dense"]
+    assert method is dop853 and len(t_span) == 2
     assert (ours.nfev, ours.t.size - 1) == (nfev, steps)  # with scipy 1.17
     assert_same_solve(ours, scipy_solve(options.pop("fun"), t_span, z0, **options))
 
 
-def test_dop853_interpolant_reproduces_scipys_on_the_alfven_converge_reference(solves):
-    # the reference states `imexest converge` reads on the Alfven wave
+def test_dop853_steps_onto_every_node_of_the_alfven_converge_reference(solves):
+    # the reference states `imexest converge` reads on the Alfven wave: the
+    # steps before the first inner node are scipy's, every node is a step's
+    # end, and the states there are the solve's
     prob = mhd_alfven(h=0.05)
     cfg = ReferenceConfig()
-    states = reference_states(prob, 0.01, cfg)
+    nodes = TimeGrid.uniform(0.01, 40).nodes
+    states = reference_states(prob, nodes, cfg)
     (ours,) = solves
     theirs = scipy_solve(lambda t, y: prob.rhs(y, t), (0.0, 0.01), prob.y0, cfg.rtol,
-                         cfg.atol, cfg.max_step, dense_output=True)
-    assert_same_solve(ours, theirs)
-    assert ours.t.size > 3
-    nodes = np.random.default_rng(7).uniform(0.0, 0.01, 200)
-    for at in (nodes, ours.t, ours.t[::-1]):
-        assert np.array_equal(bits(ours.sol(at)), bits(theirs.sol(at)))
-        assert np.array_equal(bits(states(at)), bits(theirs.sol(at).T))
+                         cfg.atol, cfg.max_step)
+    before = theirs.t[theirs.t < nodes[1]]
+    assert before.size > 3
+    assert np.array_equal(bits(ours.t[:before.size]), bits(before))
+    assert np.array_equal(bits(ours.y[:, :before.size]), bits(theirs.y[:, :before.size]))
+    at = np.searchsorted(ours.t, nodes)
+    assert np.array_equal(bits(ours.t[at]), bits(nodes))
+    assert np.array_equal(bits(states), bits(ours.y[:, at].T))
+
+
+def test_node_stepping_reference_of_burgers_is_within_its_tolerances():
+    # table 10's Burgers problem at the 161 nodes of a 4-level converge
+    # sweep from k = 0.05, at the default rtol of 1e-10: DOP853's dense
+    # output, outside its error control, is off by 6.5e-8 there
+    prob = burgers(0.05, 0.025)
+    nodes = TimeGrid.uniform(1.0, 160).nodes
+    want = solve_ivp(lambda t, y: prob.rhs(y, t), (0.0, 1.0), prob.y0, method="DOP853",
+                     rtol=1e-13, atol=1e-15, t_eval=nodes).y.T
+    assert np.abs(reference_states(prob, nodes) - want).max() <= 1e-9
 
 
 def test_dop853_fails_where_scipy_does_at_a_blow_up():
