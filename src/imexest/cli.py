@@ -293,7 +293,7 @@ class RunConfig:
         reference = ReferenceConfig(
             **{**ref, "max_step": float(ref["max_step"])})
         with _labelled("config.reference"):
-            exact_solution(ode, reference.mode)
+            exact_solution(ode, reference.mode, 0.0)  # grids start at 0
         # JSON has no infinity: the echo writes it as the string "inf"
         echo["reference"] = ({**ref, "max_step": "inf"}
                              if reference.max_step == np.inf else ref)

@@ -161,12 +161,11 @@ class SplitOdeProblem:
         return tuple(_apply(pick)(data).reshape(*times.shape, -1)
                      for pick in self.pickups)
 
-    def halves(self, y: Array, t, force=None) -> tuple[Array, Array]:
-        """(f(y, t), g(y, t)) with one forcing evaluation, or none when the
-        caller hands in ``force``, the forcing at t it already has."""
+    def halves(self, y: Array, t) -> tuple[Array, Array]:
+        """(f(y, t), g(y, t)) with one forcing evaluation."""
         f, g = self.eval_f(y), self.eval_g(y)
         if self.pickups is not None:
-            force_f, force_g = self.forcing(t) if force is None else force
+            force_f, force_g = self.forcing(t)
             f, g = f + force_f, g + force_g
         return f, g
 

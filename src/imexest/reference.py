@@ -178,16 +178,20 @@ class ReferenceConfig:
                                  f"got {getattr(self, name)!r}")
 
 
-def exact_solution(problem: SplitOdeProblem, mode: str):
-    """The exact trajectory t -> state a reference samples in this mode, or
-    None for the high-order numeric route.
+def exact_solution(problem: SplitOdeProblem, mode: str, start: float):
+    """The exact trajectory t -> state a reference samples in this mode
+    for a trajectory from y0 at time start, or None for the numeric route.
 
-    "auto" takes ``problem.analytic`` when there is one; "analytic" takes
-    it, else ``problem.pde_solution``, and raises ReferenceError with
-    neither; "high-order-numeric" never samples.
+    An exact solution holds y0 at t = 0.  "auto" takes ``problem.analytic``
+    when there is one and start is 0; "analytic" takes it, else
+    ``problem.pde_solution``, and raises ReferenceError with neither or
+    another start; "high-order-numeric" never samples.
     """
-    if mode == "high-order-numeric":
+    if mode == "high-order-numeric" or (mode == "auto" and start != 0.0):
         return None
+    if start != 0.0:
+        raise ReferenceError("mode 'analytic' samples an exact solution from "
+                             f"t=0; this trajectory starts at t={start:g}")
     if mode == "auto" or problem.analytic is not None:
         return problem.analytic
     if problem.pde_solution is None:
@@ -461,12 +465,12 @@ def _numeric_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
 def reference_states(problem: SplitOdeProblem, nodes,
                      config: ReferenceConfig | None = None) -> np.ndarray:
     """The (P, m) reference states at nodes, increasing times from y0's
-    time 0: the exact solution config.mode picks, sampled there, else one DOP853
-    solve at config.rtol, atol, max_step and step_cap whose steps end on
-    every node (verify and verify_ratio judge a QoI and are not read
-    here)."""
+    time nodes[0]: the exact solution config.mode picks for that start,
+    sampled there, else one DOP853 solve at config.rtol, atol, max_step
+    and step_cap whose steps end on every node (verify and verify_ratio
+    judge a QoI and are not read here)."""
     config = config or ReferenceConfig()
-    exact = exact_solution(problem, config.mode)
+    exact = exact_solution(problem, config.mode, float(nodes[0]))
     if exact is not None:
         return np.stack([exact(t) for t in nodes])
     sol = _dop853(lambda t, y: problem.rhs(y, t), nodes, problem.y0,
@@ -479,16 +483,16 @@ def true_qoi(problem: SplitOdeProblem, grid: TimeGrid, qoi: QoiSpec,
              imex_qoi: float | None = None) -> float:
     """Reference QoI value.
 
-    mode="auto" prefers the exact solution when the problem carries one
-    and falls back to the high-order numeric route.  With verify=True
-    each numeric value is checked against the next, finer one
-    _numeric_qoi gives, for at most three comparisons, and the first
+    mode="auto" prefers the exact solution the problem carries for the
+    grid's start and falls back to the high-order numeric route.  With
+    verify=True each numeric value is checked against the next, finer
+    one _numeric_qoi gives, for at most three comparisons, and the first
     finer value that agrees is returned.  They agree when the change is
     small relative to the IMEX error being measured (imex_qoi), or
     without imex_qoi, relative to the value and the tolerances.
     """
     config = config or ReferenceConfig()
-    exact = exact_solution(problem, config.mode)
+    exact = exact_solution(problem, config.mode, float(grid.nodes[0]))
     if exact is not None:
         if qoi.kind == "final-time":
             return qoi_from_states(exact(grid.t_end), grid, qoi)

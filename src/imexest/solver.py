@@ -4,17 +4,18 @@ Stage i solves
 
     X = Y_n + k_n * sum_{j<i} A[i,j] f_j + k_n * sum_{j<=i} B[i,j] g_j
 
-where only the B[i,i] g(X) term is implicit; a zero implicit diagonal
-entry makes the stage explicit.  All right-hand-side evaluations,
-including the explicit half, are pinned to the implicit abscissae times
-t_n + k_n d_i, which is what the shared quadrature of the error
-estimator assumes.
+where only the B[i,i] g(X) term is implicit.  Every stage runs Newton's
+method on that equation; a zero implicit diagonal entry makes the stage
+explicit, and its residual is zero at the first check.  All
+right-hand-side evaluations, including the explicit half, are pinned to
+the implicit abscissae times t_n + k_n d_i, which is what the shared
+quadrature of the error estimator assumes.
 
-An implicit stage runs Newton's method on I - k_n B[i,i] J_g, laid out
-by ``numerics.StageForm``: a LAPACK band on the problem's Jacobian
+Newton's matrix is I - c J_g with c = k_n B[i,i], laid out by
+``numerics.StageForm``: a LAPACK band on the problem's Jacobian
 pattern, in the node order the adjoint's and the reference's bands
-share, or a dense array for a problem without a pattern.  A linear
-problem's is factored once per step size and stage coefficient, any
+share, or a dense array for a problem without a pattern.
+``newton_solves`` alone factors it: a linear problem's once per c, any
 other's on every iteration.
 """
 
@@ -118,26 +119,32 @@ class ForwardSolution:
         return self.nodal[-1]
 
 
-def newton_matrix(problem: SplitOdeProblem):
-    """The Newton matrix (c, x) -> I - c J_g(x) of a problem at a state x,
-    in the form lu_factor takes: ``numerics.StageForm`` with C = [[1]] on
-    the problem's pattern, where J_g is g_op, read once, here, or jac_g's
-    values at x."""
+def newton_solves(problem: SplitOdeProblem):
+    """solves(c, x, interval, stage): the solve of the Newton matrix
+    I - c J_g(x), laid out by ``numerics.StageForm`` with C = [[1]] on the
+    problem's pattern, J_g being g_op, read once, here, or jac_g's values
+    at x.  A linear problem's is factored once per c and kept, any other's
+    on every call; a zero pivot raises the stage's SolverError."""
     form = StageForm(np.ones((1, 1)), problem.jac_pattern, problem.node_order)
-    if problem.g_op is None:
-        return lambda c, x: form.system(c, problem.jac_g(x[None])[0])
-    jac = form.values(problem.g_op)
-    return lambda c, x: form.system(c, jac)
+    jac = None if problem.g_op is None else form.values(problem.g_op)
+    kept = {}
+
+    def solves(c, x, interval, stage):
+        solve = kept.get(c) or lu_factor(
+            form.system(c, problem.jac_g(x[None])[0] if jac is None else jac),
+            singular=lambda: SolverError("singular Newton matrix", interval, stage))
+        if problem.linear:
+            kept[c] = solve
+        return solve
+    return solves
 
 
-def _newton_stage(problem, t_i, c, known, force_g, newton, matrix, solve,
-                  interval, stage):
+def _newton_stage(problem, t_i, c, known, force_g, newton, solves, interval,
+                  stage):
     """Solve X = known + c g(X, t_i), c = k_n bii, by Newton's method;
-    returns X, g(X, t_i) as the converged residual read it, the
-    iterations and the solve of the last Newton matrix factored, or the
-    solve handed in.  A linear problem factors matrix(c, x) on the first
-    iteration that needs it, unless it hands in that solve; any other
-    problem on every iteration.  An unforced problem's force_g is None."""
+    returns X, g(X, t_i) as the converged residual read it, and the
+    iterations.  An explicit stage (c = 0) has residual 0 at the first
+    check.  An unforced problem's force_g is None."""
     x = known
     iters = 0
     while True:
@@ -153,40 +160,34 @@ def _newton_stage(problem, t_i, c, known, force_g, newton, matrix, solve,
         # rel_tol >= 0, so |x| can only matter past abs_tol
         if rnorm <= newton.abs_tol or (
                 rnorm <= newton.abs_tol + newton.rel_tol * float(np.abs(x).max())):
-            return x, g, iters, solve
+            return x, g, iters
         if iters >= newton.max_iters:
             raise SolverError("Newton did not converge", interval, stage,
                               f": residual {rnorm:.3e} after {iters} iterations")
-        if solve is None or not problem.linear:
-            solve = lu_factor(matrix(c, x), singular=lambda: SolverError(
-                "singular Newton matrix", interval, stage))
-        x = x + solve(-r)
+        x = x + solves(c, x, interval, stage)(-r)
         iters += 1
 
 
 def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
          y_n: np.ndarray, newton: NewtonConfig | None = None,
-         interval: int = 0, lu_cache: dict | None = None, force=None,
-         matrix=None):
+         interval: int = 0, force=None, solves=None):
     """One IMEX step from (t_n, y_n); returns (y_next, StageRecord).
 
     A forced problem's step takes ``force``, the (force_f, force_g) pair
     of (n_stages, m) forcing rows at the stage times t_n + k_n d, read
-    beforehand; an unforced one takes none.  ``matrix`` is the problem's
-    ``newton_matrix``, built here when not handed in; a linear problem's
-    ``lu_cache`` keeps its solves by (k_n, b_ii)."""
+    beforehand; an unforced one takes none.  ``solves`` is the problem's
+    ``newton_solves``, made here when not handed in."""
     if (force is None) != (problem.pickups is None):
         raise ValueError("a step takes its stages' forcing exactly when the "
                          "problem is forced")
     newton = newton or NewtonConfig()
-    matrix = matrix or newton_matrix(problem)
+    solves = solves or newton_solves(problem)
     a_ex, w_ex = pair.explicit.coeffs, pair.explicit.weights
     b_im, w_im = pair.implicit.coeffs, pair.implicit.weights
-    d = pair.implicit.abscissae
     nu = pair.n_stages
     m = y_n.size
 
-    times = t_n + k_n * d
+    times = t_n + k_n * pair.implicit.abscissae
     f_vals = np.empty((nu, m))
     g_vals = np.empty((nu, m))
     iters = np.zeros(nu, dtype=int)
@@ -196,26 +197,14 @@ def step(problem: SplitOdeProblem, pair: ImexPair, t_n: float, k_n: float,
         if i > 0:
             known += k_n * (a_ex[i, :i] @ f_vals[:i])
             known += k_n * (b_im[i, :i] @ g_vals[:i])
-        bii = b_im[i, i]
-        t_i = times[i]
-        force_i = None if force is None else (force[0][i], force[1][i])
-        if bii == 0.0:
-            if not np.all(np.isfinite(known)):
-                raise SolverError("non-finite state", interval, i, f", t={t_i:.6g}")
-            f_vals[i], g_vals[i] = problem.halves(known, t_i, force_i)
-        else:
-            # Newton returns g at the state it accepted, whose finite
-            # residual makes the state finite too: only f is left
-            key = (k_n, bii)
-            x, g_vals[i], iters[i], solve = _newton_stage(
-                problem, t_i, k_n * bii, known,
-                None if force_i is None else force_i[1], newton, matrix,
-                None if lu_cache is None else lu_cache.get(key), interval, i)
-            if lu_cache is not None and solve is not None:
-                lu_cache[key] = solve
-            f_vals[i] = problem.eval_f(x)
-            if force_i is not None:
-                f_vals[i] += force_i[0]
+        # Newton returns g at the state it accepted, whose finite residual
+        # makes the state finite too: only f is left
+        x, g_vals[i], iters[i] = _newton_stage(
+            problem, times[i], k_n * b_im[i, i], known,
+            None if force is None else force[1][i], newton, solves, interval, i)
+        f_vals[i] = problem.eval_f(x)
+        if force is not None:
+            f_vals[i] += force[0][i]
 
     y_next = y_n + k_n * (w_ex @ f_vals + w_im @ g_vals)
     if not np.all(np.isfinite(y_next)):
@@ -240,8 +229,7 @@ def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
     nodal = np.empty((n_int + 1, m))
     nodal[0] = problem.y0
     stages: list[StageRecord] = []
-    lu_cache: dict | None = {} if problem.linear else None
-    matrix = newton_matrix(problem)
+    solves = newton_solves(problem)
     forces = [None] * n_int
     if problem.pickups is not None:
         # step's times, t_n + k_n d, in the same float arithmetic
@@ -251,8 +239,8 @@ def solve_forward(problem: SplitOdeProblem, pair: ImexPair, grid: TimeGrid,
     with np.errstate(all="ignore"):
         for n in range(n_int):
             y_next, record = step(problem, pair, nodes[n], steps[n], nodal[n],
-                                  newton, interval=n, lu_cache=lu_cache,
-                                  force=forces[n], matrix=matrix)
+                                  newton, interval=n, force=forces[n],
+                                  solves=solves)
             nodal[n + 1] = y_next
             stages.append(record)
     return ForwardSolution(grid=grid, nodal=nodal, stages=stages)

@@ -63,16 +63,6 @@ def run_table_rows(table_id):
             for scheme in SCHEME_ORDER]
 
 
-@pytest.fixture(scope="module")
-def linear_tables():
-    out = {}
-    for tid in (4, 5, 6, 7, 8, 9, 12):
-        t0 = time.perf_counter()
-        out[tid] = {"rows": run_table_rows(tid),
-                    "elapsed": time.perf_counter() - t0}
-    return out
-
-
 def counting(lus, layer, lu_factor):
     """lu_factor, counting each call in lus[layer]."""
     def wrapper(a, **kw):
@@ -81,25 +71,33 @@ def counting(lus, layer, lu_factor):
     return wrapper
 
 
+def run_counted(table_id):
+    """A table's rows, its time, and its forward and adjoint factorisations."""
+    lus = {"forward": 0, "adjoint": 0}
+    t0 = time.perf_counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for layer, module in (("forward", solver), ("adjoint", adjoint)):
+            mp.setattr(module, "lu_factor", counting(lus, layer, module.lu_factor))
+        rows = run_table_rows(table_id)
+    return {"rows": rows, "elapsed": time.perf_counter() - t0, "lus": lus}
+
+
+@pytest.fixture(scope="module")
+def linear_tables():
+    return {tid: run_counted(tid) for tid in (4, 5, 6, 7, 8, 9, 12)}
+
+
 @pytest.fixture(scope="module")
 def burgers_tables():
-    # each table's rows, time, and its forward and adjoint factorisations
-    out = {}
-    for tid in (10, 11):
-        lus = {"forward": 0, "adjoint": 0}
-        t0 = time.perf_counter()
-        with pytest.MonkeyPatch.context() as mp:
-            for layer, module in (("forward", solver), ("adjoint", adjoint)):
-                mp.setattr(module, "lu_factor", counting(lus, layer, module.lu_factor))
-            rows = run_table_rows(tid)
-        out[tid] = {"rows": rows, "elapsed": time.perf_counter() - t0, "lus": lus}
-    return out
+    return {tid: run_counted(tid) for tid in (10, 11)}
 
 
 @pytest.fixture(scope="module")
 def mhd_tables():
     t0 = time.perf_counter()
-    out = {"v-split": run_table_rows(14), "v-implicit": run_table_rows(16)}
+    runs = {"v-split": run_counted(14), "v-implicit": run_counted(16)}
+    out = {mode: run["rows"] for mode, run in runs.items()}
+    out["lus"] = {mode: run["lus"] for mode, run in runs.items()}
     out["elapsed"] = time.perf_counter() - t0
     return out
 
@@ -202,15 +200,31 @@ def test_burgers_tables(burgers_tables):
         assert errors[2] == min(errors), (tid, errors)
 
 
+def newton_iterations(rows):
+    return [sum(int(rec.newton_iters.sum()) for rec in art.forward.stages)
+            for _, art in rows]
+
+
 def test_burgers_tables_do_the_work_the_benchmark_pins(burgers_tables):
     # one Newton factorisation per iteration and one adjoint factorisation
     # per refined interval, as perfbench pins them
     lus = {tid: burgers_tables[tid]["lus"] for tid in (10, 11)}
     assert lus == {10: {"forward": 160, "adjoint": 240},
                    11: {"forward": 320, "adjoint": 480}}
-    iters = [sum(int(rec.newton_iters.sum()) for rec in art.forward.stages)
-             for _, art in burgers_tables[10]["rows"]]
-    assert iters == [20, 60, 80]
+    assert newton_iterations(burgers_tables[10]["rows"]) == [20, 60, 80]
+
+
+def test_linear_tables_do_the_work_the_benchmark_pins(linear_tables, mhd_tables):
+    # a linear problem factors its Newton matrix once per distinct
+    # k_n b_ii, which np.diff(linspace) makes more than one per stage,
+    # and its adjoint's one local system once per row; one Newton
+    # iteration per implicit stage
+    assert linear_tables[4]["lus"] == {"forward": 21, "adjoint": 3}
+    assert newton_iterations(linear_tables[4]["rows"]) == [80, 240, 320]
+    assert mhd_tables["lus"] == {"v-split": {"forward": 18, "adjoint": 3},
+                                 "v-implicit": {"forward": 18, "adjoint": 3}}
+    for mode in ("v-split", "v-implicit"):
+        assert newton_iterations(mhd_tables[mode]) == [100, 300, 400], mode
 
 
 # criterion 7 ---------------------------------------------------------------

@@ -110,9 +110,28 @@ def test_exact_solution_picks_the_route(mode, solutions, want):
     prob.analytic, prob.pde_solution = solutions
     if want is ReferenceError:
         with pytest.raises(ReferenceError, match="has neither"):
-            exact_solution(prob, mode)
+            exact_solution(prob, mode, 0.0)
     else:
-        assert exact_solution(prob, mode) is want
+        assert exact_solution(prob, mode, 0.0) is want
+
+
+def test_an_exact_solution_serves_only_a_trajectory_from_t0():
+    # y0 held at t = 0.5: an exact solution from t = 0 reads e^-1.5 at
+    # t = 1.5, where the trajectory the forward solves reads e^-1
+    prob = split_scalar_linear(-0.4, -0.6, 1.0)
+    grid = TimeGrid(np.linspace(0.5, 1.5, 11))
+    qoi = QoiSpec(kind="final-time", psi=np.array([1.0]))
+    numeric = true_qoi(prob, grid, qoi, ReferenceConfig(mode="high-order-numeric"))
+    assert numeric == pytest.approx(np.exp(-1.0), abs=1e-9)
+    assert abs(true_qoi(prob, grid, qoi) - numeric) <= 1e-9
+    assert exact_solution(prob, "auto", 0.5) is None
+    states = reference_states(prob, grid.nodes)
+    np.testing.assert_allclose(states[:, 0], np.exp(0.5 - grid.nodes), rtol=1e-9)
+    analytic = ReferenceConfig(mode="analytic")
+    for reference in (lambda: true_qoi(prob, grid, qoi, analytic),
+                      lambda: reference_states(prob, grid.nodes, analytic)):
+        with pytest.raises(ReferenceError, match="starts at t=0.5$"):
+            reference()
 
 
 def test_time_integrated_reference_analytic():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from imexest import solver
 from imexest.problems import (
     SplitOdeProblem,
     burgers,
@@ -19,7 +20,7 @@ from imexest.solver import (
     NewtonConfig,
     SolverError,
     TimeGrid,
-    newton_matrix,
+    newton_solves,
     solve_forward,
     step,
 )
@@ -203,22 +204,27 @@ def recorded_states(prob):
     return states
 
 
-@pytest.mark.parametrize("forced", [True, False], ids=["forced-mhd", "unforced-cubic"])
-def test_stage_values_are_the_halves_at_the_stage_states(forced):
+@pytest.mark.parametrize("forced, scheme", [
+    (True, "ssp343"), (False, "ssp343"), (True, "mid122"), (False, "mid122")],
+    ids=["forced-mhd", "unforced-cubic", "forced-mhd-mid122", "unforced-cubic-mid122"])
+def test_stage_values_are_the_halves_at_the_stage_states(forced, scheme):
+    # Mid(1,2,2)'s first stage is explicit, SSP3(4,3,3) has none: both
+    # kinds of stage read f and g at the stage state and the stage time
     prob = mhd_alfven(h=0.1) if forced else cubic("cubic-implicit")
-    pair = builtin("ssp343")
+    pair = builtin(scheme)
     grid = TimeGrid.uniform(0.05, 5)
+    eval_f, eval_g = prob.eval_f, prob.eval_g
     states = recorded_states(prob)
     fwd = solve_forward(prob, pair, grid)
     assert len(states) == grid.n_intervals * pair.n_stages
     times = stage_times(grid, pair).ravel()
-    force = [None] * times.size
-    if prob.pickups is not None:
-        force = list(zip(*prob.forcing(times)))
+    force = prob.forcing(times) if forced else [[None] * times.size] * 2
     f_vals = np.concatenate([rec.f_vals for rec in fwd.stages])
     g_vals = np.concatenate([rec.g_vals for rec in fwd.stages])
-    for x, t, stage_force, f, g in zip(states, times, force, f_vals, g_vals):
-        want_f, want_g = prob.halves(x, t, stage_force)
+    for x, force_f, force_g, f, g in zip(states, *force, f_vals, g_vals):
+        want_f, want_g = eval_f(x), eval_g(x)
+        if forced:
+            want_f, want_g = want_f + force_f, want_g + force_g
         assert np.array_equal(f, want_f) and np.array_equal(g, want_g)
         assert np.array_equal(np.signbit(g), np.signbit(want_g))
 
@@ -306,6 +312,18 @@ def test_overflow_is_reported_as_a_non_finite_state_without_a_warning():
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 20))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_explicit_stage_whose_g_overflows_names_itself():
+    # Mid(1,2,2)'s first stage is explicit: y0 is finite and g(y0) = 1e309
+    # overflows there, so the error names stage 0 at t = 0, not the next
+    # stage that reads it
+    prob = split_scalar_linear(-1.0, 1e308, 10.0)
+    with pytest.raises(SolverError,
+                       match="^non-finite state on interval 0, stage 0, t=0$") as err:
+        solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 20))
+    assert (err.value.interval, err.value.stage) == (0, 0)
+
+
 @pytest.mark.filterwarnings("error")
 def test_singular_newton_matrix_is_reported_without_a_warning():
     # Mid(1,2,2) has b_ii = 1/2, so lam_g = 4 at k = 0.5 makes
@@ -317,17 +335,19 @@ def test_singular_newton_matrix_is_reported_without_a_warning():
 
 
 @pytest.mark.filterwarnings("error")
-def test_singular_sparse_newton_matrix_is_reported_without_a_warning():
+def test_singular_sparse_newton_matrix_is_reported_without_a_warning(monkeypatch):
     # as above, with a CSR g_op: I - k b_ii g_op is a band on the
     # operators' pattern, and its first pivot is exactly zero
     g_op = sparse.csr_array(np.diag([4.0, -1.0]))
     prob = SplitOdeProblem(name="sparse-singular", y0=np.ones(2),
                            f_op=sparse.csr_array((2, 2)), g_op=g_op)
-    assert isinstance(newton_matrix(prob)(0.25, prob.y0), Band)
+    matrices = factored_matrices(monkeypatch)
     with pytest.raises(SolverError,
                        match="singular Newton matrix on interval 0, stage 1") as err:
         solve_forward(prob, builtin("mid122"), TimeGrid.uniform(1.0, 2))
     assert (err.value.interval, err.value.stage) == (0, 1)
+    (band,) = matrices
+    assert isinstance(band, Band)
 
 
 @pytest.mark.filterwarnings("error")
@@ -344,6 +364,20 @@ def test_singular_band_newton_matrix_names_its_interval_and_stage():
     assert (err.value.interval, err.value.stage) == (1, 1)
 
 
+def factored_matrices(monkeypatch):
+    """The matrices solver.lu_factor is handed from here on, each copied
+    before it is factored in place."""
+    matrices = []
+    real = solver.lu_factor
+
+    def record(matrix, **kw):
+        matrices.append(matrix._replace(ab=matrix.ab.copy(order="F"))
+                        if isinstance(matrix, Band) else matrix.copy())
+        return real(matrix, **kw)
+    monkeypatch.setattr(solver, "lu_factor", record)
+    return matrices
+
+
 def assert_band_solves_the_dense_system(band, dense, seed=0):
     """The band holds the dense matrix, entry for entry, and its solve
     matches numpy's of the dense matrix to 1e-12 relative."""
@@ -356,17 +390,19 @@ def assert_band_solves_the_dense_system(band, dense, seed=0):
 
 
 @pytest.mark.parametrize("h", [0.025, 1.0 / 160.0], ids=["m80", "m320"])
-def test_burgers_newton_matrix_is_a_band_of_half_width_two(h):
+def test_burgers_newton_matrix_is_a_band_of_half_width_two(h, monkeypatch):
     # I - c g_op on Burgers' ring, in the node order its adjoint bands
     # share, is a band of half-width 2 at any m
     prob = burgers(0.05, h)
     c = 0.05
-    band = newton_matrix(prob)(c, prob.y0)
+    matrices = factored_matrices(monkeypatch)
+    newton_solves(prob)(c, prob.y0, 0, 0)
+    (band,) = matrices
     assert (band.kl, band.ku) == (2, 2) and np.array_equal(band.order, prob.node_order)
     assert_band_solves_the_dense_system(band, np.eye(prob.dim) - c * prob.g_op)
 
 
-def test_nonlinear_g_newton_band_on_a_non_symmetric_pattern():
+def test_nonlinear_g_newton_band_on_a_non_symmetric_pattern(monkeypatch):
     # g_i = -y_i^3 + y_{i-1}^2, and g_0 also reads y_{m-1}: a pattern that
     # is not symmetric, so a transposed band would hold the wrong matrix;
     # the band is I - c J_g at the state x, J_g read from jac_g each time
@@ -393,12 +429,56 @@ def test_nonlinear_g_newton_band_on_a_non_symmetric_pattern():
                            f_op=np.zeros((m, m)), eval_g=eval_g, jac_g=jac_g,
                            jac_pattern=pattern)
     assert check_jacobians(prob) < 1e-8
-    matrix = newton_matrix(prob)
+    matrices = factored_matrices(monkeypatch)
+    solves = newton_solves(prob)
     for seed, c in enumerate((0.1, 0.3)):
         x = np.random.default_rng(seed).standard_normal(m)
         want = np.eye(m) - c * dense_jacobian(prob, "g", x)
         assert not np.array_equal(want, want.T)
-        assert_band_solves_the_dense_system(matrix(c, x), want, seed)
+        solves(c, x, 0, 0)
+        assert_band_solves_the_dense_system(matrices[-1], want, seed)
+
+
+def test_newton_solves_factors_a_linear_problem_once_per_c(monkeypatch):
+    # one LU per distinct c = k_n b_ii of an implicit stage, over steps
+    # that differ by design and at roundoff, however often c recurs
+    prob = linear_advection_diffusion(0.1, 1.0 / 20.0)
+    pair = builtin("ssp343")
+    grid = TimeGrid(np.concatenate([np.linspace(0.0, 0.3, 7), [0.4, 0.5]]))
+    matrices = factored_matrices(monkeypatch)
+    fwd = solve_forward(prob, pair, grid)
+    diag = np.diag(pair.implicit.coeffs)
+    cs = {k * b for k in grid.steps for b in diag if b != 0.0}
+    implicit_stages = grid.n_intervals * np.count_nonzero(diag)
+    assert len(matrices) == len(cs) < implicit_stages
+    assert sum(int(rec.newton_iters.sum()) for rec in fwd.stages) == implicit_stages
+
+
+def test_newton_solves_factors_a_nonlinear_problem_on_every_call(monkeypatch):
+    prob = cubic("cubic-implicit")
+    matrices = factored_matrices(monkeypatch)
+    solves = newton_solves(prob)
+    for _ in range(3):
+        solves(0.1, prob.y0, 0, 1)
+    assert len(matrices) == 3
+    fwd = solve_forward(prob, builtin("ssp343"), TimeGrid.uniform(1.0, 4))
+    assert len(matrices) == 3 + sum(int(rec.newton_iters.sum()) for rec in fwd.stages)
+
+
+def test_an_explicit_stage_factors_nothing(monkeypatch):
+    # Mid(1,2,2)'s first stage is explicit: no Newton iteration and no
+    # factorisation, on a problem that factors at every iteration
+    prob = cubic("cubic-implicit")
+    solves, stages = newton_solves(prob), []
+
+    def recorded(c, x, interval, stage):
+        stages.append(stage)
+        return solves(c, x, interval, stage)
+    matrices = factored_matrices(monkeypatch)
+    _, rec = step(prob, builtin("mid122"), 0.0, 0.2, prob.y0, solves=recorded)
+    assert rec.newton_iters[0] == 0 and rec.newton_iters[1] >= 2
+    assert stages == [1] * rec.newton_iters[1]
+    assert len(matrices) == rec.newton_iters[1]
 
 
 def test_sparse_operators_match_their_dense_form():
