@@ -10,9 +10,10 @@ integral uses the one Gauss rule of ``numerics``.  H(t) is the linear
 halves' operators, summed once per solve, plus the nonlinear halves'
 Jacobians at the reconstruction's sub-Gauss nodes
 (``reconstruct.sub_gauss_nodes``).  Every local system is assembled
-through ``numerics.BlockForm`` on the problem's Jacobian pattern, as a
-LAPACK band in the problem's ``node_order``, which its forward Newton
-bands share, or densely for a problem without a pattern.  A varying H's systems are formed a
+through ``numerics.BlockForm`` as r x (r + 1) blocks of H^T on the
+problem's Jacobian pattern transposed, as a LAPACK band in the
+problem's ``node_order``, which its forward Newton bands share, or
+densely for a problem without a pattern.  A varying H's systems are formed a
 block of refined intervals at a time, the blocks ``numerics.block_spans``
 sets: Y at the block's Gauss points, one Jacobian call per nonlinear
 half and block, and its values at the pattern serve that block alone.
@@ -101,8 +102,12 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
     ops = [op for op, _ in halves if op is not None]
     jacs = [jac for op, jac in halves if op is None]
     summed = sum(ops[1:], ops[0]) if ops else None
-    form = BlockForm(m, r, problem.jac_pattern, problem.node_order)
-    op_values = form.values(summed) if ops else 0.0
+    # the blocks are H^T: a form on the transposed pattern, and one column
+    # of blocks past the system for the known right end value
+    pattern = problem.jac_pattern
+    form = BlockForm(m, r, None if pattern is None else pattern.T, problem.node_order,
+                     width=r + 1)
+    op_values = form.values(summed.T) if ops else 0.0
     basis = LagrangeBasis(np.linspace(0.0, 1.0, r + 1))
     tests = legendre_shifted(q, gp)                 # (r, 5)
     dmat = galerkin_deriv_matrix(r)                 # (r, r+1)
@@ -118,9 +123,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         k_wgt = steps[n] * wgt
         blocks = np.multiply.outer(-k_wgt.sum(axis=2), op_values)
         blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
-        system, known = form.system(blocks)
-        return lu_factor(system, singular=lambda: AdjointSolveError(
-            n, "singular local system")), known
+        return lu_factor(form.system(blocks), singular=lambda: AdjointSolveError(
+            n, "singular local system")), form.known
 
     def varying_systems():
         """Each interval's solve and known matrix, the last interval's
@@ -131,6 +135,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
         floats = max(r * m * form.height, r * (r + 1) * form.rows.size + 1)
         # Y at each forward interval's refine * 5 sub-Gauss points
         read = reconstruction.reader(sub_gauss_nodes(refine))
+        # puts the Jacobians' values, in the pattern's CSR order, in its transpose's
+        transposed = np.lexsort(pattern.nonzero())
 
         def block_values(span):
             """The (B, r, r + 1, nnz) block values of the B intervals span
@@ -143,7 +149,8 @@ def solve_adjoint(problem: SplitOdeProblem, reconstruction: PiecewisePolynomial,
             start = (block.start % refine) * gp.size
             states = states.reshape(-1, m)[start:start + len(block) * gp.size]
             values = [jac(states) for jac in jacs]
-            hts = form.scatter(sum(values[1:], values[0])).reshape(len(block), gp.size, -1)
+            hts = form.scatter(sum(values[1:], values[0])[:, transposed]).reshape(
+                len(block), gp.size, -1)
             hts += op_values
             blocks = ((steps[span, None, None] * neg_wgt) @ hts).reshape(
                 -1, r, r + 1, form.rows.size)

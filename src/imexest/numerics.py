@@ -1,12 +1,13 @@
 """Small numerical kernels shared by the solver and the estimator:
 Lagrange bases on arbitrary distinct nodes, the one Gauss-Legendre rule
 on [0, 1], shifted Legendre modes for L2 projection onto low-degree
-polynomials, and the one place a system is laid out: every system on a
-problem's Jacobian pattern is a LAPACK ``Band`` in the problem's one
+polynomials, and the one place a system is laid out, ``BlockForm``:
+the forward's Newton matrices, Radau IIA's stage system and the
+adjoint's interval systems are blocks of m x m matrices on a problem's
+Jacobian pattern, each a LAPACK ``Band`` in the problem's one
 ``node_order`` (reverse Cuthill-McKee on the pattern symmetrised), its
-slots numbered by ``band_layout``, through ``StageForm`` (the forward's
-Newton matrices and Radau IIA's stage system) or ``BlockForm`` (the
-adjoint's systems); a problem without a pattern gets dense systems.
+slots numbered by ``band_layout``; a problem without a pattern gets
+dense systems.
 ``lu_factor`` is the one factorisation (a band to gbtrf, a dense array
 to getrf), and ``one_blas_thread`` the BLAS threading policy of a run.
 """
@@ -164,87 +165,54 @@ class Band(NamedTuple):
         return (self.order.size, self.order.size)
 
 
-class StageForm:
-    """The systems I - k C (x) J of an implicit stage, C an (r, r)
-    coefficient matrix and J an m x m Jacobian, in the form lu_factor
-    takes: with no pattern, J dense and np.eye(r m) - k np.kron(C, J); on
-    a CSR pattern with sorted indices, J its values there in CSR order and
-    a ``Band`` ordered by ``nodes``, each node's r unknowns together,
-    whose layout is made here, once.  ``values`` reads an operator as J."""
-
-    def __init__(self, coeffs, pattern, nodes):
-        self.coeffs = np.asarray(coeffs, dtype=float)
-        self.dense = pattern is None
-        if self.dense:
-            return
-        r, m = len(self.coeffs), pattern.shape[0]
-        self.rows, self.cols = pattern.nonzero()
-        # C's entry (a, b) times J's entry (i, j) sits at row a m + i and
-        # column b m + j
-        a, b = np.divmod(np.arange(r * r), r)
-        rows = (m * a[:, None] + self.rows).ravel()
-        cols = (m * b[:, None] + self.cols).ravel()
-        diagonal = np.arange(r * m)
-        self.order = (nodes[:, None] + m * np.arange(r)).ravel()
-        self.kl, self.ku, slots = band_layout(np.append(rows, diagonal),
-                                              np.append(cols, diagonal), self.order)
-        self.slots, self.ones = slots[:rows.size], slots[rows.size:]
-        self.size = r * m * (2 * self.kl + self.ku + 1)
-
-    def values(self, op):
-        """The m x m operator op, dense or sparse, as this form's J."""
-        return op if self.dense else op[self.rows, self.cols]
-
-    def system(self, k: float, jac):
-        """I - k C (x) J, J given as ``values`` gives it."""
-        if self.dense:
-            return np.eye(len(self.coeffs) * len(jac)) - k * np.kron(self.coeffs, jac)
-        ab = np.zeros(self.size)
-        ab[self.ones] = 1.0
-        ab[self.slots] -= k * (self.coeffs.reshape(-1, 1) * jac).ravel()
-        return Band.of(ab, self.kl, self.ku, self.order)
-
-
 class BlockForm:
-    """How an adjoint interval's r x (r + 1) blocks, each the transpose of
-    an m x m matrix, become its (r m) x (r m) system, the first r block
-    columns, and the (r m) x m matrix of its known last column, in the
-    form of ``like``, an m x m matrix.
+    """The layout of an r x width matrix of m x m blocks, each in the form
+    of ``like``, an m x m matrix: its first r block columns are a square
+    system in the form lu_factor takes, and any further ones the known
+    matrix, ``known``, acting on the unknowns they multiply.
 
-    A sparse ``like`` is nonzero wherever the matrices may be: each block
-    is read as its values at like's transposed entries and the diagonal.
-    ``values`` gathers them from a matrix and ``scatter`` places values
-    stated at like's own entries.  The system's unknowns are ordered by
-    ``nodes``, the ``node_order`` of like, each node's r unknowns
-    together, which makes it a narrow band (a periodic ring included).
-    ``gather`` takes a block of intervals' band storages and known values
-    from their block values, one precomputed index each, and ``band``
-    wraps one storage as a ``Band``.  The known matrix is a
-    CSC whose indices are built here too; a caller refills its data, as
-    ``system`` does on each call, so it is valid until the next refill.
+    A sparse ``like`` is nonzero wherever the blocks may be: a block is
+    its values at like's entries and the diagonal, in row order.
+    ``values`` reads them from a matrix, ``scatter`` places values stated
+    at like's entries in CSR order, and ``identity`` gives the (r, r)
+    identity blocks.  The system is a ``Band`` whose unknowns are ordered
+    by ``nodes``, the ``node_order`` of like, each node's r unknowns
+    together, which makes it a narrow band (a periodic ring included);
+    its layout is made here, once.  ``system`` fills one band, and
+    ``gather`` the band storages and known values of a block of systems,
+    one precomputed index each, which ``band`` wraps one at a time.  The
+    known matrix is a CSC whose indices are built here when width > r; a
+    caller refills its data, as ``system`` does on each call, so it is
+    valid until the next refill.
+
     Any other ``like`` (a dense array, or None), for which ``dense`` is
-    true and ``nodes`` is not read, keeps the dense transposes in one
-    Fortran-order array, new on each call, whose first r m columns are
-    the system, which ``lu_factor`` factors in place.
+    true and ``nodes`` is not read, holds each block as an (m, m) array,
+    and ``system`` puts them in one Fortran-order array, new on each call,
+    whose first r m columns are the system, which ``lu_factor`` factors in
+    place, and whose rest is ``known``.
     """
 
-    def __init__(self, m: int, r: int, like, nodes):
-        self.m, self.r = m, r
+    def __init__(self, m: int, r: int, like, nodes, width: int | None = None):
+        self.m, self.r, self.width = m, r, width or r
         self.dense = not sparse.issparse(like)
+        self.known = None
         if self.dense:
-            diag = np.arange(m)
-            self.diagonal = (diag, diag)
+            self.diagonal = (np.arange(m),) * 2
             return
-        # like's entry (i, j) is a block's entry (j, i)
-        cols, rows = sparse.csr_array(like).nonzero()
-        keys = np.unique(np.concatenate([rows * m + cols, np.arange(m) * (m + 1)]))
+        # like's nonzeros, in CSR order, without nonzero()'s COO copy
+        like = like.tocsr()
+        entries = np.repeat(m * np.arange(m), np.diff(like.indptr)) + like.indices
+        entries, diag = entries[like.data != 0], np.arange(m) * (m + 1)
+        # a sort and de-duplicate, cheaper here than np.unique
+        keys = np.sort(np.concatenate([entries, diag]))
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
         self.rows, self.cols = np.divmod(keys, m)
         # values[..., slots] are like's entries, in CSR order
-        self.slots = np.searchsorted(keys, rows * m + cols)
+        self.slots = np.searchsorted(keys, entries)
         # values[..., diagonal] are the diagonal entries, in row order
-        self.diagonal = (np.flatnonzero(self.rows == self.cols),)
+        self.diagonal = (np.searchsorted(keys, diag),)
         # value (a, j, z) sits at row a m + rows[z] and column j m + cols[z]
-        a, j = np.divmod(np.arange(r * (r + 1)), r + 1)
+        a, j = np.divmod(np.arange(r * self.width), self.width)
         all_rows = (a[:, None] * m + self.rows).ravel()
         all_cols = (j[:, None] * m + self.cols).ravel()
         n = r * m
@@ -253,38 +221,58 @@ class BlockForm:
         # unknowns together (Burgers' ring: half-width 3 r - 1; reverse
         # Cuthill-McKee on the r m unknowns themselves gave 4 r)
         self.order = (nodes[:, None] + m * np.arange(r)).ravel()
-        self.kl, self.ku, slots = band_layout(all_rows[in_system], all_cols[in_system],
-                                              self.order)
+        self.kl, self.ku, self.band_slots = band_layout(
+            all_rows[in_system], all_cols[in_system], self.order)
         self.height = 2 * self.kl + self.ku + 1
         # ab's flat slot s holds value band_gather[s] of a block's values
         # with one zero appended, the zero where no entry sits
         self.band_gather = np.full(n * self.height, all_rows.size)
-        self.band_gather[slots] = np.flatnonzero(in_system)
+        self.band_gather[self.band_slots] = np.flatnonzero(in_system)
         # the known matrix's values, by column and then by row
         known = np.flatnonzero(~in_system)
-        by_column = np.lexsort((all_rows[known], all_cols[known]))
-        self.known_values = known[by_column]
-        self.known = sparse.csc_array(
-            (np.zeros(known.size), all_rows[self.known_values].astype(np.int32),
-             np.searchsorted(all_cols[self.known_values] - n,
-                             np.arange(m + 1)).astype(np.int32)),
-            shape=(n, m))
+        self.known_values = known[np.lexsort((all_rows[known], all_cols[known]))]
+        if self.width > r:
+            self.known = sparse.csc_array(
+                (np.zeros(known.size), all_rows[self.known_values].astype(np.int32),
+                 np.searchsorted(all_cols[self.known_values] - n,
+                                 np.arange((self.width - r) * m + 1)).astype(np.int32)),
+                shape=(n, (self.width - r) * m))
 
     def values(self, mat) -> np.ndarray:
-        """The transpose of the m x m matrix mat, in this form."""
-        if self.dense:
-            return as_dense(mat).T.copy()
-        return mat[self.cols, self.rows]
+        """The m x m matrix mat, dense or sparse, as a block of this form."""
+        return as_dense(mat) if self.dense else mat[self.rows, self.cols]
 
     def scatter(self, vals) -> np.ndarray:
-        """Values (..., nnz) at a sparse like's entries, in CSR order, in
-        this form; zero on a diagonal entry like does not hold."""
+        """Values (..., nnz) at a sparse like's entries, in CSR order, as
+        blocks of this form; zero on a diagonal entry like does not hold."""
         if vals.shape[-1] != self.slots.size:
             raise ValueError(f"{vals.shape[-1]} values for a pattern of "
                              f"{self.slots.size} entries")
         out = np.zeros(vals.shape[:-1] + self.rows.shape)
         out[..., self.slots] = vals
         return out
+
+    def identity(self) -> np.ndarray:
+        """The (r, r) identity blocks."""
+        out = np.zeros((self.r,) * 2 + ((self.m,) * 2 if self.dense else self.rows.shape))
+        out[(Ellipsis, *self.diagonal)] = np.eye(self.r)[:, :, None]
+        return out
+
+    def system(self, blocks):
+        """The system whose block (a, j) has the values blocks[a, j], j < r;
+        ``known`` is refilled from the blocks' further columns."""
+        n, r, m = self.r * self.m, self.r, self.m
+        if self.dense:
+            # Fortran order, so LAPACK factors the system in place instead of a copy
+            big = np.empty((n, self.width * m), order="F")
+            big.T.reshape(self.width, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
+            self.known = big[:, n:]
+            return big[:, :n]
+        ab = np.zeros(n * self.height)
+        ab[self.band_slots] = blocks[:, :r].ravel()
+        if self.known is not None:
+            self.known.data[:] = blocks.reshape(-1)[self.known_values]
+        return self.band(ab)
 
     def gather(self, blocks) -> tuple[np.ndarray, np.ndarray]:
         """The (B, r m height) flat band storages and (B, nnz) known matrix
@@ -298,19 +286,6 @@ class BlockForm:
     def band(self, flat) -> Band:
         """The system whose flat band storage is ``flat``, a view of it."""
         return Band.of(flat, self.kl, self.ku, self.order)
-
-    def system(self, blocks):
-        """The system whose block (a, j) has the values blocks[a, j], and
-        the known matrix whose block a has blocks[a, r]."""
-        n, r, m = self.r * self.m, self.r, self.m
-        if not self.dense:
-            ab, known = self.gather(blocks[None])
-            self.known.data[:] = known[0]
-            return self.band(ab[0]), self.known
-        # Fortran order, so LAPACK factors the system in place instead of a copy
-        big = np.empty((n, n + m), order="F")
-        big.T.reshape(r + 1, m, r, m)[...] = blocks.transpose(1, 3, 0, 2)
-        return big[:, :n], big[:, n:]
 
 
 def lu_factor(matrix, *, singular: Callable[[], Exception]):

@@ -16,8 +16,8 @@ The numeric route runs one of this module's two loops, each through
   ``radau_iia``, fixed-step Radau IIA (Hairer and Wanner, *Solving
   ODEs II*, IV.5 and IV.8): 3 stages, order 5, L-stable and stiffly
   accurate, with one LU per solve of its stage system, laid out once per
-  reference by ``numerics.StageForm`` (a LAPACK band on the Alfven
-  wave's Jacobian pattern, in its node order).  The step is
+  reference by ``numerics.BlockForm`` as 3 x 3 blocks (a LAPACK band on
+  the Alfven wave's Jacobian pattern, in its node order).  The step is
   k = T / n with n = 100 or, if that step exceeds ``max_step``, the
   smallest n whose step does not.  n doubles until two successive
   solves agree:
@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, StageForm, lu_factor
+from .numerics import GAUSS_NODES, GAUSS_WEIGHTS, BlockForm, lu_factor
 from .problems import QoiSpec, SplitOdeProblem
 from .solver import TimeGrid
 
@@ -401,15 +401,18 @@ def _radau_qoi(problem: SplitOdeProblem, rate, t_span: tuple, z0: np.ndarray,
     solves, starts.  The stage system's layout is made once, here, on the
     problem's pattern; each level only fills and factors it."""
     start_step = _step_counter(config)
-    form = StageForm(RADAU_A, problem.jac_pattern, problem.node_order)
-    jac = form.values(problem.f_op + problem.g_op)
+    form = BlockForm(problem.dim, 3, problem.jac_pattern, problem.node_order)
+    # the stage system I - k A (x) J, A = RADAU_A: a block A[a, b] J each
+    identity = form.identity()
+    blocks = np.multiply.outer(RADAU_A, form.values(problem.f_op + problem.g_op))
 
     def forcing(times):
         force_f, force_g = problem.forcing(times)
         return force_f + force_g
 
     def level(n):
-        sol = solve_ivp(radau_iia, t_span, z0, system=lambda k: form.system(k, jac),
+        sol = solve_ivp(radau_iia, t_span, z0,
+                        system=lambda k: form.system(identity - k * blocks),
                         forcing=forcing, rate=rate, n_steps=n, start_step=start_step)
         return value(sol.y[:, -1])
 

@@ -12,9 +12,9 @@ the implicit abscissae times t_n + k_n d_i, which is what the shared
 quadrature of the error estimator assumes.
 
 Newton's matrix is I - c J_g with c = k_n B[i,i], laid out by
-``numerics.StageForm``: a LAPACK band on the problem's Jacobian
-pattern, in the node order the adjoint's and the reference's bands
-share, or a dense array for a problem without a pattern.
+``numerics.BlockForm`` as one block: a LAPACK band on the problem's
+Jacobian pattern, in the node order the adjoint's and the reference's
+bands share, or a dense array for a problem without a pattern.
 ``newton_solves`` alone factors it: a linear problem's once per c, any
 other's on every iteration.
 """
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import StageForm, lu_factor
+from .numerics import BlockForm, lu_factor
 from .problems import SplitOdeProblem
 from .tableaus import ImexPair, validate
 
@@ -121,17 +121,20 @@ class ForwardSolution:
 
 def newton_solves(problem: SplitOdeProblem):
     """solves(c, x, interval, stage): the solve of the Newton matrix
-    I - c J_g(x), laid out by ``numerics.StageForm`` with C = [[1]] on the
+    I - c J_g(x), laid out by a one-block ``numerics.BlockForm`` on the
     problem's pattern, J_g being g_op, read once, here, or jac_g's values
-    at x.  A linear problem's is factored once per c and kept, any other's
-    on every call; a zero pivot raises the stage's SolverError."""
-    form = StageForm(np.ones((1, 1)), problem.jac_pattern, problem.node_order)
+    at x, one a pattern entry, or it raises.  A linear problem's is
+    factored once per c and kept, any other's on every call; a zero pivot
+    raises the stage's SolverError."""
+    form = BlockForm(problem.dim, 1, problem.jac_pattern, problem.node_order)
+    identity = form.identity()
     jac = None if problem.g_op is None else form.values(problem.g_op)
     kept = {}
 
     def solves(c, x, interval, stage):
         solve = kept.get(c) or lu_factor(
-            form.system(c, problem.jac_g(x[None])[0] if jac is None else jac),
+            form.system(identity - c * (form.scatter(problem.jac_g(x[None])[0])
+                                        if jac is None else jac)),
             singular=lambda: SolverError("singular Newton matrix", interval, stage))
         if problem.linear:
             kept[c] = solve

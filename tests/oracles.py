@@ -2,7 +2,7 @@
 against: a monomial L2 projection (the estimator projects with Legendre
 modes), finite-difference and dense Jacobians (the package states them
 at a pattern, for a stack of states), the dense blocks of values a
-sparse adjoint block form states and the dense matrix of its band, a
+sparse block form holds and the dense matrix of its band, a
 problem's dense form, an interval-by-interval adjoint sweep on a
 Jacobian pattern (the package forms a block of intervals at a time), a
 point-by-point reader of piecewise polynomials (the package reads them
@@ -16,6 +16,7 @@ import dataclasses
 import tracemalloc
 
 import numpy as np
+from scipy import sparse
 
 from imexest.adjoint import refine_grid
 from imexest.estimate import ErrorBreakdown
@@ -106,8 +107,8 @@ def burgers_jacobian(d1, u) -> np.ndarray:
 
 
 def dense_blocks(form, values) -> np.ndarray:
-    """The dense (..., m, m) matrices of values (..., nnz) stated at a
-    sparse ``BlockForm``'s entries."""
+    """The dense (..., m, m) blocks whose values (..., nnz) a sparse
+    ``BlockForm`` holds."""
     out = np.zeros(values.shape[:-1] + (form.m, form.m))
     out[..., form.rows, form.cols] = values
     return out
@@ -149,20 +150,25 @@ def without_operators(problem):
 def adjoint_per_interval(problem, reconstruction, qoi, refine: int) -> np.ndarray:
     """The (N, r + 1, m) adjoint coefficients of a problem that is not
     linear, swept as the package did before it formed its systems a block
-    of intervals at a time: each interval's blocks from one product, -D
-    subtracted on their diagonals, ``BlockForm.system`` and one
-    ``lu_factor``."""
+    of intervals at a time: each interval's blocks of H^T from one
+    product, -D subtracted on their diagonals, ``BlockForm.system`` on the
+    transposed pattern and one ``lu_factor``.  The Jacobians' values, in
+    the pattern's CSR order, are put in its transpose's by scipy's CSC to
+    CSR conversion (the package sorts the pattern's entries by column)."""
     gp, gw = GAUSS_NODES, GAUSS_WEIGHTS
     q, m = reconstruction.degree, reconstruction.dim
     r = q + 1
     grid = refine_grid(reconstruction.grid, refine)
     n_int, steps = grid.n_intervals, grid.steps
-    form = BlockForm(m, r, problem.jac_pattern, problem.node_order)
+    pattern = problem.jac_pattern
+    form = BlockForm(m, r, pattern.T, problem.node_order, width=r + 1)
+    transposed = sparse.csr_array((np.arange(pattern.nnz), pattern.indices, pattern.indptr),
+                                  shape=pattern.shape).T.tocsr().data
     halves = ((problem.f_op, problem.jac_f), (problem.g_op, problem.jac_g))
     states = reconstruction.at(sub_gauss_nodes(refine)).reshape(-1, m)
-    hts = form.scatter(sum(jac(states) for op, jac in halves if op is None))
+    hts = form.scatter(sum(jac(states) for op, jac in halves if op is None)[:, transposed])
     hts = hts.reshape(n_int, gp.size, -1)
-    hts += sum(form.values(op) for op, _ in halves if op is not None)
+    hts += sum(form.values(op.T) for op, _ in halves if op is not None)
     tests = legendre_shifted(q, gp)
     dmat = galerkin_deriv_matrix(r)
     lvals = LagrangeBasis(np.linspace(0.0, 1.0, r + 1)).eval_matrix(gp)
@@ -174,8 +180,8 @@ def adjoint_per_interval(problem, reconstruction, qoi, refine: int) -> np.ndarra
         k_wgt = steps[n] * wgt
         blocks = (-k_wgt.reshape(r * (r + 1), gp.size) @ hts[n]).reshape(r, r + 1, -1)
         blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
-        system, known = form.system(blocks)
-        rhs = -(known @ phi_right)
+        system = form.system(blocks)
+        rhs = -(form.known @ phi_right)
         if qoi.kind != "final-time":
             dens = np.stack([qoi.psi_tilde(t) for t in times[n]])
             rhs += (steps[n] * (tests @ (gw[:, None] * dens))).reshape(r * m)

@@ -482,7 +482,8 @@ def test_jacobian_read_a_block_at_a_time_is_the_same_at_any_block_size(
     prob = burgers(0.05, 0.025)
     recon = reconstruct_case(prob, scheme, t_end=0.07, n=7)
     r, n_int = recon.degree + 1, 7 * DEFAULT_REFINE
-    form = numerics.BlockForm(prob.dim, r, prob.jac_pattern, prob.node_order)
+    form = numerics.BlockForm(prob.dim, r, prob.jac_pattern.T, prob.node_order,
+                              width=r + 1)
     # the floats of one interval's largest block array
     floats = max(r * prob.dim * form.height, r * (r + 1) * form.rows.size + 1)
     jac_f, rows = prob.jac_f, []

@@ -9,7 +9,7 @@ from scipy import linalg, sparse
 
 from imexest import adjoint, numerics, reference, solver
 from imexest.numerics import (GAUSS_NODES, GAUSS_WEIGHTS, Band, BlockForm,
-                              LagrangeBasis, StageForm, as_dense, legendre_shifted,
+                              LagrangeBasis, as_dense, legendre_shifted,
                               lu_factor, node_order, one_blas_thread,
                               openblas_pools)
 from imexest.problems import burgers, mhd_alfven
@@ -144,9 +144,9 @@ FORMS = {"dense": np.array, "csr": sparse.csr_array, "csc": sparse.csc_array}
 
 @pytest.mark.parametrize("route", FORMS)
 def test_systems_take_their_operators_form(route):
-    # a CSR or CSC operator's stage system I - k C (x) J is a band on the
-    # operator's pattern, a dense operator's an ndarray, with the same
-    # values either way
+    # a CSR or CSC operator's stage system I - k C (x) J, its identity
+    # blocks less k C[a, b] J, is a band on the operator's pattern, a dense
+    # operator's an ndarray, with the same values either way
     rng = np.random.default_rng(3)
     mat = rng.standard_normal((4, 4))
     mat[1, 2] = mat[3, 0] = 0.0
@@ -154,8 +154,8 @@ def test_systems_take_their_operators_form(route):
     assert type(as_dense(op)) is np.ndarray and np.array_equal(as_dense(op), mat)
     coeffs, k = rng.standard_normal((2, 2)), 0.3
     pattern = sparse.csr_array(op != 0) if sparse.issparse(op) else None
-    form = StageForm(coeffs, pattern, None if pattern is None else node_order(pattern))
-    got = form.system(k, form.values(op))
+    form = BlockForm(4, 2, pattern, None if pattern is None else node_order(pattern))
+    got = form.system(form.identity() - k * np.multiply.outer(coeffs, form.values(op)))
     want = np.eye(8) - k * np.kron(coeffs, mat)
     if route == "dense":
         assert type(got) is np.ndarray and np.array_equal(got, want)
@@ -233,22 +233,23 @@ def test_lu_factor_raises_the_callers_error_for_a_singular_matrix(matrix):
 
 
 def test_block_form_of_a_pattern_is_its_dense_form_in_band():
-    # r x (r + 1) blocks, each the transpose of a matrix on a stated sparse
-    # pattern, give a band system and a CSC known matrix with the values of
-    # the dense form's Fortran-order array, and read only the transposed
-    # pattern and the diagonal
+    # r x (r + 1) blocks, each a matrix on a stated sparse pattern, give a
+    # band system and a CSC known matrix with the values of the dense
+    # form's Fortran-order array, and read only the pattern and the
+    # diagonal
     rng = np.random.default_rng(8)
     m, r = 5, 3
     pattern = rng.random((m, m)) < 0.3
-    sparse_form = BlockForm(m, r, sparse.csr_array(pattern), node_order(pattern))
-    dense_form = BlockForm(m, r, pattern, None)  # the same pattern, dense
+    sparse_form = BlockForm(m, r, sparse.csr_array(pattern), node_order(pattern),
+                            width=r + 1)
+    dense_form = BlockForm(m, r, pattern, None, width=r + 1)  # the same pattern, dense
     blocks = rng.standard_normal((r, r + 1, sparse_form.rows.size))
     full_blocks = dense_blocks(sparse_form, blocks)
-    allowed = pattern.T | np.eye(m, dtype=bool)
+    allowed = pattern | np.eye(m, dtype=bool)
     assert np.array_equal(full_blocks != 0.0,
                           np.broadcast_to(allowed, (r, r + 1, m, m)))
-    got, got_known = sparse_form.system(blocks)
-    want, want_known = dense_form.system(full_blocks)
+    got, got_known = sparse_form.system(blocks), sparse_form.known
+    want, want_known = dense_form.system(full_blocks), dense_form.known
     # the band is LAPACK's: Fortran order, with kl zero rows for gbtrf's fill
     assert isinstance(got, Band) and got.shape == (r * m, r * m)
     assert got.ab.shape == (2 * got.kl + got.ku + 1, r * m) and got.ab.flags.f_contiguous
@@ -270,7 +271,7 @@ def test_block_form_of_a_pattern_is_its_dense_form_in_band():
                               np.diagonal(full_blocks, axis1=2, axis2=3))
     # a second call makes a new band in the same ordering, leaving the first
     # as it was, and refills the known matrix in place
-    again, again_known = sparse_form.system(2.0 * blocks)
+    again, again_known = sparse_form.system(2.0 * blocks), sparse_form.known
     assert not np.shares_memory(again.ab, got.ab) and again.order is got.order
     assert np.array_equal(band_matrix(got), want)
     assert np.array_equal(band_matrix(again), 2.0 * want)
@@ -292,11 +293,12 @@ def test_band_is_the_dense_system_in_its_ordering(name, r):
     # rows and columns in the band's ordering, and nothing outside the band
     like = block_operators()[name]
     m = like.shape[0]
-    form = BlockForm(m, r, like, node_order(like))
+    form = BlockForm(m, r, like, node_order(like), width=r + 1)
     rng = np.random.default_rng(r)
     blocks = rng.standard_normal((r, r + 1, form.rows.size))
-    band, _ = form.system(blocks)
-    want, _ = BlockForm(m, r, as_dense(like), None).system(dense_blocks(form, blocks))
+    band = form.system(blocks)
+    want = BlockForm(m, r, as_dense(like), None, width=r + 1).system(
+        dense_blocks(form, blocks))
     ordered = want[np.ix_(band.order, band.order)]
     i, j = np.nonzero(ordered)
     assert (i - j).max() == band.kl and (j - i).max() == band.ku
@@ -313,14 +315,39 @@ def test_burgers_band_width_does_not_grow_with_the_ring(r):
     widths = set()
     for h in (0.025, 1.0 / 160.0):
         pattern = burgers(0.05, h).jac_pattern
-        form = BlockForm(pattern.shape[0], r, pattern, node_order(pattern))
+        form = BlockForm(pattern.shape[0], r, pattern.T, node_order(pattern),
+                         width=r + 1)
         widths.add((form.kl, form.ku))
     assert len(widths) == 1
     kl, ku = widths.pop()
     assert kl == ku <= 3 * r - 1
+
+
+@pytest.mark.parametrize("name, widths", [
+    ("burgers", (2, 8, 5, 8)),
+    ("mhd-v-split", (4, 14, 9, 14)),
+    ("mhd-v-implicit", (4, 14, 9, 14)),
+])
+def test_the_tables_systems_keep_their_half_widths(name, widths):
+    # each band on the tables' problems as its caller lays it out: the
+    # forward's Newton matrix one block, Radau IIA's stage system 3 x 3
+    # blocks and the adjoint's r x (r + 1) blocks of H^T at r = 2 and 3;
+    # every half-width as it was with a separate stage form
+    prob = {"burgers": lambda: burgers(0.05, 1.0 / 40.0),
+            "mhd-v-split": lambda: mhd_alfven(h=5e-3, v_mode="v-split"),
+            "mhd-v-implicit": lambda: mhd_alfven(h=5e-3, v_mode="v-implicit")}[name]()
+    m, pattern, nodes = prob.dim, prob.jac_pattern, prob.node_order
+    forms = [BlockForm(m, 1, pattern, nodes), BlockForm(m, 3, pattern, nodes),
+             BlockForm(m, 2, pattern.T, nodes, width=3),
+             BlockForm(m, 3, pattern.T, nodes, width=4)]
+    assert [(form.kl, form.ku) for form in forms] == [(w, w) for w in widths]
+
+
 def test_block_form_scatters_values_stated_at_its_pattern():
     # values at a CSR pattern's entries, in CSR order, become the blocks of
-    # the matrices' transposes; a diagonal the pattern lacks reads zero
+    # the matrices; a diagonal the pattern lacks reads zero.  On the
+    # transposed pattern, the values sorted by column, as the adjoint sorts
+    # them, become the blocks of the matrices' transposes
     rng = np.random.default_rng(5)
     m = 4
     pattern = sparse.csr_array(np.eye(m, k=1) + np.eye(m, k=-3))
@@ -328,10 +355,13 @@ def test_block_form_scatters_values_stated_at_its_pattern():
     mats = rng.standard_normal((3, m, m)) * (pattern.toarray() != 0.0)
     rows = np.repeat(np.arange(m), np.diff(pattern.indptr))
     stated = mats[:, rows, pattern.indices]
-    np.testing.assert_array_equal(dense_blocks(form, form.scatter(stated)),
-                                  mats.transpose(0, 2, 1))
+    np.testing.assert_array_equal(dense_blocks(form, form.scatter(stated)), mats)
     np.testing.assert_array_equal(form.scatter(stated),
                                   np.stack([form.values(mat) for mat in mats]))
+    form_t = BlockForm(m, 2, pattern.T, node_order(pattern), width=3)
+    by_column = form_t.scatter(stated[:, np.lexsort(pattern.nonzero())])
+    np.testing.assert_array_equal(dense_blocks(form_t, by_column), mats.transpose(0, 2, 1))
+    np.testing.assert_array_equal(by_column, np.stack([form_t.values(mat.T) for mat in mats]))
     with pytest.raises(ValueError, match="^5 values for a pattern of 4 entries$"):
         form.scatter(np.ones((3, 5)))
 
@@ -339,22 +369,22 @@ def test_block_form_scatters_values_stated_at_its_pattern():
 @pytest.mark.parametrize("route", ["dense", "csr"])
 def test_block_form_of_an_operator_is_its_kronecker_system(route):
     # the adjoint's constant-operator system: blocks c[a, j] op^T - D[a, j] I
-    # in the operator's own form are kron(c, op^T) - kron(D, I), value for
-    # value, the system its first r m columns (a band for a sparse operator)
-    # and the known matrix the rest
+    # in the form of op^T are kron(c, op^T) - kron(D, I), value for value,
+    # the system its first r m columns (a band for a sparse operator) and
+    # the known matrix the rest
     rng = np.random.default_rng(11)
     m, r = 6, 3
     mat = rng.standard_normal((m, m)) * (rng.random((m, m)) < 0.4)
     c, dmat = rng.standard_normal((r, r + 1)), rng.standard_normal((r, r + 1))
     op = FORMS[route](mat)
-    form = BlockForm(m, r, op, node_order(op))
-    blocks = np.multiply.outer(c, form.values(op))
+    form = BlockForm(m, r, op.T, node_order(op), width=r + 1)
+    blocks = np.multiply.outer(c, form.values(op.T))
     blocks[(Ellipsis, *form.diagonal)] -= dmat[:, :, None]
     if route == "dense":
         want = np.kron(c, mat.T) - np.kron(dmat, np.eye(m))
     else:
         want = (sparse.kron(c, op.T) - sparse.kron(dmat, sparse.eye_array(m))).toarray()
-    got, known = form.system(blocks)
+    got, known = form.system(blocks), form.known
     assert isinstance(got, Band) == sparse.issparse(known) == (route == "csr")
     assert np.array_equal(band_matrix(got) if route == "csr" else got, want[:, :r * m])
     assert np.array_equal(as_dense(known), want[:, r * m:])

@@ -5,11 +5,8 @@ and random valid IMEX pairs: inputs the shipped benchmarks never use.
 Also the estimate's sharpening as the adjoint grid is refined on one
 linear system, over a uniform grid and random graded ones, a piecewise
 polynomial's span readers against its whole-grid tables, the band
-systems of an adjoint block form and of a stage form on random sparse
-patterns, and the reference states DOP853 steps onto on random uniform
-grids."""
-
-from types import SimpleNamespace
+systems of block forms on random sparse patterns, and the reference
+states DOP853 steps onto on random uniform grids."""
 
 import numpy as np
 import pytest
@@ -25,7 +22,7 @@ from imexest.estimate import (  # noqa: E402
     component_split, effectivity, error_breakdown, error_breakdown_timedep,
     residual_weighted_estimate)
 from imexest.numerics import (  # noqa: E402
-    GAUSS_NODES, BlockForm, StageForm, lu_factor, node_order)
+    GAUSS_NODES, BlockForm, lu_factor, node_order)
 from imexest.problems import (  # noqa: E402
     QoiSpec, split_linear_system, split_scalar_bernoulli)
 from imexest.reference import (  # noqa: E402
@@ -274,64 +271,86 @@ def test_effectivity_converges_under_adjoint_refinement_on_a_graded_grid(
 
 @st.composite
 def block_systems(draw):
-    """A random m x m pattern (m from 1 to 12), r from 1 to 3, a right-hand
-    side of r m rows, a vector or three columns, and two kinds of systems
-    on the pattern: a sparse adjoint block form, its blocks' values on it
-    in [-1, 1], with 2 r m added to the system's diagonal so that it is
-    strictly diagonally dominant; and a stage form, with an (r, r)
-    coefficient matrix C and Jacobian values on the pattern in [-1, 1],
-    and a step k of size below 1 / (r m), which also makes I - k C (x) J
-    strictly diagonally dominant."""
+    """A random m x m pattern (m from 1 to 12, in general not symmetric),
+    r from 1 to 3, width r or r + 1, the pattern's sparse block form of
+    that shape, and three things on it: blocks of values in [-1, 1], with
+    2 r m added to the system's diagonal so that it is strictly diagonally
+    dominant; the stage system I - k C (x) J, with an (r, r) coefficient
+    matrix C and Jacobian values on the pattern in [-1, 1], and a step k
+    of size below 1 / (r m), which also makes it strictly diagonally
+    dominant; and a right-hand side of r m rows, a vector or three
+    columns."""
     m = draw(st.integers(1, 12))
     r = draw(st.integers(1, 3))
-    pattern = sparse.csr_array(draw(arrays(bool, (m, m))))
-    nodes = node_order(pattern)
-    form = BlockForm(m, r, pattern, nodes)
-    blocks = draw(arrays(float, (r, r + 1, form.rows.size),
+    width = draw(st.sampled_from([r, r + 1]))
+    pattern = draw(arrays(bool, (m, m)))
+    form = BlockForm(m, r, sparse.csr_array(pattern), node_order(pattern), width=width)
+    blocks = draw(arrays(float, (r, width, form.rows.size),
                          elements=st.floats(-1.0, 1.0)))
     for a in range(r):
         blocks[(a, a, *form.diagonal)] += 2 * r * m
+    coeffs = draw(arrays(float, (r, r), elements=st.floats(-1.0, 1.0)))
+    jac = draw(arrays(float, int(pattern.sum()), elements=st.floats(-1.0, 1.0)))
+    k = draw(st.floats(-0.99, 0.99)) / (r * m)
     shape = draw(st.sampled_from([(r * m,), (r * m, 3)]))
     rhs = draw(arrays(float, shape, elements=st.floats(-1.0, 1.0)))
-    coeffs = draw(arrays(float, (r, r), elements=st.floats(-1.0, 1.0)))
-    jac = draw(arrays(float, pattern.nnz, elements=st.floats(-1.0, 1.0)))
-    k = draw(st.floats(-0.99, 0.99)) / (r * m)
-    stage = SimpleNamespace(pattern=pattern, nodes=nodes, coeffs=coeffs, jac=jac, k=k)
-    return form, blocks, rhs, stage
+    return pattern, form, blocks, (coeffs, jac, k), rhs
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_systems())
 def test_band_solve_matches_numpy_on_random_patterns(case):
-    form, blocks, rhs, _ = case
-    dense, _ = BlockForm(form.m, form.r, np.zeros((form.m, form.m)), None).system(
-        dense_blocks(form, blocks))
-    want = np.linalg.solve(dense, rhs)
-    band, _ = form.system(blocks)
+    # the band ``system`` fills and the one ``gather`` stores hold, entry for
+    # entry, the system of the dense form on the same blocks, and the known
+    # matrix its further columns; the dense form gives exactly numpy's bits;
+    # and on these diagonally dominant draws a band solve matches numpy's of
+    # the dense system
+    pattern, form, blocks, _, rhs = case
+    m, r, n = form.m, form.r, form.r * form.m
+    dense_form = BlockForm(m, r, pattern, None, width=form.width)
+    full = dense_blocks(form, blocks)
+    want = np.block([[full[a, j] for j in range(form.width)] for a in range(r)])
+    dense = dense_form.system(full)
+    assert type(dense) is np.ndarray
+    assert np.array_equal(dense.view(np.int64), want[:, :n].view(np.int64))
+    assert np.array_equal(dense_form.known, want[:, n:])
+    band = form.system(blocks)
+    assert np.array_equal(band_matrix(band), want[:, :n])
+    abs_, knowns = form.gather(np.stack([blocks, 2.0 * blocks]))
+    for i in range(2):
+        assert np.array_equal(band_matrix(form.band(abs_[i])), (i + 1.0) * want[:, :n])
+    if form.width > r:
+        assert np.array_equal(form.known.toarray(), want[:, n:])
+        form.known.data[:] = knowns[1]
+        assert np.array_equal(form.known.toarray(), 2.0 * want[:, n:])
+    off_diagonal = np.abs(want[:, :n]).sum(axis=1) - np.abs(np.diagonal(want))
+    assert np.all(np.abs(np.diagonal(want)) > off_diagonal)
     got = lu_factor(band, singular=ZeroDivisionError)(rhs)
-    assert got.shape == want.shape
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert got.shape == rhs.shape
+    np.testing.assert_allclose(got, np.linalg.solve(want[:, :n], rhs), rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(block_systems())
 def test_stage_band_is_the_kronecker_system_on_random_patterns(case):
-    # the band holds I - k C (x) J entry for entry, the dense stage form
-    # gives exactly numpy's bits, and on these diagonally dominant draws a
-    # band solve matches numpy's of the dense system
-    _, _, rhs, stage = case
-    rows, cols = stage.pattern.nonzero()
-    mat = np.zeros(stage.pattern.shape)
-    mat[rows, cols] = stage.jac
-    want = np.eye(rhs.shape[0]) - stage.k * np.kron(stage.coeffs, mat)
-    dense = StageForm(stage.coeffs, None, None).system(stage.k, mat)
-    assert type(dense) is np.ndarray
+    # on square forms of the pattern, the band holds I - k C (x) J entry for
+    # entry, the dense form gives exactly numpy's bits, and on these
+    # diagonally dominant draws a band solve matches numpy's of the dense
+    # system
+    pattern, form, _, (coeffs, jac, k), rhs = case
+    m, r, n = form.m, form.r, form.r * form.m
+    mat = np.zeros((m, m))
+    mat[pattern] = jac
+    want = np.eye(n) - k * np.kron(coeffs, mat)
+    dense_form = BlockForm(m, r, pattern, None)
+    dense = dense_form.system(dense_form.identity() - k * np.multiply.outer(coeffs, mat))
     assert np.array_equal(dense.view(np.int64), want.view(np.int64))
-    band = StageForm(stage.coeffs, stage.pattern, stage.nodes).system(stage.k, stage.jac)
-    assert np.array_equal(band_matrix(band), want)
+    form = BlockForm(m, r, sparse.csr_array(pattern), node_order(pattern))
+    stage = form.system(form.identity() - k * np.multiply.outer(coeffs, form.scatter(jac)))
+    assert np.array_equal(band_matrix(stage), want)
     off_diagonal = np.abs(want).sum(axis=1) - np.abs(np.diagonal(want))
     assert np.all(np.abs(np.diagonal(want)) > off_diagonal)
-    got = lu_factor(band, singular=ZeroDivisionError)(rhs)
+    got = lu_factor(stage, singular=ZeroDivisionError)(rhs)
     np.testing.assert_allclose(got, np.linalg.solve(want, rhs), rtol=0.0, atol=1e-12)
 
 

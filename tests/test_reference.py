@@ -11,7 +11,7 @@ from scipy.integrate import DOP853, solve_ivp
 from imexest import numerics, reference
 from imexest.adjoint import solve_adjoint
 from imexest.cli import RunConfig, table_config
-from imexest.numerics import Band, StageForm
+from imexest.numerics import Band, BlockForm
 from imexest.problems import (
     QoiSpec,
     burgers,
@@ -530,10 +530,10 @@ def test_radau_verify_rejects_a_disagreeing_finer_level(monkeypatch):
 
 def stage_systems(jac, pattern=None, nodes=None):
     """Radau IIA's stage systems k -> I - k A (x) jac, dense, or on a
-    pattern in an order of its nodes."""
-    form = StageForm(reference.RADAU_A, pattern, nodes)
-    values = form.values(jac)
-    return lambda k: form.system(k, values)
+    pattern in an order of its nodes: 3 x 3 blocks of a ``BlockForm``."""
+    form = BlockForm(jac.shape[0], 3, pattern, nodes)
+    identity, values = form.identity(), form.values(jac)
+    return lambda k: form.system(identity - k * np.multiply.outer(reference.RADAU_A, values))
 
 
 def test_radau_solver_converges_at_order_five():

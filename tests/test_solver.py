@@ -439,6 +439,21 @@ def test_nonlinear_g_newton_band_on_a_non_symmetric_pattern(monkeypatch):
         assert_band_solves_the_dense_system(matrices[-1], want, seed)
 
 
+def test_a_jac_g_of_the_wrong_length_fails_the_forward():
+    # g = -y^3 on a 4 x 4 bidiagonal pattern of 7 entries, with a jac_g
+    # that gives one value a state: the forward rejects it as the adjoint
+    # does, where one value broadcast to every entry of the Newton matrix
+    # ran these 10 ssp343 steps to the end on 298 Newton iterations (107
+    # with all 7 values)
+    m = 4
+    pattern = sparse.csr_array(np.eye(m) + np.eye(m, k=-1))
+    prob = SplitOdeProblem(name="short-jacobian", y0=np.linspace(0.5, 1.5, m),
+                           f_op=np.zeros((m, m)), eval_g=lambda y: -y ** 3,
+                           jac_g=lambda ys: -3.0 * ys[:, :1] ** 2, jac_pattern=pattern)
+    with pytest.raises(ValueError, match="^1 values for a pattern of 7 entries$"):
+        solve_forward(prob, builtin("ssp343"), TimeGrid.uniform(1.0, 10))
+
+
 def test_newton_solves_factors_a_linear_problem_once_per_c(monkeypatch):
     # one LU per distinct c = k_n b_ii of an implicit stage, over steps
     # that differ by design and at roundoff, however often c recurs
